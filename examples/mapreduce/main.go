@@ -91,8 +91,8 @@ func run() error {
 	return nil
 }
 
-// loadOrTrain prefers the pre-trained model shipped in models/policy.gob
-// and falls back to a quick training run.
+// loadOrTrain prefers a model trained into models/policy.gob (the recipe is
+// in models/README.md) and falls back to a quick training run.
 func loadOrTrain(seed int64) (*spear.Network, error) {
 	if f, err := os.Open("models/policy.gob"); err == nil {
 		defer f.Close() //spear:ignoreerr(read-only file; a close error loses no data)

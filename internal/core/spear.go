@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -81,6 +82,10 @@ type Spear struct {
 
 var _ sched.ContextScheduler = (*Spear)(nil)
 
+// errMultiMachine rejects cluster specs the policy network cannot act on: its
+// output layer has one logit per ready-task slot, with no machine choice.
+var errMultiMachine = errors.New("core: the Spear policy network schedules single-machine specs only")
+
 // New builds Spear around a trained policy network. The same network guides
 // both expansion ordering and rollouts. The rollout agent implements
 // simenv.ContextPolicy and simenv.BatchPolicy, so the search automatically
@@ -122,13 +127,18 @@ func (s *Spear) Name() string { return s.search.Name() }
 
 // Schedule implements sched.Scheduler.
 func (s *Spear) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
-	return s.search.Schedule(g, spec)
+	return s.ScheduleContext(context.Background(), g, spec)
 }
 
 // ScheduleContext implements sched.ContextScheduler, delegating to the
 // underlying search: on cancellation it returns the best incumbent schedule
-// together with an error wrapping ctx.Err().
+// together with an error wrapping ctx.Err(). A spec of more than one machine
+// is an error: drl.Features encodes no machine choice, so the expander and
+// the rollout agent could only ever place on machine 0.
 func (s *Spear) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
+	if len(spec) > 1 {
+		return nil, fmt.Errorf("%w: got %d machines", errMultiMachine, len(spec))
+	}
 	return s.search.ScheduleContext(ctx, g, spec)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -176,5 +178,32 @@ func TestBuildModelDefaults(t *testing.T) {
 	}
 	if cfg.Feat != drl.DefaultFeatures() {
 		t.Errorf("Feat default = %+v", cfg.Feat)
+	}
+}
+
+// TestSpearRejectsMultiMachineSpec: the policy network has no machine choice,
+// so a multi-machine spec must come back as the sentinel error from both entry
+// points, not as an out-of-range index into the action distribution.
+func TestSpearRejectsMultiMachineSpec(t *testing.T) {
+	net := quickModel(t)
+	s, err := New(net, quickFeat, Config{InitialBudget: 10, MinBudget: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.DefaultRandomDAGConfig()
+	cfg.NumTasks = 10
+	g, err := workload.RandomDAG(rand.New(rand.NewSource(3)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cluster.Uniform(2, cfg.Capacity())
+	if out, err := s.Schedule(g, spec); !errors.Is(err, errMultiMachine) || out != nil {
+		t.Errorf("Schedule on 2 machines = %v, %v; want nil, errMultiMachine", out, err)
+	}
+	if out, err := s.ScheduleContext(context.Background(), g, spec); !errors.Is(err, errMultiMachine) || out != nil {
+		t.Errorf("ScheduleContext on 2 machines = %v, %v; want nil, errMultiMachine", out, err)
+	}
+	if _, err := s.Schedule(g, cluster.Uniform(1, cfg.Capacity())); err != nil {
+		t.Errorf("one-machine Uniform spec rejected: %v", err)
 	}
 }

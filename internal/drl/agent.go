@@ -23,6 +23,7 @@ type Agent struct {
 var (
 	_ simenv.Policy        = (*Agent)(nil)
 	_ simenv.ContextPolicy = (*Agent)(nil)
+	_ simenv.BatchPolicy   = (*Agent)(nil)
 )
 
 // Agent errors.
@@ -69,43 +70,62 @@ func (a *Agent) Network() *nn.Network { return a.net }
 // Features returns the featurization the agent encodes states with.
 func (a *Agent) Features() Features { return a.feat }
 
-// AgentContext owns one goroutine's inference buffers — the encoded feature
-// vector, the legality mask, and the network's scratch activations. The
-// Agent itself is stateless and safe to share across goroutines; all
-// per-call mutable state lives here, so MCTS leaf-parallel rollouts and
-// REINFORCE sampling workers each carry their own context.
+// AgentContext owns one goroutine's inference buffers: the row-major encoded
+// states, the row-major legality masks and the network scratch holding the
+// activations. One state is the one-row case; a lock-step batch rollout hands
+// the agent several states at once and the whole batch goes through one
+// network pass. The Agent itself is stateless and safe to share across
+// goroutines; all per-call mutable state lives here, so MCTS rollout workers
+// and REINFORCE sampling workers each carry their own context.
 type AgentContext struct {
 	x       []float64
-	mask    []bool
+	masks   []bool
 	scratch *nn.Scratch
+	rows    int // capacity in states
 }
 
-// newContext allocates a context sized for the agent's network.
-func (a *Agent) newContext() *AgentContext {
+// newContext allocates a context for up to maxRows states per pass.
+func (a *Agent) newContext(maxRows int) *AgentContext {
+	if maxRows < 1 {
+		maxRows = 1
+	}
 	return &AgentContext{
-		x:       make([]float64, a.feat.InputSize()),
-		mask:    make([]bool, a.feat.OutputSize()),
+		x:       make([]float64, maxRows*a.feat.InputSize()),
+		masks:   make([]bool, maxRows*a.feat.OutputSize()),
 		scratch: a.net.NewScratch(),
+		rows:    maxRows,
 	}
 }
 
 // NewContext implements simenv.ContextPolicy.
-func (a *Agent) NewContext() simenv.PolicyContext { return a.newContext() }
+func (a *Agent) NewContext() simenv.PolicyContext { return a.newContext(1) }
 
-// probs evaluates the masked action distribution at the current state,
-// allocating fresh buffers. The fast path is probsCtx.
-func (a *Agent) probs(e *simenv.Env, legal []simenv.Action) ([]float64, error) {
-	x := a.feat.Encode(e, nil)
-	mask := a.feat.Mask(legal, nil)
-	return a.net.Probs(x, mask)
+// NewBatchContext implements simenv.BatchPolicy.
+func (a *Agent) NewBatchContext(maxRows int) simenv.BatchPolicyContext {
+	return a.newContext(maxRows)
 }
 
-// probsCtx evaluates the masked action distribution into ctx's buffers with
-// zero heap allocations. The returned slice is owned by ctx.
+// encodeRow writes the state of e and the mask of its legal actions into row
+// i of ctx.
+func (a *Agent) encodeRow(ctx *AgentContext, i int, e *simenv.Env, legal []simenv.Action) {
+	in, width := a.feat.InputSize(), a.feat.OutputSize()
+	a.feat.Encode(e, ctx.x[i*in:(i+1)*in])
+	a.feat.Mask(legal, ctx.masks[i*width:(i+1)*width])
+}
+
+// infer runs the network over the first rows encoded rows of ctx and returns
+// their row-major masked action distributions, owned by ctx. After warm-up it
+// performs zero heap allocations.
+func (a *Agent) infer(ctx *AgentContext, rows int) ([]float64, error) {
+	in, width := a.feat.InputSize(), a.feat.OutputSize()
+	return a.net.ProbsBatchInto(ctx.scratch, ctx.x[:rows*in], rows, ctx.masks[:rows*width])
+}
+
+// probsCtx evaluates the masked action distribution of one state: the one-row
+// case of encodeRow + infer. The returned slice is owned by ctx.
 func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action) ([]float64, error) {
-	ctx.x = a.feat.Encode(e, ctx.x)
-	ctx.mask = a.feat.Mask(legal, ctx.mask)
-	return a.net.ProbsInto(ctx.scratch, ctx.x, ctx.mask)
+	a.encodeRow(ctx, 0, e, legal)
+	return a.infer(ctx, 1)
 }
 
 // selectAction turns the action distribution into a decision: argmax in
@@ -126,16 +146,13 @@ func (a *Agent) selectAction(probs []float64, rng *rand.Rand) (simenv.Action, er
 	return a.feat.ActionFor(sampleIndex(probs, rng)), nil
 }
 
-// Choose implements simenv.Policy.
+// Choose implements simenv.Policy: ChooseCtx on a fresh context. Anything
+// that chooses more than once should hold a context instead.
 func (a *Agent) Choose(e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (simenv.Action, error) {
-	probs, err := a.probs(e, legal)
-	if err != nil {
-		return 0, err
-	}
-	return a.selectAction(probs, rng)
+	return a.ChooseCtx(a.newContext(1), e, legal, rng)
 }
 
-// ChooseCtx implements simenv.ContextPolicy: Choose with reusable buffers.
+// ChooseCtx implements simenv.ContextPolicy: the one-row case of ChooseBatch.
 // After warm-up the whole per-step inference path (Encode, forward pass,
 // masked softmax, action selection) performs zero heap allocations.
 func (a *Agent) ChooseCtx(pc simenv.PolicyContext, e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (simenv.Action, error) {
@@ -148,6 +165,40 @@ func (a *Agent) ChooseCtx(pc simenv.PolicyContext, e *simenv.Env, legal []simenv
 		return 0, err
 	}
 	return a.selectAction(probs, rng)
+}
+
+// ChooseBatch implements simenv.BatchPolicy: encode every state into one
+// row-major batch, run a single forward + masked softmax, then select one
+// action per row. Per-row arithmetic does not depend on the batch size, so row
+// i's choice equals ChooseCtx on envs[i] with rngs[i], bit for bit.
+func (a *Agent) ChooseBatch(pc simenv.BatchPolicyContext, envs []*simenv.Env, legal [][]simenv.Action, rngs []*rand.Rand, out []simenv.Action) error {
+	ctx, ok := pc.(*AgentContext)
+	if !ok {
+		return fmt.Errorf("drl: foreign batch context %T", pc)
+	}
+	rows := len(envs)
+	if rows == 0 {
+		return nil
+	}
+	if rows > ctx.rows {
+		return fmt.Errorf("drl: batch of %d rows exceeds context capacity %d", rows, ctx.rows)
+	}
+	for i, e := range envs {
+		a.encodeRow(ctx, i, e, legal[i])
+	}
+	probs, err := a.infer(ctx, rows)
+	if err != nil {
+		return err
+	}
+	width := a.feat.OutputSize()
+	for i := range envs {
+		action, err := a.selectAction(probs[i*width:(i+1)*width], rngs[i])
+		if err != nil {
+			return err
+		}
+		out[i] = action
+	}
+	return nil
 }
 
 // sampleIndex draws an index proportional to probs (which sum to 1 over the
@@ -182,7 +233,7 @@ type Expander struct {
 
 // NewExpander wraps the agent for MCTS expansion.
 func NewExpander(agent *Agent) *Expander {
-	return &Expander{agent: agent, ctx: agent.newContext()}
+	return &Expander{agent: agent, ctx: agent.newContext(1)}
 }
 
 // Name implements mcts.Expander.

@@ -126,7 +126,7 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	baseline[4] = float64(tr.steps[4].now - tr.makespan) // advantage 0: skipped row
 
 	for _, bonus := range []float64{0, 0.01} {
-		// Sequential reference: one ProbsInto + BackwardInto per step.
+		// Sequential reference: one one-row forward and backward per step.
 		want := net.NewGrads()
 		scratch := net.NewScratch()
 		d := make([]float64, net.OutputSize())
@@ -157,13 +157,13 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 					}
 				}
 			}
-			if err := net.BackwardInto(scratch, d, want); err != nil {
+			if err := net.BackwardBatchInto(scratch, d, 1, want); err != nil {
 				t.Fatal(err)
 			}
 		}
 
 		got := net.NewGrads()
-		if err := backpropTrajectory(net, tr, baseline, got, newTrainContext(net), bonus); err != nil {
+		if err := backpropTrajectory(net, tr, baseline, got, newTrainContext(net, reinforceBatchRows), bonus); err != nil {
 			t.Fatal(err)
 		}
 		if got.Samples() != want.Samples() {

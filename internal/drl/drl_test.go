@@ -267,7 +267,7 @@ func TestExpanderPicksHighestProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := agent.probs(e, legal)
+	probs, err := agent.probsCtx(agent.newContext(1), e, legal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestEntropyBonusPushesTowardUniform(t *testing.T) {
 	baseline := []float64{float64(tr.steps[0].now - tr.makespan)} // advantage 0
 
 	entropyOf := func() float64 {
-		probs, err := net.Probs(x, mask)
+		probs, err := net.ProbsInto(net.NewScratch(), x, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func TestEntropyBonusPushesTowardUniform(t *testing.T) {
 
 	before := entropyOf()
 	opt := nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}
-	tc := newTrainContext(net)
+	tc := newTrainContext(net, reinforceBatchRows)
 	for i := 0; i < 50; i++ {
 		grads := net.NewGrads()
 		if err := backpropTrajectory(net, tr, baseline, grads, tc, 1.0); err != nil {

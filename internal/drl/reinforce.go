@@ -119,6 +119,8 @@ func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.
 		return nil, err
 	}
 
+	// One gradient buffer for the whole run: Apply hands it back zeroed.
+	grads := net.NewGrads()
 	curve := make([]EpochStats, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		stats := EpochStats{Epoch: epoch, MinMakespan: -1}
@@ -130,7 +132,6 @@ func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.
 			if end > len(jobs) {
 				end = len(jobs)
 			}
-			grads := net.NewGrads()
 			for _, g := range jobs[start:end] {
 				sampleStart := time.Now()
 				trajs, err := sampleTrajectories(agent, g, capacity, cfg, rng)
@@ -262,7 +263,7 @@ func sampleTrajectories(agent *Agent, g *dag.Graph, capacity resource.Vector, cf
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &samplerContext{agent: agent.newContext()}
+			sc := &samplerContext{agent: agent.newContext(1)}
 			for i := range next {
 				trajs[i], errs[i] = sampleOne(agent, sc, base, rand.New(rand.NewSource(seeds[i])))
 			}
@@ -305,7 +306,7 @@ func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, rng *rand.Ran
 		}
 		tr.steps = append(tr.steps, step{
 			x:      append([]float64(nil), sc.agent.x...),
-			mask:   append([]bool(nil), sc.agent.mask...),
+			mask:   append([]bool(nil), sc.agent.masks...),
 			action: feat.IndexFor(a),
 			now:    e.Now(),
 		})
@@ -364,7 +365,7 @@ func accumulatePolicyGradient(net *nn.Network, trajs []trajectory, grads *nn.Gra
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tc := newTrainContext(net)
+			tc := newTrainContext(net, reinforceBatchRows)
 			for i := range next {
 				local[i] = net.NewGrads()
 				errs[i] = backpropTrajectory(net, trajs[i], baseline, local[i], tc, entropyBonus)
@@ -392,8 +393,9 @@ func accumulatePolicyGradient(net *nn.Network, trajs []trajectory, grads *nn.Gra
 const reinforceBatchRows = 16
 
 // trainContext holds one backprop worker's reusable buffers: the network
-// scratch (whose batch buffers carry the activations) plus the row-major
-// chunk of encoded states, masks, logit gradients and per-row bookkeeping.
+// scratch (which carries the activations) plus the row-major chunk of encoded
+// states, masks, logit gradients and per-row bookkeeping. Pretrain sizes one
+// for its minibatch, REINFORCE one per worker for reinforceBatchRows.
 type trainContext struct {
 	scratch *nn.Scratch
 	bx      []float64
@@ -403,17 +405,16 @@ type trainContext struct {
 	act     []int
 }
 
-// newTrainContext allocates a backprop context sized for reinforceBatchRows
-// steps per pass.
-func newTrainContext(net *nn.Network) *trainContext {
+// newTrainContext allocates a backprop context for passes of up to rows rows.
+func newTrainContext(net *nn.Network, rows int) *trainContext {
 	in, out := net.InputSize(), net.OutputSize()
 	return &trainContext{
 		scratch: net.NewScratch(),
-		bx:      make([]float64, reinforceBatchRows*in),
-		bmask:   make([]bool, reinforceBatchRows*out),
-		bd:      make([]float64, reinforceBatchRows*out),
-		adv:     make([]float64, reinforceBatchRows),
-		act:     make([]int, reinforceBatchRows),
+		bx:      make([]float64, rows*in),
+		bmask:   make([]bool, rows*out),
+		bd:      make([]float64, rows*out),
+		adv:     make([]float64, rows),
+		act:     make([]int, rows),
 	}
 }
 

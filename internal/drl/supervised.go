@@ -56,7 +56,10 @@ type sample struct {
 }
 
 // Pretrain teaches net to imitate the teacher on the given jobs and returns
-// the mean cross-entropy loss per epoch.
+// the mean cross-entropy loss per epoch. Every minibatch is one batched
+// forward and one batched backward pass through a single reused scratch and
+// gradient buffer; the kernels accumulate in row order, so the trained
+// network is the one per-sample backprop would produce, bit for bit.
 func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.Vector, cfg PretrainConfig, rng *rand.Rand) ([]float64, error) {
 	cfg = cfg.normalized()
 	if net == nil {
@@ -74,6 +77,9 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 		return nil, err
 	}
 
+	in, out := net.InputSize(), net.OutputSize()
+	tc := newTrainContext(net, cfg.BatchSize)
+	grads := net.NewGrads()
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
@@ -83,23 +89,27 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 			if end > len(samples) {
 				end = len(samples)
 			}
-			grads := net.NewGrads()
-			for _, s := range samples[start:end] {
-				cache, err := net.Forward(s.x)
-				if err != nil {
-					return nil, err
-				}
-				probs, err := nn.Softmax(cache.Logits(), s.mask)
-				if err != nil {
-					return nil, err
-				}
-				epochLoss += -math.Log(math.Max(probs[s.action], 1e-12))
-				d := append([]float64(nil), probs...)
-				d[s.action] -= 1
-				if err := net.Backward(cache, d, grads); err != nil {
-					return nil, err
-				}
+			batch := samples[start:end]
+			rows := len(batch)
+			for r, s := range batch {
+				copy(tc.bx[r*in:(r+1)*in], s.x)
+				copy(tc.bmask[r*out:(r+1)*out], s.mask)
 			}
+			probs, err := net.ProbsBatchInto(tc.scratch, tc.bx[:rows*in], rows, tc.bmask[:rows*out])
+			if err != nil {
+				return nil, err
+			}
+			// Cross-entropy logit gradient: probs minus the teacher's one-hot.
+			d := tc.bd[:rows*out]
+			copy(d, probs)
+			for r, s := range batch {
+				epochLoss += -math.Log(math.Max(probs[r*out+s.action], 1e-12))
+				d[r*out+s.action] -= 1
+			}
+			if err := net.BackwardBatchInto(tc.scratch, d, rows, grads); err != nil {
+				return nil, err
+			}
+			// Apply leaves grads zeroed for the next minibatch.
 			if err := net.Apply(grads, cfg.Opt); err != nil {
 				return nil, err
 			}

@@ -1,8 +1,8 @@
 // Check: shape — NN buffer dimensions agree across the Into kernel family.
 //
 // The zero-alloc inference path threads caller-owned buffers through
-// ForwardInto / ProbsInto / BackwardInto and their batch twins; every one of
-// those calls carries an implicit shape contract against the dimensions the
+// ForwardBatchInto / ProbsBatchInto / BackwardBatchInto and the one-row
+// ProbsInto; every one of those calls carries an implicit shape contract against the dimensions the
 // network was constructed with. The kernels verify the contract at runtime
 // (and return an error), but a mismatch written today only surfaces when that
 // code path runs. This check moves the obvious cases to vet time with a
@@ -412,16 +412,10 @@ func (sc *shapeChecker) checkCall(f shapeFact, call *ast.CallExpr) {
 	}
 
 	switch name {
-	case "ForwardInto":
-		checkScratch(arg(0))
-		checkLen(arg(1), inDim, "input x", "input dimension")
 	case "ProbsInto":
 		checkScratch(arg(0))
 		checkLen(arg(1), inDim, "input x", "input dimension")
 		checkLen(arg(2), outDim, "mask", "output dimension")
-	case "BackwardInto":
-		checkScratch(arg(0))
-		checkLen(arg(1), outDim, "dLogits", "output dimension")
 	case "ForwardBatchInto":
 		checkScratch(arg(0))
 		if rows := arg(2); rows.kind == shapeInt {

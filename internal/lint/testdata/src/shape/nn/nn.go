@@ -21,16 +21,8 @@ func New(sizes []int, seed int64) (*Network, error) {
 // NewScratch mirrors the real scratch constructor.
 func (n *Network) NewScratch() *Scratch { return &Scratch{} }
 
-func (n *Network) ForwardInto(s *Scratch, x []float64) ([]float64, error) {
-	return nil, nil
-}
-
 func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, error) {
 	return nil, nil
-}
-
-func (n *Network) BackwardInto(s *Scratch, dLogits []float64, g *Grads) error {
-	return nil
 }
 
 func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64, error) {

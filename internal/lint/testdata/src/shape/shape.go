@@ -14,11 +14,14 @@ func good() {
 	s := net.NewScratch()
 	x := make([]float64, 4)
 	mask := make([]bool, 3)
-	d := make([]float64, 3)
+	xb := make([]float64, 2*4)
+	masks := make([]bool, 2*3)
+	d := make([]float64, 2*3)
 	var g nn.Grads
-	net.ForwardInto(s, x)
 	net.ProbsInto(s, x, mask)
-	net.BackwardInto(s, d, &g)
+	net.ForwardBatchInto(s, xb, 2)
+	net.ProbsBatchInto(s, xb, 2, masks)
+	net.BackwardBatchInto(s, d, 2, &g)
 }
 
 // badInput: the input buffer disagrees with the first layer size.
@@ -26,7 +29,7 @@ func badInput() {
 	net, _ := nn.New([]int{4, 8, 3}, 1)
 	s := net.NewScratch()
 	x := make([]float64, 7)
-	net.ForwardInto(s, x) // want "input x has length 7 but the network input dimension is 4"
+	net.ProbsInto(s, x, nil) // want "input x has length 7 but the network input dimension is 4"
 }
 
 // badMask: the action mask must match the output layer.
@@ -38,13 +41,13 @@ func badMask() {
 	net.ProbsInto(s, x, mask) // want "mask has length 2 but the network output dimension is 3"
 }
 
-// badDLogits: the backward seed must match the output layer.
+// badDLogits: the backward seed is rows x the output layer (2 x 3 = 6).
 func badDLogits() {
 	net, _ := nn.New([]int{4, 8, 3}, 1)
 	s := net.NewScratch()
 	d := make([]float64, 5)
 	var g nn.Grads
-	net.BackwardInto(s, d, &g) // want "dLogits has length 5 but the network output dimension is 3"
+	net.BackwardBatchInto(s, d, 2, &g) // want "batch dLogits has length 5 but the network rows×output size is 6"
 }
 
 // badBatch: batch buffers scale with the row count (2 rows x 4 inputs = 8).
@@ -62,7 +65,7 @@ func crossScratch() {
 	netB, _ := nn.New([]int{5, 8, 2}, 1)
 	sB := netB.NewScratch()
 	x := make([]float64, 4)
-	netA.ForwardInto(sB, x) // want "scratch was built for dims [5 8 2] but the receiver network has dims [4 8 3]"
+	netA.ProbsInto(sB, x, nil) // want "scratch was built for dims [5 8 2] but the receiver network has dims [4 8 3]"
 }
 
 // joinSafe: dims differ across the branches, so the join drops the fact and
@@ -75,7 +78,7 @@ func joinSafe(flag bool) {
 	net, _ := nn.New(dims, 1)
 	s := net.NewScratch()
 	x := make([]float64, 7)
-	net.ForwardInto(s, x) // dims unknown after the join: no finding
+	net.ProbsInto(s, x, nil) // dims unknown after the join: no finding
 }
 
 // computedRows: arithmetic over known ints still propagates (3*4 = 12 ok).

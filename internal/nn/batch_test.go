@@ -23,14 +23,15 @@ func randomBatch(rng *rand.Rand, rows, in, out int) (x []float64, masks []bool) 
 	return x, masks
 }
 
-func TestForwardBatchIntoMatchesForwardInto(t *testing.T) {
+// TestForwardBatchIntoMatchesNaive compares every row of the blocked kernel,
+// at batch sizes on both sides of the row block, against the naive oracle.
+func TestForwardBatchIntoMatchesNaive(t *testing.T) {
 	n := newNet(t, 7, 12, 9, 5)
-	batchScratch := n.NewScratch()
-	rowScratch := n.NewScratch()
+	s := n.NewScratch()
 	rng := rand.New(rand.NewSource(31))
 	for _, rows := range []int{1, 3, 8, 17} {
 		x, _ := randomBatch(rng, rows, 7, 5)
-		logits, err := n.ForwardBatchInto(batchScratch, x, rows)
+		logits, err := n.ForwardBatchInto(s, x, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,15 +39,12 @@ func TestForwardBatchIntoMatchesForwardInto(t *testing.T) {
 			t.Fatalf("rows=%d: got %d logits, want %d", rows, len(logits), rows*5)
 		}
 		for r := 0; r < rows; r++ {
-			want, err := n.ForwardInto(rowScratch, x[r*7:(r+1)*7])
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := naiveLogits(n, x[r*7:(r+1)*7])
 			for j := range want {
-				// The batched kernel keeps the per-row accumulation order, so
-				// equality is exact, not approximate.
+				// Both sides accumulate in the same order, so equality is
+				// exact, not approximate.
 				if logits[r*5+j] != want[j] {
-					t.Fatalf("rows=%d row %d logit %d: batch %g, single %g",
+					t.Fatalf("rows=%d row %d logit %d: kernel %g, oracle %g",
 						rows, r, j, logits[r*5+j], want[j])
 				}
 			}
@@ -90,7 +88,8 @@ func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
 	const rows = 9
 	x, masks := randomBatch(rng, rows, 5, 3)
 
-	// Sequential reference: forward + backward per row, rows in order.
+	// Sequential reference: one-row forward + backward per row, rows in
+	// order. Gradient correctness itself is TestBackwardGradientCheck's job.
 	want := n.NewGrads()
 	d := make([]float64, rows*3)
 	for r := 0; r < rows; r++ {
@@ -102,7 +101,7 @@ func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
 			d[r*3+j] = probs[j]
 		}
 		d[r*3] -= 1 // pretend action 0 was taken
-		if err := n.BackwardInto(rowScratch, d[r*3:(r+1)*3], want); err != nil {
+		if err := n.BackwardBatchInto(rowScratch, d[r*3:(r+1)*3], 1, want); err != nil {
 			t.Fatal(err)
 		}
 	}

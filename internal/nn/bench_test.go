@@ -24,47 +24,6 @@ func benchInput(n *Network) []float64 {
 	return x
 }
 
-func BenchmarkForward(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProbsMasked(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	mask := make([]bool, n.OutputSize())
-	for i := 0; i < len(mask); i += 2 {
-		mask[i] = true
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.Probs(x, mask); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkForwardInto(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	s := n.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.ForwardInto(s, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkProbsIntoMasked(b *testing.B) {
 	n := paperNet(b)
 	x := benchInput(n)
@@ -82,13 +41,13 @@ func BenchmarkProbsIntoMasked(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardBatchInto measures the batched (matrix-matrix) forward
-// pass; divide ns/op by the row count to compare against BenchmarkForwardInto
-// (one GEMV per state).
+// BenchmarkForwardBatchInto measures the forward kernel from the one-row case
+// (one GEMV per state) up to matrix-matrix batches; the rows/s metric makes
+// the sizes comparable.
 func BenchmarkForwardBatchInto(b *testing.B) {
 	n := paperNet(b)
 	s := n.NewScratch()
-	for _, rows := range []int{4, 16, 64} {
+	for _, rows := range []int{1, 4, 16, 64} {
 		x := make([]float64, rows*n.InputSize())
 		r := rand.New(rand.NewSource(2))
 		for i := range x {
@@ -147,73 +106,25 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-func BenchmarkBackward(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	cache, err := n.Forward(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[3] -= 1
-	g := n.NewGrads()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.Backward(cache, d, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBackwardInto(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n)
-	s := n.NewScratch()
-	if _, err := n.ForwardInto(s, x); err != nil {
-		b.Fatal(err)
-	}
-	probs, err := Softmax(s.Logits(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[3] -= 1
-	g := n.NewGrads()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.BackwardInto(s, d, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkApplyRMSProp(b *testing.B) {
 	n := paperNet(b)
 	x := benchInput(n)
-	cache, err := n.Forward(x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
+	s := n.NewScratch()
+	probs, err := n.ProbsInto(s, x, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := append([]float64(nil), probs...)
 	d[3] -= 1
 	g := n.NewGrads()
-	if err := n.Backward(cache, d, g); err != nil {
+	if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
 		b.Fatal(err)
 	}
 	opt := DefaultRMSProp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		g.AddSamples(1) // Apply consumed the batch; the update cost does not depend on its values
 		if err := n.Apply(g, opt); err != nil {
 			b.Fatal(err)
 		}

@@ -1,0 +1,331 @@
+// The one inference path: ForwardBatchInto and BackwardBatchInto are the only
+// forward and backward kernels. They work on a row-major batch held in a
+// caller-owned Scratch; a single state is the rows=1 call (ProbsInto).
+// Evaluating several states per pass streams each weight row once per row
+// block instead of once per state, and per-row arithmetic (accumulation order
+// included) does not depend on the batch size, so any split of the same rows
+// into batches gives bit-identical results.
+package nn
+
+import (
+	"fmt"
+	"math"
+)
+
+// batchRowBlock is the row-tile size of the forward kernel: weight rows are
+// streamed once per block while the block's activations stay L1-resident.
+const batchRowBlock = 8
+
+// Scratch holds the reusable buffers of the allocation-free inference and
+// backprop path. A Scratch is shaped for the network that created it and must
+// not be shared across goroutines; give every worker its own via NewScratch.
+//
+//spear:packed
+type Scratch struct {
+	// acts[l] holds the row-major rows x sizes[l] activations of layer l:
+	// acts[0] is the input copy, the last entry the raw logits.
+	acts  [][]float64
+	probs []float64
+	// deltaA/deltaB ping-pong the row-major batch deltas during backprop,
+	// each sized rows x the widest layer.
+	deltaA []float64
+	deltaB []float64
+	rows   int // rows the buffers are currently sized for
+}
+
+// NewScratch allocates a scratch buffer set shaped like the network and sized
+// for one row, so a single-row call never allocates. Larger batches grow it
+// on first use.
+func (n *Network) NewScratch() *Scratch {
+	s := &Scratch{acts: make([][]float64, len(n.sizes))}
+	n.ensureRows(s, 1)
+	return s
+}
+
+// ensureRows grows the scratch's buffers to hold at least rows rows. Growth
+// allocates; once sized, the kernels are allocation-free.
+//
+//spear:slowpath
+func (n *Network) ensureRows(s *Scratch, rows int) {
+	if s.rows >= rows {
+		return
+	}
+	widest := 0
+	for l, size := range n.sizes {
+		s.acts[l] = make([]float64, rows*size)
+		if size > widest {
+			widest = size
+		}
+	}
+	s.probs = make([]float64, rows*n.OutputSize())
+	s.deltaA = make([]float64, rows*widest)
+	s.deltaB = make([]float64, rows*widest)
+	s.rows = rows
+}
+
+// checkScratch verifies that s was built for a network of n's shape.
+//
+//spear:slowpath
+func (n *Network) checkScratch(s *Scratch) error {
+	if s == nil || len(s.acts) != len(n.sizes) {
+		return fmt.Errorf("%w: scratch does not match network", ErrBadShape)
+	}
+	for l, size := range n.sizes {
+		if len(s.acts[l]) != s.rows*size {
+			return fmt.Errorf("%w: scratch layer %d holds %d values, want %d rows x %d", ErrBadShape, l, len(s.acts[l]), s.rows, size)
+		}
+	}
+	return nil
+}
+
+// Cold-path error constructors for the //spear:noalloc kernels, where fmt is
+// forbidden.
+//
+//spear:slowpath
+func errBatchSize(rows int) error {
+	return fmt.Errorf("%w: batch of %d rows", ErrBadInput, rows)
+}
+
+//spear:slowpath
+func errBatchValues(got, rows, in int) error {
+	return fmt.Errorf("%w: got %d values, want %d rows x %d", ErrBadInput, got, rows, in)
+}
+
+//spear:slowpath
+func errBatchMasks(got, rows, out int) error {
+	return fmt.Errorf("%w: masks %d, want %d rows x %d", ErrBadInput, got, rows, out)
+}
+
+//spear:slowpath
+func errBatchRow(r int, err error) error {
+	return fmt.Errorf("row %d: %w", r, err)
+}
+
+//spear:slowpath
+func errBatchDLogits(got, rows, out int) error {
+	return fmt.Errorf("%w: dLogits %d, want %d rows x %d", ErrBadInput, got, rows, out)
+}
+
+//spear:slowpath
+func errBatchCold(have, want int) error {
+	return fmt.Errorf("%w: scratch holds %d rows, want %d (run ForwardBatchInto first)", ErrBadInput, have, want)
+}
+
+//spear:slowpath
+func errMaskSize(mask, logits int) error {
+	return fmt.Errorf("%w: mask size %d, logits %d", ErrBadInput, mask, logits)
+}
+
+// ForwardBatchInto computes logits for a row-major batch x (rows vectors of
+// InputSize each) into the scratch, returning the row-major rows x OutputSize
+// logits. The returned slice is owned by the scratch and valid until its next
+// call. Buffer growth happens in ensureRows; once the scratch is warm this
+// kernel never touches the heap.
+//
+//spear:noalloc
+func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64, error) {
+	if rows < 1 {
+		return nil, errBatchSize(rows)
+	}
+	in0 := n.sizes[0]
+	if len(x) != rows*in0 {
+		return nil, errBatchValues(len(x), rows, in0)
+	}
+	if err := n.checkScratch(s); err != nil {
+		return nil, err
+	}
+	n.ensureRows(s, rows)
+	copy(s.acts[0][:rows*in0], x)
+	last := len(n.weights) - 1
+	for l, w := range n.weights {
+		in, out := n.sizes[l], n.sizes[l+1]
+		a, c, bias := s.acts[l], s.acts[l+1], n.biases[l]
+		relu := l != last
+		for r0 := 0; r0 < rows; r0 += batchRowBlock {
+			r1 := r0 + batchRowBlock
+			if r1 > rows {
+				r1 = rows
+			}
+			for j := 0; j < out; j++ {
+				row := w[j*in : (j+1)*in]
+				bj := bias[j]
+				for r := r0; r < r1; r++ {
+					ar := a[r*in : r*in+in]
+					sum := bj
+					for i, xi := range ar {
+						sum += row[i] * xi
+					}
+					if relu && sum < 0 {
+						sum = 0
+					}
+					c[r*out+j] = sum
+				}
+			}
+		}
+	}
+	return s.acts[len(n.sizes)-1][:rows*n.OutputSize()], nil
+}
+
+// growProbs replaces an out buffer of the wrong length. Sized callers (the
+// scratch-backed inference path) never reach it.
+//
+//spear:slowpath
+func growProbs(n int) []float64 { return make([]float64, n) }
+
+// SoftmaxInto converts logits to probabilities in out, reused when it has the
+// right length. Entries where mask is false get probability zero; a nil mask
+// allows every action.
+func SoftmaxInto(logits []float64, mask []bool, out []float64) ([]float64, error) {
+	if mask != nil && len(mask) != len(logits) {
+		return nil, errMaskSize(len(mask), len(logits))
+	}
+	if len(out) != len(logits) {
+		out = growProbs(len(logits))
+	}
+	max := math.Inf(-1)
+	any := false
+	for i, v := range logits {
+		if mask != nil && !mask[i] {
+			continue
+		}
+		any = true
+		if v > max {
+			max = v
+		}
+	}
+	if !any {
+		return nil, ErrAllMasked
+	}
+	var sum float64
+	for i, v := range logits {
+		if mask != nil && !mask[i] {
+			out[i] = 0
+			continue
+		}
+		e := math.Exp(v - max)
+		out[i] = e
+		sum += e
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+	return out, nil
+}
+
+// ProbsBatchInto is ForwardBatchInto followed by a masked softmax per row.
+// masks is row-major rows x OutputSize (nil allows every action in every
+// row). The returned row-major probabilities are owned by the scratch.
+//
+//spear:noalloc
+func (n *Network) ProbsBatchInto(s *Scratch, x []float64, rows int, masks []bool) ([]float64, error) {
+	out := n.OutputSize()
+	if masks != nil && len(masks) != rows*out {
+		return nil, errBatchMasks(len(masks), rows, out)
+	}
+	logits, err := n.ForwardBatchInto(s, x, rows)
+	if err != nil {
+		return nil, err
+	}
+	probs := s.probs[:rows*out]
+	for r := 0; r < rows; r++ {
+		var mask []bool
+		if masks != nil {
+			mask = masks[r*out : (r+1)*out]
+		}
+		if _, err := SoftmaxInto(logits[r*out:(r+1)*out], mask, probs[r*out:(r+1)*out]); err != nil {
+			return nil, errBatchRow(r, err)
+		}
+	}
+	return probs, nil
+}
+
+// ProbsInto is the one-row case of ProbsBatchInto: one full inference with
+// zero heap allocations. The returned slice is owned by the scratch.
+//
+//spear:noalloc
+func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, error) {
+	return n.ProbsBatchInto(s, x, 1, mask)
+}
+
+// BackwardBatchInto accumulates gradients for a whole batch given dLogits,
+// the row-major rows x OutputSize gradient of the loss with respect to the
+// logits (for policy-gradient / cross-entropy losses with softmax this is
+// (probs - onehot) * scale), and the activations of the scratch's most recent
+// ForwardBatchInto, which must have covered at least rows rows. Contributions
+// are accumulated in row order, so splitting the same rows over several calls
+// gives bit-identical gradients, while each weight row is streamed once per
+// batch instead of once per sample.
+//
+//spear:noalloc
+func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *Grads) error {
+	out0 := n.OutputSize()
+	if rows < 1 || len(dLogits) != rows*out0 {
+		return errBatchDLogits(len(dLogits), rows, out0)
+	}
+	if err := n.checkScratch(s); err != nil {
+		return err
+	}
+	if s.rows < rows {
+		return errBatchCold(s.rows, rows)
+	}
+	delta := s.deltaA[:rows*out0]
+	spare := s.deltaB
+	copy(delta, dLogits)
+	for l := len(n.weights) - 1; l >= 0; l-- {
+		in, out := n.sizes[l], n.sizes[l+1]
+		prev := s.acts[l]
+		// Parameter gradients: for a fixed (j, i) the rows accumulate in
+		// ascending order, matching sequential per-sample backprop.
+		for j := 0; j < out; j++ {
+			grow := g.w[l][j*in : (j+1)*in]
+			for r := 0; r < rows; r++ {
+				dj := delta[r*out+j]
+				// Exact zero: skipping it cannot change the accumulated sums.
+				if dj == 0 { //spear:floateq
+					continue
+				}
+				g.b[l][j] += dj
+				ar := prev[r*in : r*in+in]
+				for i, pi := range ar {
+					grow[i] += dj * pi
+				}
+			}
+		}
+		if l == 0 {
+			break
+		}
+		// Propagate the batch delta through W and the ReLU. For a fixed
+		// (r, i) the j contributions accumulate in ascending order.
+		next := spare[:rows*in]
+		for i := range next {
+			next[i] = 0
+		}
+		w := n.weights[l]
+		for j := 0; j < out; j++ {
+			row := w[j*in : (j+1)*in]
+			for r := 0; r < rows; r++ {
+				dj := delta[r*out+j]
+				// Exact zero: a zero delta propagates nothing backwards.
+				if dj == 0 { //spear:floateq
+					continue
+				}
+				nr := next[r*in : r*in+in]
+				for i := range nr {
+					nr[i] += dj * row[i]
+				}
+			}
+		}
+		for r := 0; r < rows; r++ {
+			ar := prev[r*in : r*in+in]
+			nr := next[r*in : r*in+in]
+			for i := range nr {
+				if ar[i] <= 0 { // ReLU derivative
+					nr[i] = 0
+				}
+			}
+		}
+		delta, spare = next, delta[:cap(delta)]
+	}
+	g.n += rows
+	return nil
+}

@@ -16,8 +16,9 @@ import (
 
 // Network is a fully connected network: len(sizes)-1 layers, ReLU between
 // hidden layers, raw logits at the output (softmax applied separately so
-// that masking is possible). It is safe for concurrent Forward/Probs calls
-// as long as no Apply* call runs concurrently.
+// that masking is possible). Inference and backprop live in kernel.go. A
+// network is safe for concurrent inference, each goroutine on its own Scratch,
+// as long as no Apply call runs concurrently.
 type Network struct {
 	sizes   []int
 	weights [][]float64 // weights[l][j*in+i]: layer l, output j, input i
@@ -70,317 +71,6 @@ func (n *Network) InputSize() int { return n.sizes[0] }
 
 // OutputSize returns the number of logits.
 func (n *Network) OutputSize() int { return n.sizes[len(n.sizes)-1] }
-
-// Cache holds the per-layer activations of one forward pass, needed by
-// Backward.
-type Cache struct {
-	// acts[0] is the input; acts[l+1] is the post-ReLU activation of layer
-	// l (for the last layer: raw logits).
-	acts [][]float64
-}
-
-// Logits returns the output-layer logits of the cached pass.
-func (c *Cache) Logits() []float64 { return c.acts[len(c.acts)-1] }
-
-// Forward computes logits for input x, retaining activations for Backward.
-func (n *Network) Forward(x []float64) (*Cache, error) {
-	if len(x) != n.sizes[0] {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadInput, len(x), n.sizes[0])
-	}
-	cache := &Cache{acts: make([][]float64, len(n.sizes))}
-	cache.acts[0] = append([]float64(nil), x...)
-	cur := cache.acts[0]
-	last := len(n.weights) - 1
-	for l, w := range n.weights {
-		in, out := n.sizes[l], n.sizes[l+1]
-		next := make([]float64, out)
-		for j := 0; j < out; j++ {
-			sum := n.biases[l][j]
-			row := w[j*in : (j+1)*in]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			if l != last && sum < 0 {
-				sum = 0 // ReLU on hidden layers
-			}
-			next[j] = sum
-		}
-		cache.acts[l+1] = next
-		cur = next
-	}
-	return cache, nil
-}
-
-// Softmax converts logits to probabilities; entries where mask is false get
-// probability zero. A nil mask means all actions are allowed.
-func Softmax(logits []float64, mask []bool) ([]float64, error) {
-	if mask != nil && len(mask) != len(logits) {
-		return nil, fmt.Errorf("%w: mask size %d, logits %d", ErrBadInput, len(mask), len(logits))
-	}
-	max := math.Inf(-1)
-	any := false
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		any = true
-		if v > max {
-			max = v
-		}
-	}
-	if !any {
-		return nil, ErrAllMasked
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		e := math.Exp(v - max)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out, nil
-}
-
-// Probs is Forward followed by masked Softmax, discarding the cache.
-func (n *Network) Probs(x []float64, mask []bool) ([]float64, error) {
-	cache, err := n.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	return Softmax(cache.Logits(), mask)
-}
-
-// Scratch holds reusable per-layer buffers for the allocation-free inference
-// and backprop fast path (ForwardInto / ProbsInto / BackwardInto). A Scratch
-// is shaped for the network that created it and must not be shared across
-// goroutines; give every worker its own via NewScratch.
-//
-//spear:packed
-type Scratch struct {
-	// acts mirrors Cache.acts: acts[0] is the input copy, acts[l+1] the
-	// post-ReLU activation of layer l (raw logits for the last layer).
-	acts  [][]float64
-	probs []float64
-	// deltaA/deltaB are ping-pong backprop buffers sized to the widest layer.
-	deltaA []float64
-	deltaB []float64
-
-	// Batch buffers (ForwardBatchInto / ProbsBatchInto / BackwardBatchInto),
-	// grown on first use and whenever a larger batch arrives. bacts[l] holds
-	// the row-major rows x sizes[l] activations of layer l; bdeltaA/bdeltaB
-	// ping-pong the row-major batch deltas during backprop.
-	bacts   [][]float64
-	bprobs  []float64
-	bdeltaA []float64
-	bdeltaB []float64
-	brows   int // rows the batch buffers are currently sized for
-}
-
-// NewScratch allocates a scratch buffer set shaped like the network.
-func (n *Network) NewScratch() *Scratch {
-	s := &Scratch{acts: make([][]float64, len(n.sizes))}
-	widest := 0
-	for l, size := range n.sizes {
-		s.acts[l] = make([]float64, size)
-		if size > widest {
-			widest = size
-		}
-	}
-	s.probs = make([]float64, n.OutputSize())
-	s.deltaA = make([]float64, widest)
-	s.deltaB = make([]float64, widest)
-	return s
-}
-
-// Logits returns the output-layer logits of the most recent ForwardInto.
-func (s *Scratch) Logits() []float64 { return s.acts[len(s.acts)-1] }
-
-// checkScratch verifies that s was built for a network of n's shape.
-//
-//spear:slowpath
-func (n *Network) checkScratch(s *Scratch) error {
-	if s == nil || len(s.acts) != len(n.sizes) {
-		return fmt.Errorf("%w: scratch does not match network", ErrBadShape)
-	}
-	for l, size := range n.sizes {
-		if len(s.acts[l]) != size {
-			return fmt.Errorf("%w: scratch layer %d has %d units, want %d", ErrBadShape, l, len(s.acts[l]), size)
-		}
-	}
-	return nil
-}
-
-// errInputSize and errDLogitsSize build the cold-path size-mismatch errors
-// outside the //spear:noalloc kernels, where fmt is forbidden.
-//
-//spear:slowpath
-func errInputSize(got, want int) error {
-	return fmt.Errorf("%w: got %d, want %d", ErrBadInput, got, want)
-}
-
-//spear:slowpath
-func errDLogitsSize(got, want int) error {
-	return fmt.Errorf("%w: dLogits %d, want %d", ErrBadInput, got, want)
-}
-
-// ForwardInto computes logits for input x into the scratch buffers, with
-// zero heap allocations. The returned slice is owned by the scratch and
-// valid until the next ForwardInto/ProbsInto call on it. The arithmetic is
-// identical to Forward, so results match bit for bit.
-//
-//spear:noalloc
-func (n *Network) ForwardInto(s *Scratch, x []float64) ([]float64, error) {
-	if len(x) != n.sizes[0] {
-		return nil, errInputSize(len(x), n.sizes[0])
-	}
-	if err := n.checkScratch(s); err != nil {
-		return nil, err
-	}
-	copy(s.acts[0], x)
-	cur := s.acts[0]
-	last := len(n.weights) - 1
-	for l, w := range n.weights {
-		in := n.sizes[l]
-		next := s.acts[l+1]
-		for j := range next {
-			sum := n.biases[l][j]
-			row := w[j*in : (j+1)*in]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			if l != last && sum < 0 {
-				sum = 0 // ReLU on hidden layers
-			}
-			next[j] = sum
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-// errMaskSize builds the cold-path mask-mismatch error outside the softmax
-// kernel, where fmt is forbidden.
-//
-//spear:slowpath
-func errMaskSize(mask, logits int) error {
-	return fmt.Errorf("%w: mask size %d, logits %d", ErrBadInput, mask, logits)
-}
-
-// growProbs replaces an out buffer of the wrong length. Sized callers (the
-// scratch-backed inference paths) never reach it.
-//
-//spear:slowpath
-func growProbs(n int) []float64 { return make([]float64, n) }
-
-// SoftmaxInto is Softmax writing into out, reused when it has the right
-// length. Masked entries are set to probability zero.
-func SoftmaxInto(logits []float64, mask []bool, out []float64) ([]float64, error) {
-	if mask != nil && len(mask) != len(logits) {
-		return nil, errMaskSize(len(mask), len(logits))
-	}
-	if len(out) != len(logits) {
-		out = growProbs(len(logits))
-	}
-	max := math.Inf(-1)
-	any := false
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		any = true
-		if v > max {
-			max = v
-		}
-	}
-	if !any {
-		return nil, ErrAllMasked
-	}
-	var sum float64
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			out[i] = 0
-			continue
-		}
-		e := math.Exp(v - max)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out, nil
-}
-
-// ProbsInto is ForwardInto followed by SoftmaxInto on the scratch's
-// probability buffer: one full inference with zero heap allocations. The
-// returned slice is owned by the scratch.
-//
-//spear:noalloc
-func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, error) {
-	logits, err := n.ForwardInto(s, x)
-	if err != nil {
-		return nil, err
-	}
-	return SoftmaxInto(logits, mask, s.probs)
-}
-
-// BackwardInto is Backward using the activations of the scratch's most
-// recent ForwardInto and the scratch's delta buffers, so one training step
-// allocates nothing beyond the trajectory itself.
-//
-//spear:noalloc
-func (n *Network) BackwardInto(s *Scratch, dLogits []float64, g *Grads) error {
-	if len(dLogits) != n.OutputSize() {
-		return errDLogitsSize(len(dLogits), n.OutputSize())
-	}
-	if err := n.checkScratch(s); err != nil {
-		return err
-	}
-	delta := s.deltaA[:len(dLogits)]
-	spare := s.deltaB
-	copy(delta, dLogits)
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		in := n.sizes[l]
-		prev := s.acts[l]
-		// Parameter gradients.
-		for j, dj := range delta {
-			g.b[l][j] += dj
-			row := g.w[l][j*in : (j+1)*in]
-			for i, pi := range prev {
-				row[i] += dj * pi
-			}
-		}
-		if l == 0 {
-			break
-		}
-		// Propagate to the previous layer through W and the ReLU.
-		nextDelta := spare[:in]
-		for i := range nextDelta {
-			nextDelta[i] = 0
-		}
-		w := n.weights[l]
-		for j, dj := range delta {
-			row := w[j*in : (j+1)*in]
-			for i := range nextDelta {
-				nextDelta[i] += dj * row[i]
-			}
-		}
-		for i := range nextDelta {
-			if s.acts[l][i] <= 0 { // ReLU derivative
-				nextDelta[i] = 0
-			}
-		}
-		delta, spare = nextDelta, delta[:cap(delta)]
-	}
-	g.n++
-	return nil
-}
 
 // Grads accumulates parameter gradients across a mini-batch.
 type Grads struct {
@@ -440,48 +130,6 @@ func (g *Grads) Norm() float64 {
 	return math.Sqrt(sum) / float64(g.n)
 }
 
-// Backward accumulates gradients for one sample given dLogits, the gradient
-// of the loss with respect to the output logits (for policy-gradient /
-// cross-entropy losses with softmax this is (probs - onehot) * scale).
-func (n *Network) Backward(cache *Cache, dLogits []float64, g *Grads) error {
-	if len(dLogits) != n.OutputSize() {
-		return fmt.Errorf("%w: dLogits %d, want %d", ErrBadInput, len(dLogits), n.OutputSize())
-	}
-	delta := append([]float64(nil), dLogits...)
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		in := n.sizes[l]
-		prev := cache.acts[l]
-		// Parameter gradients.
-		for j, dj := range delta {
-			g.b[l][j] += dj
-			row := g.w[l][j*in : (j+1)*in]
-			for i, pi := range prev {
-				row[i] += dj * pi
-			}
-		}
-		if l == 0 {
-			break
-		}
-		// Propagate to the previous layer through W and the ReLU.
-		nextDelta := make([]float64, in)
-		w := n.weights[l]
-		for j, dj := range delta {
-			row := w[j*in : (j+1)*in]
-			for i := range nextDelta {
-				nextDelta[i] += dj * row[i]
-			}
-		}
-		for i := range nextDelta {
-			if cache.acts[l][i] <= 0 { // ReLU derivative
-				nextDelta[i] = 0
-			}
-		}
-		delta = nextDelta
-	}
-	g.n++
-	return nil
-}
-
 // RMSProp hyperparameters (§IV).
 type RMSProp struct {
 	LR  float64 // learning rate α; paper: 1e-4
@@ -492,8 +140,9 @@ type RMSProp struct {
 // DefaultRMSProp returns the paper's optimizer settings.
 func DefaultRMSProp() RMSProp { return RMSProp{LR: 1e-4, Rho: 0.9, Eps: 1e-9} }
 
-// Apply performs one RMSProp update with the mean gradient of the batch.
-// Accumulators persist inside the network.
+// Apply performs one RMSProp update with the mean gradient of the batch and
+// consumes it: g comes back zeroed, ready to accumulate the next batch. The
+// RMSProp accumulators persist inside the network.
 func (n *Network) Apply(g *Grads, opt RMSProp) error {
 	if g.n == 0 {
 		return errors.New("nn: empty gradient batch")
@@ -504,13 +153,16 @@ func (n *Network) Apply(g *Grads, opt RMSProp) error {
 			grad := raw * scale
 			n.msW[l][i] = opt.Rho*n.msW[l][i] + (1-opt.Rho)*grad*grad
 			n.weights[l][i] -= opt.LR * grad / (math.Sqrt(n.msW[l][i]) + opt.Eps)
+			g.w[l][i] = 0
 		}
 		for i, raw := range g.b[l] {
 			grad := raw * scale
 			n.msB[l][i] = opt.Rho*n.msB[l][i] + (1-opt.Rho)*grad*grad
 			n.biases[l][i] -= opt.LR * grad / (math.Sqrt(n.msB[l][i]) + opt.Eps)
+			g.b[l][i] = 0
 		}
 	}
+	g.n = 0
 	return nil
 }
 

@@ -17,6 +17,34 @@ func newNet(t *testing.T, sizes ...int) *Network {
 	return n
 }
 
+// probsOf runs one single-row inference on a fresh scratch and returns a copy
+// of the action distribution.
+func probsOf(t *testing.T, n *Network, x []float64, mask []bool) []float64 {
+	t.Helper()
+	p, err := n.ProbsInto(n.NewScratch(), x, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), p...)
+}
+
+// backpropCrossEntropy accumulates into g the gradient of
+// -log softmax(logits)[target] at x: a one-row forward, then the one-row
+// backward with dLogits = probs - onehot(target).
+func backpropCrossEntropy(t *testing.T, n *Network, x []float64, mask []bool, target int, g *Grads) {
+	t.Helper()
+	s := n.NewScratch()
+	probs, err := n.ProbsInto(s, x, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := append([]float64(nil), probs...)
+	d[target] -= 1
+	if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	if _, err := New([]int{4}, r); !errors.Is(err, ErrBadShape) {
@@ -37,29 +65,31 @@ func TestNewValidation(t *testing.T) {
 func TestForwardShapeAndDeterminism(t *testing.T) {
 	n := newNet(t, 3, 5, 2)
 	x := []float64{0.1, -0.2, 0.3}
-	c1, err := n.Forward(x)
+	s := n.NewScratch()
+	l1, err := n.ForwardBatchInto(s, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := n.Forward(x)
+	l1 = append([]float64(nil), l1...) // the scratch reuses its logits buffer
+	l2, err := n.ForwardBatchInto(n.NewScratch(), x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c1.Logits()) != 2 {
-		t.Fatalf("logits len = %d", len(c1.Logits()))
+	if len(l1) != 2 {
+		t.Fatalf("logits len = %d", len(l1))
 	}
-	for i := range c1.Logits() {
-		if c1.Logits()[i] != c2.Logits()[i] {
+	for i := range l1 {
+		if l1[i] != l2[i] {
 			t.Errorf("forward not deterministic at %d", i)
 		}
 	}
-	if _, err := n.Forward([]float64{1}); !errors.Is(err, ErrBadInput) {
+	if _, err := n.ForwardBatchInto(s, []float64{1}, 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("bad input err = %v", err)
 	}
 }
 
 func TestSoftmax(t *testing.T) {
-	p, err := Softmax([]float64{1, 1, 1}, nil)
+	p, err := SoftmaxInto([]float64{1, 1, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +99,7 @@ func TestSoftmax(t *testing.T) {
 		}
 	}
 
-	p, err = Softmax([]float64{5, 0, -5}, nil)
+	p, err = SoftmaxInto([]float64{5, 0, -5}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +116,7 @@ func TestSoftmax(t *testing.T) {
 }
 
 func TestSoftmaxMask(t *testing.T) {
-	p, err := Softmax([]float64{100, 1, 2}, []bool{false, true, true})
+	p, err := SoftmaxInto([]float64{100, 1, 2}, []bool{false, true, true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +127,16 @@ func TestSoftmaxMask(t *testing.T) {
 		t.Errorf("unmasked probs sum = %v", p[1]+p[2])
 	}
 
-	if _, err := Softmax([]float64{1, 2}, []bool{false, false}); !errors.Is(err, ErrAllMasked) {
+	if _, err := SoftmaxInto([]float64{1, 2}, []bool{false, false}, nil); !errors.Is(err, ErrAllMasked) {
 		t.Errorf("all masked err = %v", err)
 	}
-	if _, err := Softmax([]float64{1, 2}, []bool{true}); !errors.Is(err, ErrBadInput) {
+	if _, err := SoftmaxInto([]float64{1, 2}, []bool{true}, nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("short mask err = %v", err)
 	}
 }
 
 func TestSoftmaxNumericalStability(t *testing.T) {
-	p, err := Softmax([]float64{1e4, 1e4 - 1}, nil)
+	p, err := SoftmaxInto([]float64{1e4, 1e4 - 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +146,12 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 }
 
 // numericalGradient estimates d(loss)/d(param) by central differences,
-// where loss = -log softmax(logits)[target].
+// where loss = -log softmax(logits)[target] is evaluated by the naive oracle,
+// so the gradient check is independent of the forward kernel too.
 func numericalGradient(t *testing.T, n *Network, x []float64, target int, param *float64) float64 {
 	t.Helper()
 	const h = 1e-6
-	loss := func() float64 {
-		p, err := n.Probs(x, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return -math.Log(p[target])
-	}
+	loss := func() float64 { return -math.Log(naiveSoftmax(naiveLogits(n, x), nil)[target]) }
 	orig := *param
 	*param = orig + h
 	up := loss()
@@ -145,21 +170,8 @@ func TestBackwardGradientCheck(t *testing.T) {
 	}
 	target := 1
 
-	cache, err := n.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dLogits := append([]float64(nil), probs...)
-	dLogits[target] -= 1 // d(-log p[target])/d logits
-
 	g := n.NewGrads()
-	if err := n.Backward(cache, dLogits, g); err != nil {
-		t.Fatal(err)
-	}
+	backpropCrossEntropy(t, n, x, nil, target, g)
 
 	// Spot-check a handful of weights and biases in every layer.
 	for l := range n.weights {
@@ -193,28 +205,10 @@ func TestBackwardGradientCheckMasked(t *testing.T) {
 	mask := []bool{true, false, true, true}
 	target := 2
 
-	loss := func() float64 {
-		p, err := n.Probs(x, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return -math.Log(p[target])
-	}
+	loss := func() float64 { return -math.Log(naiveSoftmax(naiveLogits(n, x), mask)[target]) }
 
-	cache, err := n.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[target] -= 1
 	g := n.NewGrads()
-	if err := n.Backward(cache, d, g); err != nil {
-		t.Fatal(err)
-	}
+	backpropCrossEntropy(t, n, x, mask, target, g)
 
 	const h = 1e-6
 	for l := range n.weights {
@@ -241,29 +235,11 @@ func TestTrainingReducesLoss(t *testing.T) {
 	x := []float64{0.5, -1, 0.25}
 	target := 2
 
-	loss := func() float64 {
-		p, err := n.Probs(x, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return -math.Log(p[target])
-	}
+	loss := func() float64 { return -math.Log(probsOf(t, n, x, nil)[target]) }
 	before := loss()
+	g := n.NewGrads() // Apply hands it back zeroed, so one buffer serves every step
 	for step := 0; step < 200; step++ {
-		cache, err := n.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probs, err := Softmax(cache.Logits(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := append([]float64(nil), probs...)
-		d[target] -= 1
-		g := n.NewGrads()
-		if err := n.Backward(cache, d, g); err != nil {
-			t.Fatal(err)
-		}
+		backpropCrossEntropy(t, n, x, nil, target, g)
 		if err := n.Apply(g, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -281,14 +257,14 @@ func TestGradsAddAndSamples(t *testing.T) {
 	n := newNet(t, 2, 3, 2)
 	g1 := n.NewGrads()
 	g2 := n.NewGrads()
-	cache, err := n.Forward([]float64{1, -1})
-	if err != nil {
+	s := n.NewScratch()
+	if _, err := n.ForwardBatchInto(s, []float64{1, -1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Backward(cache, []float64{0.5, -0.5}, g1); err != nil {
+	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, g1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Backward(cache, []float64{0.5, -0.5}, g2); err != nil {
+	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, g2); err != nil {
 		t.Fatal(err)
 	}
 	g1.Add(g2)
@@ -309,13 +285,37 @@ func TestApplyEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestApplyConsumesGrads pins the reuse contract: Apply zeroes the batch, so
+// accumulating into the same Grads again equals accumulating into a new one.
+func TestApplyConsumesGrads(t *testing.T) {
+	n := newNet(t, 3, 6, 4)
+	x := []float64{0.5, -1, 0.25}
+	reused, fresh := n.NewGrads(), n.NewGrads()
+	backpropCrossEntropy(t, n, x, nil, 1, reused)
+	if err := n.Clone().Apply(reused, DefaultRMSProp()); err != nil {
+		t.Fatal(err)
+	}
+	if reused.Samples() != 0 || reused.Norm() != 0 {
+		t.Fatalf("after Apply: %d samples, norm %g; want an empty batch", reused.Samples(), reused.Norm())
+	}
+	if err := n.Apply(reused, DefaultRMSProp()); err == nil {
+		t.Error("consumed batch applied twice")
+	}
+	backpropCrossEntropy(t, n, x, nil, 2, reused)
+	backpropCrossEntropy(t, n, x, nil, 2, fresh)
+	for l := range fresh.w {
+		for i := range fresh.w[l] {
+			if reused.w[l][i] != fresh.w[l][i] {
+				t.Fatalf("layer %d weight %d: reused %g, fresh %g", l, i, reused.w[l][i], fresh.w[l][i])
+			}
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	n := newNet(t, 4, 8, 3)
 	x := []float64{0.1, 0.2, 0.3, 0.4}
-	want, err := n.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := probsOf(t, n, x, nil)
 
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
@@ -325,10 +325,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	got, err := loaded.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := probsOf(t, loaded, x, nil)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-15 {
 			t.Errorf("prob %d: %g != %g", i, got[i], want[i])
@@ -345,32 +342,13 @@ func TestCloneIndependence(t *testing.T) {
 	c := n.Clone()
 	x := []float64{1, 2}
 
-	cache, err := c.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[0] -= 1
 	g := c.NewGrads()
-	if err := c.Backward(cache, d, g); err != nil {
-		t.Fatal(err)
-	}
+	backpropCrossEntropy(t, c, x, nil, 0, g)
 	if err := c.Apply(g, RMSProp{LR: 0.1, Rho: 0.9, Eps: 1e-8}); err != nil {
 		t.Fatal(err)
 	}
 
-	p1, err := n.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.Probs(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1, p2 := probsOf(t, n, x, nil), probsOf(t, c, x, nil)
 	same := true
 	for i := range p1 {
 		if p1[i] != p2[i] {

@@ -2,57 +2,31 @@ package nn
 
 import (
 	"errors"
-	"math"
-	"math/rand"
 	"testing"
 )
 
-func TestForwardIntoMatchesForward(t *testing.T) {
-	n := newNet(t, 4, 6, 5, 3)
-	s := n.NewScratch()
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 10; trial++ {
-		x := make([]float64, 4)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		cache, err := n.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logits, err := n.ForwardInto(s, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range logits {
-			if logits[i] != cache.Logits()[i] {
-				t.Fatalf("trial %d logit %d: ForwardInto %g, Forward %g",
-					trial, i, logits[i], cache.Logits()[i])
-			}
-		}
-	}
-	if _, err := n.ForwardInto(s, []float64{1}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("bad input err = %v", err)
-	}
-}
-
+// TestProbsIntoMatchesProbs checks the one-row call against the naive
+// oracle's probabilities, bit for bit.
 func TestProbsIntoMatchesProbs(t *testing.T) {
 	n := newNet(t, 3, 5, 4)
 	s := n.NewScratch()
 	x := []float64{0.3, -0.7, 1.1}
 	mask := []bool{true, false, true, true}
-	want, err := n.Probs(x, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := naiveSoftmax(naiveLogits(n, x), mask)
 	got, err := n.ProbsInto(s, x, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("prob %d: ProbsInto %g, Probs %g", i, got[i], want[i])
+			t.Errorf("prob %d: ProbsInto %g, oracle %g", i, got[i], want[i])
 		}
+	}
+	if _, err := n.ProbsInto(s, []float64{1}, mask); !errors.Is(err, ErrBadInput) {
+		t.Errorf("bad input err = %v", err)
+	}
+	if _, err := n.ProbsInto(s, x, []bool{true}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("short mask err = %v", err)
 	}
 	// The returned slice is the scratch's own buffer, reused on every call.
 	again, err := n.ProbsInto(s, x, nil)
@@ -64,74 +38,22 @@ func TestProbsIntoMatchesProbs(t *testing.T) {
 	}
 }
 
-func TestBackwardIntoMatchesBackward(t *testing.T) {
-	n := newNet(t, 4, 6, 5, 3)
-	s := n.NewScratch()
-	rng := rand.New(rand.NewSource(23))
-	x := make([]float64, 4)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-
-	cache, err := n.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := Softmax(cache.Logits(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dLogits := append([]float64(nil), probs...)
-	dLogits[1] -= 1
-
-	want := n.NewGrads()
-	if err := n.Backward(cache, dLogits, want); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := n.ForwardInto(s, x); err != nil {
-		t.Fatal(err)
-	}
-	got := n.NewGrads()
-	if err := n.BackwardInto(s, dLogits, got); err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Samples() != want.Samples() {
-		t.Errorf("Samples: BackwardInto %d, Backward %d", got.Samples(), want.Samples())
-	}
-	for l := range want.w {
-		for i := range want.w[l] {
-			if math.Abs(got.w[l][i]-want.w[l][i]) > 1e-15 {
-				t.Fatalf("layer %d weight %d: BackwardInto %g, Backward %g",
-					l, i, got.w[l][i], want.w[l][i])
-			}
-		}
-		for i := range want.b[l] {
-			if math.Abs(got.b[l][i]-want.b[l][i]) > 1e-15 {
-				t.Fatalf("layer %d bias %d: BackwardInto %g, Backward %g",
-					l, i, got.b[l][i], want.b[l][i])
-			}
-		}
-	}
-}
-
 func TestScratchRejectsForeignNetwork(t *testing.T) {
 	a := newNet(t, 3, 5, 2)
 	b := newNet(t, 3, 4, 2)
 	s := b.NewScratch()
-	if _, err := a.ForwardInto(s, []float64{1, 2, 3}); err == nil {
-		t.Error("scratch from a different topology accepted")
+	if _, err := a.ProbsInto(s, []float64{1, 2, 3}, nil); !errors.Is(err, ErrBadShape) {
+		t.Errorf("scratch from a different topology: err = %v", err)
+	}
+	if err := a.BackwardBatchInto(s, []float64{1, 2}, 1, a.NewGrads()); !errors.Is(err, ErrBadShape) {
+		t.Errorf("backward on a foreign scratch: err = %v", err)
 	}
 }
 
 func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
 	logits := []float64{1.5, -0.5, 0.25, 3}
 	mask := []bool{true, true, false, true}
-	want, err := Softmax(logits, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := naiveSoftmax(logits, mask)
 	out := make([]float64, len(logits))
 	for i := range out {
 		out[i] = 99 // stale garbage the call must overwrite, including masked slots
@@ -145,7 +67,7 @@ func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("prob %d: SoftmaxInto %g, Softmax %g", i, got[i], want[i])
+			t.Errorf("prob %d: SoftmaxInto %g, oracle %g", i, got[i], want[i])
 		}
 	}
 }
@@ -163,8 +85,9 @@ func TestAddSamples(t *testing.T) {
 	}
 }
 
-// TestForwardIntoZeroAllocs gates the tentpole: after warm-up, the scratch
-// forward pass and masked softmax must not touch the heap.
+// TestForwardIntoZeroAllocs gates the one-row case: NewScratch pre-sizes for
+// one row, so a forward pass and masked softmax into a scratch must not touch
+// the heap even on the very first call.
 func TestForwardIntoZeroAllocs(t *testing.T) {
 	n := newNet(t, 10, 16, 8, 4)
 	s := n.NewScratch()
@@ -173,16 +96,13 @@ func TestForwardIntoZeroAllocs(t *testing.T) {
 	for i := range mask {
 		mask[i] = true
 	}
-	if _, err := n.ProbsInto(s, x, mask); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := n.ForwardInto(s, x); err != nil {
+		if _, err := n.ForwardBatchInto(s, x, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("ForwardInto allocates %.1f times per run, want 0", allocs)
+		t.Errorf("one-row ForwardBatchInto allocates %.1f times per run, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
 		if _, err := n.ProbsInto(s, x, mask); err != nil {
@@ -194,6 +114,7 @@ func TestForwardIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBackwardIntoZeroAllocs gates one-row backprop into a Grads.
 func TestBackwardIntoZeroAllocs(t *testing.T) {
 	n := newNet(t, 10, 16, 8, 4)
 	s := n.NewScratch()
@@ -201,15 +122,15 @@ func TestBackwardIntoZeroAllocs(t *testing.T) {
 	x := make([]float64, 10)
 	d := make([]float64, 4)
 	d[0] = 1
-	if _, err := n.ForwardInto(s, x); err != nil {
+	if _, err := n.ForwardBatchInto(s, x, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := n.BackwardInto(s, d, g); err != nil {
+		if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("BackwardInto allocates %.1f times per run, want 0", allocs)
+		t.Errorf("one-row BackwardBatchInto allocates %.1f times per run, want 0", allocs)
 	}
 }

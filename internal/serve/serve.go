@@ -155,8 +155,20 @@ type classState struct {
 	generated int // arrivals drawn so far (scheduled or delivered)
 
 	arrivals, rejected, completed int64
-	jcts                          []int64
 	jctSum, qdSum, stretchSum     float64
+	jctSumSq                      float64 // Σ jct², beside jctSum, for the class's Jain index
+}
+
+// jain is Jain's index (Σx)² / (n·Σx²) over the completion times of the
+// class's completed jobs, from the running sums. They accumulate in completion
+// order, exactly as stats.JainFairness would sum the whole list, so the value
+// is bit-identical to recomputing it — at O(1) instead of O(completed) per
+// completion. Only meaningful once a job has completed.
+func (c *classState) jain() float64 {
+	if c.jctSumSq == 0 { //spear:floateq — exact zero means every completion time was zero: perfectly fair
+		return 1
+	}
+	return c.jctSum * c.jctSum / (float64(c.completed) * c.jctSumSq)
 }
 
 // tenantState aggregates stretch across all of a tenant's classes for the
@@ -496,13 +508,11 @@ func (s *Server) complete(job *activeJob) {
 	jct := s.clock - job.arrival
 	stretch := float64(jct) / float64(job.makespan)
 	c.jctSum += float64(jct)
+	c.jctSumSq += float64(jct) * float64(jct)
 	c.stretchSum += stretch
-	c.jcts = append(c.jcts, jct)
 	c.metrics.JCTSum.Add(float64(jct))
 	c.metrics.StretchSum.Add(stretch)
-	if jain, err := stats.JainFairness(c.jcts); err == nil {
-		c.metrics.JainFairness.Set(jain)
-	}
+	c.metrics.JainFairness.Set(c.jain())
 
 	t := s.tenants[c.tenant]
 	t.stretchSum += stretch
@@ -556,9 +566,7 @@ func (s *Server) finish() *RunLog {
 			cs.MeanJCT = c.jctSum / n
 			cs.MeanQueueDelay = c.qdSum / n
 			cs.MeanStretch = c.stretchSum / n
-			if jain, err := stats.JainFairness(c.jcts); err == nil {
-				cs.Jain = jain
-			}
+			cs.Jain = c.jain()
 		}
 		sum.Classes = append(sum.Classes, cs)
 	}

@@ -7,6 +7,7 @@ import (
 	"spear/internal/baselines"
 	"spear/internal/obs"
 	"spear/internal/serve"
+	"spear/internal/stats"
 	"spear/internal/workload"
 )
 
@@ -164,6 +165,33 @@ func TestRunLogInvariants(t *testing.T) {
 	for _, cs := range log.Summary.Classes {
 		if cs.Completed > 0 && cs.MeanStretch < 1 {
 			t.Errorf("class %s mean stretch %v < 1", cs.Class, cs.MeanStretch)
+		}
+	}
+}
+
+// TestClassJainMatchesRecomputation pins the running Σx / Σx² sums behind
+// ClassSummary.Jain to the definition: bit-equal to stats.JainFairness over
+// the class's completion times in completion order, as read back from the log.
+func TestClassJainMatchesRecomputation(t *testing.T) {
+	cfg := testConfig(5)
+	cfg.Horizon = 3000
+	log := mustRun(t, cfg)
+	jcts := make(map[string][]int64)
+	for _, ev := range log.Events {
+		if ev.Kind == "complete" {
+			jcts[ev.Class] = append(jcts[ev.Class], ev.JCT)
+		}
+	}
+	for _, cs := range log.Summary.Classes {
+		if cs.Completed < 2 {
+			t.Fatalf("class %s completed %d jobs; the test needs several", cs.Class, cs.Completed)
+		}
+		want, err := stats.JainFairness(jcts[cs.Class])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.Jain != want {
+			t.Errorf("class %s Jain = %v, recomputed %v", cs.Class, cs.Jain, want)
 		}
 	}
 }

@@ -706,18 +706,8 @@ func errNoLegal(e *Env) error {
 //spear:timing
 func Run(e *Env, p Policy, rng *rand.Rand) (*sched.Schedule, error) {
 	began := time.Now()
-	for !e.Done() {
-		legal := e.LegalActions()
-		if len(legal) == 0 {
-			return nil, errNoLegal(e)
-		}
-		a, err := p.Choose(e, legal, rng)
-		if err != nil {
-			return nil, fmt.Errorf("policy %s: %w", p.Name(), err)
-		}
-		if err := e.Step(a); err != nil {
-			return nil, fmt.Errorf("policy %s chose action %d: %w", p.Name(), a, err)
-		}
+	if _, err := Rollout(e, p, rng); err != nil {
+		return nil, fmt.Errorf("policy %s: %w", p.Name(), err)
 	}
 	s, err := e.Schedule(p.Name())
 	if err != nil {
@@ -727,23 +717,11 @@ func Run(e *Env, p Policy, rng *rand.Rand) (*sched.Schedule, error) {
 	return s, nil
 }
 
-// Rollout runs the policy to completion and returns only the makespan. It
-// is the hot path of MCTS simulations.
+// Rollout runs the policy to completion on a fresh RolloutContext and returns
+// only the makespan. Anything that plays more than one episode should hold a
+// RolloutContext instead.
 func Rollout(e *Env, p Policy, rng *rand.Rand) (int64, error) {
-	for !e.Done() {
-		legal := e.LegalActions()
-		if len(legal) == 0 {
-			return 0, errNoLegal(e)
-		}
-		a, err := p.Choose(e, legal, rng)
-		if err != nil {
-			return 0, err
-		}
-		if err := e.Step(a); err != nil {
-			return 0, err
-		}
-	}
-	return e.Makespan(), nil
+	return NewRolloutContext(p).Rollout(e, rng)
 }
 
 // PolicyContext is an opaque bundle of per-goroutine buffers owned by a
@@ -796,9 +774,9 @@ func (rc *RolloutContext) RolloutFrom(base *Env, rng *rand.Rand) (int64, error) 
 	return rc.Rollout(rc.env, rng)
 }
 
-// Rollout drives e in place to completion like the package-level Rollout,
-// reusing the context's buffers. Results are identical for the same policy,
-// state and rng.
+// Rollout drives e in place to completion: the one episode loop behind Run,
+// the package-level Rollout and every MCTS simulation. It reuses the
+// context's buffers, and results depend only on the policy, state and rng.
 //
 //spear:noalloc
 func (rc *RolloutContext) Rollout(e *Env, rng *rand.Rand) (int64, error) {
