@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"text/tabwriter"
 
 	"spear/internal/drl"
 	"spear/internal/mcts"
@@ -74,16 +74,16 @@ func parallelRollouts(c mcts.Config, k int) mcts.Config { c.RolloutsPerExpansion
 func (r *AblationResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — design-choice isolation at budget %d on %d x %d-task DAGs\n", r.Budget, r.Graphs, r.Tasks)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "variant\tavg makespan\tavg time")
-	for _, ar := range r.Results {
-		mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
-		var sumMS float64
-		for _, d := range ar.Elapsed {
-			sumMS += float64(d.Microseconds()) / 1000
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "variant\tavg makespan\tavg time")
+		for _, ar := range r.Results {
+			mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
+			var sumMS float64
+			for _, d := range ar.Elapsed {
+				sumMS += float64(d.Microseconds()) / 1000
+			}
+			fmt.Fprintf(w, "%s\t%.1f\t%.0fms\n", ar.Name, mean, sumMS/float64(len(ar.Elapsed)))
 		}
-		fmt.Fprintf(w, "%s\t%.1f\t%.0fms\n", ar.Name, mean, sumMS/float64(len(ar.Elapsed)))
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	})
 	return b.String()
 }

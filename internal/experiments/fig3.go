@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"text/tabwriter"
 
 	"spear/internal/dag"
 	"spear/internal/sched"
@@ -48,15 +48,15 @@ func (s *Suite) Fig3() (*Fig3Result, error) {
 func (r *Fig3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3 — motivating example (T = %d)\n", r.T)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "algorithm\tmakespan\tin units of T")
-	for _, name := range []string{"Spear", "Graphene", "Tetris", "CP", "SJF"} {
-		m, ok := r.Makespans[name]
-		if !ok {
-			continue
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "algorithm\tmakespan\tin units of T")
+		for _, name := range []string{"Spear", "Graphene", "Tetris", "CP", "SJF"} {
+			m, ok := r.Makespans[name]
+			if !ok {
+				continue
+			}
+			fmt.Fprintf(w, "%s\t%d\t%.2fT\n", name, m, float64(m)/float64(r.T))
 		}
-		fmt.Fprintf(w, "%s\t%d\t%.2fT\n", name, m, float64(m)/float64(r.T))
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	})
 	return b.String()
 }

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"spear/internal/sched"
@@ -52,15 +52,15 @@ func (s *Suite) Fig6() (*Fig6Result, error) {
 func (r *Fig6Result) MakespanTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 6(a) — makespans over %d random %d-task DAGs (Spear budget %d)\n", r.Graphs, r.Tasks, r.Budget)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "algorithm\tavg makespan\tmin\tmax")
-	for _, ar := range r.Results {
-		mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
-		min, _ := stats.Min(ar.Makespans)   //spear:ignoreerr(samples are non-empty by construction)
-		max, _ := stats.Max(ar.Makespans)   //spear:ignoreerr(samples are non-empty by construction)
-		fmt.Fprintf(w, "%s\t%.1f\t%d\t%d\n", ar.Name, mean, min, max)
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "algorithm\tavg makespan\tmin\tmax")
+		for _, ar := range r.Results {
+			mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
+			min, _ := stats.Min(ar.Makespans)   //spear:ignoreerr(samples are non-empty by construction)
+			max, _ := stats.Max(ar.Makespans)   //spear:ignoreerr(samples are non-empty by construction)
+			fmt.Fprintf(w, "%s\t%.1f\t%d\t%d\n", ar.Name, mean, min, max)
+		}
+	})
 
 	if spear, graphene := r.byName("Spear"), r.byName("Graphene"); spear != nil && graphene != nil {
 		wins := 0
@@ -78,19 +78,19 @@ func (r *Fig6Result) MakespanTable() string {
 func (r *Fig6Result) RuntimeTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 6(b) — scheduler runtime over %d random %d-task DAGs\n", r.Graphs, r.Tasks)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "algorithm\tmedian\tmean\tmax")
-	for _, ar := range r.Results {
-		ms := make([]float64, len(ar.Elapsed))
-		for i, d := range ar.Elapsed {
-			ms[i] = float64(d.Microseconds()) / 1000
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "algorithm\tmedian\tmean\tmax")
+		for _, ar := range r.Results {
+			ms := make([]float64, len(ar.Elapsed))
+			for i, d := range ar.Elapsed {
+				ms[i] = float64(d.Microseconds()) / 1000
+			}
+			med, _ := stats.Median(ms) //spear:ignoreerr(samples are non-empty by construction)
+			mean, _ := stats.Mean(ms)  //spear:ignoreerr(samples are non-empty by construction)
+			max, _ := stats.Max(ms)    //spear:ignoreerr(samples are non-empty by construction)
+			fmt.Fprintf(w, "%s\t%sms\t%sms\t%sms\n", ar.Name, fmtMS(med), fmtMS(mean), fmtMS(max))
 		}
-		med, _ := stats.Median(ms) //spear:ignoreerr(samples are non-empty by construction)
-		mean, _ := stats.Mean(ms)  //spear:ignoreerr(samples are non-empty by construction)
-		max, _ := stats.Max(ms)    //spear:ignoreerr(samples are non-empty by construction)
-		fmt.Fprintf(w, "%s\t%sms\t%sms\t%sms\n", ar.Name, fmtMS(med), fmtMS(mean), fmtMS(max))
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	})
 	return b.String()
 }
 

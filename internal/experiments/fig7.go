@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"text/tabwriter"
 
 	"spear/internal/baselines"
 	"spear/internal/cluster"
@@ -93,12 +93,12 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 func (r *Fig7Result) MakespanTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 7(a) — pure MCTS makespan vs budget (%d-task DAGs, %d jobs)\n", r.Tasks, r.Points[0].Jobs)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "budget\tavg makespan\tavg time")
-	for _, p := range r.Points {
-		fmt.Fprintf(w, "%d\t%.1f\t%.0fms\n", p.Budget, p.MeanMakespan, p.MeanElapsedMS)
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "budget\tavg makespan\tavg time")
+		for _, p := range r.Points {
+			fmt.Fprintf(w, "%d\t%.1f\t%.0fms\n", p.Budget, p.MeanMakespan, p.MeanElapsedMS)
+		}
+	})
 	fmt.Fprintf(&b, "(Tetris reference: %.1f)\n", r.Points[0].TetrisMean)
 	return b.String()
 }
@@ -107,12 +107,12 @@ func (r *Fig7Result) MakespanTable() string {
 func (r *Fig7Result) WinRateTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 7(b) — fraction of jobs where MCTS beats Tetris\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "budget\twins\tties\tjobs\twin rate")
-	for _, p := range r.Points {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.0f%%\n", p.Budget, p.BeatsTetris, p.TiesTetris, p.Jobs,
-			100*float64(p.BeatsTetris)/float64(p.Jobs))
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "budget\twins\tties\tjobs\twin rate")
+		for _, p := range r.Points {
+			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.0f%%\n", p.Budget, p.BeatsTetris, p.TiesTetris, p.Jobs,
+				100*float64(p.BeatsTetris)/float64(p.Jobs))
+		}
+	})
 	return b.String()
 }

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"text/tabwriter"
 
 	"spear/internal/cluster"
 	"spear/internal/drl"
@@ -55,17 +55,17 @@ func (r *Fig8aResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 8(a) — MCTS (budget %d) vs Spear (budget %d) vs baselines, %d x %d-task DAGs\n",
 		r.MCTSBudget, r.SpearBudget, r.Graphs, r.Tasks)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "algorithm\tavg makespan\tavg time")
-	for _, ar := range r.Results {
-		mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
-		var sumMS float64
-		for _, d := range ar.Elapsed {
-			sumMS += float64(d.Microseconds()) / 1000
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "algorithm\tavg makespan\tavg time")
+		for _, ar := range r.Results {
+			mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
+			var sumMS float64
+			for _, d := range ar.Elapsed {
+				sumMS += float64(d.Microseconds()) / 1000
+			}
+			fmt.Fprintf(w, "%s\t%.1f\t%.0fms\n", ar.Name, mean, sumMS/float64(len(ar.Elapsed)))
 		}
-		fmt.Fprintf(w, "%s\t%.1f\t%.0fms\n", ar.Name, mean, sumMS/float64(len(ar.Elapsed)))
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	})
 	return b.String()
 }
 
@@ -128,19 +128,19 @@ func (s *Suite) Fig8b() (*Fig8bResult, error) {
 func (r *Fig8bResult) String() string {
 	var b strings.Builder
 	b.WriteString("Fig. 8(b) — DRL learning curve (mean makespan per epoch)\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "epoch\tmean makespan\tmin\tmax")
-	step := len(r.Curve) / 12
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < len(r.Curve); i += step {
-		pt := r.Curve[i]
-		fmt.Fprintf(w, "%d\t%.1f\t%d\t%d\n", pt.Epoch, pt.MeanMakespan, pt.MinMakespan, pt.MaxMakespan)
-	}
-	last := r.Curve[len(r.Curve)-1]
-	fmt.Fprintf(w, "%d\t%.1f\t%d\t%d\n", last.Epoch, last.MeanMakespan, last.MinMakespan, last.MaxMakespan)
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "epoch\tmean makespan\tmin\tmax")
+		step := len(r.Curve) / 12
+		if step < 1 {
+			step = 1
+		}
+		for i := 0; i < len(r.Curve); i += step {
+			pt := r.Curve[i]
+			fmt.Fprintf(w, "%d\t%.1f\t%d\t%d\n", pt.Epoch, pt.MeanMakespan, pt.MinMakespan, pt.MaxMakespan)
+		}
+		last := r.Curve[len(r.Curve)-1]
+		fmt.Fprintf(w, "%d\t%.1f\t%d\t%d\n", last.Epoch, last.MeanMakespan, last.MinMakespan, last.MaxMakespan)
+	})
 	fmt.Fprintf(&b, "references: Tetris %.1f, SJF %.1f\n", r.TetrisMean, r.SJFMean)
 	if r.CrossEpoch >= 0 {
 		fmt.Fprintf(&b, "curve crosses both references at epoch %d\n", r.CrossEpoch)

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
-	"text/tabwriter"
 
 	"spear/internal/baselines"
 	"spear/internal/cluster"
@@ -38,13 +38,13 @@ func (s *Suite) Fig9Trace() (*TraceResult, error) {
 func (r *TraceResult) CountTable() string {
 	var b strings.Builder
 	b.WriteString("Fig. 9(a) — tasks per job in the synthetic trace (paper: median 14/17, max 29/38)\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "stage\tmedian\tp90\tmax")
-	mp90, _ := stats.Percentile(r.Stats.MapTaskCounts, 90) //spear:ignoreerr(samples are non-empty by construction)
-	rp90, _ := stats.Percentile(r.Stats.RedTaskCounts, 90) //spear:ignoreerr(samples are non-empty by construction)
-	fmt.Fprintf(w, "map\t%d\t%.0f\t%d\n", r.Stats.MedianMaps, mp90, r.Stats.MaxMaps)
-	fmt.Fprintf(w, "reduce\t%d\t%.0f\t%d\n", r.Stats.MedianReduces, rp90, r.Stats.MaxReduces)
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "stage\tmedian\tp90\tmax")
+		mp90, _ := stats.Percentile(r.Stats.MapTaskCounts, 90) //spear:ignoreerr(samples are non-empty by construction)
+		rp90, _ := stats.Percentile(r.Stats.RedTaskCounts, 90) //spear:ignoreerr(samples are non-empty by construction)
+		fmt.Fprintf(w, "map\t%d\t%.0f\t%d\n", r.Stats.MedianMaps, mp90, r.Stats.MaxMaps)
+		fmt.Fprintf(w, "reduce\t%d\t%.0f\t%d\n", r.Stats.MedianReduces, rp90, r.Stats.MaxReduces)
+	})
 	return b.String()
 }
 
@@ -52,13 +52,13 @@ func (r *TraceResult) CountTable() string {
 func (r *TraceResult) RuntimeTable() string {
 	var b strings.Builder
 	b.WriteString("Fig. 9(b) — task runtimes in the synthetic trace (paper: median 73/32)\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "stage\tmedian\tp90\tmax mean per job")
-	mp90, _ := stats.Percentile(r.Stats.MapRuntimes, 90) //spear:ignoreerr(samples are non-empty by construction)
-	rp90, _ := stats.Percentile(r.Stats.RedRuntimes, 90) //spear:ignoreerr(samples are non-empty by construction)
-	fmt.Fprintf(w, "map\t%d\t%.0f\t%.0f\n", r.Stats.MedianMapRT, mp90, r.Stats.MaxMeanMapRT)
-	fmt.Fprintf(w, "reduce\t%d\t%.0f\t%.0f\n", r.Stats.MedianReduceRT, rp90, r.Stats.MaxMeanRedRT)
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "stage\tmedian\tp90\tmax mean per job")
+		mp90, _ := stats.Percentile(r.Stats.MapRuntimes, 90) //spear:ignoreerr(samples are non-empty by construction)
+		rp90, _ := stats.Percentile(r.Stats.RedRuntimes, 90) //spear:ignoreerr(samples are non-empty by construction)
+		fmt.Fprintf(w, "map\t%d\t%.0f\t%.0f\n", r.Stats.MedianMapRT, mp90, r.Stats.MaxMeanMapRT)
+		fmt.Fprintf(w, "reduce\t%d\t%.0f\t%.0f\n", r.Stats.MedianReduceRT, rp90, r.Stats.MaxMeanRedRT)
+	})
 	return b.String()
 }
 
@@ -134,13 +134,13 @@ func (s *Suite) Fig9c() (*Fig9cResult, error) {
 func (r *Fig9cResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9(c) — reduction in job duration vs Graphene over %d trace jobs\n", r.Jobs)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "percentile\treduction")
-	for _, p := range []float64{10, 25, 50, 75, 90, 100} {
-		v, _ := stats.Percentile(r.Reductions, p) //spear:ignoreerr(samples are non-empty by construction)
-		fmt.Fprintf(w, "p%.0f\t%.1f%%\n", p, 100*v)
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "percentile\treduction")
+		for _, p := range []float64{10, 25, 50, 75, 90, 100} {
+			v, _ := stats.Percentile(r.Reductions, p) //spear:ignoreerr(samples are non-empty by construction)
+			fmt.Fprintf(w, "p%.0f\t%.1f%%\n", p, 100*v)
+		}
+	})
 	fmt.Fprintf(&b, "Spear no worse than Graphene on %.0f%% of jobs; max reduction %.1f%%; mean %.1f%%\n",
 		100*r.NoWorseShare, 100*r.MaxReduction, 100*r.MeanReduction)
 	return b.String()

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"text/tabwriter"
 
 	"spear/internal/cluster"
 	"spear/internal/exact"
@@ -78,18 +77,18 @@ func (s *Suite) Gap() (*GapResult, error) {
 func (r *GapResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Optimality gap — %d x %d-task jobs vs proven optimum (branch and bound)\n", r.Jobs, r.Tasks)
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "algorithm\tmean gap\tjobs at optimum")
-	for i, ar := range r.PerAlgo {
-		atOpt := 0
-		for j, m := range ar.Makespans {
-			if m == r.Optimal[j] {
-				atOpt++
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprintln(w, "algorithm\tmean gap\tjobs at optimum")
+		for i, ar := range r.PerAlgo {
+			atOpt := 0
+			for j, m := range ar.Makespans {
+				if m == r.Optimal[j] {
+					atOpt++
+				}
 			}
+			fmt.Fprintf(w, "%s\t%.1f%%\t%d/%d\n", ar.Name, r.MeanGaps[i], atOpt, r.Jobs)
 		}
-		fmt.Fprintf(w, "%s\t%.1f%%\t%d/%d\n", ar.Name, r.MeanGaps[i], atOpt, r.Jobs)
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	})
 	return b.String()
 }
 

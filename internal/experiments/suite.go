@@ -13,6 +13,8 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"strings"
+	"text/tabwriter"
 	"time"
 
 	"spear/internal/baselines"
@@ -403,6 +405,15 @@ func (s *Suite) Run(name string, w io.Writer) error {
 	known := Names()
 	sort.Strings(known)
 	return fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, known)
+}
+
+// tabulate renders the rows a result writes to w as one aligned table at the
+// end of b. It owns the column format every String/…Table method shares, and
+// the writer's flush.
+func tabulate(b *strings.Builder, rows func(w io.Writer)) {
+	w := tabwriter.NewWriter(b, 2, 4, 2, ' ', 0)
+	rows(w)
+	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
 }
 
 // randomJobs generates n random DAGs with the paper's workload settings,

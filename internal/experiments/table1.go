@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"spear/internal/cluster"
@@ -52,19 +52,19 @@ func (s *Suite) Table1() (*Table1Result, error) {
 func (r *Table1Result) String() string {
 	var b strings.Builder
 	b.WriteString("Table I — MCTS-only scheduling runtime\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "tasks \\ budget")
-	for _, budget := range r.Budgets {
-		fmt.Fprintf(w, "\t%d", budget)
-	}
-	fmt.Fprintln(w)
-	for i, size := range r.Sizes {
-		fmt.Fprintf(w, "%d", size)
-		for _, d := range r.Elapsed[i] {
-			fmt.Fprintf(w, "\t%v", d.Round(time.Millisecond))
+	tabulate(&b, func(w io.Writer) {
+		fmt.Fprint(w, "tasks \\ budget")
+		for _, budget := range r.Budgets {
+			fmt.Fprintf(w, "\t%d", budget)
 		}
 		fmt.Fprintln(w)
-	}
-	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+		for i, size := range r.Sizes {
+			fmt.Fprintf(w, "%d", size)
+			for _, d := range r.Elapsed[i] {
+				fmt.Fprintf(w, "\t%v", d.Round(time.Millisecond))
+			}
+			fmt.Fprintln(w)
+		}
+	})
 	return b.String()
 }

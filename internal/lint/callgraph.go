@@ -1,5 +1,7 @@
 // Static call graph over every module package the runner has loaded. The
-// graph is the substrate of the interprocedural checks (interproc.go):
+// graph is the substrate of the interprocedural checks (interproc.go,
+// ctxpoll.go), which all propagate their facts with the one traversal at the
+// bottom of this file, callGraph.reach:
 //
 //   - Direct calls to package-level functions are resolved exactly.
 //   - Method calls are resolved via the static receiver type (the method
@@ -22,6 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -50,8 +53,10 @@ type posName struct {
 
 // funcNode is one declared function or method of a module package.
 type funcNode struct {
-	fn *types.Func
-	mp *modPkg
+	fn   *types.Func
+	mp   *modPkg
+	body *ast.BlockStmt
+	idx  *markerIndex // markers of the declaring file
 
 	noalloc  bool
 	slowpath bool
@@ -79,6 +84,14 @@ type funcNode struct {
 // callGraph maps every declared module function to its node.
 type callGraph struct {
 	nodes map[*types.Func]*funcNode
+
+	// order lists the nodes by declaration position. Every pass iterates
+	// order, never the map, so no verdict or message depends on map order.
+	order []*funcNode
+
+	// byName indexes order by bare function name: an interface call site is
+	// over-approximated by every module method of that name (ctxpoll).
+	byName map[string][]*funcNode
 }
 
 // buildCallGraph constructs the graph over every module package currently
@@ -87,7 +100,7 @@ type callGraph struct {
 // type-checked by the same runner, so a callee resolved in one package is
 // the same *types.Func the defining package declared.
 func (r *Runner) buildCallGraph() *callGraph {
-	g := &callGraph{nodes: make(map[*types.Func]*funcNode)}
+	g := &callGraph{nodes: make(map[*types.Func]*funcNode), byName: make(map[string][]*funcNode)}
 	for _, mp := range r.cache {
 		for _, file := range mp.files {
 			idx := indexMarkers(r.fset, file)
@@ -104,6 +117,8 @@ func (r *Runner) buildCallGraph() *callGraph {
 				node := &funcNode{
 					fn:        fn,
 					mp:        mp,
+					body:      fd.Body,
+					idx:       idx,
 					noalloc:   idx.onFunc(r.fset, fd, markerNoalloc),
 					slowpath:  idx.onFunc(r.fset, fd, markerSlowpath),
 					timing:    idx.onFunc(r.fset, fd, markerTiming),
@@ -113,8 +128,13 @@ func (r *Runner) buildCallGraph() *callGraph {
 				}
 				r.scanBody(node, fd.Body, idx)
 				g.nodes[fn] = node
+				g.order = append(g.order, node)
 			}
 		}
+	}
+	sort.Slice(g.order, func(i, j int) bool { return g.order[i].fn.Pos() < g.order[j].fn.Pos() })
+	for _, node := range g.order {
+		g.byName[node.fn.Name()] = append(g.byName[node.fn.Name()], node)
 	}
 	return g
 }
@@ -218,4 +238,97 @@ func (r *Runner) displayName(fn *types.Func) string {
 	name := fn.FullName()
 	name = strings.ReplaceAll(name, r.modulePath+"/", "")
 	return strings.ReplaceAll(name, r.modulePath+".", "")
+}
+
+// hop is one step of the shortest call chain from a node to a seed.
+type hop struct {
+	next *funcNode // the neighbour one step closer to the seed; nil on a seed
+	dist int       // chain length in calls; 0 on a seed
+	pos  token.Pos // the call site that makes the step
+}
+
+// reach is the one transitive walk over call edges. It marks every node
+// connected to a seed through edges that follow accepts and returns, per
+// marked node, its next hop on a shortest chain to the nearest seed (ties go
+// to the earlier call site), so diagnostics can print the chain.
+//
+// With fromCallers false the walk runs against the call direction: a node is
+// marked when it reaches a seed through its callees ("transitively
+// allocates", "transitively polls"). With fromCallers true it runs along the
+// call direction: a node is marked when a seed reaches it. A resolved site
+// has one target; an interface-method site fans out to every module function
+// of that name, and follow decides whether such dynamic edges count.
+//
+// The walk is breadth-first from the seeds over g.order, so a verdict is a
+// plain reachability fact — it cannot depend on where a recursive cycle is
+// entered — and two runs produce identical chains.
+func (g *callGraph) reach(seed func(*funcNode) bool, follow func(site *callSite, callee *funcNode) bool, fromCallers bool) map[*funcNode]hop {
+	type edge struct {
+		to  *funcNode
+		pos token.Pos
+	}
+	// steps[n] lists the nodes one edge further from the seeds than n.
+	steps := make(map[*funcNode][]edge)
+	for _, caller := range g.order {
+		for i := range caller.calls {
+			site := &caller.calls[i]
+			link := func(callee *funcNode) {
+				if callee == nil || !follow(site, callee) {
+					return
+				}
+				if fromCallers {
+					steps[caller] = append(steps[caller], edge{callee, site.pos})
+				} else {
+					steps[callee] = append(steps[callee], edge{caller, site.pos})
+				}
+			}
+			if site.callee != nil {
+				link(g.nodes[site.callee])
+				continue
+			}
+			for _, callee := range g.byName[site.method] {
+				link(callee)
+			}
+		}
+	}
+	hops := make(map[*funcNode]hop)
+	var frontier []*funcNode
+	for _, n := range g.order {
+		if seed(n) {
+			hops[n] = hop{}
+			frontier = append(frontier, n)
+		}
+	}
+	for dist := 1; len(frontier) > 0; dist++ {
+		var next []*funcNode
+		for _, n := range frontier {
+			for _, e := range steps[n] {
+				h, seen := hops[e.to]
+				if seen && (h.dist < dist || h.pos <= e.pos) {
+					continue
+				}
+				if !seen {
+					next = append(next, e.to)
+				}
+				hops[e.to] = hop{next: n, dist: dist, pos: e.pos}
+			}
+		}
+		frontier = next
+	}
+	return hops
+}
+
+// via renders the chain from a marked node to its seed as the diagnostic
+// suffix " via a -> b -> seed" (empty when the node is itself the seed) and
+// returns the seed.
+func (r *Runner) via(hops map[*funcNode]hop, n *funcNode) (string, *funcNode) {
+	var names []string
+	for hops[n].next != nil {
+		n = hops[n].next
+		names = append(names, r.displayName(n.fn))
+	}
+	if len(names) == 0 {
+		return "", n
+	}
+	return " via " + strings.Join(names, " -> "), n
 }

@@ -1,9 +1,8 @@
 // Per-function control-flow graphs over go/ast. The CFG is the substrate of
-// the dataflow checks (dataflow.go): guardedby's held-lock interpretation,
-// errflow's definite-use analysis and shape's constant propagation all solve
-// a forward problem over the same block graph, so control-flow corner cases —
-// select, goto, labeled break/continue, switch fallthrough — are handled once,
-// here, instead of once per check.
+// the dataflow checks (dataflow.go): guardedby's held-lock interpretation and
+// errflow's definite-use analysis solve a forward problem over the same block
+// graph, so control-flow corner cases — select, goto, labeled break/continue,
+// switch fallthrough — are handled once, here, instead of once per check.
 //
 // Construction rules:
 //
@@ -21,12 +20,10 @@
 //     forward solver naturally iterates loop bodies to fixpoint.
 //   - switch without a default has an entry→merge edge (the whole statement
 //     can fall through); select without a default does not — select blocks
-//     until an arm fires, which is exactly the case the old structural
-//     guardedby walker got wrong. fallthrough edges to the next clause.
-//   - defer'd calls are recorded on the graph (and as items, so expression
-//     scans see their arguments) but their execution is modeled at exit only
-//     by the checks that care (guardedby treats `defer mu.Unlock()` as
-//     "held to function end").
+//     until an arm fires. fallthrough edges to the next clause.
+//   - defer statements are ordinary items, so expression scans see their
+//     arguments; what the deferred call does at exit is up to the checks
+//     (guardedby treats `defer mu.Unlock()` as "held to function end").
 package lint
 
 import (
@@ -40,11 +37,6 @@ type cfgBlock struct {
 	index int
 	items []ast.Node // leaf statements and guard/condition expressions
 	succs []*cfgBlock
-
-	// loop is the innermost enclosing for/range statement of the block's
-	// items, nil at top level. ctxpoll uses it to attribute poll sites to
-	// loops without re-walking the syntax tree.
-	loop ast.Stmt
 }
 
 // funcCFG is the control-flow graph of one function body.
@@ -52,27 +44,11 @@ type funcCFG struct {
 	blocks []*cfgBlock
 	entry  *cfgBlock
 	exit   *cfgBlock // synthetic; returns and panics edge here
-
-	// deferred lists the DeferStmt nodes of the body in source order; their
-	// calls conceptually run on every path through exit.
-	deferred []*ast.DeferStmt
-}
-
-// preds returns the predecessor lists, indexed like cfg.blocks.
-func (g *funcCFG) preds() [][]*cfgBlock {
-	out := make([][]*cfgBlock, len(g.blocks))
-	for _, b := range g.blocks {
-		for _, s := range b.succs {
-			out[s.index] = append(out[s.index], b)
-		}
-	}
-	return out
 }
 
 // cfgTarget is one break/continue resolution scope.
 type cfgTarget struct {
 	label  string    // enclosing label, "" for unlabeled constructs
-	stmt   ast.Stmt  // the for/range/switch/select statement
 	isLoop bool      // continue legal (for/range only)
 	brk    *cfgBlock // break target (the construct's merge block)
 	cont   *cfgBlock // continue target (post/header), loops only
@@ -85,7 +61,6 @@ type cfgBuilder struct {
 	cur     *cfgBlock
 	targets []cfgTarget
 	labels  map[string]*cfgBlock // goto/label targets, created on demand
-	loop    ast.Stmt             // innermost enclosing loop statement
 }
 
 // buildCFG constructs the graph of one function or closure body. info may be
@@ -105,9 +80,9 @@ func buildCFG(body *ast.BlockStmt, info *types.Info) *funcCFG {
 	return b.cfg
 }
 
-// newBlock appends a fresh block inheriting the current loop attribution.
+// newBlock appends a fresh block.
 func (b *cfgBuilder) newBlock() *cfgBlock {
-	blk := &cfgBlock{index: len(b.cfg.blocks), loop: b.loop}
+	blk := &cfgBlock{index: len(b.cfg.blocks)}
 	b.cfg.blocks = append(b.cfg.blocks, blk)
 	return blk
 }
@@ -156,11 +131,8 @@ func (b *cfgBuilder) stmt(stmt ast.Stmt) {
 			b.edge(b.cur, b.cfg.exit)
 			b.terminate()
 		}
-	case *ast.AssignStmt, *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.GoStmt, *ast.EmptyStmt:
+	case *ast.AssignStmt, *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.GoStmt, *ast.DeferStmt, *ast.EmptyStmt:
 		b.item(s)
-	case *ast.DeferStmt:
-		b.item(s)
-		b.cfg.deferred = append(b.cfg.deferred, s)
 	case *ast.ReturnStmt:
 		b.item(s)
 		b.edge(b.cur, b.cfg.exit)
@@ -193,7 +165,6 @@ func (b *cfgBuilder) stmt(stmt ast.Stmt) {
 // inner statement with the label bound for break/continue resolution.
 func (b *cfgBuilder) labeled(s *ast.LabeledStmt) {
 	blk := b.labelBlock(s.Label.Name)
-	blk.loop = b.loop
 	b.edge(b.cur, blk)
 	b.cur = blk
 	switch inner := s.Stmt.(type) {
@@ -287,12 +258,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 		cont = post
 	}
 
-	outerLoop := b.loop
-	b.loop = s
-	head.loop = s
-	if post != nil {
-		post.loop = s
-	}
 	if s.Cond != nil {
 		head.items = append(head.items, s.Cond)
 		b.edge(head, merge)
@@ -300,7 +265,7 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 	body := b.newBlock()
 	b.edge(head, body)
 
-	b.targets = append(b.targets, cfgTarget{label: label, stmt: s, isLoop: true, brk: merge, cont: cont})
+	b.targets = append(b.targets, cfgTarget{label: label, isLoop: true, brk: merge, cont: cont})
 	b.cur = body
 	b.stmts(s.Body.List)
 	b.edge(b.cur, cont)
@@ -312,8 +277,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 		b.edge(b.cur, head)
 	}
 	b.targets = b.targets[:len(b.targets)-1]
-	b.loop = outerLoop
-	merge.loop = outerLoop
 	b.cur = merge
 }
 
@@ -324,21 +287,16 @@ func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt, label string) {
 	b.edge(b.cur, head)
 	merge := b.newBlock()
 
-	outerLoop := b.loop
-	b.loop = s
-	head.loop = s
 	head.items = append(head.items, s)
 	b.edge(head, merge)
 	body := b.newBlock()
 	b.edge(head, body)
 
-	b.targets = append(b.targets, cfgTarget{label: label, stmt: s, isLoop: true, brk: merge, cont: head})
+	b.targets = append(b.targets, cfgTarget{label: label, isLoop: true, brk: merge, cont: head})
 	b.cur = body
 	b.stmts(s.Body.List)
 	b.edge(b.cur, head)
 	b.targets = b.targets[:len(b.targets)-1]
-	b.loop = outerLoop
-	merge.loop = outerLoop
 	b.cur = merge
 }
 
@@ -350,7 +308,7 @@ func (b *cfgBuilder) switchStmt(s *ast.SwitchStmt, label string) {
 	if s.Tag != nil {
 		b.item(s.Tag)
 	}
-	b.clauses(s.Body, label, s, true, nil)
+	b.clauses(s.Body, label, true, nil)
 }
 
 // typeSwitchStmt mirrors switchStmt; the per-clause assign is interpreted at
@@ -360,22 +318,22 @@ func (b *cfgBuilder) switchStmt(s *ast.SwitchStmt, label string) {
 func (b *cfgBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt, label string) {
 	b.stmt(s.Init)
 	b.item(s.Assign)
-	b.clauses(s.Body, label, s, true, nil)
+	b.clauses(s.Body, label, true, nil)
 }
 
 // selectStmt: no implicit fall-through edge — select blocks until an arm
 // fires. The comm statement is the first item of its clause block.
 func (b *cfgBuilder) selectStmt(s *ast.SelectStmt, label string) {
-	b.clauses(s.Body, label, s, false, func(c *ast.CommClause) ast.Stmt { return c.Comm })
+	b.clauses(s.Body, label, false, func(c *ast.CommClause) ast.Stmt { return c.Comm })
 }
 
 // clauses builds switch/type-switch/select clause bodies. fallsThrough
 // selects the no-default entry→merge edge (switches yes, select no); comm
 // extracts the CommClause statement for selects.
-func (b *cfgBuilder) clauses(body *ast.BlockStmt, label string, stmt ast.Stmt, fallsThrough bool, comm func(*ast.CommClause) ast.Stmt) {
+func (b *cfgBuilder) clauses(body *ast.BlockStmt, label string, fallsThrough bool, comm func(*ast.CommClause) ast.Stmt) {
 	from := b.cur
 	merge := b.newBlock()
-	b.targets = append(b.targets, cfgTarget{label: label, stmt: stmt, brk: merge})
+	b.targets = append(b.targets, cfgTarget{label: label, brk: merge})
 
 	// Pre-create the clause blocks so fallthrough can target the next one.
 	clauseBlocks := make([]*cfgBlock, len(body.List))

@@ -171,6 +171,12 @@ func (fc *funcChecker) metricName(call *ast.CallExpr, method string, counter boo
 	fc.r.metricSites[name] = append(fc.r.metricSites[name], metricSite{pos: lit.Pos()})
 }
 
+// checkMetrics runs the naming walk over every analyzed package, then the
+// cross-package duplicate-name rule over the sites the walk collected.
+func (r *Runner) checkMetrics(p *pass) []Diagnostic {
+	return append(intraproc(checkNameMetrics)(r, p), r.duplicateMetricDiags()...)
+}
+
 // duplicateMetricDiags flags metric names registered from more than one call
 // site. A single shared call site (a bundle constructor invoked with many
 // registries) is the supported way to share a metric; two independent source

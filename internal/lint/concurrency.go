@@ -1,5 +1,6 @@
-// Concurrency-discipline checks over the lock-free search core. Four passes
-// share one registry of struct fields and their access sites:
+// Concurrency-discipline checks over the lock-free search core. The atomic
+// and guardedby passes share one registry of struct fields and their access
+// sites; gohygiene is syntactic and needs neither.
 //
 //   - atomic: a field marked //spear:atomic may only be touched through
 //     sync/atomic calls or the method sets of the sync/atomic types; a plain
@@ -10,28 +11,22 @@
 //     accessed through sync/atomic anywhere, or whose type comes from
 //     sync/atomic, must carry the marker, so deleting an annotation is
 //     itself a finding rather than a silent loss of coverage.
-//   - align64: raw int64/uint64 fields marked //spear:atomic must sit at a
-//     64-bit-aligned offset under the gc/386 size model (and gc/amd64, which
-//     can never fail but keeps the two models honest). Go only guarantees
-//     64-bit alignment of the first word of an allocation, so on 32-bit
-//     hosts a misplaced counter makes every sync/atomic call on it panic.
 //   - guardedby: a field marked //spear:guardedby(mu) may only be accessed
-//     where the sibling mutex mu is held on every path — proved by a
-//     structural abstract interpretation over Lock/Unlock/defer with
-//     branch-intersection merging, and across calls via the
-//     //spear:locked(mu) caller-holds annotation on methods. A struct that
-//     opts into the discipline must cover every non-synchronization field
-//     with one of the markers, so removing an annotation surfaces as an
-//     uncovered-field finding instead of silently dropping the guard.
+//     where the sibling mutex mu is held on every path — proved by a forward
+//     dataflow over the function's CFG (guardcfg.go) with intersection as
+//     the join, and across calls via the //spear:locked(mu) caller-holds
+//     annotation on methods. A struct that opts into the discipline must
+//     cover every non-synchronization field with one of the markers, so
+//     removing an annotation surfaces as an uncovered-field finding instead
+//     of silently dropping the guard.
 //   - gohygiene: go statements in the deterministic package set must have a
 //     WaitGroup/channel join reachable in the spawning function (or carry
-//     //spear:detached), and goroutine closures must not capture the
-//     spawning loop's iteration variables — pass them as arguments.
+//     //spear:detached).
 //
-// The analysis is deliberately structural, not a dataflow fixpoint over SSA:
-// like the rest of spear-vet it trades completeness for byte-identical,
-// dependency-free diagnostics, and over-approximates in the conservative
-// direction (a lock held on only one branch counts as not held).
+// Like the rest of spear-vet the passes trade completeness for
+// byte-identical, dependency-free diagnostics, and over-approximate in the
+// conservative direction (a lock held on only one branch counts as not
+// held).
 package lint
 
 import (
@@ -41,19 +36,6 @@ import (
 	"go/types"
 	"sort"
 )
-
-// Check names of the concurrency passes (selected via -check).
-const (
-	checkNameAtomic    = "atomic"
-	checkNameAlign64   = "align64"
-	checkNameGuardedBy = "guardedby"
-	checkNameGoHygiene = "gohygiene"
-)
-
-// align32Sizes is the 32-bit counterpart of layoutSizes: gc/386 is the
-// strictest mainstream model (int64 aligns to 4), so an offset that is
-// 8-aligned under it is safe on every port.
-var align32Sizes = types.SizesFor("gc", "386")
 
 // accessKind classifies one appearance of a field selector.
 type accessKind int
@@ -115,9 +97,9 @@ type concStruct struct {
 	fields []*concField // declaration order, one per named field
 }
 
-// concCtx is the shared substrate of the four passes: the field registry
-// over every loaded module package and the access sites observed in the
-// analyzed ones.
+// concCtx is the shared substrate of the atomic and guardedby passes: the
+// field registry over every loaded module package and the access sites
+// observed in the analyzed ones.
 type concCtx struct {
 	fields   map[*types.Var]*concField
 	structs  []*concStruct // analyzed packages only, declaration order
@@ -127,14 +109,8 @@ type concCtx struct {
 // buildConcurrency registers every struct field of every loaded module
 // package (markers included), then scans the analyzed packages' function
 // bodies for atomic and plain access sites.
-func (r *Runner) buildConcurrency(pkgs []*modPkg) *concCtx {
-	cc := &concCtx{
-		fields:   make(map[*types.Var]*concField),
-		analyzed: make(map[*modPkg]bool, len(pkgs)),
-	}
-	for _, mp := range pkgs {
-		cc.analyzed[mp] = true
-	}
+func (r *Runner) buildConcurrency(p *pass) *concCtx {
+	cc := &concCtx{fields: make(map[*types.Var]*concField), analyzed: p.analyzed}
 	// Registry phase over the whole cache: dependencies of the analyzed
 	// packages carry markers too, and object identity is exact because one
 	// runner type-checked everything.
@@ -143,7 +119,7 @@ func (r *Runner) buildConcurrency(pkgs []*modPkg) *concCtx {
 	}
 	// Access phase over the analyzed packages only: findings belong to the
 	// code the user asked about.
-	for _, mp := range pkgs {
+	for _, mp := range p.pkgs {
 		for _, file := range mp.files {
 			idx := indexMarkers(r.fset, file)
 			for _, decl := range file.Decls {
@@ -370,18 +346,13 @@ func isSyncType(t types.Type) bool {
 	return pkg != nil && pkg.Path() == "sync"
 }
 
-// isRaw64 reports whether the type is (or is named over) int64/uint64.
-func isRaw64(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Int64 || b.Kind() == types.Uint64)
-}
-
 // ---------------------------------------------------------------------------
 // Check 1: atomic-field discipline.
 
 // checkAtomic emits the discipline findings: plain accesses to marked
 // fields, and unmarked fields that the code already treats as atomic.
-func (r *Runner) checkAtomic(cc *concCtx) []Diagnostic {
+func (r *Runner) checkAtomic(p *pass) []Diagnostic {
+	cc := p.cc
 	var diags []Diagnostic
 	for _, cf := range sortedConcFields(cc) {
 		switch {
@@ -443,89 +414,6 @@ func minPos(ps []token.Pos) token.Pos {
 	return m
 }
 
-// ---------------------------------------------------------------------------
-// Check 2: 64-bit alignment of raw atomic fields.
-
-// checkAlign64 verifies every //spear:atomic int64/uint64 field — directly
-// declared or reached through nested struct fields — lands on an 8-byte
-// offset under both size models. gc/amd64 cannot misalign a 64-bit word,
-// but gc/386 aligns int64 to 4 bytes, so a bool in front of a counter is
-// enough to make atomic.AddInt64 panic on 32-bit hosts.
-func (r *Runner) checkAlign64(cc *concCtx) []Diagnostic {
-	var diags []Diagnostic
-	inner := make(map[*types.Struct][]nestedAtomic)
-	for _, cs := range cc.structs {
-		offs32 := align32Sizes.Offsetsof(structFields(cs.st))
-		offs64 := layoutSizes.Offsetsof(structFields(cs.st))
-		for i, cf := range indexedFields(cc, cs) {
-			if cf == nil {
-				continue
-			}
-			if cf.atomic && isRaw64(cf.v.Type()) {
-				r.alignDiag(&diags, cf.pos, cf.qual(), offs32[i], offs64[i], "")
-			}
-			for _, na := range nestedAtomics(cc, inner, cf.v.Type()) {
-				r.alignDiag(&diags, cf.pos, cf.qual(), offs32[i]+na.off32, offs64[i]+na.off64, na.path)
-			}
-		}
-	}
-	return diags
-}
-
-// alignDiag reports one misaligned 64-bit atomic field. path is non-empty
-// for fields reached through a nested struct.
-func (r *Runner) alignDiag(diags *[]Diagnostic, pos token.Pos, qual string, off32, off64 int64, path string) {
-	what := fmt.Sprintf("//spear:atomic 64-bit field %s", qual)
-	if path != "" {
-		what = fmt.Sprintf("field %s places nested //spear:atomic 64-bit field %s", qual, path)
-	}
-	if off64%8 != 0 {
-		r.diag(diags, pos, checkNameAlign64,
-			"%s at byte offset %d under gc/amd64 — sync/atomic requires 64-bit alignment; move 64-bit atomic fields to the front of the struct", what, off64)
-		return
-	}
-	if off32%8 != 0 {
-		r.diag(diags, pos, checkNameAlign64,
-			"%s at byte offset %d under gc/386, which is not 64-bit aligned on 32-bit hosts — sync/atomic would panic there; move 64-bit atomic fields to the front of the struct", what, off32)
-	}
-}
-
-// nestedAtomic is one //spear:atomic raw 64-bit field inside a struct-typed
-// field, with its offsets relative to the inner struct's start.
-type nestedAtomic struct {
-	path  string // "inner.counter"
-	off32 int64
-	off64 int64
-}
-
-// nestedAtomics returns the marked raw-64 fields reachable through a
-// struct-typed field (pointers and slices re-anchor alignment at an
-// allocation boundary, so only direct struct embedding matters).
-func nestedAtomics(cc *concCtx, memo map[*types.Struct][]nestedAtomic, t types.Type) []nestedAtomic {
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	if got, ok := memo[st]; ok {
-		return got
-	}
-	memo[st] = nil // cycle guard; struct cycles are impossible by value, but stay safe
-	var out []nestedAtomic
-	fields := structFields(st)
-	offs32 := align32Sizes.Offsetsof(fields)
-	offs64 := layoutSizes.Offsetsof(fields)
-	for i, f := range fields {
-		if cf := cc.fields[f]; cf != nil && cf.atomic && isRaw64(f.Type()) {
-			out = append(out, nestedAtomic{f.Name(), offs32[i], offs64[i]})
-		}
-		for _, na := range nestedAtomics(cc, memo, f.Type()) {
-			out = append(out, nestedAtomic{f.Name() + "." + na.path, offs32[i] + na.off32, offs64[i] + na.off64})
-		}
-	}
-	memo[st] = out
-	return out
-}
-
 // structFields lists a struct's fields in declaration order.
 func structFields(st *types.Struct) []*types.Var {
 	out := make([]*types.Var, st.NumFields())
@@ -535,28 +423,18 @@ func structFields(st *types.Struct) []*types.Var {
 	return out
 }
 
-// indexedFields aligns a concStruct's registered fields with the
-// types.Struct field indices (embedded fields have no registry entry).
-func indexedFields(cc *concCtx, cs *concStruct) []*concField {
-	out := make([]*concField, cs.st.NumFields())
-	for i := range out {
-		out[i] = cc.fields[cs.st.Field(i)]
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
-// Check 3: lock-guard discipline.
+// Check 2: lock-guard discipline.
 
 // checkGuardedBy runs three sub-passes: guard-argument validation and the
 // coverage rule over struct declarations, then the per-function lock-held
 // interpretation over every access and //spear:locked call site.
-func (r *Runner) checkGuardedBy(cc *concCtx, g *callGraph, pkgs []*modPkg) []Diagnostic {
+func (r *Runner) checkGuardedBy(p *pass) []Diagnostic {
 	var diags []Diagnostic
-	for _, cs := range cc.structs {
-		r.guardStructDiags(&diags, cc, cs)
+	for _, cs := range p.cc.structs {
+		r.guardStructDiags(&diags, cs)
 	}
-	for _, mp := range pkgs {
+	for _, mp := range p.pkgs {
 		for _, file := range mp.files {
 			idx := indexMarkers(r.fset, file)
 			for _, decl := range file.Decls {
@@ -564,13 +442,8 @@ func (r *Runner) checkGuardedBy(cc *concCtx, g *callGraph, pkgs []*modPkg) []Dia
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if r.cfg.legacyGuard {
-					gc := &guardChecker{r: r, mp: mp, cc: cc, g: g, diags: &diags}
-					gc.checkFunc(fd, idx)
-				} else {
-					gc := &guardCFG{r: r, mp: mp, cc: cc, g: g, diags: &diags}
-					gc.checkFunc(fd, idx)
-				}
+				gc := &guardCFG{r: r, mp: mp, cc: p.cc, g: p.g, diags: &diags}
+				gc.checkFunc(fd, idx)
 			}
 		}
 	}
@@ -582,7 +455,7 @@ func (r *Runner) checkGuardedBy(cc *concCtx, g *callGraph, pkgs []*modPkg) []Dia
 // discipline (a guarded field, or a mutex next to any marked field), every
 // non-synchronization field must be covered by a marker, so a deleted
 // annotation cannot silently drop a field out of the analysis.
-func (r *Runner) guardStructDiags(diags *[]Diagnostic, cc *concCtx, cs *concStruct) {
+func (r *Runner) guardStructDiags(diags *[]Diagnostic, cs *concStruct) {
 	mutexes := make(map[string]bool)
 	for _, f := range structFields(cs.st) {
 		if isSyncType(f.Type()) {
@@ -661,32 +534,6 @@ func sameLocks(a, b lockState) bool {
 	return true
 }
 
-// guardChecker interprets one function body against the guard discipline.
-type guardChecker struct {
-	r        *Runner
-	mp       *modPkg
-	cc       *concCtx
-	g        *callGraph
-	diags    *[]Diagnostic
-	suppress int // >0 during the silent first pass over loop bodies
-}
-
-// checkFunc seeds the held-set from //spear:locked and walks the body.
-// Constructor and single-writer functions are exempt: no concurrent reader
-// exists yet (or anymore) by the author's audited assertion.
-func (gc *guardChecker) checkFunc(fd *ast.FuncDecl, idx *markerIndex) {
-	if idx.onFunc(gc.r.fset, fd, markerInit) || idx.onFunc(gc.r.fset, fd, markerXclusive) {
-		return
-	}
-	held := make(lockState)
-	if arg, ok := idx.funcArg(gc.r.fset, fd, markerLocked); ok && arg != "" {
-		if recv := receiverName(fd); recv != "" {
-			held[recv+"."+arg] = true
-		}
-	}
-	gc.walkStmts(fd.Body.List, held)
-}
-
 // receiverName returns the declared receiver identifier of a method.
 func receiverName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
@@ -695,201 +542,8 @@ func receiverName(fd *ast.FuncDecl) string {
 	return fd.Recv.List[0].Names[0].Name
 }
 
-// walkStmts interprets a statement list, mutating held in place, and
-// reports whether the list provably terminates the enclosing path (return,
-// panic, break/continue/goto).
-func (gc *guardChecker) walkStmts(list []ast.Stmt, held lockState) bool {
-	for _, stmt := range list {
-		if gc.walkStmt(stmt, held) {
-			return true
-		}
-	}
-	return false
-}
-
-// walkStmt interprets one statement.
-func (gc *guardChecker) walkStmt(stmt ast.Stmt, held lockState) bool {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if target, isLock, ok := gc.lockOp(s.X); ok {
-			if isLock {
-				held[target] = true
-			} else {
-				delete(held, target)
-			}
-			return false
-		}
-		gc.scanExpr(s.X, held)
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if name := builtinName(gc.mp.info, call); name == "panic" {
-				return true
-			}
-		}
-	case *ast.DeferStmt:
-		if _, isLock, ok := gc.lockOp(s.Call); ok && !isLock {
-			// defer mu.Unlock(): the mutex stays held to function end.
-			return false
-		}
-		gc.scanExpr(s.Call, held)
-	case *ast.AssignStmt, *ast.IncDecStmt, *ast.DeclStmt, *ast.SendStmt:
-		gc.scanExpr(s, held)
-	case *ast.ReturnStmt:
-		gc.scanExpr(s, held)
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.BlockStmt:
-		return gc.walkStmts(s.List, held)
-	case *ast.LabeledStmt:
-		return gc.walkStmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			gc.walkStmt(s.Init, held)
-		}
-		gc.scanExpr(s.Cond, held)
-		thenHeld := cloneLocks(held)
-		thenTerm := gc.walkStmts(s.Body.List, thenHeld)
-		elseHeld := cloneLocks(held)
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = gc.walkStmt(s.Else, elseHeld)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replaceLocks(held, elseHeld)
-		case elseTerm:
-			replaceLocks(held, thenHeld)
-		default:
-			replaceLocks(held, intersectLocks(thenHeld, elseHeld))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			gc.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			gc.scanExpr(s.Cond, held)
-		}
-		gc.walkLoopBody(func(h lockState) {
-			gc.walkStmts(s.Body.List, h)
-			if s.Post != nil {
-				gc.walkStmt(s.Post, h)
-			}
-		}, held)
-	case *ast.RangeStmt:
-		gc.scanExpr(s.X, held)
-		gc.walkLoopBody(func(h lockState) {
-			gc.walkStmts(s.Body.List, h)
-		}, held)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			gc.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			gc.scanExpr(s.Tag, held)
-		}
-		gc.walkClauses(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			gc.walkStmt(s.Init, held)
-		}
-		gc.walkStmt(s.Assign, held)
-		gc.walkClauses(s.Body, held)
-	case *ast.SelectStmt:
-		gc.walkClauses(s.Body, held)
-	case *ast.GoStmt:
-		// The goroutine runs without the spawner's locks: its closure body
-		// is interpreted from an empty held-set inside scanExpr.
-		gc.scanExpr(s.Call, held)
-	}
-	return false
-}
-
-// replaceLocks overwrites dst's contents with src's.
-func replaceLocks(dst, src lockState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k := range src {
-		dst[k] = true
-	}
-}
-
-// walkLoopBody interprets a loop body: a silent pass finds the fixpoint
-// entry state (held-sets only shrink, so intersecting entry with the exit
-// state converges in a few rounds), then one reporting pass runs with it.
-// After the loop the body may have run zero times, so the surviving state is
-// the entry/exit intersection.
-func (gc *guardChecker) walkLoopBody(body func(lockState), held lockState) {
-	entry := cloneLocks(held)
-	for range [4]int{} {
-		trial := cloneLocks(entry)
-		gc.suppress++
-		body(trial)
-		gc.suppress--
-		next := intersectLocks(entry, trial)
-		if sameLocks(next, entry) {
-			break
-		}
-		entry = next
-	}
-	reported := cloneLocks(entry)
-	body(reported)
-	replaceLocks(held, intersectLocks(entry, reported))
-}
-
-// walkClauses interprets switch/select clause bodies: each starts from the
-// statement's entry state, and the merge is the intersection over the
-// non-terminating clauses (plus the entry state when no default exists,
-// since the whole statement may fall through).
-func (gc *guardChecker) walkClauses(body *ast.BlockStmt, held lockState) {
-	exits := []lockState{}
-	hasDefault := false
-	for _, cs := range body.List {
-		var stmts []ast.Stmt
-		clause := cloneLocks(held)
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				gc.scanExpr(e, clause)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			} else {
-				gc.walkStmt(c.Comm, clause)
-			}
-			stmts = c.Body
-		}
-		if !gc.walkStmts(stmts, clause) {
-			exits = append(exits, clause)
-		}
-	}
-	if !hasDefault {
-		exits = append(exits, held)
-	}
-	if len(exits) == 0 {
-		return // every clause terminates; following code is unreachable
-	}
-	merged := exits[0]
-	for _, e := range exits[1:] {
-		merged = intersectLocks(merged, e)
-	}
-	replaceLocks(held, merged)
-}
-
 // lockOp recognizes mu.Lock / mu.RLock / mu.Unlock / mu.RUnlock on a sync
 // mutex and returns the flattened lock expression.
-func (gc *guardChecker) lockOp(e ast.Expr) (target string, isLock, ok bool) {
-	return lockOp(gc.mp.info, e)
-}
-
-// lockOp is the walker-independent recognizer shared with the CFG re-host.
 func lockOp(info *types.Info, e ast.Expr) (target string, isLock, ok bool) {
 	call, isCall := e.(*ast.CallExpr)
 	if !isCall {
@@ -936,82 +590,12 @@ func flattenExpr(e ast.Expr) string {
 	return ""
 }
 
-// scanExpr checks every guarded-field access and //spear:locked call inside
-// one expression or simple statement against the current held-set. Function
-// literals are interpreted from an empty held-set: the closure may run on
-// another goroutine, after the lock is gone.
-func (gc *guardChecker) scanExpr(n ast.Node, held lockState) {
-	ast.Inspect(n, func(child ast.Node) bool {
-		switch c := child.(type) {
-		case *ast.FuncLit:
-			gc.walkStmts(c.Body.List, make(lockState))
-			return false
-		case *ast.SelectorExpr:
-			gc.checkGuardedAccess(c, held)
-		case *ast.CallExpr:
-			gc.checkLockedCall(c, held)
-		}
-		return true
-	})
-}
-
-// checkGuardedAccess verifies one field selector against the held-set.
-func (gc *guardChecker) checkGuardedAccess(sel *ast.SelectorExpr, held lockState) {
-	v := fieldOf(gc.mp.info, sel)
-	if v == nil {
-		return
-	}
-	cf := gc.cc.fields[v]
-	if cf == nil || cf.guard == "" {
-		return
-	}
-	base := flattenExpr(sel.X)
-	if base != "" && held[base+"."+cf.guard] {
-		return
-	}
-	if gc.suppress > 0 {
-		return
-	}
-	gc.r.diag(gc.diags, sel.Pos(), checkNameGuardedBy,
-		"access to //spear:guardedby(%s) field %s without %s held on every path to it; acquire the lock, or mark the function //spear:locked(%s) if the caller holds it or //spear:xclusive if it runs single-threaded",
-		cf.guard, cf.qual(), cf.guard, cf.guard)
-}
-
-// checkLockedCall verifies a call to a //spear:locked(mu) method happens
-// with receiver.mu held.
-func (gc *guardChecker) checkLockedCall(call *ast.CallExpr, held lockState) {
-	fn := calleeFunc(gc.mp.info, call)
-	if fn == nil {
-		return
-	}
-	node := gc.g.nodes[fn]
-	if node == nil || node.lockedArg == "" {
-		return
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	base := flattenExpr(sel.X)
-	if base != "" && held[base+"."+node.lockedArg] {
-		return
-	}
-	if gc.suppress > 0 {
-		return
-	}
-	gc.r.diag(gc.diags, call.Pos(), checkNameGuardedBy,
-		"call to //spear:locked(%s) function %s without %s.%s held on every path to it",
-		node.lockedArg, gc.r.displayName(fn), base, node.lockedArg)
-}
-
 // ---------------------------------------------------------------------------
-// Check 4: goroutine hygiene.
+// Check 3: goroutine hygiene.
 
 // checkGoHygiene enforces, inside the deterministic package set, that every
 // go statement has a join (WaitGroup.Wait, channel receive, range over a
-// channel, or select) reachable in the spawning function, and that
-// goroutine closures do not capture the spawning loop's iteration
-// variables.
+// channel, or select) reachable in the spawning function.
 func (r *Runner) checkGoHygiene(mp *modPkg) []Diagnostic {
 	var diags []Diagnostic
 	if !r.deterministic(mp.path) {
@@ -1021,54 +605,20 @@ func (r *Runner) checkGoHygiene(mp *modPkg) []Diagnostic {
 		idx := indexMarkers(r.fset, file)
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || hasJoin(mp.info, fd.Body) {
 				continue
 			}
-			r.goHygieneFunc(&diags, mp, fd, idx)
-		}
-	}
-	return diags
-}
-
-// goHygieneFunc checks the go statements of one function.
-func (r *Runner) goHygieneFunc(diags *[]Diagnostic, mp *modPkg, fd *ast.FuncDecl, idx *markerIndex) {
-	info := mp.info
-	joined := hasJoin(info, fd.Body)
-	var loops []ast.Node // enclosing loop statements, innermost last
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(child ast.Node) bool {
-			switch c := child.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				if c != n {
-					loops = append(loops, c)
-					walk(childLoopBody(c))
-					loops = loops[:len(loops)-1]
-					return false
-				}
-			case *ast.GoStmt:
-				if !joined && !idx.at(r.fset, c.Pos(), markerDetached) {
-					r.diag(diags, c.Pos(), checkNameGoHygiene,
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok && !idx.at(r.fset, g.Pos(), markerDetached) {
+					r.diag(&diags, g.Pos(), checkNameGoHygiene,
 						"go statement in deterministic package %s has no WaitGroup or channel join in %s; join the goroutine in the spawning function or mark the statement //spear:detached",
 						r.relative(mp.path), fd.Name.Name)
 				}
-				r.loopCaptureDiags(diags, info, c, loops)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	walk(fd.Body)
-}
-
-// childLoopBody returns the body of a for or range statement.
-func childLoopBody(n ast.Node) ast.Node {
-	switch s := n.(type) {
-	case *ast.ForStmt:
-		return s.Body
-	case *ast.RangeStmt:
-		return s.Body
-	}
-	return n
+	return diags
 }
 
 // hasJoin reports whether the function body syntactically contains a join
@@ -1102,92 +652,4 @@ func hasJoin(info *types.Info, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// loopCaptureDiags reports iteration variables of the enclosing loops that
-// a goroutine closure references instead of receiving as arguments. The
-// finding only applies below language version 1.22: since go1.22 loop
-// variables are per-iteration, so the capture is well-defined and flagging
-// it would be a false positive. The module's go directive (or
-// Config.LangVersion) decides.
-func (r *Runner) loopCaptureDiags(diags *[]Diagnostic, info *types.Info, g *ast.GoStmt, loops []ast.Node) {
-	if langAtLeast(r.langVer, 1, 22) {
-		// Per-iteration loop variables: the capture is well-defined, so the
-		// finding would be a false positive under the module's declared
-		// language version.
-		return
-	}
-	lit, ok := g.Call.Fun.(*ast.FuncLit)
-	if !ok || len(loops) == 0 {
-		return
-	}
-	vars := make(map[types.Object]string)
-	for _, loop := range loops {
-		collectLoopVars(info, loop, vars)
-	}
-	if len(vars) == 0 {
-		return
-	}
-	reported := make(map[types.Object]bool)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil || reported[obj] {
-			return true
-		}
-		if name, isLoopVar := vars[obj]; isLoopVar {
-			reported[obj] = true
-			r.diag(diags, id.Pos(), checkNameGoHygiene,
-				"goroutine closure captures loop variable %s of the spawning loop; pass it as a call argument instead", name)
-		}
-		return true
-	})
-}
-
-// collectLoopVars records the iteration variables a loop statement declares.
-func collectLoopVars(info *types.Info, loop ast.Node, vars map[types.Object]string) {
-	addIdent := func(e ast.Expr) {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		if obj := info.Defs[id]; obj != nil {
-			vars[obj] = id.Name
-		}
-	}
-	switch s := loop.(type) {
-	case *ast.ForStmt:
-		if init, ok := s.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-			for _, lhs := range init.Lhs {
-				addIdent(lhs)
-			}
-		}
-	case *ast.RangeStmt:
-		if s.Tok == token.DEFINE {
-			if s.Key != nil {
-				addIdent(s.Key)
-			}
-			if s.Value != nil {
-				addIdent(s.Value)
-			}
-		}
-	}
-}
-
-// concCheckNames lists the four concurrency checks in pass order.
-var concCheckNames = []string{
-	checkNameAtomic, checkNameAlign64, checkNameGuardedBy, checkNameGoHygiene,
-}
-
-// concChecksEnabled reports whether any concurrency pass is selected.
-func (r *Runner) concChecksEnabled() bool {
-	for _, c := range concCheckNames {
-		if r.enabled[c] {
-			return true
-		}
-	}
-	return false
 }

@@ -27,109 +27,33 @@ import (
 
 // checkCtxpoll audits every loop of every connected, context-referencing
 // function in the analyzed packages.
-func (r *Runner) checkCtxpoll(g *callGraph, pkgs []*modPkg) []Diagnostic {
-	var diags []Diagnostic
-	audited := r.auditedFuncs(g)
-	polls := transitivePolls(g)
-	// Name-level fact for interface call sites: some implementation with
-	// this method name polls.
+func (r *Runner) checkCtxpoll(p *pass) []Diagnostic {
+	g := p.g
+	// Three propagations over the same edges (static calls, plus interface
+	// calls over-approximated by method name): who reaches an entry point,
+	// whom an entry point reaches, and who reaches a poll.
+	anyEdge := func(*callSite, *funcNode) bool { return true }
+	isEntry := func(n *funcNode) bool { return n.fn.Name() == "ScheduleContext" }
+	drivers := g.reach(isEntry, anyEdge, false)
+	driven := g.reach(isEntry, anyEdge, true)
+	// polls is keyed by function object for loopPolls' call-site lookups;
+	// pollsByName is the name-level fact for interface call sites: some
+	// implementation with this method name polls.
+	polls := make(map[*types.Func]bool)
 	pollsByName := make(map[string]bool)
-	for _, node := range g.nodes {
-		if polls[node.fn] {
-			pollsByName[node.fn.Name()] = true
-		}
+	for n := range g.reach(func(n *funcNode) bool { return n.polls }, anyEdge, false) {
+		polls[n.fn] = true
+		pollsByName[n.fn.Name()] = true
 	}
-	for _, mp := range pkgs {
-		for _, file := range mp.files {
-			idx := indexMarkers(r.fset, file)
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := mp.info.Defs[fd.Name].(*types.Func)
-				if !ok || !audited[fn] {
-					continue
-				}
-				r.ctxpollFunc(&diags, mp, fd, fn, idx, polls, pollsByName)
-			}
+	var diags []Diagnostic
+	for _, node := range g.order {
+		_, drives := drivers[node]
+		_, isDriven := driven[node]
+		if p.analyzed[node.mp] && (drives || isDriven) && referencesContext(node) {
+			r.ctxpollFunc(&diags, node, polls, pollsByName)
 		}
 	}
 	return diags
-}
-
-// auditedFuncs computes the audited set: functions connected to a
-// ScheduleContext entry point in either direction whose bodies reference a
-// context value.
-func (r *Runner) auditedFuncs(g *callGraph) map[*types.Func]bool {
-	// Name index for dynamic edges.
-	byName := make(map[string][]*funcNode)
-	for _, node := range g.nodes {
-		byName[node.fn.Name()] = append(byName[node.fn.Name()], node)
-	}
-	succs := func(node *funcNode) []*funcNode {
-		var out []*funcNode
-		for _, cs := range node.calls {
-			if cs.callee != nil {
-				if callee := g.nodes[cs.callee]; callee != nil {
-					out = append(out, callee)
-				}
-			} else if cs.method != "" {
-				out = append(out, byName[cs.method]...)
-			}
-		}
-		return out
-	}
-
-	forward := make(map[*funcNode]bool)
-	var walk func(*funcNode)
-	walk = func(node *funcNode) {
-		if forward[node] {
-			return
-		}
-		forward[node] = true
-		for _, s := range succs(node) {
-			walk(s)
-		}
-	}
-	for _, node := range g.nodes {
-		if node.fn.Name() == "ScheduleContext" {
-			walk(node)
-		}
-	}
-
-	// Backward: anything whose forward cone contains an entry point.
-	backward := make(map[*funcNode]bool)
-	for _, node := range g.nodes {
-		seen := make(map[*funcNode]bool)
-		var reaches func(*funcNode) bool
-		reaches = func(n *funcNode) bool {
-			if n.fn.Name() == "ScheduleContext" {
-				return true
-			}
-			if seen[n] {
-				return false
-			}
-			seen[n] = true
-			for _, s := range succs(n) {
-				if reaches(s) {
-					return true
-				}
-			}
-			return false
-		}
-		if reaches(node) {
-			backward[node] = true
-		}
-	}
-
-	audited := make(map[*types.Func]bool)
-	for _, node := range g.nodes {
-		if (forward[node] || backward[node]) && referencesContext(node) {
-			audited[node.fn] = true
-		}
-	}
-	return audited
 }
 
 // referencesContext reports whether the function's signature or body
@@ -144,11 +68,7 @@ func referencesContext(node *funcNode) bool {
 		}
 	}
 	found := false
-	body := bodyOf(node)
-	if body == nil {
-		return false
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(node.body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
@@ -165,97 +85,28 @@ func referencesContext(node *funcNode) bool {
 	return found
 }
 
-// bodyOf finds the syntax body of a call-graph node.
-func bodyOf(node *funcNode) *ast.BlockStmt {
-	for _, file := range node.mp.files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if node.mp.info.Defs[fd.Name] == node.fn {
-				return fd.Body
-			}
-		}
-	}
-	return nil
-}
-
-// transitivePolls propagates the direct-poll fact over the graph: a function
-// polls transitively when its body polls or any callee (dynamic edges by
-// name) does. In-progress nodes resolve to false, so recursive cycles
-// without a poll stay unpolled.
-func transitivePolls(g *callGraph) map[*types.Func]bool {
-	byName := make(map[string][]*funcNode)
-	for _, node := range g.nodes {
-		byName[node.fn.Name()] = append(byName[node.fn.Name()], node)
-	}
-	memo := make(map[*funcNode]int) // 0 unknown, 1 in progress, 2 no, 3 yes
-	var polls func(*funcNode) bool
-	polls = func(node *funcNode) bool {
-		switch memo[node] {
-		case 1, 2:
-			return false
-		case 3:
-			return true
-		}
-		memo[node] = 1
-		result := node.polls
-		if !result {
-		scan:
-			for _, cs := range node.calls {
-				switch {
-				case cs.callee != nil:
-					if callee := g.nodes[cs.callee]; callee != nil && polls(callee) {
-						result = true
-						break scan
-					}
-				case cs.method != "":
-					for _, target := range byName[cs.method] {
-						if polls(target) {
-							result = true
-							break scan
-						}
-					}
-				}
-			}
-		}
-		if result {
-			memo[node] = 3
-		} else {
-			memo[node] = 2
-		}
-		return result
-	}
-	out := make(map[*types.Func]bool)
-	for _, node := range g.nodes {
-		out[node.fn] = polls(node)
-	}
-	return out
-}
-
 // ctxpollFunc checks every for/range loop of one audited function,
 // including loops inside its closures.
-func (r *Runner) ctxpollFunc(diags *[]Diagnostic, mp *modPkg, fd *ast.FuncDecl, fn *types.Func, idx *markerIndex, polls map[*types.Func]bool, pollsByName map[string]bool) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+func (r *Runner) ctxpollFunc(diags *[]Diagnostic, node *funcNode, polls map[*types.Func]bool, pollsByName map[string]bool) {
+	ast.Inspect(node.body, func(n ast.Node) bool {
 		switch n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 		default:
 			return true
 		}
-		if reason, ok := idx.argAt(r.fset, n.Pos(), markerNopoll); ok {
+		if reason, ok := node.idx.argAt(r.fset, n.Pos(), markerNopoll); ok {
 			if reason == "" {
 				r.diag(diags, n.Pos(), checkNameCtxpoll,
 					"//spear:nopoll requires a reason: //spear:nopoll(why this loop needs no cancellation poll)")
 			}
 			return true
 		}
-		if loopPolls(mp, n, polls, pollsByName) {
+		if loopPolls(node.mp, n, polls, pollsByName) {
 			return true
 		}
 		r.diag(diags, n.Pos(), checkNameCtxpoll,
 			"loop in %s is on a ScheduleContext path but never reaches a ctx.Err()/ctx.Done() poll; poll the context in the loop or mark it //spear:nopoll(reason)",
-			r.displayName(fn))
+			r.displayName(node.fn))
 		return true
 	})
 }

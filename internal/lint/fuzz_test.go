@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -171,9 +172,9 @@ func cfgLeafStmts(body *ast.BlockStmt) []ast.Node {
 // builder's structural invariants — every leaf statement lands in exactly
 // one block, no item is duplicated across blocks, the entry is reachable —
 // and that the dataflow solver reaches fixpoint well inside its safety-net
-// iteration bound. A second generated package cross-checks the CFG-based
-// guardedby walker against the legacy structural walker on branch-only
-// control flow, where the two must agree verdict for verdict.
+// iteration bound. A second generated package runs the guardedby
+// interpretation over lock-discipline shapes and requires exactly the findings
+// the generator's hand-written oracle expects, line for line.
 func FuzzCFGBuilder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 7, 9, 15})                        // loops, select, labeled break, goto
@@ -263,9 +264,9 @@ func FuzzCFGBuilder(f *testing.F) {
 			}
 		}
 
-		// Cross-check: on branch-only control flow the legacy guardedby
-		// walker and the CFG walker must report identical diagnostics.
-		guardSrc := genGuardFixture(data)
+		// Oracle: guardedby over the generated lock-discipline shapes reports
+		// exactly the accesses the generator knows to be unguarded.
+		guardSrc, wantLines := genGuardFixture(data)
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fuzzfixture\n\ngo 1.22\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -273,60 +274,66 @@ func FuzzCFGBuilder(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "gen.go"), []byte(guardSrc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		oldDiags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameGuardedBy}, legacyGuard: true})
+		diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameGuardedBy}})
 		if err != nil {
-			t.Fatalf("legacy guardedby over generated source: %v\n%s", err, guardSrc)
+			t.Fatalf("guardedby over generated source: %v\n%s", err, guardSrc)
 		}
-		newDiags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameGuardedBy}})
-		if err != nil {
-			t.Fatalf("CFG guardedby over generated source: %v\n%s", err, guardSrc)
+		var gotLines []int
+		for _, d := range diags {
+			gotLines = append(gotLines, d.Line)
 		}
-		render := func(ds []Diagnostic) string {
-			var sb strings.Builder
-			for _, d := range ds {
-				fmt.Fprintf(&sb, "%d:%d %s\n", d.Line, d.Col, d.Message)
-			}
-			return sb.String()
-		}
-		if render(oldDiags) != render(newDiags) {
-			t.Errorf("guardedby walkers disagree on branch-only control flow\nlegacy:\n%s\ncfg:\n%s\nsource:\n%s",
-				render(oldDiags), render(newDiags), guardSrc)
+		if !slices.Equal(gotLines, wantLines) {
+			t.Errorf("guardedby findings at lines %v, generator expects %v\nfindings: %v\nsource:\n%s",
+				gotLines, wantLines, diags, guardSrc)
 		}
 	})
 }
 
-// genGuardFixture generates lock-discipline shapes restricted to straight
-// lines and if/else branches — the control-flow subset where the legacy
-// walker is exact, so old and new verdicts must match.
-func genGuardFixture(data []byte) string {
+// guardShapes are the lock-discipline bodies genGuardFixture draws from, each
+// with its hand-written verdict: finding is the body line (0-based) of the
+// b.v access that is not provably under b.mu, or -1 when every path to the
+// access holds the lock.
+var guardShapes = []struct {
+	body    string
+	finding int
+}{
+	{"\tb.mu.Lock()\n\tb.v++\n\tb.mu.Unlock()\n", -1},
+	{"\tb.v++\n", 0},
+	// Locked on the p path only: the join drops the lock.
+	{"\tif p {\n\t\tb.mu.Lock()\n\t}\n\tb.v++\n\tif p {\n\t\tb.mu.Unlock()\n\t}\n", 3},
+	// The unlocking branch returns, so only the locked path reaches the access.
+	{"\tb.mu.Lock()\n\tif p {\n\t\tb.mu.Unlock()\n\t\treturn\n\t}\n\tb.v++\n\tb.mu.Unlock()\n", -1},
+	{"\tb.mu.Lock()\n\tdefer b.mu.Unlock()\n\tif p {\n\t\tb.v++\n\t} else {\n\t\tb.v--\n\t}\n", -1},
+	// Released two branches deep without leaving.
+	{"\tb.mu.Lock()\n\tif p {\n\t\tif q {\n\t\t\tb.mu.Unlock()\n\t\t}\n\t}\n\tb.v++\n", 6},
+	{"\tif p {\n\t\tb.mu.Lock()\n\t} else {\n\t\tb.mu.Lock()\n\t}\n\tb.v++\n\tb.mu.Unlock()\n", -1},
+	{"\tb.mu.Lock()\n\tb.mu.Unlock()\n\tb.v++\n", 2},
+	// The loop body releases the lock, so the second iteration runs without it.
+	{"\tb.mu.Lock()\n\tfor i := 0; i < 2; i++ {\n\t\tb.v++\n\t\tb.mu.Unlock()\n\t}\n", 2},
+	// One select arm releases; select without default has no fall-through
+	// edge, so the merge is the join of the arms alone.
+	{"\tb.mu.Lock()\n\tselect {\n\tcase <-ch:\n\t\tb.mu.Unlock()\n\tcase ch <- 1:\n\t}\n\tb.v++\n", 6},
+}
+
+// genGuardFixture turns fuzz bytes into one package of guardShapes functions
+// and returns the source with the lines guardedby must report, ascending.
+func genGuardFixture(data []byte) (src string, wantLines []int) {
 	var b strings.Builder
 	b.WriteString("package fuzzfixture\n\nimport \"sync\"\n\ntype gbox struct {\n\tmu sync.Mutex\n\t//spear:guardedby(mu)\n\tv int\n}\n\n")
 	if len(data) > 16 {
 		data = data[:16]
 	}
 	for i, op := range data {
-		fmt.Fprintf(&b, "func g%d(b *gbox, p, q bool) {\n", i)
-		switch op % 8 {
-		case 0:
-			b.WriteString("\tb.mu.Lock()\n\tb.v++\n\tb.mu.Unlock()\n")
-		case 1:
-			b.WriteString("\tb.v++\n")
-		case 2:
-			b.WriteString("\tif p {\n\t\tb.mu.Lock()\n\t}\n\tb.v++\n\tif p {\n\t\tb.mu.Unlock()\n\t}\n")
-		case 3:
-			b.WriteString("\tb.mu.Lock()\n\tif p {\n\t\tb.mu.Unlock()\n\t\treturn\n\t}\n\tb.v++\n\tb.mu.Unlock()\n")
-		case 4:
-			b.WriteString("\tb.mu.Lock()\n\tdefer b.mu.Unlock()\n\tif p {\n\t\tb.v++\n\t} else {\n\t\tb.v--\n\t}\n")
-		case 5:
-			b.WriteString("\tb.mu.Lock()\n\tif p {\n\t\tif q {\n\t\t\tb.mu.Unlock()\n\t\t}\n\t}\n\tb.v++\n")
-		case 6:
-			b.WriteString("\tif p {\n\t\tb.mu.Lock()\n\t} else {\n\t\tb.mu.Lock()\n\t}\n\tb.v++\n\tb.mu.Unlock()\n")
-		case 7:
-			b.WriteString("\tb.mu.Lock()\n\tb.mu.Unlock()\n\tb.v++\n")
+		shape := guardShapes[int(op)%len(guardShapes)]
+		fmt.Fprintf(&b, "func g%d(b *gbox, p, q bool, ch chan int) {\n", i)
+		if shape.finding >= 0 {
+			// The builder ends on the first body line: one past the newlines so far.
+			wantLines = append(wantLines, strings.Count(b.String(), "\n")+1+shape.finding)
 		}
+		b.WriteString(shape.body)
 		b.WriteString("}\n\n")
 	}
-	return b.String()
+	return b.String(), wantLines
 }
 
 // FuzzAtomicDiscipline drives the atomic-field check over randomized

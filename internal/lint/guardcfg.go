@@ -1,20 +1,17 @@
-// CFG re-host of the guardedby held-lock interpretation. The lattice is the
-// old walker's lockState (set of provably-held mutexes, keyed by flattened
-// lock expression) with intersection as the join, but the control flow now
-// comes from buildCFG instead of a hand-rolled statement walk. That closes
-// the holes the structural walker had:
+// The guardedby held-lock interpretation: a forward dataflow over each
+// function's CFG. The lattice is lockState (the set of provably-held mutexes,
+// keyed by flattened lock expression) with intersection as the join, and the
+// control flow comes from buildCFG, so the constructs a statement-by-statement
+// walk gets wrong are handled by the graph itself:
 //
-//   - select arms: a lock released inside one arm no longer survives the
+//   - select arms: a lock released inside one arm does not survive the
 //     merge — select without a default has no fall-through edge, and every
 //     arm's exit state joins at the merge block.
 //   - goto and labeled break/continue: branch targets are real edges, so the
 //     state at a label is the join over its jump sources, and statements
-//     reachable only through a goto are still analyzed (the old walker
-//     stopped at the first terminator in a statement list).
+//     reachable only through a goto are still analyzed.
 //
-// The legacy walker (guardChecker in concurrency.go) is kept for the
-// FuzzCFGBuilder cross-check and selected with Config's unexported
-// legacyGuard knob; on goto-free, label-free control flow both must agree.
+// testdata/src/guardedby/cfgregress.go pins both.
 package lint
 
 import (
@@ -31,8 +28,8 @@ type guardCFG struct {
 }
 
 // checkFunc seeds the held-set from //spear:locked and runs the body's CFG.
-// Constructor and single-writer functions are exempt, exactly as in the
-// legacy walker.
+// Constructor and single-writer functions are exempt: no concurrent reader
+// exists yet (or anymore) by the author's audited assertion.
 func (gc *guardCFG) checkFunc(fd *ast.FuncDecl, idx *markerIndex) {
 	if idx.onFunc(gc.r.fset, fd, markerInit) || idx.onFunc(gc.r.fset, fd, markerXclusive) {
 		return
@@ -77,7 +74,7 @@ func (gc *guardCFG) runBody(body *ast.BlockStmt, entry lockState) {
 func (gc *guardCFG) applyItem(held lockState, item ast.Node) {
 	switch s := item.(type) {
 	case *ast.ExprStmt:
-		if target, isLock, ok := gc.lockOp(s.X); ok {
+		if target, isLock, ok := lockOp(gc.mp.info, s.X); ok {
 			if isLock {
 				held[target] = true
 			} else {
@@ -95,11 +92,11 @@ func (gc *guardCFG) applyItem(held lockState, item ast.Node) {
 func (gc *guardCFG) scanItem(item ast.Node, held lockState) {
 	switch s := item.(type) {
 	case *ast.ExprStmt:
-		if _, _, ok := gc.lockOp(s.X); ok {
+		if _, _, ok := lockOp(gc.mp.info, s.X); ok {
 			return
 		}
 	case *ast.DeferStmt:
-		if _, isLock, ok := gc.lockOp(s.Call); ok && !isLock {
+		if _, isLock, ok := lockOp(gc.mp.info, s.Call); ok && !isLock {
 			return
 		}
 		gc.scanExprCFG(s.Call, held)
@@ -113,7 +110,8 @@ func (gc *guardCFG) scanItem(item ast.Node, held lockState) {
 	gc.scanExprCFG(item, held)
 }
 
-// scanExprCFG is scanExpr with CFG-interpreted closures.
+// scanExprCFG checks every guarded-field access and //spear:locked call
+// inside one expression or simple statement against the held-set.
 func (gc *guardCFG) scanExprCFG(n ast.Node, held lockState) {
 	ast.Inspect(n, func(child ast.Node) bool {
 		switch c := child.(type) {
@@ -129,8 +127,7 @@ func (gc *guardCFG) scanExprCFG(n ast.Node, held lockState) {
 	})
 }
 
-// checkAccess verifies one field selector against the held-set, emitting the
-// same diagnostic as the legacy walker.
+// checkAccess verifies one field selector against the held-set.
 func (gc *guardCFG) checkAccess(sel *ast.SelectorExpr, held lockState) {
 	v := fieldOf(gc.mp.info, sel)
 	if v == nil {
@@ -171,10 +168,4 @@ func (gc *guardCFG) checkCall(call *ast.CallExpr, held lockState) {
 	gc.r.diag(gc.diags, call.Pos(), checkNameGuardedBy,
 		"call to //spear:locked(%s) function %s without %s.%s held on every path to it",
 		node.lockedArg, gc.r.displayName(fn), base, node.lockedArg)
-}
-
-// lockOp recognizes mu.Lock / mu.RLock / mu.Unlock / mu.RUnlock; the
-// recognizer itself is shared with the legacy walker.
-func (gc *guardCFG) lockOp(e ast.Expr) (target string, isLock, ok bool) {
-	return lockOp(gc.mp.info, e)
 }

@@ -1,27 +1,11 @@
 // Interprocedural checks over the static call graph: transitive noalloc
-// and determinism taint. Both are fixpoint-free memoized DFS walks; cycles
-// are broken optimistically (an in-progress node contributes nothing),
-// which is sound here because every direct violation is still found on the
-// node that contains it.
+// and determinism taint. Each names the functions that carry the fact in
+// their own body (the seeds) and which call edges carry it upward;
+// callGraph.reach does the propagation, so recursive call cycles get the
+// same verdict on every run.
 package lint
 
-import (
-	"go/token"
-	"sort"
-	"strings"
-)
-
-// cleanInfo classifies one function for the transitive noalloc check.
-type cleanInfo struct {
-	visiting bool
-	done     bool
-	dirty    bool
-	// Root cause of dirtiness, for the diagnostic: what allocates, where,
-	// and through which chain of callees the allocation is reached.
-	what string
-	pos  token.Pos
-	path []string // display names from the first callee down to the root
-}
+import "go/token"
 
 // checkNoallocTransitive verifies that every //spear:noalloc function only
 // calls functions that are themselves allocation-free all the way down, or
@@ -29,15 +13,18 @@ type cleanInfo struct {
 // other //spear:noalloc functions (checked on their own). Calls through
 // interfaces or function values are unresolvable from noalloc context and
 // must carry //spear:dyncall.
-func (r *Runner) checkNoallocTransitive(g *callGraph, pkgs []*modPkg) []Diagnostic {
-	analyzed := make(map[*modPkg]bool, len(pkgs))
-	for _, mp := range pkgs {
-		analyzed[mp] = true
-	}
-	memo := make(map[*funcNode]*cleanInfo)
+func (r *Runner) checkNoallocTransitive(p *pass) []Diagnostic {
+	g := p.g
+	// A function is dirty when its own body gives a cause, or when it
+	// statically calls a dirty function that is neither noalloc nor slowpath.
+	dirty := g.reach(
+		func(n *funcNode) bool { _, _, ok := g.allocCause(n); return ok },
+		func(site *callSite, callee *funcNode) bool {
+			return site.callee != nil && !callee.noalloc && !callee.slowpath
+		}, false)
 	var diags []Diagnostic
-	for _, node := range g.nodes {
-		if !node.noalloc || !analyzed[node.mp] {
+	for _, node := range g.order {
+		if !node.noalloc || !p.analyzed[node.mp] {
 			continue
 		}
 		for _, site := range node.calls {
@@ -58,83 +45,38 @@ func (r *Runner) checkNoallocTransitive(g *callGraph, pkgs []*modPkg) []Diagnost
 					r.displayName(site.callee), markerSlowpath)
 				continue
 			}
-			if callee.noalloc || callee.slowpath {
+			if _, isDirty := dirty[callee]; !isDirty || callee.noalloc || callee.slowpath {
 				continue
 			}
-			if ci := r.clean(g, callee, memo); ci.dirty {
-				via := ""
-				if len(ci.path) > 0 {
-					via = " via " + strings.Join(ci.path, " -> ")
-				}
-				file, line, _ := r.position(ci.pos)
-				r.diag(&diags, site.pos, checkNameNoallocTrans,
-					"calls %s, which is not allocation-free (%s at %s:%d%s); mark the allocating callee //%s if it is an audited cold path",
-					r.displayName(site.callee), ci.what, file, line, via, markerSlowpath)
-			}
+			via, root := r.via(dirty, callee)
+			what, pos, _ := g.allocCause(root)
+			file, line, _ := r.position(pos)
+			r.diag(&diags, site.pos, checkNameNoallocTrans,
+				"calls %s, which is not allocation-free (%s at %s:%d%s); mark the allocating callee //%s if it is an audited cold path",
+				r.displayName(site.callee), what, file, line, via, markerSlowpath)
 		}
 	}
-	sortDiagnostics(diags)
 	return diags
 }
 
-// clean classifies a function as transitively allocation-free: no
-// structural allocation construct in its body, no unaudited dynamic call,
-// and every module callee either noalloc, slowpath or itself clean.
-func (r *Runner) clean(g *callGraph, node *funcNode, memo map[*funcNode]*cleanInfo) *cleanInfo {
-	if ci, ok := memo[node]; ok {
-		if ci.visiting {
-			return &cleanInfo{done: true} // optimistic on cycles
-		}
-		return ci
+// allocCause reports why a function's own body keeps it from being proven
+// allocation-free: a structural allocation construct, an unaudited dynamic
+// call, or a call to a module function with no analyzable body.
+func (g *callGraph) allocCause(n *funcNode) (what string, pos token.Pos, ok bool) {
+	if len(n.allocs) > 0 {
+		return n.allocs[0].what, n.allocs[0].pos, true
 	}
-	ci := &cleanInfo{visiting: true}
-	memo[node] = ci
-	defer func() { ci.visiting, ci.done = false, true }()
-
-	if len(node.allocs) > 0 {
-		a := node.allocs[0]
-		ci.dirty, ci.what, ci.pos = true, a.what, a.pos
-		return ci
-	}
-	for _, site := range node.calls {
-		if site.dynamic != "" {
-			if site.audited {
-				continue
+	for _, site := range n.calls {
+		switch {
+		case site.dynamic != "":
+			if !site.audited {
+				return "unaudited call through " + site.dynamic, site.pos, true
 			}
-			ci.dirty = true
-			ci.what = "unaudited call through " + site.dynamic
-			ci.pos = site.pos
-			return ci
-		}
-		callee := g.nodes[site.callee]
-		if callee == nil {
-			ci.dirty, ci.what, ci.pos = true, "call to a function with no analyzable body", site.pos
-			return ci
-		}
-		if callee.noalloc || callee.slowpath {
-			continue
-		}
-		if sub := r.clean(g, callee, memo); sub.dirty {
-			ci.dirty, ci.what, ci.pos = true, sub.what, sub.pos
-			ci.path = append([]string{r.displayName(callee.fn)}, sub.path...)
-			return ci
+		case g.nodes[site.callee] == nil:
+			return "call to a function with no analyzable body", site.pos, true
 		}
 	}
-	return ci
-}
-
-// taintCause is one reason a function is (transitively) nondeterministic.
-type taintCause struct {
-	kind string // "rand" or "time"
-	what string // "math/rand.Intn", "time.Now", ...
-	pos  token.Pos
-	path []string // display names from the first callee down to the source
-}
-
-// taintInfo memoizes the taint of one function: at most one cause per kind.
-type taintInfo struct {
-	visiting bool
-	causes   []taintCause
+	return "", token.NoPos, false
 }
 
 // checkDeterminismTaint propagates nondeterminism through the call graph:
@@ -145,101 +87,45 @@ type taintInfo struct {
 // cross-package leaks the direct determinism check cannot see. Sites whose
 // callee is itself in a deterministic package are skipped: the taint source
 // there is flagged directly in that package.
-func (r *Runner) checkDeterminismTaint(g *callGraph, pkgs []*modPkg) []Diagnostic {
-	memo := make(map[*funcNode]*taintInfo)
+func (r *Runner) checkDeterminismTaint(p *pass) []Diagnostic {
+	diags := r.taintDiags(p, func(n *funcNode) []posName { return n.rand },
+		false, "inject a seeded *rand.Rand instead")
+	return append(diags, r.taintDiags(p, func(n *funcNode) []posName {
+		if n.timing {
+			return nil // audited timing site: not a source
+		}
+		return n.clock
+	}, true, "mark the caller //"+markerTiming+" if this is a legitimate timing site")...)
+}
+
+// taintDiags runs one propagation for one kind of source (sources lists a
+// function's direct reads) and reports the deterministic call sites it
+// reaches. timingExempt suppresses the finding in //spear:timing callers.
+func (r *Runner) taintDiags(p *pass, sources func(*funcNode) []posName, timingExempt bool, remedy string) []Diagnostic {
+	g := p.g
+	tainted := g.reach(
+		func(n *funcNode) bool { return len(sources(n)) > 0 },
+		func(site *callSite, _ *funcNode) bool { return site.callee != nil }, false)
 	var diags []Diagnostic
-	for _, node := range g.nodes {
-		if !r.deterministic(node.mp.path) {
-			continue
-		}
-		analyzed := false
-		for _, mp := range pkgs {
-			if mp == node.mp {
-				analyzed = true
-				break
-			}
-		}
-		if !analyzed {
+	for _, node := range g.order {
+		if !r.deterministic(node.mp.path) || !p.analyzed[node.mp] || (timingExempt && node.timing) {
 			continue
 		}
 		for _, site := range node.calls {
-			if site.callee == nil {
-				continue // dynamic: out of reach for taint propagation
-			}
-			callee := g.nodes[site.callee]
+			callee := g.nodes[site.callee] // nil for dynamic sites: out of reach for taint
 			if callee == nil || r.deterministic(callee.mp.path) {
 				continue
 			}
-			for _, cause := range r.taint(g, callee, memo).causes {
-				if cause.kind == "time" && node.timing {
-					continue // audited timing site in the caller
-				}
-				via := ""
-				if len(cause.path) > 0 {
-					via = " via " + strings.Join(cause.path, " -> ")
-				}
-				file, line, _ := r.position(cause.pos)
-				remedy := "inject a seeded *rand.Rand instead"
-				if cause.kind == "time" {
-					remedy = "mark the caller //" + markerTiming + " if this is a legitimate timing site"
-				}
-				r.diag(&diags, site.pos, checkNameDetTaint,
-					"call to %s reaches %s (%s:%d%s) from a deterministic package; %s",
-					r.displayName(site.callee), cause.what, file, line, via, remedy)
+			if _, isTainted := tainted[callee]; !isTainted {
+				continue
 			}
+			via, root := r.via(tainted, callee)
+			src := sources(root)[0]
+			file, line, _ := r.position(src.pos)
+			r.diag(&diags, site.pos, checkNameDetTaint,
+				"call to %s reaches %s (%s:%d%s) from a deterministic package; %s",
+				r.displayName(site.callee), src.name, file, line, via, remedy)
 		}
 	}
-	sortDiagnostics(diags)
 	return diags
-}
-
-// taint computes the memoized taint of one function: direct global-rand
-// draws, direct clock reads (unless the function is //spear:timing), and
-// every taint of statically resolved module callees.
-func (r *Runner) taint(g *callGraph, node *funcNode, memo map[*funcNode]*taintInfo) *taintInfo {
-	if ti, ok := memo[node]; ok {
-		if ti.visiting {
-			return &taintInfo{}
-		}
-		return ti
-	}
-	ti := &taintInfo{visiting: true}
-	memo[node] = ti
-	defer func() { ti.visiting = false }()
-
-	add := func(c taintCause) {
-		for _, have := range ti.causes {
-			if have.kind == c.kind {
-				return // one cause per kind is enough for the diagnostic
-			}
-		}
-		ti.causes = append(ti.causes, c)
-	}
-	for _, p := range node.rand {
-		add(taintCause{kind: "rand", what: p.name, pos: p.pos})
-	}
-	if !node.timing {
-		for _, p := range node.clock {
-			add(taintCause{kind: "time", what: p.name, pos: p.pos})
-		}
-	}
-	for _, site := range node.calls {
-		if site.callee == nil {
-			continue
-		}
-		callee := g.nodes[site.callee]
-		if callee == nil {
-			continue
-		}
-		for _, c := range r.taint(g, callee, memo).causes {
-			add(taintCause{
-				kind: c.kind,
-				what: c.what,
-				pos:  c.pos,
-				path: append([]string{r.displayName(callee.fn)}, c.path...),
-			})
-		}
-	}
-	sort.Slice(ti.causes, func(i, j int) bool { return ti.causes[i].kind < ti.causes[j].kind })
-	return ti
 }

@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -80,10 +79,7 @@ var defaultDeterministic = []string{
 	"internal/serve",
 }
 
-// Check names, in the order the passes run. The first four are the
-// intraprocedural checks of PR 4; the next four are interprocedural and use
-// the static call graph (callgraph.go); the last four are the
-// concurrency-discipline passes (concurrency.go).
+// Check names, as accepted by -check and stamped on every Diagnostic.
 const (
 	checkNameDeterminism  = "determinism"
 	checkNameNoalloc      = "noalloc"
@@ -93,18 +89,100 @@ const (
 	checkNameDetTaint     = "determinism-taint"
 	checkNameLayout       = "layout"
 	checkNameDeadExport   = "deadexport"
+	checkNameAtomic       = "atomic"
+	checkNameGuardedBy    = "guardedby"
+	checkNameGoHygiene    = "gohygiene"
 	checkNameErrflow      = "errflow"
 	checkNameCtxpoll      = "ctxpoll"
-	checkNameShape        = "shape"
 )
 
-// AllChecks lists every check in pass order.
-var AllChecks = []string{
-	checkNameDeterminism, checkNameNoalloc, checkNameMetrics, checkNameFloatEq,
-	checkNameNoallocTrans, checkNameDetTaint, checkNameLayout, checkNameDeadExport,
-	checkNameAtomic, checkNameAlign64, checkNameGuardedBy, checkNameGoHygiene,
-	checkNameErrflow, checkNameCtxpoll, checkNameShape,
+// check is one row of the check table: everything the runner, -list, -check
+// validation and the SARIF rule table know about a check.
+type check struct {
+	name    string
+	desc    string // one line, shown by -list and as the SARIF rule text
+	markers string // marker grammar the check consumes, "" when none
+	graph   bool   // needs the static call graph (callgraph.go)
+	conc    bool   // needs the struct-field access registry (concurrency.go)
+	run     func(r *Runner, p *pass) []Diagnostic
 }
+
+// pass is what the checks of one Analyze run share: the analyzed packages
+// and the two lazily built whole-program structures.
+type pass struct {
+	pkgs     []*modPkg
+	analyzed map[*modPkg]bool
+	g        *callGraph // nil until a check with graph set runs
+	cc       *concCtx   // nil until a check with conc set runs
+
+	// err is set by a check that could not complete because a package failed
+	// to load; Analyze returns it instead of findings (spear-vet exit 2).
+	err error
+}
+
+// checkTable lists every check in pass order. The first four are
+// intraprocedural walks (checks.go); the next four are whole-program
+// (interproc.go, layout.go, deadexport.go); then the concurrency-discipline
+// passes (concurrency.go, guardcfg.go) and the CFG/dataflow passes
+// (errflow.go, ctxpoll.go). Adding a check is adding a row.
+var checkTable = []check{
+	{name: checkNameDeterminism, desc: "deterministic packages must not read ambient randomness, the wall clock or map order",
+		markers: "//spear:timing, //spear:sorted", run: intraproc(checkNameDeterminism)},
+	{name: checkNameNoalloc, desc: "//spear:noalloc function bodies must not contain allocation constructs",
+		markers: "//spear:noalloc", run: intraproc(checkNameNoalloc)},
+	{name: checkNameMetrics, desc: "metric registrations use literal spear_* names, counters end in _total, one call site per name",
+		run: (*Runner).checkMetrics},
+	{name: checkNameFloatEq, desc: "no == / != on floats outside audited comparisons",
+		markers: "//spear:floateq", run: intraproc(checkNameFloatEq)},
+	{name: checkNameNoallocTrans, desc: "//spear:noalloc extends over the static call graph",
+		markers: "//spear:slowpath, //spear:dyncall", graph: true, run: (*Runner).checkNoallocTransitive},
+	{name: checkNameDetTaint, desc: "determinism extends over the static call graph",
+		markers: "//spear:timing", graph: true, run: (*Runner).checkDeterminismTaint},
+	{name: checkNameLayout, desc: "//spear:packed structs have padding-optimal field order",
+		markers: "//spear:packed", run: perPackage((*Runner).checkLayout)},
+	{name: checkNameDeadExport, desc: "exported module-internal declarations must have a reference",
+		run: func(r *Runner, p *pass) (found []Diagnostic) {
+			found, p.err = r.checkDeadExports(p.pkgs)
+			return found
+		}},
+	{name: checkNameAtomic, desc: "//spear:atomic fields are accessed only via sync/atomic, and atomically-accessed fields carry the marker",
+		markers: "//spear:atomic, //spear:init, //spear:xclusive", conc: true, run: (*Runner).checkAtomic},
+	{name: checkNameGuardedBy, desc: "//spear:guardedby(mu) fields are reached only with mu held (CFG dataflow)",
+		markers: "//spear:guardedby(mu), //spear:locked(mu), //spear:init, //spear:xclusive", graph: true, conc: true,
+		run: (*Runner).checkGuardedBy},
+	{name: checkNameGoHygiene, desc: "go statements in deterministic packages are joined in the spawning function",
+		markers: "//spear:detached", run: perPackage((*Runner).checkGoHygiene)},
+	{name: checkNameErrflow, desc: "error values are checked, returned or explicitly discarded (CFG dataflow)",
+		markers: "//spear:ignoreerr(reason)", run: perPackage((*Runner).checkErrflow)},
+	{name: checkNameCtxpoll, desc: "loops on ScheduleContext paths poll ctx.Err()/ctx.Done()",
+		markers: "//spear:nopoll(reason)", graph: true, run: (*Runner).checkCtxpoll},
+}
+
+// perPackage lifts a one-package check into a table row's run function.
+func perPackage(checkOne func(*Runner, *modPkg) []Diagnostic) func(*Runner, *pass) []Diagnostic {
+	return func(r *Runner, p *pass) []Diagnostic {
+		var found []Diagnostic
+		for _, mp := range p.pkgs {
+			found = append(found, checkOne(r, mp)...)
+		}
+		return found
+	}
+}
+
+// intraproc is perPackage over the shared declaration walk of checks.go,
+// which emits the findings of exactly one named check per walk.
+func intraproc(name string) func(*Runner, *pass) []Diagnostic {
+	return perPackage(func(r *Runner, mp *modPkg) []Diagnostic { return r.checkPackage(mp, name) })
+}
+
+// AllChecks lists every check name in pass order.
+var AllChecks = func() []string {
+	names := make([]string, len(checkTable))
+	for i, c := range checkTable {
+		names[i] = c.name
+	}
+	return names
+}()
 
 // CheckInfo describes one check for discovery (spear-vet -list).
 type CheckInfo struct {
@@ -116,23 +194,11 @@ type CheckInfo struct {
 // Checks returns every check in pass order with its description and marker
 // grammar, for spear-vet -list.
 func Checks() []CheckInfo {
-	return []CheckInfo{
-		{checkNameDeterminism, "deterministic packages must not read ambient randomness or the wall clock", "//spear:timing"},
-		{checkNameNoalloc, "//spear:noalloc function bodies must not contain allocation constructs", "//spear:noalloc"},
-		{checkNameMetrics, "metric registrations use literal, unique names", ""},
-		{checkNameFloatEq, "no == / != on floats outside audited comparisons", "//spear:floateq, //spear:sorted"},
-		{checkNameNoallocTrans, "//spear:noalloc extends over the static call graph", "//spear:slowpath, //spear:dyncall"},
-		{checkNameDetTaint, "determinism extends over the static call graph", "//spear:timing"},
-		{checkNameLayout, "//spear:packed structs have padding-optimal field order", "//spear:packed"},
-		{checkNameDeadExport, "exported module-internal declarations must have a reference", ""},
-		{checkNameAtomic, "//spear:atomic fields are accessed only via sync/atomic", "//spear:atomic, //spear:init, //spear:xclusive"},
-		{checkNameAlign64, "64-bit atomics sit at 8-byte offsets on 32-bit targets", "//spear:atomic"},
-		{checkNameGuardedBy, "//spear:guardedby(mu) fields are reached only with mu held (CFG dataflow)", "//spear:guardedby(mu), //spear:locked(mu), //spear:init, //spear:xclusive"},
-		{checkNameGoHygiene, "go statements in deterministic packages join; loop-var capture below go1.22", "//spear:detached"},
-		{checkNameErrflow, "error values are checked, returned or explicitly discarded (CFG dataflow)", "//spear:ignoreerr(reason)"},
-		{checkNameCtxpoll, "loops on ScheduleContext paths poll ctx.Err()/ctx.Done()", "//spear:nopoll(reason)"},
-		{checkNameShape, "nn buffer lengths agree with network dims at Into call sites (CFG dataflow)", ""},
+	out := make([]CheckInfo, len(checkTable))
+	for i, c := range checkTable {
+		out[i] = CheckInfo{Name: c.name, Desc: c.desc, Markers: c.markers}
 	}
+	return out
 }
 
 // Config parameterizes a run.
@@ -144,17 +210,6 @@ type Config struct {
 	// Checks selects which checks run, by name (see AllChecks). Nil means
 	// all of them. Unknown names are rejected by NewRunner.
 	Checks []string
-
-	// LangVersion overrides the module's go directive ("1.21", "1.22") for
-	// language-version-dependent checks; "" means read it from go.mod.
-	// gohygiene's loop-variable-capture finding only applies below 1.22,
-	// where loop variables are per-loop rather than per-iteration.
-	LangVersion string
-
-	// legacyGuard selects the pre-CFG structural guardedby walker. Test-only:
-	// FuzzCFGBuilder cross-checks the two implementations on control flow
-	// where they must agree.
-	legacyGuard bool
 }
 
 // CheckTiming is the wall-clock cost of one pass and how many findings it
@@ -187,7 +242,6 @@ type Runner struct {
 	loadCount  int // module packages actually type-checked (cache misses)
 	cfg        Config
 	enabled    map[string]bool // check name -> selected by cfg.Checks
-	langVer    string          // go.mod go directive (or cfg.LangVersion), "" if absent
 
 	// metricSites accumulates literal metric registrations across every
 	// analyzed package, for the duplicate-name part of the metrics check.
@@ -206,12 +260,9 @@ type modPkg struct {
 // NewRunner returns a runner for the module containing dir (found by walking
 // up to go.mod).
 func NewRunner(dir string, cfg Config) (*Runner, error) {
-	root, modPath, goVer, err := findModule(dir)
+	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.LangVersion != "" {
-		goVer = cfg.LangVersion
 	}
 	if cfg.Deterministic == nil {
 		cfg.Deterministic = defaultDeterministic
@@ -247,54 +298,34 @@ func NewRunner(dir string, cfg Config) (*Runner, error) {
 		loading:     make(map[string]bool),
 		cfg:         cfg,
 		enabled:     enabled,
-		langVer:     goVer,
 		metricSites: make(map[string][]metricSite),
 	}, nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns the module
-// root directory, module path and go directive ("" when the file has none).
-func findModule(dir string) (root, path, goVer string, err error) {
+// root directory and module path.
+func findModule(dir string) (root, path string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return "", "", "", err
+		return "", "", err
 	}
 	for cur := abs; ; cur = filepath.Dir(cur) {
 		data, err := os.ReadFile(filepath.Join(cur, "go.mod"))
 		if err == nil {
 			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
 					path = strings.TrimSpace(rest)
-				} else if rest, ok := strings.CutPrefix(line, "go "); ok {
-					goVer = strings.TrimSpace(rest)
 				}
 			}
 			if path == "" {
-				return "", "", "", fmt.Errorf("lint: %s/go.mod has no module line", cur)
+				return "", "", fmt.Errorf("lint: %s/go.mod has no module line", cur)
 			}
-			return cur, path, goVer, nil
+			return cur, path, nil
 		}
 		if filepath.Dir(cur) == cur {
-			return "", "", "", fmt.Errorf("lint: no go.mod above %s", abs)
+			return "", "", fmt.Errorf("lint: no go.mod above %s", abs)
 		}
 	}
-}
-
-// langAtLeast reports whether a go directive version ("1.22", "1.21.3")
-// reaches major.minor. An absent or malformed version compares as older —
-// the conservative direction for checks that only apply to old semantics.
-func langAtLeast(ver string, major, minor int) bool {
-	parts := strings.SplitN(ver, ".", 3)
-	if len(parts) < 2 {
-		return false
-	}
-	maj, err1 := strconv.Atoi(parts[0])
-	min, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return maj > major || (maj == major && min >= minor)
 }
 
 // Import implements types.Importer: module-internal paths are loaded from the
@@ -434,11 +465,11 @@ func (r *Runner) AnalyzeDirs(dirs []string) ([]Diagnostic, error) {
 // type-checked and the wall-clock cost of every enabled pass.
 func (r *Runner) Analyze(dirs []string) ([]Diagnostic, RunStats, error) {
 	var stats RunStats
-	timed := func(check string, pass func() []Diagnostic) []Diagnostic {
+	timed := func(row string, step func() []Diagnostic) []Diagnostic {
 		began := time.Now()
-		found := pass()
+		found := step()
 		stats.Checks = append(stats.Checks, CheckTiming{
-			Check:    check,
+			Check:    row,
 			Millis:   float64(time.Since(began)) / float64(time.Millisecond),
 			Findings: len(found),
 		})
@@ -465,123 +496,29 @@ func (r *Runner) Analyze(dirs []string) ([]Diagnostic, RunStats, error) {
 		Millis: float64(time.Since(began)) / float64(time.Millisecond),
 	})
 
+	// Passes run in table order. The call graph (over every module package in
+	// the cache: analyzed packages and their dependencies) and the field
+	// access registry are built once, just before the first enabled check
+	// that needs them, and get their own timing rows.
+	p := &pass{pkgs: pkgs, analyzed: make(map[*modPkg]bool, len(pkgs))}
+	for _, mp := range pkgs {
+		p.analyzed[mp] = true
+	}
 	var diags []Diagnostic
-	for _, check := range []string{checkNameDeterminism, checkNameNoalloc, checkNameMetrics, checkNameFloatEq} {
-		if !r.enabled[check] {
+	for _, c := range checkTable {
+		if !r.enabled[c.name] {
 			continue
 		}
-		check := check
-		diags = append(diags, timed(check, func() []Diagnostic {
-			var found []Diagnostic
-			for _, mp := range pkgs {
-				found = append(found, r.checkPackage(mp, check)...)
-			}
-			if check == checkNameMetrics {
-				found = append(found, r.duplicateMetricDiags()...)
-			}
-			return found
-		})...)
-	}
-
-	// Interprocedural passes share one call graph over every module package
-	// in the cache (analyzed packages and their dependencies). The guardedby
-	// pass rides on the same graph for its //spear:locked callee lookups.
-	var g *callGraph
-	if r.enabled[checkNameNoallocTrans] || r.enabled[checkNameDetTaint] || r.enabled[checkNameGuardedBy] || r.enabled[checkNameCtxpoll] {
-		timed("callgraph", func() []Diagnostic {
-			g = r.buildCallGraph()
-			return nil
-		})
-	}
-	if r.enabled[checkNameNoallocTrans] {
-		diags = append(diags, timed(checkNameNoallocTrans, func() []Diagnostic {
-			return r.checkNoallocTransitive(g, pkgs)
-		})...)
-	}
-	if r.enabled[checkNameDetTaint] {
-		diags = append(diags, timed(checkNameDetTaint, func() []Diagnostic {
-			return r.checkDeterminismTaint(g, pkgs)
-		})...)
-	}
-	if r.enabled[checkNameLayout] {
-		diags = append(diags, timed(checkNameLayout, func() []Diagnostic {
-			var found []Diagnostic
-			for _, mp := range pkgs {
-				found = append(found, r.checkLayout(mp)...)
-			}
-			return found
-		})...)
-	}
-	if r.enabled[checkNameDeadExport] {
-		var found []Diagnostic
-		var err error
-		timed(checkNameDeadExport, func() []Diagnostic {
-			found, err = r.checkDeadExports(pkgs)
-			return found
-		})
-		if err != nil {
-			return nil, stats, err
+		if c.graph && p.g == nil {
+			timed("callgraph", func() []Diagnostic { p.g = r.buildCallGraph(); return nil })
 		}
-		diags = append(diags, found...)
-	}
-
-	// Concurrency-discipline passes share one field/access registry.
-	if r.concChecksEnabled() {
-		var cc *concCtx
-		timed("concurrency", func() []Diagnostic {
-			cc = r.buildConcurrency(pkgs)
-			return nil
-		})
-		if r.enabled[checkNameAtomic] {
-			diags = append(diags, timed(checkNameAtomic, func() []Diagnostic {
-				return r.checkAtomic(cc)
-			})...)
+		if c.conc && p.cc == nil {
+			timed("concurrency", func() []Diagnostic { p.cc = r.buildConcurrency(p); return nil })
 		}
-		if r.enabled[checkNameAlign64] {
-			diags = append(diags, timed(checkNameAlign64, func() []Diagnostic {
-				return r.checkAlign64(cc)
-			})...)
+		diags = append(diags, timed(c.name, func() []Diagnostic { return c.run(r, p) })...)
+		if p.err != nil {
+			return nil, stats, p.err
 		}
-		if r.enabled[checkNameGuardedBy] {
-			diags = append(diags, timed(checkNameGuardedBy, func() []Diagnostic {
-				return r.checkGuardedBy(cc, g, pkgs)
-			})...)
-		}
-		if r.enabled[checkNameGoHygiene] {
-			diags = append(diags, timed(checkNameGoHygiene, func() []Diagnostic {
-				var found []Diagnostic
-				for _, mp := range pkgs {
-					found = append(found, r.checkGoHygiene(mp)...)
-				}
-				return found
-			})...)
-		}
-	}
-
-	// CFG/dataflow passes (cfg.go, dataflow.go): per-function forward
-	// analyses, plus the call-graph-scoped context-poll audit.
-	if r.enabled[checkNameErrflow] {
-		diags = append(diags, timed(checkNameErrflow, func() []Diagnostic {
-			var found []Diagnostic
-			for _, mp := range pkgs {
-				found = append(found, r.checkErrflow(mp)...)
-			}
-			return found
-		})...)
-	}
-	if r.enabled[checkNameCtxpoll] {
-		diags = append(diags, timed(checkNameCtxpoll, func() []Diagnostic {
-			return r.checkCtxpoll(g, pkgs)
-		})...)
-	}
-	if r.enabled[checkNameShape] {
-		diags = append(diags, timed(checkNameShape, func() []Diagnostic {
-			var found []Diagnostic
-			for _, mp := range pkgs {
-				found = append(found, r.checkShape(mp)...)
-			}
-			return found
-		})...)
 	}
 
 	stats.PackagesLoaded = r.loadCount

@@ -4,30 +4,13 @@ package lint
 // scanning ingests. Only the fields the upload path actually reads are
 // emitted — tool driver with one rule per check, and one error-level result
 // per diagnostic with a physical location. Ordering is deterministic: rules
-// follow AllChecks, results follow the (already sorted) diagnostic slice.
+// follow the check table, results follow the (already sorted) diagnostic slice.
 
 import (
 	"encoding/json"
 	"io"
 	"path/filepath"
 )
-
-// checkDescriptions is the one-line rule help surfaced in SARIF viewers,
-// keyed by check name; every AllChecks entry has one.
-var checkDescriptions = map[string]string{
-	checkNameDeterminism:  "deterministic packages must not use wall-clock time, global rand, or map iteration without sorting",
-	checkNameNoalloc:      "//spear:noalloc functions must not contain allocating constructs",
-	checkNameMetrics:      "metric names must match the spear_<subsystem>_<name>[_total] grammar and be registered exactly once",
-	checkNameFloatEq:      "float comparisons must use epsilon helpers, not == or !=",
-	checkNameNoallocTrans: "//spear:noalloc functions must not call allocating functions, transitively",
-	checkNameDetTaint:     "deterministic packages must not call time- or rand-tainted functions, transitively",
-	checkNameLayout:       "//spear:packed hot structs must stay free of field-ordering padding",
-	checkNameDeadExport:   "exported identifiers of internal packages must be referenced outside their package",
-	checkNameAtomic:       "//spear:atomic fields must be accessed only through sync/atomic outside //spear:init and //spear:xclusive functions, and atomically-accessed fields must carry the marker",
-	checkNameAlign64:      "//spear:atomic int64/uint64 fields must be 64-bit aligned under 32-bit layout",
-	checkNameGuardedBy:    "//spear:guardedby(mu) fields must be accessed with the named mutex held on every path",
-	checkNameGoHygiene:    "go statements in deterministic packages must be joined in the spawning function and must not capture loop variables",
-}
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -92,11 +75,11 @@ type sarifRegion struct {
 // base, which is what the code-scanning upload resolves against the
 // repository root.
 func WriteSARIF(w io.Writer, diags []Diagnostic) error {
-	rules := make([]sarifRule, len(AllChecks))
-	ruleIndex := make(map[string]int, len(AllChecks))
-	for i, name := range AllChecks {
-		rules[i] = sarifRule{ID: name, ShortDescription: sarifMessage{Text: checkDescriptions[name]}}
-		ruleIndex[name] = i
+	rules := make([]sarifRule, len(checkTable))
+	ruleIndex := make(map[string]int, len(checkTable))
+	for i, c := range checkTable {
+		rules[i] = sarifRule{ID: c.name, ShortDescription: sarifMessage{Text: c.desc}}
+		ruleIndex[c.name] = i
 	}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {

@@ -1,9 +1,6 @@
 // Golden fixture of the goroutine-hygiene check (deterministic packages
 // only): every go statement needs a WaitGroup or channel join in the
-// spawning function or an explicit //spear:detached waiver. The module
-// declares go 1.22, where loop variables are per-iteration, so the capture
-// cases below are deliberately finding-free — the 1.21 behavior is pinned by
-// the gohygiene121 fixture, which runs with Config.LangVersion "1.21".
+// spawning function or an explicit //spear:detached waiver.
 package gohygiene
 
 import "sync"
@@ -45,38 +42,9 @@ func channelJoined() {
 	<-done
 }
 
-func capturesLoopVar(n int) {
-	var wg sync.WaitGroup
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = 1 // per-iteration variable under go 1.22: no finding
-		}()
-	}
-	wg.Wait()
-}
-
-func capturesRangeVar(xs []int) {
-	var wg sync.WaitGroup
-	sum := 0
-	for _, x := range xs {
-		wg.Add(1)
-		go func() {
-			sum += x // per-iteration variable under go 1.22: no finding
-			wg.Done()
-		}()
-	}
-	wg.Wait()
-	_ = sum
-}
-
 var (
 	_ = fanOutJoined
 	_ = fireAndForget
 	_ = audited
 	_ = channelJoined
-	_ = capturesLoopVar
-	_ = capturesRangeVar
 )
