@@ -10,7 +10,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,8 +38,6 @@ func run() error {
 		csvDir    = flag.String("csv-dir", "", "also write each experiment's raw data as CSV into this directory")
 		metrics   = flag.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
 		jobs      = flag.Int("j", 1, "run independent experiment cells on this many workers (reports still print in paper order)")
-		rootPar   = flag.Int("root-parallel", 1, "root-parallel MCTS trees per decision in every search-based scheduler")
-		treePar   = flag.Int("tree-parallel", 1, "shared-tree workers per MCTS tree in every search-based scheduler")
 	)
 	flag.Parse()
 
@@ -53,14 +50,12 @@ func run() error {
 
 	suite := experiments.NewSuite(*seed)
 	suite.Full = *full
-	suite.RootParallelism = *rootPar
-	suite.TreeParallelism = *treePar
 	if *verbose {
 		suite.Log = os.Stderr
 	}
 	if *metrics {
-		// One shared registry: every scheduler the suite builds aggregates
-		// into it, and the snapshot below covers the whole run.
+		// Every scheduler the suite builds registers into a registry the run
+		// merges into the snapshot printed below.
 		suite.Obs = spear.NewMetricsRegistry()
 	}
 	if *modelPath != "" {
@@ -80,80 +75,28 @@ func run() error {
 		suite.Net = net
 	}
 
+	names := experiments.Names()
+	if *runName != "all" {
+		names = []string{*runName}
+	}
+	opt := experiments.ParallelOptions{Jobs: *jobs}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
 		}
+		opt.CSV = func(name string) (io.WriteCloser, error) {
+			return os.Create(filepath.Join(*csvDir, name+".csv"))
+		}
 	}
-	runOne := func(r experiments.Runner) error {
-		if err := r.Run(suite, os.Stdout); err != nil {
-			return fmt.Errorf("%s: %w", r.Name, err)
-		}
-		if *csvDir == "" || r.CSV == nil {
-			return nil
-		}
-		path := filepath.Join(*csvDir, r.Name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := r.CSV(suite, f); err != nil {
-			return errors.Join(fmt.Errorf("%s csv: %w", r.Name, err), f.Close())
-		}
-		return f.Close()
+	// One path for one experiment or all of them, at any -j: a failing
+	// experiment is reported here, after the others have run.
+	snap, err := suite.Run(names, opt, os.Stdout)
+	if err != nil {
+		return err
 	}
-
-	dumpMetrics := func() {
-		if suite.Obs == nil {
-			return
-		}
+	if *metrics {
 		fmt.Println("==== metrics ====")
-		if err := suite.Obs.Snapshot().WritePrometheus(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "spear-experiments: metrics:", err)
-		}
+		return snap.WritePrometheus(os.Stdout)
 	}
-
-	if *jobs > 1 {
-		names := experiments.Names()
-		if *runName != "all" {
-			names = []string{*runName}
-		}
-		opt := experiments.ParallelOptions{Jobs: *jobs}
-		if *csvDir != "" {
-			opt.CSV = func(name string) (io.WriteCloser, error) {
-				return os.Create(filepath.Join(*csvDir, name+".csv"))
-			}
-		}
-		snap, err := suite.RunParallel(names, opt, os.Stdout)
-		if err != nil {
-			return err
-		}
-		if *metrics {
-			fmt.Println("==== metrics ====")
-			return snap.WritePrometheus(os.Stdout)
-		}
-		return nil
-	}
-
-	if *runName != "all" {
-		for _, r := range experiments.Registry() {
-			if r.Name == *runName {
-				if err := runOne(r); err != nil {
-					return err
-				}
-				dumpMetrics()
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown experiment %q", *runName)
-	}
-	for _, r := range experiments.Registry() {
-		fmt.Printf("==== %s ====\n", r.Name)
-		if err := runOne(r); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	dumpMetrics()
 	return nil
 }

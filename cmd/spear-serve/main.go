@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	spear-serve -seed 7 -horizon 2000 -algo cp -out run.json
+//	spear-serve -seed 7 -horizon 20000 -algo cp -out run.json
 //	spear-serve -seed 7 -machines 4 -algo tetris    # 4-machine cluster
 //	spear-serve -replay run.json            # re-execute and diff byte-wise
 //	spear-serve -seed 7 -admission token-bucket -bucket-cap 4 -bucket-refill 0.05
@@ -49,10 +49,9 @@ func run() error {
 	var classes classFlags
 	var (
 		seed         = flag.Int64("seed", 1, "run seed; fully determines the run")
-		horizon      = flag.Int64("horizon", 2000, "last slot at which jobs may arrive")
+		horizon      = flag.Int64("horizon", 20000, "last slot at which jobs may arrive")
 		algo         = flag.String("algo", "cp", "scheduling algorithm (cp,tetris,sjf,graphene,level,random,anneal,mcts)")
 		searchBudget = flag.Int("search-budget", 200, "per-decision iteration budget for -algo mcts")
-		treePar      = flag.Int("tree-parallel", 1, "shared-tree search workers for -algo mcts (>1 speeds planning but forfeits replay byte-identity)")
 		admission    = flag.String("admission", "always", "admission policy (always,token-bucket)")
 		bucketCap    = flag.Float64("bucket-cap", 8, "token-bucket burst capacity in jobs")
 		bucketRefill = flag.Float64("bucket-refill", 0.02, "token-bucket refill rate in jobs per slot")
@@ -93,7 +92,6 @@ func run() error {
 		// Recorded only for the search algorithm, so baseline run logs stay
 		// byte-identical to older builds.
 		cfg.SearchBudget = *searchBudget
-		cfg.TreeParallel = *treePar
 	}
 	if cfg.Admission.Policy == serve.PolicyAlways {
 		cfg.Admission.BucketCap, cfg.Admission.RefillPerSlot = 0, 0
@@ -173,12 +171,14 @@ func replayRun(path string, metrics bool) error {
 }
 
 // parseClasses parses repeated -class specs "name[@tenant]:kind:mean[:shape]".
-// No specs selects a default gold+batch mix.
+// No specs selects a default gold+batch mix whose arrival rate the default
+// one-machine cluster keeps up with (mean stretch 2-3): a faster mix builds a
+// backlog that outlives the horizon several times over.
 func parseClasses(specs []string) ([]serve.ClassConfig, error) {
 	if len(specs) == 0 {
 		return []serve.ClassConfig{
-			{Name: "gold", Tenant: "gold", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalPoisson, Mean: 150}},
-			{Name: "batch", Tenant: "batch", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalGamma, Mean: 250, Shape: 0.5}},
+			{Name: "gold", Tenant: "gold", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalPoisson, Mean: 1000}},
+			{Name: "batch", Tenant: "batch", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalGamma, Mean: 1600, Shape: 0.5}},
 		}, nil
 	}
 	out := make([]serve.ClassConfig, 0, len(specs))
@@ -221,10 +221,9 @@ func printSummary(log *serve.RunLog) {
 
 // buildScheduler constructs the scheduler the config names. "mcts" is
 // iteration-budgeted (never wall-clock-budgeted), so a run is a pure
-// function of the seed like the baselines — with the caveat that
-// TreeParallel > 1 interleaves search iterations nondeterministically and
-// forfeits the replay guarantee. The model-guided spear algorithm stays
-// excluded: its plans depend on network weights the log does not record.
+// function of the seed like the baselines. The model-guided spear algorithm
+// stays excluded: its plans depend on network weights the log does not
+// record.
 func buildScheduler(cfg serve.Config) (sched.Scheduler, error) {
 	switch cfg.Algorithm {
 	case "cp":
@@ -246,12 +245,7 @@ func buildScheduler(cfg serve.Config) (sched.Scheduler, error) {
 		if budget <= 0 {
 			budget = 200
 		}
-		return mcts.New(mcts.Config{
-			InitialBudget:   budget,
-			MinBudget:       budget / 10,
-			Seed:            cfg.Seed,
-			TreeParallelism: cfg.TreeParallel,
-		}), nil
+		return mcts.New(mcts.Config{InitialBudget: budget, MinBudget: budget / 10, Seed: cfg.Seed}), nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", cfg.Algorithm)
 	}

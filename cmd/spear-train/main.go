@@ -42,7 +42,6 @@ func run() error {
 		metrics        = flag.Bool("metrics", false, "print a Prometheus-format training metrics snapshot after the run")
 		evalJobs       = flag.Int("eval", 0, "after training, run guided search on this many held-out jobs and report mean makespan")
 		evalBudget     = flag.Int("eval-budget", 100, "search budget per decision for -eval")
-		treePar        = flag.Int("tree-parallel", 1, "shared-tree search workers per tree for -eval")
 	)
 	flag.Parse()
 
@@ -107,7 +106,7 @@ func run() error {
 	}
 	fmt.Printf("model written to %s (window=%d horizon=%d)\n", *out, *window, *horizon)
 	if *evalJobs > 0 {
-		if err := evalModel(net, feat, *evalJobs, *tasksPerJob, *evalBudget, *treePar, *seed); err != nil {
+		if err := evalModel(net, feat, *evalJobs, *tasksPerJob, *evalBudget, *seed); err != nil {
 			return err
 		}
 	}
@@ -125,14 +124,12 @@ func run() error {
 // evalModel runs the freshly trained model through the guided search on
 // held-out jobs (a seed offset past the training set) and prints the mean
 // makespan and search rate — a quick smoke signal that the model actually
-// helps before it is shipped to spear-sim/spear-experiments. treePar sets
-// the shared-tree worker count of each search.
-func evalModel(net *spear.Network, feat spear.Features, jobs, tasks, budget, treePar int, seed int64) error {
+// helps before it is shipped to spear-sim/spear-experiments.
+func evalModel(net *spear.Network, feat spear.Features, jobs, tasks, budget int, seed int64) error {
 	scheduler, err := spear.NewSpear(net, feat, spear.SpearConfig{
-		InitialBudget:   budget,
-		MinBudget:       budget / 10,
-		Seed:            seed,
-		TreeParallelism: treePar,
+		InitialBudget: budget,
+		MinBudget:     budget / 10,
+		Seed:          seed,
 	})
 	if err != nil {
 		return err
@@ -152,8 +149,8 @@ func evalModel(net *spear.Network, feat spear.Features, jobs, tasks, budget, tre
 		totalSpan += float64(out.Makespan)
 		totalSims += scheduler.LastStats().SimsPerSec
 	}
-	fmt.Printf("eval: %d held-out jobs, mean makespan %.1f, mean %.0f sims/sec (tree-parallel %d)\n",
-		jobs, totalSpan/float64(jobs), totalSims/float64(jobs), treePar)
+	fmt.Printf("eval: %d held-out jobs, mean makespan %.1f, mean %.0f sims/sec\n",
+		jobs, totalSpan/float64(jobs), totalSims/float64(jobs))
 	return nil
 }
 

@@ -31,30 +31,11 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 // WriteCSV exports the per-algorithm makespan of the motivating example.
 func (r *Fig3Result) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(r.Makespans))
-	for _, name := range []string{"Spear", "Graphene", "Tetris", "CP", "SJF"} {
-		if m, ok := r.Makespans[name]; ok {
-			rows = append(rows, []string{name, itoa64(m)})
-		}
+	rows := make([][]string, 0, len(r.Results))
+	for _, ar := range r.Results {
+		rows = append(rows, []string{ar.Name, itoa64(ar.Makespans[0])})
 	}
 	return writeCSV(w, []string{"algorithm", "makespan"}, rows)
-}
-
-// WriteCSV exports one row per (algorithm, job) with makespan and elapsed
-// milliseconds — the raw data behind both Fig. 6(a) and Fig. 6(b).
-func (r *Fig6Result) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for _, ar := range r.Results {
-		for i, m := range ar.Makespans {
-			rows = append(rows, []string{
-				ar.Name,
-				strconv.Itoa(i),
-				itoa64(m),
-				ftoa(float64(ar.Elapsed[i].Microseconds()) / 1000),
-			})
-		}
-	}
-	return writeCSV(w, []string{"algorithm", "job", "makespan", "elapsedMillis"}, rows)
 }
 
 // WriteCSV exports the budget sweep behind Fig. 7(a)/7(b).
@@ -89,22 +70,6 @@ func (r *Table1Result) WriteCSV(w io.Writer) error {
 	return writeCSV(w, []string{"tasks", "budget", "elapsedMillis"}, rows)
 }
 
-// WriteCSV exports the Fig. 8(a) comparison rows.
-func (r *Fig8aResult) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for _, ar := range r.Results {
-		for i, m := range ar.Makespans {
-			rows = append(rows, []string{
-				ar.Name,
-				strconv.Itoa(i),
-				itoa64(m),
-				ftoa(float64(ar.Elapsed[i].Microseconds()) / 1000),
-			})
-		}
-	}
-	return writeCSV(w, []string{"algorithm", "job", "makespan", "elapsedMillis"}, rows)
-}
-
 // WriteCSV exports the learning curve plus the reference lines.
 func (r *Fig8bResult) WriteCSV(w io.Writer) error {
 	if err := drl.WriteCurveCSV(w, r.Curve); err != nil {
@@ -136,20 +101,4 @@ func (r *Fig9cResult) WriteCSV(w io.Writer) error {
 		rows = append(rows, []string{strconv.Itoa(i), ftoa(red)})
 	}
 	return writeCSV(w, []string{"job", "reduction"}, rows)
-}
-
-// WriteCSV exports the ablation rows.
-func (r *AblationResult) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for _, ar := range r.Results {
-		for i, m := range ar.Makespans {
-			rows = append(rows, []string{
-				ar.Name,
-				strconv.Itoa(i),
-				itoa64(m),
-				ftoa(float64(ar.Elapsed[i].Microseconds()) / 1000),
-			})
-		}
-	}
-	return writeCSV(w, []string{"variant", "job", "makespan", "elapsedMillis"}, rows)
 }

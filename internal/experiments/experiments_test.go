@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"io"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"spear/internal/core"
@@ -41,12 +44,22 @@ func TestNamesMatchRegistry(t *testing.T) {
 			t.Errorf("Names[%d] = %q, want %q", i, names[i], want[i])
 		}
 	}
+	for _, r := range Registry() {
+		if r.Description == "" {
+			t.Errorf("%s has no description", r.Name)
+		}
+	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
 	s := tinySuite(t)
-	if err := s.Run("nope", &bytes.Buffer{}); err == nil {
-		t.Error("unknown experiment accepted")
+	_, err := s.Run([]string{"nope"}, ParallelOptions{}, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	// The message lists what would have been accepted, sorted.
+	if want := `"nope" (known: [ablation fig3 fig6a`; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
 	}
 }
 
@@ -77,16 +90,20 @@ func TestFig3ReportsTrapAndEscape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig3: %v", err)
 	}
+	makespans := map[string]int64{}
+	for _, ar := range r.Results {
+		makespans[ar.Name] = ar.Makespans[0]
+	}
 	for _, name := range []string{"Spear", "Graphene", "Tetris", "CP", "SJF"} {
-		if _, ok := r.Makespans[name]; !ok {
+		if _, ok := makespans[name]; !ok {
 			t.Errorf("missing %s", name)
 		}
 	}
-	if r.Makespans["Graphene"] != 301 || r.Makespans["Tetris"] != 301 {
-		t.Errorf("heuristics should be trapped at 301: %v", r.Makespans)
+	if makespans["Graphene"] != 301 || makespans["Tetris"] != 301 {
+		t.Errorf("heuristics should be trapped at 301: %v", makespans)
 	}
-	if r.Makespans["Spear"] >= 301 {
-		t.Errorf("Spear did not escape the trap: %d", r.Makespans["Spear"])
+	if makespans["Spear"] >= 301 {
+		t.Errorf("Spear did not escape the trap: %d", makespans["Spear"])
 	}
 	if !strings.Contains(r.String(), "Fig. 3") {
 		t.Errorf("report: %q", r.String())
@@ -118,14 +135,6 @@ func TestFig7SweepShapes(t *testing.T) {
 	// Both fig7a and fig7b render from the same sweep.
 	if !strings.Contains(r.MakespanTable(), "budget") || !strings.Contains(r.WinRateTable(), "win rate") {
 		t.Error("tables missing headers")
-	}
-	// The sweep is cached on the suite.
-	again, err := s.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != r {
-		t.Error("Fig7 not cached")
 	}
 }
 
@@ -219,7 +228,7 @@ func TestAblationVariantsAllRun(t *testing.T) {
 			t.Errorf("%s ran %d graphs, want %d", ar.Name, len(ar.Makespans), r.Graphs)
 		}
 	}
-	if !strings.Contains(r.String(), "Ablation") {
+	if !strings.Contains(ablationTable(r), "Ablation") {
 		t.Error("missing title")
 	}
 }
@@ -250,16 +259,7 @@ func TestRunWritesReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry test")
 	}
-	s := tinySuite(t)
-	for _, name := range []string{"fig9a", "fig9b", "fig8b"} {
-		var buf bytes.Buffer
-		if err := s.Run(name, &buf); err != nil {
-			t.Fatalf("Run(%s): %v", name, err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("Run(%s) wrote nothing", name)
-		}
-	}
+	checkRun(t, tinySuite(t), []string{"fig9a", "fig9b", "fig8b"})
 }
 
 func TestEveryRegisteredExperimentRuns(t *testing.T) {
@@ -268,39 +268,83 @@ func TestEveryRegisteredExperimentRuns(t *testing.T) {
 	}
 	s := tinySuite(t)
 	s.Log = &bytes.Buffer{} // exercise the logging paths too
-	for _, r := range Registry() {
-		var buf bytes.Buffer
-		if err := r.Run(s, &buf); err != nil {
-			t.Fatalf("%s: %v", r.Name, err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("%s wrote nothing", r.Name)
-		}
-		if r.Description == "" {
-			t.Errorf("%s has no description", r.Name)
-		}
-	}
-	// Shared caches must have been populated.
-	if s.fig6 == nil || s.fig7 == nil || s.trace == nil {
-		t.Error("registry run did not populate shared caches")
-	}
+	checkRun(t, s, Names())
+}
 
-	// Every experiment must also export CSV with a header plus data rows.
-	for _, r := range Registry() {
-		if r.CSV == nil {
-			t.Errorf("%s has no CSV writer", r.Name)
+// checkRun runs names through the one runner and requires a non-empty
+// report section and a CSV export (header plus data rows) for each.
+func checkRun(t *testing.T, s *Suite, names []string) {
+	t.Helper()
+	sinks := &csvSinks{}
+	var out bytes.Buffer
+	if _, err := s.Run(names, ParallelOptions{CSV: sinks.open}, &out); err != nil {
+		t.Fatalf("Run(%v): %v", names, err)
+	}
+	reports := sections(out.String())
+	for _, name := range names {
+		if strings.TrimSpace(reports[name]) == "" {
+			t.Errorf("%s wrote nothing", name)
+		}
+		b := sinks.get(name)
+		if b == nil || !b.closed {
+			t.Errorf("%s CSV sink = %+v", name, b)
 			continue
 		}
-		var buf bytes.Buffer
-		if err := r.CSV(s, &buf); err != nil {
-			t.Fatalf("%s CSV: %v", r.Name, err)
+		if lines := strings.Count(b.String(), "\n"); lines < 2 {
+			t.Errorf("%s CSV has %d lines: %q", name, lines, b.String())
 		}
-		lines := strings.Count(buf.String(), "\n")
-		if lines < 2 {
-			t.Errorf("%s CSV has %d lines: %q", r.Name, lines, buf.String())
-		}
-		if !strings.Contains(strings.SplitN(buf.String(), "\n", 2)[0], ",") {
-			t.Errorf("%s CSV header missing: %q", r.Name, buf.String())
+		if !strings.Contains(strings.SplitN(b.String(), "\n", 2)[0], ",") {
+			t.Errorf("%s CSV header missing: %q", name, b.String())
 		}
 	}
+}
+
+var sectionHeader = regexp.MustCompile(`(?m)^==== (\S+) ====\n`)
+
+// sections splits a multi-experiment run's output into its reports by name.
+func sections(out string) map[string]string {
+	reports := map[string]string{}
+	heads := sectionHeader.FindAllStringSubmatchIndex(out, -1)
+	for i, h := range heads {
+		end := len(out)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		reports[out[h[2]:h[3]]] = out[h[1]:end]
+	}
+	return reports
+}
+
+// csvSinks collects the CSV exports of a run; workers open sinks
+// concurrently, so the map is locked.
+type csvSinks struct {
+	mu    sync.Mutex
+	files map[string]*closableBuffer
+}
+
+func (c *csvSinks) open(name string) (io.WriteCloser, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.files == nil {
+		c.files = map[string]*closableBuffer{}
+	}
+	b := &closableBuffer{}
+	c.files[name] = b
+	return b, nil
+}
+
+func (c *csvSinks) get(name string) *closableBuffer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.files[name]
+}
+
+type closableBuffer struct {
+	bytes.Buffer
+	closed bool
+}
+
+func (b *closableBuffer) Close() error {
+	b.closed = true
+	return nil
 }

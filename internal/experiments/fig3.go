@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"spear/internal/dag"
 	"spear/internal/sched"
@@ -11,10 +10,11 @@ import (
 )
 
 // Fig3Result reports every scheduler's makespan on the motivating example,
-// in units of the long-task runtime T.
+// in units of the long-task runtime T. Results holds one job per scheduler,
+// Spear first.
 type Fig3Result struct {
-	T         int64
-	Makespans map[string]int64
+	T       int64
+	Results []AlgorithmResult
 }
 
 // Fig3 runs the motivating-example comparison (paper Fig. 3): Spear's
@@ -37,26 +37,16 @@ func (s *Suite) Fig3() (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig3Result{T: T, Makespans: make(map[string]int64, len(results))}
-	for _, r := range results {
-		out.Makespans[r.Name] = r.Makespans[0]
-	}
-	return out, nil
+	return &Fig3Result{T: T, Results: results}, nil
 }
 
 // String renders the Fig. 3 table.
 func (r *Fig3Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 3 — motivating example (T = %d)\n", r.T)
-	tabulate(&b, func(w io.Writer) {
+	return tabulate(fmt.Sprintf("Fig. 3 — motivating example (T = %d)\n", r.T), func(w io.Writer) {
 		fmt.Fprintln(w, "algorithm\tmakespan\tin units of T")
-		for _, name := range []string{"Spear", "Graphene", "Tetris", "CP", "SJF"} {
-			m, ok := r.Makespans[name]
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(w, "%s\t%d\t%.2fT\n", name, m, float64(m)/float64(r.T))
+		for _, ar := range r.Results {
+			m := ar.Makespans[0]
+			fmt.Fprintf(w, "%s\t%d\t%.2fT\n", ar.Name, m, float64(m)/float64(r.T))
 		}
 	})
-	return b.String()
 }

@@ -3,29 +3,15 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
-	"time"
 
 	"spear/internal/sched"
 	"spear/internal/stats"
 )
 
-// Fig6Result holds the per-algorithm makespans and wall-clock scheduling
-// times over a batch of random DAGs — Fig. 6(a) reports the makespans,
-// Fig. 6(b) the runtimes.
-type Fig6Result struct {
-	Graphs  int
-	Tasks   int
-	Budget  int
-	Results []AlgorithmResult
-}
-
 // Fig6 runs Spear (budget 1000 decaying to 100 at paper scale) and the four
-// baselines on a batch of random 100-task DAGs (§V-B1).
-func (s *Suite) Fig6() (*Fig6Result, error) {
-	if s.fig6 != nil {
-		return s.fig6, nil
-	}
+// baselines on a batch of random 100-task DAGs (§V-B1). Fig. 6(a) reports
+// the per-algorithm makespans, Fig. 6(b) the wall-clock scheduling times.
+func (s *Suite) Fig6() (*comparison, error) {
 	nGraphs, tasks, budget, minBudget := 4, 40, 150, 30
 	if s.Full {
 		nGraphs, tasks, budget, minBudget = 10, 100, 1000, 100
@@ -43,16 +29,14 @@ func (s *Suite) Fig6() (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.fig6 = &Fig6Result{Graphs: nGraphs, Tasks: tasks, Budget: budget, Results: results}
-	return s.fig6, nil
+	return &comparison{Label: "algorithm", Graphs: nGraphs, Tasks: tasks, Budget: budget, Results: results}, nil
 }
 
-// MakespanTable renders the Fig. 6(a) series: per-algorithm average
-// makespans plus Spear's win rate against Graphene.
-func (r *Fig6Result) MakespanTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 6(a) — makespans over %d random %d-task DAGs (Spear budget %d)\n", r.Graphs, r.Tasks, r.Budget)
-	tabulate(&b, func(w io.Writer) {
+// fig6aTable renders the Fig. 6(a) series: per-algorithm average makespans
+// plus Spear's win rate against Graphene.
+func fig6aTable(r *comparison) string {
+	title := fmt.Sprintf("Fig. 6(a) — makespans over %d random %d-task DAGs (Spear budget %d)\n", r.Graphs, r.Tasks, r.Budget)
+	out := tabulate(title, func(w io.Writer) {
 		fmt.Fprintln(w, "algorithm\tavg makespan\tmin\tmax")
 		for _, ar := range r.Results {
 			mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
@@ -69,51 +53,21 @@ func (r *Fig6Result) MakespanTable() string {
 				wins++
 			}
 		}
-		fmt.Fprintf(&b, "Spear <= Graphene on %d/%d jobs (%.0f%%)\n", wins, r.Graphs, 100*float64(wins)/float64(r.Graphs))
+		out += fmt.Sprintf("Spear <= Graphene on %d/%d jobs (%.0f%%)\n", wins, r.Graphs, 100*float64(wins)/float64(r.Graphs))
 	}
-	return b.String()
+	return out
 }
 
-// RuntimeTable renders the Fig. 6(b) series: scheduling wall-clock times.
-func (r *Fig6Result) RuntimeTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 6(b) — scheduler runtime over %d random %d-task DAGs\n", r.Graphs, r.Tasks)
-	tabulate(&b, func(w io.Writer) {
+// fig6bTable renders the Fig. 6(b) series: scheduling wall-clock times.
+func fig6bTable(r *comparison) string {
+	return tabulate(fmt.Sprintf("Fig. 6(b) — scheduler runtime over %d random %d-task DAGs\n", r.Graphs, r.Tasks), func(w io.Writer) {
 		fmt.Fprintln(w, "algorithm\tmedian\tmean\tmax")
 		for _, ar := range r.Results {
-			ms := make([]float64, len(ar.Elapsed))
-			for i, d := range ar.Elapsed {
-				ms[i] = float64(d.Microseconds()) / 1000
-			}
+			ms := ar.millis()
 			med, _ := stats.Median(ms) //spear:ignoreerr(samples are non-empty by construction)
 			mean, _ := stats.Mean(ms)  //spear:ignoreerr(samples are non-empty by construction)
 			max, _ := stats.Max(ms)    //spear:ignoreerr(samples are non-empty by construction)
-			fmt.Fprintf(w, "%s\t%sms\t%sms\t%sms\n", ar.Name, fmtMS(med), fmtMS(mean), fmtMS(max))
+			fmt.Fprintf(w, "%s\t%.1fms\t%.1fms\t%.1fms\n", ar.Name, med, mean, max)
 		}
 	})
-	return b.String()
-}
-
-func fmtMS(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-func (r *Fig6Result) byName(name string) *AlgorithmResult {
-	for i := range r.Results {
-		if r.Results[i].Name == name {
-			return &r.Results[i]
-		}
-	}
-	return nil
-}
-
-// MeanElapsed returns an algorithm's mean scheduling time.
-func (r *Fig6Result) MeanElapsed(name string) time.Duration {
-	ar := r.byName(name)
-	if ar == nil || len(ar.Elapsed) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ar.Elapsed {
-		sum += d
-	}
-	return sum / time.Duration(len(ar.Elapsed))
 }

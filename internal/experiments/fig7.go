@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"spear/internal/baselines"
-	"spear/internal/cluster"
 	"spear/internal/mcts"
+	"spear/internal/sched"
 	"spear/internal/stats"
 )
 
@@ -33,9 +32,6 @@ type Fig7Result struct {
 // makespan should fall as budget grows, and the fraction of jobs where MCTS
 // beats Tetris should rise.
 func (s *Suite) Fig7() (*Fig7Result, error) {
-	if s.fig7 != nil {
-		return s.fig7, nil
-	}
 	nGraphs, tasks := 6, 30
 	budgets := []int{25, 50, 100, 200, 400}
 	if s.Full {
@@ -49,70 +45,54 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 		return nil, err
 	}
 
-	tetris := baselines.NewTetrisScheduler()
-	tetrisMakespans := make([]int64, len(graphs))
-	for i, g := range graphs {
-		out, err := tetris.Schedule(g, cluster.Single(capacity))
-		if err != nil {
-			return nil, err
-		}
-		tetrisMakespans[i] = out.Makespan
+	tetris, err := runAll(graphs, capacity, []sched.Scheduler{baselines.NewTetrisScheduler()}, s.logf)
+	if err != nil {
+		return nil, err
 	}
+	tetrisMakespans := tetris[0].Makespans
 	tetrisMean, _ := stats.Mean(tetrisMakespans) //spear:ignoreerr(samples are non-empty by construction)
 
 	result := &Fig7Result{Tasks: tasks}
 	for _, budget := range budgets {
 		s.logf("fig7: budget %d\n", budget)
 		point := Fig7Point{Budget: budget, Jobs: len(graphs), TetrisMean: tetrisMean}
-		searcher := mcts.New(mcts.Config{InitialBudget: budget, MinBudget: 5, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
-		var makespans []int64
-		var elapsedMS []float64
-		for i, g := range graphs {
-			out, err := searcher.Schedule(g, cluster.Single(capacity))
-			if err != nil {
-				return nil, err
-			}
-			makespans = append(makespans, out.Makespan)
-			elapsedMS = append(elapsedMS, float64(out.Elapsed.Microseconds())/1000)
+		runs, err := runAll(graphs, capacity, []sched.Scheduler{mcts.New(s.searchConfig(budget, 5))}, s.logf)
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range runs[0].Makespans {
 			switch {
-			case out.Makespan < tetrisMakespans[i]:
+			case m < tetrisMakespans[i]:
 				point.BeatsTetris++
-			case out.Makespan == tetrisMakespans[i]:
+			case m == tetrisMakespans[i]:
 				point.TiesTetris++
 			}
 		}
-		point.MeanMakespan, _ = stats.Mean(makespans)  //spear:ignoreerr(samples are non-empty by construction)
-		point.MeanElapsedMS, _ = stats.Mean(elapsedMS) //spear:ignoreerr(samples are non-empty by construction)
+		point.MeanMakespan, _ = stats.Mean(runs[0].Makespans) //spear:ignoreerr(samples are non-empty by construction)
+		point.MeanElapsedMS, _ = stats.Mean(runs[0].millis()) //spear:ignoreerr(samples are non-empty by construction)
 		result.Points = append(result.Points, point)
 	}
-	s.fig7 = result
 	return result, nil
 }
 
 // MakespanTable renders the Fig. 7(a) series.
 func (r *Fig7Result) MakespanTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 7(a) — pure MCTS makespan vs budget (%d-task DAGs, %d jobs)\n", r.Tasks, r.Points[0].Jobs)
-	tabulate(&b, func(w io.Writer) {
+	title := fmt.Sprintf("Fig. 7(a) — pure MCTS makespan vs budget (%d-task DAGs, %d jobs)\n", r.Tasks, r.Points[0].Jobs)
+	return tabulate(title, func(w io.Writer) {
 		fmt.Fprintln(w, "budget\tavg makespan\tavg time")
 		for _, p := range r.Points {
 			fmt.Fprintf(w, "%d\t%.1f\t%.0fms\n", p.Budget, p.MeanMakespan, p.MeanElapsedMS)
 		}
-	})
-	fmt.Fprintf(&b, "(Tetris reference: %.1f)\n", r.Points[0].TetrisMean)
-	return b.String()
+	}) + fmt.Sprintf("(Tetris reference: %.1f)\n", r.Points[0].TetrisMean)
 }
 
 // WinRateTable renders the Fig. 7(b) series.
 func (r *Fig7Result) WinRateTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 7(b) — fraction of jobs where MCTS beats Tetris\n")
-	tabulate(&b, func(w io.Writer) {
+	return tabulate("Fig. 7(b) — fraction of jobs where MCTS beats Tetris\n", func(w io.Writer) {
 		fmt.Fprintln(w, "budget\twins\tties\tjobs\twin rate")
 		for _, p := range r.Points {
 			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.0f%%\n", p.Budget, p.BeatsTetris, p.TiesTetris, p.Jobs,
 				100*float64(p.BeatsTetris)/float64(p.Jobs))
 		}
 	})
-	return b.String()
 }

@@ -3,28 +3,18 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
-	"spear/internal/cluster"
+	"spear/internal/baselines"
 	"spear/internal/drl"
 	"spear/internal/mcts"
 	"spear/internal/sched"
 	"spear/internal/stats"
 )
 
-// Fig8aResult compares full-budget pure MCTS with small-budget Spear and
-// the non-search baselines (§V-B2): Spear should track MCTS with ~10% of
-// the budget and a fraction of the runtime.
-type Fig8aResult struct {
-	Graphs      int
-	Tasks       int
-	MCTSBudget  int
-	SpearBudget int
-	Results     []AlgorithmResult
-}
-
-// Fig8a runs the budget-efficiency comparison.
-func (s *Suite) Fig8a() (*Fig8aResult, error) {
+// Fig8a compares full-budget pure MCTS with small-budget Spear and the
+// non-search baselines (§V-B2): Spear should track MCTS with ~10% of the
+// budget and a fraction of the runtime.
+func (s *Suite) Fig8a() (*comparison, error) {
 	nGraphs, tasks, mctsBudget, spearBudget := 4, 40, 300, 30
 	if s.Full {
 		nGraphs, tasks, mctsBudget, spearBudget = 10, 100, 1000, 100
@@ -37,36 +27,23 @@ func (s *Suite) Fig8a() (*Fig8aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pure := mcts.New(mcts.Config{InitialBudget: mctsBudget, MinBudget: mctsBudget / 10, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
+	pure := mcts.New(s.searchConfig(mctsBudget, mctsBudget/10))
 	schedulers := append([]sched.Scheduler{pure, spear}, baselineSet()...)
 	results, err := runAll(graphs, capacity, schedulers, s.logf)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig8aResult{
-		Graphs: nGraphs, Tasks: tasks,
-		MCTSBudget: mctsBudget, SpearBudget: spearBudget,
+	return &comparison{
+		Label: "algorithm", Graphs: nGraphs, Tasks: tasks,
+		Budget: mctsBudget, SpearBudget: spearBudget,
 		Results: results,
 	}, nil
 }
 
-// String renders the Fig. 8(a) comparison.
-func (r *Fig8aResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 8(a) — MCTS (budget %d) vs Spear (budget %d) vs baselines, %d x %d-task DAGs\n",
-		r.MCTSBudget, r.SpearBudget, r.Graphs, r.Tasks)
-	tabulate(&b, func(w io.Writer) {
-		fmt.Fprintln(w, "algorithm\tavg makespan\tavg time")
-		for _, ar := range r.Results {
-			mean, _ := stats.Mean(ar.Makespans) //spear:ignoreerr(samples are non-empty by construction)
-			var sumMS float64
-			for _, d := range ar.Elapsed {
-				sumMS += float64(d.Microseconds()) / 1000
-			}
-			fmt.Fprintf(w, "%s\t%.1f\t%.0fms\n", ar.Name, mean, sumMS/float64(len(ar.Elapsed)))
-		}
-	})
-	return b.String()
+// fig8aTable renders the Fig. 8(a) comparison.
+func fig8aTable(r *comparison) string {
+	return r.meanTable(fmt.Sprintf("Fig. 8(a) — MCTS (budget %d) vs Spear (budget %d) vs baselines, %d x %d-task DAGs\n",
+		r.Budget, r.SpearBudget, r.Graphs, r.Tasks))
 }
 
 // Fig8bResult is the DRL learning curve with the heuristic reference lines
@@ -86,7 +63,7 @@ func (s *Suite) Fig8b() (*Fig8bResult, error) {
 		return nil, err
 	}
 	if len(curve) == 0 {
-		return nil, fmt.Errorf("experiments: model was provided pre-trained; no learning curve recorded")
+		return nil, fmt.Errorf("experiments: the model was loaded pre-trained, so no learning curve was recorded; omit -model to train one and record the curve")
 	}
 	// Reference heuristics on the same job distribution the model trained
 	// on (regenerated with the training seed).
@@ -95,24 +72,12 @@ func (s *Suite) Fig8b() (*Fig8bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tetrisMakespans, sjfMakespans []int64
-	for _, g := range jobs {
-		for _, entry := range []struct {
-			s    sched.Scheduler
-			dest *[]int64
-		}{
-			{baselineSetByName("Tetris"), &tetrisMakespans},
-			{baselineSetByName("SJF"), &sjfMakespans},
-		} {
-			out, err := entry.s.Schedule(g, cluster.Single(capacity))
-			if err != nil {
-				return nil, err
-			}
-			*entry.dest = append(*entry.dest, out.Makespan)
-		}
+	refs, err := runAll(jobs, capacity, []sched.Scheduler{baselines.NewTetrisScheduler(), baselines.NewSJFScheduler()}, s.logf)
+	if err != nil {
+		return nil, err
 	}
-	tetrisMean, _ := stats.Mean(tetrisMakespans) //spear:ignoreerr(samples are non-empty by construction)
-	sjfMean, _ := stats.Mean(sjfMakespans)       //spear:ignoreerr(samples are non-empty by construction)
+	tetrisMean, _ := stats.Mean(refs[0].Makespans) //spear:ignoreerr(samples are non-empty by construction)
+	sjfMean, _ := stats.Mean(refs[1].Makespans)    //spear:ignoreerr(samples are non-empty by construction)
 
 	cross := -1
 	for _, pt := range curve {
@@ -126,9 +91,7 @@ func (s *Suite) Fig8b() (*Fig8bResult, error) {
 
 // String renders the learning curve as a sparse table.
 func (r *Fig8bResult) String() string {
-	var b strings.Builder
-	b.WriteString("Fig. 8(b) — DRL learning curve (mean makespan per epoch)\n")
-	tabulate(&b, func(w io.Writer) {
+	out := tabulate("Fig. 8(b) — DRL learning curve (mean makespan per epoch)\n", func(w io.Writer) {
 		fmt.Fprintln(w, "epoch\tmean makespan\tmin\tmax")
 		step := len(r.Curve) / 12
 		if step < 1 {
@@ -141,11 +104,9 @@ func (r *Fig8bResult) String() string {
 		last := r.Curve[len(r.Curve)-1]
 		fmt.Fprintf(w, "%d\t%.1f\t%d\t%d\n", last.Epoch, last.MeanMakespan, last.MinMakespan, last.MaxMakespan)
 	})
-	fmt.Fprintf(&b, "references: Tetris %.1f, SJF %.1f\n", r.TetrisMean, r.SJFMean)
+	out += fmt.Sprintf("references: Tetris %.1f, SJF %.1f\n", r.TetrisMean, r.SJFMean)
 	if r.CrossEpoch >= 0 {
-		fmt.Fprintf(&b, "curve crosses both references at epoch %d\n", r.CrossEpoch)
-	} else {
-		fmt.Fprintf(&b, "curve has not crossed the references yet (train longer via -full)\n")
+		return out + fmt.Sprintf("curve crosses both references at epoch %d\n", r.CrossEpoch)
 	}
-	return b.String()
+	return out + "curve has not crossed the references yet (train longer via -full)\n"
 }

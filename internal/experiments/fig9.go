@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 
 	"spear/internal/baselines"
-	"spear/internal/cluster"
 	"spear/internal/sched"
 	"spear/internal/stats"
 	"spear/internal/workload"
@@ -36,30 +34,24 @@ func (s *Suite) Fig9Trace() (*TraceResult, error) {
 
 // CountTable renders the Fig. 9(a) statistics (task counts per stage).
 func (r *TraceResult) CountTable() string {
-	var b strings.Builder
-	b.WriteString("Fig. 9(a) — tasks per job in the synthetic trace (paper: median 14/17, max 29/38)\n")
-	tabulate(&b, func(w io.Writer) {
+	return tabulate("Fig. 9(a) — tasks per job in the synthetic trace (paper: median 14/17, max 29/38)\n", func(w io.Writer) {
 		fmt.Fprintln(w, "stage\tmedian\tp90\tmax")
 		mp90, _ := stats.Percentile(r.Stats.MapTaskCounts, 90) //spear:ignoreerr(samples are non-empty by construction)
 		rp90, _ := stats.Percentile(r.Stats.RedTaskCounts, 90) //spear:ignoreerr(samples are non-empty by construction)
 		fmt.Fprintf(w, "map\t%d\t%.0f\t%d\n", r.Stats.MedianMaps, mp90, r.Stats.MaxMaps)
 		fmt.Fprintf(w, "reduce\t%d\t%.0f\t%d\n", r.Stats.MedianReduces, rp90, r.Stats.MaxReduces)
 	})
-	return b.String()
 }
 
 // RuntimeTable renders the Fig. 9(b) statistics (task runtimes per stage).
 func (r *TraceResult) RuntimeTable() string {
-	var b strings.Builder
-	b.WriteString("Fig. 9(b) — task runtimes in the synthetic trace (paper: median 73/32)\n")
-	tabulate(&b, func(w io.Writer) {
+	return tabulate("Fig. 9(b) — task runtimes in the synthetic trace (paper: median 73/32)\n", func(w io.Writer) {
 		fmt.Fprintln(w, "stage\tmedian\tp90\tmax mean per job")
 		mp90, _ := stats.Percentile(r.Stats.MapRuntimes, 90) //spear:ignoreerr(samples are non-empty by construction)
 		rp90, _ := stats.Percentile(r.Stats.RedRuntimes, 90) //spear:ignoreerr(samples are non-empty by construction)
 		fmt.Fprintf(w, "map\t%d\t%.0f\t%.0f\n", r.Stats.MedianMapRT, mp90, r.Stats.MaxMeanMapRT)
 		fmt.Fprintf(w, "reduce\t%d\t%.0f\t%.0f\n", r.Stats.MedianReduceRT, rp90, r.Stats.MaxMeanRedRT)
 	})
-	return b.String()
 }
 
 // Fig9cResult is the trace-driven comparison: the distribution of
@@ -93,34 +85,21 @@ func (s *Suite) Fig9c() (*Fig9cResult, error) {
 	if jobs > len(graphs) {
 		jobs = len(graphs)
 	}
-	capacity := tr.Trace.Capacity
 	spear, err := s.spear(budget, minBudget)
 	if err != nil {
 		return nil, err
 	}
-	graphene := baselines.NewGrapheneScheduler()
+	runs, err := runAll(graphs[:jobs], tr.Trace.Capacity, []sched.Scheduler{spear, baselines.NewGrapheneScheduler()}, s.logf)
+	if err != nil {
+		return nil, err
+	}
 
 	result := &Fig9cResult{Jobs: jobs}
-	for i := 0; i < jobs; i++ {
-		g := graphs[i]
-		so, err := spear.Schedule(g, cluster.Single(capacity))
-		if err != nil {
-			return nil, fmt.Errorf("spear job %d: %w", i, err)
-		}
-		if err := sched.Validate(g, cluster.Single(capacity), so); err != nil {
-			return nil, fmt.Errorf("spear job %d: %w", i, err)
-		}
-		go_, err := graphene.Schedule(g, cluster.Single(capacity))
-		if err != nil {
-			return nil, fmt.Errorf("graphene job %d: %w", i, err)
-		}
-		reduction := float64(go_.Makespan-so.Makespan) / float64(go_.Makespan)
-		result.Reductions = append(result.Reductions, reduction)
-		s.logf("  fig9c job %d/%d: graphene %d, spear %d (%.1f%%)\n", i+1, jobs, go_.Makespan, so.Makespan, 100*reduction)
-	}
 	noWorse := 0
-	for _, red := range result.Reductions {
-		if red >= 0 {
+	for i, graphene := range runs[1].Makespans {
+		reduction := float64(graphene-runs[0].Makespans[i]) / float64(graphene)
+		result.Reductions = append(result.Reductions, reduction)
+		if reduction >= 0 {
 			noWorse++
 		}
 	}
@@ -132,16 +111,13 @@ func (s *Suite) Fig9c() (*Fig9cResult, error) {
 
 // String renders the Fig. 9(c) CDF summary.
 func (r *Fig9cResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 9(c) — reduction in job duration vs Graphene over %d trace jobs\n", r.Jobs)
-	tabulate(&b, func(w io.Writer) {
+	title := fmt.Sprintf("Fig. 9(c) — reduction in job duration vs Graphene over %d trace jobs\n", r.Jobs)
+	return tabulate(title, func(w io.Writer) {
 		fmt.Fprintln(w, "percentile\treduction")
 		for _, p := range []float64{10, 25, 50, 75, 90, 100} {
 			v, _ := stats.Percentile(r.Reductions, p) //spear:ignoreerr(samples are non-empty by construction)
 			fmt.Fprintf(w, "p%.0f\t%.1f%%\n", p, 100*v)
 		}
-	})
-	fmt.Fprintf(&b, "Spear no worse than Graphene on %.0f%% of jobs; max reduction %.1f%%; mean %.1f%%\n",
+	}) + fmt.Sprintf("Spear no worse than Graphene on %.0f%% of jobs; max reduction %.1f%%; mean %.1f%%\n",
 		100*r.NoWorseShare, 100*r.MaxReduction, 100*r.MeanReduction)
-	return b.String()
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
-	"spear/internal/cluster"
 	"spear/internal/exact"
 	"spear/internal/mcts"
 	"spear/internal/sched"
@@ -38,28 +36,20 @@ func (s *Suite) Gap() (*GapResult, error) {
 
 	solver := exact.New(0)
 	solver.Obs = s.Obs
-	optimal := make([]int64, len(graphs))
-	for i, g := range graphs {
-		out, err := solver.Schedule(g, cluster.Single(capacity))
-		if err != nil {
-			return nil, fmt.Errorf("exact on graph %d: %w", i, err)
-		}
-		optimal[i] = out.Makespan
-		s.logf("  optimal graph %d/%d: %d (%d nodes)\n", i+1, len(graphs), out.Makespan, solver.Explored())
-	}
-
 	spear, err := s.spear(200, 50)
 	if err != nil {
 		return nil, err
 	}
 	schedulers := append([]sched.Scheduler{
-		mcts.New(mcts.Config{InitialBudget: 500, MinBudget: 100, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs}),
+		solver,
+		mcts.New(s.searchConfig(500, 100)),
 		spear,
 	}, baselineSet()...)
 	results, err := runAll(graphs, capacity, schedulers, s.logf)
 	if err != nil {
 		return nil, err
 	}
+	optimal, results := results[0].Makespans, results[1:]
 
 	out := &GapResult{Jobs: nGraphs, Tasks: tasks, Optimal: optimal, PerAlgo: results}
 	for _, ar := range results {
@@ -75,9 +65,7 @@ func (s *Suite) Gap() (*GapResult, error) {
 
 // String renders the gap table.
 func (r *GapResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Optimality gap — %d x %d-task jobs vs proven optimum (branch and bound)\n", r.Jobs, r.Tasks)
-	tabulate(&b, func(w io.Writer) {
+	return tabulate(fmt.Sprintf("Optimality gap — %d x %d-task jobs vs proven optimum (branch and bound)\n", r.Jobs, r.Tasks), func(w io.Writer) {
 		fmt.Fprintln(w, "algorithm\tmean gap\tjobs at optimum")
 		for i, ar := range r.PerAlgo {
 			atOpt := 0
@@ -89,7 +77,6 @@ func (r *GapResult) String() string {
 			fmt.Fprintf(w, "%s\t%.1f%%\t%d/%d\n", ar.Name, r.MeanGaps[i], atOpt, r.Jobs)
 		}
 	})
-	return b.String()
 }
 
 // WriteCSV exports the per-job makespans next to the proven optimum.

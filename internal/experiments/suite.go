@@ -1,6 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (§V). Each experiment is a named runner with explicit,
-// seeded parameters that prints the same rows/series the paper reports.
+// evaluation section (§V). Each experiment has explicit, seeded parameters
+// and prints the same rows/series the paper reports; table.go declares them
+// all and Suite.Run executes them.
 //
 // Two parameter sets exist: Quick (the default; minutes on a laptop) and
 // full (closer to the paper's scale; see DESIGN.md for the mapping). The
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -22,6 +22,7 @@ import (
 	"spear/internal/core"
 	"spear/internal/dag"
 	"spear/internal/drl"
+	"spear/internal/mcts"
 	"spear/internal/nn"
 	"spear/internal/obs"
 	"spear/internal/resource"
@@ -51,22 +52,11 @@ type Suite struct {
 	// suite constructs registers into, so one snapshot aggregates the whole
 	// run (the -metrics flag of cmd/spear-experiments).
 	Obs *obs.Registry
-	// RootParallelism is threaded into every MCTS-backed scheduler the suite
-	// builds (Spear and pure MCTS alike): each decision runs this many
-	// independent root-parallel trees, splitting the budget across them.
-	// Zero or one keeps the classic single tree.
-	RootParallelism int
-	// TreeParallelism is likewise threaded into every MCTS-backed scheduler:
-	// each tree is searched by this many shared-tree workers (virtual loss,
-	// atomic statistics). Zero or one keeps the serial per-tree search.
-	TreeParallelism int
 
 	curve []drl.EpochStats
 
-	// Cached results shared between experiment pairs (fig6a/fig6b share
-	// runs, fig7a/fig7b share the budget sweep, fig9a/fig9b the trace).
-	fig6  *Fig6Result
-	fig7  *Fig7Result
+	// trace caches the synthetic trace: fig9a/fig9b report it and Fig9c
+	// schedules it, a different computation.
 	trace *TraceResult
 }
 
@@ -111,7 +101,6 @@ func (s *Suite) modelConfig() core.ModelConfig {
 		// epochs); epochs remain far below 7000 to stay tractable but the
 		// curve shape is established well before that.
 		cfg.TrainJobs = 144
-		cfg.TasksPerJob = 25
 		cfg.PretrainCfg = drl.PretrainConfig{Epochs: 20, Opt: nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}}
 		cfg.ReinforceCfg = drl.TrainConfig{Epochs: 300, Rollouts: 20}
 	}
@@ -150,13 +139,17 @@ func (s *Suite) spear(initialBudget, minBudget int) (*core.Spear, error) {
 		return nil, err
 	}
 	return core.New(s.Net, s.features(), core.Config{
-		InitialBudget:   initialBudget,
-		MinBudget:       minBudget,
-		Seed:            s.Seed,
-		RootParallelism: s.RootParallelism,
-		TreeParallelism: s.TreeParallelism,
-		Obs:             s.Obs,
+		InitialBudget: initialBudget,
+		MinBudget:     minBudget,
+		Seed:          s.Seed,
+		Obs:           s.Obs,
 	})
+}
+
+// searchConfig is the pure-MCTS configuration every experiment starts from:
+// random expansion and rollouts, the suite's seed and metrics registry.
+func (s *Suite) searchConfig(initialBudget, minBudget int) mcts.Config {
+	return mcts.Config{InitialBudget: initialBudget, MinBudget: minBudget, Seed: s.Seed, Obs: s.Obs}
 }
 
 // AlgorithmResult aggregates one scheduler's makespans and wall-clock times
@@ -165,6 +158,16 @@ type AlgorithmResult struct {
 	Name      string
 	Makespans []int64
 	Elapsed   []time.Duration
+}
+
+// millis returns the per-job scheduling times in milliseconds, the unit every
+// report and CSV export uses.
+func (ar *AlgorithmResult) millis() []float64 {
+	ms := make([]float64, len(ar.Elapsed))
+	for i, d := range ar.Elapsed {
+		ms[i] = float64(d.Microseconds()) / 1000
+	}
+	return ms
 }
 
 // runAll schedules every graph with every scheduler, validating each result.
@@ -188,232 +191,16 @@ func runAll(graphs []*dag.Graph, capacity resource.Vector, schedulers []sched.Sc
 	return out, nil
 }
 
-// Runner executes one named experiment and writes its report.
-type Runner struct {
-	Name        string
-	Description string
-	Run         func(s *Suite, w io.Writer) error
-	// CSV writes the experiment's machine-readable data, for re-plotting.
-	CSV func(s *Suite, w io.Writer) error
-}
-
-// Registry lists every experiment in paper order.
-func Registry() []Runner {
-	return []Runner{
-		{"fig3", "motivating example: all schedulers on the 8-task DAG", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig3()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.String())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig3()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig6a", "makespans of Spear vs baselines on random 100-task DAGs", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig6()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.MakespanTable())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig6()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig6b", "scheduler runtime distribution (same runs as fig6a)", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig6()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.RuntimeTable())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig6()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig7a", "pure-MCTS makespan vs search budget", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig7()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.MakespanTable())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig7()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig7b", "fraction of jobs where MCTS beats Tetris vs budget", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig7()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.WinRateTable())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig7()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"table1", "MCTS runtime vs graph size and budget", func(s *Suite, w io.Writer) error {
-			r, err := s.Table1()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.String())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Table1()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig8a", "Spear with 10% budget vs pure MCTS and baselines", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig8a()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.String())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig8a()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig8b", "DRL learning curve vs Tetris/SJF reference", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig8b()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.String())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig8b()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig9a", "trace task-count distributions", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig9Trace()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.CountTable())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig9Trace()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig9b", "trace runtime distributions", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig9Trace()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.RuntimeTable())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig9Trace()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"fig9c", "trace-driven makespan reduction of Spear over Graphene", func(s *Suite, w io.Writer) error {
-			r, err := s.Fig9c()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.String())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Fig9c()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"ablation", "design-choice isolation: DRL expand/rollout, budget decay, parallel rollouts", func(s *Suite, w io.Writer) error {
-			r, err := s.Ablation()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.String())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Ablation()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-		{"gap", "optimality gap vs exact branch-and-bound on small jobs", func(s *Suite, w io.Writer) error {
-			r, err := s.Gap()
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(w, r.String())
-			return err
-		}, func(s *Suite, w io.Writer) error {
-			r, err := s.Gap()
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		}},
-	}
-}
-
-// Names returns the registered experiment names in paper order.
-func Names() []string {
-	rs := Registry()
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.Name
-	}
-	return out
-}
-
-// Run executes one experiment by name.
-func (s *Suite) Run(name string, w io.Writer) error {
-	for _, r := range Registry() {
-		if r.Name == name {
-			return r.Run(s, w)
-		}
-	}
-	known := Names()
-	sort.Strings(known)
-	return fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, known)
-}
-
-// tabulate renders the rows a result writes to w as one aligned table at the
-// end of b. It owns the column format every String/…Table method shares, and
-// the writer's flush.
-func tabulate(b *strings.Builder, rows func(w io.Writer)) {
-	w := tabwriter.NewWriter(b, 2, 4, 2, ' ', 0)
+// tabulate renders a report: the title line(s), then the rows a result writes
+// to w as one aligned table. It owns the column format every report shares,
+// and the writer's flush.
+func tabulate(title string, rows func(w io.Writer)) string {
+	var b strings.Builder
+	b.WriteString(title)
+	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	rows(w)
 	w.Flush() //spear:ignoreerr(flush lands in a strings.Builder, which cannot fail)
+	return b.String()
 }
 
 // randomJobs generates n random DAGs with the paper's workload settings,
@@ -437,14 +224,4 @@ func baselineSet() []sched.Scheduler {
 		baselines.NewCPScheduler(),
 		baselines.NewSJFScheduler(),
 	}
-}
-
-// baselineSetByName returns a fresh baseline scheduler by display name.
-func baselineSetByName(name string) sched.Scheduler {
-	for _, s := range baselineSet() {
-		if s.Name() == name {
-			return s
-		}
-	}
-	return nil
 }

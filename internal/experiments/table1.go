@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"spear/internal/cluster"
@@ -36,7 +35,7 @@ func (s *Suite) Table1() (*Table1Result, error) {
 		row := make([]time.Duration, 0, len(budgets))
 		for _, budget := range budgets {
 			s.logf("table1: size %d budget %d\n", size, budget)
-			searcher := mcts.New(mcts.Config{InitialBudget: budget, MinBudget: budget / 10, Seed: s.Seed, RootParallelism: s.RootParallelism, TreeParallelism: s.TreeParallelism, Obs: s.Obs})
+			searcher := mcts.New(s.searchConfig(budget, budget/10))
 			out, err := searcher.Schedule(graphs[0], cluster.Single(capacity))
 			if err != nil {
 				return nil, err
@@ -50,9 +49,7 @@ func (s *Suite) Table1() (*Table1Result, error) {
 
 // String renders Table I.
 func (r *Table1Result) String() string {
-	var b strings.Builder
-	b.WriteString("Table I — MCTS-only scheduling runtime\n")
-	tabulate(&b, func(w io.Writer) {
+	return tabulate("Table I — MCTS-only scheduling runtime\n", func(w io.Writer) {
 		fmt.Fprint(w, "tasks \\ budget")
 		for _, budget := range r.Budgets {
 			fmt.Fprintf(w, "\t%d", budget)
@@ -66,5 +63,4 @@ func (r *Table1Result) String() string {
 			fmt.Fprintln(w)
 		}
 	})
-	return b.String()
 }

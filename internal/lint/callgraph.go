@@ -64,12 +64,8 @@ type funcNode struct {
 
 	// Concurrency-discipline facts (concurrency.go): lockedArg is the
 	// mutex field named by //spear:locked(mu) — the caller must hold
-	// receiver.mu at every call site; xclusive and initcons exempt
-	// single-writer and constructor functions from the atomic and
-	// lock-guard checks.
+	// receiver.mu at every call site.
 	lockedArg string
-	xclusive  bool
-	initcons  bool
 
 	allocs []allocSite
 	calls  []callSite
@@ -123,8 +119,6 @@ func (r *Runner) buildCallGraph() *callGraph {
 					slowpath:  idx.onFunc(r.fset, fd, markerSlowpath),
 					timing:    idx.onFunc(r.fset, fd, markerTiming),
 					lockedArg: lockedArg,
-					xclusive:  idx.onFunc(r.fset, fd, markerXclusive),
-					initcons:  idx.onFunc(r.fset, fd, markerInit),
 				}
 				r.scanBody(node, fd.Body, idx)
 				g.nodes[fn] = node

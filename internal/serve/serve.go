@@ -80,12 +80,6 @@ type Config struct {
 	// non-search baselines. Recorded in the log so replay rebuilds the
 	// identical search.
 	SearchBudget int `json:"searchBudget,omitempty"`
-	// TreeParallel is the shared-tree worker count of search-based
-	// algorithms; 0 or 1 is the serial, replay-deterministic search.
-	// Values above 1 speed planning up but interleave search iterations
-	// nondeterministically, so replay byte-identity is no longer
-	// guaranteed.
-	TreeParallel int `json:"treeParallel,omitempty"`
 	// Admission selects the admission-control policy.
 	Admission AdmissionConfig `json:"admission"`
 	// Classes lists the client classes. At least one is required.
