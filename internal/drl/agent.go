@@ -77,11 +77,29 @@ func (a *Agent) Features() Features { return a.feat }
 // network pass. The Agent itself is stateless and safe to share across
 // goroutines; all per-call mutable state lives here, so MCTS rollout workers
 // and REINFORCE sampling workers each carry their own context.
+//
+// The one-row path (probsCtx) is memoised per context: memo remembers the
+// distributions this context has computed, key and probs are the packed
+// lookup key and the buffer a remembered answer is copied into, so whatever
+// probsCtx returns is owned by the context either way. calls and hits count
+// the one-row evaluations asked for and those answered from the memo.
 type AgentContext struct {
 	x       []float64
 	masks   []bool
 	scratch *nn.Scratch
 	rows    int // capacity in states
+
+	key         []uint64
+	probs       []float64
+	memo        probsMemo
+	calls, hits int64
+}
+
+var _ simenv.PolicyCounter = (*AgentContext)(nil)
+
+// PolicyCounters implements simenv.PolicyCounter.
+func (c *AgentContext) PolicyCounters() simenv.PolicyCounters {
+	return simenv.PolicyCounters{Calls: c.calls, CacheHits: c.hits}
 }
 
 // newContext allocates a context for up to maxRows states per pass.
@@ -89,11 +107,16 @@ func (a *Agent) newContext(maxRows int) *AgentContext {
 	if maxRows < 1 {
 		maxRows = 1
 	}
+	in, width := a.feat.InputSize(), a.feat.OutputSize()
+	keyLen := keyWords(in, width)
 	return &AgentContext{
-		x:       make([]float64, maxRows*a.feat.InputSize()),
-		masks:   make([]bool, maxRows*a.feat.OutputSize()),
+		x:       make([]float64, maxRows*in),
+		masks:   make([]bool, maxRows*width),
 		scratch: a.net.NewScratch(),
 		rows:    maxRows,
+		key:     make([]uint64, keyLen),
+		probs:   make([]float64, width),
+		memo:    newProbsMemo(keyLen, width, memoMaxSets),
 	}
 }
 
@@ -122,10 +145,30 @@ func (a *Agent) infer(ctx *AgentContext, rows int) ([]float64, error) {
 }
 
 // probsCtx evaluates the masked action distribution of one state: the one-row
-// case of encodeRow + infer. The returned slice is owned by ctx.
+// case of encodeRow + infer, skipping infer when ctx has already answered the
+// same encoded state and mask under the network's current weights. The
+// returned slice is owned by ctx. After warm-up it performs zero heap
+// allocations, hit or miss, until the memo next grows.
+//
+//spear:noalloc
 func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action) ([]float64, error) {
 	a.encodeRow(ctx, 0, e, legal)
-	return a.infer(ctx, 1)
+	ctx.calls++
+	m := &ctx.memo
+	if gen := a.net.Generation(); gen != m.gen {
+		m.reset(gen)
+	}
+	h := packKey(ctx.x[:a.feat.InputSize()], ctx.masks[:a.feat.OutputSize()], ctx.key)
+	if m.lookup(h, ctx.key, ctx.probs) {
+		ctx.hits++
+		return ctx.probs, nil
+	}
+	probs, err := a.infer(ctx, 1)
+	if err != nil {
+		return nil, err
+	}
+	m.insert(h, ctx.key, probs, ctx.calls > memoTrialCalls)
+	return probs, nil
 }
 
 // selectAction turns the action distribution into a decision: argmax in
@@ -230,6 +273,11 @@ type Expander struct {
 	agent *Agent
 	ctx   *AgentContext
 }
+
+var _ simenv.PolicyCounter = (*Expander)(nil)
+
+// PolicyCounters implements simenv.PolicyCounter.
+func (x *Expander) PolicyCounters() simenv.PolicyCounters { return x.ctx.PolicyCounters() }
 
 // NewExpander wraps the agent for MCTS expansion.
 func NewExpander(agent *Agent) *Expander {

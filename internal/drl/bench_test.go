@@ -56,6 +56,10 @@ func BenchmarkAgentChoose(b *testing.B) {
 	}
 }
 
+// BenchmarkAgentChooseCtx measures one warm decision on each side of the
+// policy memo: hit re-evaluates one state, which the context remembers; miss
+// rotates over more distinct states than its (shrunken) memo holds, so every
+// decision encodes, misses, runs the network and evicts.
 func BenchmarkAgentChooseCtx(b *testing.B) {
 	feat := DefaultFeatures()
 	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(2)))
@@ -66,15 +70,45 @@ func BenchmarkAgentChooseCtx(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := benchEnv(b, feat)
-	legal := e.LegalActions()
 	rng := rand.New(rand.NewSource(3))
-	ctx := agent.NewContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := agent.ChooseCtx(ctx, e, legal, rng); err != nil {
+	var states []visit
+	for e := benchEnv(b, feat); !e.Done() && len(states) < 64; {
+		legal := e.LegalActions()
+		states = append(states, visit{env: e.Clone(), legal: legal})
+		if err := e.Step(legal[rng.Intn(len(legal))]); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for _, bc := range []struct {
+		name   string
+		ctx    *AgentContext
+		states []visit
+	}{
+		{"hit", agent.newContext(1), states[:1]},
+		{"miss", contextWithMemo(agent, 4), states},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for _, v := range bc.states { // warm: the memo reaches its size
+				if _, err := agent.ChooseCtx(bc.ctx, v.env, v.legal, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+			hits := bc.ctx.hits
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := bc.states[i%len(bc.states)]
+				if _, err := agent.ChooseCtx(bc.ctx, v.env, v.legal, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+			want := int64(0)
+			if bc.name == "hit" {
+				want = int64(b.N)
+			}
+			if got := bc.ctx.hits - hits; got != want {
+				b.Fatalf("%d memo hits in %d decisions, want %d", got, b.N, want)
+			}
+		})
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 func testFeatures() Features { return Features{Window: 5, Horizon: 10, Dims: 2} }
 
-func testJobs(t *testing.T, n, tasks int, seed int64) ([]*dag.Graph, resource.Vector) {
+func testJobs(t testing.TB, n, tasks int, seed int64) ([]*dag.Graph, resource.Vector) {
 	t.Helper()
 	cfg := workload.DefaultRandomDAGConfig()
 	cfg.NumTasks = tasks

@@ -21,6 +21,7 @@ func Evaluate(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 	if err != nil {
 		return nil, 0, err
 	}
+	rc := simenv.NewRolloutContext(agent) // one for the whole call, not one per job
 	makespans := make([]int64, 0, len(jobs))
 	var total float64
 	for i, g := range jobs {
@@ -28,7 +29,7 @@ func Evaluate(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 		if err != nil {
 			return nil, 0, fmt.Errorf("drl: evaluate job %d: %w", i, err)
 		}
-		m, err := simenv.Rollout(e, agent, nil)
+		m, err := rc.Rollout(e, nil)
 		if err != nil {
 			return nil, 0, fmt.Errorf("drl: evaluate job %d: %w", i, err)
 		}

@@ -68,7 +68,7 @@ func (f Features) Validate() error {
 func (f Features) Encode(e *simenv.Env, buf []float64) []float64 {
 	size := f.InputSize()
 	if len(buf) != size {
-		buf = make([]float64, size)
+		buf = growEncoding(size)
 	} else {
 		for i := range buf {
 			buf[i] = 0
@@ -109,12 +109,21 @@ func (f Features) Encode(e *simenv.Env, buf []float64) []float64 {
 	return buf
 }
 
+// growEncoding and growMask replace a buffer of the wrong length. Callers that
+// pass a sized buffer — every AgentContext — never reach them.
+//
+//spear:slowpath
+func growEncoding(n int) []float64 { return make([]float64, n) }
+
+//spear:slowpath
+func growMask(n int) []bool { return make([]bool, n) }
+
 // Mask returns the legality mask over the network's outputs for the given
 // legal actions (as produced by Env.LegalActions).
 func (f Features) Mask(legal []simenv.Action, buf []bool) []bool {
 	size := f.OutputSize()
 	if len(buf) != size {
-		buf = make([]bool, size)
+		buf = growMask(size)
 	} else {
 		for i := range buf {
 			buf[i] = false

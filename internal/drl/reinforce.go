@@ -119,8 +119,14 @@ func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.
 		return nil, err
 	}
 
-	// One gradient buffer for the whole run: Apply hands it back zeroed.
+	// One gradient buffer for the whole run: Apply hands it back zeroed. One
+	// samplerContext per sampling worker for the whole run too, so what their
+	// policy memos hold is dated by the network's generation, not by the job.
 	grads := net.NewGrads()
+	samplers := make([]*samplerContext, min(cfg.Workers, cfg.Rollouts))
+	for w := range samplers {
+		samplers[w] = &samplerContext{agent: agent.newContext(1)}
+	}
 	curve := make([]EpochStats, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		stats := EpochStats{Epoch: epoch, MinMakespan: -1}
@@ -134,7 +140,7 @@ func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.
 			}
 			for _, g := range jobs[start:end] {
 				sampleStart := time.Now()
-				trajs, err := sampleTrajectories(agent, g, capacity, cfg, rng)
+				trajs, err := sampleTrajectories(agent, samplers, g, capacity, cfg, rng)
 				if err != nil {
 					return nil, err
 				}
@@ -229,8 +235,9 @@ func WriteCurveCSV(w io.Writer, curve []EpochStats) error {
 
 // samplerContext bundles the reusable per-worker buffers of trajectory
 // sampling: the agent's inference context, the legal-action buffer and a
-// scratch episode recycled across rollouts. One per worker goroutine; the
-// Agent itself is shared and stateless.
+// scratch episode recycled across rollouts. One per sampling worker, owned by
+// the Train call and reused for every job; the Agent itself is shared and
+// stateless.
 type samplerContext struct {
 	agent *AgentContext
 	legal []simenv.Action
@@ -238,10 +245,10 @@ type samplerContext struct {
 }
 
 // sampleTrajectories runs cfg.Rollouts sampled episodes of the agent on one
-// job, spread over a pool of cfg.Workers goroutines that each own a
-// samplerContext. Per-rollout seeds are drawn from rng up front and applied
-// by index, so results are identical regardless of worker interleaving.
-func sampleTrajectories(agent *Agent, g *dag.Graph, capacity resource.Vector, cfg TrainConfig, rng *rand.Rand) ([]trajectory, error) {
+// job, spread over one goroutine per samplerContext. Per-rollout seeds are
+// drawn from rng up front and applied by index, so results are identical
+// regardless of worker interleaving.
+func sampleTrajectories(agent *Agent, samplers []*samplerContext, g *dag.Graph, capacity resource.Vector, cfg TrainConfig, rng *rand.Rand) ([]trajectory, error) {
 	base, err := simenv.New(g, capacity, simenv.Config{Window: agent.Features().Window, Mode: cfg.Mode})
 	if err != nil {
 		return nil, err
@@ -253,17 +260,12 @@ func sampleTrajectories(agent *Agent, g *dag.Graph, capacity resource.Vector, cf
 		seeds[i] = rng.Int63()
 	}
 
-	workers := cfg.Workers
-	if workers > cfg.Rollouts {
-		workers = cfg.Rollouts
-	}
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, sc := range samplers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &samplerContext{agent: agent.newContext(1)}
 			for i := range next {
 				trajs[i], errs[i] = sampleOne(agent, sc, base, rand.New(rand.NewSource(seeds[i])))
 			}

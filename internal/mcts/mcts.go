@@ -217,6 +217,14 @@ type Stats struct {
 	// MaxDepth is the deepest tree position reached, measured from the
 	// first decision (committed decisions plus selection descent).
 	MaxDepth int
+	// PolicyCalls is the number of one-state policy evaluations the
+	// expanders and rollout contexts were asked for, and PolicyCacheHits how
+	// many of them were answered from a context's memo without a network
+	// pass, so PolicyCalls - PolicyCacheHits forwards actually ran. Both stay
+	// zero for policies that keep no tally (simenv.PolicyCounter), and
+	// neither covers the lock-step batch rollout path.
+	PolicyCalls     int64
+	PolicyCacheHits int64
 	// RootWorkers is the number of root-parallel trees used per decision.
 	RootWorkers int
 	// TreeWorkers is the number of shared-tree workers inside each tree.
@@ -269,6 +277,9 @@ type Scheduler struct {
 	workers []*treeWorker
 	// merged is the reusable per-legal-action buffer of mergeAndChoose.
 	merged []rootStat
+	// policySeen is the workers' policy tally as of the end of the previous
+	// Schedule call: their contexts persist, so a call reports the difference.
+	policySeen simenv.PolicyCounters
 }
 
 var _ sched.ContextScheduler = (*Scheduler)(nil)
@@ -448,6 +459,27 @@ func (s *Scheduler) collect(tw *treeWorker) {
 	}
 }
 
+// policyTally sums the running policy counters of every worker's expander and
+// rollout contexts, read once per Schedule call after the workers have joined.
+func (s *Scheduler) policyTally() simenv.PolicyCounters {
+	var sum simenv.PolicyCounters
+	add := func(c simenv.PolicyCounters) {
+		sum.Calls += c.Calls
+		sum.CacheHits += c.CacheHits
+	}
+	for _, tw := range s.workers {
+		for _, sw := range tw.sims {
+			if pc, ok := sw.expand.(simenv.PolicyCounter); ok {
+				add(pc.PolicyCounters())
+			}
+			for _, rc := range sw.rctx {
+				add(rc.PolicyCounters())
+			}
+		}
+	}
+	return sum
+}
+
 // Schedule implements sched.Scheduler. It is ScheduleContext with an
 // uncancellable background context.
 func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
@@ -477,6 +509,12 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 				s.sm.TTEvictions.Add(ev)
 			}
 		}
+		tally := s.policyTally()
+		s.stats.PolicyCalls = tally.Calls - s.policySeen.Calls
+		s.stats.PolicyCacheHits = tally.CacheHits - s.policySeen.CacheHits
+		s.policySeen = tally
+		s.sm.PolicyCalls.Add(s.stats.PolicyCalls)
+		s.sm.PolicyCacheHits.Add(s.stats.PolicyCacheHits)
 		s.stats.Elapsed = time.Since(began)
 		secs := s.stats.Elapsed.Seconds()
 		if secs < minElapsedSeconds {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -23,29 +24,97 @@ func randomBatch(rng *rand.Rand, rows, in, out int) (x []float64, masks []bool) 
 	return x, masks
 }
 
-// TestForwardBatchIntoMatchesNaive compares every row of the blocked kernel,
-// at batch sizes on both sides of the row block, against the naive oracle.
+// rowKinds are the input rows the oracle comparison cycles through: every
+// density the forward kernel treats differently, named by what it exercises.
+// Each fills x, which arrives zeroed.
+var rowKinds = []struct {
+	name string
+	fill func(rng *rand.Rand, x []float64)
+}{
+	{"all-zero", func(*rand.Rand, []float64) {}},
+	{"density 0.05", func(rng *rand.Rand, x []float64) { fillNonZero(rng, x, (len(x)+19)/20) }},
+	{"density 0.2", func(rng *rand.Rand, x []float64) { fillNonZero(rng, x, (len(x)+4)/5) }},
+	// len/2 non-zeros is the densest row that is still gathered, one more
+	// the sparsest that takes the dense loop.
+	{"half non-zero", func(rng *rand.Rand, x []float64) { fillNonZero(rng, x, len(x)/2) }},
+	{"just over half", func(rng *rand.Rand, x []float64) { fillNonZero(rng, x, min(len(x)/2+1, len(x))) }},
+	{"dense", func(rng *rand.Rand, x []float64) { fillNonZero(rng, x, len(x)) }},
+	{"sparse with -0", func(rng *rand.Rand, x []float64) {
+		fillNonZero(rng, x, len(x)/4)
+		negateZeros(rng, x)
+	}},
+	{"dense with -0", func(rng *rand.Rand, x []float64) {
+		fillNonZero(rng, x, len(x)-len(x)/4)
+		negateZeros(rng, x)
+	}},
+}
+
+// fillNonZero sets k randomly placed entries of x to non-zero values.
+func fillNonZero(rng *rand.Rand, x []float64, k int) {
+	for _, i := range rng.Perm(len(x))[:k] {
+		for x[i] == 0 {
+			x[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// negateZeros turns about half of x's zeros into -0.
+func negateZeros(rng *rand.Rand, x []float64) {
+	for i, v := range x {
+		if v == 0 && rng.Intn(2) == 0 {
+			x[i] = math.Copysign(0, -1)
+		}
+	}
+}
+
+// TestForwardBatchIntoMatchesNaive compares every row of the kernel against
+// the naive oracle, bit for bit: on the paper's shape and on widths covering
+// every remainder of the four-output grouping, with rows of every kind mixed
+// in one batch, at batch sizes on both sides of the row block.
 func TestForwardBatchIntoMatchesNaive(t *testing.T) {
-	n := newNet(t, 7, 12, 9, 5)
-	s := n.NewScratch()
+	shapes := [][]int{
+		{7, 12, 9, 5},
+		{147, 256, 32, 32, 16},
+		{9, 4, 1}, {9, 5, 2}, {9, 6, 3}, {9, 7, 4},
+		{1, 1}, {2, 3, 3},
+	}
 	rng := rand.New(rand.NewSource(31))
-	for _, rows := range []int{1, 3, 8, 17} {
-		x, _ := randomBatch(rng, rows, 7, 5)
-		logits, err := n.ForwardBatchInto(s, x, rows)
-		if err != nil {
-			t.Fatal(err)
+	for si, sizes := range shapes {
+		n := newNet(t, sizes...)
+		if si%2 == 1 {
+			// A fresh network's biases are all zero; trained ones are not.
+			for _, b := range n.biases {
+				for j := range b {
+					b[j] = rng.NormFloat64()
+				}
+			}
 		}
-		if len(logits) != rows*5 {
-			t.Fatalf("rows=%d: got %d logits, want %d", rows, len(logits), rows*5)
-		}
-		for r := 0; r < rows; r++ {
-			want := naiveLogits(n, x[r*7:(r+1)*7])
-			for j := range want {
-				// Both sides accumulate in the same order, so equality is
-				// exact, not approximate.
-				if logits[r*5+j] != want[j] {
-					t.Fatalf("rows=%d row %d logit %d: kernel %g, oracle %g",
-						rows, r, j, logits[r*5+j], want[j])
+		s := n.NewScratch()
+		in, out := n.InputSize(), n.OutputSize()
+		for _, rows := range []int{1, 3, batchRowBlock, batchRowBlock + 1, 2*batchRowBlock + 1} {
+			// Start somewhere else in the cycle every time, so each kind meets
+			// each position of a row block.
+			first := rng.Intn(len(rowKinds))
+			x := make([]float64, rows*in)
+			for r := 0; r < rows; r++ {
+				rowKinds[(first+r)%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
+			}
+			logits, err := n.ForwardBatchInto(s, x, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(logits) != rows*out {
+				t.Fatalf("%v rows=%d: got %d logits, want %d", sizes, rows, len(logits), rows*out)
+			}
+			for r := 0; r < rows; r++ {
+				want := naiveLogits(n, x[r*in:(r+1)*in])
+				for j := range want {
+					// Both sides accumulate in the same order and a skipped
+					// term is an exact zero, so equality is exact.
+					if math.Float64bits(logits[r*out+j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%v rows=%d row %d (%s) logit %d: kernel %g, oracle %g",
+							sizes, rows, r, rowKinds[(first+r)%len(rowKinds)].name, j, logits[r*out+j], want[j])
+					}
 				}
 			}
 		}

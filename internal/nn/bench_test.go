@@ -15,29 +15,42 @@ func paperNet(b *testing.B) *Network {
 	return n
 }
 
-func benchInput(n *Network) []float64 {
-	x := make([]float64, n.InputSize())
+// benchInput returns rows input rows in which each value is non-zero with
+// probability density: 1.0 is the dense case, 0.2 about what an encoded
+// scheduling state looks like.
+func benchInput(n *Network, rows int, density float64) []float64 {
+	x := make([]float64, rows*n.InputSize())
 	r := rand.New(rand.NewSource(2))
 	for i := range x {
-		x[i] = r.Float64()
+		if v := r.Float64(); r.Float64() < density {
+			x[i] = v
+		}
 	}
 	return x
 }
 
+var benchDensities = []struct {
+	name  string
+	value float64
+}{{"dense", 1}, {"density=0.2", 0.2}}
+
 func BenchmarkProbsIntoMasked(b *testing.B) {
 	n := paperNet(b)
-	x := benchInput(n)
 	s := n.NewScratch()
 	mask := make([]bool, n.OutputSize())
 	for i := 0; i < len(mask); i += 2 {
 		mask[i] = true
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.ProbsInto(s, x, mask); err != nil {
-			b.Fatal(err)
-		}
+	for _, d := range benchDensities {
+		x := benchInput(n, 1, d.value)
+		b.Run(d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := n.ProbsInto(s, x, mask); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -47,21 +60,19 @@ func BenchmarkProbsIntoMasked(b *testing.B) {
 func BenchmarkForwardBatchInto(b *testing.B) {
 	n := paperNet(b)
 	s := n.NewScratch()
-	for _, rows := range []int{1, 4, 16, 64} {
-		x := make([]float64, rows*n.InputSize())
-		r := rand.New(rand.NewSource(2))
-		for i := range x {
-			x[i] = r.Float64()
-		}
-		b.Run("rows="+itoa(rows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
-					b.Fatal(err)
+	for _, d := range benchDensities {
+		for _, rows := range []int{1, 4, 16, 64} {
+			x := benchInput(n, rows, d.value)
+			b.Run(d.name+"/rows="+itoa(rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.N*rows)*1e9/float64(b.Elapsed().Nanoseconds()), "rows/s")
-		})
+				b.ReportMetric(float64(b.N*rows)*1e9/float64(b.Elapsed().Nanoseconds()), "rows/s")
+			})
+		}
 	}
 }
 
@@ -108,7 +119,7 @@ func itoa(v int) string {
 
 func BenchmarkApplyRMSProp(b *testing.B) {
 	n := paperNet(b)
-	x := benchInput(n)
+	x := benchInput(n, 1, 1)
 	s := n.NewScratch()
 	probs, err := n.ProbsInto(s, x, nil)
 	if err != nil {

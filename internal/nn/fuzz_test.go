@@ -10,12 +10,23 @@ import (
 // inputs into the kernels and requires row r of ForwardBatchInto to be
 // bit-identical to the naive oracle on that row, and row r of ProbsBatchInto
 // to a one-row ProbsInto — the contract that makes batched and sequential
-// rollouts interchangeable.
+// rollouts interchangeable. Widths run over every remainder of the kernel's
+// four-output grouping, and inputs include exact zeros of both signs (bytes 0
+// and 0x80, and everything past the end of the data), so rows land on both
+// sides of the zero-skipping switch.
 func FuzzForwardBatchEquivalence(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 2, 7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 1, 1, 1, 0})
 	f.Add([]byte{8, 8, 8, 6, 255, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Add([]byte{})
+	// Rows of 8 inputs into widths 5 and 7: all zero, one non-zero, exactly
+	// half, just over half, and a -0 among non-zeros.
+	f.Add([]byte{7, 4, 6, 4, 9,
+		0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 40, 0, 0, 0, 0,
+		3, 0, 250, 0, 17, 0, 99, 0,
+		3, 1, 250, 0, 17, 0, 99, 0, 5,
+		0x80, 1, 0x80, 0, 2, 0x80, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -42,7 +53,11 @@ func FuzzForwardBatchEquivalence(f *testing.F) {
 		}
 		x := make([]float64, rows*in)
 		for i := range x {
-			x[i] = float64(int8(next())) / 16
+			if b := next(); b == 0x80 {
+				x[i] = math.Copysign(0, -1)
+			} else {
+				x[i] = float64(int8(b)) / 16
+			}
 		}
 		masks := make([]bool, rows*out)
 		for i := range masks {

@@ -4,7 +4,9 @@
 // Evaluating several states per pass streams each weight row once per row
 // block instead of once per state, and per-row arithmetic (accumulation order
 // included) does not depend on the batch size, so any split of the same rows
-// into batches gives bit-identical results.
+// into batches gives bit-identical results. The forward kernel computes four
+// outputs per pass over an input row and skips the zeros of a sparse network
+// input; neither changes a bit of any sum (see dot4).
 package nn
 
 import (
@@ -30,7 +32,12 @@ type Scratch struct {
 	// each sized rows x the widest layer.
 	deltaA []float64
 	deltaB []float64
-	rows   int // rows the buffers are currently sized for
+	// nz holds the non-zero indices of the network inputs in the forward
+	// kernel's current row block, InputSize/2 per row, and nnz their count
+	// per row (-1 for a row that takes the dense loop).
+	nz   []int32
+	nnz  [batchRowBlock]int
+	rows int // rows the buffers are currently sized for
 }
 
 // NewScratch allocates a scratch buffer set shaped like the network and sized
@@ -60,6 +67,7 @@ func (n *Network) ensureRows(s *Scratch, rows int) {
 	s.probs = make([]float64, rows*n.OutputSize())
 	s.deltaA = make([]float64, rows*widest)
 	s.deltaB = make([]float64, rows*widest)
+	s.nz = make([]int32, min(rows, batchRowBlock)*(n.sizes[0]/2))
 	s.rows = rows
 }
 
@@ -140,30 +148,98 @@ func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64
 	for l, w := range n.weights {
 		in, out := n.sizes[l], n.sizes[l+1]
 		a, c, bias := s.acts[l], s.acts[l+1], n.biases[l]
-		relu := l != last
 		for r0 := 0; r0 < rows; r0 += batchRowBlock {
-			r1 := r0 + batchRowBlock
-			if r1 > rows {
-				r1 = rows
+			r1, half := min(r0+batchRowBlock, rows), in/2
+			// Only the network's input is scanned for zeros. A hidden row comes
+			// out of a ReLU about half zero, and an indexed term costs about
+			// two streamed ones, so gathering it would buy nothing.
+			for r := r0; r < r1; r++ {
+				s.nnz[r-r0] = -1
+				if l == 0 {
+					s.nnz[r-r0] = gatherNonZero(a[r*in:r*in+in], s.nz[(r-r0)*half:])
+				}
 			}
-			for j := 0; j < out; j++ {
-				row := w[j*in : (j+1)*in]
-				bj := bias[j]
+			for j := 0; j < out; j += 4 {
+				// A width that is not a multiple of four ends in a group that
+				// repeats its last output: same sum, stored more than once.
+				j1, j2, j3 := min(j+1, out-1), min(j+2, out-1), min(j+3, out-1)
+				w0, w1, w2, w3 := w[j*in:j*in+in], w[j1*in:j1*in+in], w[j2*in:j2*in+in], w[j3*in:j3*in+in]
 				for r := r0; r < r1; r++ {
-					ar := a[r*in : r*in+in]
-					sum := bj
-					for i, xi := range ar {
-						sum += row[i] * xi
+					var nz []int32 // nil: the row is dense
+					if k := s.nnz[r-r0]; k >= 0 {
+						nz = s.nz[(r-r0)*half:][:k]
 					}
-					if relu && sum < 0 {
-						sum = 0
+					cr := c[r*out : r*out+out]
+					cr[j], cr[j1], cr[j2], cr[j3] = dot4(bias[j], bias[j1], bias[j2], bias[j3], w0, w1, w2, w3, a[r*in:r*in+in], nz)
+				}
+			}
+			if l != last {
+				h := c[r0*out : r1*out]
+				for i, v := range h {
+					// Selecting on the bits compiles to a conditional move: the
+					// sign of a pre-activation is a coin flip to the predictor.
+					b := math.Float64bits(v)
+					if v < 0 {
+						b = 0
 					}
-					c[r*out+j] = sum
+					h[i] = math.Float64frombits(b)
 				}
 			}
 		}
 	}
 	return s.acts[len(n.sizes)-1][:rows*n.OutputSize()], nil
+}
+
+// gatherNonZero writes the indices of x's non-zero entries to nz, which holds
+// len(x)/2 of them, and returns their count — or -1, leaving nz unspecified,
+// once more than half of x is non-zero: such a row takes the dense loop.
+//
+//spear:noalloc
+func gatherNonZero(x []float64, nz []int32) int {
+	k := 0
+	for i, v := range x {
+		// Exact zero (of either sign): only those terms can be skipped.
+		if v != 0 { //spear:floateq
+			if k == len(x)/2 {
+				return -1
+			}
+			nz[k] = int32(i)
+			k++
+		}
+	}
+	return k
+}
+
+// dot4 is the inner loop of the forward kernel: four dot products of the
+// input row x with the weight rows w0..w3, each started from its bias s and
+// summed in ascending input order. That is the order of the naive one-output
+// loop, so each result is bit-identical to it; computing four at once is what
+// pays, because a single floating-point add chain is bound by add latency and
+// four independent ones overlap. A non-nil nz lists x's non-zero indices in
+// ascending order and only those are visited: every skipped term is an exact
+// zero, which changes no partial sum as long as the weights are finite and
+// no bias is -0.0 (a running sum can only be -0.0 if it started there).
+//
+//spear:noalloc
+func dot4(s0, s1, s2, s3 float64, w0, w1, w2, w3, x []float64, nz []int32) (float64, float64, float64, float64) {
+	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+	if nz != nil {
+		for _, i := range nz {
+			xi := x[i]
+			s0 += w0[i] * xi
+			s1 += w1[i] * xi
+			s2 += w2[i] * xi
+			s3 += w3[i] * xi
+		}
+		return s0, s1, s2, s3
+	}
+	for i, xi := range x {
+		s0 += w0[i] * xi
+		s1 += w1[i] * xi
+		s2 += w2[i] * xi
+		s3 += w3[i] * xi
+	}
+	return s0, s1, s2, s3
 }
 
 // growProbs replaces an out buffer of the wrong length. Sized callers (the

@@ -27,6 +27,10 @@ type Network struct {
 	// RMSProp accumulators.
 	msW [][]float64
 	msB [][]float64
+
+	// gen counts the Apply calls on this network, the only in-place weight
+	// mutation, so a cache of its outputs can tell when it has gone stale.
+	gen uint64
 }
 
 // Errors returned by the package.
@@ -71,6 +75,11 @@ func (n *Network) InputSize() int { return n.sizes[0] }
 
 // OutputSize returns the number of logits.
 func (n *Network) OutputSize() int { return n.sizes[len(n.sizes)-1] }
+
+// Generation changes whenever the weights do: two inferences made under the
+// same generation ran the same function. Like inference itself it must not
+// race with Apply.
+func (n *Network) Generation() uint64 { return n.gen }
 
 // Grads accumulates parameter gradients across a mini-batch.
 type Grads struct {
@@ -163,6 +172,7 @@ func (n *Network) Apply(g *Grads, opt RMSProp) error {
 		}
 	}
 	g.n = 0
+	n.gen++
 	return nil
 }
 

@@ -59,6 +59,12 @@ type SearchMetrics struct {
 	// ForcedMoves counts decisions with exactly one legal action, committed
 	// without searching.
 	ForcedMoves *Counter
+	// PolicyCalls counts one-state policy evaluations asked of the expanders
+	// and rollout contexts, PolicyCacheHits those answered from a context's
+	// memo without running the network. Both are flushed once per Schedule
+	// call.
+	PolicyCalls     *Counter
+	PolicyCacheHits *Counter
 	// TreeDepth is the maximum tree depth reached by the latest Schedule
 	// call (committed decisions + selection descent).
 	TreeDepth *Gauge
@@ -93,20 +99,22 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		r = NewRegistry()
 	}
 	return &SearchMetrics{
-		Decisions:      r.Counter("spear_search_decisions_total", "Committed scheduling decisions"),
-		Iterations:     r.Counter("spear_search_iterations_total", "MCTS iterations (selection, expansion, simulation, backprop)"),
-		Expansions:     r.Counter("spear_search_expansions_total", "Nodes expanded into the search tree"),
-		Rollouts:       r.Counter("spear_search_rollouts_total", "Simulations played to termination"),
-		ForcedMoves:    r.Counter("spear_search_forced_moves_total", "Single-legal-action decisions committed without search"),
-		TreeDepth:      r.Gauge("spear_search_tree_depth", "Maximum tree depth of the latest Schedule call"),
-		RootWorkers:    r.Gauge("spear_mcts_root_workers", "Root-parallel search trees per decision of the latest Schedule call"),
-		TreeWorkers:    r.Gauge("spear_mcts_tree_workers", "Shared-tree workers per tree of the latest Schedule call"),
-		MergeConflicts: r.Counter("spear_mcts_merge_conflicts_total", "Root workers whose local best action lost the merged root vote"),
-		VirtualLoss:    r.Counter("spear_mcts_virtual_loss_applied_total", "Virtual-loss marks applied on shared-tree descent paths"),
-		TTHits:         r.Counter("spear_mcts_tt_hits_total", "Transposition-table lookups that found an existing statistics block"),
-		TTMisses:       r.Counter("spear_mcts_tt_misses_total", "Transposition-table lookups that missed and created a statistics block"),
-		TTEvictions:    r.Counter("spear_mcts_tt_evictions_total", "Transposition-table entries dropped by capacity flushes"),
-		SearchTime:     r.Timer("spear_search_time", "Wall-clock time spent inside Schedule"),
+		Decisions:       r.Counter("spear_search_decisions_total", "Committed scheduling decisions"),
+		Iterations:      r.Counter("spear_search_iterations_total", "MCTS iterations (selection, expansion, simulation, backprop)"),
+		Expansions:      r.Counter("spear_search_expansions_total", "Nodes expanded into the search tree"),
+		Rollouts:        r.Counter("spear_search_rollouts_total", "Simulations played to termination"),
+		ForcedMoves:     r.Counter("spear_search_forced_moves_total", "Single-legal-action decisions committed without search"),
+		PolicyCalls:     r.Counter("spear_search_policy_calls_total", "One-state policy evaluations requested by expanders and rollouts"),
+		PolicyCacheHits: r.Counter("spear_search_policy_cache_hits_total", "Policy evaluations answered from a context's memo without a network pass"),
+		TreeDepth:       r.Gauge("spear_search_tree_depth", "Maximum tree depth of the latest Schedule call"),
+		RootWorkers:     r.Gauge("spear_mcts_root_workers", "Root-parallel search trees per decision of the latest Schedule call"),
+		TreeWorkers:     r.Gauge("spear_mcts_tree_workers", "Shared-tree workers per tree of the latest Schedule call"),
+		MergeConflicts:  r.Counter("spear_mcts_merge_conflicts_total", "Root workers whose local best action lost the merged root vote"),
+		VirtualLoss:     r.Counter("spear_mcts_virtual_loss_applied_total", "Virtual-loss marks applied on shared-tree descent paths"),
+		TTHits:          r.Counter("spear_mcts_tt_hits_total", "Transposition-table lookups that found an existing statistics block"),
+		TTMisses:        r.Counter("spear_mcts_tt_misses_total", "Transposition-table lookups that missed and created a statistics block"),
+		TTEvictions:     r.Counter("spear_mcts_tt_evictions_total", "Transposition-table entries dropped by capacity flushes"),
+		SearchTime:      r.Timer("spear_search_time", "Wall-clock time spent inside Schedule"),
 	}
 }
 

@@ -742,6 +742,21 @@ type ContextPolicy interface {
 	ChooseCtx(ctx PolicyContext, e *Env, legal []Action, rng *rand.Rand) (Action, error)
 }
 
+// PolicyCounters is the running tally of a policy context's (or an MCTS
+// expander's) one-state policy evaluations: how many were asked for and how
+// many of those were answered from the context's cache of earlier answers
+// without running the policy's model.
+type PolicyCounters struct {
+	Calls     int64
+	CacheHits int64
+}
+
+// PolicyCounter is implemented by policy contexts and expanders that keep
+// such a tally; a search reports the difference over one Schedule call.
+type PolicyCounter interface {
+	PolicyCounters() PolicyCounters
+}
+
 // RolloutContext owns the reusable per-goroutine state of the rollout fast
 // path: a scratch episode recycled across simulations, the legal-action
 // buffer, and the policy's own context when the policy supports one. It is
@@ -762,6 +777,15 @@ func NewRolloutContext(p Policy) *RolloutContext {
 		rc.pctx = cp.NewContext()
 	}
 	return rc
+}
+
+// PolicyCounters returns the tally of the policy's own context, zero for a
+// policy that keeps none.
+func (rc *RolloutContext) PolicyCounters() PolicyCounters {
+	if pc, ok := rc.pctx.(PolicyCounter); ok {
+		return pc.PolicyCounters()
+	}
+	return PolicyCounters{}
 }
 
 // RolloutFrom copies base into the context's scratch episode and plays the
