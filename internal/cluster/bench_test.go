@@ -31,6 +31,25 @@ func BenchmarkPlaceRemove(b *testing.B) {
 	}
 }
 
+// BenchmarkSpaceAdvance is the steady state of an episode's grid: the clock
+// moves one slot, dropping the oldest of 20 tracked slots, and a placement
+// reopens one at the far end inside the array's spare capacity.
+func BenchmarkSpaceAdvance(b *testing.B) {
+	s := benchSpace(b)
+	demand := resource.Of(250, 400)
+	if err := s.Place(0, demand, 20); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for now := int64(1); now <= int64(b.N); now++ {
+		s.Advance(now)
+		if err := s.Place(now+19, demand, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFitsAt(b *testing.B) {
 	s := benchSpace(b)
 	for t := int64(0); t < 100; t += 10 {

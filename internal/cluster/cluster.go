@@ -23,20 +23,21 @@ var (
 )
 
 // Space is a resource-time occupancy grid. Slot i covers the absolute time
-// interval [origin+i, origin+i+1). The grid grows on demand as placements
-// extend into the future. Rollouts clone one Space per episode, so the
-// layout is padding-checked.
+// interval [origin+i, origin+i+1). The grid is one flat array, dims words
+// per slot, that grows on demand as placements extend into the future.
+// Rollouts clone one Space per episode, so the layout is padding-checked.
 //
 //spear:packed
 type Space struct {
 	capacity resource.Vector
 	origin   int64
-	used     []resource.Vector // used[i] = occupancy at time origin+i
-	maxBusy  int64             // absolute time after which the space is empty
+	used     []int64 // used[i*dims+d] = occupancy of dimension d at time origin+i
+	maxBusy  int64   // absolute time after which the space is empty
 
 	// Optional instrumentation (nil = off): slotReuse counts grid slots
-	// recycled from the parked pool, slotGrow freshly allocated ones. Both
-	// are shared atomics, safe across the clones of one episode.
+	// opened inside the array's spare capacity, slotGrow those that made it
+	// reallocate. Both are shared atomics, safe across the clones of one
+	// episode, and are added to once per growth, not once per slot.
 	slotReuse *obs.Counter
 	slotGrow  *obs.Counter
 }
@@ -67,7 +68,7 @@ func (s *Space) MaxBusy() int64 {
 	return s.maxBusy
 }
 
-// Instrument attaches pool-reuse counters to the space (nil disables).
+// Instrument attaches grid-growth counters to the space (nil disables).
 // Clones made from the space share the counters.
 func (s *Space) Instrument(slotReuse, slotGrow *obs.Counter) {
 	s.slotReuse = slotReuse
@@ -77,7 +78,7 @@ func (s *Space) Instrument(slotReuse, slotGrow *obs.Counter) {
 // Clone returns a deep copy of the space.
 func (s *Space) Clone() *Space { return s.CloneInto(nil) }
 
-// CloneInto copies s into dst, reusing dst's slot storage where possible so
+// CloneInto copies s into dst, reusing dst's grid storage where possible so
 // hot loops (MCTS rollouts) can recycle one scratch space instead of
 // allocating a fresh grid per simulation. A nil dst allocates. Returns dst.
 func (s *Space) CloneInto(dst *Space) *Space {
@@ -89,17 +90,7 @@ func (s *Space) CloneInto(dst *Space) *Space {
 	dst.maxBusy = s.maxBusy
 	dst.slotReuse = s.slotReuse
 	dst.slotGrow = s.slotGrow
-	if cap(dst.used) >= len(s.used) {
-		// Recover previously truncated slots so their vectors get reused.
-		dst.used = dst.used[:len(s.used)]
-	} else {
-		grown := make([]resource.Vector, len(s.used))
-		copy(grown, dst.used[:cap(dst.used)])
-		dst.used = grown
-	}
-	for i, u := range s.used {
-		dst.used[i] = append(dst.used[i][:0], u...)
-	}
+	dst.used = append(dst.used[:0], s.used...)
 	return dst
 }
 
@@ -107,73 +98,77 @@ func (s *Space) CloneInto(dst *Space) *Space {
 // whole vector.
 func (s *Space) CapacityDim(d int) int64 { return s.capacity[d] }
 
-// slot returns the index of absolute time t, growing the grid if needed.
-// Growth within the slice's capacity recycles the vectors parked there by
-// Advance (zeroing them) instead of allocating, so a warm space places
-// tasks without touching the heap. The recycle path only zeroes a parked
-// vector in place; the two cold growth paths allocate inside
-// replaceSlot/appendSlot.
+// rows returns the tracked part of the grid covering [start, start+duration),
+// dims words per slot; slots past the tracked horizon are empty and left
+// out. start must not precede the origin.
+func (s *Space) rows(start, duration int64) []int64 {
+	dims := int64(len(s.capacity))
+	lo, n := (start-s.origin)*dims, int64(len(s.used))
+	if lo >= n {
+		return nil
+	}
+	if duration < n-lo { // so duration*dims cannot overflow
+		n = min(n, lo+duration*dims)
+	}
+	return s.used[lo:n]
+}
+
+// row returns the occupancy at absolute time t, nil outside the tracked grid.
+func (s *Space) row(t int64) []int64 {
+	if t < s.origin {
+		return nil
+	}
+	return s.rows(t, 1)
+}
+
+// grow extends the grid to n zeroed slots. Growth inside the array's spare
+// capacity zeroes what Advance or CloneInto left there, so a warm space
+// places tasks without touching the heap.
 //
 //spear:noalloc
-func (s *Space) slot(t int64) int {
-	i := t - s.origin
-	for int64(len(s.used)) <= i {
-		if n := len(s.used); n < cap(s.used) {
-			s.used = s.used[:n+1]
-			if v := s.used[n]; len(v) == s.capacity.Dims() {
-				for d := range v {
-					v[d] = 0
-				}
-				if s.slotReuse != nil {
-					s.slotReuse.Inc()
-				}
-			} else {
-				s.replaceSlot(n)
-			}
-		} else {
-			s.appendSlot()
-		}
+func (s *Space) grow(n int64) {
+	have, need := len(s.used), int(n)*len(s.capacity)
+	if need <= have {
+		return
 	}
-	return int(i)
-}
-
-// replaceSlot swaps a parked header of the wrong shape for a fresh vector.
-//
-//spear:slowpath
-func (s *Space) replaceSlot(n int) {
-	s.used[n] = resource.New(s.capacity.Dims())
-	if s.slotGrow != nil {
-		s.slotGrow.Inc()
+	if need > cap(s.used) {
+		s.reallocate(need)
+		return
+	}
+	s.used = s.used[:need]
+	clear(s.used[have:])
+	if s.slotReuse != nil {
+		s.slotReuse.Add(int64((need - have) / len(s.capacity)))
 	}
 }
 
-// appendSlot extends the grid past its capacity with a fresh vector.
+// reallocate moves the grid to an array of at least need words, doubling so
+// that repeated growth stays amortized.
 //
 //spear:slowpath
-func (s *Space) appendSlot() {
-	s.used = append(s.used, resource.New(s.capacity.Dims()))
+func (s *Space) reallocate(need int) {
+	grown := make([]int64, need, max(need, 2*cap(s.used)))
+	copy(grown, s.used)
 	if s.slotGrow != nil {
-		s.slotGrow.Inc()
+		s.slotGrow.Add(int64((need - len(s.used)) / len(s.capacity)))
 	}
+	s.used = grown
 }
 
 // UsedAt returns a copy of the occupancy at absolute time t. Times before
 // the origin or beyond the tracked horizon report zero occupancy.
 func (s *Space) UsedAt(t int64) resource.Vector {
-	i := t - s.origin
-	if i < 0 || i >= int64(len(s.used)) {
-		return resource.New(s.capacity.Dims())
-	}
-	return s.used[i].Clone()
+	used := resource.New(s.capacity.Dims())
+	copy(used, s.row(t))
+	return used
 }
 
 // AvailableAt returns capacity minus occupancy at absolute time t.
 func (s *Space) AvailableAt(t int64) resource.Vector {
 	avail := s.capacity.Clone()
-	i := t - s.origin
-	if i >= 0 && i < int64(len(s.used)) {
-		// Occupancy never exceeds capacity, so this cannot underflow.
-		_ = avail.SubInPlace(s.used[i]) //spear:ignoreerr(occupancy never exceeds capacity, so the subtraction cannot underflow)
+	// Occupancy never exceeds capacity, so this cannot underflow.
+	for d, u := range s.row(t) {
+		avail[d] -= u
 	}
 	return avail
 }
@@ -188,18 +183,21 @@ func (s *Space) FitsAt(start int64, demand resource.Vector, duration int64) bool
 	if !demand.FitsWithin(s.capacity) {
 		return false
 	}
-	for t := start; t < start+duration; t++ {
-		i := t - s.origin
-		if i >= int64(len(s.used)) {
-			break // untouched future slots are empty
-		}
-		for d := 0; d < len(demand); d++ {
-			if s.used[i][d]+demand[d] > s.capacity[d] {
-				return false
+	// Untouched future slots are empty, so only tracked rows can conflict.
+	return s.conflict(s.rows(start, duration), demand) < 0
+}
+
+// conflict returns the index of the first slot of rows that cannot take
+// demand on top of what it holds, -1 if every slot can.
+func (s *Space) conflict(rows []int64, demand resource.Vector) int {
+	for i := 0; i < len(rows); i += len(demand) {
+		for d, need := range demand {
+			if rows[i+d]+need > s.capacity[d] {
+				return i / len(demand)
 			}
 		}
 	}
-	return true
+	return -1
 }
 
 // Cold-path error constructors for Place, which sits on the //spear:noalloc
@@ -236,15 +234,15 @@ func (s *Space) Place(start int64, demand resource.Vector, duration int64) error
 	if !s.FitsAt(start, demand, duration) {
 		return errDoesNotFit(start, demand, duration)
 	}
-	for t := start; t < start+duration; t++ {
-		i := s.slot(t)
-		for d := range demand {
-			s.used[i][d] += demand[d]
+	end := start + duration
+	s.grow(end - s.origin)
+	rows := s.rows(start, duration)
+	for i := 0; i < len(rows); i += len(demand) {
+		for d, need := range demand {
+			rows[i+d] += need
 		}
 	}
-	if end := start + duration; end > s.maxBusy {
-		s.maxBusy = end
-	}
+	s.maxBusy = max(s.maxBusy, end)
 	return nil
 }
 
@@ -260,21 +258,21 @@ func (s *Space) Remove(start int64, demand resource.Vector, duration int64) erro
 	if demand.Dims() != s.capacity.Dims() {
 		return resource.ErrDimensionMismatch
 	}
-	for t := start; t < start+duration; t++ {
-		i := t - s.origin
-		if i >= int64(len(s.used)) {
-			return fmt.Errorf("%w: slot %d untracked", ErrUnderflow, t)
-		}
-		for d := range demand {
-			if s.used[i][d] < demand[d] {
-				return fmt.Errorf("%w: slot %d dim %d", ErrUnderflow, t, d)
+	dims := len(demand)
+	rows := s.rows(start, duration)
+	if int64(len(rows)/dims) < duration {
+		return fmt.Errorf("%w: slot %d untracked", ErrUnderflow, start+int64(len(rows)/dims))
+	}
+	for i := 0; i < len(rows); i += dims {
+		for d, need := range demand {
+			if rows[i+d] < need {
+				return fmt.Errorf("%w: slot %d dim %d", ErrUnderflow, start+int64(i/dims), d)
 			}
 		}
 	}
-	for t := start; t < start+duration; t++ {
-		i := t - s.origin
-		for d := range demand {
-			s.used[i][d] -= demand[d]
+	for i := 0; i < len(rows); i += dims {
+		for d, need := range demand {
+			rows[i+d] -= need
 		}
 	}
 	return nil
@@ -293,36 +291,17 @@ func (s *Space) EarliestStart(from int64, demand resource.Vector, duration int64
 	if !demand.FitsWithin(s.capacity) {
 		return 0, fmt.Errorf("%w: demand %v capacity %v", ErrNeverFits, demand, s.capacity)
 	}
-	if from < s.origin {
-		from = s.origin
+	start := max(from, s.origin)
+	// Everything at and beyond maxBusy is empty.
+	for start < s.MaxBusy() {
+		i := s.conflict(s.rows(start, duration), demand)
+		if i < 0 {
+			break
+		}
+		// Restart the window just past the conflicting slot.
+		start += int64(i) + 1
 	}
-	start := from
-	for {
-		if start >= s.MaxBusy() {
-			return start, nil // everything beyond maxBusy is empty
-		}
-		ok := true
-		for t := start; t < start+duration; t++ {
-			i := t - s.origin
-			if i >= int64(len(s.used)) {
-				break
-			}
-			for d := 0; d < len(demand); d++ {
-				if s.used[i][d]+demand[d] > s.capacity[d] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				// Restart the window just past the conflicting slot.
-				start = t + 1
-				break
-			}
-		}
-		if ok {
-			return start, nil
-		}
-	}
+	return start, nil
 }
 
 // OccupancyImage returns the occupancy of the horizon slots starting at
@@ -331,18 +310,11 @@ func (s *Space) EarliestStart(from int64, demand resource.Vector, duration int64
 // (paper §III-D).
 func (s *Space) OccupancyImage(from int64, horizon int) [][]float64 {
 	dims := s.capacity.Dims()
+	flat := make([]float64, dims*horizon)
+	s.FillOccupancy(from, horizon, dims, flat)
 	img := make([][]float64, dims)
 	for d := range img {
-		img[d] = make([]float64, horizon)
-	}
-	for k := 0; k < horizon; k++ {
-		i := from + int64(k) - s.origin
-		if i < 0 || i >= int64(len(s.used)) {
-			continue
-		}
-		for d := 0; d < dims; d++ {
-			img[d][k] = float64(s.used[i][d]) / float64(s.capacity[d])
-		}
+		img[d] = flat[d*horizon : (d+1)*horizon]
 	}
 	return img
 }
@@ -357,44 +329,24 @@ func (s *Space) FillOccupancy(from int64, horizon, dims int, out []float64) {
 		dims = d
 	}
 	region := out[:dims*horizon]
-	for i := range region {
-		region[i] = 0
-	}
+	clear(region)
 	for k := 0; k < horizon; k++ {
-		i := from + int64(k) - s.origin
-		if i < 0 || i >= int64(len(s.used)) {
-			continue
-		}
-		for d := 0; d < dims; d++ {
-			region[d*horizon+k] = float64(s.used[i][d]) / float64(s.capacity[d])
+		if row := s.row(from + int64(k)); row != nil {
+			for d := 0; d < dims; d++ {
+				region[d*horizon+k] = float64(row[d]) / float64(s.capacity[d])
+			}
 		}
 	}
 }
 
 // Advance discards all occupancy strictly before absolute time to. The
 // origin moves forward; placements may no longer start before it. Advancing
-// backwards is a no-op. Dropped slots are rotated to the tail of the
-// backing array (not copied over), keeping every header in the spare
-// region a distinct vector that slot can safely recycle.
+// backwards is a no-op. The surviving slots are copied down to the front of
+// the array, whose tail becomes spare capacity for grow to reuse.
 func (s *Space) Advance(to int64) {
 	if to <= s.origin {
 		return
 	}
-	drop := to - s.origin
-	if drop >= int64(len(s.used)) {
-		s.used = s.used[:0]
-	} else {
-		d := int(drop)
-		reverseSlots(s.used[:d])
-		reverseSlots(s.used[d:])
-		reverseSlots(s.used)
-		s.used = s.used[:len(s.used)-d]
-	}
+	s.used = s.used[:copy(s.used, s.rows(to, int64(len(s.used))))]
 	s.origin = to
-}
-
-func reverseSlots(v []resource.Vector) {
-	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
-		v[i], v[j] = v[j], v[i]
-	}
 }

@@ -1,18 +1,209 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"spear/internal/resource"
 )
 
-// FuzzSpaceOps drives a Space with an arbitrary stream of place / remove /
-// advance / earliest-start operations and checks the core safety invariant
-// after every step: occupancy never exceeds capacity anywhere.
+// spaceModel is the naive reference the fuzz targets compare a Space with:
+// occupancy in a map keyed by absolute time, every operation written from
+// the documented contract with no regard for cost.
+type spaceModel struct {
+	capacity resource.Vector
+	origin   int64
+	maxBusy  int64
+	used     map[int64]resource.Vector
+}
+
+func newSpaceModel(capacity resource.Vector) *spaceModel {
+	return &spaceModel{capacity: capacity, used: map[int64]resource.Vector{}}
+}
+
+func (m *spaceModel) MaxBusy() int64 { return max(m.maxBusy, m.origin) }
+
+func (m *spaceModel) UsedAt(t int64) resource.Vector {
+	if u, ok := m.used[t]; ok && t >= m.origin {
+		return u
+	}
+	return resource.New(len(m.capacity))
+}
+
+func (m *spaceModel) FitsAt(start int64, demand resource.Vector, duration int64) bool {
+	if len(demand) != len(m.capacity) || duration <= 0 || start < m.origin {
+		return false
+	}
+	for t := start; t < start+duration; t++ {
+		sum, _ := m.UsedAt(t).Add(demand)
+		if !sum.FitsWithin(m.capacity) {
+			return false
+		}
+	}
+	return true
+}
+
+// argErr is the argument validation Place and Remove share.
+func (m *spaceModel) argErr(start int64, demand resource.Vector, duration int64) error {
+	switch {
+	case duration <= 0:
+		return ErrBadDuration
+	case start < m.origin:
+		return ErrBadStart
+	case len(demand) != len(m.capacity):
+		return resource.ErrDimensionMismatch
+	}
+	return nil
+}
+
+// Place returns the sentinel a Space must wrap, nil on success.
+func (m *spaceModel) Place(start int64, demand resource.Vector, duration int64) error {
+	if err := m.argErr(start, demand, duration); err != nil {
+		return err
+	}
+	if !m.FitsAt(start, demand, duration) {
+		return ErrDoesNotFit
+	}
+	for t := start; t < start+duration; t++ {
+		m.used[t], _ = m.UsedAt(t).Add(demand)
+	}
+	m.maxBusy = max(m.maxBusy, start+duration)
+	return nil
+}
+
+// Remove fails where nothing was ever placed (at and after MaxBusy) as well
+// as where less than demand is in use.
+func (m *spaceModel) Remove(start int64, demand resource.Vector, duration int64) error {
+	if err := m.argErr(start, demand, duration); err != nil {
+		return err
+	}
+	for t := start; t < start+duration; t++ {
+		if t >= m.MaxBusy() || !demand.FitsWithin(m.UsedAt(t)) {
+			return ErrUnderflow
+		}
+	}
+	for t := start; t < start+duration; t++ {
+		m.used[t], _ = m.UsedAt(t).Sub(demand)
+	}
+	return nil
+}
+
+func (m *spaceModel) EarliestStart(from int64, demand resource.Vector, duration int64) (int64, error) {
+	switch {
+	case len(demand) != len(m.capacity):
+		return 0, resource.ErrDimensionMismatch
+	case duration <= 0:
+		return 0, ErrBadDuration
+	case !demand.FitsWithin(m.capacity):
+		return 0, ErrNeverFits
+	}
+	start := max(from, m.origin)
+	for !m.FitsAt(start, demand, duration) {
+		start++
+	}
+	return start, nil
+}
+
+func (m *spaceModel) Advance(to int64) {
+	if to <= m.origin {
+		return
+	}
+	for t := range m.used {
+		if t < to {
+			delete(m.used, t)
+		}
+	}
+	m.origin = to
+}
+
+// fuzzOp is one decoded operation of the byte stream both targets consume.
+// start is relative to the origin when the op is decoded, from two slots
+// before it, so that advancing never moves the grid out of the ops' reach.
+type fuzzOp struct {
+	kind, machine int
+	start         int64
+	demand        resource.Vector
+	duration      int64
+}
+
+// nextOp decodes the five bytes at data[pos:] (missing bytes read as zero).
+// One demand in sixteen has the wrong number of dimensions, and durations
+// run from 0, so every argument error is reachable.
+func nextOp(data []byte, pos, kinds int, origin int64) fuzzOp {
+	var b [5]byte
+	copy(b[:], data[pos:])
+	op := fuzzOp{
+		kind:     int(b[0]) % kinds,
+		machine:  int(b[0]) / kinds % 4, // 3 is out of range for the Multi target
+		start:    origin - 2 + int64(b[1]%32),
+		demand:   resource.Of(int64(b[2]%13), int64(b[3]%13)),
+		duration: int64(b[4] % 7),
+	}
+	if b[2]>>4 == 15 {
+		op.demand = op.demand[:1]
+	}
+	return op
+}
+
+// sameErr reports whether got wraps the sentinel want (both nil on success).
+func sameErr(got, want error) bool {
+	if want == nil {
+		return got == nil
+	}
+	return errors.Is(got, want)
+}
+
+// compareSpace checks every read the Space offers against the model, over a
+// window wider than anything the ops can touch, with the op's own arguments
+// as the probe for the two searches.
+func compareSpace(t *testing.T, s *Space, m *spaceModel, op fuzzOp) {
+	t.Helper()
+	if s.Origin() != m.origin || s.MaxBusy() != m.MaxBusy() {
+		t.Fatalf("origin %d maxBusy %d, model %d %d", s.Origin(), s.MaxBusy(), m.origin, m.MaxBusy())
+	}
+	for tm := m.origin - 2; tm < m.origin+48; tm++ {
+		got, want := s.UsedAt(tm), m.UsedAt(tm)
+		if !got.Equal(want) || !got.NonNegative() || !got.FitsWithin(m.capacity) {
+			t.Fatalf("UsedAt(%d) = %v, model %v, capacity %v", tm, got, want, m.capacity)
+		}
+		if got, want := s.FitsAt(tm, op.demand, op.duration), m.FitsAt(tm, op.demand, op.duration); got != want {
+			t.Fatalf("FitsAt(%d, %v, %d) = %v, model %v", tm, op.demand, op.duration, got, want)
+		}
+	}
+	got, gotErr := s.EarliestStart(op.start, op.demand, op.duration)
+	want, wantErr := m.EarliestStart(op.start, op.demand, op.duration)
+	if !sameErr(gotErr, wantErr) || got != want {
+		t.Fatalf("EarliestStart(%d, %v, %d) = %d, %v; model %d, %v",
+			op.start, op.demand, op.duration, got, gotErr, want, wantErr)
+	}
+}
+
+// dirtySpace returns a destination for CloneInto that shares nothing with
+// the source's shape: one dimension more, and a grid that is deeper or
+// shallower than the source's depending on n.
+func dirtySpace(t *testing.T, n int64) *Space {
+	t.Helper()
+	dst, err := NewSpace(resource.Of(5, 5, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Place(n%3, resource.Of(4, 4, 4), 1+n*3); err != nil {
+		t.Fatal(err)
+	}
+	dst.Advance(n % 2)
+	return dst
+}
+
+// FuzzSpaceOps drives a Space and the map-backed model with one stream of
+// place / remove / advance / clone operations and compares, after every
+// one, the error class it returned and everything the Space can be asked.
 func FuzzSpaceOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 1, 2, 3, 2, 4})
 	f.Add([]byte{3, 0, 5, 1, 0, 9, 9, 9})
 	f.Add([]byte{})
+	// Place, clone onto a dirty destination, advance past the horizon, place
+	// again into the recycled grid, remove it.
+	f.Add([]byte{0, 2, 3, 3, 4, 3, 9, 0, 0, 0, 4, 5, 0, 0, 0, 0, 3, 6, 2, 3, 1, 3, 6, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		capacity := resource.Of(10, 7)
@@ -20,40 +211,117 @@ func FuzzSpaceOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos := 0
-		next := func() byte {
-			if pos >= len(data) {
-				return 0
-			}
-			v := data[pos]
-			pos++
-			return v
-		}
-		for pos < len(data) {
-			op := next() % 4
-			start := int64(next() % 32)
-			demand := resource.Of(int64(next()%13), int64(next()%13))
-			duration := int64(next()%6) + 1
-			switch op {
+		m := newSpaceModel(capacity)
+		for pos := 0; pos < len(data); pos += 5 {
+			op := nextOp(data, pos, 5, s.Origin())
+			switch op.kind {
 			case 0:
-				_ = s.Place(start, demand, duration) // may fail; must not corrupt
+				got, want := s.Place(op.start, op.demand, op.duration), m.Place(op.start, op.demand, op.duration)
+				if !sameErr(got, want) {
+					t.Fatalf("Place(%d, %v, %d) = %v, model %v", op.start, op.demand, op.duration, got, want)
+				}
 			case 1:
-				_ = s.Remove(start, demand, duration)
+				got, want := s.Remove(op.start, op.demand, op.duration), m.Remove(op.start, op.demand, op.duration)
+				if !sameErr(got, want) {
+					t.Fatalf("Remove(%d, %v, %d) = %v, model %v", op.start, op.demand, op.duration, got, want)
+				}
 			case 2:
-				s.Advance(start)
+				s.Advance(op.start)
+				m.Advance(op.start)
 			case 3:
-				if got, err := s.EarliestStart(start, demand, duration); err == nil {
-					if !s.FitsAt(got, demand, duration) {
-						t.Fatalf("EarliestStart returned non-fitting slot %d", got)
-					}
+				// Carry on with a clone made onto a dirty destination, which
+				// must not notice what happens to the source afterwards.
+				src := s
+				s = src.CloneInto(dirtySpace(t, int64(op.duration)))
+				if err := src.Place(src.MaxBusy(), capacity, 1); err != nil {
+					t.Fatal(err)
 				}
+			case 4:
+				// Past the last tracked slot: the whole grid is dropped.
+				to := s.MaxBusy() + op.duration%3
+				s.Advance(to)
+				m.Advance(to)
 			}
-			for tm := s.Origin(); tm < s.Origin()+40; tm++ {
-				if !s.UsedAt(tm).FitsWithin(capacity) {
-					t.Fatalf("occupancy %v at %d exceeds capacity", s.UsedAt(tm), tm)
+			compareSpace(t, s, m, op)
+		}
+	})
+}
+
+// FuzzMultiOps is FuzzSpaceOps for a three-machine Multi with unequal
+// machines: one model per machine, the aggregate reads (AvailableAt,
+// FillOccupancy) recomputed from the models.
+func FuzzMultiOps(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 2, 5, 1, 2, 3, 2, 10, 0, 6, 6, 3, 3, 4, 0, 0, 0})
+	f.Add([]byte{15, 0, 1, 1, 1, 1, 0, 1, 1, 1, 2, 40, 0, 0, 0})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec := Spec{
+			{Name: "a", Capacity: resource.Of(10, 7)},
+			{Name: "b", Capacity: resource.Of(6, 6)},
+			{Name: "c", Capacity: resource.Of(12, 3)},
+		}
+		mu, err := NewMulti(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models := make([]*spaceModel, len(spec))
+		for i, mc := range spec {
+			models[i] = newSpaceModel(mc.Capacity)
+		}
+		for pos := 0; pos < len(data); pos += 5 {
+			op := nextOp(data, pos, 4, mu.Origin())
+			inRange := op.machine < len(models)
+			switch op.kind {
+			case 0, 1:
+				call, modelCall := mu.Place, (*spaceModel).Place
+				if op.kind == 1 {
+					call, modelCall = mu.Remove, (*spaceModel).Remove
 				}
-				if !s.UsedAt(tm).NonNegative() {
-					t.Fatalf("negative occupancy %v at %d", s.UsedAt(tm), tm)
+				got, want := call(op.machine, op.start, op.demand, op.duration), errMachineRange
+				if inRange {
+					want = modelCall(models[op.machine], op.start, op.demand, op.duration)
+				}
+				if !sameErr(got, want) {
+					t.Fatalf("op %d on machine %d (%d, %v, %d) = %v, model %v",
+						op.kind, op.machine, op.start, op.demand, op.duration, got, want)
+				}
+			case 2:
+				mu.Advance(op.start)
+				for _, m := range models {
+					m.Advance(op.start)
+				}
+			case 3:
+				dirty, err := NewMulti(Uniform(int(op.duration%5)+1, resource.Of(5, 5, 5)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dirty.Place(0, 0, resource.Of(4, 4, 4), 1+op.duration*3); err != nil {
+					t.Fatal(err)
+				}
+				mu = mu.CloneInto(dirty)
+			}
+			for i, m := range models {
+				compareSpace(t, mu.Machine(i), m, op)
+			}
+			const horizon = 40
+			from := models[0].origin - 2
+			total := spec.Total()
+			fill := make([]float64, len(total)*horizon)
+			mu.FillOccupancy(from, horizon, len(total), fill)
+			for k := 0; k < horizon; k++ {
+				used := resource.New(len(total))
+				for _, m := range models {
+					used, _ = used.Add(m.UsedAt(from + int64(k)))
+				}
+				free, _ := total.Sub(used)
+				if got := mu.AvailableAt(from + int64(k)); !got.Equal(free) {
+					t.Fatalf("AvailableAt(%d) = %v, model %v", from+int64(k), got, free)
+				}
+				for d := range total {
+					if got, want := fill[d*horizon+k], float64(used[d])/float64(total[d]); got != want {
+						t.Fatalf("FillOccupancy dim %d slot %d = %v, model %v", d, k, got, want)
+					}
 				}
 			}
 		}

@@ -241,11 +241,8 @@ func (m *Multi) Eligible(demand resource.Vector, buf []int) []int {
 func (m *Multi) AvailableAt(t int64) resource.Vector {
 	avail := m.total.Clone()
 	for _, sp := range m.spaces {
-		i := t - sp.origin
-		if i >= 0 && i < int64(len(sp.used)) {
-			for d := range avail {
-				avail[d] -= sp.used[i][d]
-			}
+		for d, u := range sp.row(t) {
+			avail[d] -= u
 		}
 	}
 	return avail
@@ -260,17 +257,13 @@ func (m *Multi) FillOccupancy(from int64, horizon, dims int, out []float64) {
 		dims = d
 	}
 	region := out[:dims*horizon]
-	for i := range region {
-		region[i] = 0
-	}
+	clear(region)
 	for _, sp := range m.spaces {
 		for k := 0; k < horizon; k++ {
-			i := from + int64(k) - sp.origin
-			if i < 0 || i >= int64(len(sp.used)) {
-				continue
-			}
-			for d := 0; d < dims; d++ {
-				region[d*horizon+k] += float64(sp.used[i][d])
+			if row := sp.row(from + int64(k)); row != nil {
+				for d := 0; d < dims; d++ {
+					region[d*horizon+k] += float64(row[d])
+				}
 			}
 		}
 	}

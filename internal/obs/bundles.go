@@ -11,7 +11,8 @@ import (
 // every clone made from it, so leaf-parallel rollout workers update the
 // same counters concurrently — all fields are lock-free atomics.
 type SimMetrics struct {
-	// SlotAdvances counts clock advances (Process steps).
+	// SlotAdvances counts clock advances (Process steps). Like TasksPlaced
+	// it is added to once per rollout or public Step, not once per step.
 	SlotAdvances *Counter
 	// TasksPlaced counts schedule actions committed into the cluster.
 	TasksPlaced *Counter
@@ -20,9 +21,10 @@ type SimMetrics struct {
 	// EnvCloneReuse counts clones that recycled an existing scratch episode
 	// instead of allocating a fresh one (pool reuse hits).
 	EnvCloneReuse *Counter
-	// SlotReuse counts cluster grid slots recycled from the parked pool.
+	// SlotReuse counts cluster grid slots opened inside a grid's spare
+	// capacity (what Advance dropped, or a recycled clone left behind).
 	SlotReuse *Counter
-	// SlotGrow counts cluster grid slots that had to be freshly allocated.
+	// SlotGrow counts cluster grid slots that made a grid reallocate.
 	SlotGrow *Counter
 	// BatchRows counts states evaluated through a batched policy pass
 	// (lock-step rollouts): one increment per row per ChooseBatch call.
@@ -40,8 +42,8 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 		TasksPlaced:   r.Counter("spear_sim_tasks_placed_total", "Schedule actions committed into the cluster"),
 		EnvClones:     r.Counter("spear_sim_env_clones_total", "Episode clones (one per rollout on the fast path)"),
 		EnvCloneReuse: r.Counter("spear_sim_env_clone_reuse_total", "Episode clones that recycled a scratch env (pool reuse hits)"),
-		SlotReuse:     r.Counter("spear_cluster_slot_reuse_total", "Cluster grid slots recycled from the parked pool"),
-		SlotGrow:      r.Counter("spear_cluster_slot_grow_total", "Cluster grid slots freshly allocated"),
+		SlotReuse:     r.Counter("spear_cluster_slot_reuse_total", "Cluster grid slots opened inside a grid's spare capacity"),
+		SlotGrow:      r.Counter("spear_cluster_slot_grow_total", "Cluster grid slots that made a grid reallocate"),
 		BatchRows:     r.Counter("spear_nn_batch_rows_total", "States evaluated through batched policy passes"),
 	}
 }

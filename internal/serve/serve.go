@@ -470,13 +470,15 @@ func (s *Server) commit(g *dag.Graph, plan *sched.Schedule) (int64, error) {
 
 // tryPlace tentatively places every task of the plan at offset t0, each on
 // the machine its placement names, rolling the placements back if any task
-// does not fit. Placing task by task (rather than FitsAt checks) accounts
-// for the plan's tasks overlapping each other as well as the existing
-// occupancy.
+// does not fit. Placing task by task (rather than FitsAt checks alone)
+// accounts for the plan's tasks overlapping each other as well as the
+// existing occupancy; the FitsAt probe in front of each Place only spares a
+// missed offset the error Place would format.
 func (s *Server) tryPlace(g *dag.Graph, plan *sched.Schedule, t0 int64) (bool, error) {
 	for i, p := range plan.Placements {
 		task := g.Task(p.Task)
-		if s.space.Place(p.Machine, t0+p.Start, task.Demand, task.Runtime) == nil {
+		if s.space.FitsAt(p.Machine, t0+p.Start, task.Demand, task.Runtime) &&
+			s.space.Place(p.Machine, t0+p.Start, task.Demand, task.Runtime) == nil {
 			continue
 		}
 		for _, q := range plan.Placements[:i] {

@@ -81,6 +81,34 @@ func BenchmarkRolloutRandomCtx(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessStep times the Process action where the status scans used
+// to hurt: a 100-task episode with three tasks running, advanced one slot at
+// a time. When the last of the three has finished (every ten steps or so)
+// the scratch episode is re-cloned from the base.
+func BenchmarkProcessStep(b *testing.B) {
+	g := benchGraph(b, 100)
+	base, err := New(g, resource.Of(20, 20), Config{Mode: OneSlot})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for base.NumRunning() < 3 {
+		if err := base.Step(base.LegalActions()[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	scratch := base.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if scratch.NumRunning() == 0 {
+			scratch = base.CloneInto(scratch)
+		}
+		if err := scratch.Step(Process); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkLegalActions(b *testing.B) {
 	g := benchGraph(b, 100)
 	e, err := New(g, resource.Of(20, 20), Config{})

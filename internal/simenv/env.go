@@ -77,8 +77,9 @@ type Config struct {
 	Mode ProcessMode
 	// Metrics, when non-nil, receives step and clone counts. The bundle is
 	// shared by every clone of the episode, so the counters aggregate
-	// across leaf-parallel rollout workers; updates are single atomic
-	// operations and never allocate.
+	// across leaf-parallel rollout workers. Clones count as they happen;
+	// steps are tallied in the Env and added once per Rollout or public
+	// Step. Nothing allocates.
 	Metrics *obs.SimMetrics
 }
 
@@ -106,7 +107,8 @@ type Env struct {
 	finish         []int64
 	machine        []int32      // machine each started task was placed on; -1 before
 	ready          []dag.TaskID // FIFO: visible window is ready[:Window]
-	running        int
+	running        []dag.TaskID // the running tasks, unordered; cap NumTasks
+	lastFinish     int64        // latest finish among started tasks
 	done           int
 	processSteps   int64 // number of Process actions taken (== -reward)
 
@@ -116,11 +118,12 @@ type Env struct {
 	// StateHash.
 	stateHash uint64
 
-	// Scratch buffers reused by advanceTo so a Process step allocates
-	// nothing once warm. They carry no episode state and are deliberately
+	// Scratch buffer reused by advanceTo so a Process step allocates
+	// nothing once warm, and the schedule/process steps taken since the
+	// last flushCounts. They carry no episode state and are deliberately
 	// not copied by CloneInto.
-	completedBuf []dag.TaskID
-	readyBuf     []dag.TaskID
+	readyBuf         []dag.TaskID
+	placed, advanced int64
 }
 
 // State-hash component tags. Each contribution to the canonical state hash
@@ -237,6 +240,7 @@ func NewCluster(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
 		start:          make([]int64, n),
 		finish:         make([]int64, n),
 		machine:        make([]int32, n),
+		running:        make([]dag.TaskID, 0, n),
 	}
 	for id := 0; id < n; id++ {
 		e.status[id] = statusPending
@@ -284,7 +288,11 @@ func (e *Env) CloneInto(dst *Env) *Env {
 	dst.finish = append(dst.finish[:0], e.finish...)
 	dst.machine = append(dst.machine[:0], e.machine...)
 	dst.ready = append(dst.ready[:0], e.ready...)
-	dst.running = e.running
+	if cap(dst.running) < len(e.status) {
+		dst.running = make([]dag.TaskID, 0, len(e.status))
+	}
+	dst.running = append(dst.running[:0], e.running...)
+	dst.lastFinish = e.lastFinish
 	dst.done = e.done
 	dst.processSteps = e.processSteps
 	dst.stateHash = e.stateHash
@@ -319,7 +327,7 @@ func (e *Env) ProcessSteps() int64 { return e.processSteps }
 func (e *Env) NumReady() int { return len(e.ready) }
 
 // NumRunning reports the number of currently running tasks.
-func (e *Env) NumRunning() int { return e.running }
+func (e *Env) NumRunning() int { return len(e.running) }
 
 // TaskDone reports whether the task has finished executing.
 func (e *Env) TaskDone(id dag.TaskID) bool { return e.status[id] == statusDone }
@@ -434,7 +442,7 @@ func (e *Env) LegalActionsInto(buf []Action) []Action {
 			}
 		}
 	}
-	if e.running > 0 {
+	if len(e.running) > 0 {
 		buf = append(buf, Process)
 	}
 	return buf
@@ -444,6 +452,23 @@ func (e *Env) LegalActionsInto(buf []Action) []Action {
 // Process advances it according to the configured mode and completes any
 // tasks whose finish time has been reached.
 func (e *Env) Step(a Action) error {
+	err := e.step(a)
+	e.flushCounts()
+	return err
+}
+
+// flushCounts adds the steps tallied since the last call to the metrics.
+func (e *Env) flushCounts() {
+	if m := e.cfg.Metrics; m != nil {
+		m.TasksPlaced.Add(e.placed)
+		m.SlotAdvances.Add(e.advanced)
+	}
+	e.placed, e.advanced = 0, 0
+}
+
+// step is Step without the flush: the rollout loop tallies a whole episode
+// before it touches the shared counters.
+func (e *Env) step(a Action) error {
 	if e.Done() {
 		return ErrEpisodeOver
 	}
@@ -496,19 +521,21 @@ func (e *Env) stepSchedule(i, m int) error {
 	e.machine[id] = int32(m)
 	e.start[id] = e.now
 	e.finish[id] = e.now + task.Runtime
-	e.running++
+	// The list was sized to NumTasks, so extending it never reallocates.
+	n := len(e.running)
+	e.running = e.running[:n+1]
+	e.running[n] = id
+	e.lastFinish = max(e.lastFinish, e.finish[id])
 	// Toggle the task's state-hash contribution: out of the ready set, into
 	// the running occupancy signature.
 	e.stateHash ^= hashWords(sigReady, uint64(id), 0, 0)
 	e.stateHash ^= hashWords(sigRunning, uint64(id), uint64(e.finish[id]), uint64(m))
-	if m := e.cfg.Metrics; m != nil {
-		m.TasksPlaced.Inc()
-	}
+	e.placed++
 	return nil
 }
 
 func (e *Env) stepProcess() error {
-	if e.running == 0 {
+	if len(e.running) == 0 {
 		return errIdleProcess()
 	}
 	var target int64
@@ -521,9 +548,7 @@ func (e *Env) stepProcess() error {
 		return errUnknownMode(e.cfg.Mode)
 	}
 	e.processSteps++
-	if m := e.cfg.Metrics; m != nil {
-		m.SlotAdvances.Inc()
-	}
+	e.advanced++
 	e.advanceTo(target)
 	return nil
 }
@@ -531,24 +556,17 @@ func (e *Env) stepProcess() error {
 // earliestRunningFinish returns the minimum finish time among running tasks.
 // Callers must ensure at least one task is running.
 func (e *Env) earliestRunningFinish() int64 {
-	first := true
-	var min int64
-	for id, st := range e.status {
-		if st != statusRunning {
-			continue
-		}
-		if first || e.finish[id] < min {
-			min = e.finish[id]
-			first = false
-		}
+	earliest := e.finish[e.running[0]]
+	for _, id := range e.running[1:] {
+		earliest = min(earliest, e.finish[id])
 	}
-	return min
+	return earliest
 }
 
 // EarliestRunningFinish returns the earliest finish among running tasks and
 // whether any task is running at all.
 func (e *Env) EarliestRunningFinish() (int64, bool) {
-	if e.running == 0 {
+	if len(e.running) == 0 {
 		return 0, false
 	}
 	return e.earliestRunningFinish(), true
@@ -557,10 +575,10 @@ func (e *Env) EarliestRunningFinish() (int64, bool) {
 // advanceTo moves the clock to target and completes every running task with
 // finish <= target. Newly ready tasks are appended to the ready queue in
 // (finish time, task ID) order, which keeps episodes fully deterministic.
-// The completion lists live in Env-owned scratch buffers and are ordered
-// with insertion sorts (bursts are small), so this path does not allocate
-// once warm. The completion sweep appends into recycled buffers
-// (completedBuf, readyBuf, ready), which stop allocating once they reach
+// Only the running list is read: the tasks still running are swapped to its
+// front and the completed ones, left in its spare tail, are ordered with an
+// insertion sort (bursts are small). Newly ready tasks are appended into
+// recycled buffers (readyBuf, ready), which stop allocating once they reach
 // the episode's high-water capacity; the rollout alloc gates verify it.
 //
 //spear:slowpath
@@ -568,21 +586,22 @@ func (e *Env) advanceTo(target int64) {
 	e.stateHash ^= hashWords(sigNow, uint64(e.now), 0, 0) ^ hashWords(sigNow, uint64(target), 0, 0)
 	e.now = target
 
-	completed := e.completedBuf[:0]
-	for id, st := range e.status {
-		if st == statusRunning && e.finish[id] <= target {
-			completed = append(completed, dag.TaskID(id))
+	n := 0
+	for i, id := range e.running {
+		if e.finish[id] > target {
+			e.running[i], e.running[n] = e.running[n], id
+			n++
 		}
 	}
-	// Sort by (finish, ID); the scan above yields ascending IDs already.
+	completed := e.running[n:]
+	e.running = e.running[:n]
 	for i := 1; i < len(completed); i++ {
-		for j := i; j > 0 && e.finish[completed[j]] < e.finish[completed[j-1]]; j-- {
+		for j := i; j > 0 && e.finishesBefore(completed[j], completed[j-1]); j-- {
 			completed[j], completed[j-1] = completed[j-1], completed[j]
 		}
 	}
 	for _, id := range completed {
 		e.status[id] = statusDone
-		e.running--
 		e.done++
 		e.stateHash ^= hashWords(sigRunning, uint64(id), uint64(e.finish[id]), uint64(e.machine[id]))
 		e.stateHash ^= hashWords(sigDone, uint64(id), 0, 0)
@@ -605,24 +624,18 @@ func (e *Env) advanceTo(target int64) {
 		}
 		e.readyBuf = newlyReady[:0]
 	}
-	e.completedBuf = completed[:0]
 	e.space.Advance(target)
+}
+
+// finishesBefore is the completion order: by finish time, then task ID.
+func (e *Env) finishesBefore(a, b dag.TaskID) bool {
+	return e.finish[a] < e.finish[b] || e.finish[a] == e.finish[b] && a < b
 }
 
 // Makespan returns the finish time of the last task. It is only meaningful
 // once Done reports true; before that it returns the makespan of the tasks
 // finished or running so far.
-func (e *Env) Makespan() int64 {
-	var m int64
-	for id, st := range e.status {
-		if st == statusRunning || st == statusDone {
-			if e.finish[id] > m {
-				m = e.finish[id]
-			}
-		}
-	}
-	return m
-}
+func (e *Env) Makespan() int64 { return e.lastFinish }
 
 // Schedule converts a finished episode into a Schedule. It fails with
 // ErrNotFinished when tasks are still outstanding.
@@ -801,13 +814,27 @@ func (rc *RolloutContext) RolloutFrom(base *Env, rng *rand.Rand) (int64, error) 
 // Rollout drives e in place to completion: the one episode loop behind Run,
 // the package-level Rollout and every MCTS simulation. It reuses the
 // context's buffers, and results depend only on the policy, state and rng.
+// The episode's step counts reach the metrics once, on whichever path
+// returns.
 //
 //spear:noalloc
 func (rc *RolloutContext) Rollout(e *Env, rng *rand.Rand) (int64, error) {
+	err := rc.play(e, rng)
+	e.flushCounts()
+	if err != nil {
+		return 0, err
+	}
+	return e.Makespan(), nil
+}
+
+// play is the step loop of Rollout.
+//
+//spear:noalloc
+func (rc *RolloutContext) play(e *Env, rng *rand.Rand) error {
 	for !e.Done() {
 		rc.legal = e.LegalActionsInto(rc.legal[:0])
 		if len(rc.legal) == 0 {
-			return 0, errNoLegal(e)
+			return errNoLegal(e)
 		}
 		var a Action
 		var err error
@@ -823,11 +850,11 @@ func (rc *RolloutContext) Rollout(e *Env, rng *rand.Rand) (int64, error) {
 			a, err = rc.policy.Choose(e, rc.legal, rng)
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if err := e.Step(a); err != nil {
-			return 0, err
+		if err := e.step(a); err != nil {
+			return err
 		}
 	}
-	return e.Makespan(), nil
+	return nil
 }

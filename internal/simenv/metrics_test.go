@@ -1,6 +1,7 @@
 package simenv
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -48,10 +49,84 @@ func TestMetricsCountClonesAndReuse(t *testing.T) {
 	}
 }
 
+// quittingPolicy plays random legal actions for its first n choices, then
+// fails: either by erroring or, with illegal set, by naming an action Step
+// rejects.
+type quittingPolicy struct {
+	n       *int
+	illegal bool
+}
+
+func (quittingPolicy) Name() string { return "quitting" }
+
+func (p quittingPolicy) Choose(_ *Env, legal []Action, rng *rand.Rand) (Action, error) {
+	if *p.n == 0 {
+		if p.illegal {
+			return At(1<<machineShift-1, 0), nil
+		}
+		return 0, errors.New("quit")
+	}
+	*p.n--
+	return legal[rng.Intn(len(legal))], nil
+}
+
+// TestStepCountersCountEveryAppliedStepOnce pins the flush contract of the
+// tallied counters: whether an episode is played by Rollout, stepped by
+// hand, or cut short by an error on either of Rollout's failing paths,
+// TasksPlaced + SlotAdvances is exactly the number of steps applied.
+func TestStepCountersCountEveryAppliedStepOnce(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(5)), 30)
+	total := func(m *obs.SimMetrics) int64 { return m.TasksPlaced.Load() + m.SlotAdvances.Load() }
+
+	m := obs.NewSimMetrics(nil)
+	e := mustEnv(t, g, resource.Of(8, 8), Config{Metrics: m})
+	if _, err := NewRolloutContext(randomPolicy{}).RolloutFrom(e, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TasksPlaced.Load(); got != int64(g.NumTasks()) {
+		t.Errorf("after a rollout: TasksPlaced = %d, want %d", got, g.NumTasks())
+	}
+	if m.SlotAdvances.Load() == 0 {
+		t.Error("after a rollout: SlotAdvances = 0")
+	}
+
+	m = obs.NewSimMetrics(nil)
+	e = mustEnv(t, g, resource.Of(8, 8), Config{Metrics: m})
+	rng := rand.New(rand.NewSource(2))
+	for steps := int64(1); !e.Done(); steps++ {
+		playSteps(t, e, 1, rng)
+		if got := total(m); got != steps {
+			t.Fatalf("after %d public Steps the counters total %d", steps, got)
+		}
+	}
+	if err := e.Step(Process); err == nil || total(m) != int64(g.NumTasks())+e.ProcessSteps() {
+		t.Errorf("a rejected Step: err %v, counters total %d", err, total(m))
+	}
+
+	for _, illegal := range []bool{false, true} {
+		for _, applied := range []int{0, 1, 17} {
+			m := obs.NewSimMetrics(nil)
+			e := mustEnv(t, g, resource.Of(8, 8), Config{Metrics: m})
+			n := applied
+			if _, err := Rollout(e, quittingPolicy{n: &n, illegal: illegal}, rand.New(rand.NewSource(3))); err == nil {
+				t.Fatal("the rollout did not fail")
+			}
+			if got := total(m); got != int64(applied) {
+				t.Errorf("rollout failing (illegal=%v) after %d steps: counters total %d", illegal, applied, got)
+			}
+			// Nothing is left in the env to be flushed a second time.
+			playSteps(t, e, 1, rand.New(rand.NewSource(4)))
+			if got := total(m); got != int64(applied)+1 {
+				t.Errorf("one Step after the failed rollout: counters total %d, want %d", got, applied+1)
+			}
+		}
+	}
+}
+
 // TestRolloutAllocFreeWithMetrics is TestStepAllocFree with instrumentation
 // enabled: the zero-allocation promise of the rollout fast path must hold
-// with metrics on, since updates are plain atomic adds on pre-allocated
-// counters.
+// with metrics on, since the step counts are plain fields of the scratch
+// env, added to the pre-allocated counters once per rollout.
 func TestRolloutAllocFreeWithMetrics(t *testing.T) {
 	g := fanout(t)
 	m := obs.NewSimMetrics(nil)
