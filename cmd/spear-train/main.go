@@ -12,7 +12,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"spear"
 )
@@ -114,6 +116,10 @@ func run() error {
 		st := tm.Stats()
 		fmt.Printf("training: %d trajectories, %d steps, %d updates, mean grad norm %.4g, mean baseline spread %.1f\n",
 			st.Trajectories, st.Steps, st.GradUpdates, st.MeanGradNorm, st.MeanBaselineSpread)
+		if st.PolicyCalls > 0 {
+			fmt.Printf("policy: %d evaluations, %d answered from the samplers' memos (%.1f%%), %d forward passes run\n",
+				st.PolicyCalls, st.PolicyCacheHits, 100*float64(st.PolicyCacheHits)/float64(st.PolicyCalls), st.PolicyCalls-st.PolicyCacheHits)
+		}
 		if err := tm.Snapshot().WritePrometheus(os.Stdout); err != nil {
 			return err
 		}
@@ -154,15 +160,37 @@ func evalModel(net *spear.Network, feat spear.Features, jobs, tasks, budget int,
 	return nil
 }
 
-// writeModel atomically-enough saves the network: write then close, so a
-// failed write surfaces as an error instead of a silently truncated model.
+// writeModel saves the network to path, which -checkpoint-every makes the
+// only good checkpoint of a long run.
 func writeModel(path string, net *spear.Network) error {
-	f, err := os.Create(path)
+	return writeFileAtomic(path, func(w io.Writer) error { return spear.SaveModel(w, net) })
+}
+
+// writeFileAtomic replaces path with what write produces, or leaves it as it
+// was: the bytes go to a temporary file in the same directory, are synced, and
+// only then renamed over path, so neither a failing write nor a kill part-way
+// truncates the file that was there.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if err := spear.SaveModel(f, net); err != nil {
-		return errors.Join(err, f.Close())
+	discard := func(err error) error { return errors.Join(err, tmp.Close(), os.Remove(tmp.Name())) }
+	if err := write(tmp); err != nil {
+		return discard(err)
 	}
-	return f.Close()
+	// CreateTemp's 0600 suits a secret, not a model other tools load.
+	if err := tmp.Chmod(0o644); err != nil {
+		return discard(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return discard(err)
+	}
+	if err := tmp.Close(); err != nil {
+		return errors.Join(err, os.Remove(tmp.Name()))
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return errors.Join(err, os.Remove(tmp.Name()))
+	}
+	return nil
 }

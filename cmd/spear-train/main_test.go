@@ -1,0 +1,47 @@
+package main
+
+import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestWriteFileAtomicKeepsThePreviousFileOnFailure: a write that fails part
+// way must leave the checkpoint that was there, and nothing else, behind.
+func TestWriteFileAtomicKeepsThePreviousFileOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.gob")
+	good := func(w io.Writer) error { _, err := io.WriteString(w, "epoch 10"); return err }
+	if err := writeFileAtomic(path, good); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "epo"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing writer: got %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "epoch 10" {
+		t.Errorf("after a failed write the file holds %q (%v), want the previous checkpoint", got, err)
+	}
+	// A later success replaces it, and no temporary file outlives either call.
+	if err := writeFileAtomic(path, func(w io.Writer) error { _, err := io.WriteString(w, "epoch 20"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "epoch 20" {
+		t.Errorf("after a successful write the file holds %q", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries, want only the model", len(entries))
+	}
+}

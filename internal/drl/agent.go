@@ -83,6 +83,12 @@ func (a *Agent) Features() Features { return a.feat }
 // lookup key and the buffer a remembered answer is copied into, so whatever
 // probsCtx returns is owned by the context either way. calls and hits count
 // the one-row evaluations asked for and those answered from the memo.
+//
+// A REINFORCE sampler's context (newRecordingContext) also keeps records: what
+// each evaluation it ran computed, for backprop to read back. Its memo tags an
+// entry with the id of the evaluation's record, and record is the id behind
+// the latest probsCtx answer, hit or miss. Both are dropped together when the
+// weights change.
 type AgentContext struct {
 	x       []float64
 	masks   []bool
@@ -93,6 +99,9 @@ type AgentContext struct {
 	probs       []float64
 	memo        probsMemo
 	calls, hits int64
+
+	records *recordSlab // nil outside training
+	record  int
 }
 
 var _ simenv.PolicyCounter = (*AgentContext)(nil)
@@ -118,6 +127,15 @@ func (a *Agent) newContext(maxRows int) *AgentContext {
 		probs:   make([]float64, width),
 		memo:    newProbsMemo(keyLen, width, memoMaxSets),
 	}
+}
+
+// newRecordingContext is newContext(1) for a REINFORCE sampler: it keeps a
+// record of every evaluation it runs.
+func (a *Agent) newRecordingContext() *AgentContext {
+	ctx := a.newContext(1)
+	ctx.records = &recordSlab{state: a.net.RowStateSize(), width: a.feat.OutputSize()}
+	ctx.memo.tagWords = 1
+	return ctx
 }
 
 // NewContext implements simenv.ContextPolicy.
@@ -157,17 +175,24 @@ func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action
 	m := &ctx.memo
 	if gen := a.net.Generation(); gen != m.gen {
 		m.reset(gen)
+		if ctx.records != nil {
+			ctx.records.reset()
+		}
 	}
 	h := packKey(ctx.x[:a.feat.InputSize()], ctx.masks[:a.feat.OutputSize()], ctx.key)
-	if m.lookup(h, ctx.key, ctx.probs) {
+	if tag, ok := m.lookup(h, ctx.key, ctx.probs); ok {
 		ctx.hits++
+		ctx.record = int(tag)
 		return ctx.probs, nil
 	}
 	probs, err := a.infer(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	m.insert(h, ctx.key, probs, ctx.calls > memoTrialCalls)
+	if ctx.records != nil {
+		ctx.record = ctx.records.save(a.net, ctx.scratch, probs)
+	}
+	m.insert(h, ctx.key, probs, uint64(ctx.record), ctx.calls > memoTrialCalls)
 	return probs, nil
 }
 

@@ -95,10 +95,41 @@ func TestChooseBatchRejectsForeignAndOversized(t *testing.T) {
 	}
 }
 
-// TestBackpropTrajectoryMatchesSequential pins the chunked batched gradient
-// path to a step-by-step reference: same trajectory, same baseline, bit-equal
-// gradients. The trajectory is longer than reinforceBatchRows so the chunk
-// loop wraps, and one step gets a zero advantage to exercise the skip.
+// recorder files evaluations the way a sampler's memo miss does, so tests can
+// build trajectories over states of their own making.
+type recorder struct {
+	net     *nn.Network
+	scratch *nn.Scratch
+	slab    *recordSlab
+}
+
+func newRecorder(net *nn.Network) *recorder {
+	return &recorder{
+		net:     net,
+		scratch: net.NewScratch(),
+		slab:    &recordSlab{state: net.RowStateSize(), width: net.OutputSize()},
+	}
+}
+
+// step evaluates (x, mask) under the recorder's network and returns a step
+// naming the new record.
+func (rc *recorder) step(t *testing.T, x []float64, mask []bool, action int, now int64) step {
+	t.Helper()
+	probs, err := rc.net.ProbsInto(rc.scratch, x, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return step{record: int32(rc.slab.save(rc.net, rc.scratch, probs)), action: int32(action), now: now}
+}
+
+// TestBackpropTrajectoryMatchesSequential pins the chunked gradient path, which
+// reads the sampler's records back, to a step-by-step reference that forwards
+// every state again: same trajectory, same baseline, bit-equal gradients. The
+// inputs are sparse like encoded states (one row is all zeros), several steps
+// share a record like memo hits do, the trajectory is longer than
+// reinforceBatchRows so the chunk loop wraps, more records than one slab
+// chunk holds are filed first, and one step gets a zero advantage to exercise
+// the skip.
 func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	feat := testFeatures()
 	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(75)))
@@ -106,18 +137,35 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(76))
+	rc := newRecorder(net)
+	mask := make([]bool, feat.OutputSize())
+	for j := range mask {
+		mask[j] = j%3 != 1
+	}
+	for i := 0; i < slabChunkRecords-3; i++ {
+		rc.step(t, make([]float64, feat.InputSize()), mask, 0, 0)
+	}
 	steps := reinforceBatchRows + 5
-	tr := trajectory{makespan: int64(steps) + 3}
+	tr := trajectory{makespan: int64(steps) + 3, records: rc.slab}
+	var xs [][]float64
 	for i := 0; i < steps; i++ {
+		if i%4 == 3 { // a memo hit: the step repeats an earlier evaluation
+			prev := rng.Intn(i)
+			xs = append(xs, xs[prev])
+			tr.steps = append(tr.steps, step{record: tr.steps[prev].record, action: 3 * int32(rng.Intn(feat.OutputSize()/3)), now: int64(i)})
+			continue
+		}
 		x := make([]float64, feat.InputSize())
 		for j := range x {
-			x[j] = rng.Float64()
+			if i != 1 && rng.Intn(5) == 0 {
+				x[j] = rng.Float64()
+			}
 		}
-		mask := make([]bool, feat.OutputSize())
-		for j := range mask {
-			mask[j] = true
-		}
-		tr.steps = append(tr.steps, step{x: x, mask: mask, action: rng.Intn(feat.OutputSize()), now: int64(i)})
+		xs = append(xs, x)
+		tr.steps = append(tr.steps, rc.step(t, x, mask, 3*rng.Intn(feat.OutputSize()/3), int64(i)))
+	}
+	if len(rc.slab.chunks) < 2 {
+		t.Fatalf("%d records fit %d chunk(s): the trajectory does not cross a chunk boundary", rc.slab.n, len(rc.slab.chunks))
 	}
 	baseline := make([]float64, steps)
 	for i := range baseline {
@@ -136,7 +184,7 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 				want.AddSamples(1)
 				continue
 			}
-			probs, err := net.ProbsInto(scratch, st.x, st.mask)
+			probs, err := net.ProbsInto(scratch, xs[i], mask)
 			if err != nil {
 				t.Fatal(err)
 			}

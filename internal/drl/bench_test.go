@@ -112,3 +112,24 @@ func BenchmarkAgentChooseCtx(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTrainEpoch measures one REINFORCE epoch at the shape the repo's
+// benchmark trains at: 16 jobs of 25 tasks, 20 rollouts, batches of 4, two
+// workers, the paper's network.
+func BenchmarkTrainEpoch(b *testing.B) {
+	feat := DefaultFeatures()
+	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs, capacity := testJobs(b, 16, 25, 3)
+	cfg := TrainConfig{Epochs: 1, Rollouts: 20, BatchExamples: 4, Workers: 2}
+	rng := rand.New(rand.NewSource(4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(net, feat, jobs, capacity, cfg, rng, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

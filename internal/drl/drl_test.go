@@ -441,11 +441,15 @@ func TestEntropyBonusPushesTowardUniform(t *testing.T) {
 	for i := range mask {
 		mask[i] = true
 	}
-	tr := trajectory{
-		steps:    []step{{x: x, mask: mask, action: 0, now: 5}},
-		makespan: 10,
+	// A record is the evaluation under the weights in force, so the step is
+	// recorded afresh after every update, as sampling does.
+	rc := newRecorder(net)
+	tr := trajectory{makespan: 10, records: rc.slab}
+	record := func() {
+		rc.slab.reset()
+		tr.steps = []step{rc.step(t, x, mask, 0, 5)}
 	}
-	baseline := []float64{float64(tr.steps[0].now - tr.makespan)} // advantage 0
+	baseline := []float64{5 - float64(tr.makespan)} // advantage 0
 
 	entropyOf := func() float64 {
 		probs, err := net.ProbsInto(net.NewScratch(), x, mask)
@@ -466,6 +470,7 @@ func TestEntropyBonusPushesTowardUniform(t *testing.T) {
 	tc := newTrainContext(net, reinforceBatchRows)
 	for i := 0; i < 50; i++ {
 		grads := net.NewGrads()
+		record()
 		if err := backpropTrajectory(net, tr, baseline, grads, tc, 1.0); err != nil {
 			t.Fatal(err)
 		}
@@ -482,6 +487,7 @@ func TestEntropyBonusPushesTowardUniform(t *testing.T) {
 	// step still counts as a sample so Apply averages over the true batch
 	// size (a skipped step must not inflate the effective learning rate).
 	grads := net.NewGrads()
+	record()
 	if err := backpropTrajectory(net, tr, baseline, grads, tc, 0); err != nil {
 		t.Fatal(err)
 	}

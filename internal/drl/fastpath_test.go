@@ -120,6 +120,7 @@ func TestZeroAdvantageStepsCountAsSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(62))
+	rc := newRecorder(net)
 	mkStep := func(now int64) step {
 		x := make([]float64, feat.InputSize())
 		for i := range x {
@@ -129,9 +130,9 @@ func TestZeroAdvantageStepsCountAsSamples(t *testing.T) {
 		for i := range mask {
 			mask[i] = true
 		}
-		return step{x: x, mask: mask, action: 0, now: now}
+		return rc.step(t, x, mask, 0, now)
 	}
-	tr := trajectory{steps: []step{mkStep(3), mkStep(5), mkStep(7)}, makespan: 10}
+	tr := trajectory{steps: []step{mkStep(3), mkStep(5), mkStep(7)}, makespan: 10, records: rc.slab}
 	// Baseline matches steps 0 and 2 exactly (advantage 0) but not step 1.
 	baseline := []float64{
 		float64(tr.steps[0].now - tr.makespan),

@@ -3,6 +3,8 @@ package drl
 import (
 	"math"
 	"slices"
+
+	"spear/internal/nn"
 )
 
 // The policy's action distribution is a pure function of the encoded state,
@@ -44,13 +46,17 @@ var memoMaxSets = 4096
 // distinct keys arrive, up to maxSets.
 type probsMemo struct {
 	keyLen, width int
-	maxSets       int
+	// tagWords is 1 in a memo whose entries carry a tag word after the
+	// distribution (a REINFORCE sampler's: the id of the evaluation's record),
+	// else 0.
+	tagWords int
+	maxSets  int
 
 	// heads holds two words per entry, sets*memoWays entries in set order:
 	// the tick of the entry's last use (0 marks it empty) and packKey's hash
 	// of its key. A set's heads share one cache line, so finding the way is
 	// one memory access however large the memo. bodies holds, per entry, the
-	// key followed by the distribution as float bits.
+	// key followed by the distribution as float bits and the tag, if any.
 	heads  []uint64
 	bodies []uint64
 	sets   int // zero or a power of two
@@ -77,9 +83,12 @@ func newProbsMemo(keyLen, width, maxSets int) probsMemo {
 func (m *probsMemo) head(i int) []uint64 { return m.heads[i*headWords : (i+1)*headWords] }
 
 func (m *probsMemo) body(i int) []uint64 {
-	n := m.keyLen + m.width
+	n := m.bodyWords()
 	return m.bodies[i*n : (i+1)*n]
 }
+
+// bodyWords is the length of an entry's body: key, distribution, tag if any.
+func (m *probsMemo) bodyWords() int { return m.keyLen + m.width + m.tagWords }
 
 // packKey packs the encoded state (as float bits, so that 0 and -0 or two NaNs
 // are told apart exactly as the network tells them apart) and the mask bits
@@ -133,12 +142,12 @@ func (m *probsMemo) reset(gen uint64) {
 }
 
 // lookup copies the distribution stored for key, whose hash is h, into out and
-// reports whether there was one.
+// reports whether there was one, along with its tag in a memo that keeps tags.
 //
 //spear:noalloc
-func (m *probsMemo) lookup(h uint64, key []uint64, out []float64) bool {
+func (m *probsMemo) lookup(h uint64, key []uint64, out []float64) (tag uint64, ok bool) {
 	if m.sets == 0 {
-		return false
+		return 0, false
 	}
 	base := int(h&uint64(m.sets-1)) * memoWays
 	for i := base; i < base+memoWays; i++ {
@@ -150,22 +159,26 @@ func (m *probsMemo) lookup(h uint64, key []uint64, out []float64) bool {
 		if slices.Equal(b[:m.keyLen], key) {
 			m.tick++
 			hd[headUsed] = m.tick
-			for j, w := range b[m.keyLen:] {
-				out[j] = math.Float64frombits(w)
+			b = b[m.keyLen:]
+			for j := range out {
+				out[j] = math.Float64frombits(b[j])
 			}
-			return true
+			if m.tagWords != 0 {
+				tag = b[m.width]
+			}
+			return tag, true
 		}
 	}
-	return false
+	return 0, false
 }
 
-// insert stores probs under key, which lookup has just missed. A full set
-// makes room by growing the memo if it may grow, is under its cap and is at
-// least half full (below that the set is merely unlucky), else by dropping its
-// least recently used entry.
+// insert stores probs (and tag, in a memo that keeps tags) under key, which
+// lookup has just missed. A full set makes room by growing the memo if it may
+// grow, is under its cap and is at least half full (below that the set is
+// merely unlucky), else by dropping its least recently used entry.
 //
 //spear:noalloc
-func (m *probsMemo) insert(h uint64, key []uint64, probs []float64, mayGrow bool) {
+func (m *probsMemo) insert(h uint64, key []uint64, probs []float64, tag uint64, mayGrow bool) {
 	if m.maxSets == 0 {
 		return
 	}
@@ -188,6 +201,9 @@ func (m *probsMemo) insert(h uint64, key []uint64, probs []float64, mayGrow bool
 	copy(b, key)
 	for j, p := range probs {
 		b[m.keyLen+j] = math.Float64bits(p)
+	}
+	if m.tagWords != 0 {
+		b[m.keyLen+m.width] = tag
 	}
 }
 
@@ -215,7 +231,7 @@ func (m *probsMemo) grow() {
 	old := *m
 	m.sets = max(1, 2*old.sets)
 	m.heads = make([]uint64, m.sets*memoWays*headWords)
-	m.bodies = make([]uint64, m.sets*memoWays*(m.keyLen+m.width))
+	m.bodies = make([]uint64, m.sets*memoWays*m.bodyWords())
 	for o := 0; o < old.sets*memoWays; o++ {
 		if hd := old.head(o); hd[headUsed] != 0 {
 			i := m.victim(hd[headHash])
@@ -223,4 +239,52 @@ func (m *probsMemo) grow() {
 			copy(m.body(i), old.body(o))
 		}
 	}
+}
+
+// recordSlab keeps what a REINFORCE sampler's network evaluations computed, so
+// that backprop does not have to evaluate the same states again: per record
+// the row state nn.SaveRow writes (encoded input and hidden activations)
+// followed by the masked distribution. Records are handed out in order from
+// fixed-size chunks, so one never moves while later ones arrive, and reset
+// keeps the chunks: a warm slab hands out records without allocating.
+type recordSlab struct {
+	state, width int // values of row state and of distribution per record
+	chunks       [][]float64
+	n            int // records handed out since the last reset
+}
+
+// slabChunkRecords is the number of records per chunk, ≈ 1 MB of them at the
+// paper's 147-256-32-32-16 network.
+const slabChunkRecords = 256
+
+// reset forgets every record, keeping the storage.
+func (s *recordSlab) reset() { s.n = 0 }
+
+// row returns record id: its row state, then its distribution.
+//
+//spear:noalloc
+func (s *recordSlab) row(id int) []float64 {
+	n := s.state + s.width
+	return s.chunks[id/slabChunkRecords][id%slabChunkRecords*n:][:n]
+}
+
+// save files the activations of row 0 of scratch's last forward pass and the
+// distribution probs computed from it as the next record, and returns its id.
+//
+//spear:noalloc
+func (s *recordSlab) save(net *nn.Network, scratch *nn.Scratch, probs []float64) int {
+	id := s.n
+	if id == len(s.chunks)*slabChunkRecords {
+		s.addChunk()
+	}
+	s.n++
+	rec := s.row(id)
+	net.SaveRow(scratch, 0, rec[:s.state])
+	copy(rec[s.state:], probs)
+	return id
+}
+
+//spear:slowpath
+func (s *recordSlab) addChunk() {
+	s.chunks = append(s.chunks, make([]float64, slabChunkRecords*(s.state+s.width)))
 }

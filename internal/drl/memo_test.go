@@ -119,6 +119,52 @@ func TestMemoAnswersEqualUncachedForward(t *testing.T) {
 	}
 }
 
+// TestRecordingContextNamesTheEvaluationBehindEveryAnswer drives a REINFORCE
+// sampler's context through revisited states: after every call, hit or miss,
+// ctx.record must name a record holding this very input and the distribution
+// returned, one record per evaluation actually run, whether or not the memo
+// still holds the entry; and a weight change starts the slab over.
+func TestRecordingContextNamesTheEvaluationBehindEveryAnswer(t *testing.T) {
+	feat := testFeatures()
+	agent := testAgent(t, feat, false, 79)
+	// Every state comes round again within a few steps, where even a one-set
+	// memo still holds it, and once more after everything else.
+	var visits []visit
+	rng := rand.New(rand.NewSource(81))
+	for _, v := range randomVisits(t, feat, 4, 80) {
+		visits = append(visits, v)
+		visits = append(visits, visits[len(visits)-1-rng.Intn(min(len(visits), 3))])
+	}
+	visits = append(visits, visits...)
+	in := feat.InputSize()
+	for _, maxSets := range []int{0, 1, memoMaxSets} {
+		ctx := agent.newRecordingContext()
+		ctx.memo.maxSets = maxSets
+		ctx.calls = memoTrialCalls
+		for i, v := range visits {
+			probs, err := agent.probsCtx(ctx, v.env, v.legal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := ctx.records.row(ctx.record)
+			if !sameBits(rec[:in], ctx.x) || !sameBits(rec[ctx.records.state:], probs) {
+				t.Fatalf("maxSets=%d visit %d: record %d is not this evaluation", maxSets, i, ctx.record)
+			}
+		}
+		calls := ctx.calls - memoTrialCalls
+		if int64(ctx.records.n) != calls-ctx.hits || (maxSets == 0) != (ctx.hits == 0) {
+			t.Errorf("maxSets=%d: %d records for %d calls and %d hits", maxSets, ctx.records.n, calls, ctx.hits)
+		}
+		ctx.memo.gen++ // as if the weights had changed
+		if _, err := agent.probsCtx(ctx, visits[0].env, visits[0].legal); err != nil {
+			t.Fatal(err)
+		}
+		if ctx.records.n != 1 || ctx.record != 0 {
+			t.Errorf("maxSets=%d: after a weight change the slab holds %d records, the answer names %d", maxSets, ctx.records.n, ctx.record)
+		}
+	}
+}
+
 // TestMemoVerifiesTheWholeKey hands the memo different keys under one and the
 // same hash: each must get its own answer back, and a third key with that
 // hash none. It then fills one set past its ways and checks that the least
@@ -126,29 +172,37 @@ func TestMemoAnswersEqualUncachedForward(t *testing.T) {
 func TestMemoVerifiesTheWholeKey(t *testing.T) {
 	const keyLen, width = 3, 2
 	m := newProbsMemo(keyLen, width, 1)
+	m.tagWords = 1
 	out := make([]float64, width)
 	key := func(i int) []uint64 { return []uint64{uint64(i), 7, 7} }
 	val := func(i int) []float64 { return []float64{float64(i), -float64(i)} }
 	const h = 0xABCDEF
+	present := func(i int) bool {
+		tag, ok := m.lookup(h, key(i), out)
+		if ok && tag != uint64(10*i) {
+			t.Errorf("key %d came back tagged %d", i, tag)
+		}
+		return ok
+	}
 
-	m.insert(h, key(1), val(1), true)
-	m.insert(h, key(2), val(2), true)
+	m.insert(h, key(1), val(1), 10, true)
+	m.insert(h, key(2), val(2), 20, true)
 	for i := 1; i <= 2; i++ {
-		if !m.lookup(h, key(i), out) || !sameBits(out, val(i)) {
+		if !present(i) || !sameBits(out, val(i)) {
 			t.Fatalf("key %d under a shared hash: got %v", i, out)
 		}
 	}
-	if m.lookup(h, key(3), out) {
+	if present(3) {
 		t.Fatal("a key never inserted hit because its hash matched")
 	}
 
 	// Ways 3 and 4, then touch 1 so that 2 is the oldest; 5 evicts it.
-	m.insert(h, key(3), val(3), true)
-	m.insert(h, key(4), val(4), true)
-	if !m.lookup(h, key(1), out) {
+	m.insert(h, key(3), val(3), 30, true)
+	m.insert(h, key(4), val(4), 40, true)
+	if !present(1) {
 		t.Fatal("lost key 1")
 	}
-	m.insert(h, key(5), val(5), true)
+	m.insert(h, key(5), val(5), 50, true)
 	if m.evictions != 1 || m.live != memoWays || m.sets != 1 {
 		t.Fatalf("after overfilling one set: %d evictions, %d live, %d sets", m.evictions, m.live, m.sets)
 	}
@@ -156,7 +210,7 @@ func TestMemoVerifiesTheWholeKey(t *testing.T) {
 		if i == 0 {
 			continue
 		}
-		if got := m.lookup(h, key(i), out); got != want {
+		if got := present(i); got != want {
 			t.Errorf("key %d present = %v, want %v", i, got, want)
 		}
 	}
@@ -172,7 +226,7 @@ func TestMemoGrowsOnDemandAndKeepsEntries(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x[0] = float64(i + 1)
 		h := packKey(x, []bool{true}, key)
-		m.insert(h, key, []float64{float64(i)}, true)
+		m.insert(h, key, []float64{float64(i)}, 0, true)
 	}
 	if m.sets*memoWays > 4*n {
 		t.Errorf("%d entries grew the memo to %d slots", n, m.sets*memoWays)
@@ -182,7 +236,7 @@ func TestMemoGrowsOnDemandAndKeepsEntries(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x[0] = float64(i + 1)
 		h := packKey(x, []bool{true}, key)
-		if m.lookup(h, key, out) {
+		if _, ok := m.lookup(h, key, out); ok {
 			found++
 			if out[0] != float64(i) {
 				t.Fatalf("entry %d came back as %v", i, out[0])

@@ -86,18 +86,20 @@ type EpochStats struct {
 	MaxMakespan  int64
 }
 
-// step is one decision inside a trajectory.
+// step is one decision inside a trajectory: the action taken at time now on
+// the distribution held in record, an id in the sampling worker's recordSlab.
 type step struct {
-	x      []float64
-	mask   []bool
-	action int
+	record int32
+	action int32
 	now    int64
 }
 
-// trajectory is one sampled episode.
+// trajectory is one sampled episode. records is the slab of the sampler that
+// played it, which its steps index; it stays valid until the weights change.
 type trajectory struct {
 	steps    []step
 	makespan int64
+	records  *recordSlab
 }
 
 // Train runs REINFORCE over the example jobs and returns the learning
@@ -119,14 +121,10 @@ func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.
 		return nil, err
 	}
 
-	// One gradient buffer for the whole run: Apply hands it back zeroed. One
-	// samplerContext per sampling worker for the whole run too, so what their
-	// policy memos hold is dated by the network's generation, not by the job.
+	// One gradient buffer for the whole run: Apply hands it back zeroed. The
+	// trainer's buffers last the whole run too.
 	grads := net.NewGrads()
-	samplers := make([]*samplerContext, min(cfg.Workers, cfg.Rollouts))
-	for w := range samplers {
-		samplers[w] = &samplerContext{agent: agent.newContext(1)}
-	}
+	tr := newTrainer(agent, cfg)
 	curve := make([]EpochStats, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		stats := EpochStats{Epoch: epoch, MinMakespan: -1}
@@ -140,40 +138,40 @@ func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.
 			}
 			for _, g := range jobs[start:end] {
 				sampleStart := time.Now()
-				trajs, err := sampleTrajectories(agent, samplers, g, capacity, cfg, rng)
-				if err != nil {
+				if err := tr.sampleTrajectories(g, capacity, rng); err != nil {
 					return nil, err
 				}
 				var exMin, exMax int64 = -1, 0
 				var exSteps int64
-				for _, tr := range trajs {
-					totalMakespan += float64(tr.makespan)
+				for _, t := range tr.trajs {
+					totalMakespan += float64(t.makespan)
 					rolloutCount++
-					exSteps += int64(len(tr.steps))
-					if exMin < 0 || tr.makespan < exMin {
-						exMin = tr.makespan
+					exSteps += int64(len(t.steps))
+					if exMin < 0 || t.makespan < exMin {
+						exMin = t.makespan
 					}
-					if tr.makespan > exMax {
-						exMax = tr.makespan
+					if t.makespan > exMax {
+						exMax = t.makespan
 					}
-					if stats.MinMakespan < 0 || tr.makespan < stats.MinMakespan {
-						stats.MinMakespan = tr.makespan
+					if stats.MinMakespan < 0 || t.makespan < stats.MinMakespan {
+						stats.MinMakespan = t.makespan
 					}
-					if tr.makespan > stats.MaxMakespan {
-						stats.MaxMakespan = tr.makespan
+					if t.makespan > stats.MaxMakespan {
+						stats.MaxMakespan = t.makespan
 					}
 				}
 				if m := cfg.Metrics; m != nil {
 					m.SampleTime.ObserveSince(sampleStart)
-					m.Trajectories.Add(int64(len(trajs)))
+					m.Trajectories.Add(int64(len(tr.trajs)))
 					m.Steps.Add(exSteps)
 					if exMin >= 0 {
 						m.BaselineSpreadSum.Add(float64(exMax - exMin))
 						m.BaselineSpreadCount.Inc()
 					}
+					tr.countPolicyCalls(m)
 				}
 				backpropStart := time.Now()
-				if err := accumulatePolicyGradient(net, trajs, grads, cfg.Workers, cfg.EntropyBonus); err != nil {
+				if err := tr.accumulatePolicyGradient(grads); err != nil {
 					return nil, err
 				}
 				if m := cfg.Metrics; m != nil {
@@ -234,90 +232,160 @@ func WriteCurveCSV(w io.Writer, curve []EpochStats) error {
 }
 
 // samplerContext bundles the reusable per-worker buffers of trajectory
-// sampling: the agent's inference context, the legal-action buffer and a
-// scratch episode recycled across rollouts. One per sampling worker, owned by
-// the Train call and reused for every job; the Agent itself is shared and
-// stateless.
+// sampling: the agent's recording inference context, the legal-action buffer,
+// a scratch episode recycled across rollouts and the rng reseeded for each.
+// The Agent itself is shared and stateless.
 type samplerContext struct {
 	agent *AgentContext
 	legal []simenv.Action
 	env   *simenv.Env
+	rng   *rand.Rand
+}
+
+// trainer owns every buffer a Train call reuses from job to job, so that a
+// warm job allocates a handful of objects per worker and rollout, not per
+// step. It holds one job at a time: sampleTrajectories fills trajs,
+// accumulatePolicyGradient consumes them.
+type trainer struct {
+	agent *Agent
+	cfg   TrainConfig
+
+	// One samplerContext per sampling worker. Living as long as the run, what
+	// their policy memos and record slabs hold is dated by the network's
+	// generation, not by the job.
+	samplers []*samplerContext
+	// One trainContext per backprop worker.
+	backprop []*trainContext
+
+	// Per rollout: its seed, its trajectory (the steps' storage is recycled),
+	// its error and its gradient buffer, zero between jobs.
+	seeds []int64
+	trajs []trajectory
+	errs  []error
+	local []*nn.Grads
+
+	// Per step index: the baseline and how many trajectories reach that far.
+	baseline []float64
+	counts   []int
+
+	// counted is what countPolicyCalls has already reported.
+	counted simenv.PolicyCounters
+}
+
+func newTrainer(agent *Agent, cfg TrainConfig) *trainer {
+	tr := &trainer{
+		agent:    agent,
+		cfg:      cfg,
+		samplers: make([]*samplerContext, min(cfg.Workers, cfg.Rollouts)),
+		backprop: make([]*trainContext, min(cfg.Workers, cfg.Rollouts)),
+		seeds:    make([]int64, cfg.Rollouts),
+		trajs:    make([]trajectory, cfg.Rollouts),
+		errs:     make([]error, cfg.Rollouts),
+		local:    make([]*nn.Grads, cfg.Rollouts),
+	}
+	for w := range tr.samplers {
+		tr.samplers[w] = &samplerContext{agent: agent.newRecordingContext(), rng: rand.New(rand.NewSource(0))}
+		tr.backprop[w] = newTrainContext(agent.net, reinforceBatchRows)
+	}
+	for i := range tr.local {
+		tr.local[i] = agent.net.NewGrads()
+	}
+	return tr
+}
+
+// countPolicyCalls adds to m the evaluations the samplers were asked for, and
+// those their memos answered, since it last ran.
+func (tr *trainer) countPolicyCalls(m *obs.TrainMetrics) {
+	var sum simenv.PolicyCounters
+	for _, sc := range tr.samplers {
+		c := sc.agent.PolicyCounters()
+		sum.Calls += c.Calls
+		sum.CacheHits += c.CacheHits
+	}
+	m.PolicyCalls.Add(sum.Calls - tr.counted.Calls)
+	m.PolicyCacheHits.Add(sum.CacheHits - tr.counted.CacheHits)
+	tr.counted = sum
+}
+
+// forEachRollout runs do(w, i) for every rollout index i, on one goroutine per
+// worker w, and returns the first error in rollout order.
+func (tr *trainer) forEachRollout(do func(w, i int) error) error {
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := range tr.samplers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				tr.errs[i] = do(w, i)
+			}
+		}()
+	}
+	for i := range tr.trajs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range tr.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sampleTrajectories runs cfg.Rollouts sampled episodes of the agent on one
 // job, spread over one goroutine per samplerContext. Per-rollout seeds are
 // drawn from rng up front and applied by index, so results are identical
 // regardless of worker interleaving.
-func sampleTrajectories(agent *Agent, samplers []*samplerContext, g *dag.Graph, capacity resource.Vector, cfg TrainConfig, rng *rand.Rand) ([]trajectory, error) {
-	base, err := simenv.New(g, capacity, simenv.Config{Window: agent.Features().Window, Mode: cfg.Mode})
+func (tr *trainer) sampleTrajectories(g *dag.Graph, capacity resource.Vector, rng *rand.Rand) error {
+	base, err := simenv.New(g, capacity, simenv.Config{Window: tr.agent.Features().Window, Mode: tr.cfg.Mode})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	trajs := make([]trajectory, cfg.Rollouts)
-	errs := make([]error, cfg.Rollouts)
-	seeds := make([]int64, cfg.Rollouts)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
+	for i := range tr.seeds {
+		tr.seeds[i] = rng.Int63()
 	}
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for _, sc := range samplers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				trajs[i], errs[i] = sampleOne(agent, sc, base, rand.New(rand.NewSource(seeds[i])))
-			}
-		}()
-	}
-	for i := 0; i < cfg.Rollouts; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return trajs, nil
+	return tr.forEachRollout(func(w, i int) error {
+		sc := tr.samplers[w]
+		sc.rng.Seed(tr.seeds[i])
+		return sampleOne(tr.agent, sc, base, &tr.trajs[i])
+	})
 }
 
-// sampleOne plays a single episode with the sampling agent, recording every
-// decision. The episode runs in sc's scratch Env (cloned from base) and the
-// state is encoded once per step into sc's buffers, then snapshotted into
-// the trajectory — the snapshot is the only per-step allocation left.
-func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, rng *rand.Rand) (trajectory, error) {
+// sampleOne plays a single episode with the sampling agent into tr, recording
+// every decision. The episode runs in sc's scratch Env (cloned from base); a
+// step names the record of its evaluation in sc's slab, so nothing is
+// snapshotted per step.
+func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, tr *trajectory) error {
 	feat := agent.Features()
 	e := base.CloneInto(sc.env)
 	sc.env = e
-	var tr trajectory
+	tr.steps, tr.records = tr.steps[:0], sc.agent.records
 	for !e.Done() {
 		sc.legal = e.LegalActionsInto(sc.legal[:0])
 		if len(sc.legal) == 0 {
-			return trajectory{}, fmt.Errorf("drl: stuck episode")
+			return fmt.Errorf("drl: stuck episode")
 		}
 		probs, err := agent.probsCtx(sc.agent, e, sc.legal)
 		if err != nil {
-			return trajectory{}, err
+			return err
 		}
-		a, err := agent.selectAction(probs, rng)
+		a, err := agent.selectAction(probs, sc.rng)
 		if err != nil {
-			return trajectory{}, err
+			return err
 		}
 		tr.steps = append(tr.steps, step{
-			x:      append([]float64(nil), sc.agent.x...),
-			mask:   append([]bool(nil), sc.agent.masks...),
-			action: feat.IndexFor(a),
+			record: int32(sc.agent.record),
+			action: int32(feat.IndexFor(a)),
 			now:    e.Now(),
 		})
 		if err := e.Step(a); err != nil {
-			return trajectory{}, err
+			return err
 		}
 	}
 	tr.makespan = e.Makespan()
-	return tr, nil
+	return nil
 }
 
 // accumulatePolicyGradient turns the rollouts of one example into REINFORCE
@@ -326,109 +394,75 @@ func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, rng *rand.Ran
 // baseline b_t averages G_t across the example's rollouts (§IV, following
 // the per-timestep baseline of DeepRM). An optional entropy bonus is mixed
 // into the logit gradients. Backprop over trajectories runs in parallel
-// with per-worker gradient buffers.
-func accumulatePolicyGradient(net *nn.Network, trajs []trajectory, grads *nn.Grads, workers int, entropyBonus float64) error {
+// with per-trajectory gradient buffers.
+func (tr *trainer) accumulatePolicyGradient(grads *nn.Grads) error {
 	// Per-step baseline across trajectories.
 	maxLen := 0
-	for _, tr := range trajs {
-		if len(tr.steps) > maxLen {
-			maxLen = len(tr.steps)
+	for _, t := range tr.trajs {
+		maxLen = max(maxLen, len(t.steps))
+	}
+	tr.baseline = append(tr.baseline[:0], make([]float64, maxLen)...)
+	tr.counts = append(tr.counts[:0], make([]int, maxLen)...)
+	for _, t := range tr.trajs {
+		for i, st := range t.steps {
+			tr.baseline[i] += float64(st.now - t.makespan)
+			tr.counts[i]++
 		}
 	}
-	baseline := make([]float64, maxLen)
-	counts := make([]int, maxLen)
-	for _, tr := range trajs {
-		for t := range tr.steps {
-			baseline[t] += float64(tr.steps[t].now - tr.makespan)
-			counts[t]++
-		}
-	}
-	for t := range baseline {
-		if counts[t] > 0 {
-			baseline[t] /= float64(counts[t])
+	for i := range tr.baseline {
+		if tr.counts[i] > 0 {
+			tr.baseline[i] /= float64(tr.counts[i])
 		}
 	}
 
 	// One gradient buffer per trajectory, merged in trajectory order below:
 	// the result is bit-identical regardless of worker count or scheduling
-	// interleave. The expensive per-pass buffers (activations, deltas) live
-	// in one trainContext per worker and are reused across trajectories.
-	if workers > len(trajs) {
-		workers = len(trajs)
+	// interleave. The per-pass buffers (activations, deltas) are the workers'.
+	err := tr.forEachRollout(func(w, i int) error {
+		return backpropTrajectory(tr.agent.net, tr.trajs[i], tr.baseline, tr.local[i], tr.backprop[w], tr.cfg.EntropyBonus)
+	})
+	if err != nil {
+		return err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	local := make([]*nn.Grads, len(trajs))
-	errs := make([]error, len(trajs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tc := newTrainContext(net, reinforceBatchRows)
-			for i := range next {
-				local[i] = net.NewGrads()
-				errs[i] = backpropTrajectory(net, trajs[i], baseline, local[i], tc, entropyBonus)
-			}
-		}()
-	}
-	for i := range trajs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, lg := range local {
-		grads.Add(lg)
+	for _, lg := range tr.local {
+		grads.Drain(lg)
 	}
 	return nil
 }
 
-// reinforceBatchRows is how many trajectory steps share one batched
-// forward/backward network pass during gradient accumulation.
+// reinforceBatchRows is how many trajectory steps share one batched backward
+// network pass during gradient accumulation.
 const reinforceBatchRows = 16
 
 // trainContext holds one backprop worker's reusable buffers: the network
-// scratch (which carries the activations) plus the row-major chunk of encoded
-// states, masks, logit gradients and per-row bookkeeping. Pretrain sizes one
-// for its minibatch, REINFORCE one per worker for reinforceBatchRows.
+// scratch (which carries the activations) and the row-major logit gradients.
+// Pretrain sizes one for its minibatch, REINFORCE one per worker for
+// reinforceBatchRows.
 type trainContext struct {
 	scratch *nn.Scratch
-	bx      []float64
-	bmask   []bool
 	bd      []float64
-	adv     []float64
-	act     []int
 }
 
 // newTrainContext allocates a backprop context for passes of up to rows rows.
 func newTrainContext(net *nn.Network, rows int) *trainContext {
-	in, out := net.InputSize(), net.OutputSize()
 	return &trainContext{
-		scratch: net.NewScratch(),
-		bx:      make([]float64, rows*in),
-		bmask:   make([]bool, rows*out),
-		bd:      make([]float64, rows*out),
-		adv:     make([]float64, rows),
-		act:     make([]int, rows),
+		scratch: net.NewBatchScratch(rows),
+		bd:      make([]float64, rows*net.OutputSize()),
 	}
 }
 
 // backpropTrajectory accumulates (probs - onehot) * advantage plus the
 // entropy-bonus term for every step of one trajectory. The gradient of
 // -β·H with respect to logit i under a (masked) softmax is
-// β·p_i·(log p_i + H). Steps are processed in chunks of reinforceBatchRows
-// through the batched network kernels; because those accumulate per-weight
-// contributions in ascending row (= step) order, the resulting gradients are
-// bit-identical to one sequential backward pass per step.
+// β·p_i·(log p_i + H). Nothing is evaluated again: a step's record holds the
+// distribution the sampler drew from and the activations behind it, computed
+// under the weights still in force, and those go back into the worker's
+// scratch. Steps are processed in chunks of reinforceBatchRows through the
+// batched backward kernel; because that accumulates per-weight contributions
+// in ascending row (= step) order, the resulting gradients are bit-identical
+// to one sequential forward and backward pass per step.
 func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grads *nn.Grads, tc *trainContext, entropyBonus float64) error {
-	in, out := net.InputSize(), net.OutputSize()
+	out, state := net.OutputSize(), net.RowStateSize()
 	t := 0
 	for t < len(tr.steps) {
 		// Gather the next chunk of steps that actually carry gradient.
@@ -447,27 +481,16 @@ func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grad
 				grads.AddSamples(1)
 				continue
 			}
-			copy(tc.bx[rows*in:(rows+1)*in], st.x)
-			copy(tc.bmask[rows*out:(rows+1)*out], st.mask)
-			tc.adv[rows] = advantage
-			tc.act[rows] = st.action
-			rows++
-		}
-		if rows == 0 {
-			continue
-		}
-		probs, err := net.ProbsBatchInto(tc.scratch, tc.bx[:rows*in], rows, tc.bmask[:rows*out])
-		if err != nil {
-			return err
-		}
-		for r := 0; r < rows; r++ {
-			pr := probs[r*out : (r+1)*out]
-			d := tc.bd[r*out : (r+1)*out]
-			advantage := tc.adv[r]
+			rec := tr.records.row(int(st.record))
+			if err := net.LoadRow(tc.scratch, rows, rec[:state]); err != nil {
+				return err
+			}
+			pr := rec[state:]
+			d := tc.bd[rows*out : (rows+1)*out]
 			for i, p := range pr {
 				d[i] = p * advantage
 			}
-			d[tc.act[r]] -= advantage
+			d[st.action] -= advantage
 			if entropyBonus > 0 {
 				var entropy float64
 				for _, p := range pr {
@@ -481,6 +504,10 @@ func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grad
 					}
 				}
 			}
+			rows++
+		}
+		if rows == 0 {
+			continue
 		}
 		if err := net.BackwardBatchInto(tc.scratch, tc.bd[:rows*out], rows, grads); err != nil {
 			return err

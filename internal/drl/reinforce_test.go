@@ -1,0 +1,95 @@
+package drl
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"spear/internal/nn"
+	"spear/internal/obs"
+)
+
+// TestTrainIsTheSameAcrossWorkersAndMemoStates pins what may not depend on
+// who sampled a trajectory or on what its sampler's memo still held: steps
+// point into sampler-owned records, a memo hit at the record of the evaluation
+// it repeats, and the trained network must come out byte for byte the same
+// with one, two or three workers, with the memo at its cap, squeezed into one
+// set (hits only while nothing has evicted the entry) or bypassed (every step
+// a miss with a record of its own).
+func TestTrainIsTheSameAcrossWorkersAndMemoStates(t *testing.T) {
+	feat := testFeatures()
+	jobs, capacity := testJobs(t, 3, 14, 81)
+	start, err := DefaultNetwork(feat, rand.New(rand.NewSource(82)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := func(workers, maxSets int) ([]byte, obs.TrainStats) {
+		defer SetMemoMaxSets(maxSets)()
+		net := start.Clone()
+		tm := obs.NewTrainMetrics(nil)
+		cfg := TrainConfig{Epochs: 2, Rollouts: 7, BatchExamples: 2, Workers: workers, Metrics: tm}
+		if _, err := Train(net, feat, jobs, capacity, cfg, rand.New(rand.NewSource(83)), nil); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), tm.Stats()
+	}
+	want, _ := train(1, memoMaxSets)
+	for _, workers := range []int{1, 2, 3} {
+		for _, maxSets := range []int{memoMaxSets, 1, 0} {
+			got, st := train(workers, maxSets)
+			if !bytes.Equal(got, want) {
+				t.Errorf("workers=%d memoMaxSets=%d: trained network differs from workers=1 at the cap", workers, maxSets)
+			}
+			if st.PolicyCalls != st.Steps {
+				t.Errorf("workers=%d memoMaxSets=%d: %d policy calls for %d steps", workers, maxSets, st.PolicyCalls, st.Steps)
+			}
+			if hits := st.PolicyCacheHits; (maxSets == 0) != (hits == 0) || hits >= st.PolicyCalls {
+				t.Errorf("workers=%d memoMaxSets=%d: %d memo hits in %d calls", workers, maxSets, hits, st.PolicyCalls)
+			}
+		}
+	}
+}
+
+// TestWarmJobAllocatesPerRolloutNotPerStep gates the trainer's buffer
+// ownership: once a job of the same size has been through, sampling a job,
+// backpropagating it and applying the update allocates a few objects per
+// worker and per job, never per step — no snapshot of the state, no gradient
+// buffer, no record storage.
+func TestWarmJobAllocatesPerRolloutNotPerStep(t *testing.T) {
+	feat := DefaultFeatures()
+	jobs, capacity := testJobs(t, 1, 25, 84)
+	agent := testAgent(t, feat, false, 85)
+	cfg := TrainConfig{Rollouts: 20, Workers: 2}.normalized()
+	tr := newTrainer(agent, cfg)
+	grads := agent.net.NewGrads()
+	rng := rand.New(rand.NewSource(86))
+	steps := 0
+	job := func() {
+		if err := tr.sampleTrajectories(jobs[0], capacity, rng); err != nil {
+			t.Fatal(err)
+		}
+		steps = 0
+		for _, tj := range tr.trajs {
+			steps += len(tj.steps)
+		}
+		if err := tr.accumulatePolicyGradient(grads); err != nil {
+			t.Fatal(err)
+		}
+		// The update dates the memos and the records, as in Train: the next
+		// job starts from misses again.
+		if err := agent.net.Apply(grads, nn.DefaultRMSProp()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job()
+	job()
+	allocs := testing.AllocsPerRun(5, job)
+	t.Logf("%.0f allocations for a job of %d rollouts and %d steps", allocs, cfg.Rollouts, steps)
+	if limit := float64(3 * cfg.Rollouts); allocs > limit || steps < 20*cfg.Rollouts {
+		t.Errorf("a warm job of %d rollouts and %d steps allocates %.0f objects, want at most %.0f", cfg.Rollouts, steps, allocs, limit)
+	}
+}

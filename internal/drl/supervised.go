@@ -79,6 +79,7 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 
 	in, out := net.InputSize(), net.OutputSize()
 	tc := newTrainContext(net, cfg.BatchSize)
+	bx, bmask := make([]float64, cfg.BatchSize*in), make([]bool, cfg.BatchSize*out)
 	grads := net.NewGrads()
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -92,10 +93,10 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 			batch := samples[start:end]
 			rows := len(batch)
 			for r, s := range batch {
-				copy(tc.bx[r*in:(r+1)*in], s.x)
-				copy(tc.bmask[r*out:(r+1)*out], s.mask)
+				copy(bx[r*in:(r+1)*in], s.x)
+				copy(bmask[r*out:(r+1)*out], s.mask)
 			}
-			probs, err := net.ProbsBatchInto(tc.scratch, tc.bx[:rows*in], rows, tc.bmask[:rows*out])
+			probs, err := net.ProbsBatchInto(tc.scratch, bx[:rows*in], rows, bmask[:rows*out])
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -196,6 +197,119 @@ func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
 				t.Fatalf("layer %d bias %d: batch %g, sequential %g", l, i, got.b[l][i], want.b[l][i])
 			}
 		}
+	}
+}
+
+// sameGradBits reports the first parameter at which g differs, bit for bit,
+// from the oracle's w and b.
+func sameGradBits(t *testing.T, what string, g *Grads, w, b [][]float64) {
+	t.Helper()
+	for l := range w {
+		for i := range w[l] {
+			if math.Float64bits(g.w[l][i]) != math.Float64bits(w[l][i]) {
+				t.Fatalf("%s: layer %d weight %d: kernel %g, want %g", what, l, i, g.w[l][i], w[l][i])
+			}
+		}
+		for i := range b[l] {
+			if math.Float64bits(g.b[l][i]) != math.Float64bits(b[l][i]) {
+				t.Fatalf("%s: layer %d bias %d: kernel %g, want %g", what, l, i, g.b[l][i], b[l][i])
+			}
+		}
+	}
+}
+
+// TestBackwardBatchIntoMatchesNaive compares the gradients of the kernel with
+// the naive oracle's, bit for bit, on batches mixing input rows of every kind
+// (all zeros, gathered, over half non-zero, holding -0) with logit gradients
+// holding exact zeros, on networks in which some hidden units have no weights,
+// so that their pre-activation is exactly 0 and they must pass nothing back.
+// Two batches go into the same Grads: the second adds to sums that are no
+// longer zero.
+func TestBackwardBatchIntoMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, sizes := range [][]int{{7, 12, 9, 5}, {147, 256, 32, 32, 16}, {1, 1}, {2, 3, 3}} {
+		n := newNet(t, sizes...)
+		for l := range n.weights[:len(n.weights)-1] {
+			in := n.sizes[l]
+			for j := range n.biases[l] {
+				n.biases[l][j] = rng.NormFloat64() / 4
+			}
+			dead := rng.Intn(n.sizes[l+1])
+			n.biases[l][dead] = 0
+			for i := 0; i < in; i++ {
+				n.weights[l][dead*in+i] = 0
+			}
+		}
+		in, out := n.InputSize(), n.OutputSize()
+		s := n.NewScratch()
+		g := n.NewGrads()
+		w, b := n.NewGrads().w, n.NewGrads().b
+		for _, rows := range []int{2*len(rowKinds) + 1, 3} {
+			x := make([]float64, rows*in)
+			d := make([]float64, rows*out)
+			for r := 0; r < rows; r++ {
+				rowKinds[r%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
+				for j := 0; j < out; j++ {
+					if rng.Intn(4) != 0 {
+						d[r*out+j] = rng.NormFloat64()
+					}
+				}
+				naiveBackward(n, x[r*in:(r+1)*in], d[r*out:(r+1)*out], w, b)
+			}
+			if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
+				t.Fatal(err)
+			}
+			sameGradBits(t, fmt.Sprint(sizes, " rows=", rows), g, w, b)
+		}
+	}
+}
+
+// TestLoadRowStandsInForForward saves every row of a forward pass and loads
+// them into another scratch: the backward pass there must give the gradients,
+// bit for bit, of the backward pass that follows the forward directly.
+func TestLoadRowStandsInForForward(t *testing.T) {
+	n := newNet(t, 147, 256, 32, 32, 16)
+	rng := rand.New(rand.NewSource(37))
+	const rows = 11
+	in, out := n.InputSize(), n.OutputSize()
+	x := make([]float64, rows*in)
+	d := make([]float64, rows*out)
+	for r := 0; r < rows; r++ {
+		rowKinds[r%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
+	}
+	for i := range d {
+		d[i] = rng.NormFloat64()
+	}
+	forwarded, loaded := n.NewScratch(), n.NewBatchScratch(rows)
+	if _, err := n.ForwardBatchInto(forwarded, x, rows); err != nil {
+		t.Fatal(err)
+	}
+	saved := make([]float64, rows*n.RowStateSize())
+	for r := 0; r < rows; r++ {
+		n.SaveRow(forwarded, r, saved[r*n.RowStateSize():(r+1)*n.RowStateSize()])
+	}
+	// Load in another order than saved: a row's place is all that matters.
+	for _, r := range rng.Perm(rows) {
+		if err := n.LoadRow(loaded, r, saved[r*n.RowStateSize():(r+1)*n.RowStateSize()]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := n.NewGrads(), n.NewGrads()
+	if err := n.BackwardBatchInto(forwarded, d, rows, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.BackwardBatchInto(loaded, d, rows, got); err != nil {
+		t.Fatal(err)
+	}
+	sameGradBits(t, "loaded rows", got, want.w, want.b)
+	if got.Samples() != want.Samples() {
+		t.Errorf("samples: %d from loaded rows, %d from forwarded ones", got.Samples(), want.Samples())
+	}
+	if err := n.LoadRow(loaded, rows, saved[:n.RowStateSize()]); !errors.Is(err, ErrBadInput) {
+		t.Errorf("loading a row past the scratch's size: got %v, want ErrBadInput", err)
 	}
 }
 

@@ -76,30 +76,31 @@ func BenchmarkForwardBatchInto(b *testing.B) {
 	}
 }
 
-// BenchmarkBackwardBatchInto measures the batched gradient accumulation.
+// BenchmarkBackwardBatchInto measures the batched gradient accumulation on a
+// dense input batch and on one as sparse as encoded scheduling states.
 func BenchmarkBackwardBatchInto(b *testing.B) {
 	n := paperNet(b)
-	s := n.NewScratch()
 	const rows = 16
-	x := make([]float64, rows*n.InputSize())
-	r := rand.New(rand.NewSource(2))
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
-		b.Fatal(err)
-	}
-	d := make([]float64, rows*n.OutputSize())
-	for i := range d {
-		d[i] = r.NormFloat64()
-	}
-	g := n.NewGrads()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
-			b.Fatal(err)
-		}
+	for _, density := range benchDensities {
+		b.Run(density.name, func(b *testing.B) {
+			s := n.NewScratch()
+			if _, err := n.ForwardBatchInto(s, benchInput(n, rows, density.value), rows); err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(3))
+			d := make([]float64, rows*n.OutputSize())
+			for i := range d {
+				d[i] = r.NormFloat64()
+			}
+			g := n.NewGrads()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

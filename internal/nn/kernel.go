@@ -5,8 +5,8 @@
 // block instead of once per state, and per-row arithmetic (accumulation order
 // included) does not depend on the batch size, so any split of the same rows
 // into batches gives bit-identical results. The forward kernel computes four
-// outputs per pass over an input row and skips the zeros of a sparse network
-// input; neither changes a bit of any sum (see dot4).
+// outputs per pass over an input row, and both kernels skip the zeros of a
+// sparse network input; neither changes a bit of any sum (see dot4).
 package nn
 
 import (
@@ -32,20 +32,26 @@ type Scratch struct {
 	// each sized rows x the widest layer.
 	deltaA []float64
 	deltaB []float64
-	// nz holds the non-zero indices of the network inputs in the forward
-	// kernel's current row block, InputSize/2 per row, and nnz their count
-	// per row (-1 for a row that takes the dense loop).
-	nz   []int32
-	nnz  [batchRowBlock]int
-	rows int // rows the buffers are currently sized for
+	// nz holds the non-zero indices of the network inputs, InputSize/2 per
+	// row: of the current row block in the forward kernel, of the whole batch
+	// in the backward one. nnz (forward) and batchNnz (backward) hold their
+	// count per row, -1 for a row that takes the dense loop.
+	nz       []int32
+	nnz      [batchRowBlock]int
+	batchNnz []int32
+	rows     int // rows the buffers are currently sized for
 }
 
 // NewScratch allocates a scratch buffer set shaped like the network and sized
 // for one row, so a single-row call never allocates. Larger batches grow it
 // on first use.
-func (n *Network) NewScratch() *Scratch {
+func (n *Network) NewScratch() *Scratch { return n.NewBatchScratch(1) }
+
+// NewBatchScratch is NewScratch sized for rows rows up front: what LoadRow
+// needs, which fills a scratch row by row and so cannot grow it.
+func (n *Network) NewBatchScratch(rows int) *Scratch {
 	s := &Scratch{acts: make([][]float64, len(n.sizes))}
-	n.ensureRows(s, 1)
+	n.ensureRows(s, max(rows, 1))
 	return s
 }
 
@@ -67,7 +73,8 @@ func (n *Network) ensureRows(s *Scratch, rows int) {
 	s.probs = make([]float64, rows*n.OutputSize())
 	s.deltaA = make([]float64, rows*widest)
 	s.deltaB = make([]float64, rows*widest)
-	s.nz = make([]int32, min(rows, batchRowBlock)*(n.sizes[0]/2))
+	idx := make([]int32, rows*(1+n.sizes[0]/2))
+	s.batchNnz, s.nz = idx[:rows], idx[rows:]
 	s.rows = rows
 }
 
@@ -242,6 +249,27 @@ func dot4(s0, s1, s2, s3 float64, w0, w1, w2, w3, x []float64, nz []int32) (floa
 	return s0, s1, s2, s3
 }
 
+// axpy adds a times x to y, element by element: the inner loop of the backward
+// kernel. A non-nil nz lists x's non-zero indices and only those are visited.
+// Inlined, the loops are compiled with the kernel's many live values spilling
+// to the stack inside them, which costs a dense pass a third of its time; a
+// call per row does not show.
+//
+//spear:noalloc
+//go:noinline
+func axpy(y []float64, a float64, x []float64, nz []int32) {
+	y = y[:len(x)]
+	if nz != nil {
+		for _, i := range nz {
+			y[i] += a * x[i]
+		}
+		return
+	}
+	for i, xi := range x {
+		y[i] += a * xi
+	}
+}
+
 // growProbs replaces an out buffer of the wrong length. Sized callers (the
 // scratch-backed inference path) never reach it.
 //
@@ -323,14 +351,57 @@ func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, er
 	return n.ProbsBatchInto(s, x, 1, mask)
 }
 
+// RowStateSize is how many values SaveRow writes and LoadRow reads: a row's
+// input and hidden activations, everything BackwardBatchInto reads back from
+// a forward pass.
+func (n *Network) RowStateSize() int {
+	total := 0
+	for _, size := range n.sizes[:len(n.sizes)-1] {
+		total += size
+	}
+	return total
+}
+
+// SaveRow copies row r's input and hidden activations of the scratch's most
+// recent ForwardBatchInto into dst, RowStateSize values, layer after layer.
+//
+//spear:noalloc
+func (n *Network) SaveRow(s *Scratch, r int, dst []float64) {
+	for l, size := range n.sizes[:len(n.sizes)-1] {
+		copy(dst[:size], s.acts[l][r*size:(r+1)*size])
+		dst = dst[size:]
+	}
+}
+
+// LoadRow puts activations saved by SaveRow, under the same weights, back as
+// row r of the scratch, which must have been built for more than r rows. Once
+// rows 0..k-1 are loaded BackwardBatchInto over k rows finds what a forward
+// pass over those k inputs would have left.
+//
+//spear:noalloc
+func (n *Network) LoadRow(s *Scratch, r int, src []float64) error {
+	if r < 0 || r >= s.rows {
+		return errBatchCold(s.rows, r+1)
+	}
+	for l, size := range n.sizes[:len(n.sizes)-1] {
+		copy(s.acts[l][r*size:(r+1)*size], src[:size])
+		src = src[size:]
+	}
+	return nil
+}
+
 // BackwardBatchInto accumulates gradients for a whole batch given dLogits,
 // the row-major rows x OutputSize gradient of the loss with respect to the
 // logits (for policy-gradient / cross-entropy losses with softmax this is
-// (probs - onehot) * scale), and the activations of the scratch's most recent
-// ForwardBatchInto, which must have covered at least rows rows. Contributions
-// are accumulated in row order, so splitting the same rows over several calls
-// gives bit-identical gradients, while each weight row is streamed once per
-// batch instead of once per sample.
+// (probs - onehot) * scale), and the activations of the scratch's first rows
+// rows: those of its most recent ForwardBatchInto, which must have covered at
+// least that many, or ones put there by LoadRow. Contributions are accumulated
+// in row order, so splitting the same rows over several calls gives
+// bit-identical gradients, while each weight row is streamed once per batch
+// instead of once per sample. The first layer's weight gradient visits only a
+// sparse input row's non-zeros: a skipped term is a signed zero added to a
+// sum that began at +0 and so cannot be -0, which changes nothing as long as
+// the deltas are finite (the caveat of dot4).
 //
 //spear:noalloc
 func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *Grads) error {
@@ -343,6 +414,10 @@ func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *
 	}
 	if s.rows < rows {
 		return errBatchCold(s.rows, rows)
+	}
+	in0, half := n.sizes[0], n.sizes[0]/2
+	for r := 0; r < rows; r++ {
+		s.batchNnz[r] = int32(gatherNonZero(s.acts[0][r*in0:(r+1)*in0], s.nz[r*half:]))
 	}
 	delta := s.deltaA[:rows*out0]
 	spare := s.deltaB
@@ -362,9 +437,11 @@ func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *
 				}
 				g.b[l][j] += dj
 				ar := prev[r*in : r*in+in]
-				for i, pi := range ar {
-					grow[i] += dj * pi
+				var nz []int32 // nil: the row is dense
+				if k := s.batchNnz[r]; l == 0 && k >= 0 {
+					nz = s.nz[r*half:][:k]
 				}
+				axpy(grow, dj, ar, nz)
 			}
 		}
 		if l == 0 {
@@ -385,20 +462,17 @@ func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *
 				if dj == 0 { //spear:floateq
 					continue
 				}
-				nr := next[r*in : r*in+in]
-				for i := range nr {
-					nr[i] += dj * row[i]
-				}
+				axpy(next[r*in:r*in+in], dj, row, nil)
 			}
 		}
-		for r := 0; r < rows; r++ {
-			ar := prev[r*in : r*in+in]
-			nr := next[r*in : r*in+in]
-			for i := range nr {
-				if ar[i] <= 0 { // ReLU derivative
-					nr[i] = 0
-				}
+		// ReLU derivative, by the bit select of the forward kernel: whether a
+		// unit fired is as much a coin flip here as there.
+		for i, a := range prev[:rows*in] {
+			b := math.Float64bits(next[i])
+			if a <= 0 {
+				b = 0
 			}
+			next[i] = math.Float64frombits(b)
 		}
 		delta, spare = next, delta[:cap(delta)]
 	}

@@ -98,17 +98,21 @@ func (n *Network) NewGrads() *Grads {
 	return g
 }
 
-// Add merges other into g (for parallel workers).
-func (g *Grads) Add(other *Grads) {
+// Drain merges other into g and consumes it, as Apply consumes its batch:
+// other comes back zeroed, ready for a parallel worker's next share.
+func (g *Grads) Drain(other *Grads) {
 	for l := range g.w {
 		for i, v := range other.w[l] {
 			g.w[l][i] += v
+			other.w[l][i] = 0
 		}
 		for i, v := range other.b[l] {
 			g.b[l][i] += v
+			other.b[l][i] = 0
 		}
 	}
 	g.n += other.n
+	other.n = 0
 }
 
 // Samples returns how many samples were accumulated.

@@ -267,13 +267,17 @@ func TestGradsAddAndSamples(t *testing.T) {
 	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, g2); err != nil {
 		t.Fatal(err)
 	}
-	g1.Add(g2)
-	if g1.Samples() != 2 {
-		t.Errorf("Samples = %d, want 2", g1.Samples())
+	one := append([]float64(nil), g2.w[0]...)
+	g1.Drain(g2)
+	if g1.Samples() != 2 || g2.Samples() != 0 {
+		t.Errorf("Samples = %d and %d, want 2 and 0", g1.Samples(), g2.Samples())
 	}
 	for i := range g1.w[0] {
-		if math.Abs(g1.w[0][i]-2*g2.w[0][i]) > 1e-12 {
-			t.Errorf("Add did not double gradient at %d", i)
+		if math.Abs(g1.w[0][i]-2*one[i]) > 1e-12 {
+			t.Errorf("Drain did not double gradient at %d", i)
+		}
+		if g2.w[0][i] != 0 {
+			t.Errorf("Drain left %g at %d of its argument", g2.w[0][i], i)
 		}
 	}
 }

@@ -153,6 +153,11 @@ type TrainMetrics struct {
 	Steps *Counter
 	// GradUpdates counts optimizer steps.
 	GradUpdates *Counter
+	// PolicyCalls counts the policy evaluations the samplers asked for (one
+	// per step) and PolicyCacheHits those their memos answered; the rest ran
+	// the network.
+	PolicyCalls     *Counter
+	PolicyCacheHits *Counter
 	// GradNormSum accumulates the L2 norm of each applied mean gradient.
 	GradNormSum *FloatCounter
 	// BaselineSpreadSum accumulates, per example batch, the spread
@@ -182,6 +187,8 @@ func NewTrainMetrics(r *Registry) *TrainMetrics {
 		Trajectories:        r.Counter("spear_train_trajectories_total", "Sampled training episodes"),
 		Steps:               r.Counter("spear_train_steps_total", "Recorded decisions across all trajectories"),
 		GradUpdates:         r.Counter("spear_train_grad_updates_total", "Optimizer steps applied"),
+		PolicyCalls:         r.Counter("spear_train_policy_calls_total", "Policy evaluations asked for while sampling"),
+		PolicyCacheHits:     r.Counter("spear_train_policy_cache_hits_total", "Sampling policy evaluations answered from a sampler's memo"),
 		GradNormSum:         r.Float("spear_train_grad_norm_sum", "Accumulated L2 norms of applied mean gradients"),
 		BaselineSpreadSum:   r.Float("spear_train_baseline_spread_sum", "Accumulated rollout-baseline makespan spreads (max - min)"),
 		BaselineSpreadCount: r.Counter("spear_train_baseline_spread_batches_total", "Example batches contributing to the spread sum"),
@@ -314,10 +321,13 @@ func SanitizeMetricName(s string) string {
 
 // TrainStats is the Go-struct rendering of TrainMetrics.
 type TrainStats struct {
-	// Trajectories, Steps and GradUpdates mirror the counters.
-	Trajectories int64
-	Steps        int64
-	GradUpdates  int64
+	// Trajectories, Steps, GradUpdates, PolicyCalls and PolicyCacheHits
+	// mirror the counters.
+	Trajectories    int64
+	Steps           int64
+	GradUpdates     int64
+	PolicyCalls     int64
+	PolicyCacheHits int64
 	// MeanGradNorm is the mean L2 norm of the applied mean gradients.
 	MeanGradNorm float64
 	// MeanBaselineSpread is the mean per-batch makespan spread across the
@@ -334,14 +344,16 @@ type TrainStats struct {
 // Stats renders the bundle as a TrainStats value.
 func (m *TrainMetrics) Stats() TrainStats {
 	st := TrainStats{
-		Trajectories:  m.Trajectories.Load(),
-		Steps:         m.Steps.Load(),
-		GradUpdates:   m.GradUpdates.Load(),
-		SampleTime:    m.SampleTime.Total(),
-		BackpropTime:  m.BackpropTime.Total(),
-		ApplyTime:     m.ApplyTime.Total(),
-		PretrainTime:  m.PretrainTime.Total(),
-		ReinforceTime: m.ReinforceTime.Total(),
+		Trajectories:    m.Trajectories.Load(),
+		Steps:           m.Steps.Load(),
+		GradUpdates:     m.GradUpdates.Load(),
+		PolicyCalls:     m.PolicyCalls.Load(),
+		PolicyCacheHits: m.PolicyCacheHits.Load(),
+		SampleTime:      m.SampleTime.Total(),
+		BackpropTime:    m.BackpropTime.Total(),
+		ApplyTime:       m.ApplyTime.Total(),
+		PretrainTime:    m.PretrainTime.Total(),
+		ReinforceTime:   m.ReinforceTime.Total(),
 	}
 	if n := st.GradUpdates; n > 0 {
 		st.MeanGradNorm = m.GradNormSum.Load() / float64(n)
