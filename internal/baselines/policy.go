@@ -63,13 +63,35 @@ func (s *PolicyScheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Sche
 		return nil, fmt.Errorf("%s: %w", s.policy.Name(), err)
 	}
 	began := time.Now()
-	out, err := simenv.Run(e, s.policy, rand.New(rand.NewSource(s.seed)))
+	out, err := simenv.Run(e, s.policy, rand.New(&lazySource{seed: s.seed}))
 	if err != nil {
 		return nil, err
 	}
 	out.Elapsed = time.Since(began)
 	return out, nil
 }
+
+// lazySource is rand.NewSource(seed) seeded at the first draw instead of up
+// front: seeding fills a 607-word table, and Tetris, SJF and CP never draw.
+// It implements rand.Source64 as the wrapped source does, so every stream a
+// rand.Rand derives from it is the one it would derive from the source itself.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+var _ rand.Source64 = (*lazySource)(nil)
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // routedPolicy decorates a task-selection policy with a machine-selection
 // routing policy: the base policy picks an action, and when that action

@@ -294,14 +294,29 @@ func (s *Space) EarliestStart(from int64, demand resource.Vector, duration int64
 	start := max(from, s.origin)
 	// Everything at and beyond maxBusy is empty.
 	for start < s.MaxBusy() {
-		i := s.conflict(s.rows(start, duration), demand)
+		i := s.lastConflict(s.rows(start, duration), demand)
 		if i < 0 {
 			break
 		}
-		// Restart the window just past the conflicting slot.
+		// Every start up to the window's last conflicting slot still covers
+		// that slot, so restart just past it: a saturated stretch is crossed
+		// a whole duration at a time.
 		start += int64(i) + 1
 	}
 	return start, nil
+}
+
+// lastConflict is conflict read from the window's end: the index of the
+// last slot of rows that cannot take demand, -1 if every slot can.
+func (s *Space) lastConflict(rows []int64, demand resource.Vector) int {
+	for i := len(rows) - len(demand); i >= 0; i -= len(demand) {
+		for d, need := range demand {
+			if rows[i+d]+need > s.capacity[d] {
+				return i / len(demand)
+			}
+		}
+	}
+	return -1
 }
 
 // OccupancyImage returns the occupancy of the horizon slots starting at

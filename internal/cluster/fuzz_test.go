@@ -204,6 +204,12 @@ func FuzzSpaceOps(f *testing.F) {
 	// Place, clone onto a dirty destination, advance past the horizon, place
 	// again into the recycled grid, remove it.
 	f.Add([]byte{0, 2, 3, 3, 4, 3, 9, 0, 0, 0, 4, 5, 0, 0, 0, 0, 3, 6, 2, 3, 1, 3, 6, 2, 3})
+	// Saturated windows, which EarliestStart crosses from their last
+	// conflicting slot: twelve full slots probed with a five-slot task from
+	// before them; and, after an advance, two full stretches around a slot
+	// with room for the probe's demand but not for its two-slot duration.
+	f.Add([]byte{0, 4, 10, 7, 6, 0, 10, 10, 7, 6, 0, 2, 3, 2, 5})
+	f.Add([]byte{0, 4, 10, 7, 6, 0, 10, 8, 5, 1, 0, 11, 10, 7, 6, 2, 3, 0, 0, 0, 1, 2, 2, 2, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		capacity := resource.Of(10, 7)

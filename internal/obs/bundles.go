@@ -224,6 +224,10 @@ type ServeMetrics struct {
 	// Replans counts planning passes triggered by arrival or completion
 	// events (each pass may plan zero or more backlog jobs).
 	Replans *Counter
+	// PackProbes counts the earliest-start probes spent packing committed
+	// plans onto the timeline; per planned job it stays flat as the backlog
+	// grows.
+	PackProbes *Counter
 	// Backlog is the number of admitted jobs waiting to be planned.
 	Backlog *Gauge
 	// InFlight is the number of planned-but-unfinished jobs.
@@ -251,6 +255,7 @@ func NewServeMetrics(r *Registry) *ServeMetrics {
 		Planned:      r.Counter("spear_serve_planned_total", "Jobs whose schedule was committed onto the cluster timeline"),
 		Completed:    r.Counter("spear_serve_completed_total", "Jobs that finished all tasks"),
 		Replans:      r.Counter("spear_serve_replans_total", "Planning passes triggered by arrival/completion events"),
+		PackProbes:   r.Counter("spear_serve_pack_probes_total", "Earliest-start probes spent packing committed plans onto the timeline"),
 		Backlog:      r.Gauge("spear_serve_backlog_jobs", "Admitted jobs waiting to be planned"),
 		InFlight:     r.Gauge("spear_serve_inflight_jobs", "Planned-but-unfinished jobs"),
 		Clock:        r.Gauge("spear_serve_clock_slots", "Current simulated time in slots"),

@@ -14,11 +14,13 @@
 package serve
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"spear/internal/cluster"
@@ -139,6 +141,23 @@ func (q *eventQueue) Pop() any {
 	return ev
 }
 
+// edge is one end of a planned task's run: from time on, the plan's
+// aggregate demand on machine is up by the task's demand, or down again.
+// Sixteen bytes, because sorting them is most of what a sweep costs.
+type edge struct {
+	time    int64 // relative to the plan's offset
+	machine int32
+	task    int32 // the task that starts at time; ^task for one that ends there
+}
+
+// segment is a maximal run [start, end) of plan-relative slots over which the
+// plan's aggregate demand on one machine is constant and not zero.
+type segment struct {
+	machine    int
+	start, end int64
+	demand     resource.Vector
+}
+
 // classState is the per-class runtime state.
 type classState struct {
 	cfg       ClassConfig
@@ -193,6 +212,11 @@ type Server struct {
 	clock    int64
 	log      []LogEvent
 	ran      bool
+
+	// commit's scratch, reused from job to job.
+	edges    []edge
+	segments []segment
+	demands  []int64 // the sweep's running sum, then the segments' demand vectors
 }
 
 // New validates cfg, generates the job-template pool from the seed, and
@@ -315,24 +339,34 @@ func (s *Server) Run() (*RunLog, error) {
 		s.scheduleArrival(ci, 0)
 	}
 	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		s.clock = ev.time
-		s.met.Clock.Set(s.clock)
-		// Drop occupancy strictly before the clock: the grid stays
-		// proportional to the in-flight window, not the whole run.
-		s.space.Advance(s.clock)
-		switch ev.kind {
-		case kindCompletion:
-			s.complete(ev.job)
-		default:
-			s.arrive(ev.job)
-			s.scheduleArrival(ev.job.class, ev.time)
-		}
-		if err := s.plan(); err != nil {
+		if err := s.step(); err != nil {
 			return nil, err
 		}
 	}
 	return s.finish(), nil
+}
+
+// step moves the clock to the next event, handles it and plans the backlog.
+func (s *Server) step() error {
+	ev := heap.Pop(&s.events).(*event)
+	s.clock = ev.time
+	s.met.Clock.Set(s.clock)
+	// Drop the occupancy behind the clock once it is at least half of what
+	// the grid tracks: the grid stays within twice the in-flight window, and
+	// an Advance moves the whole grid, so doing it at every event would cost
+	// a backlog's worth of copying per event. Nothing is ever placed before
+	// the clock, so when the stale slots go changes no plan.
+	if origin := s.space.Origin(); s.clock-origin >= (s.space.MaxBusy()-origin)/2 {
+		s.space.Advance(s.clock)
+	}
+	switch ev.kind {
+	case kindCompletion:
+		s.complete(ev.job)
+	default:
+		s.arrive(ev.job)
+		s.scheduleArrival(ev.job.class, ev.time)
+	}
+	return s.plan()
 }
 
 // scheduleArrival draws the class's next arrival after time from and
@@ -392,6 +426,7 @@ func (s *Server) plan() error {
 	s.met.Replans.Inc()
 	for len(s.backlog) > 0 && (s.cfg.MaxInFlight == 0 || s.inflight < s.cfg.MaxInFlight) {
 		job := s.backlog[0]
+		s.backlog[0] = nil // the array outlives the pop; it must not keep the job alive
 		s.backlog = s.backlog[1:]
 		if err := s.planJob(job); err != nil {
 			return err
@@ -450,46 +485,91 @@ func (s *Server) planJob(job *activeJob) error {
 	return nil
 }
 
-// commit finds the earliest offset >= clock at which the whole plan fits
-// the occupancy grid and places it there. The scan is bounded: the grid is
-// empty at and after MaxBusy, where a Validate-checked plan always fits.
+// commit places the plan at the earliest offset >= clock at which all of it
+// fits the occupancy grid, and returns that offset. Validate has shown that
+// the plan alone stays within every machine's capacity, so the plan fits at
+// an offset exactly when each segment of its profile fits there on top of
+// what the grid holds. The offset is the fix-point of one rule: a segment
+// whose earliest start lies after offset+start moves the offset up to it,
+// which skips only offsets at which that segment collides; once every
+// segment has fitted since the last move, the offset is the minimal one. It
+// never passes MaxBusy, where the grid is empty and the plan fits.
 func (s *Server) commit(g *dag.Graph, plan *sched.Schedule) (int64, error) {
-	for t0 := s.clock; ; t0++ {
-		ok, err := s.tryPlace(g, plan, t0)
+	segs := s.profile(g, plan)
+	t0, probes := s.clock, int64(0)
+	for i, fitted := 0, 0; fitted < len(segs); i = (i + 1) % len(segs) {
+		seg := segs[i]
+		e, err := s.space.EarliestStart(seg.machine, t0+seg.start, seg.demand, seg.end-seg.start)
 		if err != nil {
 			return 0, err
 		}
-		if ok {
-			return t0, nil
-		}
-		if t0 >= s.space.MaxBusy() {
-			return 0, fmt.Errorf("validated plan does not fit the empty cluster at %d", t0)
+		probes++
+		fitted++
+		if e > t0+seg.start {
+			t0, fitted = e-seg.start, 1 // this segment fits at e; the others are open again
 		}
 	}
-}
-
-// tryPlace tentatively places every task of the plan at offset t0, each on
-// the machine its placement names, rolling the placements back if any task
-// does not fit. Placing task by task (rather than FitsAt checks alone)
-// accounts for the plan's tasks overlapping each other as well as the
-// existing occupancy; the FitsAt probe in front of each Place only spares a
-// missed offset the error Place would format.
-func (s *Server) tryPlace(g *dag.Graph, plan *sched.Schedule, t0 int64) (bool, error) {
+	s.met.PackProbes.Add(probes)
 	for i, p := range plan.Placements {
 		task := g.Task(p.Task)
-		if s.space.FitsAt(p.Machine, t0+p.Start, task.Demand, task.Runtime) &&
-			s.space.Place(p.Machine, t0+p.Start, task.Demand, task.Runtime) == nil {
+		err := s.space.Place(p.Machine, t0+p.Start, task.Demand, task.Runtime)
+		if err == nil {
 			continue
 		}
 		for _, q := range plan.Placements[:i] {
 			tq := g.Task(q.Task)
-			if err := s.space.Remove(q.Machine, t0+q.Start, tq.Demand, tq.Runtime); err != nil {
-				return false, fmt.Errorf("rollback at offset %d: %w", t0, err)
-			}
+			err = errors.Join(err, s.space.Remove(q.Machine, t0+q.Start, tq.Demand, tq.Runtime))
 		}
-		return false, nil
+		return 0, fmt.Errorf("the plan's profile fits at offset %d, task %d does not: %w", t0, p.Task, err)
 	}
-	return true, nil
+	return t0, nil
+}
+
+// profile sweeps the plan's placements into its segments, ordered by machine
+// and start. The result lives in the server's scratch until the next call.
+func (s *Server) profile(g *dag.Graph, plan *sched.Schedule) []segment {
+	s.edges = s.edges[:0]
+	for _, p := range plan.Placements {
+		task := g.Task(p.Task)
+		s.edges = append(s.edges,
+			edge{p.Start, int32(p.Machine), int32(p.Task)},
+			edge{p.Start + task.Runtime, int32(p.Machine), ^int32(p.Task)})
+	}
+	slices.SortFunc(s.edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.machine, b.machine), cmp.Compare(a.time, b.time))
+	})
+	// The first dims words are the running sum; a segment's demand is a copy
+	// of it appended behind. At most one segment opens per edge, and sized
+	// for that up front the array never moves under the vectors cut from it.
+	dims := s.space.Dims()
+	s.demands = slices.Grow(s.demands[:0], (len(s.edges)+1)*dims)[:dims]
+	sum := resource.Vector(s.demands)
+	clear(sum)
+	s.segments = s.segments[:0]
+	for i, e := range s.edges {
+		task, sign := e.task, int64(1)
+		if task < 0 {
+			task, sign = ^task, -1
+		}
+		for d, need := range g.Task(dag.TaskID(task)).Demand {
+			sum[d] += sign * need
+		}
+		if i+1 == len(s.edges) || s.edges[i+1].machine != e.machine {
+			continue // the machine's last task has ended: sum is zero again
+		}
+		next := s.edges[i+1].time
+		if next == e.time || sum.IsZero() {
+			continue
+		}
+		if n := len(s.segments); n > 0 && s.segments[n-1].machine == int(e.machine) &&
+			s.segments[n-1].end == e.time && s.segments[n-1].demand.Equal(sum) {
+			s.segments[n-1].end = next // one task ended where its like began
+			continue
+		}
+		s.demands = append(s.demands, sum...)
+		s.segments = append(s.segments, segment{int(e.machine), e.time, next, s.demands[len(s.demands)-dims:]})
+	}
+	return s.segments
 }
 
 // complete retires one finished job and updates the SLO metrics.
