@@ -7,6 +7,7 @@ import (
 	"spear/internal/cluster"
 	"spear/internal/resource"
 	"spear/internal/sched"
+	"spear/internal/workload"
 )
 
 func BenchmarkBaselines100Tasks(b *testing.B) {
@@ -26,5 +27,32 @@ func BenchmarkBaselines100Tasks(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCPSchedule_m4 is what one serve planning call costs: a warm CP
+// scheduler on a MapReduce-trace job (long tasks, two wide stages) and four
+// machines.
+func BenchmarkCPSchedule_m4(b *testing.B) {
+	cfg := workload.DefaultTraceConfig()
+	trace, err := workload.GenerateTrace(rand.New(rand.NewSource(7)), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := trace.Jobs[0].Graph(cfg.Dims)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := cluster.Uniform(4, cfg.CapacityVector())
+	s := NewCPScheduler()
+	if _, err := s.Schedule(g, spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Schedule(g, spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,18 +20,16 @@ func (CP) Name() string { return "CP" }
 
 // Choose implements simenv.Policy.
 func (CP) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Action, error) {
-	visible := e.VisibleReady()
 	g := e.Graph()
 	return pickBest(legal, func(a, b simenv.Action) bool {
-		ba, bb := g.BLevel(visible[a.Slot()]), g.BLevel(visible[b.Slot()])
-		if ba != bb {
+		ta, tb := e.VisibleTask(a.Slot()), e.VisibleTask(b.Slot())
+		if ba, bb := g.BLevel(ta), g.BLevel(tb); ba != bb {
 			return ba > bb
 		}
-		ca, cb := g.NumChildren(visible[a.Slot()]), g.NumChildren(visible[b.Slot()])
-		if ca != cb {
+		if ca, cb := g.NumChildren(ta), g.NumChildren(tb); ca != cb {
 			return ca > cb
 		}
-		return visible[a.Slot()] < visible[b.Slot()]
+		return ta < tb
 	}), nil
 }
 

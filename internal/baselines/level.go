@@ -22,7 +22,6 @@ func (LevelByLevel) Name() string { return "LevelByLevel" }
 
 // Choose implements simenv.Policy.
 func (LevelByLevel) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Action, error) {
-	visible := e.VisibleReady()
 	g := e.Graph()
 	levels := g.Levels()
 
@@ -40,10 +39,12 @@ func (LevelByLevel) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (
 		}
 	}
 
-	candidates := scheduleActions(legal)
 	best := simenv.Process
-	for _, a := range candidates {
-		id := visible[a.Slot()]
+	for _, a := range legal {
+		if a == simenv.Process {
+			continue
+		}
+		id := e.VisibleTask(a.Slot())
 		if levels[id] != minLevel {
 			continue
 		}
@@ -51,7 +52,7 @@ func (LevelByLevel) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (
 			best = a
 			continue
 		}
-		ra, rb := g.Task(id).Runtime, g.Task(visible[best.Slot()]).Runtime
+		ra, rb := g.Task(id).Runtime, g.Task(e.VisibleTask(best.Slot())).Runtime
 		if ra > rb {
 			best = a
 		}

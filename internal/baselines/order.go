@@ -47,8 +47,7 @@ func (p *OrderPolicy) Name() string { return p.name }
 
 // Choose implements simenv.Policy.
 func (p *OrderPolicy) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Action, error) {
-	visible := e.VisibleReady()
 	return pickBest(legal, func(a, b simenv.Action) bool {
-		return p.rank[visible[a.Slot()]] < p.rank[visible[b.Slot()]]
+		return p.rank[e.VisibleTask(a.Slot())] < p.rank[e.VisibleTask(b.Slot())]
 	}), nil
 }

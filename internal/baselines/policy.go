@@ -22,12 +22,19 @@ import (
 	"spear/internal/simenv"
 )
 
-// PolicyScheduler adapts a simenv.Policy into a sched.Scheduler by running
-// a fresh episode per job.
+// PolicyScheduler adapts a simenv.Policy into a sched.Scheduler by playing
+// one episode per job. The episode, the rollout context and the random
+// source are the scheduler's own and are reset per job, so a warm scheduler
+// allocates only the schedule it returns; like every sched.Scheduler it is
+// not safe for concurrent use.
 type PolicyScheduler struct {
 	policy simenv.Policy
 	cfg    simenv.Config
 	seed   int64
+
+	env simenv.Env
+	rc  *simenv.RolloutContext // for policy; nil until the first job and after WithRouting
+	rng *rand.Rand             // over a lazySource, re-seeded per job
 }
 
 var _ sched.Scheduler = (*PolicyScheduler)(nil)
@@ -35,7 +42,7 @@ var _ sched.Scheduler = (*PolicyScheduler)(nil)
 // newPolicyScheduler wraps the policy as a full scheduler. The seed feeds
 // the policy's random source; deterministic policies ignore it.
 func newPolicyScheduler(p simenv.Policy, cfg simenv.Config, seed int64) *PolicyScheduler {
-	return &PolicyScheduler{policy: p, cfg: cfg, seed: seed}
+	return &PolicyScheduler{policy: p, cfg: cfg, seed: seed, rng: rand.New(&lazySource{seed: seed})}
 }
 
 // Name implements sched.Scheduler.
@@ -53,17 +60,25 @@ func (s *PolicyScheduler) WithRouting(r cluster.RoutingPolicy) *PolicyScheduler 
 	if r != nil {
 		s.policy = &routedPolicy{policy: s.policy, route: r}
 	}
+	s.rc = nil
 	return s
 }
 
 // Schedule implements sched.Scheduler.
 func (s *PolicyScheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
-	e, err := simenv.NewCluster(g, spec, s.cfg)
+	e, err := s.env.Reset(g, spec, s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.policy.Name(), err)
 	}
+	if s.rc == nil {
+		s.rc = simenv.NewRolloutContext(s.policy)
+	}
+	s.rng.Seed(s.seed) // every job draws from the start of the same stream
 	began := time.Now()
-	out, err := simenv.Run(e, s.policy, rand.New(&lazySource{seed: s.seed}))
+	if _, err := s.rc.Rollout(e, s.rng); err != nil {
+		return nil, fmt.Errorf("policy %s: %w", s.policy.Name(), err)
+	}
+	out, err := e.Schedule(s.policy.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -137,30 +152,19 @@ func (p *routedPolicy) Choose(e *simenv.Env, legal []simenv.Action, rng *rand.Ra
 	return a, nil
 }
 
-// scheduleActions filters legal down to task-scheduling actions (everything
-// but Process), preserving order.
-func scheduleActions(legal []simenv.Action) []simenv.Action {
-	out := make([]simenv.Action, 0, len(legal))
-	for _, a := range legal {
-		if a != simenv.Process {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+// availBuf is stack room for a free-capacity vector (Env.AvailableNowInto):
+// the paper's clusters have two resource dimensions, and a spec with more
+// than eight only costs the packing policies an allocation per decision.
+type availBuf [8]int64
 
 // pickBest returns the schedule action maximizing better, or Process when no
 // task fits. better(a, b) reports whether a is strictly preferable to b;
 // ties fall to the earlier action (lower visible index), keeping policies
 // deterministic.
 func pickBest(legal []simenv.Action, better func(a, b simenv.Action) bool) simenv.Action {
-	candidates := scheduleActions(legal)
-	if len(candidates) == 0 {
-		return simenv.Process
-	}
-	best := candidates[0]
-	for _, a := range candidates[1:] {
-		if better(a, best) {
+	best := simenv.Process
+	for _, a := range legal {
+		if a != simenv.Process && (best == simenv.Process || better(a, best)) {
 			best = a
 		}
 	}

@@ -18,14 +18,13 @@ func (SJF) Name() string { return "SJF" }
 
 // Choose implements simenv.Policy.
 func (SJF) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Action, error) {
-	visible := e.VisibleReady()
+	g := e.Graph()
 	return pickBest(legal, func(a, b simenv.Action) bool {
-		ra := e.Graph().Task(visible[a.Slot()]).Runtime
-		rb := e.Graph().Task(visible[b.Slot()]).Runtime
-		if ra != rb {
+		ta, tb := e.VisibleTask(a.Slot()), e.VisibleTask(b.Slot())
+		if ra, rb := g.Task(ta).Runtime, g.Task(tb).Runtime; ra != rb {
 			return ra < rb
 		}
-		return visible[a.Slot()] < visible[b.Slot()]
+		return ta < tb
 	}), nil
 }
 

@@ -20,10 +20,10 @@ func (Tetris) Name() string { return "Tetris" }
 
 // Choose implements simenv.Policy.
 func (Tetris) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Action, error) {
-	visible := e.VisibleReady()
-	avail := e.AvailableNow()
+	var buf availBuf
+	avail := e.AvailableNowInto(buf[:0])
 	score := func(a simenv.Action) int64 {
-		task := e.Graph().Task(visible[a.Slot()])
+		task := e.Graph().Task(e.VisibleTask(a.Slot()))
 		// Demands and availability are validated to share dimensions.
 		s, _ := task.Demand.Dot(avail) //spear:ignoreerr(alignment and demand dimensions agree by construction)
 		return s
@@ -35,8 +35,8 @@ func (Tetris) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv
 		}
 		// Tie-break on longer runtime (pack big rocks first), then keep the
 		// earlier action.
-		ra := e.Graph().Task(visible[a.Slot()]).Runtime
-		rb := e.Graph().Task(visible[b.Slot()]).Runtime
+		ra := e.Graph().Task(e.VisibleTask(a.Slot())).Runtime
+		rb := e.Graph().Task(e.VisibleTask(b.Slot())).Runtime
 		return ra > rb
 	}), nil
 }

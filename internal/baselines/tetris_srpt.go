@@ -25,8 +25,8 @@ func (TetrisSRPT) Name() string { return "Tetris+SRPT" }
 
 // Choose implements simenv.Policy.
 func (p TetrisSRPT) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Action, error) {
-	visible := e.VisibleReady()
-	avail := e.AvailableNow()
+	var buf availBuf
+	avail := e.AvailableNowInto(buf[:0])
 	g := e.Graph()
 
 	// Normalize both terms to comparable ranges: alignment by the maximum
@@ -38,7 +38,7 @@ func (p TetrisSRPT) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (
 	maxRT := float64(g.MaxRuntime())
 
 	score := func(a simenv.Action) float64 {
-		task := g.Task(visible[a.Slot()])
+		task := g.Task(e.VisibleTask(a.Slot()))
 		dot, _ := task.Demand.Dot(avail) //spear:ignoreerr(alignment and demand dimensions agree by construction)
 		align := float64(dot) / maxAlign
 		srpt := 1 - float64(task.Runtime)/maxRT // shorter is better

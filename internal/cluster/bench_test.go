@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"spear/internal/resource"
@@ -64,6 +65,37 @@ func BenchmarkFitsAt(b *testing.B) {
 		s.FitsAt(int64(i%110), demand, 15)
 	}
 }
+
+// benchFitsAt probes a grid kept busy for 300 slots by forty placements in
+// start order, the last of them at slot 39, with a task that fits: a probe
+// that scans has to read all of the task's rows.
+func benchFitsAt(b *testing.B, start int64) {
+	s := benchSpace(b)
+	for t := int64(0); t < 40; t++ {
+		if err := s.Place(t, resource.Of(20, 20), 300); err != nil {
+			b.Fatal(err)
+		}
+	}
+	demand := resource.Of(100, 100)
+	for _, duration := range []int64{1, 20, 200} {
+		b.Run(fmt.Sprintf("slots=%d", duration), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !s.FitsAt(start, demand, duration) {
+					b.Fatal("the probe must fit")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFitsAtSorted probes at the latest start, as an episode and
+// Validate do: one row answers, so the cost must not grow with the duration.
+func BenchmarkFitsAtSorted(b *testing.B) { benchFitsAt(b, 39) }
+
+// BenchmarkFitsAtUnsorted probes one slot before the latest start, as serve
+// does when it packs a plan into the shared grid: the full scan.
+func BenchmarkFitsAtUnsorted(b *testing.B) { benchFitsAt(b, 38) }
 
 func BenchmarkEarliestStart(b *testing.B) {
 	s := benchSpace(b)

@@ -27,12 +27,31 @@ var (
 // per slot, that grows on demand as placements extend into the future.
 // Rollouts clone one Space per episode, so the layout is padding-checked.
 //
+// Monotone tail. front is the latest start of any placement, in whatever
+// order placements arrived. Until a Remove succeeds, occupancy is
+// non-increasing on [front, ∞), so a task fits at start >= front iff it fits
+// the single row at start:
+//
+//  1. nothing was removed, so occupancy(t) is the sum of the placements'
+//     demands over those with start <= t < end;
+//  2. no placement starts after front, so for t >= front the condition is
+//     just t < end, which only turns false as t grows;
+//  3. a sum of non-increasing terms is non-increasing, so the row at start
+//     is the fullest of [start, start+duration).
+//
+// An episode (simenv.Env) places at its clock, which never runs backwards,
+// and sched.Validate replays placements sorted by start, so every probe of
+// theirs is at or past front and reads one row. serve packs whole plans at
+// the earliest offset that fits, mostly before front, and those probes scan
+// the full duration; so does every probe once a Remove has carved a hole.
+//
 //spear:packed
 type Space struct {
 	capacity resource.Vector
 	origin   int64
 	used     []int64 // used[i*dims+d] = occupancy of dimension d at time origin+i
 	maxBusy  int64   // absolute time after which the space is empty
+	front    int64   // latest start of any placement
 
 	// Optional instrumentation (nil = off): slotReuse counts grid slots
 	// opened inside the array's spare capacity, slotGrow those that made it
@@ -40,6 +59,8 @@ type Space struct {
 	// episode, and are added to once per growth, not once per slot.
 	slotReuse *obs.Counter
 	slotGrow  *obs.Counter
+
+	removed bool // a Remove succeeded: occupancy may rise again past front
 }
 
 // NewSpace returns an empty Space with the given capacity.
@@ -88,10 +109,19 @@ func (s *Space) CloneInto(dst *Space) *Space {
 	dst.capacity = append(dst.capacity[:0], s.capacity...)
 	dst.origin = s.origin
 	dst.maxBusy = s.maxBusy
+	dst.front = s.front
+	dst.removed = s.removed
 	dst.slotReuse = s.slotReuse
 	dst.slotGrow = s.slotGrow
 	dst.used = append(dst.used[:0], s.used...)
 	return dst
+}
+
+// Reset empties the space and rewinds its clock to 0, keeping the capacity,
+// the instrumentation and the grid's storage.
+func (s *Space) Reset() {
+	s.origin, s.maxBusy, s.front, s.removed = 0, 0, 0, false
+	s.used = s.used[:0]
 }
 
 // CapacityDim returns the capacity of one dimension without copying the
@@ -183,6 +213,9 @@ func (s *Space) FitsAt(start int64, demand resource.Vector, duration int64) bool
 	if !demand.FitsWithin(s.capacity) {
 		return false
 	}
+	if !s.removed && start >= s.front {
+		duration = 1 // occupancy only falls from front on: the first row decides
+	}
 	// Untouched future slots are empty, so only tracked rows can conflict.
 	return s.conflict(s.rows(start, duration), demand) < 0
 }
@@ -243,6 +276,7 @@ func (s *Space) Place(start int64, demand resource.Vector, duration int64) error
 		}
 	}
 	s.maxBusy = max(s.maxBusy, end)
+	s.front = max(s.front, start)
 	return nil
 }
 
@@ -275,6 +309,7 @@ func (s *Space) Remove(start int64, demand resource.Vector, duration int64) erro
 			rows[i+d] -= need
 		}
 	}
+	s.removed = true
 	return nil
 }
 

@@ -15,6 +15,10 @@ type spaceModel struct {
 	origin   int64
 	maxBusy  int64
 	used     map[int64]resource.Vector
+	// What decides how much of a task FitsAt reads, from its contract: the
+	// latest start, and whether anything was ever removed.
+	front   int64
+	removed bool
 }
 
 func newSpaceModel(capacity resource.Vector) *spaceModel {
@@ -68,6 +72,7 @@ func (m *spaceModel) Place(start int64, demand resource.Vector, duration int64) 
 		m.used[t], _ = m.UsedAt(t).Add(demand)
 	}
 	m.maxBusy = max(m.maxBusy, start+duration)
+	m.front = max(m.front, start)
 	return nil
 }
 
@@ -85,6 +90,7 @@ func (m *spaceModel) Remove(start int64, demand resource.Vector, duration int64)
 	for t := start; t < start+duration; t++ {
 		m.used[t], _ = m.UsedAt(t).Sub(demand)
 	}
+	m.removed = true
 	return nil
 }
 
@@ -119,16 +125,28 @@ func (m *spaceModel) Advance(to int64) {
 // fuzzOp is one decoded operation of the byte stream both targets consume.
 // start is relative to the origin when the op is decoded, from two slots
 // before it, so that advancing never moves the grid out of the ops' reach.
+// An op with ahead >= 0 is a place in start order, whose start inOrder sets.
 type fuzzOp struct {
 	kind, machine int
-	start         int64
+	start, ahead  int64
 	demand        resource.Vector
 	duration      int64
 }
 
+// inOrder gives a place-in-start-order op its start: ahead slots past the
+// latest start s has seen (or past the origin, once that has overtaken it).
+// Starts drawn from 32 slots at random leave sorted runs two or three
+// placements long; these ops make them as long as the stream likes.
+func (op *fuzzOp) inOrder(s *Space) {
+	if op.ahead >= 0 {
+		op.start = max(s.front, s.origin) + op.ahead
+	}
+}
+
 // nextOp decodes the five bytes at data[pos:] (missing bytes read as zero).
 // One demand in sixteen has the wrong number of dimensions, and durations
-// run from 0, so every argument error is reachable.
+// run from 0, so every argument error is reachable. A first byte of 128 and
+// up is a place (kind 0) in start order, b[1]%4 slots ahead.
 func nextOp(data []byte, pos, kinds int, origin int64) fuzzOp {
 	var b [5]byte
 	copy(b[:], data[pos:])
@@ -136,11 +154,15 @@ func nextOp(data []byte, pos, kinds int, origin int64) fuzzOp {
 		kind:     int(b[0]) % kinds,
 		machine:  int(b[0]) / kinds % 4, // 3 is out of range for the Multi target
 		start:    origin - 2 + int64(b[1]%32),
+		ahead:    -1,
 		demand:   resource.Of(int64(b[2]%13), int64(b[3]%13)),
 		duration: int64(b[4] % 7),
 	}
 	if b[2]>>4 == 15 {
 		op.demand = op.demand[:1]
+	}
+	if b[0] >= 128 {
+		op.kind, op.ahead = 0, int64(b[1]%4)
 	}
 	return op
 }
@@ -160,6 +182,9 @@ func compareSpace(t *testing.T, s *Space, m *spaceModel, op fuzzOp) {
 	t.Helper()
 	if s.Origin() != m.origin || s.MaxBusy() != m.MaxBusy() {
 		t.Fatalf("origin %d maxBusy %d, model %d %d", s.Origin(), s.MaxBusy(), m.origin, m.MaxBusy())
+	}
+	if s.front != m.front || s.removed != m.removed {
+		t.Fatalf("front %d removed %v, model %d %v", s.front, s.removed, m.front, m.removed)
 	}
 	for tm := m.origin - 2; tm < m.origin+48; tm++ {
 		got, want := s.UsedAt(tm), m.UsedAt(tm)
@@ -194,6 +219,37 @@ func dirtySpace(t *testing.T, n int64) *Space {
 	return dst
 }
 
+// startOrderSeed is a stream that stays on FitsAt's one-row answer for as
+// long as it can: twelve six-slot placements in start order (first byte
+// place, from 128 up), crossed by an advance into the run and a clone onto a
+// dirty destination; a remove that underflows and a place before the front,
+// neither of which may turn the one-row answer off for the two in-order
+// places after them; then a remove that leaves row 14 emptier than row 15,
+// and an in-order place that fits the first but not the second. kinds is the
+// target's number of op kinds; machine is where a Multi target plays it.
+func startOrderSeed(kinds, machine int) []byte {
+	op := func(kind int) byte { return byte(kind + kinds*machine) }
+	place := byte(128 + kinds*machine) // 128/4 is a multiple of 4: the Multi target reads machine back
+	var data []byte
+	for i, ahead := range []byte{1, 0, 1, 2, 1, 0, 3, 1, 1, 0, 2, 1} {
+		data = append(data, place, ahead, 1, 1, 6)
+		switch i {
+		case 5:
+			data = append(data, op(2), 5, 0, 0, 0) // advance to origin+3
+		case 8:
+			data = append(data, op(3), 0, 0, 0, 4) // clone
+		}
+	}
+	return append(data,
+		op(1), 3, 12, 1, 3, // more than the rows hold: fails
+		op(0), 3, 1, 1, 2, // before the front, fits
+		place, 1, 2, 1, 5,
+		place, 0, 1, 1, 4, // row 14 now holds (8, 7), row 15 (7, 6)
+		op(1), 13, 2, 2, 1, // row 14 down to (6, 5)
+		place, 0, 1, 2, 2, // (1, 2) at 14: fits row 14, not row 15
+	)
+}
+
 // FuzzSpaceOps drives a Space and the map-backed model with one stream of
 // place / remove / advance / clone operations and compares, after every
 // one, the error class it returned and everything the Space can be asked.
@@ -210,6 +266,7 @@ func FuzzSpaceOps(f *testing.F) {
 	// with room for the probe's demand but not for its two-slot duration.
 	f.Add([]byte{0, 4, 10, 7, 6, 0, 10, 10, 7, 6, 0, 2, 3, 2, 5})
 	f.Add([]byte{0, 4, 10, 7, 6, 0, 10, 8, 5, 1, 0, 11, 10, 7, 6, 2, 3, 0, 0, 0, 1, 2, 2, 2, 2})
+	f.Add(startOrderSeed(5, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		capacity := resource.Of(10, 7)
@@ -220,6 +277,7 @@ func FuzzSpaceOps(f *testing.F) {
 		m := newSpaceModel(capacity)
 		for pos := 0; pos < len(data); pos += 5 {
 			op := nextOp(data, pos, 5, s.Origin())
+			op.inOrder(s)
 			switch op.kind {
 			case 0:
 				got, want := s.Place(op.start, op.demand, op.duration), m.Place(op.start, op.demand, op.duration)
@@ -260,6 +318,8 @@ func FuzzMultiOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 2, 5, 1, 2, 3, 2, 10, 0, 6, 6, 3, 3, 4, 0, 0, 0})
 	f.Add([]byte{15, 0, 1, 1, 1, 1, 0, 1, 1, 1, 2, 40, 0, 0, 0})
 	f.Add([]byte{})
+	// The start-order stream on machine 0, then on machine 1 of the result.
+	f.Add(append(startOrderSeed(4, 0), startOrderSeed(4, 1)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := Spec{
@@ -278,6 +338,9 @@ func FuzzMultiOps(f *testing.F) {
 		for pos := 0; pos < len(data); pos += 5 {
 			op := nextOp(data, pos, 4, mu.Origin())
 			inRange := op.machine < len(models)
+			if inRange {
+				op.inOrder(mu.Machine(op.machine))
+			}
 			switch op.kind {
 			case 0, 1:
 				call, modelCall := mu.Place, (*spaceModel).Place

@@ -67,6 +67,13 @@ func (m *Multi) Instrument(slotReuse, slotGrow *obs.Counter) {
 	}
 }
 
+// Reset empties every machine's grid and rewinds the shared clock to 0.
+func (m *Multi) Reset() {
+	for _, sp := range m.spaces {
+		sp.Reset()
+	}
+}
+
 // Clone returns a deep copy of the multi-space.
 func (m *Multi) Clone() *Multi { return m.CloneInto(nil) }
 
@@ -238,14 +245,20 @@ func (m *Multi) Eligible(demand resource.Vector, buf []int) []int {
 // AvailableAt returns the aggregate free capacity across machines at
 // absolute time t. For a one-machine cluster it equals the machine's own
 // AvailableAt.
-func (m *Multi) AvailableAt(t int64) resource.Vector {
-	avail := m.total.Clone()
+func (m *Multi) AvailableAt(t int64) resource.Vector { return m.AvailableAtInto(t, nil) }
+
+// AvailableAtInto appends the aggregate free capacity at absolute time t to
+// buf (typically buf[:0]) and returns the extended slice — the
+// allocation-free variant of AvailableAt.
+func (m *Multi) AvailableAtInto(t int64, buf resource.Vector) resource.Vector {
+	n := len(buf)
+	buf = append(buf, m.total...)
 	for _, sp := range m.spaces {
 		for d, u := range sp.row(t) {
-			avail[d] -= u
+			buf[n+d] -= u
 		}
 	}
-	return avail
+	return buf
 }
 
 // FillOccupancy writes the aggregate normalized occupancy of horizon slots

@@ -100,6 +100,20 @@ func (s Spec) Fits(demand resource.Vector) bool {
 	return false
 }
 
+// Equal reports whether o describes the same cluster: the same machines, by
+// name and capacity, in the same order.
+func (s Spec) Equal(o Spec) bool {
+	if len(s) != len(o) {
+		return false
+	}
+	for i, m := range s {
+		if m.Name != o[i].Name || !m.Capacity.Equal(o[i].Capacity) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a deep copy of the spec.
 func (s Spec) Clone() Spec {
 	out := make(Spec, len(s))

@@ -200,7 +200,6 @@ func (st *searchState) dfs(e *simenv.Env, minTaskID dag.TaskID) bool {
 		return true // pruned: cannot improve on the incumbent
 	}
 
-	visible := e.VisibleReady()
 	exhausted := true
 	for _, a := range e.LegalActions() {
 		if st.cancelled {
@@ -208,7 +207,7 @@ func (st *searchState) dfs(e *simenv.Env, minTaskID dag.TaskID) bool {
 		}
 		var nextMin dag.TaskID
 		if a != simenv.Process {
-			id := visible[a.Slot()]
+			id := e.VisibleTask(a.Slot())
 			if id <= minTaskID {
 				continue // symmetric permutation already covered
 			}

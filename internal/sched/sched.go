@@ -188,7 +188,9 @@ func Validate(g *dag.Graph, spec cluster.Spec, s *Schedule) error {
 	if err != nil {
 		return err
 	}
-	// Place in start order for stable error messages.
+	// Place in start order, for stable error messages and because a grid
+	// only ever asked about its latest start decides each fit from one row
+	// instead of the task's whole duration (see cluster.Space).
 	order := make([]dag.TaskID, n)
 	for i := range order {
 		order[i] = dag.TaskID(i)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"spear/internal/cluster"
@@ -93,8 +94,8 @@ const (
 )
 
 // Env is one in-progress scheduling episode over a single job DAG. Clone it
-// to branch the episode (tree search); the zero value is not usable — use
-// New.
+// to branch the episode (tree search); the zero value is not usable until
+// Reset — use New or NewCluster.
 type Env struct {
 	g     *dag.Graph
 	space *cluster.Multi
@@ -205,53 +206,66 @@ func New(g *dag.Graph, capacity resource.Vector, cfg Config) (*Env, error) {
 // described by spec. It fails with ErrInfeasible if some task fits on no
 // machine of the spec.
 func NewCluster(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
+	return new(Env).Reset(g, spec, cfg)
+}
+
+// Reset turns e into a fresh episode for scheduling g on spec, as NewCluster
+// builds one, reusing e's storage: every slice, and the cluster grids too
+// when spec equals the one e was last reset on. Whatever episode e held,
+// finished or not, is gone. A scheduler that plans job after job keeps one
+// Env and resets it per job. On error e is left as it was. Returns e.
+func (e *Env) Reset(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
 	if cfg.Window < 0 {
 		return nil, fmt.Errorf("simenv: negative window %d", cfg.Window)
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = NextCompletion
 	}
-	space, err := cluster.NewMulti(spec)
-	if err != nil {
-		return nil, err
-	}
-	if len(spec) == 1 {
-		if !g.MaxDemand().FitsWithin(spec[0].Capacity) {
-			return nil, fmt.Errorf("%w: max demand %v, capacity %v", ErrInfeasible, g.MaxDemand(), spec[0].Capacity)
+	space := e.space
+	if space == nil || !space.Spec().Equal(spec) {
+		// A private copy, so that the comparison above never reads a spec
+		// the caller has since changed.
+		var err error
+		if space, err = cluster.NewMulti(spec.Clone()); err != nil {
+			return nil, err
 		}
-	} else {
-		for id := 0; id < g.NumTasks(); id++ {
-			if d := g.Task(dag.TaskID(id)).Demand; !spec.Fits(d) {
-				return nil, fmt.Errorf("%w: task %d demand %v fits no machine", ErrInfeasible, id, d)
+	}
+	n := g.NumTasks()
+	for id := 0; id < n; id++ {
+		if d := g.Task(dag.TaskID(id)).Demand; !spec.Fits(d) {
+			if len(spec) == 1 {
+				return nil, fmt.Errorf("%w: max demand %v, capacity %v", ErrInfeasible, g.MaxDemand(), spec[0].Capacity)
 			}
+			return nil, fmt.Errorf("%w: task %d demand %v fits no machine", ErrInfeasible, id, d)
 		}
 	}
+	space.Reset()
 	if m := cfg.Metrics; m != nil {
 		space.Instrument(m.SlotReuse, m.SlotGrow)
+	} else {
+		space.Instrument(nil, nil)
 	}
 
-	n := g.NumTasks()
-	e := &Env{
-		g:              g,
-		space:          space,
-		cfg:            cfg,
-		status:         make([]status, n),
-		missingParents: make([]int32, n),
-		start:          make([]int64, n),
-		finish:         make([]int64, n),
-		machine:        make([]int32, n),
-		running:        make([]dag.TaskID, 0, n),
-	}
+	e.g, e.space, e.cfg = g, space, cfg
+	e.now, e.lastFinish, e.done, e.processSteps = 0, 0, 0, 0
+	e.placed, e.advanced = 0, 0
+	e.status = slices.Grow(e.status[:0], n)[:n]
+	e.missingParents = slices.Grow(e.missingParents[:0], n)[:n]
+	e.start = slices.Grow(e.start[:0], n)[:n]
+	e.finish = slices.Grow(e.finish[:0], n)[:n]
+	e.machine = slices.Grow(e.machine[:0], n)[:n]
+	e.running = slices.Grow(e.running[:0], n)
+	e.ready = e.ready[:0]
 	for id := 0; id < n; id++ {
 		e.status[id] = statusPending
 		e.missingParents[id] = int32(len(g.Pred(dag.TaskID(id))))
 		e.start[id] = -1
 		e.finish[id] = -1
 		e.machine[id] = -1
-	}
-	for _, id := range g.Entries() {
-		e.status[id] = statusReady
-		e.ready = append(e.ready, id)
+		if e.missingParents[id] == 0 {
+			e.status[id] = statusReady
+			e.ready = append(e.ready, dag.TaskID(id))
+		}
 	}
 	e.stateHash = e.recomputeStateHash()
 	return e, nil
@@ -691,6 +705,13 @@ func (e *Env) CapacityDim(d int) int64 { return e.space.TotalCapacityDim(d) }
 // AvailableNow returns the free capacity at the current time.
 func (e *Env) AvailableNow() resource.Vector {
 	return e.space.AvailableAt(e.now)
+}
+
+// AvailableNowInto appends the free capacity at the current time to buf
+// (typically buf[:0]) and returns the extended slice — the allocation-free
+// variant of AvailableNow.
+func (e *Env) AvailableNowInto(buf resource.Vector) resource.Vector {
+	return e.space.AvailableAtInto(e.now, buf)
 }
 
 // Policy chooses among legal actions. Implementations must be deterministic

@@ -83,3 +83,36 @@ func (e *Env) scanReadyAfter(a Action) []dag.TaskID {
 	}
 	return ready
 }
+
+// scanLegal is LegalActionsInto without the grid: a visible ready task may
+// start on a machine iff, in every slot of its whole duration, the demands
+// of the tasks started on that machine and still running then (read from
+// start, finish and machine) leave room for it.
+func (e *Env) scanLegal() []Action {
+	if e.Done() {
+		return nil
+	}
+	var legal []Action
+	for i := 0; i < e.visibleLen(); i++ {
+		task := e.g.Task(e.ready[i])
+		for m, mc := range e.space.Spec() {
+			fits := true
+			for t := e.now; t < e.now+task.Runtime && fits; t++ {
+				used := task.Demand.Clone()
+				for id := range e.status {
+					if int(e.machine[id]) == m && e.start[id] <= t && t < e.finish[id] {
+						used, _ = used.Add(e.g.Task(dag.TaskID(id)).Demand)
+					}
+				}
+				fits = used.FitsWithin(mc.Capacity)
+			}
+			if fits {
+				legal = append(legal, At(i, m))
+			}
+		}
+	}
+	if len(e.scanRunning()) > 0 {
+		legal = append(legal, Process)
+	}
+	return legal
+}

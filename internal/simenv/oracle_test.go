@@ -32,6 +32,32 @@ func checkAgainstScans(t *testing.T, e *Env, what string) {
 	if got, want := e.StateHash(), e.recomputeStateHash(); got != want {
 		t.Fatalf("%s: incremental hash %#x, recompute %#x", what, got, want)
 	}
+	if got, want := e.LegalActionsInto(nil), e.scanLegal(); !slices.Equal(got, want) {
+		t.Fatalf("%s: legal actions %v, occupancy rebuilt from the placements gives %v", what, got, want)
+	}
+}
+
+// cpChoice is the CP baseline's rule (largest b-level, then most children,
+// then lowest ID; Process only when nothing fits), which packs every machine
+// as full as it gets where a random walk leaves them mostly idle.
+func cpChoice(e *Env, legal []Action) Action {
+	best := Process
+	for _, a := range legal {
+		if a == Process {
+			continue
+		}
+		if best == Process {
+			best = a
+			continue
+		}
+		ta, tb := e.VisibleTask(a.Slot()), e.VisibleTask(best.Slot())
+		ba, bb := e.g.BLevel(ta), e.g.BLevel(tb)
+		ca, cb := e.g.NumChildren(ta), e.g.NumChildren(tb)
+		if ba > bb || ba == bb && (ca > cb || ca == cb && ta < tb) {
+			best = a
+		}
+	}
+	return best
 }
 
 // dirtyEnv returns a CloneInto destination left over from another episode:
@@ -48,13 +74,13 @@ func dirtyEnv(t *testing.T, r *rand.Rand, n int) *Env {
 	return e
 }
 
-// playOracleEpisode plays one random episode and checks it against the
-// scans after every step: the running list, the earliest finish, the
-// makespan, the hash, and the ready queue the old completion sweep would
-// have produced. At step cloneAt the episode is cloned onto a dirty
-// destination, and from there on the clone takes the same actions and must
-// stay indistinguishable from the original.
-func playOracleEpisode(t *testing.T, seed int64, machines int, mode ProcessMode, window, cloneAt int) {
+// playOracleEpisode plays one episode, random or by the CP rule, and checks
+// it against the scans after every step: the running list, the earliest
+// finish, the makespan, the hash, the legal actions, and the ready queue the
+// old completion sweep would have produced. At step cloneAt the episode is
+// cloned onto a dirty destination, and from there on the clone takes the
+// same actions and must stay indistinguishable from the original.
+func playOracleEpisode(t *testing.T, seed int64, machines int, mode ProcessMode, window, cloneAt int, cp bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	g := randomGraph(r, 3+r.Intn(40))
@@ -73,6 +99,9 @@ func playOracleEpisode(t *testing.T, seed int64, machines int, mode ProcessMode,
 			t.Fatalf("step %d: stuck episode", step)
 		}
 		a := legal[r.Intn(len(legal))]
+		if cp {
+			a = cpChoice(e, legal)
+		}
 		wantReady := e.scanReadyAfter(a)
 		for _, env := range []*Env{e, twin} {
 			if env == nil {
@@ -106,19 +135,23 @@ func TestEpisodeOracle(t *testing.T) {
 		for _, machines := range []int{1, 4} {
 			for _, mode := range []ProcessMode{NextCompletion, OneSlot} {
 				for _, window := range []int{0, DefaultWindow} {
-					playOracleEpisode(t, seed, machines, mode, window, int(seed)*3)
+					playOracleEpisode(t, seed, machines, mode, window, int(seed)*3, false)
+					playOracleEpisode(t, seed, machines, mode, window, int(seed)*3, true)
 				}
 			}
 		}
 	}
 }
 
-// FuzzEpisodeOracle lets the fuzzer pick the episode (seed), the cluster and
-// mode and window (the low bits of shape) and where the clone is taken.
+// FuzzEpisodeOracle lets the fuzzer pick the episode (seed), the cluster,
+// mode, window and policy (the low bits of shape) and where the clone is
+// taken.
 func FuzzEpisodeOracle(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(5), uint8(9))
 	f.Add(int64(-3), uint8(7), uint8(40))
+	f.Add(int64(11), uint8(9), uint8(4))
+	f.Add(int64(5), uint8(15), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, shape, cloneAt uint8) {
 		machines, mode, window := 1, NextCompletion, 0
 		if shape&1 != 0 {
@@ -130,6 +163,6 @@ func FuzzEpisodeOracle(f *testing.F) {
 		if shape&4 != 0 {
 			window = DefaultWindow
 		}
-		playOracleEpisode(t, seed, machines, mode, window, int(cloneAt))
+		playOracleEpisode(t, seed, machines, mode, window, int(cloneAt), shape&8 != 0)
 	})
 }

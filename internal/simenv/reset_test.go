@@ -1,0 +1,121 @@
+package simenv
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"spear/internal/cluster"
+	"spear/internal/dag"
+	"spear/internal/obs"
+	"spear/internal/resource"
+)
+
+// TestResetMatchesNewCluster reuses one Env for a run of jobs of different
+// sizes on changing clusters, configurations and metrics, leaving episodes
+// finished or abandoned halfway, with failed Resets in between, and plays
+// every episode in step with one NewCluster built: state hash, legal
+// actions and the final schedule must not tell them apart.
+func TestResetMatchesNewCluster(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	specs := []cluster.Spec{
+		cluster.Single(resource.Of(8, 8)),
+		cluster.Uniform(4, resource.Of(6, 6)),
+		cluster.Uniform(4, resource.Of(6, 6)), // equal to the last one, in other memory
+		{{Name: "big", Capacity: resource.Of(9, 9)}, {Name: "small", Capacity: resource.Of(5, 5)}},
+	}
+	b := dag.NewBuilder(2)
+	b.AddTask("whale", 3, resource.Of(50, 1))
+	whale, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := obs.NewSimMetrics(nil)
+
+	reused := new(Env)
+	for round := 0; round < 40; round++ {
+		g := randomGraph(r, 3+r.Intn(40))
+		spec := specs[r.Intn(len(specs))]
+		cfg := Config{Window: []int{0, DefaultWindow, 3}[r.Intn(3)], Mode: []ProcessMode{0, NextCompletion, OneSlot}[r.Intn(3)]}
+		if r.Intn(2) == 0 {
+			cfg.Metrics = metrics
+		}
+		if round > 0 && round%3 == 0 {
+			// A Reset that fails changes nothing: not the episode in progress,
+			// and not what the next Reset builds.
+			before := reused.Clone()
+			if _, err := reused.Reset(whale, spec, cfg); !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("round %d: Reset with an oversized task: %v, want ErrInfeasible", round, err)
+			}
+			if _, err := reused.Reset(g, spec, Config{Window: -1}); err == nil {
+				t.Fatalf("round %d: Reset accepted a negative window", round)
+			}
+			if _, err := reused.Reset(g, cluster.Spec{}, cfg); !errors.Is(err, cluster.ErrEmptySpec) {
+				t.Fatalf("round %d: Reset on an empty spec: %v, want ErrEmptySpec", round, err)
+			}
+			envsEqual(t, before, reused)
+		}
+
+		fresh, err := NewCluster(g, spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := reused.Reset(g, spec, cfg)
+		if err != nil || e != reused {
+			t.Fatalf("round %d: Reset = %p, %v; want the receiver %p", round, e, err, reused)
+		}
+		checkAgainstScans(t, e, "after Reset")
+		steps := 1 << 30
+		if round%2 == 1 {
+			steps = r.Intn(2 * g.NumTasks()) // abandon this one mid-episode
+		}
+		for i := 0; ; i++ {
+			envsEqual(t, fresh, e)
+			if fresh.StateHash() != e.StateHash() || fresh.Makespan() != e.Makespan() {
+				t.Fatalf("round %d step %d: hash %#x/%#x makespan %d/%d", round, i,
+					fresh.StateHash(), e.StateHash(), fresh.Makespan(), e.Makespan())
+			}
+			if i == steps || fresh.Done() {
+				break
+			}
+			legal := fresh.LegalActions()
+			a := legal[r.Intn(len(legal))]
+			if err := errors.Join(fresh.Step(a), e.Step(a)); err != nil {
+				t.Fatalf("round %d step %d: %v", round, i, err)
+			}
+		}
+		if !fresh.Done() {
+			continue
+		}
+		want, err := fresh.Schedule("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := e.Schedule("x"); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: schedule %+v, %v; NewCluster's episode gives %+v", round, got, err, want)
+		}
+	}
+}
+
+// TestResetRewiresInstrumentation checks that the grids a Reset keeps count
+// into the metrics of the configuration they were reset with, and into none
+// when it has none.
+func TestResetRewiresInstrumentation(t *testing.T) {
+	g := fanout(t)
+	spec := cluster.Uniform(2, resource.Of(8, 8))
+	first, second := obs.NewSimMetrics(nil), obs.NewSimMetrics(nil)
+	e := new(Env)
+	grown := func(m *obs.SimMetrics) int64 { return m.SlotGrow.Load() + m.SlotReuse.Load() }
+	for i, m := range []*obs.SimMetrics{first, nil, second} {
+		if _, err := e.Reset(g, spec, Config{Metrics: m}); err != nil {
+			t.Fatal(err)
+		}
+		was := [2]int64{grown(first), grown(second)}
+		playSteps(t, e, 1<<30, rand.New(rand.NewSource(int64(i))))
+		now := [2]int64{grown(first), grown(second)}
+		if (now[0] != was[0]) != (m == first) || (now[1] != was[1]) != (m == second) {
+			t.Fatalf("episode %d: grid counters moved %v -> %v", i, was, now)
+		}
+	}
+}
