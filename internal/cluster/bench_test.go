@@ -114,6 +114,36 @@ func BenchmarkEarliestStart(b *testing.B) {
 	}
 }
 
+// BenchmarkEarliestStartAny scans busy grids of 4 to 64 machines, every one
+// holding the same twenty placements, so each machine's probe walks past the
+// same conflicts: ns/op divided by the machine count must stay flat.
+func BenchmarkEarliestStartAny(b *testing.B) {
+	for _, n := range []int{4, 8, 16, 64} {
+		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
+			m, err := NewMulti(Uniform(n, resource.Of(1000, 1000)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for t := int64(0); t < 200; t += 10 {
+					if err := m.Place(i, t, resource.Of(800, 800), 10); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			demand := resource.Of(300, 300)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.EarliestStartAny(0, demand, 25); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/machine")
+		})
+	}
+}
+
 func BenchmarkClone(b *testing.B) {
 	s := benchSpace(b)
 	for t := int64(0); t < 500; t += 5 {

@@ -2,16 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"spear/internal/obs"
 	"spear/internal/resource"
 )
-
-// parallelProbeMachines is the machine count at and above which
-// EarliestStartAny probes machines concurrently. Small specs stay serial:
-// the goroutine fan-out costs more than the probes it parallelizes.
-const parallelProbeMachines = 8
 
 // Multi is the multi-machine resource-time space: one occupancy grid per
 // machine of a Spec, sharing a single clock. A one-machine Multi behaves
@@ -165,9 +159,7 @@ func (m *Multi) EarliestStart(machine int, from int64, demand resource.Vector, d
 // returns the machine achieving the minimum, ties broken toward the lowest
 // machine index — the earliest-finish-time rule, since runtimes don't vary
 // by machine. Machines too small for the demand are skipped; if none can
-// hold it, ErrNeverFits is returned. Specs with at least
-// parallelProbeMachines machines are probed concurrently; the reduction is
-// serial in index order, so the result does not depend on goroutine timing.
+// hold it, ErrNoMachine is returned.
 func (m *Multi) EarliestStartAny(from int64, demand resource.Vector, duration int64) (int, int64, error) {
 	if duration <= 0 {
 		return 0, 0, errBadDuration(duration)
@@ -175,54 +167,17 @@ func (m *Multi) EarliestStartAny(from int64, demand resource.Vector, duration in
 	if demand.Dims() != m.total.Dims() {
 		return 0, 0, resource.ErrDimensionMismatch
 	}
-	n := len(m.spaces)
-	if n < parallelProbeMachines {
-		best, bestStart := -1, int64(0)
-		for i, sp := range m.spaces {
-			if !demand.FitsWithin(m.spec[i].Capacity) {
-				continue
-			}
-			start, err := sp.EarliestStart(from, demand, duration)
-			if err != nil {
-				return 0, 0, err
-			}
-			if best < 0 || start < bestStart {
-				best, bestStart = i, start
-			}
-		}
-		if best < 0 {
-			return 0, 0, fmt.Errorf("%w: demand %v", ErrNoMachine, demand)
-		}
-		return best, bestStart, nil
-	}
-
-	type probe struct {
-		start int64
-		ok    bool
-		err   error
-	}
-	results := make([]probe, n)
-	var wg sync.WaitGroup
+	best, bestStart := -1, int64(0)
 	for i, sp := range m.spaces {
 		if !demand.FitsWithin(m.spec[i].Capacity) {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sp *Space) {
-			defer wg.Done()
-			start, err := sp.EarliestStart(from, demand, duration)
-			results[i] = probe{start: start, ok: err == nil, err: err}
-		}(i, sp)
-	}
-	wg.Wait()
-	best, bestStart := -1, int64(0)
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return 0, 0, r.err
+		start, err := sp.EarliestStart(from, demand, duration)
+		if err != nil {
+			return 0, 0, err
 		}
-		if r.ok && (best < 0 || r.start < bestStart) {
-			best, bestStart = i, r.start
+		if best < 0 || start < bestStart {
+			best, bestStart = i, start
 		}
 	}
 	if best < 0 {

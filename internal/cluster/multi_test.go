@@ -141,11 +141,11 @@ func TestMultiEarliestStartAnySkipsTooSmallMachines(t *testing.T) {
 	}
 }
 
-// TestMultiParallelProbeDeterminism drives the concurrent probing path
-// (>= parallelProbeMachines machines) and checks it returns the same
-// answer as a serial scan, across repeated calls.
-func TestMultiParallelProbeDeterminism(t *testing.T) {
-	const n = parallelProbeMachines + 3
+// TestMultiEarliestStartAnyManyMachines checks the scan on a spec well past
+// a handful of machines against a per-machine reference: the earliest start
+// wins, and a tie goes to the lowest machine index.
+func TestMultiEarliestStartAnyManyMachines(t *testing.T) {
+	const n = 11
 	m, err := NewMulti(Uniform(n, resource.Of(4)))
 	if err != nil {
 		t.Fatal(err)
@@ -156,23 +156,32 @@ func TestMultiParallelProbeDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantMachine, wantStart := -1, int64(0)
-	for i := 0; i < n; i++ {
-		start, err := m.Machine(i).EarliestStart(0, resource.Of(2), 2)
-		if err != nil {
-			t.Fatal(err)
+	// From 0 the last machine frees first; from n every machine is free at
+	// once, so the tie must go to machine 0.
+	for _, tc := range []struct {
+		from    int64
+		machine int
+		start   int64
+	}{{0, n - 1, 1}, {n, 0, n}} {
+		wantMachine, wantStart := -1, int64(0)
+		for i := 0; i < n; i++ {
+			start, err := m.Machine(i).EarliestStart(tc.from, resource.Of(2), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantMachine < 0 || start < wantStart {
+				wantMachine, wantStart = i, start
+			}
 		}
-		if wantMachine < 0 || start < wantStart {
-			wantMachine, wantStart = i, start
+		if wantMachine != tc.machine || wantStart != tc.start {
+			t.Fatalf("from %d: per-machine scan gives (%d, %d), want (%d, %d)", tc.from, wantMachine, wantStart, tc.machine, tc.start)
 		}
-	}
-	for trial := 0; trial < 50; trial++ {
-		mi, start, err := m.EarliestStartAny(0, resource.Of(2), 2)
+		mi, start, err := m.EarliestStartAny(tc.from, resource.Of(2), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if mi != wantMachine || start != wantStart {
-			t.Fatalf("trial %d: got (%d, %d), want (%d, %d)", trial, mi, start, wantMachine, wantStart)
+			t.Fatalf("from %d: got (%d, %d), want (%d, %d)", tc.from, mi, start, wantMachine, wantStart)
 		}
 	}
 }

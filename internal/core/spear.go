@@ -52,9 +52,9 @@ type Config struct {
 	// same episode state via different schedule orders (transposition
 	// table keyed by the env's canonical state hash). Default off.
 	UseTranspositions bool
-	// RolloutsPerExpansion runs this many simulations from each expanded
-	// node. With the DRL rollout agent they are lock-stepped through batched
-	// network passes. Zero means the mcts default (1).
+	// RolloutsPerExpansion runs this many independently seeded simulations
+	// from each expanded node, one after another through the same memoised
+	// rollout context. Zero means the mcts default (1).
 	RolloutsPerExpansion int
 	// Seed feeds the search's random source.
 	Seed int64
@@ -88,10 +88,9 @@ var errMultiMachine = errors.New("core: the Spear policy network schedules singl
 
 // New builds Spear around a trained policy network. The same network guides
 // both expansion ordering and rollouts. The rollout agent implements
-// simenv.ContextPolicy and simenv.BatchPolicy, so the search automatically
-// runs rollouts through the allocation-free inference fast path (and, with
-// RolloutsPerExpansion > 1, lock-steps them through batched network passes);
-// each root-parallel tree worker gets a private expander from the factory.
+// simenv.ContextPolicy, so the search runs every rollout through the
+// allocation-free, memoised inference fast path; each root-parallel tree
+// worker gets a private expander from the factory.
 func New(net *nn.Network, feat drl.Features, cfg Config) (*Spear, error) {
 	cfg = cfg.normalized()
 	rolloutAgent, err := drl.NewAgent(net, feat, cfg.GreedyRollout)

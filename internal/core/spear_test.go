@@ -120,6 +120,36 @@ func TestSpearGreedyRollout(t *testing.T) {
 	}
 }
 
+// TestSpearPolicyTallyCoversEveryRollout: with several rollouts per expansion
+// the search still reports every policy evaluation — each rollout asks for at
+// least one — and the rollout context's memo answers some of them.
+func TestSpearPolicyTallyCoversEveryRollout(t *testing.T) {
+	net, err := drl.DefaultNetwork(quickFeat, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(net, quickFeat, Config{InitialBudget: 20, MinBudget: 5, RolloutsPerExpansion: 3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.DefaultRandomDAGConfig()
+	cfg.NumTasks = 15
+	g, err := workload.RandomDAG(rand.New(rand.NewSource(9)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Schedule(g, cluster.Single(cfg.Capacity())); err != nil {
+		t.Fatal(err)
+	}
+	st := s.LastStats()
+	if st.Rollouts == 0 || st.PolicyCalls < st.Rollouts {
+		t.Errorf("%d policy calls reported for %d rollouts", st.PolicyCalls, st.Rollouts)
+	}
+	if st.PolicyCacheHits == 0 {
+		t.Errorf("no memo hit in %d policy calls", st.PolicyCalls)
+	}
+}
+
 func TestSpearSmallBudgetTracksMCTSBigBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparative test")

@@ -72,11 +72,11 @@ func (a *Agent) Features() Features { return a.feat }
 
 // AgentContext owns one goroutine's inference buffers: the row-major encoded
 // states, the row-major legality masks and the network scratch holding the
-// activations. One state is the one-row case; a lock-step batch rollout hands
-// the agent several states at once and the whole batch goes through one
-// network pass. The Agent itself is stateless and safe to share across
-// goroutines; all per-call mutable state lives here, so MCTS rollout workers
-// and REINFORCE sampling workers each carry their own context.
+// activations. One state is the one-row case; ChooseBatch hands the agent
+// several states at once and the whole batch goes through one network pass.
+// The Agent itself is stateless and safe to share across goroutines; all
+// per-call mutable state lives here, so MCTS rollout workers and REINFORCE
+// sampling workers each carry their own context.
 //
 // The one-row path (probsCtx) is memoised per context: memo remembers the
 // distributions this context has computed, key and probs are the packed

@@ -127,7 +127,7 @@ func (rc *recorder) step(t *testing.T, x []float64, mask []bool, action int, now
 // every state again: same trajectory, same baseline, bit-equal gradients. The
 // inputs are sparse like encoded states (one row is all zeros), several steps
 // share a record like memo hits do, the trajectory is longer than
-// reinforceBatchRows so the chunk loop wraps, more records than one slab
+// reinforceChunkRows so the chunk loop wraps, more records than one slab
 // chunk holds are filed first, and one step gets a zero advantage to exercise
 // the skip.
 func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
@@ -145,7 +145,7 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	for i := 0; i < slabChunkRecords-3; i++ {
 		rc.step(t, make([]float64, feat.InputSize()), mask, 0, 0)
 	}
-	steps := reinforceBatchRows + 5
+	steps := reinforceChunkRows + 5
 	tr := trajectory{makespan: int64(steps) + 3, records: rc.slab}
 	var xs [][]float64
 	for i := 0; i < steps; i++ {
@@ -211,7 +211,7 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 		}
 
 		got := net.NewGrads()
-		if err := backpropTrajectory(net, tr, baseline, got, newTrainContext(net, reinforceBatchRows), bonus); err != nil {
+		if err := backpropTrajectory(net, tr, baseline, got, newTrainContext(net, reinforceChunkRows), bonus); err != nil {
 			t.Fatal(err)
 		}
 		if got.Samples() != want.Samples() {

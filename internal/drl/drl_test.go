@@ -467,7 +467,7 @@ func TestEntropyBonusPushesTowardUniform(t *testing.T) {
 
 	before := entropyOf()
 	opt := nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}
-	tc := newTrainContext(net, reinforceBatchRows)
+	tc := newTrainContext(net, reinforceChunkRows)
 	for i := 0; i < 50; i++ {
 		grads := net.NewGrads()
 		record()

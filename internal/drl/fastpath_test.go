@@ -140,7 +140,7 @@ func TestZeroAdvantageStepsCountAsSamples(t *testing.T) {
 		float64(tr.steps[2].now - tr.makespan),
 	}
 	grads := net.NewGrads()
-	tc := newTrainContext(net, reinforceBatchRows)
+	tc := newTrainContext(net, reinforceChunkRows)
 	if err := backpropTrajectory(net, tr, baseline, grads, tc, 0); err != nil {
 		t.Fatal(err)
 	}

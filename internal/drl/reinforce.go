@@ -285,7 +285,7 @@ func newTrainer(agent *Agent, cfg TrainConfig) *trainer {
 	}
 	for w := range tr.samplers {
 		tr.samplers[w] = &samplerContext{agent: agent.newRecordingContext(), rng: rand.New(rand.NewSource(0))}
-		tr.backprop[w] = newTrainContext(agent.net, reinforceBatchRows)
+		tr.backprop[w] = newTrainContext(agent.net, reinforceChunkRows)
 	}
 	for i := range tr.local {
 		tr.local[i] = agent.net.NewGrads()
@@ -430,14 +430,14 @@ func (tr *trainer) accumulatePolicyGradient(grads *nn.Grads) error {
 	return nil
 }
 
-// reinforceBatchRows is how many trajectory steps share one batched backward
+// reinforceChunkRows is how many trajectory steps share one batched backward
 // network pass during gradient accumulation.
-const reinforceBatchRows = 16
+const reinforceChunkRows = 16
 
 // trainContext holds one backprop worker's reusable buffers: the network
 // scratch (which carries the activations) and the row-major logit gradients.
 // Pretrain sizes one for its minibatch, REINFORCE one per worker for
-// reinforceBatchRows.
+// reinforceChunkRows.
 type trainContext struct {
 	scratch *nn.Scratch
 	bd      []float64
@@ -457,7 +457,7 @@ func newTrainContext(net *nn.Network, rows int) *trainContext {
 // β·p_i·(log p_i + H). Nothing is evaluated again: a step's record holds the
 // distribution the sampler drew from and the activations behind it, computed
 // under the weights still in force, and those go back into the worker's
-// scratch. Steps are processed in chunks of reinforceBatchRows through the
+// scratch. Steps are processed in chunks of reinforceChunkRows through the
 // batched backward kernel; because that accumulates per-weight contributions
 // in ascending row (= step) order, the resulting gradients are bit-identical
 // to one sequential forward and backward pass per step.
@@ -467,7 +467,7 @@ func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grad
 	for t < len(tr.steps) {
 		// Gather the next chunk of steps that actually carry gradient.
 		rows := 0
-		for t < len(tr.steps) && rows < reinforceBatchRows {
+		for t < len(tr.steps) && rows < reinforceChunkRows {
 			st := tr.steps[t]
 			advantage := float64(st.now-tr.makespan) - baseline[t]
 			t++

@@ -11,7 +11,7 @@ import (
 
 // Ablation isolates the contribution of each Spear design choice
 // (§III-C/D) — DRL-guided expansion, DRL-guided rollouts, the budget decay
-// of Eq. 4, and leaf-parallel rollouts — by running every variant at the
+// of Eq. 4, and several rollouts per expansion — by running every variant at the
 // same tree budget on a shared batch of random DAGs.
 func (s *Suite) Ablation() (*comparison, error) {
 	nGraphs, tasks, budget, minBudget := 4, 30, 80, 20
@@ -43,7 +43,7 @@ func (s *Suite) Ablation() (*comparison, error) {
 		mcts.NewNamed("MCTS +DRL rollout", withRollout(base, sampler)),
 		mcts.NewNamed("Spear (both)", withRollout(withExpand(base, drl.NewExpander(greedy)), sampler)),
 		mcts.NewNamed("Spear no-decay", noDecay(withRollout(withExpand(base, drl.NewExpander(greedy)), sampler))),
-		mcts.NewNamed("MCTS 4x parallel rollouts", parallelRollouts(base, 4)),
+		mcts.NewNamed("MCTS 4 rollouts/expansion", rolloutsPerExpansion(base, 4)),
 	}
 	results, err := runAll(graphs, capacity, variants, s.logf)
 	if err != nil {
@@ -58,7 +58,7 @@ func withRollout(c mcts.Config, p simenv.Policy) mcts.Config { c.Rollout = p; re
 
 func noDecay(c mcts.Config) mcts.Config { c.DisableBudgetDecay = true; return c }
 
-func parallelRollouts(c mcts.Config, k int) mcts.Config { c.RolloutsPerExpansion = k; return c }
+func rolloutsPerExpansion(c mcts.Config, k int) mcts.Config { c.RolloutsPerExpansion = k; return c }
 
 // ablationTable renders the ablation comparison.
 func ablationTable(r *comparison) string {

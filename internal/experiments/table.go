@@ -63,7 +63,7 @@ var table = []cell{
 	newCell(true, (*Suite).Fig9c,
 		view[*Fig9cResult]{"fig9c", "trace-driven makespan reduction of Spear over Graphene", (*Fig9cResult).String}),
 	newCell(true, (*Suite).Ablation,
-		view[*comparison]{"ablation", "design-choice isolation: DRL expand/rollout, budget decay, parallel rollouts", ablationTable}),
+		view[*comparison]{"ablation", "design-choice isolation: DRL expand/rollout, budget decay, rollouts per expansion", ablationTable}),
 	newCell(true, (*Suite).Gap,
 		view[*GapResult]{"gap", "optimality gap vs exact branch-and-bound on small jobs", (*GapResult).String}),
 }

@@ -1,11 +1,13 @@
 package mcts
 
 import (
-	"math/rand"
+	"strconv"
 	"testing"
 
 	"spear/internal/cluster"
+	"spear/internal/dag"
 	"spear/internal/drl"
+	"spear/internal/resource"
 )
 
 func BenchmarkSchedule30Tasks(b *testing.B) {
@@ -26,53 +28,59 @@ func BenchmarkSchedule30Tasks(b *testing.B) {
 // rate on >= 4 cores. Each sub-benchmark reports its own sims/s.
 func BenchmarkRootParallel(b *testing.B) {
 	g, capacity := smallRandomDAG(1, 30)
-	feat := drl.Features{Window: 5, Horizon: 10, Dims: 2}
-	net, err := drl.DefaultNetwork(feat, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	agent, err := drl.NewAgent(net, feat, false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	agent := untrainedAgent(b, smallFeat, false)
 	for _, k := range []int{1, 2, 4} {
-		b.Run("K="+itoa(k), func(b *testing.B) {
-			s := New(Config{
+		b.Run("K="+strconv.Itoa(k), func(b *testing.B) {
+			benchSimsPerSec(b, g, capacity, Config{
 				InitialBudget: 40, MinBudget: 10, Seed: 1,
-				Rollout: agent, Window: feat.Window,
+				Rollout: agent, Window: smallFeat.Window,
 				RootParallelism: k,
 			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rollouts int64
-			var elapsed float64
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
-					b.Fatal(err)
-				}
-				st := s.LastStats()
-				rollouts += st.Rollouts
-				elapsed += st.Elapsed.Seconds()
-			}
-			if elapsed > 0 {
-				b.ReportMetric(float64(rollouts)/elapsed, "sims/s")
-			}
 		})
 	}
 }
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+// benchSimsPerSec schedules g b.N times on one scheduler and reports the
+// rollouts played per second of search, beside allocations per job.
+func benchSimsPerSec(b *testing.B, g *dag.Graph, capacity resource.Vector, cfg Config) {
+	s := New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rollouts int64
+	var elapsed float64
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
+			b.Fatal(err)
+		}
+		st := s.LastStats()
+		rollouts += st.Rollouts
+		elapsed += st.Elapsed.Seconds()
 	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
+	if elapsed > 0 {
+		b.ReportMetric(float64(rollouts)/elapsed, "sims/s")
 	}
-	return string(buf[i:])
+}
+
+// BenchmarkLeafRollouts is a search that plays four rollouts per expansion on
+// a 100-task DAG, with the classic random rollout policy and with the DRL
+// agent (whose context memoises the states it has answered). Each reports
+// its own sims/s; allocations are per job.
+func BenchmarkLeafRollouts(b *testing.B) {
+	g, capacity := smallRandomDAG(1, 100)
+	feat := drl.DefaultFeatures()
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"random_k4", Config{InitialBudget: 100, MinBudget: 25}},
+		{"drl_k4", Config{InitialBudget: 50, MinBudget: 25, Rollout: untrainedAgent(b, feat, false), Window: feat.Window}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.cfg.Seed = 1
+			bc.cfg.RolloutsPerExpansion = 4
+			benchSimsPerSec(b, g, capacity, bc.cfg)
+		})
+	}
 }
 
 // BenchmarkScheduleDRLRollout measures the full Spear-shaped hot path: MCTS
@@ -80,16 +88,7 @@ func itoa(v int) string {
 // path (simenv.ContextPolicy), dominated by per-step inference.
 func BenchmarkScheduleDRLRollout(b *testing.B) {
 	g, capacity := smallRandomDAG(1, 30)
-	feat := drl.Features{Window: 5, Horizon: 10, Dims: 2}
-	net, err := drl.DefaultNetwork(feat, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	agent, err := drl.NewAgent(net, feat, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := New(Config{InitialBudget: 20, MinBudget: 5, Seed: 1, Rollout: agent, Window: feat.Window})
+	s := New(Config{InitialBudget: 20, MinBudget: 5, Seed: 1, Rollout: untrainedAgent(b, smallFeat, false), Window: smallFeat.Window})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +74,10 @@ type Config struct {
 	// Default 0.1.
 	ExplorationScale float64
 	// Rollout simulates from expanded nodes to termination. Default: the
-	// uniformly random policy of classic MCTS. When the policy also
-	// implements simenv.BatchPolicy, simulations with RolloutsPerExpansion
-	// > 1 run lock-stepped through batched policy evaluations (same results,
-	// fewer network passes) unless DisableBatchedRollouts is set.
+	// uniformly random policy of classic MCTS. Every simulation is one
+	// episode on the search worker's simenv.RolloutContext, so a policy that
+	// implements simenv.ContextPolicy keeps its buffers (and, for the DRL
+	// agent, its memo of answered states) across all of them.
 	Rollout simenv.Policy
 	// Expand orders unexplored actions during expansion. Default: uniform
 	// random. With RootParallelism or TreeParallelism > 1 every search
@@ -98,22 +97,19 @@ type Config struct {
 	// worker index j, so every worker explores differently while the whole
 	// search stays deterministic at TreeParallelism = 1.
 	Seed int64
-	// ReuseTree keeps the chosen child's subtree between decisions instead
-	// of rebuilding from scratch. Default true.
+	// DisableTreeReuse rebuilds the tree from scratch at every decision
+	// instead of keeping the chosen child's subtree. Default false.
 	DisableTreeReuse bool
 	// DisableBudgetDecay spends the full InitialBudget at every decision
 	// instead of Eq. 4's max(b_initial/depth, b_min) decay — the ablation
 	// arm for the paper's budget-decay design choice.
 	DisableBudgetDecay bool
-	// RolloutsPerExpansion runs this many simulations from each expanded
-	// node instead of one, in parallel (the paper notes MCTS "can easily be
-	// parallelized" [16]; this is leaf parallelization). Each simulation's
-	// value is backpropagated. Default 1.
+	// RolloutsPerExpansion runs this many independently seeded simulations
+	// from each expanded node instead of one, one after another on the
+	// search worker's goroutine, and backpropagates each one's value.
+	// Default 1; at k times the budget that plays the same number of
+	// rollouts in less time (EXPERIMENTS.md, ablation).
 	RolloutsPerExpansion int
-	// Parallelism bounds concurrent rollout goroutines when
-	// RolloutsPerExpansion > 1 and the rollout policy has no batched path.
-	// Default GOMAXPROCS.
-	Parallelism int
 	// RootParallelism runs this many independent search trees per decision
 	// (root parallelization). The decision's Eq. 4 budget is split across
 	// the trees, their merged root statistics pick the committed action, and
@@ -145,11 +141,6 @@ type Config struct {
 	// while still capping a long episode's growth. Negative means
 	// unbounded.
 	TTCapacity int
-	// DisableBatchedRollouts forces per-episode rollouts even when the
-	// rollout policy implements simenv.BatchPolicy — the ablation arm for
-	// batched inference. Results are identical either way; only the number
-	// of network passes changes.
-	DisableBatchedRollouts bool
 	// Obs, when non-nil, is the registry the scheduler's metrics are
 	// registered in, so several schedulers can share (and aggregate into)
 	// one exposition endpoint. Nil means a private registry; either way
@@ -179,9 +170,6 @@ func (c Config) normalized() Config {
 	}
 	if c.RolloutsPerExpansion <= 0 {
 		c.RolloutsPerExpansion = 1
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.RootParallelism <= 0 {
 		c.RootParallelism = 1
@@ -221,8 +209,7 @@ type Stats struct {
 	// expanders and rollout contexts were asked for, and PolicyCacheHits how
 	// many of them were answered from a context's memo without a network
 	// pass, so PolicyCalls - PolicyCacheHits forwards actually ran. Both stay
-	// zero for policies that keep no tally (simenv.PolicyCounter), and
-	// neither covers the lock-step batch rollout path.
+	// zero for policies that keep no tally (simenv.PolicyCounter).
 	PolicyCalls     int64
 	PolicyCacheHits int64
 	// RootWorkers is the number of root-parallel trees used per decision.
@@ -386,25 +373,23 @@ type treeWorker struct {
 }
 
 // simWorker is one shared-tree search worker and everything it owns: a
-// private rng and expander, per-rollout-goroutine contexts and simulation
-// buffers, and the per-search-phase stat deltas that the scheduler
+// private rng and expander, the rollout context every one of its simulations
+// is played on, and the per-search-phase stat deltas that the scheduler
 // aggregates after every decision.
 type simWorker struct {
 	tw     *treeWorker
 	rng    *rand.Rand
 	expand Expander
 
-	// rctx holds one rollout context per leaf-parallel rollout goroutine;
-	// brc is the lock-step batched alternative, non-nil when the rollout
-	// policy supports batching. Both persist across Schedule calls.
-	rctx []*simenv.RolloutContext
-	brc  *simenv.BatchRolloutContext
+	// rc plays every simulation of this worker and persists across Schedule
+	// calls. rolloutRng is the one generator the rollouts of a k > 1
+	// simulation share, re-seeded before each.
+	rc         *simenv.RolloutContext
+	rolloutRng *rand.Rand
 
-	// simulate's reusable result/seed/makespan/error buffers.
+	// simValues is simulate's result buffer, one slot per rollout of an
+	// expansion.
 	simValues []float64
-	simSeeds  []int64
-	simSpans  []int64
-	simErrs   []error
 
 	// Per-search-phase stat deltas and error, reset by resetPhase and
 	// aggregated by Scheduler.collect once the phase's goroutines joined.
@@ -422,16 +407,18 @@ func (s *Scheduler) worker(w int) *treeWorker {
 	for len(s.workers) <= w {
 		tw := &treeWorker{s: s}
 		for j := 0; j < s.cfg.TreeParallelism; j++ {
-			sw := &simWorker{tw: tw}
+			sw := &simWorker{
+				tw:        tw,
+				rc:        simenv.NewRolloutContext(s.cfg.Rollout),
+				simValues: make([]float64, s.cfg.RolloutsPerExpansion),
+			}
 			if s.cfg.NewExpander != nil {
 				sw.expand = s.cfg.NewExpander()
 			} else {
 				sw.expand = s.cfg.Expand
 			}
-			if s.cfg.RolloutsPerExpansion > 1 && !s.cfg.DisableBatchedRollouts {
-				if bp, ok := s.cfg.Rollout.(simenv.BatchPolicy); ok {
-					sw.brc = simenv.NewBatchRolloutContext(bp, s.cfg.RolloutsPerExpansion)
-				}
+			if s.cfg.RolloutsPerExpansion > 1 {
+				sw.rolloutRng = rand.New(rand.NewSource(0))
 			}
 			tw.sims = append(tw.sims, sw)
 		}
@@ -472,9 +459,7 @@ func (s *Scheduler) policyTally() simenv.PolicyCounters {
 			if pc, ok := sw.expand.(simenv.PolicyCounter); ok {
 				add(pc.PolicyCounters())
 			}
-			for _, rc := range sw.rctx {
-				add(rc.PolicyCounters())
-			}
+			add(sw.rc.PolicyCounters())
 		}
 	}
 	return sum
@@ -927,8 +912,8 @@ func (sw *simWorker) iterate(rootDepth int, c float64) error {
 	if depth > sw.maxDepth {
 		sw.maxDepth = depth
 	}
-	// Simulation: roll out to termination with the configured policy
-	// (batched or leaf-parallel when RolloutsPerExpansion > 1).
+	// Simulation: roll out to termination with the configured policy,
+	// RolloutsPerExpansion times.
 	values, err := sw.simulate(n, sw.rng)
 	if err != nil {
 		return err
@@ -1116,109 +1101,36 @@ func (s *Scheduler) explorationConstant(g *dag.Graph, spec cluster.Spec) (float6
 	return s.cfg.ExplorationScale * float64(est.Makespan), nil
 }
 
-// rolloutContext returns the sim worker's persistent rollout context for
-// rollout goroutine i, growing the pool as needed. Must only be called
-// from the sim worker's own goroutine (contexts are created serially,
-// before rollout goroutines are spawned).
-func (sw *simWorker) rolloutContext(i int) *simenv.RolloutContext {
-	for len(sw.rctx) <= i {
-		sw.rctx = append(sw.rctx, simenv.NewRolloutContext(sw.tw.s.cfg.Rollout))
-	}
-	return sw.rctx[i]
-}
-
-// simBuffers returns the reusable value/seed/error slices sized for k
-// simulations, zeroing the error slots.
-func (sw *simWorker) simBuffers(k int) ([]float64, []int64, []error) {
-	if cap(sw.simValues) < k {
-		sw.simValues = make([]float64, k)
-		sw.simSeeds = make([]int64, k)
-		sw.simSpans = make([]int64, k)
-		sw.simErrs = make([]error, k)
-	}
-	values, seeds, errs := sw.simValues[:k], sw.simSeeds[:k], sw.simErrs[:k]
-	for i := range errs {
-		errs[i] = nil
-	}
-	return values, seeds, errs
-}
-
 // simulate estimates node n's value with one or more rollouts, returning one
 // negative-makespan value per simulation. The returned slice is owned by the
 // sim worker and valid until its next simulate call. A terminal node's
 // makespan is exact, so it is reported once per configured simulation — with
 // RolloutsPerExpansion = k, a terminal leaf must carry the same backup
 // weight (k visits) as an expanded leaf, or terminal values are diluted
-// k-fold in every ancestor's mean. Multi-rollout simulations draw their
-// seeds from rng sequentially and apply them by index, so results are
-// deterministic and identical whether the episodes run lock-stepped through
-// the batched policy path or spread over rollout goroutines.
+// k-fold in every ancestor's mean. A multi-rollout simulation draws one seed
+// per rollout from rng and plays them in order on the worker's one rollout
+// context, re-seeding the worker's rollout generator before each: rollout i
+// draws exactly what rand.New(rand.NewSource(seed i)) would.
 func (sw *simWorker) simulate(n *anode, rng *rand.Rand) ([]float64, error) {
-	k := sw.tw.s.cfg.RolloutsPerExpansion
+	values := sw.simValues
 	if n.env.Done() {
-		values, _, _ := sw.simBuffers(k)
 		exact := -float64(n.env.Makespan())
 		for i := range values {
 			values[i] = exact
 		}
 		return values, nil
 	}
-	if k == 1 {
-		makespan, err := sw.rolloutContext(0).RolloutFrom(n.env, rng)
+	for i := range values {
+		r := rng
+		if len(values) > 1 {
+			r = sw.rolloutRng
+			r.Seed(rng.Int63())
+		}
+		makespan, err := sw.rc.RolloutFrom(n.env, r)
 		if err != nil {
 			return nil, fmt.Errorf("mcts: rollout %s: %w", sw.tw.s.cfg.Rollout.Name(), err)
 		}
-		values, _, _ := sw.simBuffers(1)
-		values[0] = -float64(makespan)
-		return values, nil
-	}
-
-	values, seeds, errs := sw.simBuffers(k)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	if sw.brc != nil {
-		// Lock-step batched path: one goroutine advances all k episodes,
-		// evaluating the policy once per step for the whole batch.
-		spans := sw.simSpans[:k]
-		if err := sw.brc.RolloutsFrom(n.env, seeds, spans); err != nil {
-			return nil, fmt.Errorf("mcts: rollout %s: %w", sw.tw.s.cfg.Rollout.Name(), err)
-		}
-		for i, ms := range spans {
-			values[i] = -float64(ms)
-		}
-		return values, nil
-	}
-	workers := sw.tw.s.cfg.Parallelism
-	if workers > k {
-		workers = k
-	}
-	// Create the contexts serially before spawning: rolloutContext grows
-	// sw.rctx and must not race with itself.
-	for w := 0; w < workers; w++ {
-		sw.rolloutContext(w)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rc := sw.rctx[w]
-			for i := w; i < k; i += workers {
-				makespan, err := rc.RolloutFrom(n.env, rand.New(rand.NewSource(seeds[i])))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				values[i] = -float64(makespan)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mcts: rollout %s: %w", sw.tw.s.cfg.Rollout.Name(), err)
-		}
+		values[i] = -float64(makespan)
 	}
 	return values, nil
 }

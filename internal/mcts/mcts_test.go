@@ -1,6 +1,7 @@
 package mcts
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -249,6 +250,56 @@ func TestTerminalNodeBackpropagatesFullWeight(t *testing.T) {
 	}
 }
 
+// TestSimulateMatchesSeededRollouts pins a k > 1 leaf evaluation to its
+// definition: value i is the rollout of the i-th seed drawn from the search
+// rng, played on a new context with a generator built from that seed. The worker plays
+// all of them on one re-seeded generator and one rollout context, which must
+// not change a single draw — the second simulate call starts from a
+// generator and a policy memo the first one has used.
+func TestSimulateMatchesSeededRollouts(t *testing.T) {
+	g, capacity := smallRandomDAG(29, 25)
+	for _, tc := range []struct {
+		name    string
+		rollout simenv.Policy
+		window  int
+	}{
+		{"random", baselines.Random{}, 0},
+		{"drl", untrainedAgent(t, smallFeat, false), smallFeat.Window},
+	} {
+		for _, k := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s_k%d", tc.name, k), func(t *testing.T) {
+				env, err := simenv.New(g, capacity, simenv.Config{Window: tc.window, Mode: simenv.NextCompletion})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := New(Config{Rollout: tc.rollout, Window: tc.window, RolloutsPerExpansion: k})
+				tw := s.worker(0)
+				tw.arena.reset()
+				n := tw.arena.node(tw.newNode(env, nilNode, 0))
+				rng, twin := rand.New(rand.NewSource(17)), rand.New(rand.NewSource(17))
+				for call := 0; call < 2; call++ {
+					values, err := tw.sims[0].simulate(n, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(values) != k {
+						t.Fatalf("call %d: %d values, want %d", call, len(values), k)
+					}
+					for i, v := range values {
+						makespan, err := simenv.NewRolloutContext(tc.rollout).RolloutFrom(env, rand.New(rand.NewSource(twin.Int63())))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if v != -float64(makespan) {
+							t.Errorf("call %d value %d = %v, a fresh context and source give %v", call, i, v, -float64(makespan))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestZeroVisitNodeOrdering(t *testing.T) {
 	// A zero-visit stats block has sum/visits = 0/0; mean() must report
 	// -Inf, not NaN — NaN compares false against everything, which would let
@@ -366,7 +417,7 @@ func TestCustomRolloutIsUsed(t *testing.T) {
 func TestParallelRolloutsValidAndDeterministic(t *testing.T) {
 	g, capacity := smallRandomDAG(6, 25)
 	run := func() int64 {
-		s := New(Config{InitialBudget: 30, MinBudget: 8, Seed: 4, RolloutsPerExpansion: 4, Parallelism: 2})
+		s := New(Config{InitialBudget: 30, MinBudget: 8, Seed: 4, RolloutsPerExpansion: 4})
 		out, err := s.Schedule(g, cluster.Single(capacity))
 		if err != nil {
 			t.Fatal(err)

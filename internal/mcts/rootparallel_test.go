@@ -1,14 +1,11 @@
 package mcts
 
 import (
-	"math/rand"
 	"testing"
 
-	"spear/internal/baselines"
 	"spear/internal/cluster"
 	"spear/internal/obs"
 	"spear/internal/sched"
-	"spear/internal/simenv"
 )
 
 func TestWorkerSeedsDistinct(t *testing.T) {
@@ -124,15 +121,15 @@ func TestRootParallelBudgetSplit(t *testing.T) {
 }
 
 // TestRootParallelRaceHammer exercises K concurrent tree workers sharing one
-// obs registry and one simulator metric bundle, with leaf-parallel rollouts
-// layered on top. Run with -race this hammers every shared counter; the
+// obs registry and one simulator metric bundle, each playing two rollouts
+// per expansion. Run with -race this hammers every shared counter; the
 // assertions only sanity-check the aggregate counters.
 func TestRootParallelRaceHammer(t *testing.T) {
 	g, capacity := smallRandomDAG(23, 25)
 	reg := obs.NewRegistry()
 	s := New(Config{
 		InitialBudget: 80, MinBudget: 16, Seed: 9,
-		RootParallelism: 4, RolloutsPerExpansion: 2, Parallelism: 2,
+		RootParallelism: 4, RolloutsPerExpansion: 2,
 		Obs: reg,
 	})
 	out, err := s.Schedule(g, cluster.Single(capacity))
@@ -155,49 +152,6 @@ func TestRootParallelRaceHammer(t *testing.T) {
 	}
 	if v, ok := snap.Value("spear_mcts_merge_conflicts_total"); !ok || v != float64(stats.MergeConflicts) {
 		t.Errorf("registry merge conflicts %v (ok=%v), stats %d", v, ok, stats.MergeConflicts)
-	}
-}
-
-// batchRandom wraps the classic random rollout policy with the BatchPolicy
-// interface by evaluating rows one at a time, so batched and per-episode
-// rollouts are trivially identical per row.
-type batchRandom struct{ baselines.Random }
-
-func (batchRandom) NewBatchContext(maxRows int) simenv.BatchPolicyContext { return nil }
-
-func (p batchRandom) ChooseBatch(_ simenv.BatchPolicyContext, envs []*simenv.Env, legal [][]simenv.Action, rngs []*rand.Rand, out []simenv.Action) error {
-	for i := range envs {
-		a, err := p.Choose(envs[i], legal[i], rngs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = a
-	}
-	return nil
-}
-
-// TestBatchedRolloutsMatchUnbatched pins the lock-step batched simulation
-// path to the goroutine-parallel one: with per-index seeds both must yield
-// the same schedule, so DisableBatchedRollouts is purely a performance knob.
-func TestBatchedRolloutsMatchUnbatched(t *testing.T) {
-	g, capacity := smallRandomDAG(29, 25)
-	run := func(disable bool) int64 {
-		s := New(Config{
-			InitialBudget: 40, MinBudget: 8, Seed: 11,
-			RolloutsPerExpansion: 3, Rollout: batchRandom{},
-			DisableBatchedRollouts: disable,
-		})
-		if !disable && s.worker(0).sims[0].brc == nil {
-			t.Fatal("batched rollout context not built for a BatchPolicy rollout")
-		}
-		out, err := s.Schedule(g, cluster.Single(capacity))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.Makespan
-	}
-	if batched, plain := run(false), run(true); batched != plain {
-		t.Errorf("batched rollouts makespan %d, unbatched %d", batched, plain)
 	}
 }
 

@@ -27,12 +27,30 @@ func placementHash(out *sched.Schedule) uint64 {
 	return h.Sum64()
 }
 
+// smallFeat is the five-task window the DRL golden rows were captured with.
+var smallFeat = drl.Features{Window: 5, Horizon: 10, Dims: 2}
+
+// untrainedAgent is a DRL agent over a freshly initialised network (weights
+// seeded with 1). Two calls with the same features build equal networks.
+func untrainedAgent(tb testing.TB, feat drl.Features, greedy bool) *drl.Agent {
+	tb.Helper()
+	net, err := drl.DefaultNetwork(feat, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	agent, err := drl.NewAgent(net, feat, greedy)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return agent
+}
+
 // TestLegacyGoldenBitIdentity pins the arena/shared-tree rewrite to the
 // pre-rewrite pointer-tree search: the golden rows below were captured by
 // running the legacy implementation (per-node heap allocation, float64
 // statistics, recursive child slices) over every search feature — tree
-// reuse on/off, budget decay on/off, CP rollouts, windows, leaf-parallel
-// rollouts, multi-machine clusters, root parallelism and the DRL-guided
+// reuse on/off, budget decay on/off, CP rollouts, windows, several rollouts
+// per expansion, multi-machine clusters, root parallelism and the DRL-guided
 // policies. With TreeParallelism = 1 and transpositions off, the rewrite
 // must reproduce every makespan, every counter and every placement slot
 // bit for bit.
@@ -65,10 +83,10 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 			return New(Config{InitialBudget: 30, MinBudget: 5, Seed: 4, Rollout: baselines.CP{}})
 		}},
 		{"window-5", 192, 402, 393, 391, 0x9ee4335f1d332678, 5, 30, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 5, Window: 5})
+			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 5, Window: smallFeat.Window})
 		}},
 		{"leafpar-6", 178, 229, 225, 896, 0x2f712ecd0a03386d, 6, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 30, MinBudget: 8, Seed: 6, RolloutsPerExpansion: 4, Parallelism: 2})
+			return New(Config{InitialBudget: 30, MinBudget: 8, Seed: 6, RolloutsPerExpansion: 4})
 		}},
 		{"multi-4m-11", 82, 337, 335, 331, 0x5e73e8a0e3a5e97f, 11, 25, 4, func(t *testing.T) *Scheduler {
 			return New(Config{InitialBudget: 50, MinBudget: 10, Seed: 11})
@@ -80,34 +98,12 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 21, RootParallelism: 4})
 		}},
 		{"drl-guided", 214, 184, 183, 181, 0x34a4e16d751d8f41, 21, 25, 0, func(t *testing.T) *Scheduler {
-			feat := drl.Features{Window: 5, Horizon: 10, Dims: 2}
-			net, err := drl.DefaultNetwork(feat, rand.New(rand.NewSource(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rollout, err := drl.NewAgent(net, feat, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			expand, err := drl.NewAgent(net, feat, true)
-			if err != nil {
-				t.Fatal(err)
-			}
 			return NewNamed("Spear", Config{InitialBudget: 30, MinBudget: 6, Seed: 21,
-				Rollout: rollout, Expand: drl.NewExpander(expand), Window: 5})
+				Rollout: untrainedAgent(t, smallFeat, false), Expand: drl.NewExpander(untrainedAgent(t, smallFeat, true)), Window: smallFeat.Window})
 		}},
-		{"drl-batched", 217, 136, 136, 405, 0x86fffddf022acc4, 21, 25, 0, func(t *testing.T) *Scheduler {
-			feat := drl.Features{Window: 5, Horizon: 10, Dims: 2}
-			net, err := drl.DefaultNetwork(feat, rand.New(rand.NewSource(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rollout, err := drl.NewAgent(net, feat, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewNamed("SpearBatch", Config{InitialBudget: 20, MinBudget: 5, Seed: 22,
-				Rollout: rollout, Window: 5, RolloutsPerExpansion: 3})
+		{"drl-rollouts-k3", 217, 136, 136, 405, 0x86fffddf022acc4, 21, 25, 0, func(t *testing.T) *Scheduler {
+			return NewNamed("MCTS+DRL rollouts", Config{InitialBudget: 20, MinBudget: 5, Seed: 22,
+				Rollout: untrainedAgent(t, smallFeat, false), Window: smallFeat.Window, RolloutsPerExpansion: 3})
 		}},
 	}
 	for _, tc := range cases {
@@ -141,7 +137,7 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 }
 
 // TestTreeParallelRaceHammer drives the shared tree hard under the race
-// detector: J=4 workers per tree, transpositions on, leaf-parallel rollouts,
+// detector: J=4 workers per tree, transpositions on, two rollouts per expansion,
 // several Schedule calls on one scheduler (arena reuse), and the K×J
 // composition. Run with -race; correctness here is "no race, valid
 // schedule, consistent counters".
@@ -151,8 +147,8 @@ func TestTreeParallelRaceHammer(t *testing.T) {
 	s := New(Config{
 		InitialBudget: 120, MinBudget: 24, Seed: 9,
 		TreeParallelism: 4, UseTranspositions: true,
-		RolloutsPerExpansion: 2, Parallelism: 2,
-		Obs: reg,
+		RolloutsPerExpansion: 2,
+		Obs:                  reg,
 	})
 	for call := 0; call < 3; call++ {
 		out, err := s.Schedule(g, cluster.Single(capacity))
@@ -341,36 +337,39 @@ func TestTranspositionsEndToEnd(t *testing.T) {
 // TestSteadyStateSearchAllocFree is the arena's reason to exist: once the
 // chunk storage and per-slot buffers are warm, a full search phase —
 // selection, expansion (env clone + step), rollouts, backup — allocates
-// nothing. A fresh Schedule call still allocates its base env and output;
-// this gate isolates the per-decision search loop, which is where the old
-// per-node heap allocation lived.
+// nothing, with one rollout per expansion or four. A fresh Schedule call
+// still allocates its base env and output; this gate isolates the
+// per-decision search loop, which is where the old per-node heap allocation
+// lived.
 func TestSteadyStateSearchAllocFree(t *testing.T) {
 	g, capacity := smallRandomDAG(19, 20)
-	s := New(Config{InitialBudget: 50, MinBudget: 10, Seed: 5})
-	// Warm every buffer: one full schedule grows the arena past the node
-	// count the measured phase needs.
-	if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
-		t.Fatal(err)
-	}
-	tw := s.workers[0]
-	sw := tw.sims[0]
-	env, err := simenv.New(g, capacity, simenv.Config{Mode: simenv.NextCompletion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.rng = rand.New(rand.NewSource(7))
-	avg := testing.AllocsPerRun(20, func() {
-		// Reseed in place so every run replays the warm-up run exactly —
-		// a drifting rng explores different trees, whose nodes can need
-		// bigger untried buffers than the slots hold.
-		sw.rng.Seed(7)
-		tw.arena.reset()
-		tw.root = tw.newNode(env, nilNode, 0)
-		if err := sw.searchSerial(context.Background(), 40, 1, 100); err != nil {
+	for _, k := range []int{1, 4} {
+		s := New(Config{InitialBudget: 50, MinBudget: 10, Seed: 5, RolloutsPerExpansion: k})
+		// Warm every buffer: one full schedule grows the arena past the node
+		// count the measured phase needs.
+		if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("warm search phase allocated %.1f times per run, want 0", avg)
+		tw := s.workers[0]
+		sw := tw.sims[0]
+		env, err := simenv.New(g, capacity, simenv.Config{Mode: simenv.NextCompletion})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.rng = rand.New(rand.NewSource(7))
+		avg := testing.AllocsPerRun(20, func() {
+			// Reseed in place so every run replays the warm-up run exactly —
+			// a drifting rng explores different trees, whose nodes can need
+			// bigger untried buffers than the slots hold.
+			sw.rng.Seed(7)
+			tw.arena.reset()
+			tw.root = tw.newNode(env, nilNode, 0)
+			if err := sw.searchSerial(context.Background(), 40, 1, 100); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%d rollouts per expansion: warm search phase allocated %.1f times per run, want 0", k, avg)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // SimMetrics is the instrumentation bundle of the simulation substrate
 // (simenv.Env and cluster.Space). One bundle is shared by an episode and
-// every clone made from it, so leaf-parallel rollout workers update the
+// every clone made from it, so concurrent search workers update the
 // same counters concurrently — all fields are lock-free atomics.
 type SimMetrics struct {
 	// SlotAdvances counts clock advances (Process steps). Like TasksPlaced
@@ -26,9 +26,6 @@ type SimMetrics struct {
 	SlotReuse *Counter
 	// SlotGrow counts cluster grid slots that made a grid reallocate.
 	SlotGrow *Counter
-	// BatchRows counts states evaluated through a batched policy pass
-	// (lock-step rollouts): one increment per row per ChooseBatch call.
-	BatchRows *Counter
 }
 
 // NewSimMetrics registers the simulation metrics in r (a nil r gets a
@@ -44,7 +41,6 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 		EnvCloneReuse: r.Counter("spear_sim_env_clone_reuse_total", "Episode clones that recycled a scratch env (pool reuse hits)"),
 		SlotReuse:     r.Counter("spear_cluster_slot_reuse_total", "Cluster grid slots opened inside a grid's spare capacity"),
 		SlotGrow:      r.Counter("spear_cluster_slot_grow_total", "Cluster grid slots that made a grid reallocate"),
-		BatchRows:     r.Counter("spear_nn_batch_rows_total", "States evaluated through batched policy passes"),
 	}
 }
 

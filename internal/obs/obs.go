@@ -7,7 +7,7 @@
 // at scheduler construction, every update is a single atomic operation, and
 // nothing on the update path allocates or takes a lock — so the
 // AllocsPerRun gates on the inference fast path hold with instrumentation
-// enabled, and leaf-parallel rollout workers can hammer shared counters
+// enabled, and concurrent search workers can hammer shared counters
 // safely (the package is exercised under -race).
 package obs
 

@@ -78,7 +78,7 @@ type Config struct {
 	Mode ProcessMode
 	// Metrics, when non-nil, receives step and clone counts. The bundle is
 	// shared by every clone of the episode, so the counters aggregate
-	// across leaf-parallel rollout workers. Clones count as they happen;
+	// across concurrent search workers. Clones count as they happen;
 	// steps are tallied in the Env and added once per Rollout or public
 	// Step. Nothing allocates.
 	Metrics *obs.SimMetrics

@@ -202,11 +202,11 @@ func TestMetricsWithConcurrentSchedulers(t *testing.T) {
 	done := make(chan error, len(jobs))
 	for i, job := range jobs {
 		go func(i int, job *spear.Job) {
-			// Parallel leaf rollouts inside each scheduler multiply the
-			// concurrency on the shared counters.
+			// Four rollouts per expansion multiply each scheduler's
+			// updates to the shared counters.
 			s := spear.NewMCTS(spear.MCTSConfig{
 				InitialBudget: 30, MinBudget: 10, Seed: int64(i),
-				RolloutsPerExpansion: 4, Parallelism: 2, Obs: reg,
+				RolloutsPerExpansion: 4, Obs: reg,
 			})
 			_, err := s.Schedule(job, spear.SingleMachine(capacity))
 			done <- err
