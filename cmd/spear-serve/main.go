@@ -45,12 +45,16 @@ func (c *classFlags) Set(v string) error {
 	return nil
 }
 
+// algorithms lists every name -algo accepts, in the order the help prints
+// them; buildScheduler has one case per entry.
+var algorithms = []string{"cp", "tetris", "sjf", "graphene", "level", "random", "anneal", "mcts"}
+
 func run() error {
 	var classes classFlags
 	var (
 		seed         = flag.Int64("seed", 1, "run seed; fully determines the run")
 		horizon      = flag.Int64("horizon", 20000, "last slot at which jobs may arrive")
-		algo         = flag.String("algo", "cp", "scheduling algorithm (cp,tetris,sjf,graphene,level,random,anneal,mcts)")
+		algo         = flag.String("algo", "cp", "scheduling algorithm ("+strings.Join(algorithms, ",")+")")
 		searchBudget = flag.Int("search-budget", 200, "per-decision iteration budget for -algo mcts")
 		admission    = flag.String("admission", "always", "admission policy (always,token-bucket)")
 		bucketCap    = flag.Float64("bucket-cap", 8, "token-bucket burst capacity in jobs")
@@ -247,6 +251,6 @@ func buildScheduler(cfg serve.Config) (sched.Scheduler, error) {
 		}
 		return mcts.New(mcts.Config{InitialBudget: budget, MinBudget: budget / 10, Seed: cfg.Seed}), nil
 	default:
-		return nil, fmt.Errorf("unknown algorithm %q", cfg.Algorithm)
+		return nil, fmt.Errorf("unknown algorithm %q (known: %v)", cfg.Algorithm, algorithms)
 	}
 }

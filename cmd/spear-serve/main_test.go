@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spear/internal/serve"
@@ -40,5 +41,27 @@ func TestDefaultTrafficFitsDefaultCluster(t *testing.T) {
 		if float64(final) > 1.1*float64(horizon) {
 			t.Errorf("seed %s: final_clock %d exceeds 1.1 x horizon %d: the default mix overloads the default cluster", seed, final, horizon)
 		}
+	}
+}
+
+// TestBuildSchedulerNames: every name the -algo help lists constructs a
+// scheduler, and an unknown name is refused with that same list.
+func TestBuildSchedulerNames(t *testing.T) {
+	for _, name := range algorithms {
+		s, err := buildScheduler(serve.Config{Algorithm: name, Seed: 1})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if s == nil || s.Name() == "" {
+			t.Errorf("%s: bad scheduler", name)
+		}
+	}
+	_, err := buildScheduler(serve.Config{Algorithm: "bogus"})
+	if err == nil {
+		t.Fatal("bogus algorithm accepted")
+	}
+	if want := strings.Join(algorithms, " "); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list the known names %q", err, want)
 	}
 }

@@ -28,11 +28,18 @@ func main() {
 	}
 }
 
+// algorithms lists every name -algos accepts, in the order the help prints
+// them; buildScheduler has one case per entry.
+var algorithms = []string{
+	"spear", "mcts", "graphene", "tetris", "cp", "sjf", "random",
+	"heft", "lpt", "bload", "level", "tetris-srpt", "anneal", "optimal",
+}
+
 func run() error {
 	var (
 		n          = flag.Int("n", 5, "number of random jobs")
 		tasks      = flag.Int("tasks", 100, "tasks per job")
-		algos      = flag.String("algos", "spear,graphene,tetris,cp,sjf", "comma-separated algorithms (spear,mcts,graphene,tetris,cp,sjf,random,heft,lpt,bload,level,tetris-srpt)")
+		algos      = flag.String("algos", "spear,graphene,tetris,cp,sjf", "comma-separated algorithms ("+strings.Join(algorithms, ",")+")")
 		budget     = flag.Int("budget", 150, "initial search budget for spear/mcts")
 		minBudget  = flag.Int("min-budget", 30, "minimum decayed budget for spear/mcts")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -226,7 +233,7 @@ func buildScheduler(name string, budget, minBudget int, seed int64, modelPath st
 		s.Obs = reg
 		return s, nil
 	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
+		return nil, fmt.Errorf("unknown algorithm %q (known: %v)", name, algorithms)
 	}
 }
 

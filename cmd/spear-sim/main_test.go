@@ -34,9 +34,28 @@ func TestParseCapacity(t *testing.T) {
 	}
 }
 
+// TestBuildSchedulerNames: every name the -algos help lists constructs a
+// scheduler, and an unknown name is refused with that same list.
 func TestBuildSchedulerNames(t *testing.T) {
-	for _, name := range []string{"mcts", "graphene", "tetris", "cp", "sjf", "random", "heft", "lpt", "bload", "level", "tetris-srpt", "anneal", "optimal"} {
-		s, err := buildScheduler(name, 10, 2, 1, "", nil)
+	// An untrained network of the default shape, so "spear" loads a model
+	// instead of training one.
+	net, err := spear.NewNetwork(spear.DefaultFeatures(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join(t.TempDir(), "model.gob")
+	f, err := os.Create(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spear.SaveModel(f, net); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range algorithms {
+		s, err := buildScheduler(name, 10, 2, 1, model, nil)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -45,8 +64,12 @@ func TestBuildSchedulerNames(t *testing.T) {
 			t.Errorf("%s: bad scheduler", name)
 		}
 	}
-	if _, err := buildScheduler("bogus", 10, 2, 1, "", nil); err == nil {
-		t.Error("bogus algorithm accepted")
+	_, err = buildScheduler("bogus", 10, 2, 1, model, nil)
+	if err == nil {
+		t.Fatal("bogus algorithm accepted")
+	}
+	if want := strings.Join(algorithms, " "); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list the known names %q", err, want)
 	}
 }
 

@@ -21,19 +21,12 @@ import (
 	"spear/internal/cluster"
 	"spear/internal/dag"
 	"spear/internal/sched"
-	"spear/internal/simenv"
 )
 
 // Config parameterizes the annealer.
 type Config struct {
 	// Iterations is the number of candidate orders evaluated. Default 500.
 	Iterations int
-	// InitialTemp scales the acceptance probability of worse candidates,
-	// as a fraction of the initial makespan. Default 0.05.
-	InitialTemp float64
-	// Cooling is the geometric cooling factor per iteration. Default such
-	// that the temperature decays to ~1% over the run.
-	Cooling float64
 	// Seed feeds the annealer's random source.
 	Seed int64
 }
@@ -42,26 +35,36 @@ func (c Config) normalized() Config {
 	if c.Iterations <= 0 {
 		c.Iterations = 500
 	}
-	if c.InitialTemp <= 0 {
-		c.InitialTemp = 0.05
-	}
-	if c.Cooling <= 0 {
-		// Reach 1% of the initial temperature by the last iteration.
-		c.Cooling = math.Pow(0.01, 1/float64(c.Iterations))
-	}
 	return c
 }
 
+// The temperature — the scale of the acceptance probability of worse
+// candidates — starts at initialTempFraction of the initial makespan and
+// cools geometrically to finalTempFraction of that by the last iteration.
+const (
+	initialTempFraction = 0.05
+	finalTempFraction   = 0.01
+)
+
+// coolingFactor is the per-iteration factor of that schedule.
+func (c Config) coolingFactor() float64 {
+	return math.Pow(finalTempFraction, 1/float64(c.Iterations))
+}
+
 // Scheduler is the simulated-annealing order search. It implements
-// sched.Scheduler.
+// sched.Scheduler. Every candidate order runs on the scheduler's one
+// baselines.OrderRunner, so it is not safe for concurrent use.
 type Scheduler struct {
-	cfg Config
+	cfg    Config
+	runner *baselines.OrderRunner
 }
 
 var _ sched.ContextScheduler = (*Scheduler)(nil)
 
 // New returns an annealing scheduler.
-func New(cfg Config) *Scheduler { return &Scheduler{cfg: cfg.normalized()} }
+func New(cfg Config) *Scheduler {
+	return &Scheduler{cfg: cfg.normalized(), runner: baselines.NewOrderRunner("Annealing")}
+}
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "Annealing" }
@@ -85,11 +88,13 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 	if err != nil {
 		return nil, err
 	}
-	out, err := run(g, spec, bestOrder)
+	if _, err := s.evaluate(g, spec, bestOrder); err != nil {
+		return nil, err
+	}
+	out, err := s.runner.Schedule()
 	if err != nil {
 		return nil, err
 	}
-	out.Algorithm = s.Name()
 	out.Elapsed = time.Since(began)
 	if cancelledAt >= 0 {
 		return out, fmt.Errorf("anneal: search cancelled at iteration %d: %w", cancelledAt, ctx.Err())
@@ -115,17 +120,18 @@ func (s *Scheduler) search(ctx context.Context, g *dag.Graph, spec cluster.Spec)
 	blevel := func(id dag.TaskID) int64 { return g.BLevel(id) }
 	sortByDesc(order, blevel)
 
-	current, err := evaluate(g, spec, order)
+	current, err := s.evaluate(g, spec, order)
 	if err != nil {
 		return nil, 0, -1, err
 	}
 	best := current
 	bestOrder = append([]dag.TaskID(nil), order...)
 
-	temp := s.cfg.InitialTemp * float64(current)
+	temp := initialTempFraction * float64(current)
 	if temp < 1 {
 		temp = 1
 	}
+	cooling := s.cfg.coolingFactor()
 	cancelledAt = -1
 	for iter := 0; iter < s.cfg.Iterations; iter++ {
 		if ctx.Err() != nil {
@@ -135,7 +141,7 @@ func (s *Scheduler) search(ctx context.Context, g *dag.Graph, spec cluster.Spec)
 		i, j := rng.Intn(n), rng.Intn(n)
 		if i != j {
 			order[i], order[j] = order[j], order[i]
-			cand, err := evaluate(g, spec, order)
+			cand, err := s.evaluate(g, spec, order)
 			if err != nil {
 				return nil, 0, -1, err
 			}
@@ -150,34 +156,18 @@ func (s *Scheduler) search(ctx context.Context, g *dag.Graph, spec cluster.Spec)
 				order[i], order[j] = order[j], order[i] // revert
 			}
 		}
-		temp *= s.cfg.Cooling
+		temp *= cooling
 	}
 	return bestOrder, temp, cancelledAt, nil
 }
 
 // evaluate executes the order and returns the makespan.
-func evaluate(g *dag.Graph, spec cluster.Spec, order []dag.TaskID) (int64, error) {
-	out, err := run(g, spec, order)
+func (s *Scheduler) evaluate(g *dag.Graph, spec cluster.Spec, order []dag.TaskID) (int64, error) {
+	makespan, err := s.runner.Makespan(g, spec, order)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("anneal: %w", err)
 	}
-	return out.Makespan, nil
-}
-
-func run(g *dag.Graph, spec cluster.Spec, order []dag.TaskID) (*sched.Schedule, error) {
-	policy, err := baselines.NewOrderPolicy("Annealing", order, g.NumTasks())
-	if err != nil {
-		return nil, err
-	}
-	e, err := simenv.NewCluster(g, spec, simenv.Config{Mode: simenv.NextCompletion})
-	if err != nil {
-		return nil, err
-	}
-	out, err := simenv.Run(e, policy, nil)
-	if err != nil {
-		return nil, fmt.Errorf("anneal: %w", err)
-	}
-	return out, nil
+	return makespan, nil
 }
 
 // sortByDesc orders ids by descending key (ties: smaller ID).

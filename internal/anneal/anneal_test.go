@@ -104,9 +104,9 @@ func TestCoolingReachesFloor(t *testing.T) {
 	// Regression: the swap draw hitting i == j used to `continue` past the
 	// cooling update, so single-task jobs (where i == j on every iteration)
 	// never cooled at all and larger jobs fell short of the schedule's
-	// 1%-of-initial floor. Cooling is now unconditional: after N iterations
-	// the temperature must be initial * Cooling^N, which the normalized
-	// default Cooling pins at 1% of the initial temperature.
+	// 1%-of-initial floor. The update is now unconditional: after N
+	// iterations the temperature must be initial * coolingFactor^N, which
+	// the schedule pins at finalTempFraction of the initial temperature.
 	b := dag.NewBuilder(1)
 	b.AddTask("only", 7, resource.Of(1))
 	g, err := b.Build()
@@ -123,7 +123,7 @@ func TestCoolingReachesFloor(t *testing.T) {
 		t.Fatalf("cancelledAt = %d, want -1", cancelledAt)
 	}
 	// Initial temp clamps to 1 (0.05 * makespan 7 < 1), so the floor is 0.01.
-	want := math.Pow(s.cfg.Cooling, iters)
+	want := math.Pow(s.cfg.coolingFactor(), iters)
 	if math.Abs(finalTemp-want) > 1e-12 {
 		t.Errorf("final temperature = %g, want %g (cooled every iteration)", finalTemp, want)
 	}
@@ -134,7 +134,7 @@ func TestCoolingReachesFloor(t *testing.T) {
 
 func TestCoolingUnconditionalOnCollisions(t *testing.T) {
 	// On a multi-task job the i == j collisions are rare but real; the final
-	// temperature must still be exactly initial * Cooling^N.
+	// temperature must still be exactly initial * coolingFactor^N.
 	cfg := workload.DefaultRandomDAGConfig()
 	cfg.NumTasks = 8 // small n makes collisions frequent
 	g, err := workload.RandomDAG(rand.New(rand.NewSource(2)), cfg)
@@ -154,17 +154,17 @@ func TestCoolingUnconditionalOnCollisions(t *testing.T) {
 		order[i] = dag.TaskID(i)
 	}
 	sortByDesc(order, func(id dag.TaskID) int64 { return g.BLevel(id) })
-	startMakespan, err := evaluate(g, cluster.Single(cfg.Capacity()), order)
+	startMakespan, err := s.evaluate(g, cluster.Single(cfg.Capacity()), order)
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := s.cfg.InitialTemp * float64(startMakespan)
+	initial := initialTempFraction * float64(startMakespan)
 	if initial < 1 {
 		initial = 1
 	}
 	want := initial
 	for i := 0; i < iters; i++ {
-		want *= s.cfg.Cooling
+		want *= s.cfg.coolingFactor()
 	}
 	if math.Abs(finalTemp-want)/want > 1e-9 {
 		t.Errorf("final temperature = %g, want %g", finalTemp, want)
@@ -173,8 +173,8 @@ func TestCoolingUnconditionalOnCollisions(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.normalized()
-	if c.Iterations != 500 || c.InitialTemp != 0.05 || c.Cooling <= 0 || c.Cooling >= 1 {
-		t.Errorf("defaults = %+v", c)
+	if f := c.coolingFactor(); c.Iterations != 500 || f <= 0 || f >= 1 {
+		t.Errorf("defaults = %+v, cooling factor %g", c, f)
 	}
 }
 

@@ -203,16 +203,17 @@ func TestPoliciesProcessWhenNothingFits(t *testing.T) {
 }
 
 func TestOrderPolicyValidation(t *testing.T) {
-	if _, err := NewOrderPolicy("x", []dag.TaskID{0}, 2); err == nil {
+	var p orderPolicy
+	if err := p.setOrder([]dag.TaskID{0}, 2); err == nil {
 		t.Error("short order accepted")
 	}
-	if _, err := NewOrderPolicy("x", []dag.TaskID{0, 0}, 2); err == nil {
+	if err := p.setOrder([]dag.TaskID{0, 0}, 2); err == nil {
 		t.Error("duplicate order accepted")
 	}
-	if _, err := NewOrderPolicy("x", []dag.TaskID{0, 5}, 2); err == nil {
+	if err := p.setOrder([]dag.TaskID{0, 5}, 2); err == nil {
 		t.Error("out-of-range order accepted")
 	}
-	if _, err := NewOrderPolicy("x", []dag.TaskID{1, 0}, 2); err != nil {
+	if err := p.setOrder([]dag.TaskID{1, 0}, 2); err != nil {
 		t.Errorf("valid order rejected: %v", err)
 	}
 }
@@ -223,8 +224,8 @@ func TestOrderPolicyFollowsOrder(t *testing.T) {
 		{runtime: 2, demand: []int64{1}},
 		{runtime: 2, demand: []int64{1}},
 	}, nil)
-	policy, err := NewOrderPolicy("ordered", []dag.TaskID{2, 0, 1}, 3)
-	if err != nil {
+	policy := &orderPolicy{name: "ordered"}
+	if err := policy.setOrder([]dag.TaskID{2, 0, 1}, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Capacity 1: strictly serial; starts must follow the order.
@@ -351,26 +352,6 @@ func TestGrapheneGroupsSortedByRuntime(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestGrapheneCustomThresholds(t *testing.T) {
-	g := buildGraph(t, 1, []taskSpec{
-		{runtime: 4, demand: []int64{1}},
-		{runtime: 2, demand: []int64{1}},
-	}, nil)
-	gr := &Graphene{Thresholds: []float64{0.5}}
-	out, err := gr.Schedule(g, cluster.Single(resource.Of(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(g, cluster.Single(resource.Of(2)), out); err != nil {
-		t.Error(err)
-	}
-
-	empty := &Graphene{Thresholds: []float64{}}
-	if _, err := empty.Schedule(g, cluster.Single(resource.Of(2))); err == nil {
-		t.Error("empty thresholds accepted")
 	}
 }
 

@@ -9,13 +9,12 @@ import (
 	"spear/internal/dag"
 	"spear/internal/resource"
 	"spear/internal/sched"
-	"spear/internal/simenv"
 )
 
-// defaultGrapheneThresholds are the troublesome-task runtime thresholds the
-// paper evaluates Graphene with (§V-A): a task is troublesome at threshold f
-// when its runtime is at least f times the job's maximum task runtime.
-var defaultGrapheneThresholds = []float64{0.2, 0.4, 0.6, 0.8}
+// grapheneThresholds are the troublesome-task runtime thresholds the paper
+// evaluates Graphene with (§V-A): a task is troublesome at threshold f when
+// its runtime is at least f times the job's maximum task runtime.
+var grapheneThresholds = [...]float64{0.2, 0.4, 0.6, 0.8}
 
 // Graphene reimplements the Graphene scheduler (Grandl et al., OSDI 2016) as
 // characterized in the Spear paper (§I, §II-C, §V-A):
@@ -28,15 +27,17 @@ var defaultGrapheneThresholds = []float64{0.2, 0.4, 0.6, 0.8}
 //     remaining tasks, and execute the order online under real dependency
 //     and capacity constraints;
 //  4. try every threshold with both strategies and keep the best result.
+//
+// Every candidate order runs on the scheduler's one OrderRunner, so like
+// every sched.Scheduler a Graphene is not safe for concurrent use.
 type Graphene struct {
-	// Thresholds to try; nil means defaultGrapheneThresholds.
-	Thresholds []float64
+	runner *OrderRunner
 }
 
 var _ sched.Scheduler = (*Graphene)(nil)
 
 // NewGrapheneScheduler returns Graphene with the paper's threshold set.
-func NewGrapheneScheduler() *Graphene { return &Graphene{} }
+func NewGrapheneScheduler() *Graphene { return &Graphene{runner: NewOrderRunner("Graphene")} }
 
 // Name implements sched.Scheduler.
 func (gr *Graphene) Name() string { return "Graphene" }
@@ -52,36 +53,23 @@ func (gr *Graphene) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 	// Virtual placement reasons about the aggregate resource-time volume;
 	// the online execution below enforces real per-machine boundaries.
 	capacity := spec.Total()
-	thresholds := gr.Thresholds
-	if thresholds == nil {
-		thresholds = defaultGrapheneThresholds
-	}
-	if len(thresholds) == 0 {
-		return nil, fmt.Errorf("graphene: no thresholds configured")
-	}
 
 	var best *sched.Schedule
-	for _, f := range thresholds {
+	for _, f := range grapheneThresholds {
 		troublesome := troublesomeTasks(g, f)
 		for _, backward := range []bool{false, true} {
 			order, err := grapheneOrder(g, capacity, troublesome, backward)
 			if err != nil {
 				return nil, err
 			}
-			policy, err := NewOrderPolicy("Graphene", order, g.NumTasks())
+			makespan, err := gr.runner.Makespan(g, spec, order)
 			if err != nil {
 				return nil, err
 			}
-			e, err := simenv.NewCluster(g, spec, simenv.Config{Mode: simenv.NextCompletion})
-			if err != nil {
-				return nil, err
-			}
-			s, err := simenv.Run(e, policy, nil)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || s.Makespan < best.Makespan {
-				best = s
+			if best == nil || makespan < best.Makespan {
+				if best, err = gr.runner.Schedule(); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

@@ -33,7 +33,7 @@ type PolicyScheduler struct {
 	seed   int64
 
 	env simenv.Env
-	rc  *simenv.RolloutContext // for policy; nil until the first job and after WithRouting
+	rc  *simenv.RolloutContext // for policy
 	rng *rand.Rand             // over a lazySource, re-seeded per job
 }
 
@@ -42,36 +42,21 @@ var _ sched.Scheduler = (*PolicyScheduler)(nil)
 // newPolicyScheduler wraps the policy as a full scheduler. The seed feeds
 // the policy's random source; deterministic policies ignore it.
 func newPolicyScheduler(p simenv.Policy, cfg simenv.Config, seed int64) *PolicyScheduler {
-	return &PolicyScheduler{policy: p, cfg: cfg, seed: seed, rng: rand.New(&lazySource{seed: seed})}
+	return &PolicyScheduler{
+		policy: p, cfg: cfg, seed: seed,
+		rc:  simenv.NewRolloutContext(p),
+		rng: rand.New(&lazySource{seed: seed}),
+	}
 }
 
 // Name implements sched.Scheduler.
 func (s *PolicyScheduler) Name() string { return s.policy.Name() }
-
-// WithRouting overrides how the wrapped policy picks machines on
-// multi-machine specs: the policy still selects which task to start (by
-// slot), but the machine among those the task currently fits is chosen by
-// the routing policy instead of first-fit. A nil routing policy restores
-// first-fit. Single-machine schedules are unaffected. Returns s.
-func (s *PolicyScheduler) WithRouting(r cluster.RoutingPolicy) *PolicyScheduler {
-	if base, ok := s.policy.(*routedPolicy); ok {
-		s.policy = base.policy
-	}
-	if r != nil {
-		s.policy = &routedPolicy{policy: s.policy, route: r}
-	}
-	s.rc = nil
-	return s
-}
 
 // Schedule implements sched.Scheduler.
 func (s *PolicyScheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
 	e, err := s.env.Reset(g, spec, s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.policy.Name(), err)
-	}
-	if s.rc == nil {
-		s.rc = simenv.NewRolloutContext(s.policy)
 	}
 	s.rng.Seed(s.seed) // every job draws from the start of the same stream
 	began := time.Now()
@@ -107,50 +92,6 @@ func (l *lazySource) source() rand.Source64 {
 func (l *lazySource) Int63() int64    { return l.source().Int63() }
 func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
 func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
-
-// routedPolicy decorates a task-selection policy with a machine-selection
-// routing policy: the base policy picks an action, and when that action
-// starts a task, the machine is re-picked by the router among the machines
-// the task legally fits right now.
-type routedPolicy struct {
-	policy simenv.Policy
-	route  cluster.RoutingPolicy
-
-	machines []int // scratch candidate buffer
-}
-
-var _ simenv.Policy = (*routedPolicy)(nil)
-
-// Name implements simenv.Policy.
-func (p *routedPolicy) Name() string { return p.policy.Name() + "+" + p.route.Name() }
-
-// Choose implements simenv.Policy.
-func (p *routedPolicy) Choose(e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (simenv.Action, error) {
-	a, err := p.policy.Choose(e, legal, rng)
-	if err != nil || a == simenv.Process || e.NumMachines() == 1 {
-		return a, err
-	}
-	slot := a.Slot()
-	p.machines = p.machines[:0]
-	for _, la := range legal {
-		if la != simenv.Process && la.Slot() == slot {
-			p.machines = append(p.machines, la.Machine())
-		}
-	}
-	if len(p.machines) == 0 {
-		return a, nil
-	}
-	task := e.Graph().Task(e.VisibleTask(slot))
-	m := p.route.Route(e.Cluster(), p.machines, task.Demand, task.Runtime, e.Now())
-	for _, c := range p.machines {
-		if c == m {
-			return simenv.At(slot, m), nil
-		}
-	}
-	// A router returning a non-candidate machine is a bug; fall back to the
-	// base policy's pick rather than emit an illegal action.
-	return a, nil
-}
 
 // availBuf is stack room for a free-capacity vector (Env.AvailableNowInto):
 // the paper's clusters have two resource dimensions, and a spec with more

@@ -186,17 +186,6 @@ func (m *Multi) EarliestStartAny(from int64, demand resource.Vector, duration in
 	return best, bestStart, nil
 }
 
-// Eligible appends to buf the indices of machines whose capacity can hold
-// the demand and returns the extended slice.
-func (m *Multi) Eligible(demand resource.Vector, buf []int) []int {
-	for i := range m.spec {
-		if demand.FitsWithin(m.spec[i].Capacity) {
-			buf = append(buf, i)
-		}
-	}
-	return buf
-}
-
 // AvailableAt returns the aggregate free capacity across machines at
 // absolute time t. For a one-machine cluster it equals the machine's own
 // AvailableAt.

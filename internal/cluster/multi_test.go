@@ -240,55 +240,6 @@ func TestMultiAdvanceAndAggregates(t *testing.T) {
 	}
 }
 
-func TestRoutingPolicies(t *testing.T) {
-	m, err := NewMulti(Uniform(3, resource.Of(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := resource.Of(1)
-	all := []int{0, 1, 2}
-
-	rr := NewRoundRobin()
-	got := []int{
-		rr.Route(m, all, d, 1, 0),
-		rr.Route(m, all, d, 1, 0),
-		rr.Route(m, all, d, 1, 0),
-		rr.Route(m, all, d, 1, 0),
-	}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round-robin sequence = %v, want %v", got, want)
-		}
-	}
-	// Round-robin skips machines outside the candidate set.
-	if c := rr.Route(m, []int{0, 2}, d, 1, 0); c != 2 {
-		t.Fatalf("round-robin with candidates {0,2} after cursor=1: got %d, want 2", c)
-	}
-
-	// Load machine 0; least-loaded must avoid it.
-	if err := m.Place(0, 0, resource.Of(4), 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Place(1, 0, resource.Of(1), 5); err != nil {
-		t.Fatal(err)
-	}
-	ll := NewLeastLoaded()
-	if c := ll.Route(m, all, d, 1, 0); c != 2 {
-		t.Fatalf("least-loaded picked %d, want empty machine 2", c)
-	}
-
-	ws := NewWeightedScore(nil)
-	if c := ws.Route(m, all, d, 1, 0); c != 2 {
-		t.Fatalf("weighted-score picked %d, want empty machine 2", c)
-	}
-	for _, p := range []RoutingPolicy{rr, ll, ws} {
-		if p.Name() == "" {
-			t.Fatal("routing policy must have a name")
-		}
-	}
-}
-
 // TestMultiWarmCloneDoesNotAllocate mirrors the Space fastpath gate: once a
 // scratch Multi has been cloned into, re-cloning a same-shape source must
 // not touch the heap.

@@ -35,10 +35,6 @@ type Config struct {
 	// ExplorationScale scales the greedy-estimate-based UCB exploration
 	// constant. Zero means the mcts default.
 	ExplorationScale float64
-	// GreedyRollout plays rollouts with argmax actions instead of sampling
-	// from the policy distribution. Sampling (default) preserves rollout
-	// diversity across MCTS iterations.
-	GreedyRollout bool
 	// RootParallelism runs this many independent search trees per decision
 	// (root parallelization), splitting each decision's budget across them
 	// and merging their root statistics to pick the action. Default 1.
@@ -77,7 +73,6 @@ func (c Config) normalized() Config {
 // Spear is the DRL-guided MCTS scheduler. It implements sched.Scheduler.
 type Spear struct {
 	search *mcts.Scheduler
-	agent  *drl.Agent
 }
 
 var _ sched.ContextScheduler = (*Spear)(nil)
@@ -87,13 +82,14 @@ var _ sched.ContextScheduler = (*Spear)(nil)
 var errMultiMachine = errors.New("core: the Spear policy network schedules single-machine specs only")
 
 // New builds Spear around a trained policy network. The same network guides
-// both expansion ordering and rollouts. The rollout agent implements
-// simenv.ContextPolicy, so the search runs every rollout through the
-// allocation-free, memoised inference fast path; each root-parallel tree
-// worker gets a private expander from the factory.
+// both expansion ordering (argmax) and rollouts (sampled from the policy
+// distribution, which keeps rollouts diverse across iterations, §III-D). The
+// rollout agent implements simenv.ContextPolicy, so the search runs every
+// rollout through the allocation-free, memoised inference fast path; each
+// root-parallel tree worker gets a private expander from the factory.
 func New(net *nn.Network, feat drl.Features, cfg Config) (*Spear, error) {
 	cfg = cfg.normalized()
-	rolloutAgent, err := drl.NewAgent(net, feat, cfg.GreedyRollout)
+	rolloutAgent, err := drl.NewAgent(net, feat, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -118,7 +114,7 @@ func New(net *nn.Network, feat drl.Features, cfg Config) (*Spear, error) {
 		RolloutsPerExpansion: cfg.RolloutsPerExpansion,
 		Obs:                  cfg.Obs,
 	})
-	return &Spear{search: search, agent: rolloutAgent}, nil
+	return &Spear{search: search}, nil
 }
 
 // Name implements sched.Scheduler.

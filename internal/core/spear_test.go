@@ -99,27 +99,6 @@ func TestSpearSolvesMotivatingExample(t *testing.T) {
 	}
 }
 
-func TestSpearGreedyRollout(t *testing.T) {
-	net := quickModel(t)
-	s, err := New(net, quickFeat, Config{InitialBudget: 20, MinBudget: 5, GreedyRollout: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := workload.DefaultRandomDAGConfig()
-	cfg.NumTasks = 15
-	g, err := workload.RandomDAG(rand.New(rand.NewSource(9)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Schedule(g, cluster.Single(cfg.Capacity()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(g, cluster.Single(cfg.Capacity()), out); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSpearPolicyTallyCoversEveryRollout: with several rollouts per expansion
 // the search still reports every policy evaluation — each rollout asks for at
 // least one — and the rollout context's memo answers some of them.

@@ -2,7 +2,6 @@ package drl
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -173,56 +172,41 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	}
 	baseline[4] = float64(tr.steps[4].now - tr.makespan) // advantage 0: skipped row
 
-	for _, bonus := range []float64{0, 0.01} {
-		// Sequential reference: one one-row forward and backward per step.
-		want := net.NewGrads()
-		scratch := net.NewScratch()
-		d := make([]float64, net.OutputSize())
-		for i, st := range tr.steps {
-			advantage := float64(st.now-tr.makespan) - baseline[i]
-			if advantage == 0 && bonus == 0 {
-				want.AddSamples(1)
-				continue
-			}
-			probs, err := net.ProbsInto(scratch, xs[i], mask)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, p := range probs {
-				d[j] = p * advantage
-			}
-			d[st.action] -= advantage
-			if bonus > 0 {
-				var entropy float64
-				for _, p := range probs {
-					if p > 0 {
-						entropy -= p * math.Log(p)
-					}
-				}
-				for j, p := range probs {
-					if p > 0 {
-						d[j] += bonus * p * (math.Log(p) + entropy)
-					}
-				}
-			}
-			if err := net.BackwardBatchInto(scratch, d, 1, want); err != nil {
-				t.Fatal(err)
-			}
+	// Sequential reference: one one-row forward and backward per step.
+	want := net.NewGrads()
+	scratch := net.NewScratch()
+	d := make([]float64, net.OutputSize())
+	for i, st := range tr.steps {
+		advantage := float64(st.now-tr.makespan) - baseline[i]
+		if advantage == 0 {
+			want.AddSamples(1)
+			continue
 		}
-
-		got := net.NewGrads()
-		if err := backpropTrajectory(net, tr, baseline, got, newTrainContext(net, reinforceChunkRows), bonus); err != nil {
+		probs, err := net.ProbsInto(scratch, xs[i], mask)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Samples() != want.Samples() {
-			t.Fatalf("bonus=%g: samples %d, want %d", bonus, got.Samples(), want.Samples())
+		for j, p := range probs {
+			d[j] = p * advantage
 		}
-		// The grad buffers are opaque here; apply each to an identical clone
-		// and compare the serialized results — bit-equal grads give bit-equal
-		// networks.
-		if bytes.Compare(applyAndSave(t, net, want), applyAndSave(t, net, got)) != 0 {
-			t.Fatalf("bonus=%g: batched gradients differ from sequential", bonus)
+		d[st.action] -= advantage
+		if err := net.BackwardBatchInto(scratch, d, 1, want); err != nil {
+			t.Fatal(err)
 		}
+	}
+
+	got := net.NewGrads()
+	if err := backpropTrajectory(net, tr, baseline, got, newTrainContext(net, reinforceChunkRows)); err != nil {
+		t.Fatal(err)
+	}
+	if got.Samples() != want.Samples() {
+		t.Fatalf("samples %d, want %d", got.Samples(), want.Samples())
+	}
+	// The grad buffers are opaque here; apply each to an identical clone
+	// and compare the serialized results — bit-equal grads give bit-equal
+	// networks.
+	if bytes.Compare(applyAndSave(t, net, want), applyAndSave(t, net, got)) != 0 {
+		t.Fatal("batched gradients differ from sequential")
 	}
 }
 

@@ -422,98 +422,6 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-func TestEntropyBonusPushesTowardUniform(t *testing.T) {
-	// Build a fake one-step trajectory whose advantage is exactly zero
-	// (baseline == return), so the only gradient comes from the entropy
-	// term: repeated updates must increase the policy's entropy at that
-	// state.
-	feat := testFeatures()
-	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, feat.InputSize())
-	r := rand.New(rand.NewSource(12))
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	mask := make([]bool, feat.OutputSize())
-	for i := range mask {
-		mask[i] = true
-	}
-	// A record is the evaluation under the weights in force, so the step is
-	// recorded afresh after every update, as sampling does.
-	rc := newRecorder(net)
-	tr := trajectory{makespan: 10, records: rc.slab}
-	record := func() {
-		rc.slab.reset()
-		tr.steps = []step{rc.step(t, x, mask, 0, 5)}
-	}
-	baseline := []float64{5 - float64(tr.makespan)} // advantage 0
-
-	entropyOf := func() float64 {
-		probs, err := net.ProbsInto(net.NewScratch(), x, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var h float64
-		for _, p := range probs {
-			if p > 0 {
-				h -= p * math.Log(p)
-			}
-		}
-		return h
-	}
-
-	before := entropyOf()
-	opt := nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}
-	tc := newTrainContext(net, reinforceChunkRows)
-	for i := 0; i < 50; i++ {
-		grads := net.NewGrads()
-		record()
-		if err := backpropTrajectory(net, tr, baseline, grads, tc, 1.0); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Apply(grads, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := entropyOf()
-	if after <= before {
-		t.Errorf("entropy did not increase: %.4f -> %.4f", before, after)
-	}
-
-	// With bonus 0 and zero advantage the backward pass is skipped, but the
-	// step still counts as a sample so Apply averages over the true batch
-	// size (a skipped step must not inflate the effective learning rate).
-	grads := net.NewGrads()
-	record()
-	if err := backpropTrajectory(net, tr, baseline, grads, tc, 0); err != nil {
-		t.Fatal(err)
-	}
-	if grads.Samples() != 1 {
-		t.Errorf("zero-advantage zero-bonus step counted %d samples, want 1", grads.Samples())
-	}
-}
-
-func TestTrainWithEntropyBonusStillLearnsValidPolicies(t *testing.T) {
-	feat := testFeatures()
-	jobs, capacity := testJobs(t, 2, 8, 31)
-	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(13)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve, err := Train(net, feat, jobs, capacity, TrainConfig{
-		Epochs: 2, Rollouts: 3, EntropyBonus: 0.01,
-	}, rand.New(rand.NewSource(14)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 2 {
-		t.Fatalf("curve len = %d", len(curve))
-	}
-}
-
 func TestTrainCheckpoints(t *testing.T) {
 	feat := testFeatures()
 	jobs, capacity := testJobs(t, 1, 8, 30)

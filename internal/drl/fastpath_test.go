@@ -109,8 +109,8 @@ func TestRolloutContextUsesAgentFastPath(t *testing.T) {
 }
 
 // TestZeroAdvantageStepsCountAsSamples is the regression test for the
-// effective-learning-rate bug: steps whose advantage is exactly zero (and no
-// entropy bonus) contribute no gradient but are still samples of the batch,
+// effective-learning-rate bug: steps whose advantage is exactly zero
+// contribute no gradient but are still samples of the batch,
 // so Grads.Samples must count them — otherwise Apply's 1/n scaling divides
 // by too few samples and silently inflates the step size.
 func TestZeroAdvantageStepsCountAsSamples(t *testing.T) {
@@ -141,7 +141,7 @@ func TestZeroAdvantageStepsCountAsSamples(t *testing.T) {
 	}
 	grads := net.NewGrads()
 	tc := newTrainContext(net, reinforceChunkRows)
-	if err := backpropTrajectory(net, tr, baseline, grads, tc, 0); err != nil {
+	if err := backpropTrajectory(net, tr, baseline, grads, tc); err != nil {
 		t.Fatal(err)
 	}
 	if got := grads.Samples(); got != len(tr.steps) {

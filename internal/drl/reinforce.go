@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -38,10 +37,6 @@ type TrainConfig struct {
 	// Mode is the environment's process semantics. Default OneSlot, whose
 	// -1-per-slot reward makes the episode return the negative makespan.
 	Mode simenv.ProcessMode
-	// EntropyBonus adds β·H(π(·|s)) to the objective, discouraging
-	// premature policy collapse — a standard REINFORCE regularizer.
-	// Zero (the paper's setting) disables it.
-	EntropyBonus float64
 	// CheckpointEvery, when positive, invokes Checkpoint after every that
 	// many epochs (and after the final epoch).
 	CheckpointEvery int
@@ -392,9 +387,8 @@ func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, tr *trajector
 // gradients with the averaged-trajectory baseline: the return-to-go of step
 // t is G_t = now_t - makespan (each remaining time slot costs -1), and the
 // baseline b_t averages G_t across the example's rollouts (§IV, following
-// the per-timestep baseline of DeepRM). An optional entropy bonus is mixed
-// into the logit gradients. Backprop over trajectories runs in parallel
-// with per-trajectory gradient buffers.
+// the per-timestep baseline of DeepRM). Backprop over trajectories runs in
+// parallel with per-trajectory gradient buffers.
 func (tr *trainer) accumulatePolicyGradient(grads *nn.Grads) error {
 	// Per-step baseline across trajectories.
 	maxLen := 0
@@ -419,7 +413,7 @@ func (tr *trainer) accumulatePolicyGradient(grads *nn.Grads) error {
 	// the result is bit-identical regardless of worker count or scheduling
 	// interleave. The per-pass buffers (activations, deltas) are the workers'.
 	err := tr.forEachRollout(func(w, i int) error {
-		return backpropTrajectory(tr.agent.net, tr.trajs[i], tr.baseline, tr.local[i], tr.backprop[w], tr.cfg.EntropyBonus)
+		return backpropTrajectory(tr.agent.net, tr.trajs[i], tr.baseline, tr.local[i], tr.backprop[w])
 	})
 	if err != nil {
 		return err
@@ -451,17 +445,15 @@ func newTrainContext(net *nn.Network, rows int) *trainContext {
 	}
 }
 
-// backpropTrajectory accumulates (probs - onehot) * advantage plus the
-// entropy-bonus term for every step of one trajectory. The gradient of
-// -β·H with respect to logit i under a (masked) softmax is
-// β·p_i·(log p_i + H). Nothing is evaluated again: a step's record holds the
+// backpropTrajectory accumulates (probs - onehot) * advantage for every step
+// of one trajectory. Nothing is evaluated again: a step's record holds the
 // distribution the sampler drew from and the activations behind it, computed
 // under the weights still in force, and those go back into the worker's
 // scratch. Steps are processed in chunks of reinforceChunkRows through the
 // batched backward kernel; because that accumulates per-weight contributions
 // in ascending row (= step) order, the resulting gradients are bit-identical
 // to one sequential forward and backward pass per step.
-func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grads *nn.Grads, tc *trainContext, entropyBonus float64) error {
+func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grads *nn.Grads, tc *trainContext) error {
 	out, state := net.OutputSize(), net.RowStateSize()
 	t := 0
 	for t < len(tr.steps) {
@@ -471,9 +463,9 @@ func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grad
 			st := tr.steps[t]
 			advantage := float64(st.now-tr.makespan) - baseline[t]
 			t++
-			// Exact-zero tests: only a bit-exact zero contributes nothing to
+			// Exact-zero test: only a bit-exact zero contributes nothing to
 			// the backward pass, and the skip must not change gradients.
-			if advantage == 0 && entropyBonus == 0 { //spear:floateq
+			if advantage == 0 { //spear:floateq
 				// Zero-gradient step: the backward pass would add nothing, but
 				// the step is still a sample of the batch. Count it so that
 				// Apply's 1/n scaling averages over the true batch size instead
@@ -491,19 +483,6 @@ func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grad
 				d[i] = p * advantage
 			}
 			d[st.action] -= advantage
-			if entropyBonus > 0 {
-				var entropy float64
-				for _, p := range pr {
-					if p > 0 {
-						entropy -= p * math.Log(p)
-					}
-				}
-				for i, p := range pr {
-					if p > 0 {
-						d[i] += entropyBonus * p * (math.Log(p) + entropy)
-					}
-				}
-			}
 			rows++
 		}
 		if rows == 0 {

@@ -14,35 +14,24 @@ import (
 
 // PretrainConfig parameterizes supervised warm-start training. Per §IV,
 // the network first imitates a greedy heuristic (the critical-path
-// algorithm) so that early RL simulations produce meaningful trajectories.
+// algorithm) so that early RL simulations produce meaningful trajectories:
+// one CP demonstration episode per job, under OneSlot process semantics.
 type PretrainConfig struct {
 	// Epochs over the collected demonstration set. Default 10.
 	Epochs int
-	// Teacher provides the demonstrated actions. Default: baselines.CP.
-	Teacher simenv.Policy
-	// BatchSize for gradient updates. Default 32.
-	BatchSize int
 	// Opt is the optimizer; zero value means nn.DefaultRMSProp.
 	Opt nn.RMSProp
-	// Mode is the environment's process semantics. Default OneSlot.
-	Mode simenv.ProcessMode
 }
+
+// pretrainBatchSize is the minibatch size of the supervised updates.
+const pretrainBatchSize = 32
 
 func (c PretrainConfig) normalized() PretrainConfig {
 	if c.Epochs <= 0 {
 		c.Epochs = 10
 	}
-	if c.Teacher == nil {
-		c.Teacher = baselines.CP{}
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
 	if c.Opt == (nn.RMSProp{}) {
 		c.Opt = nn.DefaultRMSProp()
-	}
-	if c.Mode == 0 {
-		c.Mode = simenv.OneSlot
 	}
 	return c
 }
@@ -55,11 +44,11 @@ type sample struct {
 	action int
 }
 
-// Pretrain teaches net to imitate the teacher on the given jobs and returns
-// the mean cross-entropy loss per epoch. Every minibatch is one batched
-// forward and one batched backward pass through a single reused scratch and
-// gradient buffer; the kernels accumulate in row order, so the trained
-// network is the one per-sample backprop would produce, bit for bit.
+// Pretrain teaches net to imitate the CP heuristic on the given jobs and
+// returns the mean cross-entropy loss per epoch. Every minibatch is one
+// batched forward and one batched backward pass through a single reused
+// scratch and gradient buffer; the kernels accumulate in row order, so the
+// trained network is the one per-sample backprop would produce, bit for bit.
 func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.Vector, cfg PretrainConfig, rng *rand.Rand) ([]float64, error) {
 	cfg = cfg.normalized()
 	if net == nil {
@@ -72,21 +61,21 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 		return nil, errShape
 	}
 
-	samples, err := collectDemonstrations(feat, jobs, capacity, cfg, rng)
+	samples, err := collectDemonstrations(feat, jobs, capacity, rng)
 	if err != nil {
 		return nil, err
 	}
 
 	in, out := net.InputSize(), net.OutputSize()
-	tc := newTrainContext(net, cfg.BatchSize)
-	bx, bmask := make([]float64, cfg.BatchSize*in), make([]bool, cfg.BatchSize*out)
+	tc := newTrainContext(net, pretrainBatchSize)
+	bx, bmask := make([]float64, pretrainBatchSize*in), make([]bool, pretrainBatchSize*out)
 	grads := net.NewGrads()
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 		var epochLoss float64
-		for start := 0; start < len(samples); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < len(samples); start += pretrainBatchSize {
+			end := start + pretrainBatchSize
 			if end > len(samples) {
 				end = len(samples)
 			}
@@ -120,12 +109,13 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 	return losses, nil
 }
 
-// collectDemonstrations runs the teacher once per job, recording every
+// collectDemonstrations runs the CP teacher once per job, recording every
 // decision as a supervised sample.
-func collectDemonstrations(feat Features, jobs []*dag.Graph, capacity resource.Vector, cfg PretrainConfig, rng *rand.Rand) ([]sample, error) {
+func collectDemonstrations(feat Features, jobs []*dag.Graph, capacity resource.Vector, rng *rand.Rand) ([]sample, error) {
+	teacher := baselines.CP{}
 	var samples []sample
 	for ji, g := range jobs {
-		e, err := simenv.New(g, capacity, simenv.Config{Window: feat.Window, Mode: cfg.Mode})
+		e, err := simenv.New(g, capacity, simenv.Config{Window: feat.Window, Mode: simenv.OneSlot})
 		if err != nil {
 			return nil, fmt.Errorf("drl: job %d: %w", ji, err)
 		}
@@ -134,9 +124,9 @@ func collectDemonstrations(feat Features, jobs []*dag.Graph, capacity resource.V
 			if len(legal) == 0 {
 				return nil, fmt.Errorf("drl: job %d: stuck episode", ji)
 			}
-			a, err := cfg.Teacher.Choose(e, legal, rng)
+			a, err := teacher.Choose(e, legal, rng)
 			if err != nil {
-				return nil, fmt.Errorf("drl: teacher %s: %w", cfg.Teacher.Name(), err)
+				return nil, fmt.Errorf("drl: teacher %s: %w", teacher.Name(), err)
 			}
 			samples = append(samples, sample{
 				x:      feat.Encode(e, nil),

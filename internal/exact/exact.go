@@ -37,6 +37,7 @@ type Solver struct {
 	optimal  bool
 	sm       *obs.SolverMetrics
 	reg      *obs.Registry
+	greedy   *baselines.PolicyScheduler // Tetris, for the incumbent
 }
 
 // defaultMaxNodes bounds the search effort (~a few seconds for 10-12 task
@@ -50,7 +51,9 @@ var ErrBudgetExceeded = errors.New("exact: node budget exceeded before proving o
 var _ sched.ContextScheduler = (*Solver)(nil)
 
 // New returns a Solver with the given node budget (0 = defaultMaxNodes).
-func New(maxNodes int64) *Solver { return &Solver{MaxNodes: maxNodes} }
+func New(maxNodes int64) *Solver {
+	return &Solver{MaxNodes: maxNodes, greedy: baselines.NewTetrisScheduler()}
+}
 
 // Name implements sched.Scheduler.
 func (s *Solver) Name() string { return "Optimal" }
@@ -124,7 +127,7 @@ func (s *Solver) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster
 
 	// Incumbent: a greedy packing run gives an upper bound that prunes
 	// most of the tree immediately.
-	incumbent, err := baselines.NewTetrisScheduler().Schedule(g, spec)
+	incumbent, err := s.greedy.Schedule(g, spec)
 	if err != nil {
 		return nil, fmt.Errorf("exact: incumbent: %w", err)
 	}

@@ -25,13 +25,11 @@ type priority func(g *dag.Graph, id dag.TaskID) float64
 
 // Scheduler is an offline list scheduler with insertion-based placement.
 // On multi-machine specs it places each task with the earliest-finish-time
-// rule by default (earliest feasible start across machines, ties to the
-// lower machine index — classic multi-processor HEFT); WithRouting swaps in
-// a different machine-selection policy.
+// rule (earliest feasible start across machines, ties to the lower machine
+// index — classic multi-processor HEFT).
 type Scheduler struct {
-	name  string
-	prio  priority
-	route cluster.RoutingPolicy // nil = earliest-finish-time across machines
+	name string
+	prio priority
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)
@@ -81,19 +79,10 @@ func NewBLoad() *Scheduler {
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return s.name }
 
-// WithRouting returns the scheduler with its machine-selection policy
-// replaced: instead of the earliest-finish-time rule, each task is routed
-// to the machine the policy picks and then inserted at its earliest
-// feasible start there. A nil policy restores the default.
-func (s *Scheduler) WithRouting(r cluster.RoutingPolicy) *Scheduler {
-	s.route = r
-	return s
-}
-
 // Schedule implements sched.Scheduler: repeatedly take the highest-priority
 // task whose parents are all placed and insert it at its earliest feasible
 // start at or after its parents' latest finish, on the machine chosen by
-// the earliest-finish-time rule or the configured routing policy.
+// the earliest-finish-time rule.
 func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
 	began := time.Now()
 	if len(spec) == 1 {
@@ -128,7 +117,6 @@ func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 	}
 
 	placements := make([]sched.Placement, 0, n)
-	var candidates []int
 	var makespan int64
 	for len(placements) < n {
 		best := -1
@@ -145,18 +133,7 @@ func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 			return nil, errors.New("listsched: no placeable task (cycle?)")
 		}
 		task := g.Task(dag.TaskID(best))
-		var machine int
-		var start int64
-		if s.route != nil {
-			candidates = space.Eligible(task.Demand, candidates[:0])
-			if len(candidates) == 0 {
-				return nil, fmt.Errorf("listsched: place task %d: %w: demand %v", best, cluster.ErrNoMachine, task.Demand)
-			}
-			machine = s.route.Route(space, candidates, task.Demand, task.Runtime, ready[best])
-			start, err = space.EarliestStart(machine, ready[best], task.Demand, task.Runtime)
-		} else {
-			machine, start, err = space.EarliestStartAny(ready[best], task.Demand, task.Runtime)
-		}
+		machine, start, err := space.EarliestStartAny(ready[best], task.Demand, task.Runtime)
 		if err != nil {
 			return nil, fmt.Errorf("listsched: place task %d: %w", best, err)
 		}

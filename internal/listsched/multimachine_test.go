@@ -109,36 +109,3 @@ func TestMachinePlansAlwaysAggregateValid(t *testing.T) {
 		}
 	}
 }
-
-func TestRoutingPoliciesProduceValidSchedules(t *testing.T) {
-	cfg := workload.DefaultRandomDAGConfig()
-	cfg.NumTasks = 30
-	cfg.MaxDemand = 8
-	spec := cluster.Uniform(3, resource.Of(10, 10))
-	g, err := workload.RandomDAG(rand.New(rand.NewSource(42)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eft, err := NewHEFT().Schedule(g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, route := range []cluster.RoutingPolicy{
-		cluster.NewRoundRobin(),
-		cluster.NewLeastLoaded(),
-		cluster.NewWeightedScore(nil),
-	} {
-		out, err := NewHEFT().WithRouting(route).Schedule(g, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", route.Name(), err)
-		}
-		if err := sched.Validate(g, spec, out); err != nil {
-			t.Errorf("%s: %v", route.Name(), err)
-		}
-		// Routing only constrains the machine choice; the schedule must
-		// still be complete and positive-length like the EFT baseline's.
-		if out.Makespan <= 0 || len(out.Placements) != len(eft.Placements) {
-			t.Errorf("%s: makespan = %d, placements = %d", route.Name(), out.Makespan, len(out.Placements))
-		}
-	}
-}

@@ -120,7 +120,7 @@ func TestSteadyStateSearchAllocFreeTranspositions(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		sw.rng.Seed(7)
 		tw.arena.reset()
-		tw.tt.reset(0)
+		tw.tt.reset(ttEntriesPerBudget * s.cfg.InitialBudget)
 		tw.root = tw.newNode(env, nilNode, 0)
 		if err := sw.searchSerial(context.Background(), 40, 1, 100); err != nil {
 			t.Fatal(err)
@@ -131,14 +131,15 @@ func TestSteadyStateSearchAllocFreeTranspositions(t *testing.T) {
 	}
 }
 
-// TestTranspositionTableBounded pins the capacity mechanism: a tiny
-// TTCapacity forces flush evictions that reach Stats and the metric
-// counter, the live map never exceeds the bound, and the search stays
-// correct because flushed entries only cost extra misses.
+// TestTranspositionTableBounded pins the capacity mechanism: a budget small
+// enough that an episode outgrows ttEntriesPerBudget × InitialBudget entries
+// forces flush evictions that reach Stats and the metric counter, the live
+// map never exceeds the bound, and the search stays correct because flushed
+// entries only cost extra misses.
 func TestTranspositionTableBounded(t *testing.T) {
-	g, capacity := smallRandomDAG(8, 25)
-	const ttCap = 32
-	s := New(Config{InitialBudget: 150, MinBudget: 30, Seed: 2, UseTranspositions: true, TTCapacity: ttCap})
+	g, capacity := smallRandomDAG(8, 100)
+	s := New(Config{InitialBudget: 1, Seed: 2, UseTranspositions: true})
+	const ttCap = ttEntriesPerBudget * 1
 	out, err := s.Schedule(g, cluster.Single(capacity))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestTranspositionTableBounded(t *testing.T) {
 	}
 	st := s.LastStats()
 	if st.TTEvictions == 0 {
-		t.Error("capacity 32 over a 25-task search evicted nothing")
+		t.Errorf("capacity %d over a 100-task search evicted nothing", ttCap)
 	}
 	if st.TTMisses == 0 {
 		t.Error("no TT misses recorded")
@@ -161,19 +162,19 @@ func TestTranspositionTableBounded(t *testing.T) {
 	}
 }
 
-// TestTranspositionCapacityDefault pins the sizing rule: an unset capacity
-// derives from the iteration budget, and a negative one means unbounded.
+// TestTranspositionCapacityDefault pins the sizing rule: the table's bound
+// derives from the iteration budget, roomy enough that a search at an
+// ordinary budget evicts nothing.
 func TestTranspositionCapacityDefault(t *testing.T) {
-	s := New(Config{InitialBudget: 100})
-	if got := s.cfg.TTCapacity; got != 64*100 {
-		t.Errorf("default TTCapacity = %d, want %d (64 x InitialBudget)", got, 64*100)
-	}
 	g, capacity := smallRandomDAG(8, 25)
-	unbounded := New(Config{InitialBudget: 150, MinBudget: 30, Seed: 2, UseTranspositions: true, TTCapacity: -1})
-	if _, err := unbounded.Schedule(g, cluster.Single(capacity)); err != nil {
+	s := New(Config{InitialBudget: 100, MinBudget: 30, Seed: 2, UseTranspositions: true})
+	if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
 		t.Fatal(err)
 	}
-	if ev := unbounded.LastStats().TTEvictions; ev != 0 {
-		t.Errorf("unbounded table evicted %d entries, want 0", ev)
+	if got := s.workers[0].tt.cap; got != 64*100 {
+		t.Errorf("table capacity = %d, want %d (64 x InitialBudget)", got, 64*100)
+	}
+	if ev := s.LastStats().TTEvictions; ev != 0 {
+		t.Errorf("a %d-entry table evicted %d entries on a 25-task search, want 0", 64*100, ev)
 	}
 }

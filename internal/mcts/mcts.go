@@ -131,16 +131,9 @@ type Config struct {
 	// environment's canonical state hash, so states reached via different
 	// schedule orders share one statistics entry within a Schedule call.
 	// Changes search statistics (strictly more informed backups), so it is
-	// off by default to preserve the classic per-node search.
+	// off by default to preserve the classic per-node search. Each tree's
+	// table is bounded at ttEntriesPerBudget × InitialBudget entries.
 	UseTranspositions bool
-	// TTCapacity bounds the transposition table of each tree: at capacity,
-	// the next miss flushes the whole table (deterministic wholesale
-	// eviction; see transTable) and Stats.TTEvictions counts the dropped
-	// entries. 0 sizes the bound from the search budget — 64×InitialBudget
-	// entries, comfortably above what one decision's expansions can insert
-	// while still capping a long episode's growth. Negative means
-	// unbounded.
-	TTCapacity int
 	// Obs, when non-nil, is the registry the scheduler's metrics are
 	// registered in, so several schedulers can share (and aggregate into)
 	// one exposition endpoint. Nil means a private registry; either way
@@ -177,11 +170,16 @@ func (c Config) normalized() Config {
 	if c.TreeParallelism <= 0 {
 		c.TreeParallelism = 1
 	}
-	if c.TTCapacity == 0 {
-		c.TTCapacity = 64 * c.InitialBudget
-	}
 	return c
 }
+
+// ttEntriesPerBudget sizes each tree's transposition table from the search
+// budget: at ttEntriesPerBudget × InitialBudget entries the next miss flushes
+// the whole table (deterministic wholesale eviction; see transTable) and
+// Stats.TTEvictions counts the dropped entries. That is comfortably above
+// what one decision's expansions can insert while still capping a long
+// episode's growth.
+const ttEntriesPerBudget = 64
 
 // minElapsedSeconds floors the elapsed time used for the SimsPerSec rate:
 // trivial jobs on coarse clocks can report zero or near-zero elapsed, which
@@ -229,7 +227,7 @@ type Stats struct {
 	TTHits   int64
 	TTMisses int64
 	// TTEvictions counts transposition-table entries dropped by capacity
-	// flushes (only possible with UseTranspositions and TTCapacity > 0).
+	// flushes (only possible with UseTranspositions).
 	TTEvictions int64
 	// Elapsed is the wall-clock time of the Schedule call.
 	Elapsed time.Duration
@@ -257,6 +255,9 @@ type Scheduler struct {
 	sm  *obs.SearchMetrics
 	sim *obs.SimMetrics
 
+	// greedy is the Tetris packing run behind the exploration constant.
+	greedy *baselines.PolicyScheduler
+
 	// workers holds the root-parallel tree workers. Workers persist across
 	// Schedule calls — their arenas, expanders, rollout contexts and
 	// simulation buffers are reusable — and only the tree and rngs are
@@ -282,11 +283,12 @@ func NewNamed(name string, cfg Config) *Scheduler {
 		reg = obs.NewRegistry()
 	}
 	return &Scheduler{
-		name: name,
-		cfg:  cfg,
-		reg:  reg,
-		sm:   obs.NewSearchMetrics(reg),
-		sim:  obs.NewSimMetrics(reg),
+		name:   name,
+		cfg:    cfg,
+		reg:    reg,
+		sm:     obs.NewSearchMetrics(reg),
+		sim:    obs.NewSimMetrics(reg),
+		greedy: baselines.NewTetrisScheduler(),
 	}
 }
 
@@ -409,6 +411,7 @@ func (s *Scheduler) worker(w int) *treeWorker {
 		for j := 0; j < s.cfg.TreeParallelism; j++ {
 			sw := &simWorker{
 				tw:        tw,
+				rng:       rand.New(rand.NewSource(0)), // re-seeded per Schedule call
 				rc:        simenv.NewRolloutContext(s.cfg.Rollout),
 				simValues: make([]float64, s.cfg.RolloutsPerExpansion),
 			}
@@ -530,16 +533,12 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 		tw := s.worker(w)
 		tw.arena.reset()
 		if s.cfg.UseTranspositions {
-			ttCap := s.cfg.TTCapacity
-			if ttCap < 0 {
-				ttCap = 0 // explicit unbounded
-			}
-			tw.tt.reset(ttCap)
+			tw.tt.reset(ttEntriesPerBudget * s.cfg.InitialBudget)
 		}
 		atomic.StoreInt64(&tw.ttHits, 0)
 		atomic.StoreInt64(&tw.ttMisses, 0)
 		for j, sw := range tw.sims { //spear:nopoll(bounded rng reseed over the sim workers)
-			sw.rng = rand.New(rand.NewSource(simSeed(s.cfg.Seed, w, j)))
+			sw.rng.Seed(simSeed(s.cfg.Seed, w, j))
 		}
 		wenv := env
 		if w > 0 {
@@ -1094,7 +1093,7 @@ func (s *Scheduler) finishCancelled(ctx context.Context, env *simenv.Env, rng *r
 //
 //spear:timing
 func (s *Scheduler) explorationConstant(g *dag.Graph, spec cluster.Spec) (float64, error) {
-	est, err := baselines.NewTetrisScheduler().Schedule(g, spec)
+	est, err := s.greedy.Schedule(g, spec)
 	if err != nil {
 		return 0, fmt.Errorf("mcts: greedy estimate: %w", err)
 	}

@@ -260,7 +260,7 @@ func TestTranspositionSharesStats(t *testing.T) {
 	s := New(Config{UseTranspositions: true})
 	tw := s.worker(0)
 	tw.arena.reset()
-	tw.tt.reset(0)
+	tw.tt.reset(ttEntriesPerBudget * s.cfg.InitialBudget)
 	tw.sims[0].rng = rand.New(rand.NewSource(1))
 
 	env, err := simenv.New(g, resource.Of(2), simenv.Config{Mode: simenv.NextCompletion})
@@ -371,5 +371,27 @@ func TestSteadyStateSearchAllocFree(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%d rollouts per expansion: warm search phase allocated %.1f times per run, want 0", k, avg)
 		}
+	}
+}
+
+// TestWarmScheduleCallAllocations bounds what a whole Schedule call costs on
+// a warm serial scheduler beyond the search phases gated above: the base
+// episode, the committed decisions' legal-action lists and the two schedules
+// (Tetris estimate, result). The worker's generator is re-seeded in place
+// (building one is a 607-word source per worker per call) and the Tetris
+// scheduler behind the exploration constant is the scheduler's own: 62
+// allocations on this job (68 under -race), 90 when both were rebuilt every
+// call.
+func TestWarmScheduleCallAllocations(t *testing.T) {
+	g, capacity := smallRandomDAG(19, 20)
+	s := New(Config{InitialBudget: 50, MinBudget: 10, Seed: 5})
+	run := func() {
+		if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(10, run); avg > 70 {
+		t.Errorf("warm Schedule call allocated %.0f times, want <= 70", avg)
 	}
 }

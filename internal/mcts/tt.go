@@ -37,8 +37,8 @@ type transTable struct {
 }
 
 // reset clears the table and installs the capacity for the coming Schedule
-// call (capacity <= 0 means unbounded). clear keeps the map's buckets, so
-// steady-state Schedule calls reuse the storage.
+// call. clear keeps the map's buckets, so steady-state Schedule calls reuse
+// the storage.
 //
 //spear:slowpath
 //spear:xclusive
@@ -66,7 +66,7 @@ func (t *transTable) lookupOrCreate(h uint64, ar *nodeArena) (int32, bool) {
 		t.mu.Unlock()
 		return idx, true
 	}
-	if t.cap > 0 && len(t.m) >= t.cap {
+	if len(t.m) >= t.cap {
 		atomic.AddInt64(&t.evictions, int64(len(t.m)))
 		clear(t.m)
 	}

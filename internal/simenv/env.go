@@ -395,31 +395,6 @@ func (e *Env) visibleLen() int {
 	return w
 }
 
-// FitsNow reports whether the i-th visible ready task can start at the
-// current time on at least one machine.
-func (e *Env) FitsNow(i int) bool {
-	if i < 0 || i >= e.visibleLen() {
-		return false
-	}
-	task := e.g.Task(e.ready[i])
-	for m := 0; m < e.space.NumMachines(); m++ {
-		if e.space.FitsAt(m, e.now, task.Demand, task.Runtime) {
-			return true
-		}
-	}
-	return false
-}
-
-// FitsNowOn reports whether the i-th visible ready task can start at the
-// current time on machine m.
-func (e *Env) FitsNowOn(i, m int) bool {
-	if i < 0 || i >= e.visibleLen() {
-		return false
-	}
-	task := e.g.Task(e.ready[i])
-	return e.space.FitsAt(m, e.now, task.Demand, task.Runtime)
-}
-
 // LegalActions returns the legal actions at the current state, applying the
 // search-space reductions of §III-C: only (task, machine) pairs that fit
 // the remaining capacity right now are schedulable (a non-fitting task
@@ -672,10 +647,6 @@ func (e *Env) Schedule(algorithm string) (*sched.Schedule, error) {
 		Makespan:   e.Makespan(),
 	}, nil
 }
-
-// MachineOf returns the machine a started task was placed on, or -1 for
-// tasks that have not started.
-func (e *Env) MachineOf(id dag.TaskID) int { return int(e.machine[id]) }
 
 // OccupancyImage returns the normalized aggregate cluster occupancy for the
 // next horizon slots starting at the current time, laid out [dim][slot].

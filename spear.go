@@ -74,11 +74,6 @@ type (
 	ClusterSpec = cluster.Spec
 	// Machine is one machine of a ClusterSpec.
 	Machine = cluster.Machine
-	// RoutingPolicy picks the machine a task runs on for the list and
-	// baseline schedulers (see NewRoundRobin, NewLeastLoaded,
-	// NewWeightedScore); search-based schedulers explore machine choices
-	// directly.
-	RoutingPolicy = cluster.RoutingPolicy
 
 	// Schedule is the result of scheduling one Job.
 	Schedule = sched.Schedule
@@ -109,9 +104,10 @@ type (
 	AnnealingScheduler = anneal.Scheduler
 
 	// SearchStats reports what one MCTS/Spear Schedule call did: decisions,
-	// iterations, expansions, rollouts, forced moves, tree depth, root and
-	// shared-tree workers, merge conflicts, virtual losses, transposition
-	// hits/misses, elapsed wall-clock and simulations per second.
+	// iterations, expansions, rollouts, forced moves, tree depth, policy
+	// evaluations and how many the memo answered, root and shared-tree
+	// workers, merge conflicts, virtual losses, transposition
+	// hits/misses/evictions, elapsed wall-clock and simulations per second.
 	SearchStats = mcts.Stats
 	// TrainStats summarizes an instrumented training run.
 	TrainStats = obs.TrainStats
@@ -137,8 +133,10 @@ type (
 	// EpochStats is one point of an RL learning curve.
 	EpochStats = drl.EpochStats
 
-	// SpearConfig parameterizes the Spear scheduler (search budgets, rollout
-	// mode, root/tree parallelism, transpositions, seed).
+	// SpearConfig parameterizes the Spear scheduler (search budgets,
+	// exploration scale, rollouts per expansion, root/tree parallelism,
+	// transpositions, seed). Rollouts always sample from the policy
+	// distribution (§III-D).
 	SpearConfig = core.Config
 	// MCTSConfig parameterizes the pure MCTS scheduler, including
 	// RootParallelism (independent trees), TreeParallelism (shared-tree
@@ -213,19 +211,6 @@ func SingleMachine(capacity Vector) ClusterSpec { return cluster.Single(capacity
 // UniformCluster builds a spec of n identical machines, each with the given
 // capacity (machines "m0" .. "m{n-1}").
 func UniformCluster(n int, capacity Vector) ClusterSpec { return cluster.Uniform(n, capacity) }
-
-// NewRoundRobin returns the routing policy that cycles through eligible
-// machines in index order.
-func NewRoundRobin() RoutingPolicy { return cluster.NewRoundRobin() }
-
-// NewLeastLoaded returns the routing policy that picks the eligible machine
-// with the lowest mean occupancy at the task's earliest start.
-func NewLeastLoaded() RoutingPolicy { return cluster.NewLeastLoaded() }
-
-// NewWeightedScore returns the routing policy that scores machines by the
-// weighted dot product of task demand and free capacity (nil weights =
-// equal weights) and picks the best.
-func NewWeightedScore(weights []float64) RoutingPolicy { return cluster.NewWeightedScore(weights) }
 
 // Validate checks a schedule against the three correctness invariants:
 // dependency order, per-slot per-machine capacity, and machine indices
