@@ -37,7 +37,6 @@ func run() error {
 		verbose   = flag.Bool("v", false, "log per-job progress")
 		csvDir    = flag.String("csv-dir", "", "also write each experiment's raw data as CSV into this directory")
 		metrics   = flag.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
-		jobs      = flag.Int("j", 1, "run independent experiment cells on this many workers (reports still print in paper order)")
 	)
 	flag.Parse()
 
@@ -54,8 +53,8 @@ func run() error {
 		suite.Log = os.Stderr
 	}
 	if *metrics {
-		// Every scheduler the suite builds registers into a registry the run
-		// merges into the snapshot printed below.
+		// Every scheduler the suite builds registers into this registry,
+		// whose snapshot is printed below.
 		suite.Obs = spear.NewMetricsRegistry()
 	}
 	if *modelPath != "" {
@@ -79,7 +78,7 @@ func run() error {
 	if *runName != "all" {
 		names = []string{*runName}
 	}
-	opt := experiments.ParallelOptions{Jobs: *jobs}
+	var opt experiments.RunOptions
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
@@ -88,15 +87,14 @@ func run() error {
 			return os.Create(filepath.Join(*csvDir, name+".csv"))
 		}
 	}
-	// One path for one experiment or all of them, at any -j: a failing
-	// experiment is reported here, after the others have run.
-	snap, err := suite.Run(names, opt, os.Stdout)
-	if err != nil {
+	// One path for one experiment or all of them: a failing experiment is
+	// reported here, after the others have run.
+	if err := suite.Run(names, opt, os.Stdout); err != nil {
 		return err
 	}
 	if *metrics {
 		fmt.Println("==== metrics ====")
-		return snap.WritePrometheus(os.Stdout)
+		return suite.Obs.Snapshot().WritePrometheus(os.Stdout)
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 // Command spear-vet runs the repository's custom static analysis (package
 // internal/lint) over the given package patterns and reports file:line:col
-// diagnostics for every violated invariant: determinism, zero-allocation
-// fast paths, metrics naming, float equality, and the interprocedural
-// call-graph checks (transitive noalloc, determinism taint, hot-struct
-// layout, dead internal exports).
+// diagnostics for every violated invariant: determinism and zero-allocation
+// fast paths (each followed over the static call graph), one call site per
+// metric name, no dropped errors, cancellable ScheduleContext loops, and the
+// concurrency discipline of the search core (atomic, guardedby, gohygiene).
+// Every check outside the concurrency discipline guards a defect that go
+// vet, the tests and the race detector miss; DESIGN.md §11 lists one seeded
+// example per check.
 //
 // Usage:
 //
@@ -32,7 +35,7 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit a JSON report (diagnostics, packages_loaded, per-check timings and finding counts) on stdout")
+	jsonOut := flag.Bool("json", false, "emit a JSON report (diagnostics, packages_loaded) on stdout")
 	sarifOut := flag.String("sarif", "", "also write the findings as a SARIF 2.1.0 log to this file")
 	checks := flag.String("check", "", "comma-separated subset of checks to run (default all: "+strings.Join(lint.AllChecks, ",")+")")
 	list := flag.Bool("list", false, "list every check with its description and marker grammar, then exit")
@@ -59,12 +62,11 @@ func listChecks(w io.Writer) {
 	}
 }
 
-// report is the -json output shape: the findings plus run statistics, so CI
-// can watch analysis cost without parsing the human-readable log.
+// report is the -json output shape: the findings plus the number of module
+// packages type-checked.
 type report struct {
-	Diagnostics    []lint.Diagnostic  `json:"diagnostics"`
-	PackagesLoaded int                `json:"packages_loaded"`
-	Checks         []lint.CheckTiming `json:"checks"`
+	Diagnostics    []lint.Diagnostic `json:"diagnostics"`
+	PackagesLoaded int               `json:"packages_loaded"`
 }
 
 // run resolves the patterns against base, analyzes the packages and reports
@@ -100,7 +102,7 @@ func run(base string, patterns []string, checks string, jsonOut bool, sarifPath 
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		out := report{Diagnostics: diags, PackagesLoaded: stats.PackagesLoaded, Checks: stats.Checks}
+		out := report{Diagnostics: diags, PackagesLoaded: stats.PackagesLoaded}
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintf(stderr, "spear-vet: %v\n", err)
 			return 2
@@ -122,17 +124,14 @@ func run(base string, patterns []string, checks string, jsonOut bool, sarifPath 
 			return 2
 		}
 	}
-	// checksRun counts real analysis passes, not the load/callgraph
-	// scaffolding rows that share the timing table.
-	checksRun := 0
-	known := make(map[string]bool, len(lint.AllChecks))
-	for _, c := range lint.AllChecks {
-		known[c] = true
-	}
-	for _, c := range stats.Checks {
-		if known[c.Check] {
-			checksRun++
+	// NewRunner accepted every name in cfg.Checks; a repeated name runs once.
+	checksRun := len(lint.AllChecks)
+	if cfg.Checks != nil {
+		selected := make(map[string]bool, len(cfg.Checks))
+		for _, c := range cfg.Checks {
+			selected[c] = true
 		}
+		checksRun = len(selected)
 	}
 	fmt.Fprintf(stderr, "spear-vet: %d findings across %d checks, %d packages\n", len(diags), checksRun, len(dirs))
 	if len(diags) > 0 {

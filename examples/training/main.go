@@ -64,7 +64,7 @@ func run() error {
 		ReinforceCfg: spear.ReinforceConfig{Epochs: *epochs, Rollouts: 10},
 		Seed:         *seed,
 	}, func(st spear.EpochStats) {
-		if first == 0 { //spear:floateq — zero is the un-set sentinel, not a measurement
+		if first == 0 { // zero is the un-set sentinel, not a measurement
 			first, best = st.MeanMakespan, st.MeanMakespan
 		}
 		if st.MeanMakespan < best {

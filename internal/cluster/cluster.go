@@ -25,7 +25,6 @@ var (
 // Space is a resource-time occupancy grid. Slot i covers the absolute time
 // interval [origin+i, origin+i+1). The grid is one flat array, dims words
 // per slot, that grows on demand as placements extend into the future.
-// Rollouts clone one Space per episode, so the layout is padding-checked.
 //
 // Monotone tail. front is the latest start of any placement, in whatever
 // order placements arrived. Until a Remove succeeds, occupancy is
@@ -44,8 +43,6 @@ var (
 // theirs is at or past front and reads one row. serve packs whole plans at
 // the earliest offset that fits, mostly before front, and those probes scan
 // the full duration; so does every probe once a Remove has carved a hole.
-//
-//spear:packed
 type Space struct {
 	capacity resource.Vector
 	origin   int64
@@ -355,7 +352,7 @@ func (s *Space) lastConflict(rows []int64, demand resource.Vector) int {
 }
 
 // OccupancyImage returns the occupancy of the horizon slots starting at
-// absolute time from, normalized per dimension to [0, 1]. The layout is
+// absolute time from, normalized per dimension to [0, 1], indexed
 // image[dim][slot]. This is the cluster-state half of the DRL input
 // (paper §III-D).
 func (s *Space) OccupancyImage(from int64, horizon int) [][]float64 {

@@ -2,8 +2,7 @@ package dag
 
 // Additional classic DAG-scheduling analyses beyond the b-level family the
 // policy network consumes: t-levels (earliest possible start times on an
-// infinite cluster), slack (scheduling freedom), and the level
-// decomposition used by the level-by-level schedulers the paper's related
+// infinite cluster) and the level decomposition used by the level-by-level schedulers the paper's related
 // work discusses.
 
 // TLevels returns, per task, the length of the longest runtime path from
@@ -19,19 +18,6 @@ func (g *Graph) TLevels() []int64 {
 		}
 	}
 	return tl
-}
-
-// Slacks returns, per task, the scheduling freedom on an infinite cluster:
-// criticalPath - tlevel(v) - blevel(v). Tasks on a critical path have zero
-// slack.
-func (g *Graph) Slacks() []int64 {
-	cp := g.CriticalPath()
-	tl := g.TLevels()
-	out := make([]int64, len(g.tasks))
-	for v := range g.tasks {
-		out[v] = cp - tl[v] - g.blevel[v]
-	}
-	return out
 }
 
 // Levels returns the level decomposition: level(v) = longest edge-count

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"spear/internal/resource"
@@ -278,20 +277,6 @@ func TestMaxDemandMaxRuntime(t *testing.T) {
 	}
 	if got := g.MaxRuntime(); got != 5 {
 		t.Errorf("MaxRuntime = %d, want 5", got)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := diamond(t)
-	var sb strings.Builder
-	if err := g.WriteDOT(&sb); err != nil {
-		t.Fatalf("WriteDOT: %v", err)
-	}
-	out := sb.String()
-	for _, want := range []string{"digraph", "t0 -> t1", "t2 -> t3"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
 	}
 }
 

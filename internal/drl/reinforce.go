@@ -465,7 +465,7 @@ func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grad
 			t++
 			// Exact-zero test: only a bit-exact zero contributes nothing to
 			// the backward pass, and the skip must not change gradients.
-			if advantage == 0 { //spear:floateq
+			if advantage == 0 {
 				// Zero-gradient step: the backward pass would add nothing, but
 				// the step is still a sample of the batch. Count it so that
 				// Apply's 1/n scaling averages over the true batch size instead

@@ -53,7 +53,7 @@ func TestNamesMatchRegistry(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	s := tinySuite(t)
-	_, err := s.Run([]string{"nope"}, ParallelOptions{}, &bytes.Buffer{})
+	err := s.Run([]string{"nope"}, RunOptions{}, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
@@ -277,7 +277,7 @@ func checkRun(t *testing.T, s *Suite, names []string) {
 	t.Helper()
 	sinks := &csvSinks{}
 	var out bytes.Buffer
-	if _, err := s.Run(names, ParallelOptions{CSV: sinks.open}, &out); err != nil {
+	if err := s.Run(names, RunOptions{CSV: sinks.open}, &out); err != nil {
 		t.Fatalf("Run(%v): %v", names, err)
 	}
 	reports := sections(out.String())

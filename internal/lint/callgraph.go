@@ -1,15 +1,19 @@
-// Static call graph over every module package the runner has loaded. The
-// graph is the substrate of the interprocedural checks (interproc.go,
-// ctxpoll.go), which all propagate their facts with the one traversal at the
-// bottom of this file, callGraph.reach:
+// Static call graph over every module package the runner has loaded, and the
+// one walk over each function body that every graph-fed check reads. The
+// walk (scan) records a body's facts once: its allocation constructs, call
+// sites, global math/rand draws, wall-clock reads, unsorted map ranges,
+// literal metric registrations and context polls. noalloc, determinism,
+// metrics and ctxpoll (checks.go, ctxpoll.go) report from those facts and
+// propagate them with the one traversal at the bottom of this file,
+// callGraph.reach:
 //
 //   - Direct calls to package-level functions are resolved exactly.
 //   - Method calls are resolved via the static receiver type (the method
 //     object go/types binds at the call site).
 //   - Calls through interfaces and function values cannot be resolved
 //     without whole-program pointer analysis, so they are recorded as
-//     dynamic sites; the transitive noalloc check reports them as
-//     unresolvable unless the site carries //spear:dyncall.
+//     dynamic sites; the noalloc check reports them as unresolvable unless
+//     the site carries //spear:dyncall.
 //
 // Calls into the standard library are not traversed: the runtime
 // AllocsPerRun gates audit their allocation behavior, and fmt (the one
@@ -17,7 +21,8 @@
 // allocation construct directly. Function literals are folded into their
 // enclosing declaration: an alloc or call inside a closure is attributed to
 // the function that syntactically contains it, which over-approximates in
-// the conservative direction.
+// the conservative direction. Package-level variable initialisers are
+// scanned the same way, one fact set per package, outside the graph.
 package lint
 
 import (
@@ -25,11 +30,20 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// allocSite is one structural allocation construct inside a function body:
-// the same construct set the intraprocedural noalloc check rejects.
+// randConstructors are the math/rand package-level functions that build
+// explicit sources instead of consulting the global one; everything else at
+// package level draws from the shared process-wide source.
+var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+
+// obsConstructors are the obs.Registry methods whose first argument is a
+// metric name.
+var obsConstructors = map[string]bool{"Counter": true, "Gauge": true, "Float": true, "FloatGauge": true, "Timer": true}
+
+// allocSite is one structural allocation construct inside a function body.
 type allocSite struct {
 	pos  token.Pos
 	what string // "make", "composite literal", "fmt.Errorf call", ...
@@ -45,10 +59,24 @@ type callSite struct {
 	audited bool // site carries //spear:dyncall
 }
 
-// posName is a position plus the name of what was called there.
+// posName is a position plus the name of what was called or registered there.
 type posName struct {
 	pos  token.Pos
 	name string
+}
+
+// bodyFacts is what one scan of a body records.
+type bodyFacts struct {
+	allocs    []allocSite
+	calls     []callSite
+	rand      []posName   // direct global math/rand draws (always nondeterministic)
+	clock     []posName   // direct time.Now / time.Since reads
+	mapRanges []token.Pos // range over a map not marked //spear:sorted
+	metrics   []posName   // literal metric names passed to obs.Registry constructors
+
+	// polls records a direct ctx.Err() / ctx.Done() call anywhere in the
+	// body (closures included); ctxpoll propagates it over the graph.
+	polls bool
 }
 
 // funcNode is one declared function or method of a module package.
@@ -67,14 +95,7 @@ type funcNode struct {
 	// receiver.mu at every call site.
 	lockedArg string
 
-	allocs []allocSite
-	calls  []callSite
-	rand   []posName // direct global math/rand draws (always nondeterministic)
-	clock  []posName // direct time.Now / time.Since reads
-
-	// polls records a direct ctx.Err() / ctx.Done() call anywhere in the
-	// body (closures included); ctxpoll propagates it over the graph.
-	polls bool
+	bodyFacts
 }
 
 // callGraph maps every declared module function to its node.
@@ -88,6 +109,10 @@ type callGraph struct {
 	// byName indexes order by bare function name: an interface call site is
 	// over-approximated by every module method of that name (ctxpoll).
 	byName map[string][]*funcNode
+
+	// inits holds, per package, the facts of its package-level declarations
+	// (variable initialisers, closures among them).
+	inits map[*modPkg]*bodyFacts
 }
 
 // buildCallGraph constructs the graph over every module package currently
@@ -96,13 +121,23 @@ type callGraph struct {
 // type-checked by the same runner, so a callee resolved in one package is
 // the same *types.Func the defining package declared.
 func (r *Runner) buildCallGraph() *callGraph {
-	g := &callGraph{nodes: make(map[*types.Func]*funcNode), byName: make(map[string][]*funcNode)}
+	g := &callGraph{
+		nodes:  make(map[*types.Func]*funcNode),
+		byName: make(map[string][]*funcNode),
+		inits:  make(map[*modPkg]*bodyFacts),
+	}
 	for _, mp := range r.cache {
+		inits := &bodyFacts{}
+		g.inits[mp] = inits
 		for _, file := range mp.files {
 			idx := indexMarkers(r.fset, file)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
+					r.scan(inits, mp, decl, idx)
+					continue
+				}
+				if fd.Body == nil {
 					continue
 				}
 				fn, ok := mp.info.Defs[fd.Name].(*types.Func)
@@ -120,7 +155,7 @@ func (r *Runner) buildCallGraph() *callGraph {
 					timing:    idx.onFunc(r.fset, fd, markerTiming),
 					lockedArg: lockedArg,
 				}
-				r.scanBody(node, fd.Body, idx)
+				r.scan(&node.bodyFacts, mp, fd.Body, idx)
 				g.nodes[fn] = node
 				g.order = append(g.order, node)
 			}
@@ -133,39 +168,46 @@ func (r *Runner) buildCallGraph() *callGraph {
 	return g
 }
 
-// scanBody collects the allocation constructs and call sites of one body.
-func (r *Runner) scanBody(node *funcNode, body ast.Node, idx *markerIndex) {
-	info := node.mp.info
+// scan is the one walk over a body: it records every fact the graph-fed
+// checks read.
+func (r *Runner) scan(f *bodyFacts, mp *modPkg, body ast.Node, idx *markerIndex) {
+	info := mp.info
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			r.scanCall(node, n, idx)
+			r.scanCall(f, mp, n, idx)
 		case *ast.CompositeLit:
-			node.allocs = append(node.allocs, allocSite{n.Pos(), "composite literal"})
+			f.allocs = append(f.allocs, allocSite{n.Pos(), "composite literal"})
 		case *ast.FuncLit:
-			node.allocs = append(node.allocs, allocSite{n.Pos(), "closure"})
+			f.allocs = append(f.allocs, allocSite{n.Pos(), "closure"})
 		case *ast.DeferStmt:
-			node.allocs = append(node.allocs, allocSite{n.Pos(), "defer"})
+			f.allocs = append(f.allocs, allocSite{n.Pos(), "defer"})
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringType(info.TypeOf(n.X)) {
-				node.allocs = append(node.allocs, allocSite{n.OpPos, "string concatenation"})
+				f.allocs = append(f.allocs, allocSite{n.OpPos, "string concatenation"})
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringType(info.TypeOf(n.Lhs[0])) {
-				node.allocs = append(node.allocs, allocSite{n.TokPos, "string concatenation"})
+				f.allocs = append(f.allocs, allocSite{n.TokPos, "string concatenation"})
+			}
+		case *ast.RangeStmt:
+			if t := info.TypeOf(n.X); t != nil && !idx.at(r.fset, n.For, markerSorted) {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					f.mapRanges = append(f.mapRanges, n.For)
+				}
 			}
 		}
 		return true
 	})
 }
 
-// scanCall classifies one call expression into the node's alloc, call,
-// rand and clock lists.
-func (r *Runner) scanCall(node *funcNode, call *ast.CallExpr, idx *markerIndex) {
-	info := node.mp.info
+// scanCall classifies one call expression into the alloc, call, rand, clock
+// and metric facts.
+func (r *Runner) scanCall(f *bodyFacts, mp *modPkg, call *ast.CallExpr, idx *markerIndex) {
+	info := mp.info
 	if name := builtinName(info, call); name != "" {
 		if name == "make" || name == "new" || name == "append" {
-			node.allocs = append(node.allocs, allocSite{call.Pos(), name})
+			f.allocs = append(f.allocs, allocSite{call.Pos(), name})
 		}
 		return
 	}
@@ -175,7 +217,7 @@ func (r *Runner) scanCall(node *funcNode, call *ast.CallExpr, idx *markerIndex) 
 	}
 	fn := calleeFunc(info, call)
 	if fn == nil {
-		node.calls = append(node.calls, callSite{
+		f.calls = append(f.calls, callSite{
 			pos:     call.Pos(),
 			dynamic: "function value",
 			audited: idx.at(r.fset, call.Pos(), markerDyncall),
@@ -185,11 +227,11 @@ func (r *Runner) scanCall(node *funcNode, call *ast.CallExpr, idx *markerIndex) 
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 		if isContextType(sig.Recv().Type()) && (fn.Name() == "Err" || fn.Name() == "Done") {
-			node.polls = true
+			f.polls = true
 		}
-		node.calls = append(node.calls, callSite{
+		f.calls = append(f.calls, callSite{
 			pos:     call.Pos(),
-			dynamic: "interface method " + types.TypeString(sig.Recv().Type(), types.RelativeTo(node.mp.pkg)) + "." + fn.Name(),
+			dynamic: "interface method " + types.TypeString(sig.Recv().Type(), types.RelativeTo(mp.pkg)) + "." + fn.Name(),
 			method:  fn.Name(),
 			audited: idx.at(r.fset, call.Pos(), markerDyncall),
 		})
@@ -200,21 +242,75 @@ func (r *Runner) scanCall(node *funcNode, call *ast.CallExpr, idx *markerIndex) 
 		return // error.Error and other universe-scope methods
 	}
 	path := pkg.Path()
+	isMethod := sig != nil && sig.Recv() != nil
 	if path == r.modulePath || strings.HasPrefix(path, r.modulePath+"/") {
-		node.calls = append(node.calls, callSite{pos: call.Pos(), callee: fn})
+		if isMethod && strings.HasSuffix(path, "internal/obs") && obsConstructors[fn.Name()] && recvIsRegistry(sig) {
+			if name, ok := literalArg(call); ok {
+				f.metrics = append(f.metrics, posName{call.Args[0].Pos(), name})
+			}
+		}
+		f.calls = append(f.calls, callSite{pos: call.Pos(), callee: fn})
 		return
 	}
 	// Standard-library callee: not traversed, but three packages matter to
-	// the interprocedural checks.
-	isMethod := sig != nil && sig.Recv() != nil
+	// the checks.
 	switch {
 	case path == "fmt":
-		node.allocs = append(node.allocs, allocSite{call.Pos(), "fmt." + fn.Name() + " call"})
+		f.allocs = append(f.allocs, allocSite{call.Pos(), "fmt." + fn.Name() + " call"})
 	case path == "math/rand" && !isMethod && !randConstructors[fn.Name()]:
-		node.rand = append(node.rand, posName{call.Pos(), "math/rand." + fn.Name()})
+		f.rand = append(f.rand, posName{call.Pos(), "math/rand." + fn.Name()})
 	case path == "time" && !isMethod && (fn.Name() == "Now" || fn.Name() == "Since"):
-		node.clock = append(node.clock, posName{call.Pos(), "time." + fn.Name()})
+		f.clock = append(f.clock, posName{call.Pos(), "time." + fn.Name()})
 	}
+}
+
+// literalArg returns the call's first argument when it is a string literal.
+func literalArg(call *ast.CallExpr) (string, bool) {
+	if len(call.Args) == 0 {
+		return "", false
+	}
+	lit, ok := call.Args[0].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	name, err := strconv.Unquote(lit.Value)
+	return name, err == nil
+}
+
+// calleeFunc resolves the called function or method, unwrapping parentheses.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	var obj types.Object
+	switch f := fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[f]
+	case *ast.SelectorExpr:
+		obj = info.Uses[f.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// builtinName returns the name of the builtin being called, or "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
+}
+
+// recvIsRegistry reports whether the method's receiver is obs.Registry.
+func recvIsRegistry(sig *types.Signature) bool {
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Registry"
 }
 
 // isStringType reports whether t's underlying type is string.

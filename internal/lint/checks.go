@@ -1,310 +1,200 @@
+// The three checks that report from the call graph's body facts
+// (callgraph.go): noalloc and determinism, each a body's own facts plus
+// their propagation over call edges, and metrics. A seed of a propagation is
+// a function that carries the fact in its own body; callGraph.reach carries
+// it upward, so recursive call cycles get the same verdict on every run.
 package lint
 
 import (
-	"go/ast"
 	"go/token"
-	"go/types"
-	"regexp"
 	"sort"
-	"strconv"
-	"strings"
 )
 
-// metricNamePattern is the naming scheme every literal metric name must
-// follow: the spear_ prefix, then lower-case snake case.
-var metricNamePattern = regexp.MustCompile(`^spear_[a-z0-9_]+$`)
-
-// randConstructors are the math/rand package-level functions that build
-// explicit sources instead of consulting the global one; everything else at
-// package level draws from the shared process-wide source.
-var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
-
-// obsConstructors are the Registry methods whose first argument is a metric
-// name, mapped to whether the metric is a Prometheus counter (and must
-// therefore end in _total).
-var obsConstructors = map[string]bool{
-	"Counter":    true,
-	"Gauge":      false,
-	"Float":      false,
-	"FloatGauge": false,
-	"Timer":      false,
-}
-
-// metricSite is one literal metric registration call site.
-type metricSite struct {
-	pos token.Pos
-}
-
-// checkPackage runs one named intraprocedural check on one loaded package.
-func (r *Runner) checkPackage(mp *modPkg, check string) []Diagnostic {
+// checkNoalloc verifies that every //spear:noalloc function contains no
+// allocation construct and only calls functions that are themselves
+// allocation-free all the way down, or that are explicitly marked
+// //spear:slowpath (audited cold paths), or other //spear:noalloc functions
+// (checked on their own). Calls through interfaces or function values are
+// unresolvable from noalloc context and must carry //spear:dyncall.
+func (r *Runner) checkNoalloc(p *pass) []Diagnostic {
+	g := p.g
+	// A function is dirty when its own body gives a cause, or when it
+	// statically calls a dirty function that is neither noalloc nor slowpath.
+	dirty := g.reach(
+		func(n *funcNode) bool { _, _, ok := g.allocCause(n); return ok },
+		func(site *callSite, callee *funcNode) bool {
+			return site.callee != nil && !callee.noalloc && !callee.slowpath
+		}, false)
 	var diags []Diagnostic
-	det := r.deterministic(mp.path)
-	for _, file := range mp.files {
-		idx := indexMarkers(r.fset, file)
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				fc := funcChecker{
-					r:       r,
-					mp:      mp,
-					idx:     idx,
-					check:   check,
-					det:     det,
-					timing:  idx.onFunc(r.fset, d, markerTiming),
-					noalloc: idx.onFunc(r.fset, d, markerNoalloc),
-					diags:   &diags,
+	for _, node := range g.order {
+		if !node.noalloc || !p.analyzed[node.mp] {
+			continue
+		}
+		for _, a := range node.allocs {
+			r.diag(&diags, a.pos, checkNameNoalloc, "%s in //%s function", a.what, markerNoalloc)
+		}
+		for _, site := range node.calls {
+			if site.dynamic != "" {
+				if !site.audited {
+					r.diag(&diags, site.pos, checkNameNoalloc,
+						"call through %s is unresolvable from //%s context; mark the call //%s after auditing every implementation",
+						site.dynamic, markerNoalloc, markerDyncall)
 				}
-				if d.Body != nil {
-					fc.walk(d.Body)
-				}
-			default:
-				// Package-level declarations (var initializers): determinism,
-				// metrics and floateq still apply; there is no function to
-				// carry a timing or noalloc marker.
-				fc := funcChecker{r: r, mp: mp, idx: idx, check: check, det: det, diags: &diags}
-				fc.walk(d)
+				continue
 			}
+			callee := g.nodes[site.callee]
+			if callee == nil {
+				// A module function without a body in the graph (e.g. an
+				// assembly stub) cannot be proven clean.
+				r.diag(&diags, site.pos, checkNameNoalloc,
+					"calls %s, which has no analyzable body; mark it //%s if it is an audited cold path",
+					r.displayName(site.callee), markerSlowpath)
+				continue
+			}
+			if _, isDirty := dirty[callee]; !isDirty || callee.noalloc || callee.slowpath {
+				continue
+			}
+			via, root := r.via(dirty, callee)
+			what, pos, _ := g.allocCause(root)
+			file, line, _ := r.position(pos)
+			r.diag(&diags, site.pos, checkNameNoalloc,
+				"calls %s, which is not allocation-free (%s at %s:%d%s); mark the allocating callee //%s if it is an audited cold path",
+				r.displayName(site.callee), what, file, line, via, markerSlowpath)
 		}
 	}
 	return diags
 }
 
-// funcChecker walks one declaration with the flags that apply to it,
-// emitting findings for exactly one check per walk so every pass can be
-// timed and selected independently.
-type funcChecker struct {
-	r       *Runner
-	mp      *modPkg
-	idx     *markerIndex
-	check   string // the one check this walk emits
-	det     bool   // package is subject to the determinism check
-	timing  bool   // enclosing function carries //spear:timing
-	noalloc bool   // enclosing function carries //spear:noalloc
-	diags   *[]Diagnostic
-}
-
-func (fc *funcChecker) walk(n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			fc.call(n)
-		case *ast.RangeStmt:
-			fc.rangeStmt(n)
-		case *ast.BinaryExpr:
-			fc.binary(n)
-		case *ast.AssignStmt:
-			fc.assign(n)
-		case *ast.CompositeLit:
-			if fc.check == checkNameNoalloc && fc.noalloc {
-				fc.r.diag(fc.diags, n.Pos(), checkNameNoalloc, "composite literal in //%s function", markerNoalloc)
-			}
-		case *ast.FuncLit:
-			if fc.check == checkNameNoalloc && fc.noalloc {
-				fc.r.diag(fc.diags, n.Pos(), checkNameNoalloc, "closure in //%s function", markerNoalloc)
-			}
-		case *ast.DeferStmt:
-			if fc.check == checkNameNoalloc && fc.noalloc {
-				fc.r.diag(fc.diags, n.Pos(), checkNameNoalloc, "defer in //%s function", markerNoalloc)
-			}
-		}
-		return true
-	})
-}
-
-// call applies the determinism, noalloc and metrics rules to one call.
-func (fc *funcChecker) call(call *ast.CallExpr) {
-	info := fc.mp.info
-	if fc.check == checkNameNoalloc && fc.noalloc {
-		if name := builtinName(info, call); name == "make" || name == "new" || name == "append" {
-			fc.r.diag(fc.diags, call.Pos(), checkNameNoalloc, "%s in //%s function", name, markerNoalloc)
-		}
+// allocCause reports why a function's own body keeps it from being proven
+// allocation-free: a structural allocation construct, an unaudited dynamic
+// call, or a call to a module function with no analyzable body.
+func (g *callGraph) allocCause(n *funcNode) (what string, pos token.Pos, ok bool) {
+	if len(n.allocs) > 0 {
+		return n.allocs[0].what, n.allocs[0].pos, true
 	}
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	pkgPath := fn.Pkg().Path()
-	sig, _ := fn.Type().(*types.Signature)
-	isMethod := sig != nil && sig.Recv() != nil
-
-	if fc.check == checkNameDeterminism && fc.det && !isMethod {
+	for _, site := range n.calls {
 		switch {
-		case pkgPath == "math/rand" && !randConstructors[fn.Name()]:
-			fc.r.diag(fc.diags, call.Pos(), checkNameDeterminism,
-				"package-level math/rand.%s uses the global source; inject a seeded *rand.Rand", fn.Name())
-		case pkgPath == "time" && (fn.Name() == "Now" || fn.Name() == "Since") && !fc.timing:
-			fc.r.diag(fc.diags, call.Pos(), checkNameDeterminism,
-				"time.%s in a deterministic package; mark the function //%s if this is a legitimate timing site", fn.Name(), markerTiming)
+		case site.dynamic != "":
+			if !site.audited {
+				return "unaudited call through " + site.dynamic, site.pos, true
+			}
+		case g.nodes[site.callee] == nil:
+			return "call to a function with no analyzable body", site.pos, true
 		}
 	}
-	if fc.check == checkNameNoalloc && fc.noalloc && pkgPath == "fmt" {
-		fc.r.diag(fc.diags, call.Pos(), checkNameNoalloc, "fmt.%s call in //%s function", fn.Name(), markerNoalloc)
-	}
-	if fc.check == checkNameMetrics && isMethod && strings.HasSuffix(pkgPath, "internal/obs") && recvIsRegistry(sig) {
-		if counter, ok := obsConstructors[fn.Name()]; ok {
-			fc.metricName(call, fn.Name(), counter)
-		}
-	}
+	return "", token.NoPos, false
 }
 
-// metricName validates the literal first argument of a Registry constructor
-// and records the site for duplicate detection.
-func (fc *funcChecker) metricName(call *ast.CallExpr, method string, counter bool) {
-	if len(call.Args) == 0 {
-		return
-	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return // non-literal names are out of scope for the naming check
-	}
-	name, err := strconv.Unquote(lit.Value)
-	if err != nil {
-		return
-	}
-	if !metricNamePattern.MatchString(name) {
-		fc.r.diag(fc.diags, lit.Pos(), checkNameMetrics,
-			"metric name %q does not match %s", name, metricNamePattern)
-	} else if counter && !strings.HasSuffix(name, "_total") {
-		fc.r.diag(fc.diags, lit.Pos(), checkNameMetrics,
-			"counter %q registered via %s must end in _total", name, method)
-	}
-	fc.r.metricSites[name] = append(fc.r.metricSites[name], metricSite{pos: lit.Pos()})
-}
-
-// checkMetrics runs the naming walk over every analyzed package, then the
-// cross-package duplicate-name rule over the sites the walk collected.
-func (r *Runner) checkMetrics(p *pass) []Diagnostic {
-	return append(intraproc(checkNameMetrics)(r, p), r.duplicateMetricDiags()...)
-}
-
-// duplicateMetricDiags flags metric names registered from more than one call
-// site. A single shared call site (a bundle constructor invoked with many
-// registries) is the supported way to share a metric; two independent source
-// positions registering the same name silently aggregate and are almost
-// always an accident.
-func (r *Runner) duplicateMetricDiags() []Diagnostic {
+// checkDeterminism reports, in the deterministic packages, every direct
+// global math/rand draw, every wall-clock read outside a //spear:timing
+// function and every range over a map not marked //spear:sorted — in
+// function bodies and package-level initialisers alike — and then the
+// cross-package taint: a call from a deterministic package into a
+// non-deterministic module function that (transitively) draws global
+// randomness or reads the wall clock. Sites whose callee is itself in a
+// deterministic package are skipped: the source there is flagged directly.
+func (r *Runner) checkDeterminism(p *pass) []Diagnostic {
 	var diags []Diagnostic
-	for name, sites := range r.metricSites {
-		if len(sites) < 2 {
+	direct := func(f *bodyFacts, timing bool) {
+		for _, s := range f.rand {
+			r.diag(&diags, s.pos, checkNameDeterminism,
+				"package-level %s uses the global source; inject a seeded *rand.Rand", s.name)
+		}
+		for _, s := range f.clock {
+			if !timing {
+				r.diag(&diags, s.pos, checkNameDeterminism,
+					"%s in a deterministic package; mark the function //%s if this is a legitimate timing site", s.name, markerTiming)
+			}
+		}
+		for _, pos := range f.mapRanges {
+			r.diag(&diags, pos, checkNameDeterminism,
+				"range over map has nondeterministic order; sort keys or mark the statement //%s", markerSorted)
+		}
+	}
+	for _, mp := range p.pkgs {
+		if r.deterministic(mp.path) {
+			direct(p.g.inits[mp], false)
+		}
+	}
+	for _, node := range p.g.order {
+		if p.analyzed[node.mp] && r.deterministic(node.mp.path) {
+			direct(&node.bodyFacts, node.timing)
+		}
+	}
+	diags = append(diags, r.taintDiags(p, func(n *funcNode) []posName { return n.rand },
+		false, "inject a seeded *rand.Rand instead")...)
+	return append(diags, r.taintDiags(p, func(n *funcNode) []posName {
+		if n.timing {
+			return nil // audited timing site: not a source
+		}
+		return n.clock
+	}, true, "mark the caller //"+markerTiming+" if this is a legitimate timing site")...)
+}
+
+// taintDiags runs one propagation for one kind of source (sources lists a
+// function's direct reads) and reports the deterministic call sites it
+// reaches. timingExempt suppresses the finding in //spear:timing callers.
+func (r *Runner) taintDiags(p *pass, sources func(*funcNode) []posName, timingExempt bool, remedy string) []Diagnostic {
+	g := p.g
+	tainted := g.reach(
+		func(n *funcNode) bool { return len(sources(n)) > 0 },
+		func(site *callSite, _ *funcNode) bool { return site.callee != nil }, false)
+	var diags []Diagnostic
+	for _, node := range g.order {
+		if !r.deterministic(node.mp.path) || !p.analyzed[node.mp] || (timingExempt && node.timing) {
 			continue
 		}
-		sort.Slice(sites, func(i, j int) bool { return sites[i].pos < sites[j].pos })
-		first, _, _ := r.position(sites[0].pos)
-		firstLine := r.fset.Position(sites[0].pos).Line
-		for _, site := range sites[1:] {
-			r.diag(&diags, site.pos, checkNameMetrics,
+		for _, site := range node.calls {
+			callee := g.nodes[site.callee] // nil for dynamic sites: out of reach for taint
+			if callee == nil || r.deterministic(callee.mp.path) {
+				continue
+			}
+			if _, isTainted := tainted[callee]; !isTainted {
+				continue
+			}
+			via, root := r.via(tainted, callee)
+			src := sources(root)[0]
+			file, line, _ := r.position(src.pos)
+			r.diag(&diags, site.pos, checkNameDeterminism,
+				"call to %s reaches %s (%s:%d%s) from a deterministic package; %s",
+				r.displayName(site.callee), src.name, file, line, via, remedy)
+		}
+	}
+	return diags
+}
+
+// checkMetrics flags literal metric names registered from more than one call
+// site of the analyzed packages. obs returns the existing metric when a name
+// is registered again, so two independent source positions registering the
+// same name silently aggregate into one series; a single shared call site (a
+// bundle constructor invoked with many registries) is the supported way to
+// share a metric.
+func (r *Runner) checkMetrics(p *pass) []Diagnostic {
+	sites := make(map[string][]token.Pos)
+	collect := func(f *bodyFacts) {
+		for _, m := range f.metrics {
+			sites[m.name] = append(sites[m.name], m.pos)
+		}
+	}
+	for _, mp := range p.pkgs {
+		collect(p.g.inits[mp])
+	}
+	for _, node := range p.g.order {
+		if p.analyzed[node.mp] {
+			collect(&node.bodyFacts)
+		}
+	}
+	var diags []Diagnostic
+	for name, ps := range sites {
+		if len(ps) < 2 {
+			continue
+		}
+		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+		first, firstLine, _ := r.position(ps[0])
+		for _, pos := range ps[1:] {
+			r.diag(&diags, pos, checkNameMetrics,
 				"metric %q already registered at %s:%d; share one call site or rename", name, first, firstLine)
 		}
 	}
 	return diags
-}
-
-// rangeStmt flags iteration over map-typed expressions in deterministic
-// packages: map order is random per iteration and silently breaks fixed-seed
-// reproducibility. //spear:sorted marks loops whose body is order-insensitive
-// or sorts afterwards.
-func (fc *funcChecker) rangeStmt(rs *ast.RangeStmt) {
-	if fc.check != checkNameDeterminism || !fc.det {
-		return
-	}
-	t := fc.mp.info.TypeOf(rs.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
-		return
-	}
-	if fc.idx.at(fc.r.fset, rs.For, markerSorted) {
-		return
-	}
-	fc.r.diag(fc.diags, rs.For, checkNameDeterminism,
-		"range over map has nondeterministic order; sort keys or mark the statement //%s", markerSorted)
-}
-
-// binary applies the floateq rule and the noalloc string-concatenation rule.
-func (fc *funcChecker) binary(be *ast.BinaryExpr) {
-	switch be.Op {
-	case token.EQL, token.NEQ:
-		if fc.check != checkNameFloatEq {
-			return
-		}
-		if !fc.isFloat(be.X) && !fc.isFloat(be.Y) {
-			return
-		}
-		if fc.idx.at(fc.r.fset, be.OpPos, markerFloatEq) {
-			return
-		}
-		fc.r.diag(fc.diags, be.OpPos, checkNameFloatEq,
-			"%s on float operands; use a tolerance or mark the comparison //%s", be.Op, markerFloatEq)
-	case token.ADD:
-		if fc.check == checkNameNoalloc && fc.noalloc && fc.isString(be.X) {
-			fc.r.diag(fc.diags, be.OpPos, checkNameNoalloc, "string concatenation in //%s function", markerNoalloc)
-		}
-	}
-}
-
-// assign catches += string concatenation in noalloc functions.
-func (fc *funcChecker) assign(as *ast.AssignStmt) {
-	if fc.check != checkNameNoalloc || !fc.noalloc || as.Tok != token.ADD_ASSIGN || len(as.Lhs) != 1 {
-		return
-	}
-	if fc.isString(as.Lhs[0]) {
-		fc.r.diag(fc.diags, as.TokPos, checkNameNoalloc, "string concatenation in //%s function", markerNoalloc)
-	}
-}
-
-// isFloat reports whether the expression has floating-point type.
-func (fc *funcChecker) isFloat(e ast.Expr) bool {
-	t := fc.mp.info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// isString reports whether the expression has string type.
-func (fc *funcChecker) isString(e ast.Expr) bool {
-	t := fc.mp.info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-// calleeFunc resolves the called function or method, unwrapping parentheses.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.Ident:
-		obj = info.Uses[f]
-	case *ast.SelectorExpr:
-		obj = info.Uses[f.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
-// builtinName returns the name of the builtin being called, or "".
-func builtinName(info *types.Info, call *ast.CallExpr) string {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if b, ok := info.Uses[id].(*types.Builtin); ok {
-		return b.Name()
-	}
-	return ""
-}
-
-// recvIsRegistry reports whether the method's receiver is obs.Registry.
-func recvIsRegistry(sig *types.Signature) bool {
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Registry"
 }

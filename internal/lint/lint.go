@@ -1,19 +1,24 @@
 // Package lint is spear-vet: a stdlib-only static analyzer that machine-checks
-// the repository's three load-bearing invariants before any code runs.
+// the repository's load-bearing invariants before any code runs. Every check
+// outside the concurrency discipline guards a defect class that go vet, the
+// tests and the race detector miss (TestMutationRows seeds one such defect
+// per check into product code):
 //
 //   - determinism: packages on the reproducibility-critical path (MCTS, the
 //     network, the simulator, ...) may not consult ambient nondeterminism —
 //     no global math/rand source, no unannotated wall-clock reads, no
-//     iteration over map order.
+//     iteration over map order — directly or through a call into another
+//     module package.
 //   - noalloc: functions marked //spear:noalloc are the zero-allocation fast
 //     paths gated at runtime by AllocsPerRun tests; the structural check
 //     rejects the constructs that heap-allocate (make/new/append/composite
-//     literals/closures/defer/string concatenation/fmt) at compile time.
-//   - metrics naming: every literal metric name registered in internal/obs
-//     follows the spear_* scheme, counters end in _total, and no name is
-//     registered from two different call sites.
-//   - floateq: == and != on floating-point operands outside tests must carry
-//     an explicit //spear:floateq marker.
+//     literals/closures/defer/string concatenation/fmt) in their bodies and
+//     in everything they call.
+//   - metrics: no metric name is registered from two different call sites.
+//   - errflow and ctxpoll: no error value is dropped, and loops on the
+//     ScheduleContext path poll for cancellation.
+//   - atomic, guardedby and gohygiene: the concurrency discipline of the
+//     lock-free search core.
 //
 // The analyzer uses only go/parser, go/ast, go/types and go/importer: module
 // packages are resolved against go.mod by a custom importer, standard-library
@@ -32,7 +37,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding, addressable as file:line:col.
@@ -81,19 +85,14 @@ var defaultDeterministic = []string{
 
 // Check names, as accepted by -check and stamped on every Diagnostic.
 const (
-	checkNameDeterminism  = "determinism"
-	checkNameNoalloc      = "noalloc"
-	checkNameMetrics      = "metrics"
-	checkNameFloatEq      = "floateq"
-	checkNameNoallocTrans = "noalloc-transitive"
-	checkNameDetTaint     = "determinism-taint"
-	checkNameLayout       = "layout"
-	checkNameDeadExport   = "deadexport"
-	checkNameAtomic       = "atomic"
-	checkNameGuardedBy    = "guardedby"
-	checkNameGoHygiene    = "gohygiene"
-	checkNameErrflow      = "errflow"
-	checkNameCtxpoll      = "ctxpoll"
+	checkNameDeterminism = "determinism"
+	checkNameNoalloc     = "noalloc"
+	checkNameMetrics     = "metrics"
+	checkNameAtomic      = "atomic"
+	checkNameGuardedBy   = "guardedby"
+	checkNameGoHygiene   = "gohygiene"
+	checkNameErrflow     = "errflow"
+	checkNameCtxpoll     = "ctxpoll"
 )
 
 // check is one row of the check table: everything the runner, -list, -check
@@ -114,37 +113,20 @@ type pass struct {
 	analyzed map[*modPkg]bool
 	g        *callGraph // nil until a check with graph set runs
 	cc       *concCtx   // nil until a check with conc set runs
-
-	// err is set by a check that could not complete because a package failed
-	// to load; Analyze returns it instead of findings (spear-vet exit 2).
-	err error
 }
 
-// checkTable lists every check in pass order. The first four are
-// intraprocedural walks (checks.go); the next four are whole-program
-// (interproc.go, layout.go, deadexport.go); then the concurrency-discipline
-// passes (concurrency.go, guardcfg.go) and the CFG/dataflow passes
-// (errflow.go, ctxpoll.go). Adding a check is adding a row.
+// checkTable lists every check in pass order: the three that report from the
+// call graph's body facts (checks.go), then the concurrency-discipline passes
+// (concurrency.go, guardcfg.go) and the CFG/dataflow passes (errflow.go,
+// ctxpoll.go). Adding a check is adding a row, and a row earns its place
+// with an entry in TestMutationRows.
 var checkTable = []check{
-	{name: checkNameDeterminism, desc: "deterministic packages must not read ambient randomness, the wall clock or map order",
-		markers: "//spear:timing, //spear:sorted", run: intraproc(checkNameDeterminism)},
-	{name: checkNameNoalloc, desc: "//spear:noalloc function bodies must not contain allocation constructs",
-		markers: "//spear:noalloc", run: intraproc(checkNameNoalloc)},
-	{name: checkNameMetrics, desc: "metric registrations use literal spear_* names, counters end in _total, one call site per name",
-		run: (*Runner).checkMetrics},
-	{name: checkNameFloatEq, desc: "no == / != on floats outside audited comparisons",
-		markers: "//spear:floateq", run: intraproc(checkNameFloatEq)},
-	{name: checkNameNoallocTrans, desc: "//spear:noalloc extends over the static call graph",
-		markers: "//spear:slowpath, //spear:dyncall", graph: true, run: (*Runner).checkNoallocTransitive},
-	{name: checkNameDetTaint, desc: "determinism extends over the static call graph",
-		markers: "//spear:timing", graph: true, run: (*Runner).checkDeterminismTaint},
-	{name: checkNameLayout, desc: "//spear:packed structs have padding-optimal field order",
-		markers: "//spear:packed", run: perPackage((*Runner).checkLayout)},
-	{name: checkNameDeadExport, desc: "exported module-internal declarations must have a reference",
-		run: func(r *Runner, p *pass) (found []Diagnostic) {
-			found, p.err = r.checkDeadExports(p.pkgs)
-			return found
-		}},
+	{name: checkNameDeterminism, desc: "deterministic packages must not read ambient randomness, the wall clock or map order, directly or through module calls",
+		markers: "//spear:timing, //spear:sorted", graph: true, run: (*Runner).checkDeterminism},
+	{name: checkNameNoalloc, desc: "//spear:noalloc functions and everything they call must not contain allocation constructs",
+		markers: "//spear:noalloc, //spear:slowpath, //spear:dyncall", graph: true, run: (*Runner).checkNoalloc},
+	{name: checkNameMetrics, desc: "each literal metric name is registered from one call site",
+		graph: true, run: (*Runner).checkMetrics},
 	{name: checkNameAtomic, desc: "//spear:atomic fields are accessed only via sync/atomic, and atomically-accessed fields carry the marker",
 		markers: "//spear:atomic, //spear:init, //spear:xclusive", conc: true, run: (*Runner).checkAtomic},
 	{name: checkNameGuardedBy, desc: "//spear:guardedby(mu) fields are reached only with mu held (CFG dataflow)",
@@ -167,12 +149,6 @@ func perPackage(checkOne func(*Runner, *modPkg) []Diagnostic) func(*Runner, *pas
 		}
 		return found
 	}
-}
-
-// intraproc is perPackage over the shared declaration walk of checks.go,
-// which emits the findings of exactly one named check per walk.
-func intraproc(name string) func(*Runner, *pass) []Diagnostic {
-	return perPackage(func(r *Runner, mp *modPkg) []Diagnostic { return r.checkPackage(mp, name) })
 }
 
 // AllChecks lists every check name in pass order.
@@ -212,21 +188,11 @@ type Config struct {
 	Checks []string
 }
 
-// CheckTiming is the wall-clock cost of one pass and how many findings it
-// produced (always 0 for the load/callgraph/concurrency scaffolding rows).
-type CheckTiming struct {
-	Check    string  `json:"check"`
-	Millis   float64 `json:"millis"`
-	Findings int     `json:"findings"`
-}
-
 // RunStats summarizes one Analyze run: how many module packages were
 // type-checked (each exactly once — the runner memoizes by import path, so
-// a dependency shared by every analyzed package costs one load) and what
-// each enabled pass cost.
+// a dependency shared by every analyzed package costs one load).
 type RunStats struct {
-	PackagesLoaded int           `json:"packages_loaded"`
-	Checks         []CheckTiming `json:"checks"`
+	PackagesLoaded int `json:"packages_loaded"`
 }
 
 // Runner loads and type-checks packages of one module and runs the checks.
@@ -242,10 +208,6 @@ type Runner struct {
 	loadCount  int // module packages actually type-checked (cache misses)
 	cfg        Config
 	enabled    map[string]bool // check name -> selected by cfg.Checks
-
-	// metricSites accumulates literal metric registrations across every
-	// analyzed package, for the duplicate-name part of the metrics check.
-	metricSites map[string][]metricSite
 }
 
 // modPkg is one loaded module package: syntax, types and type info.
@@ -290,15 +252,14 @@ func NewRunner(dir string, cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("lint: source importer does not implement ImporterFrom")
 	}
 	return &Runner{
-		fset:        fset,
-		moduleRoot:  root,
-		modulePath:  modPath,
-		std:         std,
-		cache:       make(map[string]*modPkg),
-		loading:     make(map[string]bool),
-		cfg:         cfg,
-		enabled:     enabled,
-		metricSites: make(map[string][]metricSite),
+		fset:       fset,
+		moduleRoot: root,
+		modulePath: modPath,
+		std:        std,
+		cache:      make(map[string]*modPkg),
+		loading:    make(map[string]bool),
+		cfg:        cfg,
+		enabled:    enabled,
 	}, nil
 }
 
@@ -462,44 +423,27 @@ func (r *Runner) AnalyzeDirs(dirs []string) ([]Diagnostic, error) {
 }
 
 // Analyze is AnalyzeDirs plus run statistics: the number of module packages
-// type-checked and the wall-clock cost of every enabled pass.
+// type-checked.
 func (r *Runner) Analyze(dirs []string) ([]Diagnostic, RunStats, error) {
-	var stats RunStats
-	timed := func(row string, step func() []Diagnostic) []Diagnostic {
-		began := time.Now()
-		found := step()
-		stats.Checks = append(stats.Checks, CheckTiming{
-			Check:    row,
-			Millis:   float64(time.Since(began)) / float64(time.Millisecond),
-			Findings: len(found),
-		})
-		return found
-	}
-
 	// Load phase: every analyzed package and (transitively) its module
 	// dependencies, each type-checked exactly once.
 	var pkgs []*modPkg
-	began := time.Now()
 	for _, dir := range dirs {
 		path, err := r.pathFor(dir)
 		if err != nil {
-			return nil, stats, &LoadError{Path: dir, Errs: []string{err.Error()}}
+			return nil, RunStats{}, &LoadError{Path: dir, Errs: []string{err.Error()}}
 		}
 		mp, err := r.load(path)
 		if err != nil {
-			return nil, stats, err
+			return nil, RunStats{}, err
 		}
 		pkgs = append(pkgs, mp)
 	}
-	stats.Checks = append(stats.Checks, CheckTiming{
-		Check:  "load",
-		Millis: float64(time.Since(began)) / float64(time.Millisecond),
-	})
 
 	// Passes run in table order. The call graph (over every module package in
 	// the cache: analyzed packages and their dependencies) and the field
 	// access registry are built once, just before the first enabled check
-	// that needs them, and get their own timing rows.
+	// that needs them.
 	p := &pass{pkgs: pkgs, analyzed: make(map[*modPkg]bool, len(pkgs))}
 	for _, mp := range pkgs {
 		p.analyzed[mp] = true
@@ -510,20 +454,15 @@ func (r *Runner) Analyze(dirs []string) ([]Diagnostic, RunStats, error) {
 			continue
 		}
 		if c.graph && p.g == nil {
-			timed("callgraph", func() []Diagnostic { p.g = r.buildCallGraph(); return nil })
+			p.g = r.buildCallGraph()
 		}
 		if c.conc && p.cc == nil {
-			timed("concurrency", func() []Diagnostic { p.cc = r.buildConcurrency(p); return nil })
+			p.cc = r.buildConcurrency(p)
 		}
-		diags = append(diags, timed(c.name, func() []Diagnostic { return c.run(r, p) })...)
-		if p.err != nil {
-			return nil, stats, p.err
-		}
+		diags = append(diags, c.run(r, p)...)
 	}
-
-	stats.PackagesLoaded = r.loadCount
 	sortDiagnostics(diags)
-	return diags, stats, nil
+	return diags, RunStats{PackagesLoaded: r.loadCount}, nil
 }
 
 // sortDiagnostics orders findings by (file, line, col, check, message) so

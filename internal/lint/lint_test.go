@@ -125,13 +125,9 @@ func TestGoldenMetrics(t *testing.T) {
 	runGolden(t, []string{"metrics"}, Config{Checks: []string{checkNameMetrics}})
 }
 
-func TestGoldenFloatEq(t *testing.T) {
-	runGolden(t, []string{"floateq"}, Config{Checks: []string{checkNameFloatEq}})
-}
-
 func TestGoldenNoallocTransitive(t *testing.T) {
 	runGolden(t, []string{"transnoalloc", filepath.Join("transnoalloc", "cycle")},
-		Config{Checks: []string{checkNameNoallocTrans}})
+		Config{Checks: []string{checkNameNoalloc}})
 }
 
 func TestGoldenDeterminismTaint(t *testing.T) {
@@ -139,19 +135,8 @@ func TestGoldenDeterminismTaint(t *testing.T) {
 	// its own rand/time use is legal and only the cross-package calls taint.
 	runGolden(t, []string{"taint"}, Config{
 		Deterministic: []string{"internal/lint/testdata/src/taint"},
-		Checks:        []string{checkNameDetTaint},
+		Checks:        []string{checkNameDeterminism},
 	})
-}
-
-func TestGoldenLayout(t *testing.T) {
-	runGolden(t, []string{"packed"}, Config{Checks: []string{checkNameLayout}})
-}
-
-func TestGoldenDeadExport(t *testing.T) {
-	// Analyze the consumer alongside the fixture so its imports count as
-	// cross-package references.
-	runGolden(t, []string{"deadexport", filepath.Join("deadexport", "consumer")},
-		Config{Checks: []string{checkNameDeadExport}})
 }
 
 func TestGoldenAtomic(t *testing.T) {
@@ -188,7 +173,6 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		filepath.Join("testdata", "src", "transnoalloc", "cycle"),
 		filepath.Join("testdata", "src", "ctxpoll", "cycle"),
 		filepath.Join("testdata", "src", "taint"),
-		filepath.Join("testdata", "src", "packed"),
 	}
 	cfg := Config{Deterministic: []string{"internal/lint/testdata/src/taint"}}
 	run := func() []Diagnostic {
@@ -238,7 +222,7 @@ func TestNoallocCallCycleIsDirty(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "transnoalloc", "cycle")
 	var first []Diagnostic
 	for i := 0; i < cycleRuns; i++ {
-		diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameNoallocTrans}})
+		diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameNoalloc}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,11 +240,11 @@ func TestNoallocCallCycleIsDirty(t *testing.T) {
 // TestPackageCache asserts type-checked packages are cached across Analyze
 // calls on one Runner: a second pass over the same directories loads nothing.
 func TestPackageCache(t *testing.T) {
-	r, err := NewRunner(".", Config{Checks: []string{checkNameFloatEq}})
+	r, err := NewRunner(".", Config{Checks: []string{checkNameErrflow}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs := []string{filepath.Join("testdata", "src", "floateq")}
+	dirs := []string{filepath.Join("testdata", "src", "errflow")}
 	_, stats1, err := r.Analyze(dirs)
 	if err != nil {
 		t.Fatal(err)

@@ -14,20 +14,14 @@ const (
 	markerNoalloc = "spear:noalloc"
 	markerTiming  = "spear:timing"
 	markerSorted  = "spear:sorted"
-	markerFloatEq = "spear:floateq"
 
 	// markerSlowpath marks a function as an audited cold path: error
 	// constructors and capacity-growth helpers that //spear:noalloc
 	// functions may call even though their bodies allocate. The marker is
-	// the explicit escape hatch of the transitive noalloc check; the
+	// the explicit escape hatch of the noalloc check's call rule; the
 	// runtime AllocsPerRun gates remain the proof that slowpath callees
 	// stay off the warm path.
 	markerSlowpath = "spear:slowpath"
-
-	// markerPacked marks a struct type whose field ordering must be
-	// padding-optimal under the gc/amd64 size model; the layout check
-	// reports the optimal ordering and the bytes it saves otherwise.
-	markerPacked = "spear:packed"
 
 	// markerDyncall marks a call site through an interface or function
 	// value inside a //spear:noalloc function as audited: the author
@@ -65,8 +59,8 @@ const (
 
 // allMarkers lists every marker indexMarkers scans for.
 var allMarkers = []string{
-	markerNoalloc, markerTiming, markerSorted, markerFloatEq,
-	markerSlowpath, markerPacked, markerDyncall,
+	markerNoalloc, markerTiming, markerSorted,
+	markerSlowpath, markerDyncall,
 	markerAtomic, markerGuardedBy, markerLocked,
 	markerInit, markerXclusive, markerDetached,
 	markerIgnoreErr, markerNopoll,
@@ -212,13 +206,6 @@ func (idx *markerIndex) funcArg(fset *token.FileSet, fd *ast.FuncDecl, marker st
 		}
 	}
 	return "", false
-}
-
-// onType reports whether the marker annotates the type declaration: in the
-// spec's doc, the enclosing gen-decl's doc, or on the line directly above
-// the spec.
-func (idx *markerIndex) onType(fset *token.FileSet, gd *ast.GenDecl, spec *ast.TypeSpec, marker string) bool {
-	return inDoc(spec.Doc, marker) || inDoc(gd.Doc, marker) || idx.at(fset, spec.Pos(), marker)
 }
 
 // inDoc reports whether any line of the comment group carries the marker.

@@ -1,5 +1,5 @@
-// Package noalloc is spear-vet golden-test input for the structural
-// zero-allocation check.
+// Package noalloc is spear-vet golden-test input for the noalloc check's
+// rule on a function's own body.
 package noalloc
 
 import "fmt"
@@ -25,7 +25,7 @@ func Hot(dst []int, label string) ([]int, error) {
 	defer release()                // want "defer in"
 	msg := "x" + label             // want "string concatenation"
 	msg += label                   // want "string concatenation"
-	if len(buf) == f() {
+	if len(buf) == f() {           // want "call through function value is unresolvable"
 		return nil, fmt.Errorf("collision: %s", msg) // want "fmt.Errorf call"
 	}
 	return dst, nil

@@ -1,6 +1,6 @@
 // Package impure is the nondeterministic dependency of the taint golden
-// test. It is not on the deterministic list, so the direct checks skip it;
-// the taint check propagates its sources to deterministic callers.
+// test. It is not on the deterministic list, so the direct rules skip it;
+// the cross-package rule propagates its sources to deterministic callers.
 package impure
 
 import (

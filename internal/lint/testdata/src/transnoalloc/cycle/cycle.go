@@ -1,5 +1,5 @@
-// Package cycle is the recursive-call fixture of the transitive noalloc
-// check: the allocation sits behind a call cycle that the two //spear:noalloc
+// Package cycle is the recursive-call fixture of the noalloc check's call
+// rule: the allocation sits behind a call cycle that the two //spear:noalloc
 // roots enter at different members. Both must be reported, on every run.
 package cycle
 

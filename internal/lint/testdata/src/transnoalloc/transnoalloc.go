@@ -1,4 +1,4 @@
-// Package transnoalloc exercises the transitive noalloc check: every path
+// Package transnoalloc exercises the noalloc check's call rule: every path
 // out of a //spear:noalloc function must stay allocation-free, end in a
 // //spear:slowpath escape hatch, or carry //spear:dyncall at dynamic sites.
 package transnoalloc

@@ -43,8 +43,6 @@ const (
 // mirrors len(untried) atomically so selection can test expandability
 // without taking the latch; untried itself is only touched by the latch
 // holder. first, next, nuntried and latch are accessed atomically.
-//
-//spear:packed
 type anode struct {
 	env      *simenv.Env
 	untried  []simenv.Action
@@ -64,8 +62,6 @@ type anode struct {
 // float64 arithmetic it replaced. All fields are accessed atomically; max
 // is updated with a CAS loop, vloss is the virtual-loss mark count of
 // shared-tree descents (applied on the way down, reverted on backup).
-//
-//spear:packed
 type nodeStats struct {
 	visits int64 //spear:atomic
 	sum    int64 //spear:atomic

@@ -21,8 +21,6 @@ const batchRowBlock = 8
 // Scratch holds the reusable buffers of the allocation-free inference and
 // backprop path. A Scratch is shaped for the network that created it and must
 // not be shared across goroutines; give every worker its own via NewScratch.
-//
-//spear:packed
 type Scratch struct {
 	// acts[l] holds the row-major rows x sizes[l] activations of layer l:
 	// acts[0] is the input copy, the last entry the raw logits.
@@ -206,7 +204,7 @@ func gatherNonZero(x []float64, nz []int32) int {
 	k := 0
 	for i, v := range x {
 		// Exact zero (of either sign): only those terms can be skipped.
-		if v != 0 { //spear:floateq
+		if v != 0 {
 			if k == len(x)/2 {
 				return -1
 			}
@@ -432,7 +430,7 @@ func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *
 			for r := 0; r < rows; r++ {
 				dj := delta[r*out+j]
 				// Exact zero: skipping it cannot change the accumulated sums.
-				if dj == 0 { //spear:floateq
+				if dj == 0 {
 					continue
 				}
 				g.b[l][j] += dj
@@ -459,7 +457,7 @@ func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *
 			for r := 0; r < rows; r++ {
 				dj := delta[r*out+j]
 				// Exact zero: a zero delta propagates nothing backwards.
-				if dj == 0 { //spear:floateq
+				if dj == 0 {
 					continue
 				}
 				axpy(next[r*in:r*in+in], dj, row, nil)

@@ -45,16 +45,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// SetMax raises the value to n if n is larger (high-water mark).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
@@ -176,7 +166,7 @@ func (s Snapshot) String() string {
 
 func formatValue(v float64) string {
 	// Exact comparison on purpose: only bit-exact integers render as %d.
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 { //spear:floateq
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
@@ -276,35 +266,6 @@ func (r *Registry) Timer(name, help string) *Timer {
 			}
 		}
 	}).(*Timer)
-}
-
-// MergeSnapshots folds several snapshots into one, matching samples by
-// name: counters sum, gauges keep the maximum. It exists for workloads that
-// run components on private registries (e.g. parallel experiment cells) and
-// want one aggregate exposition at the end. Sample order follows the
-// combined sorted name set.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	index := make(map[string]int)
-	var out Snapshot
-	for _, snap := range snaps {
-		for _, smp := range snap {
-			i, ok := index[smp.Name]
-			if !ok {
-				index[smp.Name] = len(out)
-				out = append(out, smp)
-				continue
-			}
-			if smp.Type == "gauge" {
-				if smp.Value > out[i].Value {
-					out[i].Value = smp.Value
-				}
-			} else {
-				out[i].Value += smp.Value
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Snapshot renders every registered metric, sorted by sample name.

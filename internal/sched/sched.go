@@ -20,7 +20,7 @@ import (
 )
 
 // Schedule JSON documents are versioned by the "format" field. A document
-// with no format field (0) is the original single-machine layout, as is an
+// with no format field (0) is the original single-machine shape, as is an
 // explicit FormatSingle; FormatMulti adds a machine index per placement.
 // Loaders accept all three and reject anything newer with a precise error.
 const (
@@ -50,7 +50,7 @@ type Placement struct {
 type Schedule struct {
 	// Format is the JSON document version (see FormatSingle/FormatMulti).
 	// It is 0, and omitted, for single-machine schedules — the legacy
-	// layout — and FormatMulti when placements carry machine indices.
+	// shape — and FormatMulti when placements carry machine indices.
 	Format int `json:"format,omitempty"`
 	// Algorithm names the scheduler that produced this schedule.
 	Algorithm string `json:"algorithm"`
@@ -66,7 +66,7 @@ type Schedule struct {
 }
 
 // LoadSchedule reads a schedule document previously serialized as JSON,
-// accepting both the legacy single-machine layout and the current
+// accepting both the legacy single-machine shape and the current
 // multi-machine one. Unknown format versions are rejected.
 func LoadSchedule(r io.Reader) (*Schedule, error) {
 	var s Schedule

@@ -86,6 +86,3 @@ func (b *TokenBucket) Admit(now int64) bool {
 	}
 	return false
 }
-
-// Tokens reports the current token balance (after the last Admit's refill).
-func (b *TokenBucket) Tokens() float64 { return b.tokens }

@@ -178,7 +178,7 @@ type classState struct {
 // is bit-identical to recomputing it — at O(1) instead of O(completed) per
 // completion. Only meaningful once a job has completed.
 func (c *classState) jain() float64 {
-	if c.jctSumSq == 0 { //spear:floateq — exact zero means every completion time was zero: perfectly fair
+	if c.jctSumSq == 0 { // exact zero means every completion time was zero: perfectly fair
 		return 1
 	}
 	return c.jctSum * c.jctSum / (float64(c.completed) * c.jctSumSq)

@@ -238,12 +238,15 @@ func TestTokenBucketRefill(t *testing.T) {
 	if !b.Admit(4) { // exactly 1.0 tokens: the boundary admits
 		t.Error("Admit(4) with exactly 1.0 tokens should pass")
 	}
-	if b.Tokens() != 0 {
-		t.Errorf("tokens after boundary admit = %v, want 0", b.Tokens())
+	if b.Admit(4) { // the boundary admit spent the last token
+		t.Error("Admit(4) right after the boundary admit should fail")
 	}
-	// The bucket never overfills past its capacity.
-	if b.Admit(1000); b.Tokens() != 1 {
-		t.Errorf("tokens after long idle = %v, want capacity-1 = 1", b.Tokens())
+	// The bucket never overfills past its capacity: a long idle refills
+	// exactly the 2-token burst.
+	for i, want := range []bool{true, true, false} {
+		if got := b.Admit(1000); got != want {
+			t.Errorf("Admit(1000) #%d = %v, want %v", i, got, want)
+		}
 	}
 
 	if _, err := serve.NewTokenBucket(0.5, 1); err == nil {

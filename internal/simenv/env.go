@@ -673,14 +673,9 @@ func (e *Env) FillOccupancy(horizon, dims int, out []float64) {
 // without copying the vector.
 func (e *Env) CapacityDim(d int) int64 { return e.space.TotalCapacityDim(d) }
 
-// AvailableNow returns the free capacity at the current time.
-func (e *Env) AvailableNow() resource.Vector {
-	return e.space.AvailableAt(e.now)
-}
-
 // AvailableNowInto appends the free capacity at the current time to buf
-// (typically buf[:0]) and returns the extended slice — the allocation-free
-// variant of AvailableNow.
+// (typically buf[:0]) and returns the extended slice, without allocating
+// when buf has room.
 func (e *Env) AvailableNowInto(buf resource.Vector) resource.Vector {
 	return e.space.AvailableAtInto(e.now, buf)
 }

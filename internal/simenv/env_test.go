@@ -429,8 +429,8 @@ func TestAccessors(t *testing.T) {
 	if fin, ok := e.EarliestRunningFinish(); !ok || fin != g.Task(0).Runtime {
 		t.Errorf("EarliestRunningFinish = %d, %v", fin, ok)
 	}
-	if avail := e.AvailableNow(); !avail.Equal(resource.Of(5, 5)) {
-		t.Errorf("AvailableNow = %v", avail)
+	if avail := e.AvailableNowInto(nil); !avail.Equal(resource.Of(5, 5)) {
+		t.Errorf("AvailableNowInto = %v", avail)
 	}
 
 	img := e.OccupancyImage(4)

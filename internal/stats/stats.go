@@ -29,20 +29,6 @@ func Mean[T number](xs []T) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Stddev returns the population standard deviation.
-func Stddev[T number](xs []T) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var ss float64
-	for _, x := range xs {
-		d := float64(x) - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs))), nil
-}
-
 // sorted returns a sorted float64 copy.
 func sorted[T number](xs []T) []float64 {
 	c := make([]float64, len(xs))
@@ -124,7 +110,7 @@ func JainFairness[T number](xs []T) (float64, error) {
 		sum += v
 		sumSq += v * v
 	}
-	if sumSq == 0 { //spear:floateq — exact zero means an all-zero sample, not a tolerance question
+	if sumSq == 0 { // exact zero means an all-zero sample, not a tolerance question
 		return 1, nil
 	}
 	return sum * sum / (float64(len(xs)) * sumSq), nil
@@ -145,18 +131,4 @@ func CDF[T number](xs []T) []CDFPoint {
 		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(c))}
 	}
 	return out
-}
-
-// FractionBelow returns the fraction of samples strictly less than x.
-func FractionBelow[T number](xs []T, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if float64(v) < x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }

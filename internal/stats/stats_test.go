@@ -19,16 +19,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	got, err := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("Stddev = %v, want 2", got)
-	}
-}
-
 func TestPercentileAndMedian(t *testing.T) {
 	xs := []int64{10, 20, 30, 40, 50}
 	for _, tc := range []struct {
@@ -97,22 +87,6 @@ func TestCDF(t *testing.T) {
 	}
 	if got := CDF([]int64{}); len(got) != 0 {
 		t.Errorf("empty CDF = %v", got)
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := FractionBelow(xs, 3); got != 0.5 {
-		t.Errorf("FractionBelow(3) = %v, want 0.5", got)
-	}
-	if got := FractionBelow(xs, 0); got != 0 {
-		t.Errorf("FractionBelow(0) = %v", got)
-	}
-	if got := FractionBelow(xs, 100); got != 1 {
-		t.Errorf("FractionBelow(100) = %v", got)
-	}
-	if got := FractionBelow([]float64{}, 1); got != 0 {
-		t.Errorf("empty FractionBelow = %v", got)
 	}
 }
 

@@ -54,7 +54,7 @@ func NewArrivalProcess(cfg ArrivalConfig) (*ArrivalProcess, error) {
 	if cfg.Mean <= 0 {
 		return nil, fmt.Errorf("workload: arrival mean %v must be positive", cfg.Mean)
 	}
-	if cfg.Shape == 0 { //spear:floateq — zero is the unset sentinel, not a measurement
+	if cfg.Shape == 0 { // zero is the unset sentinel, not a measurement
 		cfg.Shape = 1
 	}
 	if cfg.Shape < 0 {
