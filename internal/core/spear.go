@@ -32,9 +32,6 @@ type Config struct {
 	InitialBudget int
 	// MinBudget floors the decayed per-decision budget. Default 50.
 	MinBudget int
-	// ExplorationScale scales the greedy-estimate-based UCB exploration
-	// constant. Zero means the mcts default.
-	ExplorationScale float64
 	// RootParallelism runs this many independent search trees per decision
 	// (root parallelization), splitting each decision's budget across them
 	// and merging their root statistics to pick the action. Default 1.
@@ -49,10 +46,6 @@ type Config struct {
 	// same episode state via different schedule orders (transposition
 	// table keyed by the env's canonical state hash). Default off.
 	UseTranspositions bool
-	// RolloutsPerExpansion runs this many independently seeded simulations
-	// from each expanded node, one after another through the same memoised
-	// rollout context. Zero means the mcts default (1).
-	RolloutsPerExpansion int
 	// Seed feeds the search's random source.
 	Seed int64
 	// Obs, when non-nil, is the metrics registry the underlying search
@@ -99,21 +92,19 @@ func New(net *nn.Network, feat drl.Features, cfg Config) (*Spear, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	search := mcts.NewNamed("Spear", mcts.Config{
-		InitialBudget:    cfg.InitialBudget,
-		MinBudget:        cfg.MinBudget,
-		ExplorationScale: cfg.ExplorationScale,
-		Rollout:          rolloutAgent,
-		Expand:           drl.NewExpander(expandAgent),
+		InitialBudget: cfg.InitialBudget,
+		MinBudget:     cfg.MinBudget,
+		Rollout:       rolloutAgent,
+		Expand:        drl.NewExpander(expandAgent),
 		// The DRL expander carries private inference buffers, so every
 		// root-parallel tree worker builds its own from the factory.
-		NewExpander:          func() mcts.Expander { return drl.NewExpander(expandAgent) },
-		Window:               feat.Window,
-		Seed:                 cfg.Seed,
-		RootParallelism:      cfg.RootParallelism,
-		TreeParallelism:      cfg.TreeParallelism,
-		UseTranspositions:    cfg.UseTranspositions,
-		RolloutsPerExpansion: cfg.RolloutsPerExpansion,
-		Obs:                  cfg.Obs,
+		NewExpander:       func() mcts.Expander { return drl.NewExpander(expandAgent) },
+		Window:            feat.Window,
+		Seed:              cfg.Seed,
+		RootParallelism:   cfg.RootParallelism,
+		TreeParallelism:   cfg.TreeParallelism,
+		UseTranspositions: cfg.UseTranspositions,
+		Obs:               cfg.Obs,
 	})
 	return &Spear{search: search}, nil
 }

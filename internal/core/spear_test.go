@@ -101,16 +101,24 @@ func TestSpearSolvesMotivatingExample(t *testing.T) {
 
 // TestSpearPolicyTallyCoversEveryRollout: with several rollouts per expansion
 // the search still reports every policy evaluation — each rollout asks for at
-// least one — and the rollout context's memo answers some of them.
+// least one — and the rollout context's memo answers some of them. Config
+// has no rollouts-per-expansion knob, so the search is built the way the
+// ablation builds its Spear arms: DRL expander and rollouts on mcts.Config.
 func TestSpearPolicyTallyCoversEveryRollout(t *testing.T) {
 	net, err := drl.DefaultNetwork(quickFeat, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(net, quickFeat, Config{InitialBudget: 20, MinBudget: 5, RolloutsPerExpansion: 3, Seed: 2})
+	sampler, err := drl.NewAgent(net, quickFeat, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	greedy, err := drl.NewAgent(net, quickFeat, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mcts.NewNamed("Spear", mcts.Config{InitialBudget: 20, MinBudget: 5, Seed: 2, Window: quickFeat.Window,
+		Rollout: sampler, Expand: drl.NewExpander(greedy), RolloutsPerExpansion: 3})
 	cfg := workload.DefaultRandomDAGConfig()
 	cfg.NumTasks = 15
 	g, err := workload.RandomDAG(rand.New(rand.NewSource(9)), cfg)

@@ -21,8 +21,7 @@
 // allocation construct directly. Function literals are folded into their
 // enclosing declaration: an alloc or call inside a closure is attributed to
 // the function that syntactically contains it, which over-approximates in
-// the conservative direction. Package-level variable initialisers are
-// scanned the same way, one fact set per package, outside the graph.
+// the conservative direction.
 package lint
 
 import (
@@ -104,10 +103,6 @@ type callGraph struct {
 	// byName indexes order by bare function name: an interface call site is
 	// over-approximated by every module method of that name (ctxpoll).
 	byName map[string][]*funcNode
-
-	// inits holds, per package, the facts of its package-level declarations
-	// (variable initialisers, closures among them).
-	inits map[*modPkg]*bodyFacts
 }
 
 // buildCallGraph constructs the graph over every module package currently
@@ -119,20 +114,13 @@ func (r *Runner) buildCallGraph() *callGraph {
 	g := &callGraph{
 		nodes:  make(map[*types.Func]*funcNode),
 		byName: make(map[string][]*funcNode),
-		inits:  make(map[*modPkg]*bodyFacts),
 	}
 	for _, mp := range r.cache {
-		inits := &bodyFacts{}
-		g.inits[mp] = inits
 		for _, file := range mp.files {
 			idx := indexMarkers(r.fset, file)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					r.scan(inits, mp, decl, idx)
-					continue
-				}
-				if fd.Body == nil {
+				if !ok || fd.Body == nil {
 					continue
 				}
 				fn, ok := mp.info.Defs[fd.Name].(*types.Func)

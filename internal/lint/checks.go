@@ -1,8 +1,8 @@
 // The three checks that report from the call graph's body facts
-// (callgraph.go): noalloc and determinism, each a body's own facts plus
-// their propagation over call edges, and metrics. A seed of a propagation is
-// a function that carries the fact in its own body; callGraph.reach carries
-// it upward, so recursive call cycles get the same verdict on every run.
+// (callgraph.go): noalloc, which also propagates its facts over call edges,
+// determinism and metrics. A seed of noalloc's propagation is a function
+// whose own body allocates; callGraph.reach carries it upward, so recursive
+// call cycles get the same verdict on every run.
 package lint
 
 import (
@@ -87,77 +87,26 @@ func (g *callGraph) allocCause(n *funcNode) (what string, pos token.Pos, ok bool
 
 // checkDeterminism reports, in the deterministic packages, every direct
 // global math/rand draw, every wall-clock read outside a //spear:timing
-// function and every range over a map not marked //spear:sorted — in
-// function bodies and package-level initialisers alike — and then the
-// cross-package taint: a call from a deterministic package into a
-// non-deterministic module function that (transitively) draws global
-// randomness or reads the wall clock. Sites whose callee is itself in a
-// deterministic package are skipped: the source there is flagged directly.
+// function and every range over a map not marked //spear:sorted.
 func (r *Runner) checkDeterminism(p *pass) []Diagnostic {
 	var diags []Diagnostic
-	direct := func(f *bodyFacts, timing bool) {
-		for _, s := range f.rand {
+	for _, node := range p.g.order {
+		if !p.analyzed[node.mp] || !r.deterministic(node.mp.path) {
+			continue
+		}
+		for _, s := range node.rand {
 			r.diag(&diags, s.pos, checkNameDeterminism,
 				"package-level %s uses the global source; inject a seeded *rand.Rand", s.name)
 		}
-		for _, s := range f.clock {
-			if !timing {
+		for _, s := range node.clock {
+			if !node.timing {
 				r.diag(&diags, s.pos, checkNameDeterminism,
 					"%s in a deterministic package; mark the function //%s if this is a legitimate timing site", s.name, markerTiming)
 			}
 		}
-		for _, pos := range f.mapRanges {
+		for _, pos := range node.mapRanges {
 			r.diag(&diags, pos, checkNameDeterminism,
 				"range over map has nondeterministic order; sort keys or mark the statement //%s", markerSorted)
-		}
-	}
-	for _, mp := range p.pkgs {
-		if r.deterministic(mp.path) {
-			direct(p.g.inits[mp], false)
-		}
-	}
-	for _, node := range p.g.order {
-		if p.analyzed[node.mp] && r.deterministic(node.mp.path) {
-			direct(&node.bodyFacts, node.timing)
-		}
-	}
-	diags = append(diags, r.taintDiags(p, func(n *funcNode) []posName { return n.rand },
-		false, "inject a seeded *rand.Rand instead")...)
-	return append(diags, r.taintDiags(p, func(n *funcNode) []posName {
-		if n.timing {
-			return nil // audited timing site: not a source
-		}
-		return n.clock
-	}, true, "mark the caller //"+markerTiming+" if this is a legitimate timing site")...)
-}
-
-// taintDiags runs one propagation for one kind of source (sources lists a
-// function's direct reads) and reports the deterministic call sites it
-// reaches. timingExempt suppresses the finding in //spear:timing callers.
-func (r *Runner) taintDiags(p *pass, sources func(*funcNode) []posName, timingExempt bool, remedy string) []Diagnostic {
-	g := p.g
-	tainted := g.reach(
-		func(n *funcNode) bool { return len(sources(n)) > 0 },
-		func(site *callSite, _ *funcNode) bool { return site.callee != nil }, false)
-	var diags []Diagnostic
-	for _, node := range g.order {
-		if !r.deterministic(node.mp.path) || !p.analyzed[node.mp] || (timingExempt && node.timing) {
-			continue
-		}
-		for _, site := range node.calls {
-			callee := g.nodes[site.callee] // nil for dynamic sites: out of reach for taint
-			if callee == nil || r.deterministic(callee.mp.path) {
-				continue
-			}
-			if _, isTainted := tainted[callee]; !isTainted {
-				continue
-			}
-			via, root := r.via(tainted, callee)
-			src := sources(root)[0]
-			file, line, _ := r.position(src.pos)
-			r.diag(&diags, site.pos, checkNameDeterminism,
-				"call to %s reaches %s (%s:%d%s) from a deterministic package; %s",
-				r.displayName(site.callee), src.name, file, line, via, remedy)
 		}
 	}
 	return diags
@@ -171,17 +120,12 @@ func (r *Runner) taintDiags(p *pass, sources func(*funcNode) []posName, timingEx
 // share a metric.
 func (r *Runner) checkMetrics(p *pass) []Diagnostic {
 	sites := make(map[string][]token.Pos)
-	collect := func(f *bodyFacts) {
-		for _, m := range f.metrics {
-			sites[m.name] = append(sites[m.name], m.pos)
-		}
-	}
-	for _, mp := range p.pkgs {
-		collect(p.g.inits[mp])
-	}
 	for _, node := range p.g.order {
-		if p.analyzed[node.mp] {
-			collect(&node.bodyFacts)
+		if !p.analyzed[node.mp] {
+			continue
+		}
+		for _, m := range node.metrics {
+			sites[m.name] = append(sites[m.name], m.pos)
 		}
 	}
 	var diags []Diagnostic

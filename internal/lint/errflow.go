@@ -2,17 +2,21 @@
 //
 // Every value of type error must be checked, returned, passed on, or
 // explicitly discarded at a //spear:ignoreerr(reason) site. Unlike a
-// syntactic `_ =` scan, this is a definite-use forward dataflow over the CFG:
-// an error assigned to a variable stays "pending" until some path actually
-// reads the variable, and a pending error at function exit — or one
-// overwritten before any read — is a finding at the assignment that produced
-// it. Dropped results are findings immediately: a call whose error result is
-// discarded by an expression statement, a blank assignment slot, or a
-// defer/go statement.
+// syntactic `_ =` scan, this is a definite-use forward analysis: an error
+// assigned to a variable stays "pending" until some path actually reads the
+// variable, and a pending error at function exit — or one overwritten before
+// any read — is a finding at the assignment that produced it. Dropped
+// results are findings immediately: a call whose error result is discarded
+// by an expression statement, a blank assignment slot, or a defer/go
+// statement.
 //
 // The fact is the set of (variable, assignment position) pairs still
 // pending; the join is set union, so an error unused on any path to a point
-// is still pending there (definite use, not may-use).
+// is still pending there (definite use, not may-use). The analysis follows
+// Go's own block structure instead of a control-flow graph: branches join
+// their arms, loops re-run their body until the head's fact stops growing,
+// and break/continue carry their fact to the statement they leave. goto is
+// not followed but reported, so the check fails closed on it.
 //
 // Exemptions, in addition to the marker: fmt's Print/Fprint family and
 // methods on strings.Builder / bytes.Buffer, whose error results exist only
@@ -33,20 +37,19 @@ type errEvent struct {
 	pos token.Pos
 }
 
-// errFact is the pending set. Facts are treated as immutable by the solver:
-// transfer clones before mutating.
+// errFact is the pending set at one point of the walk; nil means no path
+// reaches the point.
 type errFact map[errEvent]bool
 
-func cloneErrFact(f errFact) errFact {
-	out := make(errFact, len(f))
-	for k := range f {
+// unionErrFact joins two facts into a fresh set, nil when both are nil.
+func unionErrFact(a, b errFact) errFact {
+	if a == nil && b == nil {
+		return nil
+	}
+	out := make(errFact, len(a)+len(b))
+	for k := range a {
 		out[k] = true
 	}
-	return out
-}
-
-func unionErrFact(a, b errFact) errFact {
-	out := cloneErrFact(a)
 	for k := range b {
 		out[k] = true
 	}
@@ -89,7 +92,7 @@ type analyzedBody struct {
 // analyzedBodies returns every function body of a file — declarations and
 // function literals at any depth — each analyzed independently. A body's
 // analysis tracks only variables declared directly in it (not in a nested
-// literal), and its CFG never contains a nested literal's statements, so no
+// literal), and its walk never enters a nested literal's statements, so no
 // statement is analyzed twice.
 func analyzedBodies(file *ast.File) []analyzedBody {
 	var bodies []analyzedBody
@@ -116,39 +119,200 @@ type errflow struct {
 	results *ast.FieldList // owner function's results, for naked returns
 	diags   *[]Diagnostic
 	flagged map[token.Pos]bool // one finding per source position
+
+	exit    errFact       // joined at every return and panic
+	targets []*jumpTarget // enclosing loops, switches and selects, innermost last
 }
 
+// jumpTarget is one statement a break or continue can leave, with the facts
+// that jump to its end and, for a loop, to its next iteration.
+type jumpTarget struct {
+	label     string // "" when unlabeled
+	loop      bool
+	brk, cont errFact
+}
+
+// run walks the body once, reporting as the facts flow, then reports every
+// error still pending where the function exits.
 func (ef *errflow) run() {
-	cfg := buildCFG(ef.body, ef.mp.info)
-	in, reached, _ := solveForward(cfg, make(errFact),
-		func(b *cfgBlock, f errFact) errFact {
-			out := cloneErrFact(f)
-			for _, item := range b.items {
-				ef.applyItem(out, item, false)
-			}
-			return out
-		},
-		unionErrFact, sameErrFact)
-	for _, b := range cfg.blocks {
-		if !reached[b.index] {
-			continue
-		}
-		st := cloneErrFact(in[b.index])
-		for _, item := range b.items {
-			ef.applyItem(st, item, true)
-		}
+	end := ef.stmts(ef.body.List, make(errFact))
+	for ev := range unionErrFact(ef.exit, end) {
+		ef.report(ev.pos, "error assigned to %s is never checked, returned or passed on along some path; handle it or mark the assignment //spear:ignoreerr(reason)", ev.v.Name())
 	}
-	if reached[cfg.exit.index] {
-		for ev := range in[cfg.exit.index] {
-			ef.report(ev.pos, "error assigned to %s is never checked, returned or passed on along some path; handle it or mark the assignment //spear:ignoreerr(reason)", ev.v.Name())
+}
+
+// stmts walks a statement list from the non-nil fact f, which it may
+// mutate, and returns the fact after the list. It stops at a return, panic,
+// break, continue or goto, so unreachable code reports nothing.
+func (ef *errflow) stmts(list []ast.Stmt, f errFact) errFact {
+	for _, s := range list {
+		if f == nil {
+			break
+		}
+		f = ef.stmt(s, "", f)
+	}
+	return f
+}
+
+// stmt walks one statement; label names it as a break/continue target.
+func (ef *errflow) stmt(s ast.Stmt, label string, f errFact) errFact {
+	switch s := s.(type) {
+	case nil:
+	case *ast.BlockStmt:
+		return ef.stmts(s.List, f)
+	case *ast.LabeledStmt:
+		return ef.stmt(s.Stmt, s.Label.Name, f)
+	case *ast.IfStmt:
+		f = ef.stmt(s.Init, "", f)
+		ef.applyItem(f, s.Cond)
+		then := ef.stmts(s.Body.List, unionErrFact(f, nil))
+		return unionErrFact(then, ef.stmt(s.Else, "", f))
+	case *ast.ForStmt:
+		f = ef.stmt(s.Init, "", f)
+		t := ef.enter(label, true)
+		return ef.leave(t, ef.loop(t, f, s.Cond, s.Body, s.Post))
+	case *ast.RangeStmt:
+		t := ef.enter(label, true)
+		return ef.leave(t, ef.loop(t, f, s, s.Body, nil))
+	case *ast.SwitchStmt:
+		f = ef.stmt(s.Init, "", f)
+		if s.Tag != nil {
+			ef.applyItem(f, s.Tag)
+		}
+		t := ef.enter(label, false)
+		return ef.leave(t, ef.clauses(s.Body, f, true))
+	case *ast.TypeSwitchStmt:
+		f = ef.stmt(s.Init, "", f)
+		ef.applyItem(f, s.Assign)
+		t := ef.enter(label, false)
+		return ef.leave(t, ef.clauses(s.Body, f, true))
+	case *ast.SelectStmt:
+		t := ef.enter(label, false)
+		return ef.leave(t, ef.clauses(s.Body, f, false))
+	case *ast.BranchStmt:
+		ef.branch(s, f)
+		return nil
+	case *ast.ReturnStmt:
+		ef.applyItem(f, s)
+		ef.exit = unionErrFact(ef.exit, f)
+		return nil
+	case *ast.ExprStmt:
+		ef.applyItem(f, s)
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && builtinName(ef.mp.info, call) == "panic" {
+			ef.exit = unionErrFact(ef.exit, f)
+			return nil
+		}
+	default:
+		ef.applyItem(f, s)
+	}
+	return f
+}
+
+// enter pushes the break/continue target of a loop, switch or select.
+func (ef *errflow) enter(label string, loop bool) *jumpTarget {
+	t := &jumpTarget{label: label, loop: loop}
+	ef.targets = append(ef.targets, t)
+	return t
+}
+
+// leave pops t and returns the fact after its statement: f joined with
+// every break out of it.
+func (ef *errflow) leave(t *jumpTarget, f errFact) errFact {
+	ef.targets = ef.targets[:len(ef.targets)-1]
+	return unionErrFact(f, t.brk)
+}
+
+// loop walks a for or range statement from the entry fact f. The head's
+// fact joins the entry, the body's end and every continue, each carried
+// through the post statement; cond is the head's item — the condition, the
+// range statement itself, or nil for a cond-less for. The returned fact
+// leaves through the head (nil without cond); breaks are leave's. The body
+// re-runs until the head's fact stops growing: every iteration's fact is a
+// subset of the fixpoint's, so an early iteration reports nothing the
+// fixpoint would not, and flagged drops the repeats.
+func (ef *errflow) loop(t *jumpTarget, f errFact, cond ast.Node, body *ast.BlockStmt, post ast.Stmt) errFact {
+	for {
+		in := unionErrFact(f, nil)
+		if cond != nil {
+			ef.applyItem(in, cond)
+		}
+		back := unionErrFact(ef.stmts(body.List, unionErrFact(in, nil)), t.cont)
+		if back != nil {
+			back = ef.stmt(post, "", back)
+		}
+		next := unionErrFact(f, back)
+		if sameErrFact(next, f) {
+			if cond == nil {
+				return nil
+			}
+			return in
+		}
+		f = next
+	}
+}
+
+// clauses walks the clauses of a switch, type switch or select from the
+// entry fact f. Every clause starts from f, and a fallthrough carries its
+// clause's end fact into the next one. A switch without a default can also
+// skip every clause; a select cannot, as it blocks until an arm fires.
+func (ef *errflow) clauses(body *ast.BlockStmt, f errFact, isSwitch bool) errFact {
+	var out, carried errFact
+	skip := isSwitch
+	for _, cs := range body.List {
+		in := unionErrFact(f, carried)
+		var list []ast.Stmt
+		switch c := cs.(type) {
+		case *ast.CaseClause:
+			skip = skip && c.List != nil
+			for _, e := range c.List {
+				ef.applyItem(in, e)
+			}
+			list = c.Body
+		case *ast.CommClause:
+			in = ef.stmt(c.Comm, "", in)
+			list = c.Body
+		}
+		carried = nil
+		if n := len(list); n > 0 {
+			if br, ok := list[n-1].(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
+				carried = ef.stmts(list[:n-1], in)
+				continue
+			}
+		}
+		out = unionErrFact(out, ef.stmts(list, in))
+	}
+	if skip {
+		out = unionErrFact(out, f)
+	}
+	return out
+}
+
+// branch sends f to the target of a break or continue. goto is not
+// followed: it is a finding, so a function that uses it fails closed.
+func (ef *errflow) branch(s *ast.BranchStmt, f errFact) {
+	switch s.Tok {
+	case token.GOTO:
+		ef.report(s.Pos(), "errflow does not follow goto; restructure the jump as a loop, a switch or a helper function")
+	case token.BREAK, token.CONTINUE:
+		for i := len(ef.targets) - 1; i >= 0; i-- {
+			t := ef.targets[i]
+			if (s.Label != nil && s.Label.Name != t.label) || (s.Tok == token.CONTINUE && !t.loop) {
+				continue
+			}
+			if s.Tok == token.BREAK {
+				t.brk = unionErrFact(t.brk, f)
+			} else {
+				t.cont = unionErrFact(t.cont, f)
+			}
+			return
 		}
 	}
 }
 
-// applyItem updates the pending set for one block item and, when report is
-// set, emits findings. Order matters: reads clear pending before this item's
-// own stores create new entries.
-func (ef *errflow) applyItem(f errFact, item ast.Node, report bool) {
+// applyItem updates the pending set for one leaf statement or guard
+// expression and emits its findings. Order matters: reads clear pending
+// before this item's own stores create new entries.
+func (ef *errflow) applyItem(f errFact, item ast.Node) {
 	switch s := item.(type) {
 	case *ast.AssignStmt:
 		ef.scanUses(f, toNodes(s.Rhs))
@@ -158,7 +322,7 @@ func (ef *errflow) applyItem(f errFact, item ast.Node, report bool) {
 				ef.scanUses(f, []ast.Node{lhs})
 			}
 		}
-		ef.assign(f, s, report)
+		ef.assign(f, s)
 		return
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
@@ -171,22 +335,22 @@ func (ef *errflow) applyItem(f errFact, item ast.Node, report bool) {
 				continue
 			}
 			ef.scanUses(f, toNodes(vs.Values))
-			ef.declAssign(f, vs, report)
+			ef.declAssign(f, vs)
 		}
 		return
 	case *ast.ExprStmt:
 		ef.scanUses(f, []ast.Node{s.X})
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			ef.droppedCall(call, "result of %s is an unchecked error", report)
+			ef.droppedCall(call, "result of %s is an unchecked error")
 		}
 		return
 	case *ast.DeferStmt:
 		ef.scanUses(f, []ast.Node{s.Call})
-		ef.droppedCall(s.Call, "deferred call discards the error result of %s", report)
+		ef.droppedCall(s.Call, "deferred call discards the error result of %s")
 		return
 	case *ast.GoStmt:
 		ef.scanUses(f, []ast.Node{s.Call})
-		ef.droppedCall(s.Call, "go statement discards the error result of %s", report)
+		ef.droppedCall(s.Call, "go statement discards the error result of %s")
 		return
 	case *ast.ReturnStmt:
 		ef.scanUses(f, toNodes(s.Results))
@@ -201,8 +365,8 @@ func (ef *errflow) applyItem(f errFact, item ast.Node, report bool) {
 		}
 		return
 	case *ast.RangeStmt:
-		// Header item: only the range operand is evaluated here; the body
-		// lives in its own blocks.
+		// Loop head: only the range operand is evaluated here; loop walks
+		// the body.
 		ef.scanUses(f, []ast.Node{s.X})
 		return
 	}
@@ -248,8 +412,8 @@ func (ef *errflow) clearVar(f errFact, v *types.Var) {
 // drop an error result are findings; stores to tracked error variables
 // first flag any still-pending prior value, then open a new pending entry
 // when the right-hand side is a call producing an error into that slot.
-func (ef *errflow) assign(f errFact, s *ast.AssignStmt, report bool) {
-	resTypes, call := ef.rhsResults(s.Rhs, len(s.Lhs))
+func (ef *errflow) assign(f errFact, s *ast.AssignStmt) {
+	resTypes, call := ef.rhsResults(s.Rhs)
 	for i, lhs := range s.Lhs {
 		isErr := i < len(resTypes) && isErrorType(resTypes[i])
 		id, isIdent := ast.Unparen(lhs).(*ast.Ident)
@@ -258,9 +422,7 @@ func (ef *errflow) assign(f errFact, s *ast.AssignStmt, report bool) {
 		}
 		if id.Name == "_" {
 			if isErr && call != nil && !ef.exemptCall(call, s.Pos()) {
-				if report {
-					ef.report(lhs.Pos(), "error result of %s discarded with _; handle it or mark the assignment //spear:ignoreerr(reason)", ef.calleeDesc(call))
-				}
+				ef.report(lhs.Pos(), "error result of %s discarded with _; handle it or mark the assignment //spear:ignoreerr(reason)", ef.calleeDesc(call))
 			}
 			continue
 		}
@@ -268,11 +430,9 @@ func (ef *errflow) assign(f errFact, s *ast.AssignStmt, report bool) {
 		if v == nil || !isErrorType(v.Type()) || !ef.tracked(v) {
 			continue
 		}
-		if report {
-			for ev := range f {
-				if ev.v == v {
-					ef.report(ev.pos, "error assigned to %s is overwritten before being checked; handle it or mark the assignment //spear:ignoreerr(reason)", v.Name())
-				}
+		for ev := range f {
+			if ev.v == v {
+				ef.report(ev.pos, "error assigned to %s is overwritten before being checked; handle it or mark the assignment //spear:ignoreerr(reason)", v.Name())
 			}
 		}
 		ef.clearVar(f, v)
@@ -283,12 +443,12 @@ func (ef *errflow) assign(f errFact, s *ast.AssignStmt, report bool) {
 }
 
 // declAssign mirrors assign for `var err error = f()` declarations.
-func (ef *errflow) declAssign(f errFact, vs *ast.ValueSpec, report bool) {
-	resTypes, call := ef.rhsResultsExpr(vs.Values, len(vs.Names))
+func (ef *errflow) declAssign(f errFact, vs *ast.ValueSpec) {
+	resTypes, call := ef.rhsResults(vs.Values)
 	for i, id := range vs.Names {
 		isErr := i < len(resTypes) && isErrorType(resTypes[i])
 		if id.Name == "_" {
-			if isErr && call != nil && !ef.exemptCall(call, vs.Pos()) && report {
+			if isErr && call != nil && !ef.exemptCall(call, vs.Pos()) {
 				ef.report(id.Pos(), "error result of %s discarded with _; handle it or mark the declaration //spear:ignoreerr(reason)", ef.calleeDesc(call))
 			}
 			continue
@@ -303,13 +463,10 @@ func (ef *errflow) declAssign(f errFact, vs *ast.ValueSpec, report bool) {
 	}
 }
 
-// rhsResults resolves the per-slot result types of an assignment right-hand
-// side, and the producing call when there is exactly one.
-func (ef *errflow) rhsResults(rhs []ast.Expr, slots int) ([]types.Type, *ast.CallExpr) {
-	return ef.rhsResultsExpr(rhs, slots)
-}
-
-func (ef *errflow) rhsResultsExpr(rhs []ast.Expr, slots int) ([]types.Type, *ast.CallExpr) {
+// rhsResults resolves the per-slot result types of an assignment or
+// declaration right-hand side, and the producing call when there is exactly
+// one.
+func (ef *errflow) rhsResults(rhs []ast.Expr) ([]types.Type, *ast.CallExpr) {
 	if len(rhs) == 1 {
 		call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr)
 		if !ok {
@@ -399,8 +556,8 @@ func (ef *errflow) inNestedLit(pos token.Pos) bool {
 
 // droppedCall flags a call whose results include an error that no one
 // receives (expression statement, defer, go).
-func (ef *errflow) droppedCall(call *ast.CallExpr, format string, report bool) {
-	if !report || !ef.callReturnsError(call) || ef.exemptCall(call, call.Pos()) {
+func (ef *errflow) droppedCall(call *ast.CallExpr, format string) {
+	if !ef.callReturnsError(call) || ef.exemptCall(call, call.Pos()) {
 		return
 	}
 	ef.report(call.Pos(), format+"; handle it or mark the call //spear:ignoreerr(reason)", ef.calleeDesc(call))

@@ -6,8 +6,7 @@
 //   - determinism: packages on the reproducibility-critical path (MCTS, the
 //     network, the simulator, ...) may not consult ambient nondeterminism —
 //     no global math/rand source, no unannotated wall-clock reads, no
-//     iteration over map order — directly or through a call into another
-//     module package.
+//     iteration over map order.
 //   - noalloc: functions marked //spear:noalloc are the zero-allocation fast
 //     paths gated at runtime by AllocsPerRun tests; the structural check
 //     rejects the constructs that heap-allocate (make/new/append/composite
@@ -108,17 +107,17 @@ type pass struct {
 }
 
 // checkTable lists every check in pass order: the three that report from the
-// call graph's body facts (checks.go), then the CFG/dataflow pass
+// call graph's body facts (checks.go), then the per-body error walk
 // (errflow.go) and the loop audit (ctxpoll.go). Adding a check is adding a
 // row, and a row earns its place with an entry in TestMutationRows.
 var checkTable = []check{
-	{name: checkNameDeterminism, desc: "deterministic packages must not read ambient randomness, the wall clock or map order, directly or through module calls",
+	{name: checkNameDeterminism, desc: "deterministic packages must not read ambient randomness, the wall clock or map order",
 		markers: "//spear:timing, //spear:sorted", graph: true, run: (*Runner).checkDeterminism},
 	{name: checkNameNoalloc, desc: "//spear:noalloc functions and everything they call must not contain allocation constructs",
 		markers: "//spear:noalloc, //spear:slowpath, //spear:dyncall", graph: true, run: (*Runner).checkNoalloc},
 	{name: checkNameMetrics, desc: "each literal metric name is registered from one call site",
 		graph: true, run: (*Runner).checkMetrics},
-	{name: checkNameErrflow, desc: "error values are checked, returned or explicitly discarded (CFG dataflow)",
+	{name: checkNameErrflow, desc: "error values are checked, returned or explicitly discarded",
 		markers: "//spear:ignoreerr(reason)", run: perPackage((*Runner).checkErrflow)},
 	{name: checkNameCtxpoll, desc: "loops on ScheduleContext paths poll ctx.Err()/ctx.Done()",
 		markers: "//spear:nopoll(reason)", graph: true, run: (*Runner).checkCtxpoll},

@@ -130,21 +130,31 @@ func TestGoldenNoallocTransitive(t *testing.T) {
 		Config{Checks: []string{checkNameNoalloc}})
 }
 
-func TestGoldenDeterminismTaint(t *testing.T) {
-	// Only the caller package is deterministic; impure stays off the list so
-	// its own rand/time use is legal and only the cross-package calls taint.
-	runGolden(t, []string{"taint"}, Config{
-		Deterministic: []string{"internal/lint/testdata/src/taint"},
-		Checks:        []string{checkNameDeterminism},
-	})
-}
-
 func TestGoldenErrflow(t *testing.T) {
 	runGolden(t, []string{"errflow"}, Config{Checks: []string{checkNameErrflow}})
 }
 
 func TestGoldenCtxpoll(t *testing.T) {
 	runGolden(t, []string{"ctxpoll", filepath.Join("ctxpoll", "cycle")}, Config{Checks: []string{checkNameCtxpoll}})
+}
+
+// TestErrflowReportsGoto pins errflow's fail-closed rule: the walk does not
+// follow goto, so every goto is a finding of its own.
+func TestErrflowReportsGoto(t *testing.T) {
+	dir := t.TempDir()
+	src := "package g\n\nfunc f(n int) int {\nloop:\n\tif n > 0 {\n\t\tn--\n\t\tgoto loop\n\t}\n\treturn n\n}\n"
+	for name, data := range map[string]string{"go.mod": "module g\n\ngo 1.22\n", "g.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameErrflow}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || diags[0].Line != 7 || !strings.Contains(diags[0].Message, "does not follow goto") {
+		t.Fatalf("diagnostics %v, want one goto finding at g.go:7", diags)
+	}
 }
 
 // TestAnalyzeDeterministic runs the full pipeline twice over the
@@ -156,12 +166,10 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		filepath.Join("testdata", "src", "transnoalloc"),
 		filepath.Join("testdata", "src", "transnoalloc", "cycle"),
 		filepath.Join("testdata", "src", "ctxpoll", "cycle"),
-		filepath.Join("testdata", "src", "taint"),
 	}
-	cfg := Config{Deterministic: []string{"internal/lint/testdata/src/taint"}}
 	run := func() []Diagnostic {
 		t.Helper()
-		diags, err := AnalyzeDirs(dirs, cfg)
+		diags, err := AnalyzeDirs(dirs, Config{})
 		if err != nil {
 			t.Fatalf("AnalyzeDirs: %v", err)
 		}

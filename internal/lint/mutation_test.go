@@ -38,6 +38,9 @@ var mutationRows = []mutationRow{
 		old: `r.Counter("spear_train_policy_calls_total",`, new: `r.Counter("spear_search_policy_calls_total",`},
 	{name: "errflow/dropped-close", file: "cmd/spear-sim/main.go",
 		after: "func writeSVGFile(", old: "return f.Close()", new: "f.Close(); return nil"},
+	{name: "errflow/unchecked-path", file: "internal/experiments/run.go",
+		after: "func exportCSV(", old: "if err != nil {", new: "if f == nil {",
+		shift: -2}, // reported at the write-and-close assignment the else path drops
 	{name: "ctxpoll/unpolled-loop", file: "internal/mcts/mcts.go",
 		after: "func (sw *simWorker) search(", old: "if ctx.Err() != nil {", new: "if false {",
 		shift: -1}, // reported at the loop header above the dropped poll

@@ -1,6 +1,6 @@
 // Golden fixture of the errflow check: every error value must be checked,
 // returned, passed on, or explicitly discarded at a //spear:ignoreerr site.
-// The analysis is a definite-use dataflow over the CFG, so errors that are
+// The analysis is a definite-use walk along every path, so errors that are
 // only sometimes inspected — or overwritten before any read — are findings
 // too, not just syntactic `_ =` drops.
 package errflow
@@ -75,8 +75,8 @@ func overwritten(n int) error {
 	return err
 }
 
-// loopAccumulate: reads inside the loop body keep the value live; the CFG
-// fixpoint sees the back edge, so no false positive.
+// loopAccumulate: reads inside the loop body keep the value live; the walk
+// re-runs the body to a fixpoint, so no false positive.
 func loopAccumulate(ns []int) int {
 	bad := 0
 	for _, n := range ns {

@@ -66,11 +66,6 @@ type Config struct {
 	// MinBudget is b_min of Eq. 4: the floor of the decayed budget.
 	// Default 100 (§V-B1).
 	MinBudget int
-	// ExplorationScale multiplies the greedy-packing makespan estimate to
-	// form the UCB exploration constant c (§IV: "we scale it by an estimate
-	// of the makespan produced by ... a greedy packing algorithm").
-	// Default 0.1.
-	ExplorationScale float64
 	// Rollout simulates from expanded nodes to termination. Default: the
 	// uniformly random policy of classic MCTS. Every simulation is one
 	// episode on the search worker's simenv.RolloutContext, so a policy that
@@ -96,9 +91,6 @@ type Config struct {
 	// worker index j, so every worker explores differently while the whole
 	// search stays deterministic at TreeParallelism = 1.
 	Seed int64
-	// DisableTreeReuse rebuilds the tree from scratch at every decision
-	// instead of keeping the chosen child's subtree. Default false.
-	DisableTreeReuse bool
 	// DisableBudgetDecay spends the full InitialBudget at every decision
 	// instead of Eq. 4's max(b_initial/depth, b_min) decay — the ablation
 	// arm for the paper's budget-decay design choice.
@@ -150,9 +142,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MinBudget > c.InitialBudget {
 		c.MinBudget = c.InitialBudget
-	}
-	if c.ExplorationScale <= 0 {
-		c.ExplorationScale = 0.1
 	}
 	if c.Rollout == nil {
 		c.Rollout = baselines.Random{}
@@ -607,10 +596,7 @@ func (tw *treeWorker) bestRootChild() int32 {
 }
 
 // commit makes the chosen action's child this tree's new root and recycles
-// every other node of the old tree. With DisableTreeReuse the chosen
-// child's subtree is recycled too and a fresh root is rebuilt around its
-// env (statistics dropped — though a transposition table, which keys on
-// state rather than tree position, deliberately retains its entries).
+// every other node of the old tree.
 func (tw *treeWorker) commit(chosen simenv.Action) error {
 	ar := &tw.arena
 	next, err := tw.commitChild(chosen)
@@ -626,14 +612,7 @@ func (tw *treeWorker) commit(chosen simenv.Action) error {
 		ch = nx
 	}
 	ar.release(oldRoot)
-	n := ar.node(next)
-	n.parent = nilNode
-	if tw.s.cfg.DisableTreeReuse {
-		env := n.env
-		n.env = nil // keep the env alive: it becomes the fresh root's state
-		ar.releaseSubtree(next)
-		next = tw.newNode(env, nilNode, 0)
-	}
+	ar.node(next).parent = nilNode
 	tw.root = next
 	return nil
 }
@@ -659,8 +638,8 @@ func (tw *treeWorker) commitChild(a simenv.Action) (int32, error) {
 	return tw.newChild(tw.root, a)
 }
 
-// newNode builds a node around an existing env (the root of a tree or a
-// rebuilt root after DisableTreeReuse) in a fresh arena slot.
+// newNode builds a node around an existing env (the root of a tree) in a
+// fresh arena slot.
 func (tw *treeWorker) newNode(env *simenv.Env, parent int32, action simenv.Action) int32 {
 	idx := tw.arena.alloc(tw.s.cfg.UseTranspositions)
 	tw.fill(idx, env, parent, action)
@@ -987,8 +966,13 @@ func (s *Scheduler) finishCancelled(ctx context.Context, began time.Time) (*sche
 	return out, fmt.Errorf("mcts: search cancelled after %d decisions: %w", s.stats.Decisions, ctx.Err())
 }
 
+// explorationScale multiplies the greedy-packing makespan estimate to form
+// the UCB exploration constant c (§IV: "we scale it by an estimate of the
+// makespan produced by ... a greedy packing algorithm").
+const explorationScale = 0.1
+
 // explorationConstant estimates the job makespan with a greedy packing run
-// (Tetris) and scales it per the configuration. The Tetris estimate stamps
+// (Tetris) and scales it by explorationScale. The Tetris estimate stamps
 // its schedule's Elapsed with the wall clock; only est.Makespan
 // (deterministic) feeds the constant.
 //
@@ -998,7 +982,7 @@ func (s *Scheduler) explorationConstant(g *dag.Graph, spec cluster.Spec) (float6
 	if err != nil {
 		return 0, fmt.Errorf("mcts: greedy estimate: %w", err)
 	}
-	return s.cfg.ExplorationScale * float64(est.Makespan), nil
+	return explorationScale * float64(est.Makespan), nil
 }
 
 // simulate estimates node n's value with one or more rollouts, returning one

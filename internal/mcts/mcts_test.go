@@ -160,20 +160,6 @@ func TestNamedScheduler(t *testing.T) {
 	}
 }
 
-func TestTreeReuseMatchesNoReuseValidity(t *testing.T) {
-	g, capacity := smallRandomDAG(5, 20)
-	for _, disable := range []bool{false, true} {
-		s := New(Config{InitialBudget: 40, MinBudget: 10, Seed: 2, DisableTreeReuse: disable})
-		out, err := s.Schedule(g, cluster.Single(capacity))
-		if err != nil {
-			t.Fatalf("reuse=%v: %v", !disable, err)
-		}
-		if err := sched.Validate(g, cluster.Single(capacity), out); err != nil {
-			t.Errorf("reuse=%v: %v", !disable, err)
-		}
-	}
-}
-
 func TestForcedMovesSkipSearch(t *testing.T) {
 	// A pure chain has exactly one legal action at every step, so zero
 	// iterations should be spent.

@@ -48,8 +48,8 @@ func untrainedAgent(tb testing.TB, feat drl.Features, greedy bool) *drl.Agent {
 // TestLegacyGoldenBitIdentity pins the arena/shared-tree rewrite to the
 // pre-rewrite pointer-tree search: the golden rows below were captured by
 // running the legacy implementation (per-node heap allocation, float64
-// statistics, recursive child slices) over every search feature — tree
-// reuse on/off, budget decay on/off, CP rollouts, windows, several rollouts
+// statistics, recursive child slices) over every search feature — budget
+// decay on/off, CP rollouts, windows, several rollouts
 // per expansion, multi-machine clusters, root parallelism and the DRL-guided
 // policies. With TreeParallelism = 1 and transpositions off, the rewrite
 // must reproduce every makespan, every counter and every placement slot
@@ -72,9 +72,6 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 		}},
 		{"basic-42", 226, 522, 495, 491, 0x8c68048b51c7ed6c, 42, 30, 0, func(t *testing.T) *Scheduler {
 			return New(Config{InitialBudget: 80, MinBudget: 16, Seed: 42})
-		}},
-		{"noreuse-7", 174, 276, 272, 269, 0xa1e2868d18093177, 7, 20, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 50, MinBudget: 10, Seed: 7, DisableTreeReuse: true})
 		}},
 		{"nodecay-9", 181, 720, 614, 608, 0xc14db61b5f7674ce, 9, 20, 0, func(t *testing.T) *Scheduler {
 			return New(Config{InitialBudget: 40, MinBudget: 10, Seed: 9, DisableBudgetDecay: true})

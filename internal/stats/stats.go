@@ -1,6 +1,6 @@
 // Package stats provides the small set of summary statistics the experiment
-// harness reports: mean, median, percentiles, standard deviation and CDF
-// points.
+// harness and the serving loop report: mean, median, percentiles, min/max,
+// Jain's fairness index and CDF points.
 package stats
 
 import (

@@ -88,7 +88,7 @@ func DefaultTraceConfig() TraceConfig {
 	}
 }
 
-// Capacity returns the cluster capacity vector the trace is sized for.
+// CapacityVector returns the cluster capacity vector the trace is sized for.
 func (cfg TraceConfig) CapacityVector() resource.Vector {
 	return resource.Uniform(cfg.Dims, cfg.Capacity)
 }
