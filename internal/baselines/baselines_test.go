@@ -101,7 +101,7 @@ func TestTetrisPrefersAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.VisibleReady()[a]; got != 0 {
+	if got := e.VisibleTask(a.Slot()); got != 0 {
 		t.Errorf("Tetris chose task %d, want 0", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestSJFPrefersShortest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.VisibleReady()[a]; got != 1 {
+	if got := e.VisibleTask(a.Slot()); got != 1 {
 		t.Errorf("SJF chose task %d, want 1 (runtime 2)", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestCPPrefersLargestBLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.VisibleReady()[a]; got != 1 {
+	if got := e.VisibleTask(a.Slot()); got != 1 {
 		t.Errorf("CP chose task %d, want 1 (b-level 7)", got)
 	}
 }
@@ -161,7 +161,7 @@ func TestCPTieBreakByChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.VisibleReady()[a]; got != 1 {
+	if got := e.VisibleTask(a.Slot()); got != 1 {
 		t.Errorf("CP chose task %d, want 1 (more children)", got)
 	}
 }
@@ -240,9 +240,9 @@ func TestOrderPolicyFollowsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starts := s.StartTimes(3)
-	if !(starts[2] < starts[0] && starts[0] < starts[1]) {
-		t.Errorf("starts = %v, want order 2 < 0 < 1", starts)
+	p := s.Placements // indexed by task ID
+	if !(p[2].Start < p[0].Start && p[0].Start < p[1].Start) {
+		t.Errorf("placements = %v, want start order 2 < 0 < 1", p)
 	}
 }
 

@@ -43,7 +43,7 @@ func BenchmarkCPSchedule_m4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := cluster.Uniform(4, cfg.CapacityVector())
+	spec := cluster.Uniform(4, trace.Capacity)
 	s := NewCPScheduler()
 	if _, err := s.Schedule(g, spec); err != nil {
 		b.Fatal(err)

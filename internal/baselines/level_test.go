@@ -37,11 +37,10 @@ func TestLevelByLevelWaitsForCurrentLevel(t *testing.T) {
 	if err := sched.Validate(g, cluster.Single(capacity), s); err != nil {
 		t.Fatal(err)
 	}
-	starts := s.StartTimes(4)
 	// d (task 3) becomes ready at t=1 and fits, but must wait for level 0
-	// to drain (a finishes at 10).
-	if starts[3] < 10 {
-		t.Errorf("level-1 task started at %d while level 0 still running", starts[3])
+	// to drain (a finishes at 10). Placements are indexed by task ID.
+	if start := s.Placements[3].Start; start < 10 {
+		t.Errorf("level-1 task started at %d while level 0 still running", start)
 	}
 	// A work-conserving policy overlaps d with a and finishes earlier —
 	// that is exactly the sub-optimality the related work describes.
@@ -113,7 +112,7 @@ func TestTetrisSRPTPrefersShortWithHighWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.VisibleReady()[a]; got != 1 {
+	if got := e.VisibleTask(a.Slot()); got != 1 {
 		t.Errorf("chose task %d, want 1 (short)", got)
 	}
 }

@@ -190,16 +190,6 @@ func (s *Space) UsedAt(t int64) resource.Vector {
 	return used
 }
 
-// AvailableAt returns capacity minus occupancy at absolute time t.
-func (s *Space) AvailableAt(t int64) resource.Vector {
-	avail := s.capacity.Clone()
-	// Occupancy never exceeds capacity, so this cannot underflow.
-	for d, u := range s.row(t) {
-		avail[d] -= u
-	}
-	return avail
-}
-
 // FitsAt reports whether a task with the given demand and duration can be
 // placed starting at absolute time start without exceeding capacity in any
 // slot. Demands that don't match the space's dimensions never fit.
@@ -349,41 +339,6 @@ func (s *Space) lastConflict(rows []int64, demand resource.Vector) int {
 		}
 	}
 	return -1
-}
-
-// OccupancyImage returns the occupancy of the horizon slots starting at
-// absolute time from, normalized per dimension to [0, 1], indexed
-// image[dim][slot]. This is the cluster-state half of the DRL input
-// (paper §III-D).
-func (s *Space) OccupancyImage(from int64, horizon int) [][]float64 {
-	dims := s.capacity.Dims()
-	flat := make([]float64, dims*horizon)
-	s.FillOccupancy(from, horizon, dims, flat)
-	img := make([][]float64, dims)
-	for d := range img {
-		img[d] = flat[d*horizon : (d+1)*horizon]
-	}
-	return img
-}
-
-// FillOccupancy writes the normalized occupancy of horizon slots starting
-// at absolute time from into out, laid out out[d*horizon+k] for dimension d
-// and slot k — the allocation-free core of OccupancyImage. At most dims
-// dimensions are written (clamped to the space's dimensionality); out must
-// hold at least dims*horizon entries and is fully overwritten.
-func (s *Space) FillOccupancy(from int64, horizon, dims int, out []float64) {
-	if d := s.capacity.Dims(); dims > d {
-		dims = d
-	}
-	region := out[:dims*horizon]
-	clear(region)
-	for k := 0; k < horizon; k++ {
-		if row := s.row(from + int64(k)); row != nil {
-			for d := 0; d < dims; d++ {
-				region[d*horizon+k] = float64(row[d]) / float64(s.capacity[d])
-			}
-		}
-	}
 }
 
 // Advance discards all occupancy strictly before absolute time to. The

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,9 +62,6 @@ func TestPlaceAndUsedAt(t *testing.T) {
 		if got := s.UsedAt(tc.time); !got.Equal(tc.want) {
 			t.Errorf("UsedAt(%d) = %v, want %v", tc.time, got, tc.want)
 		}
-	}
-	if got := s.AvailableAt(3); !got.Equal(resource.Of(6, 4)) {
-		t.Errorf("AvailableAt(3) = %v, want (6, 4)", got)
 	}
 	if got := s.MaxBusy(); got != 5 {
 		t.Errorf("MaxBusy = %d, want 5", got)
@@ -302,19 +300,17 @@ func TestAdvance(t *testing.T) {
 }
 
 func TestOccupancyImage(t *testing.T) {
-	s := newSpace(t, 10, 20)
-	if err := s.Place(2, resource.Of(5, 5), 2); err != nil {
+	m, err := NewMulti(Single(resource.Of(10, 20)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	img := s.OccupancyImage(0, 5)
-	if len(img) != 2 || len(img[0]) != 5 {
-		t.Fatalf("image shape = %dx%d, want 2x5", len(img), len(img[0]))
+	if err := m.Place(0, 2, resource.Of(5, 5), 2); err != nil {
+		t.Fatal(err)
 	}
-	if img[0][2] != 0.5 || img[1][2] != 0.25 {
-		t.Errorf("img[:, 2] = %v, %v; want 0.5, 0.25", img[0][2], img[1][2])
-	}
-	if img[0][0] != 0 || img[0][4] != 0 {
-		t.Errorf("empty slots not zero: %v", img[0])
+	img := make([]float64, 2*5) // img[d*5+k]
+	m.FillOccupancy(0, 5, 2, img)
+	if want := []float64{0, 0, 0.5, 0.5, 0, 0, 0, 0.25, 0.25, 0}; !slices.Equal(img, want) {
+		t.Errorf("image = %v, want %v", img, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spear/internal/resource"
@@ -40,33 +41,33 @@ func TestCloneIntoReusedDestination(t *testing.T) {
 	}
 }
 
+// TestFillOccupancyMatchesOccupancyImage checks a fill from a later origin
+// overwrites whatever out held and clamps a request for more dims than the
+// cluster has.
 func TestFillOccupancyMatchesOccupancyImage(t *testing.T) {
-	s := newSpace(t, 10, 20)
-	if err := s.Place(2, resource.Of(5, 5), 2); err != nil {
+	m, err := NewMulti(Single(resource.Of(10, 20)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Advance(1)
-	const horizon, dims = 5, 2
-	img := s.OccupancyImage(1, horizon)
-	out := make([]float64, dims*horizon)
+	if err := m.Place(0, 2, resource.Of(5, 5), 2); err != nil {
+		t.Fatal(err)
+	}
+	m.Advance(1)
+	const horizon = 4
+	want := []float64{0, 0.5, 0.5, 0, 0, 0.25, 0.25, 0} // slots 1..4
+	out := make([]float64, 2*horizon)
 	for i := range out {
 		out[i] = -1 // stale garbage the call must overwrite
 	}
-	s.FillOccupancy(1, horizon, dims, out)
-	for d := 0; d < dims; d++ {
-		for k := 0; k < horizon; k++ {
-			if out[d*horizon+k] != img[d][k] {
-				t.Errorf("out[%d*%d+%d] = %v, want %v", d, horizon, k, out[d*horizon+k], img[d][k])
-			}
-		}
+	m.FillOccupancy(1, horizon, 2, out)
+	if !slices.Equal(out, want) {
+		t.Errorf("fill = %v, want image %v", out, want)
 	}
-	// Requesting more dims than the space has must clamp, not panic.
+	// Requesting more dims than the cluster has must clamp, not panic.
 	wide := make([]float64, 3*horizon)
-	s.FillOccupancy(1, horizon, 3, wide)
-	for k := 0; k < horizon; k++ {
-		if wide[2*horizon+k] != 0 {
-			t.Errorf("clamped dim not zero at slot %d", k)
-		}
+	m.FillOccupancy(1, horizon, 3, wide)
+	if want3 := append(want, make([]float64, horizon)...); !slices.Equal(wide, want3) {
+		t.Errorf("3-dim fill = %v, want %v", wide, want3)
 	}
 }
 

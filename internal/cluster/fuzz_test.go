@@ -312,7 +312,7 @@ func FuzzSpaceOps(f *testing.F) {
 }
 
 // FuzzMultiOps is FuzzSpaceOps for a three-machine Multi with unequal
-// machines: one model per machine, the aggregate reads (AvailableAt,
+// machines: one model per machine, the aggregate reads (AvailableAtInto,
 // FillOccupancy) recomputed from the models.
 func FuzzMultiOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 2, 5, 1, 2, 3, 2, 10, 0, 6, 6, 3, 3, 4, 0, 0, 0})
@@ -384,8 +384,8 @@ func FuzzMultiOps(f *testing.F) {
 					used, _ = used.Add(m.UsedAt(from + int64(k)))
 				}
 				free, _ := total.Sub(used)
-				if got := mu.AvailableAt(from + int64(k)); !got.Equal(free) {
-					t.Fatalf("AvailableAt(%d) = %v, model %v", from+int64(k), got, free)
+				if got := mu.AvailableAtInto(from+int64(k), nil); !got.Equal(free) {
+					t.Fatalf("AvailableAtInto(%d) = %v, model %v", from+int64(k), got, free)
 				}
 				for d := range total {
 					if got, want := fill[d*horizon+k], float64(used[d])/float64(total[d]); got != want {

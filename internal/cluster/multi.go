@@ -186,14 +186,9 @@ func (m *Multi) EarliestStartAny(from int64, demand resource.Vector, duration in
 	return best, bestStart, nil
 }
 
-// AvailableAt returns the aggregate free capacity across machines at
-// absolute time t. For a one-machine cluster it equals the machine's own
-// AvailableAt.
-func (m *Multi) AvailableAt(t int64) resource.Vector { return m.AvailableAtInto(t, nil) }
-
-// AvailableAtInto appends the aggregate free capacity at absolute time t to
-// buf (typically buf[:0]) and returns the extended slice — the
-// allocation-free variant of AvailableAt.
+// AvailableAtInto appends the aggregate free capacity across machines at
+// absolute time t to buf (typically buf[:0]) and returns the extended
+// slice, without allocating when buf has room.
 func (m *Multi) AvailableAtInto(t int64, buf resource.Vector) resource.Vector {
 	n := len(buf)
 	buf = append(buf, m.total...)
@@ -206,9 +201,12 @@ func (m *Multi) AvailableAtInto(t int64, buf resource.Vector) resource.Vector {
 }
 
 // FillOccupancy writes the aggregate normalized occupancy of horizon slots
-// starting at absolute time from into out, laid out out[d*horizon+k] —
-// occupancy summed across machines over total capacity. For a one-machine
-// cluster the result is bit-identical to the machine's own FillOccupancy.
+// starting at absolute time from into out, laid out out[d*horizon+k] for
+// dimension d and slot k — occupancy summed across machines over total
+// capacity, in [0, 1]. This is the cluster-state half of the DRL input
+// (paper §III-D). At most dims dimensions are written (clamped to the
+// cluster's dimensionality); out must hold at least dims*horizon entries,
+// and its first min(dims, Dims())*horizon entries are overwritten.
 func (m *Multi) FillOccupancy(from int64, horizon, dims int, out []float64) {
 	if d := m.total.Dims(); dims > d {
 		dims = d

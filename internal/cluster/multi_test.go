@@ -76,13 +76,14 @@ func TestMultiSingleMachineMatchesSpace(t *testing.T) {
 		t.Fatalf("EarliestStartAny = (%d, %d), Space.EarliestStart = %d", mi, mStart, sStart)
 	}
 	const horizon = 10
-	a := make([]float64, 2*horizon)
-	b := make([]float64, 2*horizon)
-	m.FillOccupancy(0, horizon, 2, a)
-	s.FillOccupancy(0, horizon, 2, b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("occupancy[%d] = %v, Space says %v", i, a[i], b[i])
+	img := make([]float64, 2*horizon)
+	m.FillOccupancy(0, horizon, 2, img)
+	for k := 0; k < horizon; k++ {
+		used := s.UsedAt(int64(k))
+		for d := range capacity {
+			if got, want := img[d*horizon+k], float64(used[d])/float64(capacity[d]); got != want {
+				t.Fatalf("occupancy dim %d slot %d = %v, Space says %v", d, k, got, want)
+			}
 		}
 	}
 	if got, want := m.MaxBusy(), s.MaxBusy(); got != want {
@@ -223,8 +224,8 @@ func TestMultiAdvanceAndAggregates(t *testing.T) {
 	if err := m.Place(1, 0, resource.Of(3), 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.AvailableAt(1); !got.Equal(resource.Of(3)) {
-		t.Fatalf("AvailableAt(1) = %v, want [3] (8 total - 2 - 3)", got)
+	if got := m.AvailableAtInto(1, nil); !got.Equal(resource.Of(3)) {
+		t.Fatalf("AvailableAtInto(1) = %v, want [3] (8 total - 2 - 3)", got)
 	}
 	out := make([]float64, 4)
 	m.FillOccupancy(0, 4, 1, out)
@@ -235,8 +236,8 @@ func TestMultiAdvanceAndAggregates(t *testing.T) {
 	if m.Origin() != 2 {
 		t.Fatalf("Origin = %d, want 2", m.Origin())
 	}
-	if got := m.AvailableAt(2); !got.Equal(resource.Of(6)) {
-		t.Fatalf("AvailableAt(2) after advance = %v, want [6]", got)
+	if got := m.AvailableAtInto(2, nil); !got.Equal(resource.Of(6)) {
+		t.Fatalf("AvailableAtInto(2) after advance = %v, want [6]", got)
 	}
 }
 

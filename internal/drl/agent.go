@@ -70,11 +70,9 @@ func (a *Agent) Network() *nn.Network { return a.net }
 // Features returns the featurization the agent encodes states with.
 func (a *Agent) Features() Features { return a.feat }
 
-// AgentContext owns one goroutine's inference buffers: the row-major encoded
-// states, the row-major legality masks and the network scratch holding the
-// activations. One state is the one-row case; ChooseBatch hands the agent
-// several states at once and the whole batch goes through one network pass.
-// The Agent itself is stateless and safe to share across goroutines; all
+// AgentContext owns one goroutine's inference buffers: the encoded state, its
+// legality mask and the network scratch holding the activations. The Agent
+// itself is stateless and safe to share across goroutines; all
 // per-call mutable state lives here, so MCTS rollout workers and REINFORCE
 // sampling workers each carry their own context.
 //
@@ -91,9 +89,8 @@ func (a *Agent) Features() Features { return a.feat }
 // weights change.
 type AgentContext struct {
 	x       []float64
-	masks   []bool
+	mask    []bool
 	scratch *nn.Scratch
-	rows    int // capacity in states
 
 	key         []uint64
 	probs       []float64
@@ -111,66 +108,47 @@ func (c *AgentContext) PolicyCounters() simenv.PolicyCounters {
 	return simenv.PolicyCounters{Calls: c.calls, CacheHits: c.hits}
 }
 
-// newContext allocates a context for up to maxRows states per pass.
-func (a *Agent) newContext(maxRows int) *AgentContext {
-	if maxRows < 1 {
-		maxRows = 1
-	}
+// newContext allocates a one-state context.
+func (a *Agent) newContext() *AgentContext {
 	in, width := a.feat.InputSize(), a.feat.OutputSize()
 	keyLen := keyWords(in, width)
 	return &AgentContext{
-		x:       make([]float64, maxRows*in),
-		masks:   make([]bool, maxRows*width),
+		x:       make([]float64, in),
+		mask:    make([]bool, width),
 		scratch: a.net.NewScratch(),
-		rows:    maxRows,
 		key:     make([]uint64, keyLen),
 		probs:   make([]float64, width),
 		memo:    newProbsMemo(keyLen, width, memoMaxSets),
 	}
 }
 
-// newRecordingContext is newContext(1) for a REINFORCE sampler: it keeps a
+// newRecordingContext is newContext for a REINFORCE sampler: it keeps a
 // record of every evaluation it runs.
 func (a *Agent) newRecordingContext() *AgentContext {
-	ctx := a.newContext(1)
+	ctx := a.newContext()
 	ctx.records = &recordSlab{state: a.net.RowStateSize(), width: a.feat.OutputSize()}
 	ctx.memo.tagWords = 1
 	return ctx
 }
 
 // NewContext implements simenv.ContextPolicy.
-func (a *Agent) NewContext() simenv.PolicyContext { return a.newContext(1) }
+func (a *Agent) NewContext() simenv.PolicyContext { return a.newContext() }
 
-// NewBatchContext implements simenv.BatchPolicy.
-func (a *Agent) NewBatchContext(maxRows int) simenv.BatchPolicyContext {
-	return a.newContext(maxRows)
-}
+// NewBatchContext implements simenv.BatchPolicy. ChooseBatch runs one row at
+// a time, so every batch shares one one-state context whatever maxRows is.
+func (a *Agent) NewBatchContext(int) simenv.BatchPolicyContext { return a.newContext() }
 
-// encodeRow writes the state of e and the mask of its legal actions into row
-// i of ctx.
-func (a *Agent) encodeRow(ctx *AgentContext, i int, e *simenv.Env, legal []simenv.Action) {
-	in, width := a.feat.InputSize(), a.feat.OutputSize()
-	a.feat.Encode(e, ctx.x[i*in:(i+1)*in])
-	a.feat.Mask(legal, ctx.masks[i*width:(i+1)*width])
-}
-
-// infer runs the network over the first rows encoded rows of ctx and returns
-// their row-major masked action distributions, owned by ctx. After warm-up it
-// performs zero heap allocations.
-func (a *Agent) infer(ctx *AgentContext, rows int) ([]float64, error) {
-	in, width := a.feat.InputSize(), a.feat.OutputSize()
-	return a.net.ProbsBatchInto(ctx.scratch, ctx.x[:rows*in], rows, ctx.masks[:rows*width])
-}
-
-// probsCtx evaluates the masked action distribution of one state: the one-row
-// case of encodeRow + infer, skipping infer when ctx has already answered the
-// same encoded state and mask under the network's current weights. The
-// returned slice is owned by ctx. After warm-up it performs zero heap
-// allocations, hit or miss, until the memo next grows.
+// probsCtx evaluates the masked action distribution of one state: it encodes
+// the state and the mask of its legal actions into ctx and runs the network
+// over them, skipping the network when ctx has already answered the same
+// encoded state and mask under the network's current weights. The returned
+// slice is owned by ctx. After warm-up it performs zero heap allocations,
+// hit or miss, until the memo next grows.
 //
 //spear:noalloc
 func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action) ([]float64, error) {
-	a.encodeRow(ctx, 0, e, legal)
+	a.feat.Encode(e, ctx.x)
+	a.feat.Mask(legal, ctx.mask)
 	ctx.calls++
 	m := &ctx.memo
 	if gen := a.net.Generation(); gen != m.gen {
@@ -179,13 +157,13 @@ func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action
 			ctx.records.reset()
 		}
 	}
-	h := packKey(ctx.x[:a.feat.InputSize()], ctx.masks[:a.feat.OutputSize()], ctx.key)
+	h := packKey(ctx.x, ctx.mask, ctx.key)
 	if tag, ok := m.lookup(h, ctx.key, ctx.probs); ok {
 		ctx.hits++
 		ctx.record = int(tag)
 		return ctx.probs, nil
 	}
-	probs, err := a.infer(ctx, 1)
+	probs, err := a.net.ProbsInto(ctx.scratch, ctx.x, ctx.mask)
 	if err != nil {
 		return nil, err
 	}
@@ -217,12 +195,12 @@ func (a *Agent) selectAction(probs []float64, rng *rand.Rand) (simenv.Action, er
 // Choose implements simenv.Policy: ChooseCtx on a fresh context. Anything
 // that chooses more than once should hold a context instead.
 func (a *Agent) Choose(e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (simenv.Action, error) {
-	return a.ChooseCtx(a.newContext(1), e, legal, rng)
+	return a.ChooseCtx(a.newContext(), e, legal, rng)
 }
 
-// ChooseCtx implements simenv.ContextPolicy: the one-row case of ChooseBatch.
-// After warm-up the whole per-step inference path (Encode, forward pass,
-// masked softmax, action selection) performs zero heap allocations.
+// ChooseCtx implements simenv.ContextPolicy. After warm-up the whole
+// per-step inference path (Encode, forward pass, masked softmax, action
+// selection) performs zero heap allocations.
 func (a *Agent) ChooseCtx(pc simenv.PolicyContext, e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (simenv.Action, error) {
 	ctx, ok := pc.(*AgentContext)
 	if !ok {
@@ -235,32 +213,11 @@ func (a *Agent) ChooseCtx(pc simenv.PolicyContext, e *simenv.Env, legal []simenv
 	return a.selectAction(probs, rng)
 }
 
-// ChooseBatch implements simenv.BatchPolicy: encode every state into one
-// row-major batch, run a single forward + masked softmax, then select one
-// action per row. Per-row arithmetic does not depend on the batch size, so row
-// i's choice equals ChooseCtx on envs[i] with rngs[i], bit for bit.
+// ChooseBatch implements simenv.BatchPolicy: ChooseCtx once per row, so row
+// i's choice is ChooseCtx's on envs[i] with rngs[i], bit for bit.
 func (a *Agent) ChooseBatch(pc simenv.BatchPolicyContext, envs []*simenv.Env, legal [][]simenv.Action, rngs []*rand.Rand, out []simenv.Action) error {
-	ctx, ok := pc.(*AgentContext)
-	if !ok {
-		return fmt.Errorf("drl: foreign batch context %T", pc)
-	}
-	rows := len(envs)
-	if rows == 0 {
-		return nil
-	}
-	if rows > ctx.rows {
-		return fmt.Errorf("drl: batch of %d rows exceeds context capacity %d", rows, ctx.rows)
-	}
 	for i, e := range envs {
-		a.encodeRow(ctx, i, e, legal[i])
-	}
-	probs, err := a.infer(ctx, rows)
-	if err != nil {
-		return err
-	}
-	width := a.feat.OutputSize()
-	for i := range envs {
-		action, err := a.selectAction(probs[i*width:(i+1)*width], rngs[i])
+		action, err := a.ChooseCtx(pc, e, legal[i], rngs[i])
 		if err != nil {
 			return err
 		}
@@ -306,7 +263,7 @@ func (x *Expander) PolicyCounters() simenv.PolicyCounters { return x.ctx.PolicyC
 
 // NewExpander wraps the agent for MCTS expansion.
 func NewExpander(agent *Agent) *Expander {
-	return &Expander{agent: agent, ctx: agent.newContext(1)}
+	return &Expander{agent: agent, ctx: agent.newContext()}
 }
 
 // Name implements mcts.Expander.

@@ -84,7 +84,7 @@ func BenchmarkAgentChooseCtx(b *testing.B) {
 		ctx    *AgentContext
 		states []visit
 	}{
-		{"hit", agent.newContext(1), states[:1]},
+		{"hit", agent.newContext(), states[:1]},
 		{"miss", contextWithMemo(agent, 4), states},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

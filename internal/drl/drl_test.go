@@ -270,7 +270,7 @@ func TestExpanderPicksHighestProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := agent.probsCtx(agent.newContext(1), e, legal)
+	probs, err := agent.probsCtx(agent.newContext(), e, legal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,46 +382,6 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := Train(net, feat, nil, capacity, TrainConfig{Epochs: 1}, rng, nil); err == nil {
 		t.Error("no jobs accepted")
-	}
-}
-
-func TestEvaluate(t *testing.T) {
-	feat := testFeatures()
-	jobs, capacity := testJobs(t, 3, 10, 40)
-	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(41)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	makespans, mean, err := Evaluate(net, feat, jobs, capacity)
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
-	}
-	if len(makespans) != 3 {
-		t.Fatalf("makespans = %v", makespans)
-	}
-	var sum float64
-	for _, m := range makespans {
-		if m <= 0 {
-			t.Errorf("non-positive makespan %d", m)
-		}
-		sum += float64(m)
-	}
-	if diff := mean - sum/3; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("mean = %v, want %v", mean, sum/3)
-	}
-	// Greedy evaluation is deterministic.
-	again, _, err := Evaluate(net, feat, jobs, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range makespans {
-		if makespans[i] != again[i] {
-			t.Errorf("evaluation not deterministic at %d", i)
-		}
-	}
-
-	if _, _, err := Evaluate(net, feat, nil, capacity); err == nil {
-		t.Error("empty job list accepted")
 	}
 }
 

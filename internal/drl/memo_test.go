@@ -50,7 +50,7 @@ func randomVisits(t testing.TB, feat Features, episodes int, seed int64) []visit
 // sets (0 gives the uncached reference) and is past its trial, so it grows as
 // soon as it has reason to.
 func contextWithMemo(a *Agent, maxSets int) *AgentContext {
-	ctx := a.newContext(1)
+	ctx := a.newContext()
 	ctx.memo = newProbsMemo(ctx.memo.keyLen, ctx.memo.width, maxSets)
 	ctx.calls = memoTrialCalls
 	return ctx
@@ -259,7 +259,7 @@ func TestMemoResetsWhenWeightsChange(t *testing.T) {
 	agent := testAgent(t, feat, true, 73)
 	visits := randomVisits(t, feat, 1, 74)
 	v := visits[len(visits)/2]
-	ctx := agent.newContext(1)
+	ctx := agent.newContext()
 	before, err := agent.probsCtx(ctx, v.env, v.legal)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestMemoResetsWhenWeightsChange(t *testing.T) {
 	// One REINFORCE-style step on this very state moves the weights.
 	net := agent.Network()
 	s := net.NewScratch()
-	probs, err := net.ProbsInto(s, ctx.x, ctx.masks)
+	probs, err := net.ProbsInto(s, ctx.x, ctx.mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestMemoResetsWhenWeightsChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := agent.probsCtx(agent.newContext(1), v.env, v.legal)
+	want, err := agent.probsCtx(agent.newContext(), v.env, v.legal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestMemoResetsWhenWeightsChange(t *testing.T) {
 	if !sameBits(got, want) {
 		t.Errorf("after Apply the old context answers %v, a fresh one %v", got, want)
 	}
-	wantAct, _ := agent.ChooseCtx(agent.newContext(1), v.env, v.legal, nil)
+	wantAct, _ := agent.ChooseCtx(agent.newContext(), v.env, v.legal, nil)
 	gotAct, _ := agent.ChooseCtx(ctx, v.env, v.legal, nil)
 	if gotAct != wantAct {
 		t.Errorf("after Apply the old context chooses %v, a fresh one %v", gotAct, wantAct)

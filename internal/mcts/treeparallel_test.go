@@ -51,9 +51,11 @@ func untrainedAgent(tb testing.TB, feat drl.Features, greedy bool) *drl.Agent {
 // statistics, recursive child slices) over every search feature — budget
 // decay on/off, CP rollouts, windows, several rollouts
 // per expansion, multi-machine clusters, root parallelism and the DRL-guided
-// policies. With TreeParallelism = 1 and transpositions off, the rewrite
-// must reproduce every makespan, every counter and every placement slot
-// bit for bit.
+// policies. With TreeParallelism = 1 the rewrite must reproduce every
+// makespan, every counter and every placement slot bit for bit. The tt-17
+// row pins the transposition table (its hits, misses and capacity flushes
+// too); it was captured from the incrementally maintained state hash, so it
+// also pins the hash computed on demand to the same bits.
 func TestLegacyGoldenBitIdentity(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -102,7 +104,13 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 			return NewNamed("MCTS+DRL rollouts", Config{InitialBudget: 20, MinBudget: 5, Seed: 22,
 				Rollout: untrainedAgent(t, smallFeat, false), Window: smallFeat.Window, RolloutsPerExpansion: 3})
 		}},
+		{"tt-17", 670, 680, 676, 674, 0xb4df74f973528394, 17, 80, 0, func(t *testing.T) *Scheduler {
+			return New(Config{InitialBudget: 8, MinBudget: 8, Seed: 17, DisableBudgetDecay: true, UseTranspositions: true})
+		}},
 	}
+	// Transposition-table counters (hits, misses, entries flushed) of the
+	// rows that search with one; every other row must leave them at zero.
+	ttGolden := map[string][3]int64{"tt-17": {44, 633, 512}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, capacity := smallRandomDAG(tc.graphSeed, tc.tasks)
@@ -126,7 +134,10 @@ func TestLegacyGoldenBitIdentity(t *testing.T) {
 			if got := placementHash(out); got != tc.hash {
 				t.Errorf("placement hash %#x, legacy %#x — the schedule diverged slot-wise", got, tc.hash)
 			}
-			if st.VirtualLossApplied != 0 || st.TTHits != 0 || st.TTMisses != 0 {
+			if got, want := [3]int64{st.TTHits, st.TTMisses, st.TTEvictions}, ttGolden[tc.name]; got != want {
+				t.Errorf("TT (hits, misses, evicted) %v, golden %v", got, want)
+			}
+			if st.VirtualLossApplied != 0 {
 				t.Errorf("serial search touched parallel-only machinery: %+v", st)
 			}
 		})

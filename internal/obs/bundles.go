@@ -283,8 +283,7 @@ type ServeClassMetrics struct {
 
 // NewServeClassMetrics registers the per-class serving metrics for the
 // given SLO class in r (a nil r gets a private registry). The class name is
-// sanitized into the metric names; two classes sanitizing to the same
-// string share series.
+// sanitized into the metric names (SanitizeMetricName).
 func NewServeClassMetrics(r *Registry, class string) *ServeClassMetrics {
 	if r == nil {
 		r = NewRegistry()

@@ -140,30 +140,6 @@ func (v Vector) Sub(o Vector) (Vector, error) {
 	return out, nil
 }
 
-// AddInPlace adds o into v. It returns ErrDimensionMismatch if the
-// dimensions differ, in which case v is unchanged.
-func (v Vector) AddInPlace(o Vector) error {
-	if len(v) != len(o) {
-		return ErrDimensionMismatch
-	}
-	for i := range o {
-		v[i] += o[i]
-	}
-	return nil
-}
-
-// SubInPlace subtracts o from v. It returns ErrDimensionMismatch if the
-// dimensions differ, in which case v is unchanged.
-func (v Vector) SubInPlace(o Vector) error {
-	if len(v) != len(o) {
-		return ErrDimensionMismatch
-	}
-	for i := range o {
-		v[i] -= o[i]
-	}
-	return nil
-}
-
 // Dot returns the inner product of v and o. This is the alignment score used
 // by Tetris-style packing: higher means the demand lines up better with the
 // available capacity.
@@ -187,24 +163,6 @@ func (v Vector) Max() int64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum over all dimensions of v.
-func (v Vector) Sum() int64 {
-	var s int64
-	for i := range v {
-		s += v[i]
-	}
-	return s
-}
-
-// Scale returns v with every dimension multiplied by k.
-func (v Vector) Scale(k int64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] * k
-	}
-	return out
 }
 
 // Normalized returns v with each dimension divided by the matching capacity

@@ -154,32 +154,6 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestInPlaceOps(t *testing.T) {
-	v := Of(5, 7)
-	if err := v.AddInPlace(Of(1, 2)); err != nil {
-		t.Fatalf("AddInPlace: %v", err)
-	}
-	if !v.Equal(Of(6, 9)) {
-		t.Errorf("AddInPlace = %v, want (6, 9)", v)
-	}
-	if err := v.SubInPlace(Of(6, 9)); err != nil {
-		t.Fatalf("SubInPlace: %v", err)
-	}
-	if !v.IsZero() {
-		t.Errorf("SubInPlace = %v, want zero", v)
-	}
-
-	if err := v.AddInPlace(Of(1)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("AddInPlace mismatch err = %v", err)
-	}
-	if err := v.SubInPlace(Of(1)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("SubInPlace mismatch err = %v", err)
-	}
-	if !v.IsZero() {
-		t.Errorf("failed in-place op mutated v = %v", v)
-	}
-}
-
 func TestDot(t *testing.T) {
 	got, err := Of(2, 3).Dot(Of(4, 5))
 	if err != nil {
@@ -193,16 +167,10 @@ func TestDot(t *testing.T) {
 	}
 }
 
-func TestMaxSumScale(t *testing.T) {
+func TestMax(t *testing.T) {
 	v := Of(3, 9, 1)
 	if v.Max() != 9 {
 		t.Errorf("Max = %d, want 9", v.Max())
-	}
-	if v.Sum() != 13 {
-		t.Errorf("Sum = %d, want 13", v.Sum())
-	}
-	if got := v.Scale(2); !got.Equal(Of(6, 18, 2)) {
-		t.Errorf("Scale(2) = %v", got)
 	}
 	if Vector(nil).Max() != 0 {
 		t.Errorf("nil Max != 0")

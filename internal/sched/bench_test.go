@@ -23,7 +23,7 @@ func BenchmarkValidate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := cluster.Uniform(4, cfg.CapacityVector())
+	spec := cluster.Uniform(4, trace.Capacity)
 	plan, err := baselines.NewCPScheduler().Schedule(g, spec)
 	if err != nil {
 		b.Fatal(err)

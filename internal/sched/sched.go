@@ -205,30 +205,6 @@ func Validate(g *dag.Graph, spec cluster.Spec, s *Schedule) error {
 	return nil
 }
 
-// StartTimes returns the per-task start times indexed by TaskID. It assumes
-// a schedule that has passed Validate.
-func (s *Schedule) StartTimes(n int) []int64 {
-	starts := make([]int64, n)
-	for _, p := range s.Placements {
-		if int(p.Task) >= 0 && int(p.Task) < n {
-			starts[p.Task] = p.Start
-		}
-	}
-	return starts
-}
-
-// Machines returns the per-task machine indices indexed by TaskID. It
-// assumes a schedule that has passed Validate.
-func (s *Schedule) Machines(n int) []int {
-	machines := make([]int, n)
-	for _, p := range s.Placements {
-		if int(p.Task) >= 0 && int(p.Task) < n {
-			machines[p.Task] = p.Machine
-		}
-	}
-	return machines
-}
-
 // Gantt renders the schedule as an ASCII chart, one row per task ordered by
 // start time, with the timeline scaled to at most width characters.
 // Multi-machine schedules (FormatMulti) annotate each row with the task's

@@ -89,17 +89,6 @@ func TestValidateCapacityViolation(t *testing.T) {
 	}
 }
 
-func TestStartTimes(t *testing.T) {
-	_, s := validChain(t)
-	starts := s.StartTimes(2)
-	if starts[0] != 0 || starts[1] != 3 {
-		t.Errorf("StartTimes = %v", starts)
-	}
-	// Out-of-range placements are ignored rather than panicking.
-	s.Placements = append(s.Placements, Placement{Task: 99, Start: 1})
-	_ = s.StartTimes(2)
-}
-
 func TestGantt(t *testing.T) {
 	g, s := validChain(t)
 	out := s.Gantt(g, 20)

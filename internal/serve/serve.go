@@ -279,17 +279,23 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 		return nil, err
 	}
 
-	seenClass := make(map[string]bool, len(cfg.Classes))
+	// Each class owns the metric series its sanitized name spells; two
+	// classes sharing one would count each other's jobs.
+	classBySeries := make(map[string]string, len(cfg.Classes))
 	tenantIdx := make(map[string]int)
 	for i := range cfg.Classes {
 		cc := cfg.Classes[i]
 		if cc.Name == "" {
 			return nil, fmt.Errorf("serve: class %d has no name", i)
 		}
-		if seenClass[cc.Name] {
-			return nil, fmt.Errorf("serve: duplicate class %q", cc.Name)
+		series := obs.SanitizeMetricName(cc.Name)
+		if prev, taken := classBySeries[series]; taken {
+			if prev == cc.Name {
+				return nil, fmt.Errorf("serve: duplicate class %q", cc.Name)
+			}
+			return nil, fmt.Errorf("serve: classes %q and %q share the metric series spear_serve_class_%s_*", prev, cc.Name, series)
 		}
-		seenClass[cc.Name] = true
+		classBySeries[series] = cc.Name
 		if cc.MaxJobs < 0 {
 			return nil, fmt.Errorf("serve: class %q: maxJobs %d must be >= 0", cc.Name, cc.MaxJobs)
 		}

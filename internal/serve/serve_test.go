@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"spear/internal/baselines"
@@ -365,6 +366,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := serve.New(testConfig(1), nil, nil); err == nil {
 		t.Error("nil scheduler accepted")
+	}
+}
+
+// TestClassesSharingMetricSeriesRejected checks that two class names which
+// sanitize to the same metric name are refused by name: otherwise both
+// classes would count into one set of spear_serve_class_gold_* series.
+func TestClassesSharingMetricSeriesRejected(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Classes[0].Name, cfg.Classes[1].Name = "Gold", "gold"
+	_, err := serve.New(cfg, baselines.NewCPScheduler(), nil)
+	if err == nil || !strings.Contains(err.Error(), `"Gold"`) || !strings.Contains(err.Error(), `"gold"`) {
+		t.Fatalf("classes Gold and gold: err = %v, want an error naming both", err)
 	}
 }
 

@@ -24,11 +24,11 @@ import (
 )
 
 // Action encodes one scheduler decision. Process advances time; any other
-// value packs a placement decision: the low bits are an index into
-// VisibleReady() selecting a task to start now (the slot), the high bits
-// the machine it starts on. Machine-0 actions are numerically identical to
-// the plain slot index, so single-machine episodes see exactly the
-// pre-multi-machine action values.
+// value packs a placement decision: the low bits are an index into the
+// visible ready window (VisibleTask) selecting a task to start now (the
+// slot), the high bits the machine it starts on. Machine-0 actions are
+// numerically identical to the plain slot index, so single-machine
+// episodes see exactly the pre-multi-machine action values.
 type Action int32
 
 // Process is the "let the cluster run" action (the paper's action -1).
@@ -110,13 +110,6 @@ type Env struct {
 	running        []dag.TaskID // the running tasks, unordered; cap NumTasks
 	lastFinish     int64        // latest finish among started tasks
 	done           int
-	processSteps   int64 // number of Process actions taken (== -reward)
-
-	// stateHash is the canonical FNV-style signature of the episode state
-	// (clock, ready set, running occupancy, done set), maintained
-	// incrementally by stepSchedule/advanceTo and copied by CloneInto. See
-	// StateHash.
-	stateHash uint64
 
 	// Scratch buffer reused by advanceTo so a Process step allocates
 	// nothing once warm, and the schedule/process steps taken since the
@@ -144,8 +137,7 @@ const (
 
 // hashWords folds four words through an FNV-1a chain. Every state-hash
 // contribution is one such chain, and contributions are combined with XOR,
-// which makes the total independent of the order the components were
-// toggled in — states reached via different schedule orders hash equal.
+// so the total does not depend on the order they are folded in.
 func hashWords(a, b, c, d uint64) uint64 {
 	h := fnvOffset
 	h = (h ^ a) * fnvPrime
@@ -158,17 +150,12 @@ func hashWords(a, b, c, d uint64) uint64 {
 // StateHash returns the canonical signature of the episode state: the
 // clock, the ready set, the per-machine occupancy of running tasks (task,
 // finish time, machine) and the done set, XOR-combined so that different
-// schedule orders reaching the same state return the same hash. It is
-// maintained incrementally on Step and copied by CloneInto, so reading it
-// is free; MCTS keys its transposition table on it. Placements of finished
-// tasks are deliberately excluded: they cannot influence the remaining
-// episode, and excluding them is what lets transpositions merge.
-func (e *Env) StateHash() uint64 { return e.stateHash }
-
-// recomputeStateHash rebuilds the signature from scratch. It seeds the
-// incremental hash at construction and anchors the incremental-vs-recompute
-// tests; episode stepping never calls it.
-func (e *Env) recomputeStateHash() uint64 {
+// schedule orders reaching the same state return the same hash. Each call
+// walks every task, O(tasks); MCTS calls it once per node it creates while
+// its transposition table is on, and keys the table on it. Placements of
+// finished tasks are deliberately excluded: they cannot influence the
+// remaining episode, and excluding them is what lets transpositions merge.
+func (e *Env) StateHash() uint64 {
 	h := hashWords(sigNow, uint64(e.now), 0, 0)
 	for id, st := range e.status {
 		switch st {
@@ -246,7 +233,7 @@ func (e *Env) Reset(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
 	}
 
 	e.g, e.space, e.cfg = g, space, cfg
-	e.now, e.lastFinish, e.done, e.processSteps = 0, 0, 0, 0
+	e.now, e.lastFinish, e.done = 0, 0, 0
 	e.placed, e.advanced = 0, 0
 	e.status = slices.Grow(e.status[:0], n)[:n]
 	e.missingParents = slices.Grow(e.missingParents[:0], n)[:n]
@@ -266,7 +253,6 @@ func (e *Env) Reset(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
 			e.ready = append(e.ready, dag.TaskID(id))
 		}
 	}
-	e.stateHash = e.recomputeStateHash()
 	return e, nil
 }
 
@@ -307,8 +293,6 @@ func (e *Env) CloneInto(dst *Env) *Env {
 	dst.running = append(dst.running[:0], e.running...)
 	dst.lastFinish = e.lastFinish
 	dst.done = e.done
-	dst.processSteps = e.processSteps
-	dst.stateHash = e.stateHash
 	return dst
 }
 
@@ -331,13 +315,6 @@ func (e *Env) Now() int64 { return e.now }
 
 // Done reports whether every task has finished.
 func (e *Env) Done() bool { return e.done == e.g.NumTasks() }
-
-// ProcessSteps returns how many Process actions were taken so far. In
-// OneSlot mode the episode reward is its negation.
-func (e *Env) ProcessSteps() int64 { return e.processSteps }
-
-// NumReady reports the total number of ready tasks (visible + backlog).
-func (e *Env) NumReady() int { return len(e.ready) }
 
 // NumRunning reports the number of currently running tasks.
 func (e *Env) NumRunning() int { return len(e.running) }
@@ -363,19 +340,6 @@ func (e *Env) Backlog() int {
 		return 0
 	}
 	return len(e.ready) - e.cfg.Window
-}
-
-// VisibleReady returns a copy of the ready tasks exposed to the agent, in
-// FIFO order. Schedule actions index into this slice.
-func (e *Env) VisibleReady() []dag.TaskID {
-	return e.VisibleReadyInto(make([]dag.TaskID, 0, e.visibleLen()))
-}
-
-// VisibleReadyInto appends the visible ready tasks to buf (typically
-// buf[:0]) and returns the extended slice — the allocation-free variant of
-// VisibleReady.
-func (e *Env) VisibleReadyInto(buf []dag.TaskID) []dag.TaskID {
-	return append(buf, e.ready[:e.visibleLen()]...)
 }
 
 // NumVisible reports how many ready tasks are inside the window.
@@ -514,10 +478,6 @@ func (e *Env) stepSchedule(i, m int) error {
 	e.running = e.running[:n+1]
 	e.running[n] = id
 	e.lastFinish = max(e.lastFinish, e.finish[id])
-	// Toggle the task's state-hash contribution: out of the ready set, into
-	// the running occupancy signature.
-	e.stateHash ^= hashWords(sigReady, uint64(id), 0, 0)
-	e.stateHash ^= hashWords(sigRunning, uint64(id), uint64(e.finish[id]), uint64(m))
 	e.placed++
 	return nil
 }
@@ -535,7 +495,6 @@ func (e *Env) stepProcess() error {
 	default:
 		return errUnknownMode(e.cfg.Mode)
 	}
-	e.processSteps++
 	e.advanced++
 	e.advanceTo(target)
 	return nil
@@ -571,7 +530,6 @@ func (e *Env) EarliestRunningFinish() (int64, bool) {
 //
 //spear:slowpath
 func (e *Env) advanceTo(target int64) {
-	e.stateHash ^= hashWords(sigNow, uint64(e.now), 0, 0) ^ hashWords(sigNow, uint64(target), 0, 0)
 	e.now = target
 
 	n := 0
@@ -591,8 +549,6 @@ func (e *Env) advanceTo(target int64) {
 	for _, id := range completed {
 		e.status[id] = statusDone
 		e.done++
-		e.stateHash ^= hashWords(sigRunning, uint64(id), uint64(e.finish[id]), uint64(e.machine[id]))
-		e.stateHash ^= hashWords(sigDone, uint64(id), 0, 0)
 		newlyReady := e.readyBuf[:0]
 		for _, child := range e.g.Succ(id) {
 			e.missingParents[child]--
@@ -608,7 +564,6 @@ func (e *Env) advanceTo(target int64) {
 		for _, child := range newlyReady {
 			e.status[child] = statusReady
 			e.ready = append(e.ready, child)
-			e.stateHash ^= hashWords(sigReady, uint64(child), 0, 0)
 		}
 		e.readyBuf = newlyReady[:0]
 	}
@@ -647,22 +602,9 @@ func (e *Env) Schedule(algorithm string) (*sched.Schedule, error) {
 	}, nil
 }
 
-// OccupancyImage returns the normalized aggregate cluster occupancy for the
-// next horizon slots starting at the current time, laid out [dim][slot].
-func (e *Env) OccupancyImage(horizon int) [][]float64 {
-	dims := e.space.Dims()
-	flat := make([]float64, dims*horizon)
-	e.space.FillOccupancy(e.now, horizon, dims, flat)
-	img := make([][]float64, dims)
-	for d := range img {
-		img[d] = flat[d*horizon : (d+1)*horizon]
-	}
-	return img
-}
-
-// FillOccupancy writes the normalized occupancy for the next horizon slots
-// into out, laid out out[d*horizon+k] — the allocation-free variant of
-// OccupancyImage. At most dims dimensions are written (clamped to the
+// FillOccupancy writes the normalized aggregate cluster occupancy for the
+// next horizon slots starting at the current time into out, laid out
+// out[d*horizon+k]. At most dims dimensions are written (clamped to the
 // cluster's dimensionality); out must hold at least dims*horizon entries.
 func (e *Env) FillOccupancy(horizon, dims int, out []float64) {
 	e.space.FillOccupancy(e.now, horizon, dims, out)

@@ -88,8 +88,8 @@ func TestChainEpisode(t *testing.T) {
 	if e.Done() {
 		t.Fatal("fresh env already done")
 	}
-	if got := e.VisibleReady(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("VisibleReady = %v, want [0]", got)
+	if e.NumVisible() != 1 || e.VisibleTask(0) != 0 {
+		t.Fatalf("%d visible ready tasks, want only task 0", e.NumVisible())
 	}
 
 	// Only t0 is ready; schedule it.
@@ -118,8 +118,8 @@ func TestChainEpisode(t *testing.T) {
 	if e.Now() != 2 {
 		t.Errorf("NextCompletion advanced to %d, want 2", e.Now())
 	}
-	if got := e.VisibleReady(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("after t0 completes VisibleReady = %v, want [1]", got)
+	if e.NumVisible() != 1 || e.VisibleTask(0) != 1 {
+		t.Fatalf("after t0 completes %d visible ready tasks, want only task 1", e.NumVisible())
 	}
 
 	// Finish the episode.
@@ -162,26 +162,30 @@ func TestOneSlotMode(t *testing.T) {
 		t.Fatalf("OneSlot advanced to %d, want 1", e.Now())
 	}
 	// t0 still running, nothing new ready.
-	if e.NumReady() != 0 {
-		t.Fatalf("NumReady = %d, want 0", e.NumReady())
+	if e.NumVisible() != 0 {
+		t.Fatalf("%d ready tasks, want 0", e.NumVisible())
 	}
 	if err := e.Step(Process); err != nil {
 		t.Fatal(err)
 	}
-	if e.Now() != 2 || e.NumReady() != 1 {
-		t.Fatalf("now=%d ready=%d, want 2 and 1", e.Now(), e.NumReady())
+	if e.Now() != 2 || e.NumVisible() != 1 {
+		t.Fatalf("now=%d ready=%d, want 2 and 1", e.Now(), e.NumVisible())
 	}
 
 	// Drive to completion; total process steps must equal the makespan.
+	processSteps := int64(2)
 	for !e.Done() {
-		legal := e.LegalActions()
-		if err := e.Step(legal[0]); err != nil {
+		a := e.LegalActions()[0]
+		if a == Process {
+			processSteps++
+		}
+		if err := e.Step(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.ProcessSteps() != e.Makespan() {
-		t.Errorf("ProcessSteps = %d, Makespan = %d; OneSlot reward bookkeeping broken",
-			e.ProcessSteps(), e.Makespan())
+	if processSteps != e.Makespan() {
+		t.Errorf("%d process steps, Makespan = %d; OneSlot reward bookkeeping broken",
+			processSteps, e.Makespan())
 	}
 }
 
@@ -196,8 +200,8 @@ func TestLegalActionsFiltersNonFitting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a(5,2), b(3,3), c(4,6) all ready; capacity (6,6).
-	if got := e.VisibleReady(); len(got) != 3 {
-		t.Fatalf("VisibleReady = %v", got)
+	if got := e.NumVisible(); got != 3 {
+		t.Fatalf("%d visible ready tasks, want 3", got)
 	}
 	// Schedule a: remaining (1,4). b and c no longer fit -> only Process.
 	if err := e.Step(Action(0)); err != nil {
@@ -234,8 +238,8 @@ func TestIllegalActions(t *testing.T) {
 		t.Errorf("non-fitting schedule err = %v, want ErrIllegalAction", err)
 	}
 	// Failed step must not corrupt state: b still ready.
-	if e.NumReady() != 2 {
-		t.Errorf("NumReady = %d after failed step, want 2", e.NumReady())
+	if e.NumVisible() != 2 {
+		t.Errorf("%d ready tasks after failed step, want 2", e.NumVisible())
 	}
 }
 
@@ -290,11 +294,8 @@ func TestWindowAndBacklog(t *testing.T) {
 	if err := e.Step(Process); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.NumReady(); got != 5 {
-		t.Fatalf("NumReady = %d, want 5", got)
-	}
-	if got := e.VisibleReady(); len(got) != 2 {
-		t.Fatalf("VisibleReady = %v, want 2 visible", got)
+	if got := e.NumVisible(); got != 2 {
+		t.Fatalf("%d visible ready tasks, want 2", got)
 	}
 	if got := e.Backlog(); got != 3 {
 		t.Fatalf("Backlog = %d, want 3", got)
@@ -306,8 +307,8 @@ func TestWindowAndBacklog(t *testing.T) {
 	if got := e.Backlog(); got != 2 {
 		t.Errorf("Backlog after schedule = %d, want 2", got)
 	}
-	if got := e.VisibleReady(); len(got) != 2 {
-		t.Errorf("window not refilled: %v", got)
+	if got := e.NumVisible(); got != 2 {
+		t.Errorf("window not refilled: %d visible", got)
 	}
 }
 
@@ -324,12 +325,12 @@ func TestCloneIndependence(t *testing.T) {
 	if err := c.Step(Action(0)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Now() != 0 || e.NumRunning() != 1 || e.NumReady() != 0 {
+	if e.Now() != 0 || e.NumRunning() != 1 || e.NumVisible() != 0 {
 		t.Errorf("mutating clone changed original: now=%d running=%d ready=%d",
-			e.Now(), e.NumRunning(), e.NumReady())
+			e.Now(), e.NumRunning(), e.NumVisible())
 	}
-	if c.NumRunning() != 1 || c.NumReady() != 2 {
-		t.Errorf("clone state wrong: running=%d ready=%d", c.NumRunning(), c.NumReady())
+	if c.NumRunning() != 1 || c.NumVisible() != 2 {
+		t.Errorf("clone state wrong: running=%d ready=%d", c.NumRunning(), c.NumVisible())
 	}
 }
 
@@ -442,11 +443,9 @@ func TestAccessors(t *testing.T) {
 		t.Errorf("AvailableNowInto = %v", avail)
 	}
 
-	img := e.OccupancyImage(4)
-	if len(img) != 2 || len(img[0]) != 4 {
-		t.Fatalf("image shape %dx%d", len(img), len(img[0]))
-	}
-	if img[0][0] <= 0 {
+	img := make([]float64, 2*4)
+	e.FillOccupancy(4, 2, img)
+	if img[0] <= 0 {
 		t.Errorf("occupancy image empty despite running task: %v", img)
 	}
 

@@ -25,17 +25,15 @@ func playSteps(t *testing.T, e *Env, n int, rng *rand.Rand) {
 // envsEqual compares the observable state of two envs.
 func envsEqual(t *testing.T, a, b *Env) {
 	t.Helper()
-	if a.Now() != b.Now() || a.Done() != b.Done() || a.NumReady() != b.NumReady() ||
-		a.NumRunning() != b.NumRunning() || a.Backlog() != b.Backlog() ||
-		a.ProcessSteps() != b.ProcessSteps() {
-		t.Fatalf("scalar state differs: now %d/%d ready %d/%d running %d/%d backlog %d/%d",
-			a.Now(), b.Now(), a.NumReady(), b.NumReady(),
+	if a.Now() != b.Now() || a.Done() != b.Done() || a.NumVisible() != b.NumVisible() ||
+		a.NumRunning() != b.NumRunning() || a.Backlog() != b.Backlog() {
+		t.Fatalf("scalar state differs: now %d/%d visible %d/%d running %d/%d backlog %d/%d",
+			a.Now(), b.Now(), a.NumVisible(), b.NumVisible(),
 			a.NumRunning(), b.NumRunning(), a.Backlog(), b.Backlog())
 	}
-	ar, br := a.VisibleReady(), b.VisibleReady()
-	for i := range ar {
-		if ar[i] != br[i] {
-			t.Fatalf("visible ready differ at %d: %d vs %d", i, ar[i], br[i])
+	for i := 0; i < a.NumVisible(); i++ {
+		if a.VisibleTask(i) != b.VisibleTask(i) {
+			t.Fatalf("visible ready differ at %d: %d vs %d", i, a.VisibleTask(i), b.VisibleTask(i))
 		}
 	}
 	al, bl := a.LegalActions(), b.LegalActions()
@@ -119,29 +117,6 @@ func TestLegalActionsIntoMatchesLegalActions(t *testing.T) {
 		}
 		if err := e.Step(want[rng.Intn(len(want))]); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-func TestVisibleReadyIntoMatchesVisibleReady(t *testing.T) {
-	g := fanout(t)
-	e := mustEnv(t, g, resource.Of(8, 8), Config{Window: 2})
-	if err := e.Step(0); err != nil { // schedule root
-		t.Fatal(err)
-	}
-	if err := e.Step(Process); err != nil { // finish it; a, b, c become ready
-		t.Fatal(err)
-	}
-	want := e.VisibleReady()
-	got := e.VisibleReadyInto(make([]dag.TaskID, 0, 4))
-	if len(got) != len(want) || len(got) != e.NumVisible() {
-		t.Fatalf("lengths: Into %d, VisibleReady %d, NumVisible %d",
-			len(got), len(want), e.NumVisible())
-	}
-	for i := range want {
-		if got[i] != want[i] || e.VisibleTask(i) != want[i] {
-			t.Fatalf("slot %d: Into %d, VisibleReady %d, VisibleTask %d",
-				i, got[i], want[i], e.VisibleTask(i))
 		}
 	}
 }

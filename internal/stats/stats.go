@@ -1,6 +1,6 @@
 // Package stats provides the small set of summary statistics the experiment
-// harness and the serving loop report: mean, median, percentiles, min/max,
-// Jain's fairness index and CDF points.
+// harness and the serving loop report: mean, median, percentiles, min/max
+// and Jain's fairness index.
 package stats
 
 import (
@@ -114,21 +114,4 @@ func JainFairness[T number](xs []T) (float64, error) {
 		return 1, nil
 	}
 	return sum * sum / (float64(len(xs)) * sumSq), nil
-}
-
-// CDFPoint is one (value, cumulative fraction) pair.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical cumulative distribution of xs: for each sorted
-// sample value, the fraction of samples less than or equal to it.
-func CDF[T number](xs []T) []CDFPoint {
-	c := sorted(xs)
-	out := make([]CDFPoint, len(c))
-	for i, v := range c {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(c))}
-	}
-	return out
 }

@@ -74,22 +74,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]int64{30, 10, 20})
-	if len(pts) != 3 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].Value != 10 || math.Abs(pts[0].Fraction-1.0/3) > 1e-12 {
-		t.Errorf("pts[0] = %+v", pts[0])
-	}
-	if pts[2].Value != 30 || pts[2].Fraction != 1 {
-		t.Errorf("pts[2] = %+v", pts[2])
-	}
-	if got := CDF([]int64{}); len(got) != 0 {
-		t.Errorf("empty CDF = %v", got)
-	}
-}
-
 func TestJainFairness(t *testing.T) {
 	// Equal allocations are perfectly fair.
 	if got, err := JainFairness([]float64{5, 5, 5, 5}); err != nil || math.Abs(got-1) > 1e-12 {

@@ -88,11 +88,6 @@ func DefaultTraceConfig() TraceConfig {
 	}
 }
 
-// CapacityVector returns the cluster capacity vector the trace is sized for.
-func (cfg TraceConfig) CapacityVector() resource.Vector {
-	return resource.Uniform(cfg.Dims, cfg.Capacity)
-}
-
 // boundedCount draws a task count with the given median and bounds using a
 // clipped geometric-ish spread around the median.
 func boundedCount(r *rand.Rand, median, min, max int) int {

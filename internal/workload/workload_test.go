@@ -210,15 +210,15 @@ func TestMotivatingExampleOptimalIs2T(t *testing.T) {
 	}
 	schedule := func(name string) {
 		t.Helper()
-		for i, id := range e.VisibleReady() {
-			if g.Task(id).Name == name {
+		for i := 0; i < e.NumVisible(); i++ {
+			if g.Task(e.VisibleTask(i)).Name == name {
 				if err := e.Step(simenvAction(i)); err != nil {
 					t.Fatalf("schedule %s: %v", name, err)
 				}
 				return
 			}
 		}
-		t.Fatalf("task %s not ready (ready: %v)", name, e.VisibleReady())
+		t.Fatalf("task %s not among the %d visible ready tasks", name, e.NumVisible())
 	}
 	process := func() {
 		t.Helper()
@@ -318,11 +318,11 @@ func TestTraceGraphs(t *testing.T) {
 			}
 		}
 		// Schedulable on the trace capacity.
-		s, err := baselines.NewTetrisScheduler().Schedule(g, cluster.Single(cfg.CapacityVector()))
+		s, err := baselines.NewTetrisScheduler().Schedule(g, cluster.Single(trace.Capacity))
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		if err := sched.Validate(g, cluster.Single(cfg.CapacityVector()), s); err != nil {
+		if err := sched.Validate(g, cluster.Single(trace.Capacity), s); err != nil {
 			t.Errorf("job %d: %v", i, err)
 		}
 	}
