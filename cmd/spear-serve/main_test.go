@@ -45,9 +45,17 @@ func TestDefaultTrafficFitsDefaultCluster(t *testing.T) {
 }
 
 // TestBuildSchedulerNames: every name the -algo help lists constructs a
-// scheduler, and an unknown name is refused with that same list.
+// scheduler and has its outputs pinned in the root package's corpus, and an
+// unknown name is refused with that same list.
 func TestBuildSchedulerNames(t *testing.T) {
+	corpus, err := os.ReadFile("../../testdata/corpus.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range algorithms {
+		if !strings.Contains(string(corpus), "\nsim/"+name+"/") {
+			t.Errorf("%s: no sim/%s/ row in testdata/corpus.tsv; TestOutputCorpusPinned must pin it", name, name)
+		}
 		s, err := buildScheduler(serve.Config{Algorithm: name, Seed: 1})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -57,7 +65,7 @@ func TestBuildSchedulerNames(t *testing.T) {
 			t.Errorf("%s: bad scheduler", name)
 		}
 	}
-	_, err := buildScheduler(serve.Config{Algorithm: "bogus"})
+	_, err = buildScheduler(serve.Config{Algorithm: "bogus"})
 	if err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}

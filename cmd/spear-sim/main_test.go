@@ -35,7 +35,8 @@ func TestParseCapacity(t *testing.T) {
 }
 
 // TestBuildSchedulerNames: every name the -algos help lists constructs a
-// scheduler, and an unknown name is refused with that same list.
+// scheduler and has its outputs pinned in the root package's corpus, and an
+// unknown name is refused with that same list.
 func TestBuildSchedulerNames(t *testing.T) {
 	// An untrained network of the default shape, so "spear" loads a model
 	// instead of training one.
@@ -54,7 +55,14 @@ func TestBuildSchedulerNames(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	corpus, err := os.ReadFile("../../testdata/corpus.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range algorithms {
+		if !strings.Contains(string(corpus), "\nsim/"+name+"/") {
+			t.Errorf("%s: no sim/%s/ row in testdata/corpus.tsv; TestOutputCorpusPinned must pin it", name, name)
+		}
 		s, err := buildScheduler(name, 10, 2, 1, model, nil)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -382,52 +381,5 @@ func TestPropertyBaselinesAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestLazySourceStreams: a rand.Rand over lazySource draws, through every
-// method family (Int63-backed, Uint64-backed, float, permutation, bytes), what
-// one over rand.NewSource draws, before and after a reseed; and the Random
-// scheduler, the one policy that does draw, plans what it planned when its
-// source was seeded up front.
-func TestLazySourceStreams(t *testing.T) {
-	draw := func(r *rand.Rand) []any {
-		buf := make([]byte, 9)
-		r.Read(buf)
-		return []any{r.Int63(), r.Uint64(), r.Intn(1000), r.Int63n(1 << 40), r.Float64(), r.NormFloat64(), r.Perm(7), buf, r.Uint32()}
-	}
-	for _, seed := range []int64{0, 1, 7, -3, 1 << 40} {
-		lazy, eager := rand.New(&lazySource{seed: seed}), rand.New(rand.NewSource(seed))
-		if got, want := draw(lazy), draw(eager); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: lazy source drew %v, rand.NewSource %v", seed, got, want)
-		}
-		lazy.Seed(seed + 1)
-		eager.Seed(seed + 1)
-		if got, want := draw(lazy), draw(eager); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d after reseeding: lazy source drew %v, rand.NewSource %v", seed, got, want)
-		}
-	}
-
-	g := randomLayeredGraph(rand.New(rand.NewSource(9)), 40)
-	spec := cluster.Uniform(2, resource.Of(1000, 1000))
-	for seed := int64(1); seed <= 5; seed++ {
-		got, err := NewRandomScheduler(seed).Schedule(g, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := simenv.NewCluster(g, spec, simenv.Config{Mode: simenv.NextCompletion})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := simenv.NewRolloutContext(Random{}).Rollout(e, rand.New(rand.NewSource(seed))); err != nil {
-			t.Fatal(err)
-		}
-		want, err := e.Schedule("Random")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Makespan != want.Makespan || !reflect.DeepEqual(got.Placements, want.Placements) {
-			t.Fatalf("seed %d: Random scheduler planned makespan %d, eagerly seeded %d", seed, got.Makespan, want.Makespan)
-		}
 	}
 }

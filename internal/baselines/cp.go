@@ -35,5 +35,5 @@ func (CP) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Act
 
 // NewCPScheduler returns CP wrapped as a full scheduler.
 func NewCPScheduler() *PolicyScheduler {
-	return newPolicyScheduler(CP{}, simenv.Config{Mode: simenv.NextCompletion}, 0)
+	return newPolicyScheduler(CP{}, nil, 0)
 }

@@ -74,5 +74,5 @@ func (LevelByLevel) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (
 
 // NewLevelByLevelScheduler wraps the policy as a full scheduler.
 func NewLevelByLevelScheduler() *PolicyScheduler {
-	return newPolicyScheduler(LevelByLevel{}, simenv.Config{Mode: simenv.NextCompletion}, 0)
+	return newPolicyScheduler(LevelByLevel{}, nil, 0)
 }

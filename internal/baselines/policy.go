@@ -23,30 +23,26 @@ import (
 )
 
 // PolicyScheduler adapts a simenv.Policy into a sched.Scheduler by playing
-// one episode per job. The episode, the rollout context and the random
-// source are the scheduler's own and are reset per job, so a warm scheduler
-// allocates only the schedule it returns; like every sched.Scheduler it is
-// not safe for concurrent use.
+// one event-driven episode per job. The episode, the rollout context and the
+// random source are the scheduler's own and are reset per job, so a warm
+// scheduler allocates only the schedule it returns; like every
+// sched.Scheduler it is not safe for concurrent use.
 type PolicyScheduler struct {
 	policy simenv.Policy
-	cfg    simenv.Config
 	seed   int64
 
 	env simenv.Env
 	rc  *simenv.RolloutContext // for policy
-	rng *rand.Rand             // over a lazySource, re-seeded per job
+	rng *rand.Rand             // re-seeded per job; nil for policies that never draw
 }
 
 var _ sched.Scheduler = (*PolicyScheduler)(nil)
 
-// newPolicyScheduler wraps the policy as a full scheduler. The seed feeds
-// the policy's random source; deterministic policies ignore it.
-func newPolicyScheduler(p simenv.Policy, cfg simenv.Config, seed int64) *PolicyScheduler {
-	return &PolicyScheduler{
-		policy: p, cfg: cfg, seed: seed,
-		rc:  simenv.NewRolloutContext(p),
-		rng: rand.New(&lazySource{seed: seed}),
-	}
+// newPolicyScheduler wraps the policy as a full scheduler. A policy that
+// draws gets rng, re-seeded with seed before every job; the deterministic
+// policies pass nil.
+func newPolicyScheduler(p simenv.Policy, rng *rand.Rand, seed int64) *PolicyScheduler {
+	return &PolicyScheduler{policy: p, seed: seed, rc: simenv.NewRolloutContext(p), rng: rng}
 }
 
 // Name implements sched.Scheduler.
@@ -54,11 +50,13 @@ func (s *PolicyScheduler) Name() string { return s.policy.Name() }
 
 // Schedule implements sched.Scheduler.
 func (s *PolicyScheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
-	e, err := s.env.Reset(g, spec, s.cfg)
+	e, err := s.env.Reset(g, spec, simenv.Config{Mode: simenv.NextCompletion})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.policy.Name(), err)
 	}
-	s.rng.Seed(s.seed) // every job draws from the start of the same stream
+	if s.rng != nil {
+		s.rng.Seed(s.seed) // every job draws from the start of the same stream
+	}
 	began := time.Now()
 	if _, err := s.rc.Rollout(e, s.rng); err != nil {
 		return nil, fmt.Errorf("policy %s: %w", s.policy.Name(), err)
@@ -70,28 +68,6 @@ func (s *PolicyScheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Sche
 	out.Elapsed = time.Since(began)
 	return out, nil
 }
-
-// lazySource is rand.NewSource(seed) seeded at the first draw instead of up
-// front: seeding fills a 607-word table, and Tetris, SJF and CP never draw.
-// It implements rand.Source64 as the wrapped source does, so every stream a
-// rand.Rand derives from it is the one it would derive from the source itself.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-var _ rand.Source64 = (*lazySource)(nil)
-
-func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-	}
-	return l.src
-}
-
-func (l *lazySource) Int63() int64    { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // availBuf is stack room for a free-capacity vector (Env.AvailableNowInto):
 // the paper's clusters have two resource dimensions, and a spec with more

@@ -31,5 +31,5 @@ func (Random) Choose(_ *simenv.Env, legal []simenv.Action, rng *rand.Rand) (sime
 
 // NewRandomScheduler returns the random policy wrapped as a full scheduler.
 func NewRandomScheduler(seed int64) *PolicyScheduler {
-	return newPolicyScheduler(Random{}, simenv.Config{Mode: simenv.NextCompletion}, seed)
+	return newPolicyScheduler(Random{}, rand.New(rand.NewSource(seed)), seed)
 }

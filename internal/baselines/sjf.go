@@ -30,5 +30,5 @@ func (SJF) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv.Ac
 
 // NewSJFScheduler returns SJF wrapped as a full scheduler.
 func NewSJFScheduler() *PolicyScheduler {
-	return newPolicyScheduler(SJF{}, simenv.Config{Mode: simenv.NextCompletion}, 0)
+	return newPolicyScheduler(SJF{}, nil, 0)
 }

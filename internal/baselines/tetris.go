@@ -43,5 +43,5 @@ func (Tetris) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (simenv
 
 // NewTetrisScheduler returns Tetris wrapped as a full scheduler.
 func NewTetrisScheduler() *PolicyScheduler {
-	return newPolicyScheduler(Tetris{}, simenv.Config{Mode: simenv.NextCompletion}, 0)
+	return newPolicyScheduler(Tetris{}, nil, 0)
 }

@@ -51,5 +51,5 @@ func (p TetrisSRPT) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (
 
 // NewTetrisSRPTScheduler wraps the combined policy as a full scheduler.
 func NewTetrisSRPTScheduler(weight float64) *PolicyScheduler {
-	return newPolicyScheduler(TetrisSRPT{Weight: weight}, simenv.Config{Mode: simenv.NextCompletion}, 0)
+	return newPolicyScheduler(TetrisSRPT{Weight: weight}, nil, 0)
 }

@@ -128,8 +128,8 @@ type Config struct {
 	// Obs, when non-nil, is the registry the scheduler's metrics are
 	// registered in, so several schedulers can share (and aggregate into)
 	// one exposition endpoint. Nil means a private registry; either way
-	// the counters are pre-allocated at construction and updated with
-	// single lock-free atomic operations.
+	// the search counters are pre-allocated at construction and updated
+	// once per Schedule call.
 	Obs *obs.Registry
 }
 
@@ -235,10 +235,9 @@ type Scheduler struct {
 	cfg   Config
 	stats Stats
 
-	// reg holds the scheduler's cumulative metrics; sm and sim are the
-	// pre-allocated counter bundles updated on the search and rollout hot
-	// paths (lock-free atomics, shared with every env clone and every
-	// search worker).
+	// reg holds the scheduler's cumulative metrics: sm, which publish feeds
+	// from stats once per call, and sim, the rollout hot path's lock-free
+	// counters shared with every env clone.
 	reg *obs.Registry
 	sm  *obs.SearchMetrics
 	sim *obs.SimMetrics
@@ -415,6 +414,28 @@ func (s *Scheduler) collect(tw *treeWorker) error {
 	return err
 }
 
+// publish adds the call's stats to the cumulative search metrics, once per
+// Schedule call: the hot path counts into plain per-worker fields only.
+func (s *Scheduler) publish() {
+	st, m := &s.stats, s.sm
+	m.Decisions.Add(int64(st.Decisions))
+	m.Iterations.Add(int64(st.Iterations))
+	m.Expansions.Add(int64(st.Expansions))
+	m.Rollouts.Add(st.Rollouts)
+	m.ForcedMoves.Add(int64(st.ForcedMoves))
+	m.PolicyCalls.Add(st.PolicyCalls)
+	m.PolicyCacheHits.Add(st.PolicyCacheHits)
+	m.MergeConflicts.Add(st.MergeConflicts)
+	m.VirtualLoss.Add(st.VirtualLossApplied)
+	m.TTHits.Add(st.TTHits)
+	m.TTMisses.Add(st.TTMisses)
+	m.TTEvictions.Add(st.TTEvictions)
+	m.SearchTime.Observe(st.Elapsed)
+	m.TreeDepth.Set(int64(st.MaxDepth))
+	m.RootWorkers.Set(int64(st.RootWorkers))
+	m.TreeWorkers.Set(int64(st.TreeWorkers))
+}
+
 // policyTally sums the running policy counters of every worker's expander and
 // rollout contexts, read once per Schedule call after the workers have joined.
 func (s *Scheduler) policyTally() simenv.PolicyCounters {
@@ -459,24 +480,19 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 			s.stats.TTHits += tt.hits
 			s.stats.TTMisses += tt.misses
 			s.stats.TTEvictions += tt.evictions
+			tt.hits, tt.misses, tt.evictions = 0, 0, 0
 		}
-		s.sm.TTEvictions.Add(s.stats.TTEvictions)
 		tally := s.policyTally()
 		s.stats.PolicyCalls = tally.Calls - s.policySeen.Calls
 		s.stats.PolicyCacheHits = tally.CacheHits - s.policySeen.CacheHits
 		s.policySeen = tally
-		s.sm.PolicyCalls.Add(s.stats.PolicyCalls)
-		s.sm.PolicyCacheHits.Add(s.stats.PolicyCacheHits)
 		s.stats.Elapsed = time.Since(began)
 		secs := s.stats.Elapsed.Seconds()
 		if secs < minElapsedSeconds {
 			secs = minElapsedSeconds
 		}
 		s.stats.SimsPerSec = float64(s.stats.Rollouts) / secs
-		s.sm.SearchTime.Observe(s.stats.Elapsed)
-		s.sm.TreeDepth.Set(int64(s.stats.MaxDepth))
-		s.sm.RootWorkers.Set(int64(K))
-		s.sm.TreeWorkers.Set(int64(J))
+		s.publish()
 	}()
 
 	env, err := simenv.NewCluster(g, spec, simenv.Config{Window: s.cfg.Window, Mode: simenv.NextCompletion, Metrics: s.sim})
@@ -517,7 +533,6 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 		}
 		depth++
 		s.stats.Decisions++
-		s.sm.Decisions.Inc()
 		if depth > s.stats.MaxDepth {
 			s.stats.MaxDepth = depth
 		}
@@ -531,7 +546,6 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 			// Forced move: skip the search entirely.
 			chosen = legal[0]
 			s.stats.ForcedMoves++
-			s.sm.ForcedMoves.Inc()
 		} else {
 			budget := s.cfg.InitialBudget
 			if !s.cfg.DisableBudgetDecay {
@@ -655,13 +669,7 @@ func (tw *treeWorker) fill(idx int32, env *simenv.Env, parent int32, action sime
 	n.parent = parent
 	n.untried = env.LegalActionsInto(n.untried[:0])
 	if tw.s.cfg.UseTranspositions {
-		var hit bool
-		n.stats, hit = tw.tt.lookupOrCreate(env.StateHash(), &tw.arena)
-		if hit {
-			tw.s.sm.TTHits.Inc()
-		} else {
-			tw.s.sm.TTMisses.Inc()
-		}
+		n.stats = tw.tt.lookupOrCreate(env.StateHash(), &tw.arena)
 	}
 }
 
@@ -762,9 +770,7 @@ func (sw *simWorker) search(ctx context.Context, rootDepth int, c float64) error
 			return err
 		}
 		if !n.env.Done() {
-			k := int64(len(values))
-			sw.rollouts += k
-			tw.s.sm.Rollouts.Add(k)
+			sw.rollouts += int64(len(values))
 		}
 		tw.mu.Lock()
 		tw.backup(leaf, values)
@@ -782,7 +788,6 @@ func (sw *simWorker) descend(rootDepth int, c float64) (int32, *anode, error) {
 	ar := &tw.arena
 	s := tw.s
 	sw.iterations++
-	s.sm.Iterations.Inc()
 
 	nIdx := tw.root
 	n := ar.node(nIdx)
@@ -795,7 +800,6 @@ func (sw *simWorker) descend(rootDepth int, c float64) (int32, *anode, error) {
 				return nilNode, nil, err
 			}
 			sw.expansions++
-			s.sm.Expansions.Inc()
 			nIdx = child
 		} else if n.first == nilNode {
 			break
@@ -841,7 +845,6 @@ func (sw *simWorker) expandAt(nIdx int32, n *anode) (int32, error) {
 func (sw *simWorker) applyVloss(n *anode) {
 	sw.tw.arena.nstats(n.stats).vloss++
 	sw.vloss++
-	sw.tw.s.sm.VirtualLoss.Inc()
 }
 
 // selectChild returns the UCB-best child of n, which has at least one,
@@ -935,7 +938,6 @@ func (s *Scheduler) mergeAndChoose(legal []simenv.Action) (simenv.Action, bool) 
 		local := tw.bestRootChild()
 		if local != nilNode && tw.arena.node(local).action != chosen {
 			s.stats.MergeConflicts++
-			s.sm.MergeConflicts.Inc()
 		}
 	}
 	return chosen, true

@@ -2,12 +2,9 @@ package mcts
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"testing"
 
-	"spear/internal/baselines"
 	"spear/internal/cluster"
 	"spear/internal/dag"
 	"spear/internal/drl"
@@ -17,17 +14,7 @@ import (
 	"spear/internal/simenv"
 )
 
-// placementHash fingerprints a schedule slot by slot: any reordered,
-// shifted or re-placed task changes the hash.
-func placementHash(out *sched.Schedule) uint64 {
-	h := fnv.New64a()
-	for _, p := range out.Placements {
-		fmt.Fprintf(h, "%d:%d:%d;", p.Task, p.Start, p.Machine)
-	}
-	return h.Sum64()
-}
-
-// smallFeat is the five-task window the DRL golden rows were captured with.
+// smallFeat is a five-task window, small enough for the DRL tests to run fast.
 var smallFeat = drl.Features{Window: 5, Horizon: 10, Dims: 2}
 
 // untrainedAgent is a DRL agent over a freshly initialised network (weights
@@ -43,105 +30,6 @@ func untrainedAgent(tb testing.TB, feat drl.Features, greedy bool) *drl.Agent {
 		tb.Fatal(err)
 	}
 	return agent
-}
-
-// TestLegacyGoldenBitIdentity pins the arena/shared-tree rewrite to the
-// pre-rewrite pointer-tree search: the golden rows below were captured by
-// running the legacy implementation (per-node heap allocation, float64
-// statistics, recursive child slices) over every search feature — budget
-// decay on/off, CP rollouts, windows, several rollouts
-// per expansion, multi-machine clusters, root parallelism and the DRL-guided
-// policies. With TreeParallelism = 1 the rewrite must reproduce every
-// makespan, every counter and every placement slot bit for bit. The tt-17
-// row pins the transposition table (its hits, misses and capacity flushes
-// too); it was captured from the incrementally maintained state hash, so it
-// also pins the hash computed on demand to the same bits.
-func TestLegacyGoldenBitIdentity(t *testing.T) {
-	cases := []struct {
-		name       string
-		makespan   int64
-		iterations int
-		expansions int
-		rollouts   int64
-		hash       uint64
-		graphSeed  int64
-		tasks      int
-		machines   int // 0 = Single
-		mk         func(t *testing.T) *Scheduler
-	}{
-		{"basic-13", 237, 366, 358, 356, 0x36ed025e42a086bc, 13, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 13})
-		}},
-		{"basic-42", 226, 522, 495, 491, 0x8c68048b51c7ed6c, 42, 30, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 80, MinBudget: 16, Seed: 42})
-		}},
-		{"nodecay-9", 181, 720, 614, 608, 0xc14db61b5f7674ce, 9, 20, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 40, MinBudget: 10, Seed: 9, DisableBudgetDecay: true})
-		}},
-		{"cp-rollout-4", 203, 131, 131, 131, 0x1506ec713a518d0a, 4, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 30, MinBudget: 5, Seed: 4, Rollout: baselines.CP{}})
-		}},
-		{"window-5", 192, 402, 393, 391, 0x9ee4335f1d332678, 5, 30, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 5, Window: smallFeat.Window})
-		}},
-		{"leafpar-6", 178, 229, 225, 896, 0x2f712ecd0a03386d, 6, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 30, MinBudget: 8, Seed: 6, RolloutsPerExpansion: 4})
-		}},
-		{"multi-4m-11", 82, 337, 335, 331, 0x5e73e8a0e3a5e97f, 11, 25, 4, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 50, MinBudget: 10, Seed: 11})
-		}},
-		{"rootpar-k2", 213, 336, 332, 330, 0x638bbd301ad86bc0, 21, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 21, RootParallelism: 2})
-		}},
-		{"rootpar-k4", 215, 344, 344, 344, 0x14020546f2f64555, 21, 25, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 60, MinBudget: 12, Seed: 21, RootParallelism: 4})
-		}},
-		{"drl-guided", 214, 184, 183, 181, 0x34a4e16d751d8f41, 21, 25, 0, func(t *testing.T) *Scheduler {
-			return NewNamed("Spear", Config{InitialBudget: 30, MinBudget: 6, Seed: 21,
-				Rollout: untrainedAgent(t, smallFeat, false), Expand: drl.NewExpander(untrainedAgent(t, smallFeat, true)), Window: smallFeat.Window})
-		}},
-		{"drl-rollouts-k3", 217, 136, 136, 405, 0x86fffddf022acc4, 21, 25, 0, func(t *testing.T) *Scheduler {
-			return NewNamed("MCTS+DRL rollouts", Config{InitialBudget: 20, MinBudget: 5, Seed: 22,
-				Rollout: untrainedAgent(t, smallFeat, false), Window: smallFeat.Window, RolloutsPerExpansion: 3})
-		}},
-		{"tt-17", 670, 680, 676, 674, 0xb4df74f973528394, 17, 80, 0, func(t *testing.T) *Scheduler {
-			return New(Config{InitialBudget: 8, MinBudget: 8, Seed: 17, DisableBudgetDecay: true, UseTranspositions: true})
-		}},
-	}
-	// Transposition-table counters (hits, misses, entries flushed) of the
-	// rows that search with one; every other row must leave them at zero.
-	ttGolden := map[string][3]int64{"tt-17": {44, 633, 512}}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g, capacity := smallRandomDAG(tc.graphSeed, tc.tasks)
-			spec := cluster.Single(capacity)
-			if tc.machines > 0 {
-				spec = cluster.Uniform(tc.machines, capacity)
-			}
-			s := tc.mk(t)
-			out, err := s.Schedule(g, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := s.LastStats()
-			if out.Makespan != tc.makespan {
-				t.Errorf("makespan %d, legacy %d", out.Makespan, tc.makespan)
-			}
-			if st.Iterations != tc.iterations || st.Expansions != tc.expansions || st.Rollouts != tc.rollouts {
-				t.Errorf("counters (%d it, %d exp, %d roll), legacy (%d, %d, %d)",
-					st.Iterations, st.Expansions, st.Rollouts, tc.iterations, tc.expansions, tc.rollouts)
-			}
-			if got := placementHash(out); got != tc.hash {
-				t.Errorf("placement hash %#x, legacy %#x — the schedule diverged slot-wise", got, tc.hash)
-			}
-			if got, want := [3]int64{st.TTHits, st.TTMisses, st.TTEvictions}, ttGolden[tc.name]; got != want {
-				t.Errorf("TT (hits, misses, evicted) %v, golden %v", got, want)
-			}
-			if st.VirtualLossApplied != 0 {
-				t.Errorf("serial search touched parallel-only machinery: %+v", st)
-			}
-		})
-	}
 }
 
 // TestTreeParallelRaceHammer drives the shared tree hard under the race

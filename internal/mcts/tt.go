@@ -22,18 +22,18 @@ type transTable struct {
 	m   map[uint64]int32
 	cap int
 	// hits, misses and evictions count this Schedule call's lookups and the
-	// entries dropped by capacity flushes.
+	// entries dropped by capacity flushes; the call's stats harvest zeroes
+	// them.
 	hits, misses, evictions int64
 }
 
-// reset clears the table and its counters and installs the capacity for
-// the coming Schedule call. clear keeps the map's buckets, so steady-state
-// Schedule calls reuse the storage.
+// reset clears the table and installs the capacity for the coming Schedule
+// call. clear keeps the map's buckets, so steady-state Schedule calls reuse
+// the storage.
 //
 //spear:slowpath
 func (t *transTable) reset(capacity int) {
 	t.cap = capacity
-	t.hits, t.misses, t.evictions = 0, 0, 0
 	if t.m == nil {
 		t.m = make(map[uint64]int32, 1<<10)
 		return
@@ -41,18 +41,18 @@ func (t *transTable) reset(capacity int) {
 	clear(t.m)
 }
 
-// lookupOrCreate returns the stats block index for hash h and whether it
-// already existed; on a miss a fresh block is drawn from the arena and
-// registered, flushing the table first if it is at capacity. The arena
+// lookupOrCreate returns the stats block index for hash h; on a miss a fresh
+// block is drawn from the arena and registered, flushing the table first if
+// it is at capacity. The arena
 // never recycles stats blocks mid-call, so a returned index stays valid
 // even after every node referencing it was freed — or after the entry
 // itself was flushed.
 //
 //spear:slowpath
-func (t *transTable) lookupOrCreate(h uint64, ar *nodeArena) (int32, bool) {
+func (t *transTable) lookupOrCreate(h uint64, ar *nodeArena) int32 {
 	if idx, ok := t.m[h]; ok {
 		t.hits++
-		return idx, true
+		return idx
 	}
 	t.misses++
 	if len(t.m) >= t.cap {
@@ -61,5 +61,5 @@ func (t *transTable) lookupOrCreate(h uint64, ar *nodeArena) (int32, bool) {
 	}
 	idx := ar.allocStats()
 	t.m[h] = idx
-	return idx, false
+	return idx
 }

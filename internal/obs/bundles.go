@@ -44,7 +44,8 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 	}
 }
 
-// SearchMetrics is the instrumentation bundle of the MCTS search loop.
+// SearchMetrics is the instrumentation bundle of the MCTS search loop. The
+// search adds each Schedule call's stats to it once, when the call returns.
 type SearchMetrics struct {
 	// Decisions counts committed scheduling decisions.
 	Decisions *Counter
@@ -59,8 +60,7 @@ type SearchMetrics struct {
 	ForcedMoves *Counter
 	// PolicyCalls counts one-state policy evaluations asked of the expanders
 	// and rollout contexts, PolicyCacheHits those answered from a context's
-	// memo without running the network. Both are flushed once per Schedule
-	// call.
+	// memo without running the network.
 	PolicyCalls     *Counter
 	PolicyCacheHits *Counter
 	// TreeDepth is the maximum tree depth reached by the latest Schedule

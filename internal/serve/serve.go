@@ -208,6 +208,7 @@ type Server struct {
 	events   eventQueue
 	backlog  []*activeJob
 	inflight int
+	planned  int64 // this run's count; met may be shared with other runs
 	seq      int64
 	clock    int64
 	log      []LogEvent
@@ -471,6 +472,7 @@ func (s *Server) planJob(job *activeJob) error {
 	job.makespan = plan.Makespan
 
 	s.inflight++
+	s.planned++
 	s.met.Planned.Inc()
 	s.met.InFlight.Set(int64(s.inflight))
 	s.met.PlanTime.Observe(plan.Elapsed)
@@ -627,16 +629,11 @@ func (s *Server) globalJain() float64 {
 
 // finish assembles the run log from the drained loop.
 func (s *Server) finish() *RunLog {
-	sum := Summary{
-		FinalClock:   s.clock,
-		Arrivals:     s.met.Arrivals.Load(),
-		Admitted:     s.met.Admitted.Load(),
-		Rejected:     s.met.Rejected.Load(),
-		Planned:      s.met.Planned.Load(),
-		Completed:    s.met.Completed.Load(),
-		JainFairness: s.globalJain(),
-	}
+	sum := Summary{FinalClock: s.clock, Planned: s.planned, JainFairness: s.globalJain()}
 	for _, c := range s.classes {
+		sum.Arrivals += c.arrivals
+		sum.Rejected += c.rejected
+		sum.Completed += c.completed
 		cs := ClassSummary{
 			Class:     c.cfg.Name,
 			Tenant:    c.cfg.Tenant,
@@ -652,5 +649,6 @@ func (s *Server) finish() *RunLog {
 		}
 		sum.Classes = append(sum.Classes, cs)
 	}
+	sum.Admitted = sum.Arrivals - sum.Rejected
 	return &RunLog{Config: s.cfg, Events: s.log, Summary: sum}
 }

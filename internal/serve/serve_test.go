@@ -396,3 +396,36 @@ func TestMaxJobsCapsClass(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedRegistryRunsReportTheirOwnJobs: runs that share one registry add
+// up in its metrics, but each run's log reports only its own jobs — so a
+// replay through the registry of the run it checks still reproduces the log.
+func TestSharedRegistryRunsReportTheirOwnJobs(t *testing.T) {
+	cfg := serve.Config{Seed: 7, Horizon: 20000, Classes: mix(1000, 1600)}
+	run := func(reg *obs.Registry) []byte {
+		t.Helper()
+		log, err := serve.Replay(cfg, baselines.NewCPScheduler(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := log.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	private := run(nil)
+	reg := obs.NewRegistry()
+	for i := 1; i <= 2; i++ {
+		if shared := run(reg); !bytes.Equal(shared, private) {
+			t.Errorf("run %d through a shared registry logged %d bytes that differ from a private run's %d", i, len(shared), len(private))
+		}
+	}
+	loaded, err := serve.LoadRunLog(bytes.NewReader(private))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reg.Snapshot().Value("spear_serve_arrivals_total"); !ok || got != float64(2*loaded.Summary.Arrivals) {
+		t.Errorf("shared registry counted %v arrivals (registered: %v), want both runs' %d", got, ok, 2*loaded.Summary.Arrivals)
+	}
+}
