@@ -39,10 +39,10 @@ var (
 //     is the fullest of [start, start+duration).
 //
 // An episode (simenv.Env) places at its clock, which never runs backwards,
-// and sched.Validate replays placements sorted by start, so every probe of
-// theirs is at or past front and reads one row. serve packs whole plans at
-// the earliest offset that fits, mostly before front, and those probes scan
-// the full duration; so does every probe once a Remove has carved a hole.
+// so each of its probes is at or past front and reads one row. serve packs
+// whole plans at the earliest offset that fits, mostly before front, and
+// those probes scan the full duration; so does every probe once a Remove has
+// carved a hole.
 type Space struct {
 	capacity resource.Vector
 	origin   int64

@@ -74,7 +74,7 @@ func NewTokenBucket(capacity, refillPerSlot float64) (*TokenBucket, error) {
 // Admit spends one token if available after refilling for the elapsed slots.
 func (b *TokenBucket) Admit(now int64) bool {
 	if now > b.last {
-		b.tokens += float64(now-b.last) * b.rate
+		b.tokens += float64(float64(now-b.last) * b.rate) // float64 rounds: no fused multiply-add
 		if b.tokens > b.capacity {
 			b.tokens = b.capacity
 		}

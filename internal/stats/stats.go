@@ -52,14 +52,14 @@ func Percentile[T number](xs []T, p float64) (float64, error) {
 	if len(c) == 1 {
 		return c[0], nil
 	}
-	rank := p / 100 * float64(len(c)-1)
+	rank := float64(p / 100 * float64(len(c)-1)) // float64 rounds: no fused multiply-add
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return c[lo], nil
 	}
 	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac, nil
+	return float64(c[lo]*(1-frac)) + float64(c[hi]*frac), nil // float64 rounds: no fused multiply-add
 }
 
 // Median returns the 50th percentile.
@@ -108,7 +108,7 @@ func JainFairness[T number](xs []T) (float64, error) {
 	for _, x := range xs {
 		v := float64(x)
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v) // float64 rounds: no fused multiply-add
 	}
 	if sumSq == 0 { // exact zero means an all-zero sample, not a tolerance question
 		return 1, nil
