@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -85,6 +86,55 @@ func TestValidateCapacityViolation(t *testing.T) {
 	}
 	// With enough capacity the same schedule is fine.
 	if err := Validate(g, cluster.Single(resource.Of(8)), s); err != nil {
+		t.Errorf("err = %v, want nil", err)
+	}
+}
+
+// TestValidateRejectsWrappingEnd: a task whose end passes MaxInt64 must not
+// have that end wrap round to a negative time, where it would sort first on
+// its machine and credit the running sum with its demand until its start,
+// hiding the over-capacity pair beside it.
+func TestValidateRejectsWrappingEnd(t *testing.T) {
+	b := dag.NewBuilder(1)
+	b.AddTask("far", 3, resource.Of(5))
+	b.AddTask("x", 2, resource.Of(4))
+	b.AddTask("y", 2, resource.Of(4))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Schedule{
+		Placements: []Placement{{Task: 0, Start: math.MaxInt64 - 1}, {Task: 1, Start: 0}, {Task: 2, Start: 0}},
+		Makespan:   2,
+	}
+	if err := Validate(g, cluster.Single(resource.Of(5)), s); !errors.Is(err, ErrNegativeStart) {
+		t.Errorf("err = %v, want ErrNegativeStart", err)
+	}
+	s.Placements[0].Start = math.MaxInt64 - 3 // ends on the last slot: in range, and x and y overlap
+	s.Makespan = math.MaxInt64
+	if err := Validate(g, cluster.Single(resource.Of(5)), s); !errors.Is(err, ErrOverCapacity) {
+		t.Errorf("err = %v, want ErrOverCapacity", err)
+	}
+}
+
+// TestValidateRejectsWrappingDemand: two tasks that each fit a machine of
+// capacity MaxInt64 but overlap on it hold more than an int64 can count; the
+// running sum must not wrap round to a small value that fits.
+func TestValidateRejectsWrappingDemand(t *testing.T) {
+	b := dag.NewBuilder(1)
+	b.AddTask("x", 2, resource.Of(math.MaxInt64))
+	b.AddTask("y", 2, resource.Of(math.MaxInt64))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cluster.Single(resource.Of(math.MaxInt64))
+	s := &Schedule{Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: 1}}, Makespan: 3}
+	if err := Validate(g, spec, s); !errors.Is(err, ErrOverCapacity) {
+		t.Errorf("err = %v, want ErrOverCapacity", err)
+	}
+	s.Placements[1].Start, s.Makespan = 2, 4 // back to back: y starts where x ends
+	if err := Validate(g, spec, s); err != nil {
 		t.Errorf("err = %v, want nil", err)
 	}
 }
