@@ -42,7 +42,7 @@ func (p TetrisSRPT) Choose(e *simenv.Env, legal []simenv.Action, _ *rand.Rand) (
 		dot, _ := task.Demand.Dot(avail) //spear:ignoreerr(alignment and demand dimensions agree by construction)
 		align := float64(dot) / maxAlign
 		srpt := 1 - float64(task.Runtime)/maxRT // shorter is better
-		return align + p.Weight*srpt
+		return align + float64(p.Weight*srpt)   // float64 rounds: no fused multiply-add
 	}
 	return pickBest(legal, func(a, b simenv.Action) bool {
 		return score(a) > score(b)

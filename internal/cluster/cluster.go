@@ -19,7 +19,6 @@ var (
 	ErrBadStart    = errors.New("cluster: start time is before the space's origin")
 	ErrDoesNotFit  = errors.New("cluster: placement exceeds capacity")
 	ErrNeverFits   = errors.New("cluster: demand exceeds total capacity")
-	ErrUnderflow   = errors.New("cluster: removal would make occupancy negative")
 )
 
 // Space is a resource-time occupancy grid. Slot i covers the absolute time
@@ -27,12 +26,11 @@ var (
 // per slot, that grows on demand as placements extend into the future.
 //
 // Monotone tail. front is the latest start of any placement, in whatever
-// order placements arrived. Until a Remove succeeds, occupancy is
-// non-increasing on [front, ∞), so a task fits at start >= front iff it fits
-// the single row at start:
+// order placements arrived. Occupancy is non-increasing on [front, ∞), so a
+// task fits at start >= front iff it fits the single row at start:
 //
-//  1. nothing was removed, so occupancy(t) is the sum of the placements'
-//     demands over those with start <= t < end;
+//  1. nothing is ever taken out of the grid, so occupancy(t) is the sum of
+//     the placements' demands over those with start <= t < end;
 //  2. no placement starts after front, so for t >= front the condition is
 //     just t < end, which only turns false as t grows;
 //  3. a sum of non-increasing terms is non-increasing, so the row at start
@@ -41,8 +39,7 @@ var (
 // An episode (simenv.Env) places at its clock, which never runs backwards,
 // so each of its probes is at or past front and reads one row. serve packs
 // whole plans at the earliest offset that fits, mostly before front, and
-// those probes scan the full duration; so does every probe once a Remove has
-// carved a hole.
+// those probes scan the full duration.
 type Space struct {
 	capacity resource.Vector
 	origin   int64
@@ -56,8 +53,6 @@ type Space struct {
 	// episode, and are added to once per growth, not once per slot.
 	slotReuse *obs.Counter
 	slotGrow  *obs.Counter
-
-	removed bool // a Remove succeeded: occupancy may rise again past front
 }
 
 // NewSpace returns an empty Space with the given capacity.
@@ -107,7 +102,6 @@ func (s *Space) CloneInto(dst *Space) *Space {
 	dst.origin = s.origin
 	dst.maxBusy = s.maxBusy
 	dst.front = s.front
-	dst.removed = s.removed
 	dst.slotReuse = s.slotReuse
 	dst.slotGrow = s.slotGrow
 	dst.used = append(dst.used[:0], s.used...)
@@ -117,13 +111,9 @@ func (s *Space) CloneInto(dst *Space) *Space {
 // Reset empties the space and rewinds its clock to 0, keeping the capacity,
 // the instrumentation and the grid's storage.
 func (s *Space) Reset() {
-	s.origin, s.maxBusy, s.front, s.removed = 0, 0, 0, false
+	s.origin, s.maxBusy, s.front = 0, 0, 0
 	s.used = s.used[:0]
 }
-
-// CapacityDim returns the capacity of one dimension without copying the
-// whole vector.
-func (s *Space) CapacityDim(d int) int64 { return s.capacity[d] }
 
 // rows returns the tracked part of the grid covering [start, start+duration),
 // dims words per slot; slots past the tracked horizon are empty and left
@@ -200,7 +190,7 @@ func (s *Space) FitsAt(start int64, demand resource.Vector, duration int64) bool
 	if !demand.FitsWithin(s.capacity) {
 		return false
 	}
-	if !s.removed && start >= s.front {
+	if start >= s.front {
 		duration = 1 // occupancy only falls from front on: the first row decides
 	}
 	// Untouched future slots are empty, so only tracked rows can conflict.
@@ -240,7 +230,8 @@ func errDoesNotFit(start int64, demand resource.Vector, duration int64) error {
 
 // Place reserves demand for [start, start+duration). It fails with
 // ErrDoesNotFit (leaving the space unchanged) if any slot would exceed
-// capacity.
+// capacity. A demand that is zero in every dimension occupies nothing: the
+// rows hold what they held and MaxBusy stays where it was.
 func (s *Space) Place(start int64, demand resource.Vector, duration int64) error {
 	if duration <= 0 {
 		return errBadDuration(duration)
@@ -262,41 +253,10 @@ func (s *Space) Place(start int64, demand resource.Vector, duration int64) error
 			rows[i+d] += need
 		}
 	}
-	s.maxBusy = max(s.maxBusy, end)
+	if end > s.maxBusy && !demand.IsZero() {
+		s.maxBusy = end
+	}
 	s.front = max(s.front, start)
-	return nil
-}
-
-// Remove releases a previous placement. It fails with ErrUnderflow (leaving
-// the space unchanged) if the described placement is not currently present.
-func (s *Space) Remove(start int64, demand resource.Vector, duration int64) error {
-	if duration <= 0 {
-		return fmt.Errorf("%w: %d", ErrBadDuration, duration)
-	}
-	if start < s.origin {
-		return fmt.Errorf("%w: start %d < origin %d", ErrBadStart, start, s.origin)
-	}
-	if demand.Dims() != s.capacity.Dims() {
-		return resource.ErrDimensionMismatch
-	}
-	dims := len(demand)
-	rows := s.rows(start, duration)
-	if int64(len(rows)/dims) < duration {
-		return fmt.Errorf("%w: slot %d untracked", ErrUnderflow, start+int64(len(rows)/dims))
-	}
-	for i := 0; i < len(rows); i += dims {
-		for d, need := range demand {
-			if rows[i+d] < need {
-				return fmt.Errorf("%w: slot %d dim %d", ErrUnderflow, start+int64(i/dims), d)
-			}
-		}
-	}
-	for i := 0; i < len(rows); i += dims {
-		for d, need := range demand {
-			rows[i+d] -= need
-		}
-	}
-	s.removed = true
 	return nil
 }
 

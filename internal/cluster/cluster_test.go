@@ -132,36 +132,36 @@ func TestFitsAt(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	s := newSpace(t, 10)
-	if err := s.Place(1, resource.Of(5), 3); err != nil {
+// TestZeroDemandOccupiesNothing: a placement that asks for nothing in every
+// dimension leaves each row and MaxBusy as they were, on an empty space, on
+// a full one and past the end of what is placed.
+func TestZeroDemandOccupiesNothing(t *testing.T) {
+	s := newSpace(t, 10, 10)
+	if err := s.Place(0, resource.Of(0, 0), 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Remove(1, resource.Of(5), 3); err != nil {
-		t.Fatalf("Remove: %v", err)
+	if got := s.MaxBusy(); got != 0 {
+		t.Fatalf("MaxBusy = %d after a zero demand on an empty space, want 0", got)
 	}
-	for tm := int64(0); tm < 6; tm++ {
-		if got := s.UsedAt(tm); !got.IsZero() {
-			t.Errorf("UsedAt(%d) = %v after Remove, want zero", tm, got)
+	if err := s.Place(2, resource.Of(10, 10), 3); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]resource.Vector, 20)
+	for tm := range before {
+		before[tm] = s.UsedAt(int64(tm))
+	}
+	for _, start := range []int64{2, 4, 6} {
+		if err := s.Place(start, resource.Of(0, 0), 9); err != nil {
+			t.Fatalf("zero demand at %d: %v", start, err)
 		}
-	}
-	// Removing again underflows and must not modify anything.
-	if err := s.Remove(1, resource.Of(5), 3); !errors.Is(err, ErrUnderflow) {
-		t.Errorf("double Remove err = %v, want ErrUnderflow", err)
-	}
-}
-
-func TestRemovePartialOverlapUnderflow(t *testing.T) {
-	s := newSpace(t, 10)
-	if err := s.Place(0, resource.Of(5), 2); err != nil {
-		t.Fatal(err)
-	}
-	// Removal extends one slot past the placement: underflow; space intact.
-	if err := s.Remove(0, resource.Of(5), 3); !errors.Is(err, ErrUnderflow) {
-		t.Fatalf("Remove err = %v, want ErrUnderflow", err)
-	}
-	if got := s.UsedAt(0); !got.Equal(resource.Of(5)) {
-		t.Errorf("failed Remove modified space: UsedAt(0) = %v", got)
+		if got := s.MaxBusy(); got != 5 {
+			t.Errorf("MaxBusy = %d after a zero demand at %d, want 5", got, start)
+		}
+		for tm, want := range before {
+			if got := s.UsedAt(int64(tm)); !got.Equal(want) {
+				t.Errorf("UsedAt(%d) = %v after a zero demand at %d, want %v", tm, got, start, want)
+			}
+		}
 	}
 }
 

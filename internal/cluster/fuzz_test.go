@@ -16,9 +16,8 @@ type spaceModel struct {
 	maxBusy  int64
 	used     map[int64]resource.Vector
 	// What decides how much of a task FitsAt reads, from its contract: the
-	// latest start, and whether anything was ever removed.
-	front   int64
-	removed bool
+	// latest start.
+	front int64
 }
 
 func newSpaceModel(capacity resource.Vector) *spaceModel {
@@ -47,8 +46,9 @@ func (m *spaceModel) FitsAt(start int64, demand resource.Vector, duration int64)
 	return true
 }
 
-// argErr is the argument validation Place and Remove share.
-func (m *spaceModel) argErr(start int64, demand resource.Vector, duration int64) error {
+// Place returns the sentinel a Space must wrap, nil on success. A demand of
+// nothing occupies nothing, so it leaves maxBusy where it was.
+func (m *spaceModel) Place(start int64, demand resource.Vector, duration int64) error {
 	switch {
 	case duration <= 0:
 		return ErrBadDuration
@@ -56,41 +56,16 @@ func (m *spaceModel) argErr(start int64, demand resource.Vector, duration int64)
 		return ErrBadStart
 	case len(demand) != len(m.capacity):
 		return resource.ErrDimensionMismatch
-	}
-	return nil
-}
-
-// Place returns the sentinel a Space must wrap, nil on success.
-func (m *spaceModel) Place(start int64, demand resource.Vector, duration int64) error {
-	if err := m.argErr(start, demand, duration); err != nil {
-		return err
-	}
-	if !m.FitsAt(start, demand, duration) {
+	case !m.FitsAt(start, demand, duration):
 		return ErrDoesNotFit
 	}
 	for t := start; t < start+duration; t++ {
 		m.used[t], _ = m.UsedAt(t).Add(demand)
 	}
-	m.maxBusy = max(m.maxBusy, start+duration)
+	if !demand.IsZero() {
+		m.maxBusy = max(m.maxBusy, start+duration)
+	}
 	m.front = max(m.front, start)
-	return nil
-}
-
-// Remove fails where nothing was ever placed (at and after MaxBusy) as well
-// as where less than demand is in use.
-func (m *spaceModel) Remove(start int64, demand resource.Vector, duration int64) error {
-	if err := m.argErr(start, demand, duration); err != nil {
-		return err
-	}
-	for t := start; t < start+duration; t++ {
-		if t >= m.MaxBusy() || !demand.FitsWithin(m.UsedAt(t)) {
-			return ErrUnderflow
-		}
-	}
-	for t := start; t < start+duration; t++ {
-		m.used[t], _ = m.UsedAt(t).Sub(demand)
-	}
-	m.removed = true
 	return nil
 }
 
@@ -145,8 +120,9 @@ func (op *fuzzOp) inOrder(s *Space) {
 
 // nextOp decodes the five bytes at data[pos:] (missing bytes read as zero).
 // One demand in sixteen has the wrong number of dimensions, and durations
-// run from 0, so every argument error is reachable. A first byte of 128 and
-// up is a place (kind 0) in start order, b[1]%4 slots ahead.
+// run from 0, so every argument error is reachable. Kind 1 is a place (kind
+// 0) of nothing: the demand's dimensions, all zero. A first byte of 128 and
+// up is a place in start order, b[1]%4 slots ahead.
 func nextOp(data []byte, pos, kinds int, origin int64) fuzzOp {
 	var b [5]byte
 	copy(b[:], data[pos:])
@@ -160,6 +136,10 @@ func nextOp(data []byte, pos, kinds int, origin int64) fuzzOp {
 	}
 	if b[2]>>4 == 15 {
 		op.demand = op.demand[:1]
+	}
+	if op.kind == 1 {
+		op.kind = 0
+		clear(op.demand)
 	}
 	if b[0] >= 128 {
 		op.kind, op.ahead = 0, int64(b[1]%4)
@@ -183,8 +163,8 @@ func compareSpace(t *testing.T, s *Space, m *spaceModel, op fuzzOp) {
 	if s.Origin() != m.origin || s.MaxBusy() != m.MaxBusy() {
 		t.Fatalf("origin %d maxBusy %d, model %d %d", s.Origin(), s.MaxBusy(), m.origin, m.MaxBusy())
 	}
-	if s.front != m.front || s.removed != m.removed {
-		t.Fatalf("front %d removed %v, model %d %v", s.front, s.removed, m.front, m.removed)
+	if s.front != m.front {
+		t.Fatalf("front %d, model %d", s.front, m.front)
 	}
 	for tm := m.origin - 2; tm < m.origin+48; tm++ {
 		got, want := s.UsedAt(tm), m.UsedAt(tm)
@@ -222,11 +202,12 @@ func dirtySpace(t *testing.T, n int64) *Space {
 // startOrderSeed is a stream that stays on FitsAt's one-row answer for as
 // long as it can: twelve six-slot placements in start order (first byte
 // place, from 128 up), crossed by an advance into the run and a clone onto a
-// dirty destination; a remove that underflows and a place before the front,
-// neither of which may turn the one-row answer off for the two in-order
-// places after them; then a remove that leaves row 14 emptier than row 15,
-// and an in-order place that fits the first but not the second. kinds is the
-// target's number of op kinds; machine is where a Multi target plays it.
+// dirty destination; a place before the front and a place of nothing across
+// it, neither of which may turn the one-row answer off for the in-order
+// places after them; the last of those fills row 14 to capacity, and a
+// place of nothing on that row reaches past MaxBusy without moving it. kinds
+// is the target's number of op kinds; machine is where a Multi target plays
+// it.
 func startOrderSeed(kinds, machine int) []byte {
 	op := func(kind int) byte { return byte(kind + kinds*machine) }
 	place := byte(128 + kinds*machine) // 128/4 is a multiple of 4: the Multi target reads machine back
@@ -241,24 +222,24 @@ func startOrderSeed(kinds, machine int) []byte {
 		}
 	}
 	return append(data,
-		op(1), 3, 12, 1, 3, // more than the rows hold: fails
 		op(0), 3, 1, 1, 2, // before the front, fits
+		op(1), 3, 5, 5, 6, // nothing, from before the front to past it
 		place, 1, 2, 1, 5,
-		place, 0, 1, 1, 4, // row 14 now holds (8, 7), row 15 (7, 6)
-		op(1), 13, 2, 2, 1, // row 14 down to (6, 5)
-		place, 0, 1, 2, 2, // (1, 2) at 14: fits row 14, not row 15
+		place, 0, 1, 1, 4, // row 14 now holds (8, 7)
+		place, 0, 2, 0, 2, // (2, 0) at 14: the row is full
+		place, 0, 0, 0, 6, // nothing at 14 until 20, past MaxBusy 19
 	)
 }
 
 // FuzzSpaceOps drives a Space and the map-backed model with one stream of
-// place / remove / advance / clone operations and compares, after every
-// one, the error class it returned and everything the Space can be asked.
+// place / advance / clone operations and compares, after every one, the
+// error class it returned and everything the Space can be asked.
 func FuzzSpaceOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 1, 2, 3, 2, 4})
 	f.Add([]byte{3, 0, 5, 1, 0, 9, 9, 9})
 	f.Add([]byte{})
 	// Place, clone onto a dirty destination, advance past the horizon, place
-	// again into the recycled grid, remove it.
+	// again into the recycled grid, place nothing over it.
 	f.Add([]byte{0, 2, 3, 3, 4, 3, 9, 0, 0, 0, 4, 5, 0, 0, 0, 0, 3, 6, 2, 3, 1, 3, 6, 2, 3})
 	// Saturated windows, which EarliestStart crosses from their last
 	// conflicting slot: twelve full slots probed with a five-slot task from
@@ -283,11 +264,6 @@ func FuzzSpaceOps(f *testing.F) {
 				got, want := s.Place(op.start, op.demand, op.duration), m.Place(op.start, op.demand, op.duration)
 				if !sameErr(got, want) {
 					t.Fatalf("Place(%d, %v, %d) = %v, model %v", op.start, op.demand, op.duration, got, want)
-				}
-			case 1:
-				got, want := s.Remove(op.start, op.demand, op.duration), m.Remove(op.start, op.demand, op.duration)
-				if !sameErr(got, want) {
-					t.Fatalf("Remove(%d, %v, %d) = %v, model %v", op.start, op.demand, op.duration, got, want)
 				}
 			case 2:
 				s.Advance(op.start)
@@ -342,18 +318,14 @@ func FuzzMultiOps(f *testing.F) {
 				op.inOrder(mu.Machine(op.machine))
 			}
 			switch op.kind {
-			case 0, 1:
-				call, modelCall := mu.Place, (*spaceModel).Place
-				if op.kind == 1 {
-					call, modelCall = mu.Remove, (*spaceModel).Remove
-				}
-				got, want := call(op.machine, op.start, op.demand, op.duration), errMachineRange
+			case 0:
+				got, want := mu.Place(op.machine, op.start, op.demand, op.duration), errMachineRange
 				if inRange {
-					want = modelCall(models[op.machine], op.start, op.demand, op.duration)
+					want = models[op.machine].Place(op.start, op.demand, op.duration)
 				}
 				if !sameErr(got, want) {
-					t.Fatalf("op %d on machine %d (%d, %v, %d) = %v, model %v",
-						op.kind, op.machine, op.start, op.demand, op.duration, got, want)
+					t.Fatalf("Place on machine %d (%d, %v, %d) = %v, model %v",
+						op.machine, op.start, op.demand, op.duration, got, want)
 				}
 			case 2:
 				mu.Advance(op.start)

@@ -138,14 +138,6 @@ func (m *Multi) Place(machine int, start int64, demand resource.Vector, duration
 	return m.spaces[machine].Place(start, demand, duration)
 }
 
-// Remove releases a previous placement on the given machine.
-func (m *Multi) Remove(machine int, start int64, demand resource.Vector, duration int64) error {
-	if machine < 0 || machine >= len(m.spaces) {
-		return errNoSuchMachine(machine, len(m.spaces))
-	}
-	return m.spaces[machine].Remove(start, demand, duration)
-}
-
 // EarliestStart returns the earliest time >= from at which the task fits on
 // the given machine.
 func (m *Multi) EarliestStart(machine int, from int64, demand resource.Vector, duration int64) (int64, error) {

@@ -121,9 +121,9 @@ func (st *nodeStats) ucb(c float64, parentEff int64) float64 {
 		}
 		return math.Inf(1)
 	}
-	exploit := float64(st.max) + 1e-6*st.mean()
+	exploit := float64(st.max) + float64(1e-6*st.mean()) // float64 rounds: no fused multiply-add
 	explore := c * math.Sqrt(math.Log(float64(parentEff+1))/float64(st.visits+st.vloss))
-	return exploit + explore
+	return exploit + float64(explore) // float64 rounds: no fused multiply-add
 }
 
 // nodeArena owns one tree's node and stats storage. Slots keep their env and

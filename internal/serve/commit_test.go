@@ -147,7 +147,7 @@ func TestCommitMatchesSlotScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: oracle: %v", c, err)
 		}
-		got, err := s.commit(g, plan, s.check.Segments())
+		got, err := s.commit(s.check.Segments())
 		if err != nil {
 			t.Fatalf("case %d: commit: %v", c, err)
 		}

@@ -356,16 +356,19 @@ func (s *Server) step() error {
 }
 
 // scheduleArrival draws the class's next arrival after time from and
-// enqueues it, unless the class hit its job cap or the horizon.
+// enqueues it, unless the class hit its job cap or the horizon. from is at
+// most the horizon, so the gap is compared with what is left of it: a gap
+// near MaxInt64 ends the class instead of wrapping from+gap.
 func (s *Server) scheduleArrival(ci int, from int64) {
 	c := s.classes[ci]
 	if c.cfg.MaxJobs > 0 && c.generated >= c.cfg.MaxJobs {
 		return
 	}
-	t := from + c.proc.NextGap(c.rng)
-	if t > s.cfg.Horizon {
+	gap := c.proc.NextGap(c.rng)
+	if gap > s.cfg.Horizon-from {
 		return
 	}
+	t := from + gap
 	tmpl := c.rng.Intn(len(s.templates))
 	job := &activeJob{
 		name:    fmt.Sprintf("%s-%d", c.cfg.Name, c.generated),
@@ -443,7 +446,7 @@ func (s *Server) planJob(job *activeJob) error {
 	if err := s.check.Validate(job.graph, s.spec, plan); err != nil {
 		return fmt.Errorf("serve: %s produced an invalid plan for %s: %w", s.scheduler.Name(), job.name, err)
 	}
-	t0, err := s.commit(job.graph, plan, s.check.Segments())
+	t0, err := s.commit(s.check.Segments())
 	if err != nil {
 		return fmt.Errorf("serve: packing %s: %w", job.name, err)
 	}
@@ -472,17 +475,18 @@ func (s *Server) planJob(job *activeJob) error {
 	return nil
 }
 
-// commit places the plan at the earliest offset >= clock at which all of it
-// fits the occupancy grid, and returns that offset. It packs from segs, the
-// plan's profile as the Validator that accepted it left it: every segment's
-// demand ≤ its machine's capacity, so the plan fits at an offset exactly when
-// each segment fits there on top of what the grid holds.
+// commit writes a plan into the occupancy grid at the earliest offset >=
+// clock at which all of it fits, and returns that offset. The plan comes as
+// segs, its profile as the Validator that accepted it left it: every
+// segment's demand ≤ its machine's capacity, so the plan fits at an offset
+// exactly when each segment fits there on top of what the grid holds, and
+// placing the segments leaves the grid as placing the tasks would.
 // The offset is the fix-point of one rule: a segment whose earliest start
 // lies after offset+start moves the offset up to it, which skips only offsets
 // at which that segment collides; once every segment has fitted since the
 // last move, the offset is the minimal one. It never passes MaxBusy, where
 // the grid is empty and the plan fits.
-func (s *Server) commit(g *dag.Graph, plan *sched.Schedule, segs []sched.Segment) (int64, error) {
+func (s *Server) commit(segs []sched.Segment) (int64, error) {
 	t0, probes := s.clock, int64(0)
 	for i, fitted := 0, 0; fitted < len(segs); i = (i + 1) % len(segs) {
 		seg := segs[i]
@@ -497,17 +501,10 @@ func (s *Server) commit(g *dag.Graph, plan *sched.Schedule, segs []sched.Segment
 		}
 	}
 	s.met.PackProbes.Add(probes)
-	for i, p := range plan.Placements {
-		task := g.Task(p.Task)
-		err := s.space.Place(p.Machine, t0+p.Start, task.Demand, task.Runtime)
-		if err == nil {
-			continue
+	for i, seg := range segs {
+		if err := s.space.Place(seg.Machine, t0+seg.Start, seg.Demand, seg.End-seg.Start); err != nil {
+			return 0, fmt.Errorf("the plan's profile fits at offset %d, its segment %d does not: %w", t0, i, err)
 		}
-		for _, q := range plan.Placements[:i] {
-			tq := g.Task(q.Task)
-			err = errors.Join(err, s.space.Remove(q.Machine, t0+q.Start, tq.Demand, tq.Runtime))
-		}
-		return 0, fmt.Errorf("the plan's profile fits at offset %d, task %d does not: %w", t0, p.Task, err)
 	}
 	return t0, nil
 }

@@ -429,3 +429,29 @@ func TestSharedRegistryRunsReportTheirOwnJobs(t *testing.T) {
 		t.Errorf("shared registry counted %v arrivals (registered: %v), want both runs' %d", got, ok, 2*loaded.Summary.Arrivals)
 	}
 }
+
+// TestHugeArrivalGapEndsClass: a class whose gaps overflow int64 ends, as
+// one whose next gap passes the horizon does; it must not wrap into arrivals
+// before time 0. Beside it a normal class keeps the run busy.
+func TestHugeArrivalGapEndsClass(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Horizon = 2000
+	cfg.Classes[0].Arrival = workload.ArrivalConfig{Kind: workload.ArrivalPoisson, Mean: 1e19}
+	log := mustRun(t, cfg)
+	for _, ev := range log.Events {
+		if ev.Time < 0 || ev.JCT < 0 || ev.Start < 0 {
+			t.Fatalf("event %+v is before time 0", ev)
+		}
+	}
+	for _, c := range log.Summary.Classes {
+		if c.MeanJCT < 0 || c.MeanQueueDelay < 0 {
+			t.Errorf("class %s: mean JCT %v, mean queue delay %v", c.Class, c.MeanJCT, c.MeanQueueDelay)
+		}
+	}
+	if got := log.Summary.Classes[0]; got.Arrivals != 0 {
+		t.Errorf("class %s: %d arrivals with a mean gap of 1e19 slots in a 2000-slot horizon", got.Class, got.Arrivals)
+	}
+	if log.Summary.Completed == 0 {
+		t.Error("the other class completed nothing: the run tested nothing")
+	}
+}

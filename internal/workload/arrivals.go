@@ -33,11 +33,14 @@ const (
 type ArrivalConfig struct {
 	// Kind selects the distribution.
 	Kind ArrivalKind `json:"kind"`
-	// Mean is the mean inter-arrival gap in time slots. Must be positive.
+	// Mean is the mean inter-arrival gap in time slots. Must be positive
+	// and finite.
 	Mean float64 `json:"meanSlots"`
 	// Shape is the burstiness parameter for gamma/weibull: 1 degenerates to
-	// the exponential, values below 1 produce bursts. Ignored for poisson;
-	// zero defaults to 1.
+	// the exponential, values below 1 produce bursts. Must be positive and
+	// finite; zero defaults to 1. Ignored for poisson. A weibull shape so
+	// small that mean / Gamma(1 + 1/shape) is not a positive finite scale
+	// (below about 0.0058) is rejected too.
 	Shape float64 `json:"shape,omitempty"`
 }
 
@@ -51,14 +54,14 @@ type ArrivalProcess struct {
 
 // NewArrivalProcess validates cfg and returns the process.
 func NewArrivalProcess(cfg ArrivalConfig) (*ArrivalProcess, error) {
-	if cfg.Mean <= 0 {
-		return nil, fmt.Errorf("workload: arrival mean %v must be positive", cfg.Mean)
+	if !positiveFinite(cfg.Mean) {
+		return nil, fmt.Errorf("workload: arrival mean %v must be positive and finite", cfg.Mean)
 	}
 	if cfg.Shape == 0 { // zero is the unset sentinel, not a measurement
 		cfg.Shape = 1
 	}
-	if cfg.Shape < 0 {
-		return nil, fmt.Errorf("workload: arrival shape %v must be positive", cfg.Shape)
+	if !positiveFinite(cfg.Shape) {
+		return nil, fmt.Errorf("workload: arrival shape %v must be positive and finite", cfg.Shape)
 	}
 	p := &ArrivalProcess{cfg: cfg}
 	switch cfg.Kind {
@@ -66,17 +69,25 @@ func NewArrivalProcess(cfg ArrivalConfig) (*ArrivalProcess, error) {
 	case ArrivalGamma:
 	case ArrivalWeibull:
 		p.weibullScale = cfg.Mean / math.Gamma(1+1/cfg.Shape)
+		if !positiveFinite(p.weibullScale) {
+			return nil, fmt.Errorf("workload: weibull shape %v with mean %v gives scale %v, not a positive finite one",
+				cfg.Shape, cfg.Mean, p.weibullScale)
+		}
 	default:
 		return nil, fmt.Errorf("workload: unknown arrival kind %q (want poisson, gamma or weibull)", cfg.Kind)
 	}
 	return p, nil
 }
 
+// positiveFinite reports whether x is in (0, +Inf): false for NaN.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // Config returns the process's (normalized) configuration.
 func (p *ArrivalProcess) Config() ArrivalConfig { return p.cfg }
 
 // NextGap draws the next inter-arrival gap in whole slots (>= 0: several
-// jobs of a burst can land on the same slot), consuming only r.
+// jobs of a burst can land on the same slot), consuming only r. A gap too
+// large for an int64 comes back as math.MaxInt64.
 func (p *ArrivalProcess) NextGap(r *rand.Rand) int64 {
 	var gap float64
 	switch p.cfg.Kind {
@@ -87,8 +98,11 @@ func (p *ArrivalProcess) NextGap(r *rand.Rand) int64 {
 	default: // ArrivalPoisson
 		gap = p.cfg.Mean * exponentialDraw(r)
 	}
-	if gap < 0 || math.IsNaN(gap) {
+	switch {
+	case gap < 0 || math.IsNaN(gap):
 		return 0
+	case gap+0.5 >= math.MaxInt64: // 2⁶³, the first float64 past the int64 range
+		return math.MaxInt64
 	}
 	return int64(gap + 0.5)
 }
@@ -96,7 +110,7 @@ func (p *ArrivalProcess) NextGap(r *rand.Rand) int64 {
 // exponentialDraw returns a unit-mean exponential variate. 1-U keeps the
 // argument of Log in (0, 1], so the result is finite and non-negative.
 func exponentialDraw(r *rand.Rand) float64 {
-	return -math.Log(1 - r.Float64())
+	return -math.Log(1 - float64(r.Float64())) // float64 rounds Float64's scaling: no fused multiply-add
 }
 
 // gammaDraw returns a Gamma(shape, 1) variate via Marsaglia-Tsang squeeze
@@ -104,23 +118,25 @@ func exponentialDraw(r *rand.Rand) float64 {
 func gammaDraw(r *rand.Rand, shape float64) float64 {
 	if shape < 1 {
 		// Gamma(a) = Gamma(a+1) * U^(1/a) for a < 1.
-		u := 1 - r.Float64() // (0, 1]: U^(1/a) stays positive
+		u := 1 - float64(r.Float64()) // (0, 1]: U^(1/a) stays positive
 		return gammaDraw(r, shape+1) * math.Pow(u, 1/shape)
 	}
+	// Each float64(...) below rounds a product before it is added to, so
+	// that no platform fuses the two into one multiply-add.
 	d := shape - 1.0/3
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := r.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
-		u := 1 - r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		v = float64(v * v * v)
+		u := 1 - float64(r.Float64())
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

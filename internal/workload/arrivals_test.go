@@ -18,6 +18,14 @@ func TestNewArrivalProcessValidation(t *testing.T) {
 		{"zero mean", ArrivalConfig{Kind: ArrivalPoisson, Mean: 0}, false},
 		{"negative mean", ArrivalConfig{Kind: ArrivalGamma, Mean: -4}, false},
 		{"negative shape", ArrivalConfig{Kind: ArrivalWeibull, Mean: 4, Shape: -1}, false},
+		{"NaN mean", ArrivalConfig{Kind: ArrivalPoisson, Mean: math.NaN()}, false},
+		{"infinite mean", ArrivalConfig{Kind: ArrivalPoisson, Mean: math.Inf(1)}, false},
+		{"negative infinite mean", ArrivalConfig{Kind: ArrivalGamma, Mean: math.Inf(-1)}, false},
+		{"largest finite mean", ArrivalConfig{Kind: ArrivalPoisson, Mean: math.MaxFloat64}, true},
+		{"NaN shape", ArrivalConfig{Kind: ArrivalGamma, Mean: 100, Shape: math.NaN()}, false},
+		{"infinite shape", ArrivalConfig{Kind: ArrivalWeibull, Mean: 100, Shape: math.Inf(1)}, false},
+		{"weibull scale underflows to 0", ArrivalConfig{Kind: ArrivalWeibull, Mean: 400, Shape: 0.005}, false},
+		{"weibull small shape, finite scale", ArrivalConfig{Kind: ArrivalWeibull, Mean: 400, Shape: 0.01}, true},
 		{"unknown kind", ArrivalConfig{Kind: "lognormal", Mean: 4}, false},
 		{"empty kind", ArrivalConfig{Mean: 4}, false},
 	}
@@ -144,6 +152,62 @@ func TestArrivalBurstiness(t *testing.T) {
 	if burstyZeros == 0 {
 		t.Error("bursty process produced no same-slot arrivals in 20000 draws")
 	}
+}
+
+// TestNextGapSaturates: a gap past the int64 range comes back as
+// math.MaxInt64, never as a wrapped negative number.
+func TestNextGapSaturates(t *testing.T) {
+	for _, cfg := range []ArrivalConfig{
+		{Kind: ArrivalPoisson, Mean: 1e19},
+		{Kind: ArrivalPoisson, Mean: math.MaxFloat64},
+		{Kind: ArrivalGamma, Mean: 1e300, Shape: 0.5},
+		{Kind: ArrivalWeibull, Mean: 1e300, Shape: 0.3},
+	} {
+		p, err := NewArrivalProcess(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		r := rand.New(rand.NewSource(1))
+		saturated := 0
+		for i := 0; i < 200; i++ {
+			g := p.NextGap(r)
+			if g < 0 {
+				t.Fatalf("%+v: draw %d is the negative gap %d", cfg, i, g)
+			}
+			if g == math.MaxInt64 {
+				saturated++
+			}
+		}
+		if saturated == 0 {
+			t.Errorf("%+v: no draw of 200 reached math.MaxInt64", cfg)
+		}
+	}
+}
+
+// FuzzArrivalProcess: whatever the kind, mean and shape, either the config
+// is rejected or every gap drawn from it is >= 0 (and the draws return).
+func FuzzArrivalProcess(f *testing.F) {
+	f.Add(uint8(0), 1e19, 0.0, int64(1))
+	f.Add(uint8(0), math.NaN(), 0.0, int64(1))
+	f.Add(uint8(1), 100.0, math.NaN(), int64(2))
+	f.Add(uint8(1), 12.0, 0.4, int64(3))
+	f.Add(uint8(2), 400.0, 0.005, int64(4))
+	f.Add(uint8(2), 9.0, 0.7, int64(5))
+	f.Add(uint8(3), 4.0, 1.0, int64(6))
+	kinds := []ArrivalKind{ArrivalPoisson, ArrivalGamma, ArrivalWeibull, "lognormal"}
+	f.Fuzz(func(t *testing.T, kind uint8, mean, shape float64, seed int64) {
+		cfg := ArrivalConfig{Kind: kinds[int(kind)%len(kinds)], Mean: mean, Shape: shape}
+		p, err := NewArrivalProcess(cfg)
+		if err != nil {
+			return
+		}
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 64; i++ {
+			if g := p.NextGap(r); g < 0 {
+				t.Fatalf("%+v: draw %d is the negative gap %d", cfg, i, g)
+			}
+		}
+	})
 }
 
 func TestArrivalGapsNonNegative(t *testing.T) {

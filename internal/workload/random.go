@@ -75,7 +75,7 @@ func (cfg RandomDAGConfig) validate() error {
 
 // clippedNormal draws from N(mean, std) and clips to [1, max].
 func clippedNormal(r *rand.Rand, mean, std float64, max int64) int64 {
-	v := int64(r.NormFloat64()*std + mean + 0.5)
+	v := int64(float64(r.NormFloat64()*std) + mean + 0.5) // float64 rounds: no fused multiply-add
 	if v < 1 {
 		v = 1
 	}

@@ -92,7 +92,7 @@ func DefaultTraceConfig() TraceConfig {
 // clipped geometric-ish spread around the median.
 func boundedCount(r *rand.Rand, median, min, max int) int {
 	// Log-normal around the median gives a long but bounded right tail.
-	v := int(float64(median)*math.Exp(r.NormFloat64()*0.45) + 0.5)
+	v := int(float64(float64(median)*math.Exp(r.NormFloat64()*0.45)) + 0.5) // float64 rounds: no fused multiply-add
 	if v < min {
 		v = min
 	}
@@ -115,7 +115,7 @@ func stageRuntimes(r *rand.Rand, n int, medianRT, maxMean int64) []int64 {
 	}
 	out := make([]int64, n)
 	for i := range out {
-		rt := int64(mean*(1+r.NormFloat64()*0.25) + 0.5)
+		rt := int64(float64(mean*(1+float64(r.NormFloat64()*0.25))) + 0.5) // float64 rounds: no fused multiply-add
 		if rt < 1 {
 			rt = 1
 		}
@@ -168,7 +168,7 @@ func traceDemand(r *rand.Rand, cfg TraceConfig, isReduce bool) []int64 {
 	}
 	out := make([]int64, cfg.Dims)
 	for d := range out {
-		v := int64(float64(cfg.Capacity) * frac * (1 + r.NormFloat64()*0.35))
+		v := int64(float64(cfg.Capacity) * frac * (1 + float64(r.NormFloat64()*0.35))) // float64 rounds: no fused multiply-add
 		if v < 1 {
 			v = 1
 		}
