@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,7 +23,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "spear-sim:", err)
 		os.Exit(1)
 	}
@@ -35,24 +36,29 @@ var algorithms = []string{
 	"heft", "lpt", "bload", "level", "tetris-srpt", "anneal", "optimal",
 }
 
-func run() error {
+// run parses the command line args and writes the makespan table, then the
+// -gantt charts and the -metrics snapshot, to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("spear-sim", flag.ExitOnError)
 	var (
-		n          = flag.Int("n", 5, "number of random jobs")
-		tasks      = flag.Int("tasks", 100, "tasks per job")
-		algos      = flag.String("algos", "spear,graphene,tetris,cp,sjf", "comma-separated algorithms ("+strings.Join(algorithms, ",")+")")
-		budget     = flag.Int("budget", 150, "initial search budget for spear/mcts")
-		minBudget  = flag.Int("min-budget", 30, "minimum decayed budget for spear/mcts")
-		seed       = flag.Int64("seed", 1, "random seed")
-		modelPath  = flag.String("model", "", "trained model for spear (trains a quick one when empty)")
-		motivating = flag.Bool("motivating", false, "run the paper's Fig. 3 motivating example instead of random jobs")
-		gantt      = flag.Bool("gantt", false, "print an ASCII Gantt chart per schedule")
-		jobPath    = flag.String("job", "", "schedule a job described by this JSON file instead of random jobs")
-		capFlag    = flag.String("capacity", "", "cluster capacity for -job, comma-separated (e.g. 1000,1000)")
-		svgPath    = flag.String("svg", "", "write the first scheduler's first schedule as SVG to this path")
-		metrics    = flag.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
-		machines   = flag.Int("machines", 1, "number of identical machines, each with the full capacity vector")
+		n          = fs.Int("n", 5, "number of random jobs")
+		tasks      = fs.Int("tasks", 100, "tasks per job")
+		algos      = fs.String("algos", "spear,graphene,tetris,cp,sjf", "comma-separated algorithms ("+strings.Join(algorithms, ",")+")")
+		budget     = fs.Int("budget", 150, "initial search budget for spear/mcts")
+		minBudget  = fs.Int("min-budget", 30, "minimum decayed budget for spear/mcts")
+		seed       = fs.Int64("seed", 1, "random seed")
+		modelPath  = fs.String("model", "", "trained model for spear (trains a quick one when empty)")
+		motivating = fs.Bool("motivating", false, "run the paper's Fig. 3 motivating example instead of random jobs")
+		gantt      = fs.Bool("gantt", false, "print an ASCII Gantt chart per schedule")
+		jobPath    = fs.String("job", "", "schedule a job described by this JSON file instead of random jobs")
+		capFlag    = fs.String("capacity", "", "cluster capacity for -job, comma-separated (e.g. 1000,1000)")
+		svgPath    = fs.String("svg", "", "write the first scheduler's first schedule as SVG to this path")
+		metrics    = fs.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
+		machines   = fs.Int("machines", 1, "number of identical machines, each with the full capacity vector")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	jobs, capacity, err := buildJobs(*motivating, *jobPath, *capFlag, *n, *tasks, *seed)
 	if err != nil {
@@ -79,13 +85,14 @@ func run() error {
 		schedulers = append(schedulers, s)
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "job")
 	for _, s := range schedulers {
 		fmt.Fprintf(w, "\t%s", s.Name())
 	}
 	fmt.Fprintln(w)
 	totals := make([]int64, len(schedulers))
+	var charts []string // in job order, then -algos order
 	for ji, job := range jobs {
 		fmt.Fprintf(w, "%d", ji)
 		for si, s := range schedulers {
@@ -99,7 +106,7 @@ func run() error {
 			totals[si] += out.Makespan
 			fmt.Fprintf(w, "\t%d", out.Makespan)
 			if *gantt {
-				defer fmt.Print(spear.Gantt(out, job, 60))
+				charts = append(charts, fmt.Sprintf("job %d  %s", ji, spear.Gantt(out, job, 60)))
 			}
 			if *svgPath != "" && ji == 0 && si == 0 {
 				if err := writeSVGFile(*svgPath, out, job); err != nil {
@@ -117,9 +124,12 @@ func run() error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
+	for _, chart := range charts {
+		fmt.Fprint(stdout, chart)
+	}
 	if reg != nil {
-		fmt.Println()
-		if err := reg.Snapshot().WritePrometheus(os.Stdout); err != nil {
+		fmt.Fprintln(stdout)
+		if err := reg.Snapshot().WritePrometheus(stdout); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,5 +142,31 @@ func TestWriteSVGFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "<svg") {
 		t.Errorf("not an SVG: %.60s", data)
+	}
+}
+
+// TestGanttChartsFollowTheTable pins where -gantt prints: after the makespan
+// table and before the -metrics snapshot, one chart per job and scheduler in
+// job order, then -algos order, each headed by its job.
+func TestGanttChartsFollowTheTable(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-n", "2", "-tasks", "4", "-algos", "cp,mcts", "-budget", "5", "-min-budget", "2", "-gantt", "-metrics"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	at := strings.Index(text, "\navg ")
+	if at < 0 {
+		t.Fatalf("no makespan table:\n%s", text)
+	}
+	for _, head := range []string{"job 0  CP ", "job 0  MCTS ", "job 1  CP ", "job 1  MCTS "} {
+		next := strings.Index(text, "\n"+head)
+		if next <= at || strings.Count(text, "\n"+head) != 1 {
+			t.Fatalf("chart %q missing, repeated or out of order:\n%s", head, text)
+		}
+		at = next
+	}
+	if snap := strings.Index(text, "\n# HELP "); snap < at {
+		t.Errorf("metrics snapshot at byte %d, before the last chart at %d:\n%s", snap, at, text)
 	}
 }

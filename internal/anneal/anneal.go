@@ -80,8 +80,6 @@ func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 // is executed and returned together with an error wrapping ctx.Err().
 // Wall-clock reads stamp Schedule.Elapsed only; the search itself is
 // driven by the seeded rng and never branches on time.
-//
-//spear:timing
 func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
 	began := time.Now()
 	bestOrder, _, cancelledAt, err := s.search(ctx, g, spec)

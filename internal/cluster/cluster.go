@@ -141,8 +141,6 @@ func (s *Space) row(t int64) []int64 {
 // grow extends the grid to n zeroed slots. Growth inside the array's spare
 // capacity zeroes what Advance or CloneInto left there, so a warm space
 // places tasks without touching the heap.
-//
-//spear:noalloc
 func (s *Space) grow(n int64) {
 	have, need := len(s.used), int(n)*len(s.capacity)
 	if need <= have {
@@ -161,8 +159,6 @@ func (s *Space) grow(n int64) {
 
 // reallocate moves the grid to an array of at least need words, doubling so
 // that repeated growth stays amortized.
-//
-//spear:slowpath
 func (s *Space) reallocate(need int) {
 	grown := make([]int64, need, max(need, 2*cap(s.used)))
 	copy(grown, s.used)
@@ -210,20 +206,16 @@ func (s *Space) conflict(rows []int64, demand resource.Vector) int {
 	return -1
 }
 
-// Cold-path error constructors for Place, which sits on the //spear:noalloc
-// scheduling path where fmt is forbidden.
-//
-//spear:slowpath
+// Cold-path error constructors for Place, which sits on the allocation-free
+// scheduling path: fmt allocates, so it stays out of its body.
 func errBadDuration(duration int64) error {
 	return fmt.Errorf("%w: %d", ErrBadDuration, duration)
 }
 
-//spear:slowpath
 func errBadStart(start, origin int64) error {
 	return fmt.Errorf("%w: start %d < origin %d", ErrBadStart, start, origin)
 }
 
-//spear:slowpath
 func errDoesNotFit(start int64, demand resource.Vector, duration int64) error {
 	return fmt.Errorf("%w: start=%d demand=%v duration=%d", ErrDoesNotFit, start, demand, duration)
 }

@@ -116,7 +116,6 @@ func (m *Multi) Advance(to int64) {
 	}
 }
 
-//spear:slowpath
 func errNoSuchMachine(machine, n int) error {
 	return fmt.Errorf("%w: %d of %d", errMachineRange, machine, n)
 }

@@ -144,8 +144,6 @@ func (a *Agent) NewBatchContext(int) simenv.BatchPolicyContext { return a.newCon
 // encoded state and mask under the network's current weights. The returned
 // slice is owned by ctx. After warm-up it performs zero heap allocations,
 // hit or miss, until the memo next grows.
-//
-//spear:noalloc
 func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action) ([]float64, error) {
 	a.feat.Encode(e, ctx.x)
 	a.feat.Mask(legal, ctx.mask)

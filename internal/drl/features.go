@@ -111,11 +111,8 @@ func (f Features) Encode(e *simenv.Env, buf []float64) []float64 {
 
 // growEncoding and growMask replace a buffer of the wrong length. Callers that
 // pass a sized buffer — every AgentContext — never reach them.
-//
-//spear:slowpath
 func growEncoding(n int) []float64 { return make([]float64, n) }
 
-//spear:slowpath
 func growMask(n int) []bool { return make([]bool, n) }
 
 // Mask returns the legality mask over the network's outputs for the given

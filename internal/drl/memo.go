@@ -94,8 +94,6 @@ func (m *probsMemo) bodyWords() int { return m.keyLen + m.width + m.tagWords }
 // are told apart exactly as the network tells them apart) and the mask bits
 // into key, and returns a hash of it. Zero words only advance the position, so
 // hashing costs what the state's non-zeros cost.
-//
-//spear:noalloc
 func packKey(x []float64, mask []bool, key []uint64) uint64 {
 	h := uint64(len(x))
 	for i, v := range x {
@@ -132,8 +130,6 @@ func keyWords(in, out int) int { return in + (out+63)/64 }
 
 // reset forgets every entry, keeping the storage, and files what follows
 // under network generation gen.
-//
-//spear:noalloc
 func (m *probsMemo) reset(gen uint64) {
 	for i := range m.heads {
 		m.heads[i] = 0
@@ -143,8 +139,6 @@ func (m *probsMemo) reset(gen uint64) {
 
 // lookup copies the distribution stored for key, whose hash is h, into out and
 // reports whether there was one, along with its tag in a memo that keeps tags.
-//
-//spear:noalloc
 func (m *probsMemo) lookup(h uint64, key []uint64, out []float64) (tag uint64, ok bool) {
 	if m.sets == 0 {
 		return 0, false
@@ -176,8 +170,6 @@ func (m *probsMemo) lookup(h uint64, key []uint64, out []float64) (tag uint64, o
 // lookup has just missed. A full set makes room by growing the memo if it may
 // grow, is under its cap and is at least half full (below that the set is
 // merely unlucky), else by dropping its least recently used entry.
-//
-//spear:noalloc
 func (m *probsMemo) insert(h uint64, key []uint64, probs []float64, tag uint64, mayGrow bool) {
 	if m.maxSets == 0 {
 		return
@@ -209,8 +201,6 @@ func (m *probsMemo) insert(h uint64, key []uint64, probs []float64, tag uint64, 
 
 // victim returns the entry a key with hash h is written to: an empty one of
 // its set if there is one, else the set's least recently used.
-//
-//spear:noalloc
 func (m *probsMemo) victim(h uint64) int {
 	base := int(h&uint64(m.sets-1)) * memoWays
 	best := base
@@ -225,8 +215,6 @@ func (m *probsMemo) victim(h uint64) int {
 // grow doubles the number of sets (from none to one) and moves every entry to
 // the set its hash now selects. A set's entries split over two new sets, so
 // none is dropped.
-//
-//spear:slowpath
 func (m *probsMemo) grow() {
 	old := *m
 	m.sets = max(1, 2*old.sets)
@@ -261,8 +249,6 @@ const slabChunkRecords = 256
 func (s *recordSlab) reset() { s.n = 0 }
 
 // row returns record id: its row state, then its distribution.
-//
-//spear:noalloc
 func (s *recordSlab) row(id int) []float64 {
 	n := s.state + s.width
 	return s.chunks[id/slabChunkRecords][id%slabChunkRecords*n:][:n]
@@ -270,8 +256,6 @@ func (s *recordSlab) row(id int) []float64 {
 
 // save files the activations of row 0 of scratch's last forward pass and the
 // distribution probs computed from it as the next record, and returns its id.
-//
-//spear:noalloc
 func (s *recordSlab) save(net *nn.Network, scratch *nn.Scratch, probs []float64) int {
 	id := s.n
 	if id == len(s.chunks)*slabChunkRecords {
@@ -284,7 +268,6 @@ func (s *recordSlab) save(net *nn.Network, scratch *nn.Scratch, probs []float64)
 	return id
 }
 
-//spear:slowpath
 func (s *recordSlab) addChunk() {
 	s.chunks = append(s.chunks, make([]float64, slabChunkRecords*(s.state+s.width)))
 }

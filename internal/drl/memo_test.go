@@ -311,8 +311,9 @@ func TestMemoResetsWhenWeightsChange(t *testing.T) {
 }
 
 // TestProbsCtxZeroAllocsOnEveryPath gates the memoised one-row path once its
-// memo has reached its cap: a hit, a miss that fills an empty way and a miss
-// that evicts must all leave the heap alone.
+// memo has reached its cap: a hit, a miss that fills an empty way, a miss
+// that evicts and a reset after a weight change must all leave the heap
+// alone.
 func TestProbsCtxZeroAllocsOnEveryPath(t *testing.T) {
 	feat := testFeatures()
 	agent := testAgent(t, feat, false, 75)
@@ -338,10 +339,20 @@ func TestProbsCtxZeroAllocsOnEveryPath(t *testing.T) {
 	if ctx.memo.evictions == evictedBefore {
 		t.Error("the miss gate never evicted")
 	}
-	// The network changing under a warm memo resets it without allocating.
-	ctx.memo.gen++
-	if allocs := testing.AllocsPerRun(1, func() { ask(visits[0]) }); allocs != 0 {
+	// The network changing under a warm memo resets it, and a sampler's
+	// records with it, without allocating. Every run dates the memo: a
+	// single change would be spent on AllocsPerRun's warm-up call.
+	rc := agent.newRecordingContext()
+	if allocs := testing.AllocsPerRun(10, func() {
+		rc.memo.gen++
+		if _, err := agent.probsCtx(rc, visits[0].env, visits[0].legal); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
 		t.Errorf("memo reset allocates %.1f times per run, want 0", allocs)
+	}
+	if rc.memo.live != 1 || rc.records.n != 1 {
+		t.Errorf("after the last reset the memo holds %d entries and the slab %d records, want 1 and 1", rc.memo.live, rc.records.n)
 	}
 }
 

@@ -101,8 +101,6 @@ type trajectory struct {
 // curve. The progress callback (may be nil) fires after every epoch.
 // time.Now feeds the phase timers (sample/backprop/apply) only; no
 // training decision depends on the clock.
-//
-//spear:timing
 func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.Vector, cfg TrainConfig, rng *rand.Rand, progress func(EpochStats)) ([]EpochStats, error) {
 	cfg = cfg.normalized()
 	if net == nil {

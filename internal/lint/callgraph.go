@@ -1,27 +1,22 @@
 // Static call graph over every module package the runner has loaded, and the
 // one walk over each function body that every graph-fed check reads. The
-// walk (scan) records a body's facts once: its allocation constructs, call
-// sites, global math/rand draws, wall-clock reads, unsorted map ranges,
-// literal metric registrations and context polls. noalloc, determinism,
-// metrics and ctxpoll (checks.go, ctxpoll.go) report from those facts and
-// propagate them with the one traversal at the bottom of this file,
+// walk (scan) records a body's facts once: its call sites, unsorted map
+// ranges, literal metric registrations and context polls. determinism,
+// metrics and ctxpoll (checks.go, ctxpoll.go) report from those facts, and
+// ctxpoll propagates them with the one traversal at the bottom of this file,
 // callGraph.reach:
 //
 //   - Direct calls to package-level functions are resolved exactly.
 //   - Method calls are resolved via the static receiver type (the method
 //     object go/types binds at the call site).
-//   - Calls through interfaces and function values cannot be resolved
-//     without whole-program pointer analysis, so they are recorded as
-//     dynamic sites; the noalloc check reports them as unresolvable unless
-//     the site carries //spear:dyncall.
+//   - Calls through interfaces are recorded by method name and fan out to
+//     every module method of that name. Calls through function values
+//     cannot be resolved without whole-program pointer analysis and give no
+//     edge.
 //
-// Calls into the standard library are not traversed: the runtime
-// AllocsPerRun gates audit their allocation behavior, and fmt (the one
-// stdlib package the noalloc discipline bans outright) is recorded as an
-// allocation construct directly. Function literals are folded into their
-// enclosing declaration: an alloc or call inside a closure is attributed to
-// the function that syntactically contains it, which over-approximates in
-// the conservative direction.
+// Calls into the standard library are not traversed. Function literals are
+// folded into their enclosing declaration: a call or poll inside a closure is
+// attributed to the function that syntactically contains it.
 package lint
 
 import (
@@ -33,32 +28,19 @@ import (
 	"strings"
 )
 
-// randConstructors are the math/rand package-level functions that build
-// explicit sources instead of consulting the global one; everything else at
-// package level draws from the shared process-wide source.
-var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
-
 // obsConstructors are the obs.Registry methods whose first argument is a
 // metric name.
 var obsConstructors = map[string]bool{"Counter": true, "Gauge": true, "Float": true, "FloatGauge": true, "Timer": true}
 
-// allocSite is one structural allocation construct inside a function body.
-type allocSite struct {
-	pos  token.Pos
-	what string // "make", "composite literal", "fmt.Errorf call", ...
-}
-
-// callSite is one call expression inside a function body.
+// callSite is one resolved call inside a function body: a module function,
+// or, through an interface, a bare method name that ctxpoll over-approximates
+// by every module method of that name.
 type callSite struct {
-	pos     token.Pos
-	callee  *types.Func // resolved callee; nil for dynamic sites
-	dynamic string      // non-empty description for unresolvable sites
-	method  string      // bare method name for dynamic interface sites, so
-	// ctxpoll can over-approximate the targets by name
-	audited bool // site carries //spear:dyncall
+	callee *types.Func // nil for interface sites
+	method string      // interface sites only
 }
 
-// posName is a position plus the name of what was called or registered there.
+// posName is a position plus the metric name registered there.
 type posName struct {
 	pos  token.Pos
 	name string
@@ -66,10 +48,7 @@ type posName struct {
 
 // bodyFacts is what one scan of a body records.
 type bodyFacts struct {
-	allocs    []allocSite
 	calls     []callSite
-	rand      []posName   // direct global math/rand draws (always nondeterministic)
-	clock     []posName   // direct time.Now / time.Since reads
 	mapRanges []token.Pos // range over a map not marked //spear:sorted
 	metrics   []posName   // literal metric names passed to obs.Registry constructors
 
@@ -84,10 +63,6 @@ type funcNode struct {
 	mp   *modPkg
 	body *ast.BlockStmt
 	idx  *markerIndex // markers of the declaring file
-
-	noalloc  bool
-	slowpath bool
-	timing   bool
 
 	bodyFacts
 }
@@ -127,15 +102,7 @@ func (r *Runner) buildCallGraph() *callGraph {
 				if !ok {
 					continue
 				}
-				node := &funcNode{
-					fn:       fn,
-					mp:       mp,
-					body:     fd.Body,
-					idx:      idx,
-					noalloc:  idx.onFunc(r.fset, fd, markerNoalloc),
-					slowpath: idx.onFunc(r.fset, fd, markerSlowpath),
-					timing:   idx.onFunc(r.fset, fd, markerTiming),
-				}
+				node := &funcNode{fn: fn, mp: mp, body: fd.Body, idx: idx}
 				r.scan(&node.bodyFacts, mp, fd.Body, idx)
 				g.nodes[fn] = node
 				g.order = append(g.order, node)
@@ -156,23 +123,10 @@ func (r *Runner) scan(f *bodyFacts, mp *modPkg, body ast.Node, idx *markerIndex)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			r.scanCall(f, mp, n, idx)
-		case *ast.CompositeLit:
-			f.allocs = append(f.allocs, allocSite{n.Pos(), "composite literal"})
-		case *ast.FuncLit:
-			f.allocs = append(f.allocs, allocSite{n.Pos(), "closure"})
-		case *ast.DeferStmt:
-			f.allocs = append(f.allocs, allocSite{n.Pos(), "defer"})
-		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isStringType(info.TypeOf(n.X)) {
-				f.allocs = append(f.allocs, allocSite{n.OpPos, "string concatenation"})
-			}
-		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringType(info.TypeOf(n.Lhs[0])) {
-				f.allocs = append(f.allocs, allocSite{n.TokPos, "string concatenation"})
-			}
+			r.scanCall(f, mp, n)
 		case *ast.RangeStmt:
-			if t := info.TypeOf(n.X); t != nil && !idx.at(r.fset, n.For, markerSorted) {
+			_, sorted := idx.argAt(r.fset, n.For, markerSorted)
+			if t := info.TypeOf(n.X); t != nil && !sorted {
 				if _, ok := t.Underlying().(*types.Map); ok {
 					f.mapRanges = append(f.mapRanges, n.For)
 				}
@@ -182,27 +136,12 @@ func (r *Runner) scan(f *bodyFacts, mp *modPkg, body ast.Node, idx *markerIndex)
 	})
 }
 
-// scanCall classifies one call expression into the alloc, call, rand, clock
-// and metric facts.
-func (r *Runner) scanCall(f *bodyFacts, mp *modPkg, call *ast.CallExpr, idx *markerIndex) {
-	info := mp.info
-	if name := builtinName(info, call); name != "" {
-		if name == "make" || name == "new" || name == "append" {
-			f.allocs = append(f.allocs, allocSite{call.Pos(), name})
-		}
-		return
-	}
-	// Type conversions are not calls.
-	if tv, ok := info.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() {
-		return
-	}
-	fn := calleeFunc(info, call)
+// scanCall classifies one call expression into the call, poll and metric
+// facts. Builtins, conversions and calls through function values resolve to
+// no *types.Func and record nothing.
+func (r *Runner) scanCall(f *bodyFacts, mp *modPkg, call *ast.CallExpr) {
+	fn := calleeFunc(mp.info, call)
 	if fn == nil {
-		f.calls = append(f.calls, callSite{
-			pos:     call.Pos(),
-			dynamic: "function value",
-			audited: idx.at(r.fset, call.Pos(), markerDyncall),
-		})
 		return
 	}
 	sig, _ := fn.Type().(*types.Signature)
@@ -210,39 +149,23 @@ func (r *Runner) scanCall(f *bodyFacts, mp *modPkg, call *ast.CallExpr, idx *mar
 		if isContextType(sig.Recv().Type()) && (fn.Name() == "Err" || fn.Name() == "Done") {
 			f.polls = true
 		}
-		f.calls = append(f.calls, callSite{
-			pos:     call.Pos(),
-			dynamic: "interface method " + types.TypeString(sig.Recv().Type(), types.RelativeTo(mp.pkg)) + "." + fn.Name(),
-			method:  fn.Name(),
-			audited: idx.at(r.fset, call.Pos(), markerDyncall),
-		})
+		f.calls = append(f.calls, callSite{method: fn.Name()})
 		return
 	}
 	pkg := fn.Pkg()
 	if pkg == nil {
-		return // error.Error and other universe-scope methods
+		return // universe-scope methods
 	}
 	path := pkg.Path()
-	isMethod := sig != nil && sig.Recv() != nil
-	if path == r.modulePath || strings.HasPrefix(path, r.modulePath+"/") {
-		if isMethod && strings.HasSuffix(path, "internal/obs") && obsConstructors[fn.Name()] && recvIsRegistry(sig) {
-			if name, ok := literalArg(call); ok {
-				f.metrics = append(f.metrics, posName{call.Args[0].Pos(), name})
-			}
+	if path != r.modulePath && !strings.HasPrefix(path, r.modulePath+"/") {
+		return // the standard library is not traversed
+	}
+	if sig != nil && sig.Recv() != nil && strings.HasSuffix(path, "internal/obs") && obsConstructors[fn.Name()] && recvIsRegistry(sig) {
+		if name, ok := literalArg(call); ok {
+			f.metrics = append(f.metrics, posName{call.Args[0].Pos(), name})
 		}
-		f.calls = append(f.calls, callSite{pos: call.Pos(), callee: fn})
-		return
 	}
-	// Standard-library callee: not traversed, but three packages matter to
-	// the checks.
-	switch {
-	case path == "fmt":
-		f.allocs = append(f.allocs, allocSite{call.Pos(), "fmt." + fn.Name() + " call"})
-	case path == "math/rand" && !isMethod && !randConstructors[fn.Name()]:
-		f.rand = append(f.rand, posName{call.Pos(), "math/rand." + fn.Name()})
-	case path == "time" && !isMethod && (fn.Name() == "Now" || fn.Name() == "Since"):
-		f.clock = append(f.clock, posName{call.Pos(), "time." + fn.Name()})
-	}
+	f.calls = append(f.calls, callSite{callee: fn})
 }
 
 // literalArg returns the call's first argument when it is a string literal.
@@ -294,15 +217,6 @@ func recvIsRegistry(sig *types.Signature) bool {
 	return ok && named.Obj().Name() == "Registry"
 }
 
-// isStringType reports whether t's underlying type is string.
-func isStringType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
 // displayName renders a function for diagnostics, module-path-relative:
 // "internal/nn.SoftmaxInto", "(*internal/simenv.Env).Step".
 func (r *Runner) displayName(fn *types.Func) string {
@@ -311,95 +225,51 @@ func (r *Runner) displayName(fn *types.Func) string {
 	return strings.ReplaceAll(name, r.modulePath+".", "")
 }
 
-// hop is one step of the shortest call chain from a node to a seed.
-type hop struct {
-	next *funcNode // the neighbour one step closer to the seed; nil on a seed
-	dist int       // chain length in calls; 0 on a seed
-	pos  token.Pos // the call site that makes the step
-}
-
-// reach is the one transitive walk over call edges. It marks every node
-// connected to a seed through edges that follow accepts and returns, per
-// marked node, its next hop on a shortest chain to the nearest seed (ties go
-// to the earlier call site), so diagnostics can print the chain.
-//
-// With fromCallers false the walk runs against the call direction: a node is
-// marked when it reaches a seed through its callees ("transitively
-// allocates", "transitively polls"). With fromCallers true it runs along the
-// call direction: a node is marked when a seed reaches it. A resolved site
-// has one target; an interface-method site fans out to every module function
-// of that name, and follow decides whether such dynamic edges count.
-//
-// The walk is breadth-first from the seeds over g.order, so a verdict is a
-// plain reachability fact — it cannot depend on where a recursive cycle is
-// entered — and two runs produce identical chains.
-func (g *callGraph) reach(seed func(*funcNode) bool, follow func(site *callSite, callee *funcNode) bool, fromCallers bool) map[*funcNode]hop {
-	type edge struct {
-		to  *funcNode
-		pos token.Pos
-	}
+// reach is the one transitive walk over call edges: it returns every node
+// connected to a seed. With fromCallers false the walk runs against the call
+// direction: a node is marked when it reaches a seed through its callees
+// ("transitively polls"). With fromCallers true it runs along the call
+// direction: a node is marked when a seed reaches it. A resolved site has one
+// target; an interface-method site fans out to every module function of that
+// name. Reachability does not depend on the walk's order, so recursive cycles
+// get the same verdict on every run.
+func (g *callGraph) reach(seed func(*funcNode) bool, fromCallers bool) map[*funcNode]bool {
 	// steps[n] lists the nodes one edge further from the seeds than n.
-	steps := make(map[*funcNode][]edge)
+	steps := make(map[*funcNode][]*funcNode)
 	for _, caller := range g.order {
-		for i := range caller.calls {
-			site := &caller.calls[i]
-			link := func(callee *funcNode) {
-				if callee == nil || !follow(site, callee) {
-					return
-				}
-				if fromCallers {
-					steps[caller] = append(steps[caller], edge{callee, site.pos})
-				} else {
-					steps[callee] = append(steps[callee], edge{caller, site.pos})
-				}
-			}
+		for _, site := range caller.calls {
+			targets := g.byName[site.method]
 			if site.callee != nil {
-				link(g.nodes[site.callee])
-				continue
+				targets = []*funcNode{g.nodes[site.callee]}
 			}
-			for _, callee := range g.byName[site.method] {
-				link(callee)
+			for _, callee := range targets {
+				switch {
+				case callee == nil:
+				case fromCallers:
+					steps[caller] = append(steps[caller], callee)
+				default:
+					steps[callee] = append(steps[callee], caller)
+				}
 			}
 		}
 	}
-	hops := make(map[*funcNode]hop)
-	var frontier []*funcNode
+	marked := make(map[*funcNode]bool)
+	var stack []*funcNode
 	for _, n := range g.order {
 		if seed(n) {
-			hops[n] = hop{}
-			frontier = append(frontier, n)
+			marked[n] = true
+			stack = append(stack, n)
 		}
 	}
-	for dist := 1; len(frontier) > 0; dist++ {
-		var next []*funcNode
-		for _, n := range frontier {
-			for _, e := range steps[n] {
-				h, seen := hops[e.to]
-				if seen && (h.dist < dist || h.pos <= e.pos) {
-					continue
-				}
-				if !seen {
-					next = append(next, e.to)
-				}
-				hops[e.to] = hop{next: n, dist: dist, pos: e.pos}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, m := range steps[n] {
+			if !marked[m] {
+				marked[m] = true
+				stack = append(stack, m)
 			}
 		}
-		frontier = next
 	}
-	return hops
-}
-
-// via renders the chain from a marked node to its seed as the diagnostic
-// suffix " via a -> b -> seed" (empty when the node is itself the seed) and
-// returns the seed.
-func (r *Runner) via(hops map[*funcNode]hop, n *funcNode) (string, *funcNode) {
-	var names []string
-	for hops[n].next != nil {
-		n = hops[n].next
-		names = append(names, r.displayName(n.fn))
-	}
-	if len(names) == 0 {
-		return "", n
-	}
-	return " via " + strings.Join(names, " -> "), n
+	return marked
 }

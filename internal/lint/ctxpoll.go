@@ -32,24 +32,21 @@ func (r *Runner) checkCtxpoll(p *pass) []Diagnostic {
 	// Three propagations over the same edges (static calls, plus interface
 	// calls over-approximated by method name): who reaches an entry point,
 	// whom an entry point reaches, and who reaches a poll.
-	anyEdge := func(*callSite, *funcNode) bool { return true }
 	isEntry := func(n *funcNode) bool { return n.fn.Name() == "ScheduleContext" }
-	drivers := g.reach(isEntry, anyEdge, false)
-	driven := g.reach(isEntry, anyEdge, true)
+	drivers := g.reach(isEntry, false)
+	driven := g.reach(isEntry, true)
 	// polls is keyed by function object for loopPolls' call-site lookups;
 	// pollsByName is the name-level fact for interface call sites: some
 	// implementation with this method name polls.
 	polls := make(map[*types.Func]bool)
 	pollsByName := make(map[string]bool)
-	for n := range g.reach(func(n *funcNode) bool { return n.polls }, anyEdge, false) {
+	for n := range g.reach(func(n *funcNode) bool { return n.polls }, false) {
 		polls[n.fn] = true
 		pollsByName[n.fn.Name()] = true
 	}
 	var diags []Diagnostic
 	for _, node := range g.order {
-		_, drives := drivers[node]
-		_, isDriven := driven[node]
-		if p.analyzed[node.mp] && (drives || isDriven) && referencesContext(node) {
+		if p.analyzed[node.mp] && (drivers[node] || driven[node]) && referencesContext(node) {
 			r.ctxpollFunc(&diags, node, polls, pollsByName)
 		}
 	}

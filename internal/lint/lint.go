@@ -4,17 +4,15 @@
 // (TestMutationRows seeds one such defect per check into product code):
 //
 //   - determinism: packages on the reproducibility-critical path (MCTS, the
-//     network, the simulator, ...) may not consult ambient nondeterminism —
-//     no global math/rand source, no unannotated wall-clock reads, no
-//     iteration over map order.
-//   - noalloc: functions marked //spear:noalloc are the zero-allocation fast
-//     paths gated at runtime by AllocsPerRun tests; the structural check
-//     rejects the constructs that heap-allocate (make/new/append/composite
-//     literals/closures/defer/string concatenation/fmt) in their bodies and
-//     in everything they call.
+//     network, the simulator, ...) do not let map iteration order decide
+//     anything.
 //   - metrics: no metric name is registered from two different call sites.
 //   - errflow and ctxpoll: no error value is dropped, and loops on the
 //     ScheduleContext path poll for cancellation.
+//
+// A rule stays only while no test catches its defect: the allocation-free
+// fast paths are held by the AllocsPerRun gates, and global math/rand draws
+// and wall-clock reads by the output corpus (DESIGN.md §11).
 //
 // The analyzer uses only go/parser, go/ast, go/types and go/importer: module
 // packages are resolved against go.mod by a custom importer, standard-library
@@ -66,7 +64,7 @@ func (e *LoadError) Error() string {
 // with the seven packages named by the search/training path: simulated
 // annealing is seeded the same way and breaks the same way. internal/serve
 // joins them because byte-identical run-log replay depends on the serving
-// loop never touching wall clocks or the global rand source.
+// loop's order of work.
 var defaultDeterministic = []string{
 	"internal/mcts",
 	"internal/nn",
@@ -82,7 +80,6 @@ var defaultDeterministic = []string{
 // Check names, as accepted by -check and stamped on every Diagnostic.
 const (
 	checkNameDeterminism = "determinism"
-	checkNameNoalloc     = "noalloc"
 	checkNameMetrics     = "metrics"
 	checkNameErrflow     = "errflow"
 	checkNameCtxpoll     = "ctxpoll"
@@ -106,15 +103,13 @@ type pass struct {
 	g        *callGraph // nil until a check with graph set runs
 }
 
-// checkTable lists every check in pass order: the three that report from the
+// checkTable lists every check in pass order: the two that report from the
 // call graph's body facts (checks.go), then the per-body error walk
 // (errflow.go) and the loop audit (ctxpoll.go). Adding a check is adding a
 // row, and a row earns its place with an entry in TestMutationRows.
 var checkTable = []check{
-	{name: checkNameDeterminism, desc: "deterministic packages must not read ambient randomness, the wall clock or map order",
-		markers: "//spear:timing, //spear:sorted", graph: true, run: (*Runner).checkDeterminism},
-	{name: checkNameNoalloc, desc: "//spear:noalloc functions and everything they call must not contain allocation constructs",
-		markers: "//spear:noalloc, //spear:slowpath, //spear:dyncall", graph: true, run: (*Runner).checkNoalloc},
+	{name: checkNameDeterminism, desc: "deterministic packages must not range over maps in iteration order",
+		markers: "//spear:sorted", graph: true, run: (*Runner).checkDeterminism},
 	{name: checkNameMetrics, desc: "each literal metric name is registered from one call site",
 		graph: true, run: (*Runner).checkMetrics},
 	{name: checkNameErrflow, desc: "error values are checked, returned or explicitly discarded",

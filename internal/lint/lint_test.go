@@ -117,17 +117,8 @@ func TestGoldenDeterminism(t *testing.T) {
 	})
 }
 
-func TestGoldenNoalloc(t *testing.T) {
-	runGolden(t, []string{"noalloc"}, Config{Checks: []string{checkNameNoalloc}})
-}
-
 func TestGoldenMetrics(t *testing.T) {
 	runGolden(t, []string{"metrics"}, Config{Checks: []string{checkNameMetrics}})
-}
-
-func TestGoldenNoallocTransitive(t *testing.T) {
-	runGolden(t, []string{"transnoalloc", filepath.Join("transnoalloc", "cycle")},
-		Config{Checks: []string{checkNameNoalloc}})
 }
 
 func TestGoldenErrflow(t *testing.T) {
@@ -158,14 +149,15 @@ func TestErrflowReportsGoto(t *testing.T) {
 }
 
 // TestAnalyzeDeterministic runs the full pipeline twice over the
-// finding-rich golden packages, the two call-cycle fixtures included, and
+// finding-rich golden packages, the call-cycle fixture included, and
 // requires byte-identical output: map iteration inside the call-graph passes
 // must never leak into diagnostic order or content.
 func TestAnalyzeDeterministic(t *testing.T) {
 	dirs := []string{
-		filepath.Join("testdata", "src", "transnoalloc"),
-		filepath.Join("testdata", "src", "transnoalloc", "cycle"),
+		filepath.Join("testdata", "src", "ctxpoll"),
 		filepath.Join("testdata", "src", "ctxpoll", "cycle"),
+		filepath.Join("testdata", "src", "errflow"),
+		filepath.Join("testdata", "src", "metrics"),
 	}
 	run := func() []Diagnostic {
 		t.Helper()
@@ -184,47 +176,22 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
-// cycleRuns is how often the call-cycle tests repeat the analysis. A verdict
-// that depends on where a map-ordered walk enters the cycle goes wrong in
-// roughly one run in six, so 30 runs miss it less than once in a hundred.
-const cycleRuns = 30
-
 // TestCtxpollCallCycleIsPolled pins poll propagation through recursion:
 // ScheduleContext loops over b, b calls a, a calls b back and then c, and c
 // polls ctx.Err(). The loop therefore reaches a poll, whichever member of
 // the a<->b cycle a traversal happens to enter first.
 func TestCtxpollCallCycleIsPolled(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "ctxpoll", "cycle")
-	for i := 0; i < cycleRuns; i++ {
+	// A verdict that depends on where a map-ordered walk enters the cycle
+	// goes wrong in roughly one run in six, so 30 runs miss it less than
+	// once in a hundred.
+	for i := 0; i < 30; i++ {
 		diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameCtxpoll}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(diags) != 0 {
 			t.Fatalf("run %d: loop calling b (which reaches ctx.Err via a -> c) flagged: %v", i, diags)
-		}
-	}
-}
-
-// TestNoallocCallCycleIsDirty pins allocation propagation through recursion:
-// Hot enters the a<->b cycle at a, Hot2 at b, and a allocates through x. Both
-// entries must be reported on every run, with the same text each time (the
-// golden wants are checked by TestGoldenNoallocTransitive).
-func TestNoallocCallCycleIsDirty(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "transnoalloc", "cycle")
-	var first []Diagnostic
-	for i := 0; i < cycleRuns; i++ {
-		diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameNoalloc}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(diags) != 2 {
-			t.Fatalf("run %d: %d findings, want one each for Hot and Hot2: %v", i, len(diags), diags)
-		}
-		if i == 0 {
-			first = diags
-		} else if !reflect.DeepEqual(diags, first) {
-			t.Fatalf("run %d differs from run 0:\n%v\n%v", i, diags, first)
 		}
 	}
 }
@@ -329,16 +296,16 @@ func TestCarriesMarker(t *testing.T) {
 		line string
 		want bool
 	}{
-		{"//spear:noalloc", true},
-		{"// spear:noalloc — growth happens elsewhere", true},
-		{"//spear:noalloc — trailing prose", true},
-		{"// helpers for the //spear:noalloc kernels", false},
-		{"// spear:noallocX", true}, // prefix match; suffix text is prose
+		{"//spear:sorted", true},
+		{"// spear:sorted — summation is order-insensitive", true},
+		{"//spear:sorted — trailing prose", true},
+		{"// loops under //spear:sorted keep their order", false},
+		{"// spear:sortedX", true}, // prefix match; suffix text is prose
 		{"// nothing here", false},
 	}
 	for _, c := range cases {
-		if got := carriesMarker(c.line, markerNoalloc); got != c.want {
-			t.Errorf("carriesMarker(%q) = %v, want %v", c.line, got, c.want)
+		if _, got := markerArgFrom(c.line, markerSorted); got != c.want {
+			t.Errorf("markerArgFrom(%q) matched = %v, want %v", c.line, got, c.want)
 		}
 	}
 }
@@ -346,8 +313,8 @@ func TestCarriesMarker(t *testing.T) {
 // TestDiagnosticString pins the file:line:col rendering the CI log and
 // editors rely on.
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{File: "internal/x/x.go", Line: 3, Col: 7, Check: "noalloc", Message: "make in //spear:noalloc function"}
-	want := "internal/x/x.go:3:7: [noalloc] make in //spear:noalloc function"
+	d := Diagnostic{File: "internal/x/x.go", Line: 3, Col: 7, Check: "metrics", Message: `metric "m" already registered at internal/x/y.go:2`}
+	want := `internal/x/x.go:3:7: [metrics] metric "m" already registered at internal/x/y.go:2`
 	if d.String() != want {
 		t.Errorf("String() = %q, want %q", d.String(), want)
 	}

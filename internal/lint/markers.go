@@ -6,28 +6,12 @@ import (
 	"strings"
 )
 
-// Marker comments recognized by the checks. A marker applies to a function
-// when it appears in (or immediately above) the function's doc comment, and
-// to a statement or expression when it appears on the same line or the line
-// directly above.
+// Marker comments recognized by the checks. A marker applies to a statement
+// or expression when it appears on the same line or the line directly above.
 const (
-	markerNoalloc = "spear:noalloc"
-	markerTiming  = "spear:timing"
-	markerSorted  = "spear:sorted"
-
-	// markerSlowpath marks a function as an audited cold path: error
-	// constructors and capacity-growth helpers that //spear:noalloc
-	// functions may call even though their bodies allocate. The marker is
-	// the explicit escape hatch of the noalloc check's call rule; the
-	// runtime AllocsPerRun gates remain the proof that slowpath callees
-	// stay off the warm path.
-	markerSlowpath = "spear:slowpath"
-
-	// markerDyncall marks a call site through an interface or function
-	// value inside a //spear:noalloc function as audited: the author
-	// asserts every implementation reachable there is allocation-free,
-	// which the static call graph cannot prove.
-	markerDyncall = "spear:dyncall"
+	// markerSorted on a range over a map asserts that the loop's effect
+	// does not depend on iteration order (determinism).
+	markerSorted = "spear:sorted"
 
 	// Dataflow-check markers (errflow.go, ctxpoll.go). markerIgnoreErr
 	// ("spear:ignoreerr(reason)") on an assignment or call discards the
@@ -40,11 +24,7 @@ const (
 )
 
 // allMarkers lists every marker indexMarkers scans for.
-var allMarkers = []string{
-	markerNoalloc, markerTiming, markerSorted,
-	markerSlowpath, markerDyncall,
-	markerIgnoreErr, markerNopoll,
-}
+var allMarkers = []string{markerSorted, markerIgnoreErr, markerNopoll}
 
 // markerIndex records, per marker, the source lines of one file that carry
 // it, along with the marker's parenthesized argument on that line (empty for
@@ -54,16 +34,10 @@ type markerIndex struct {
 	args  map[string]map[int]string
 }
 
-// carriesMarker reports whether one line of comment text is a marker
-// annotation: the marker must open the comment's content, so prose that
-// merely mentions "//spear:noalloc" mid-sentence does not annotate anything.
-func carriesMarker(line, marker string) bool {
-	_, ok := markerArgFrom(line, marker)
-	return ok
-}
-
 // markerArgFrom matches one comment line against a marker and extracts its
-// parenthesized argument, so "//spear:nopoll(why)" yields ("why", true).
+// parenthesized argument, so "//spear:nopoll(why)" yields ("why", true). The
+// marker must open the comment's content: prose that mentions a marker
+// mid-sentence annotates nothing.
 // Markers without an argument yield ("", true); non-matching lines yield
 // ("", false).
 func markerArgFrom(line, marker string) (string, bool) {
@@ -111,17 +85,6 @@ func indexMarkers(fset *token.FileSet, file *ast.File) *markerIndex {
 	return idx
 }
 
-// at reports whether the marker annotates the source position: same line or
-// the line directly above (a standalone marker comment).
-func (idx *markerIndex) at(fset *token.FileSet, pos token.Pos, marker string) bool {
-	lines := idx.lines[marker]
-	if lines == nil {
-		return false
-	}
-	line := fset.Position(pos).Line
-	return lines[line] || lines[line-1]
-}
-
 // argAt returns the marker's argument when the marker annotates the source
 // position: same line or the line directly above.
 func (idx *markerIndex) argAt(fset *token.FileSet, pos token.Pos, marker string) (string, bool) {
@@ -136,25 +99,4 @@ func (idx *markerIndex) argAt(fset *token.FileSet, pos token.Pos, marker string)
 		}
 	}
 	return "", false
-}
-
-// onFunc reports whether the marker annotates the function declaration: in
-// its doc comment, or on the line directly above the declaration.
-func (idx *markerIndex) onFunc(fset *token.FileSet, fd *ast.FuncDecl, marker string) bool {
-	return inDoc(fd.Doc, marker) || idx.at(fset, fd.Pos(), marker)
-}
-
-// inDoc reports whether any line of the comment group carries the marker.
-func inDoc(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		for _, text := range strings.Split(c.Text, "\n") {
-			if carriesMarker(text, marker) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -3,46 +3,6 @@
 // on its line; lines without one must stay clean.
 package determinism
 
-import (
-	"math/rand"
-	"time"
-)
-
-// GlobalDraw consults the process-wide math/rand source.
-func GlobalDraw() int {
-	return rand.Intn(10) // want "global source"
-}
-
-// GlobalShuffle hits the same rule through a different package-level function.
-func GlobalShuffle(xs []int) {
-	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want "global source"
-}
-
-// SeededDraw injects an explicit generator: the New/NewSource constructors
-// and *rand.Rand methods all pass.
-func SeededDraw(seed int64) int {
-	rng := rand.New(rand.NewSource(seed))
-	return rng.Intn(10)
-}
-
-// Clock reads the wall clock without a timing marker.
-func Clock() time.Time {
-	return time.Now() // want "time.Now in a deterministic package"
-}
-
-// Elapsed measures a duration without a timing marker.
-func Elapsed(start time.Time) time.Duration {
-	return time.Since(start) // want "time.Since in a deterministic package"
-}
-
-// Timed carries the marker, so its clock reads pass.
-//
-//spear:timing
-func Timed() time.Duration {
-	start := time.Now()
-	return time.Since(start)
-}
-
 // SumValues iterates a map twice: the bare range is flagged, the annotated
 // one passes.
 func SumValues(m map[string]int) int {

@@ -64,15 +64,11 @@ type nodeStats struct {
 }
 
 // reset returns a (fresh or recycled) block to the unvisited state.
-//
-//spear:noalloc
 func (st *nodeStats) reset() {
 	st.visits, st.sum, st.max, st.vloss = 0, 0, unvisitedMax, 0
 }
 
 // add folds one backed-up value into the block.
-//
-//spear:noalloc
 func (st *nodeStats) add(v int64) {
 	st.visits++
 	st.sum += v
@@ -112,8 +108,6 @@ func (st *nodeStats) better(o *nodeStats) bool {
 // Exploitation uses true visits only; virtual losses discount the
 // exploration term through the visit counts rather than poisoning the value
 // sums, so reverting them on backup restores the exact serial statistics.
-//
-//spear:noalloc
 func (st *nodeStats) ucb(c float64, parentEff int64) float64 {
 	if st.visits == 0 {
 		if st.vloss > 0 {
@@ -149,15 +143,11 @@ func (a *nodeArena) reset() {
 }
 
 // node returns the slot for index i.
-//
-//spear:noalloc
 func (a *nodeArena) node(i int32) *anode {
 	return &a.nodes[i>>arenaChunkBits][i&arenaChunkMask]
 }
 
 // nstats returns the stats block for index i.
-//
-//spear:noalloc
 func (a *nodeArena) nstats(i int32) *nodeStats {
 	return &a.stats[i>>arenaChunkBits][i&arenaChunkMask]
 }
@@ -168,8 +158,6 @@ func (a *nodeArena) nstats(i int32) *nodeStats {
 // shared=false (no transposition table) the slot's stats block is the 1:1
 // block at the node's own index, reset here; with shared=true the caller
 // assigns stats from a table lookup.
-//
-//spear:noalloc
 func (a *nodeArena) alloc(shared bool) int32 {
 	var idx int32
 	if n := len(a.free); n > 0 {
@@ -197,8 +185,6 @@ func (a *nodeArena) alloc(shared bool) int32 {
 // allocStats hands out a stats block for the transposition table. Blocks are
 // never recycled within a Schedule call — table entries may outlive every
 // node that referenced them — only reset() reclaims them.
-//
-//spear:noalloc
 func (a *nodeArena) allocStats() int32 {
 	idx := a.slen
 	if int(idx)>>arenaChunkBits >= len(a.stats) {
@@ -212,8 +198,6 @@ func (a *nodeArena) allocStats() int32 {
 // grow appends one node chunk (and keeps a 1:1 stats chunk alongside, so
 // non-transposition mode can mirror node indices). Existing chunks are
 // shared with the old chunk list, so outstanding *anode pointers stay valid.
-//
-//spear:slowpath
 func (a *nodeArena) grow() {
 	a.nodes = append(a.nodes, make([]anode, arenaChunkSize))
 	for len(a.stats) < len(a.nodes) {
@@ -222,23 +206,17 @@ func (a *nodeArena) grow() {
 }
 
 // growStats appends one stats chunk.
-//
-//spear:slowpath
 func (a *nodeArena) growStats() {
 	a.stats = append(a.stats, make([]nodeStats, arenaChunkSize))
 }
 
 // release returns one node slot to the freelist; the slot keeps its env and
 // untried storage.
-//
-//spear:slowpath
 func (a *nodeArena) release(idx int32) {
 	a.free = append(a.free, idx)
 }
 
 // releaseSubtree returns idx and every descendant to the freelist.
-//
-//spear:slowpath
 func (a *nodeArena) releaseSubtree(idx int32) {
 	a.stack = append(a.stack[:0], idx)
 	for len(a.stack) > 0 {

@@ -468,8 +468,6 @@ func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 // is returned together with an error wrapping ctx.Err(). The clock feeds
 // Stats.Elapsed/SimsPerSec and the SearchTime timer only; the search
 // itself is driven by the seeded worker rngs.
-//
-//spear:timing
 func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
 	began := time.Now()
 	K, J := s.cfg.RootParallelism, s.cfg.TreeParallelism
@@ -840,8 +838,6 @@ func (sw *simWorker) expandAt(nIdx int32, n *anode) (int32, error) {
 // applyVloss marks one descent step with a virtual loss, discouraging the
 // other shared-tree workers from piling onto the same path until the
 // backup reverts the mark.
-//
-//spear:noalloc
 func (sw *simWorker) applyVloss(n *anode) {
 	sw.tw.arena.nstats(n.stats).vloss++
 	sw.vloss++
@@ -850,8 +846,6 @@ func (sw *simWorker) applyVloss(n *anode) {
 // selectChild returns the UCB-best child of n, which has at least one,
 // scanning the sibling chain in creation order (strict > keeps the
 // first-created child on ties, the classic tiebreak).
-//
-//spear:noalloc
 func (tw *treeWorker) selectChild(n *anode, c float64) int32 {
 	ar := &tw.arena
 	pst := ar.nstats(n.stats)
@@ -870,8 +864,6 @@ func (tw *treeWorker) selectChild(n *anode, c float64) int32 {
 // root (unit-scale fixed point is exact — values are negated integer
 // makespans) and, with virtual losses on, reverts the one mark per node
 // entered on the descent (every path node except the root).
-//
-//spear:noalloc
 func (tw *treeWorker) backup(nIdx int32, values []float64) {
 	ar := &tw.arena
 	vlossOn := tw.s.cfg.TreeParallelism > 1
@@ -947,9 +939,8 @@ func (s *Scheduler) mergeAndChoose(legal []simenv.Action) (simenv.Action, bool) 
 // far is played to termination by worker (0, 0) — its rollout context, so
 // the policy calls reach Stats.PolicyCalls, and its rng — yielding the best
 // incumbent schedule reachable without further search, and the schedule is
-// returned together with an error wrapping ctx.Err().
-//
-//spear:timing — stamps the incumbent's Elapsed.
+// returned together with an error wrapping ctx.Err(). Its one wall-clock
+// read stamps the incumbent's Elapsed.
 func (s *Scheduler) finishCancelled(ctx context.Context, began time.Time) (*sched.Schedule, error) {
 	s.stats.Cancelled = true
 	w0 := s.workers[0]
@@ -977,8 +968,6 @@ const explorationScale = 0.1
 // (Tetris) and scales it by explorationScale. The Tetris estimate stamps
 // its schedule's Elapsed with the wall clock; only est.Makespan
 // (deterministic) feeds the constant.
-//
-//spear:timing
 func (s *Scheduler) explorationConstant(g *dag.Graph, spec cluster.Spec) (float64, error) {
 	est, err := s.greedy.Schedule(g, spec)
 	if err != nil {

@@ -231,14 +231,15 @@ func TestTranspositionsEndToEnd(t *testing.T) {
 // TestSteadyStateSearchAllocFree is the arena's reason to exist: once the
 // chunk storage and per-slot buffers are warm, a full search phase —
 // selection, expansion (env clone + step), rollouts, backup — allocates
-// nothing, with one rollout per expansion or four. A fresh Schedule call
+// nothing, with one rollout per expansion or four, and with the virtual
+// losses of a two-worker tree marked and reverted. A fresh Schedule call
 // still allocates its base env and output; this gate isolates the
 // per-decision search loop, which is where the old per-node heap allocation
 // lived.
 func TestSteadyStateSearchAllocFree(t *testing.T) {
 	g, capacity := smallRandomDAG(19, 20)
-	for _, k := range []int{1, 4} {
-		s := New(Config{InitialBudget: 50, MinBudget: 10, Seed: 5, RolloutsPerExpansion: k})
+	for _, cfg := range []struct{ k, tree int }{{1, 1}, {4, 1}, {1, 2}} {
+		s := New(Config{InitialBudget: 50, MinBudget: 10, Seed: 5, RolloutsPerExpansion: cfg.k, TreeParallelism: cfg.tree})
 		// Warm every buffer: one full schedule grows the arena past the node
 		// count the measured phase needs.
 		if _, err := s.Schedule(g, cluster.Single(capacity)); err != nil {
@@ -264,7 +265,10 @@ func TestSteadyStateSearchAllocFree(t *testing.T) {
 			}
 		})
 		if avg != 0 {
-			t.Errorf("%d rollouts per expansion: warm search phase allocated %.1f times per run, want 0", k, avg)
+			t.Errorf("%d rollouts per expansion, %d tree workers: warm search phase allocated %.1f times per run, want 0", cfg.k, cfg.tree, avg)
+		}
+		if (sw.vloss > 0) != (cfg.tree > 1) {
+			t.Errorf("%d tree workers: %d virtual losses marked", cfg.tree, sw.vloss)
 		}
 	}
 }

@@ -30,8 +30,6 @@ type transTable struct {
 // reset clears the table and installs the capacity for the coming Schedule
 // call. clear keeps the map's buckets, so steady-state Schedule calls reuse
 // the storage.
-//
-//spear:slowpath
 func (t *transTable) reset(capacity int) {
 	t.cap = capacity
 	if t.m == nil {
@@ -47,8 +45,6 @@ func (t *transTable) reset(capacity int) {
 // never recycles stats blocks mid-call, so a returned index stays valid
 // even after every node referencing it was freed — or after the entry
 // itself was flushed.
-//
-//spear:slowpath
 func (t *transTable) lookupOrCreate(h uint64, ar *nodeArena) int32 {
 	if idx, ok := t.m[h]; ok {
 		t.hits++

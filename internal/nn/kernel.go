@@ -55,8 +55,6 @@ func (n *Network) NewBatchScratch(rows int) *Scratch {
 
 // ensureRows grows the scratch's buffers to hold at least rows rows. Growth
 // allocates; once sized, the kernels are allocation-free.
-//
-//spear:slowpath
 func (n *Network) ensureRows(s *Scratch, rows int) {
 	if s.rows >= rows {
 		return
@@ -77,8 +75,6 @@ func (n *Network) ensureRows(s *Scratch, rows int) {
 }
 
 // checkScratch verifies that s was built for a network of n's shape.
-//
-//spear:slowpath
 func (n *Network) checkScratch(s *Scratch) error {
 	if s == nil || len(s.acts) != len(n.sizes) {
 		return fmt.Errorf("%w: scratch does not match network", ErrBadShape)
@@ -91,40 +87,32 @@ func (n *Network) checkScratch(s *Scratch) error {
 	return nil
 }
 
-// Cold-path error constructors for the //spear:noalloc kernels, where fmt is
-// forbidden.
-//
-//spear:slowpath
+// Cold-path error constructors for the allocation-free kernels: fmt
+// allocates, so it stays out of their bodies.
 func errBatchSize(rows int) error {
 	return fmt.Errorf("%w: batch of %d rows", ErrBadInput, rows)
 }
 
-//spear:slowpath
 func errBatchValues(got, rows, in int) error {
 	return fmt.Errorf("%w: got %d values, want %d rows x %d", ErrBadInput, got, rows, in)
 }
 
-//spear:slowpath
 func errBatchMasks(got, rows, out int) error {
 	return fmt.Errorf("%w: masks %d, want %d rows x %d", ErrBadInput, got, rows, out)
 }
 
-//spear:slowpath
 func errBatchRow(r int, err error) error {
 	return fmt.Errorf("row %d: %w", r, err)
 }
 
-//spear:slowpath
 func errBatchDLogits(got, rows, out int) error {
 	return fmt.Errorf("%w: dLogits %d, want %d rows x %d", ErrBadInput, got, rows, out)
 }
 
-//spear:slowpath
 func errBatchCold(have, want int) error {
 	return fmt.Errorf("%w: scratch holds %d rows, want %d (run ForwardBatchInto first)", ErrBadInput, have, want)
 }
 
-//spear:slowpath
 func errMaskSize(mask, logits int) error {
 	return fmt.Errorf("%w: mask size %d, logits %d", ErrBadInput, mask, logits)
 }
@@ -134,8 +122,6 @@ func errMaskSize(mask, logits int) error {
 // logits. The returned slice is owned by the scratch and valid until its next
 // call. Buffer growth happens in ensureRows; once the scratch is warm this
 // kernel never touches the heap.
-//
-//spear:noalloc
 func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64, error) {
 	if rows < 1 {
 		return nil, errBatchSize(rows)
@@ -198,8 +184,6 @@ func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64
 // gatherNonZero writes the indices of x's non-zero entries to nz, which holds
 // len(x)/2 of them, and returns their count — or -1, leaving nz unspecified,
 // once more than half of x is non-zero: such a row takes the dense loop.
-//
-//spear:noalloc
 func gatherNonZero(x []float64, nz []int32) int {
 	k := 0
 	for i, v := range x {
@@ -224,25 +208,23 @@ func gatherNonZero(x []float64, nz []int32) int {
 // ascending order and only those are visited: every skipped term is an exact
 // zero, which changes no partial sum as long as the weights are finite and
 // no bias is -0.0 (a running sum can only be -0.0 if it started there).
-//
-//spear:noalloc
 func dot4(s0, s1, s2, s3 float64, w0, w1, w2, w3, x []float64, nz []int32) (float64, float64, float64, float64) {
 	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
 	if nz != nil {
 		for _, i := range nz {
 			xi := x[i]
-			s0 += w0[i] * xi
-			s1 += w1[i] * xi
-			s2 += w2[i] * xi
-			s3 += w3[i] * xi
+			s0 += float64(w0[i] * xi)
+			s1 += float64(w1[i] * xi)
+			s2 += float64(w2[i] * xi)
+			s3 += float64(w3[i] * xi)
 		}
 		return s0, s1, s2, s3
 	}
 	for i, xi := range x {
-		s0 += w0[i] * xi
-		s1 += w1[i] * xi
-		s2 += w2[i] * xi
-		s3 += w3[i] * xi
+		s0 += float64(w0[i] * xi)
+		s1 += float64(w1[i] * xi)
+		s2 += float64(w2[i] * xi)
+		s3 += float64(w3[i] * xi)
 	}
 	return s0, s1, s2, s3
 }
@@ -253,25 +235,22 @@ func dot4(s0, s1, s2, s3 float64, w0, w1, w2, w3, x []float64, nz []int32) (floa
 // to the stack inside them, which costs a dense pass a third of its time; a
 // call per row does not show.
 //
-//spear:noalloc
 //go:noinline
 func axpy(y []float64, a float64, x []float64, nz []int32) {
 	y = y[:len(x)]
 	if nz != nil {
 		for _, i := range nz {
-			y[i] += a * x[i]
+			y[i] += float64(a * x[i])
 		}
 		return
 	}
 	for i, xi := range x {
-		y[i] += a * xi
+		y[i] += float64(a * xi)
 	}
 }
 
 // growProbs replaces an out buffer of the wrong length. Sized callers (the
 // scratch-backed inference path) never reach it.
-//
-//spear:slowpath
 func growProbs(n int) []float64 { return make([]float64, n) }
 
 // SoftmaxInto converts logits to probabilities in out, reused when it has the
@@ -317,8 +296,6 @@ func SoftmaxInto(logits []float64, mask []bool, out []float64) ([]float64, error
 // ProbsBatchInto is ForwardBatchInto followed by a masked softmax per row.
 // masks is row-major rows x OutputSize (nil allows every action in every
 // row). The returned row-major probabilities are owned by the scratch.
-//
-//spear:noalloc
 func (n *Network) ProbsBatchInto(s *Scratch, x []float64, rows int, masks []bool) ([]float64, error) {
 	out := n.OutputSize()
 	if masks != nil && len(masks) != rows*out {
@@ -343,8 +320,6 @@ func (n *Network) ProbsBatchInto(s *Scratch, x []float64, rows int, masks []bool
 
 // ProbsInto is the one-row case of ProbsBatchInto: one full inference with
 // zero heap allocations. The returned slice is owned by the scratch.
-//
-//spear:noalloc
 func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, error) {
 	return n.ProbsBatchInto(s, x, 1, mask)
 }
@@ -362,8 +337,6 @@ func (n *Network) RowStateSize() int {
 
 // SaveRow copies row r's input and hidden activations of the scratch's most
 // recent ForwardBatchInto into dst, RowStateSize values, layer after layer.
-//
-//spear:noalloc
 func (n *Network) SaveRow(s *Scratch, r int, dst []float64) {
 	for l, size := range n.sizes[:len(n.sizes)-1] {
 		copy(dst[:size], s.acts[l][r*size:(r+1)*size])
@@ -375,8 +348,6 @@ func (n *Network) SaveRow(s *Scratch, r int, dst []float64) {
 // row r of the scratch, which must have been built for more than r rows. Once
 // rows 0..k-1 are loaded BackwardBatchInto over k rows finds what a forward
 // pass over those k inputs would have left.
-//
-//spear:noalloc
 func (n *Network) LoadRow(s *Scratch, r int, src []float64) error {
 	if r < 0 || r >= s.rows {
 		return errBatchCold(s.rows, r+1)
@@ -400,8 +371,6 @@ func (n *Network) LoadRow(s *Scratch, r int, src []float64) error {
 // sparse input row's non-zeros: a skipped term is a signed zero added to a
 // sum that began at +0 and so cannot be -0, which changes nothing as long as
 // the deltas are finite (the caveat of dot4).
-//
-//spear:noalloc
 func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *Grads) error {
 	out0 := n.OutputSize()
 	if rows < 1 || len(dLogits) != rows*out0 {

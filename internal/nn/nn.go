@@ -134,10 +134,10 @@ func (g *Grads) Norm() float64 {
 	var sum float64
 	for l := range g.w {
 		for _, v := range g.w[l] {
-			sum += v * v
+			sum += float64(v * v)
 		}
 		for _, v := range g.b[l] {
-			sum += v * v
+			sum += float64(v * v)
 		}
 	}
 	return math.Sqrt(sum) / float64(g.n)
@@ -164,13 +164,13 @@ func (n *Network) Apply(g *Grads, opt RMSProp) error {
 	for l := range n.weights {
 		for i, raw := range g.w[l] {
 			grad := raw * scale
-			n.msW[l][i] = opt.Rho*n.msW[l][i] + (1-opt.Rho)*grad*grad
+			n.msW[l][i] = float64(opt.Rho*n.msW[l][i]) + float64((1-opt.Rho)*grad*grad)
 			n.weights[l][i] -= opt.LR * grad / (math.Sqrt(n.msW[l][i]) + opt.Eps)
 			g.w[l][i] = 0
 		}
 		for i, raw := range g.b[l] {
 			grad := raw * scale
-			n.msB[l][i] = opt.Rho*n.msB[l][i] + (1-opt.Rho)*grad*grad
+			n.msB[l][i] = float64(opt.Rho*n.msB[l][i]) + float64((1-opt.Rho)*grad*grad)
 			n.biases[l][i] -= opt.LR * grad / (math.Sqrt(n.msB[l][i]) + opt.Eps)
 			g.b[l][i] = 0
 		}

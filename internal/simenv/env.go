@@ -265,8 +265,6 @@ func (e *Env) Clone() *Env { return e.CloneInto(nil) }
 // modified; dst must not be in use by another goroutine. Returns dst.
 // The appends grow dst's buffers on first use only; a recycled dst copies
 // without allocating, which the CloneInto alloc gate verifies at runtime.
-//
-//spear:slowpath
 func (e *Env) CloneInto(dst *Env) *Env {
 	if m := e.cfg.Metrics; m != nil {
 		m.EnvClones.Inc()
@@ -378,8 +376,6 @@ func (e *Env) LegalActions() []Action {
 // A finished episode appends nothing. Appends reuse buf's capacity after
 // the first episode; the rollout alloc gates verify steady-state zero
 // allocation.
-//
-//spear:slowpath
 func (e *Env) LegalActionsInto(buf []Action) []Action {
 	if e.Done() {
 		return buf
@@ -434,24 +430,20 @@ func (e *Env) step(a Action) error {
 }
 
 // Cold-path error constructors for the step functions, which sit on the
-// //spear:noalloc rollout path where fmt is forbidden.
-//
-//spear:slowpath
+// allocation-free rollout path: fmt allocates, so it stays out of their
+// bodies.
 func errScheduleIndex(i, visible int) error {
 	return fmt.Errorf("%w: schedule index %d with %d visible tasks", ErrIllegalAction, i, visible)
 }
 
-//spear:slowpath
 func errNoFit(id dag.TaskID, err error) error {
 	return fmt.Errorf("%w: task %d does not fit now: %v", ErrIllegalAction, id, err)
 }
 
-//spear:slowpath
 func errIdleProcess() error {
 	return fmt.Errorf("%w: process with an idle cluster", ErrIllegalAction)
 }
 
-//spear:slowpath
 func errUnknownMode(mode ProcessMode) error {
 	return fmt.Errorf("simenv: unknown process mode %d", mode)
 }
@@ -465,9 +457,8 @@ func (e *Env) stepSchedule(i, m int) error {
 	if err := e.space.Place(m, e.now, task.Demand, task.Runtime); err != nil {
 		return errNoFit(id, err)
 	}
-	// Remove index i by shifting the tail left; copy into the same backing
-	// array never allocates, unlike the append(e.ready[:i], ...) idiom the
-	// structural noalloc check rejects.
+	// Remove index i by shifting the tail left within the same backing
+	// array.
 	e.ready = e.ready[:i+copy(e.ready[i:], e.ready[i+1:])]
 	e.status[id] = statusRunning
 	e.machine[id] = int32(m)
@@ -527,8 +518,6 @@ func (e *Env) EarliestRunningFinish() (int64, bool) {
 // insertion sort (bursts are small). Newly ready tasks are appended into
 // recycled buffers (readyBuf, ready), which stop allocating once they reach
 // the episode's high-water capacity; the rollout alloc gates verify it.
-//
-//spear:slowpath
 func (e *Env) advanceTo(target int64) {
 	e.now = target
 
@@ -631,10 +620,8 @@ type Policy interface {
 	Choose(e *Env, legal []Action, rng *rand.Rand) (Action, error)
 }
 
-// errNoLegal reports a stuck episode. It lives outside the //spear:noalloc
+// errNoLegal reports a stuck episode. It lives outside the allocation-free
 // rollout fast path because error construction goes through fmt.
-//
-//spear:slowpath
 func errNoLegal(e *Env) error {
 	return fmt.Errorf("simenv: no legal actions with %d/%d tasks done", e.done, e.g.NumTasks())
 }
@@ -706,8 +693,6 @@ func (rc *RolloutContext) PolicyCounters() PolicyCounters {
 // RolloutFrom copies base into the context's scratch episode and plays the
 // policy to completion, returning the makespan. base is not modified. It is
 // the allocation-free equivalent of Rollout(base.Clone(), rng).
-//
-//spear:noalloc
 func (rc *RolloutContext) RolloutFrom(base *Env, rng *rand.Rand) (int64, error) {
 	rc.env = base.CloneInto(rc.env)
 	return rc.Rollout(rc.env, rng)
@@ -718,8 +703,6 @@ func (rc *RolloutContext) RolloutFrom(base *Env, rng *rand.Rand) (int64, error) 
 // buffers, and results depend only on the policy, state and rng.
 // The episode's step counts reach the metrics once, on whichever path
 // returns.
-//
-//spear:noalloc
 func (rc *RolloutContext) Rollout(e *Env, rng *rand.Rand) (int64, error) {
 	err := rc.play(e, rng)
 	e.flushCounts()
@@ -730,8 +713,6 @@ func (rc *RolloutContext) Rollout(e *Env, rng *rand.Rand) (int64, error) {
 }
 
 // play is the step loop of Rollout.
-//
-//spear:noalloc
 func (rc *RolloutContext) play(e *Env, rng *rand.Rand) error {
 	for !e.Done() {
 		rc.legal = e.LegalActionsInto(rc.legal[:0])
@@ -743,12 +724,10 @@ func (rc *RolloutContext) play(e *Env, rng *rand.Rand) error {
 		if rc.cp != nil {
 			// Every ContextPolicy in the module chooses into caller-owned
 			// buffers; the rollout alloc gates audit them.
-			//spear:dyncall
 			a, err = rc.cp.ChooseCtx(rc.pctx, e, rc.legal, rng)
 		} else {
 			// Plain policies (random, SJF, Tetris rollout policies) pick an
 			// index from legal without allocating.
-			//spear:dyncall
 			a, err = rc.policy.Choose(e, rc.legal, rng)
 		}
 		if err != nil {
