@@ -30,6 +30,9 @@ var (
 var (
 	errNilNetwork = errors.New("drl: nil network")
 	errShape      = errors.New("drl: network shape does not match features")
+	// errUnencodable reports an action the features cannot encode: a slot at
+	// or past Window, or a machine other than 0.
+	errUnencodable = errors.New("drl: action outside the encoded action space")
 )
 
 // NewAgent wraps net for the given featurization. greedy selects argmax
@@ -80,13 +83,14 @@ func (a *Agent) Features() Features { return a.feat }
 // distributions this context has computed, key and probs are the packed
 // lookup key and the buffer a remembered answer is copied into, so whatever
 // probsCtx returns is owned by the context either way. calls and hits count
-// the one-row evaluations asked for and those answered from the memo.
+// the one-row evaluations asked for and those answered from the memo. A
+// forced step (Features.forced) asks for none, so it is in neither count.
 //
 // A REINFORCE sampler's context (newRecordingContext) also keeps records: what
 // each evaluation it ran computed, for backprop to read back. Its memo tags an
 // entry with the id of the evaluation's record, and record is the id behind
-// the latest probsCtx answer, hit or miss. Both are dropped together when the
-// weights change.
+// the latest decision's probsCtx answer, hit or miss, or -1 after a forced
+// step. Records and memo are dropped together when the weights change.
 type AgentContext struct {
 	x       []float64
 	mask    []bool
@@ -143,7 +147,8 @@ func (a *Agent) NewBatchContext(int) simenv.BatchPolicyContext { return a.newCon
 // over them, skipping the network when ctx has already answered the same
 // encoded state and mask under the network's current weights. The returned
 // slice is owned by ctx. After warm-up it performs zero heap allocations,
-// hit or miss, until the memo next grows.
+// hit or miss, until the memo next grows. Its callers do not call it on a
+// forced step, whose distribution is known without it.
 func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action) ([]float64, error) {
 	a.feat.Encode(e, ctx.x)
 	a.feat.Mask(legal, ctx.mask)
@@ -172,9 +177,26 @@ func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action
 	return probs, nil
 }
 
+// draw is the one random number a decision consumes: a uniform from rng in
+// sample mode, nothing in greedy mode. A forced step draws it too, so the
+// generator advances as if the distribution had been sampled.
+func (a *Agent) draw(rng *rand.Rand) (float64, error) {
+	if a.greedy {
+		return 0, nil
+	}
+	if rng == nil {
+		return 0, errors.New("drl: sampling agent requires an rng")
+	}
+	return rng.Float64(), nil
+}
+
 // selectAction turns the action distribution into a decision: argmax in
 // greedy mode, a sample otherwise.
 func (a *Agent) selectAction(probs []float64, rng *rand.Rand) (simenv.Action, error) {
+	u, err := a.draw(rng)
+	if err != nil {
+		return 0, err
+	}
 	if a.greedy {
 		best, bestP := -1, -1.0
 		for i, p := range probs {
@@ -184,10 +206,26 @@ func (a *Agent) selectAction(probs []float64, rng *rand.Rand) (simenv.Action, er
 		}
 		return a.feat.ActionFor(best), nil
 	}
-	if rng == nil {
-		return 0, errors.New("drl: sampling agent requires an rng")
+	return a.feat.ActionFor(sampleIndex(probs, u)), nil
+}
+
+// decide makes one decision on ctx. A forced step's masked distribution is 1
+// on its one action, so it returns that action after the draw selectAction
+// would make, evaluating nothing and setting ctx.record to -1; any other step
+// is probsCtx followed by selectAction.
+func (a *Agent) decide(ctx *AgentContext, e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (simenv.Action, error) {
+	if a.feat.forced(legal) {
+		ctx.record = -1
+		if _, err := a.draw(rng); err != nil {
+			return 0, err
+		}
+		return legal[0], nil
 	}
-	return a.feat.ActionFor(sampleIndex(probs, rng)), nil
+	probs, err := a.probsCtx(ctx, e, legal)
+	if err != nil {
+		return 0, err
+	}
+	return a.selectAction(probs, rng)
 }
 
 // Choose implements simenv.Policy: ChooseCtx on a fresh context. Anything
@@ -198,17 +236,14 @@ func (a *Agent) Choose(e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (si
 
 // ChooseCtx implements simenv.ContextPolicy. After warm-up the whole
 // per-step inference path (Encode, forward pass, masked softmax, action
-// selection) performs zero heap allocations.
+// selection) performs zero heap allocations. A forced step skips that path:
+// it returns its one action, drawing what sampling would have drawn.
 func (a *Agent) ChooseCtx(pc simenv.PolicyContext, e *simenv.Env, legal []simenv.Action, rng *rand.Rand) (simenv.Action, error) {
 	ctx, ok := pc.(*AgentContext)
 	if !ok {
 		return 0, fmt.Errorf("drl: foreign policy context %T", pc)
 	}
-	probs, err := a.probsCtx(ctx, e, legal)
-	if err != nil {
-		return 0, err
-	}
-	return a.selectAction(probs, rng)
+	return a.decide(ctx, e, legal, rng)
 }
 
 // ChooseBatch implements simenv.BatchPolicy: ChooseCtx once per row, so row
@@ -224,10 +259,9 @@ func (a *Agent) ChooseBatch(pc simenv.BatchPolicyContext, envs []*simenv.Env, le
 	return nil
 }
 
-// sampleIndex draws an index proportional to probs (which sum to 1 over the
-// unmasked entries).
-func sampleIndex(probs []float64, rng *rand.Rand) int {
-	u := rng.Float64()
+// sampleIndex picks the index proportional to probs (which sum to 1 over the
+// unmasked entries) that the uniform draw u in [0, 1) lands on.
+func sampleIndex(probs []float64, u float64) int {
 	acc := 0.0
 	last := 0
 	for i, p := range probs {
@@ -267,15 +301,27 @@ func NewExpander(agent *Agent) *Expander {
 // Name implements mcts.Expander.
 func (x *Expander) Name() string { return "drl" }
 
-// Next implements mcts.Expander.
+// Next implements mcts.Expander. An untried action the features cannot
+// encode is an error (errUnencodable); a single encodable one is returned
+// without evaluating the policy.
 func (x *Expander) Next(e *simenv.Env, untried []simenv.Action, _ *rand.Rand) (int, error) {
+	feat := x.agent.feat
+	for _, a := range untried {
+		if !feat.encodable(a) {
+			return 0, fmt.Errorf("%w: expander offered action %d (slot %d, machine %d) with window %d",
+				errUnencodable, a, a.Slot(), a.Machine(), feat.Window)
+		}
+	}
+	if feat.forced(untried) {
+		return 0, nil
+	}
 	probs, err := x.agent.probsCtx(x.ctx, e, untried)
 	if err != nil {
 		return 0, err
 	}
 	best, bestP := 0, -1.0
 	for i, a := range untried {
-		if p := probs[x.agent.feat.IndexFor(a)]; p > bestP {
+		if p := probs[feat.IndexFor(a)]; p > bestP {
 			best, bestP = i, p
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"spear/internal/baselines"
 	"spear/internal/cluster"
 	"spear/internal/dag"
+	"spear/internal/mcts"
 	"spear/internal/nn"
 	"spear/internal/resource"
 	"spear/internal/sched"
@@ -243,7 +244,7 @@ func TestSampleIndex(t *testing.T) {
 	probs := []float64{0, 0.5, 0, 0.5, 0}
 	counts := map[int]int{}
 	for i := 0; i < 1000; i++ {
-		counts[sampleIndex(probs, rng)]++
+		counts[sampleIndex(probs, rng.Float64())]++
 	}
 	if counts[0] != 0 || counts[2] != 0 || counts[4] != 0 {
 		t.Errorf("sampled zero-probability index: %v", counts)
@@ -279,6 +280,21 @@ func TestExpanderPicksHighestProbability(t *testing.T) {
 		if probs[feat.IndexFor(a)] > chosen+1e-12 {
 			t.Errorf("expander chose prob %g, but action %d has %g", chosen, a, probs[feat.IndexFor(a)])
 		}
+	}
+}
+
+// TestExpanderRejectsActionsItCannotEncode: on two machines the search offers
+// the expander machine-1 actions, which have no output of their own. Next must
+// answer with an error naming the action instead of indexing the distribution
+// out of range.
+func TestExpanderRejectsActionsItCannotEncode(t *testing.T) {
+	feat := testFeatures()
+	greedy := testAgent(t, feat, true, 4)
+	jobs, capacity := testJobs(t, 1, 12, 8)
+	s := mcts.New(mcts.Config{InitialBudget: 10, MinBudget: 5, Seed: 1, Window: feat.Window, Expand: NewExpander(greedy)})
+	_, err := s.Schedule(jobs[0], cluster.Uniform(2, capacity))
+	if !errors.Is(err, errUnencodable) || !strings.Contains(err.Error(), "machine 1") {
+		t.Fatalf("err = %v, want errUnencodable naming a machine-1 action", err)
 	}
 }
 

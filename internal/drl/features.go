@@ -127,13 +127,25 @@ func (f Features) Mask(legal []simenv.Action, buf []bool) []bool {
 		}
 	}
 	for _, a := range legal {
-		if a == simenv.Process {
-			buf[f.ProcessIndex()] = true
-		} else if int(a) < f.Window {
-			buf[a] = true
+		if f.encodable(a) {
+			buf[f.IndexFor(a)] = true
 		}
 	}
 	return buf
+}
+
+// encodable reports whether a has an output of its own: Process, or a slot
+// below Window on machine 0. Mask leaves every other action out.
+func (f Features) encodable(a simenv.Action) bool {
+	return a == simenv.Process || (a >= 0 && int(a) < f.Window)
+}
+
+// forced reports whether legal leaves the policy no choice: exactly one
+// action, which Mask can encode. The masked softmax over one finite logit is
+// exactly 1 there and 0 elsewhere, so argmax picks that action, and so does
+// sampling, whatever uniform it draws.
+func (f Features) forced(legal []simenv.Action) bool {
+	return len(legal) == 1 && f.encodable(legal[0])
 }
 
 // ActionFor maps an output index back to an environment action.

@@ -405,7 +405,9 @@ func TestShortLivedContextCostsOneSmallSet(t *testing.T) {
 
 // FuzzMemoEquivalence lets the fuzzer pick which states a tiny memo sees, in
 // what order and under which masks, and requires every answer to equal the
-// uncached forward pass bit for bit.
+// uncached forward pass bit for bit. A one-action visit is also a forced step
+// for ChooseCtx, sampling and greedy, and for Expander.Next: each must decide
+// as probsCtx + selectAction do, draw as many numbers, and evaluate nothing.
 func FuzzMemoEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{5, 5, 5, 133, 5, 250, 17, 5, 133})
@@ -419,8 +421,61 @@ func FuzzMemoEquivalence(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	greedy, err := NewAgent(net, feat, true)
+	if err != nil {
+		f.Fatal(err)
+	}
 	visits := randomVisits(f, feat, 3, 80)
 	ref := contextWithMemo(agent, 0)
+	choosers := []*AgentContext{agent.newContext(), greedy.newContext()}
+	expander := NewExpander(greedy)
+	// forced plays one forced step on both paths, each with a generator seeded
+	// by seed, and checks the decisions, what is left of the generators and
+	// that the fast path evaluated nothing.
+	forced := func(t *testing.T, seed int64, v visit, legal []simenv.Action) {
+		for i, a := range []*Agent{agent, greedy} {
+			fast, full := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			calls := choosers[i].PolicyCounters().Calls
+			got, err := a.ChooseCtx(choosers[i], v.env, legal, fast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probs, err := a.probsCtx(ref, v.env, legal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := a.selectAction(probs, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, wantNext := fast.Int63(), full.Int63()
+			if got != want || next != wantNext || choosers[i].PolicyCounters().Calls != calls {
+				t.Fatalf("%s on forced %v: chose %d, full path %d; next draw %d, full path %d; calls %d -> %d",
+					a.Name(), legal, got, want, next, wantNext, calls, choosers[i].PolicyCounters().Calls)
+			}
+		}
+		fast, full := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		calls := expander.PolicyCounters().Calls
+		got, err := expander.Next(v.env, legal, fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probs, err := greedy.probsCtx(ref, v.env, legal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for j, a := range legal {
+			if probs[feat.IndexFor(a)] > probs[feat.IndexFor(legal[want])] {
+				want = j
+			}
+		}
+		next, wantNext := fast.Int63(), full.Int63()
+		if got != want || next != wantNext || expander.PolicyCounters().Calls != calls {
+			t.Fatalf("expander on forced %v: index %d, full path %d; next draw %d, full path %d; calls %d -> %d",
+				legal, got, want, next, wantNext, calls, expander.PolicyCounters().Calls)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx := contextWithMemo(agent, 2)
 		for i, b := range data {
@@ -441,6 +496,9 @@ func FuzzMemoEquivalence(f *testing.F) {
 			}
 			if !sameBits(got, want) {
 				t.Fatalf("step %d (byte %#x): memoised %v, uncached %v", i, b, got, want)
+			}
+			if b&0x80 != 0 {
+				forced(t, int64(i), v, legal)
 			}
 		}
 		// Every call either hit, filled an empty way or evicted.

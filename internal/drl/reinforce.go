@@ -82,7 +82,8 @@ type EpochStats struct {
 }
 
 // step is one decision inside a trajectory: the action taken at time now on
-// the distribution held in record, an id in the sampling worker's recordSlab.
+// the distribution held in record, an id in the sampling worker's recordSlab,
+// or -1 on a forced step, which evaluated nothing.
 type step struct {
 	record int32
 	action int32
@@ -349,7 +350,8 @@ func (tr *trainer) sampleTrajectories(g *dag.Graph, capacity resource.Vector, rn
 // sampleOne plays a single episode with the sampling agent into tr, recording
 // every decision. The episode runs in sc's scratch Env (cloned from base); a
 // step names the record of its evaluation in sc's slab, so nothing is
-// snapshotted per step.
+// snapshotted per step. A forced step is evaluated by nobody and names
+// record -1.
 func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, tr *trajectory) error {
 	feat := agent.Features()
 	e := base.CloneInto(sc.env)
@@ -360,11 +362,7 @@ func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, tr *trajector
 		if len(sc.legal) == 0 {
 			return fmt.Errorf("drl: stuck episode")
 		}
-		probs, err := agent.probsCtx(sc.agent, e, sc.legal)
-		if err != nil {
-			return err
-		}
-		a, err := agent.selectAction(probs, sc.rng)
+		a, err := agent.decide(sc.agent, e, sc.legal, sc.rng)
 		if err != nil {
 			return err
 		}
@@ -450,7 +448,9 @@ func newTrainContext(net *nn.Network, rows int) *trainContext {
 // scratch. Steps are processed in chunks of reinforceChunkRows through the
 // batched backward kernel; because that accumulates per-weight contributions
 // in ascending row (= step) order, the resulting gradients are bit-identical
-// to one sequential forward and backward pass per step.
+// to one sequential forward and backward pass per step. A forced step's
+// distribution is its one-hot action, so its row would be all ±0, which the
+// kernel skips but for the sample count: it counts as a zero-advantage step.
 func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grads *nn.Grads, tc *trainContext) error {
 	out, state := net.OutputSize(), net.RowStateSize()
 	t := 0
@@ -463,7 +463,7 @@ func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grad
 			t++
 			// Exact-zero test: only a bit-exact zero contributes nothing to
 			// the backward pass, and the skip must not change gradients.
-			if advantage == 0 {
+			if advantage == 0 || st.record < 0 {
 				// Zero-gradient step: the backward pass would add nothing, but
 				// the step is still a sample of the batch. Count it so that
 				// Apply's 1/n scaling averages over the true batch size instead

@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"spear/internal/dag"
 	"spear/internal/nn"
 	"spear/internal/obs"
+	"spear/internal/resource"
+	"spear/internal/simenv"
 )
 
 // TestTrainIsTheSameAcrossWorkersAndMemoStates pins what may not depend on
@@ -38,20 +41,80 @@ func TestTrainIsTheSameAcrossWorkersAndMemoStates(t *testing.T) {
 		return buf.Bytes(), tm.Stats()
 	}
 	want, _ := train(1, memoMaxSets)
+	forced := forcedSteps(t, start.Clone(), feat, jobs, capacity, want)
 	for _, workers := range []int{1, 2, 3} {
 		for _, maxSets := range []int{memoMaxSets, 1, 0} {
 			got, st := train(workers, maxSets)
 			if !bytes.Equal(got, want) {
 				t.Errorf("workers=%d memoMaxSets=%d: trained network differs from workers=1 at the cap", workers, maxSets)
 			}
-			if st.PolicyCalls != st.Steps {
-				t.Errorf("workers=%d memoMaxSets=%d: %d policy calls for %d steps", workers, maxSets, st.PolicyCalls, st.Steps)
+			if st.PolicyCalls != st.Steps-forced {
+				t.Errorf("workers=%d memoMaxSets=%d: %d policy calls for %d steps, %d of them forced", workers, maxSets, st.PolicyCalls, st.Steps, forced)
 			}
 			if hits := st.PolicyCacheHits; (maxSets == 0) != (hits == 0) || hits >= st.PolicyCalls {
 				t.Errorf("workers=%d memoMaxSets=%d: %d memo hits in %d calls", workers, maxSets, hits, st.PolicyCalls)
 			}
 		}
 	}
+}
+
+// forcedSteps runs the training of TestTrainIsTheSameAcrossWorkersAndMemoStates
+// with Train's loop written out, checks that it trains the network saved as
+// want, and counts the steps it sampled from a state with exactly one legal
+// action, by replaying every trajectory in an episode of its own.
+func forcedSteps(t *testing.T, net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.Vector, want []byte) int64 {
+	t.Helper()
+	agent, err := NewAgent(net, feat, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrainConfig{Epochs: 2, Rollouts: 7, BatchExamples: 2, Workers: 1}.normalized()
+	tr := newTrainer(agent, cfg)
+	grads := net.NewGrads()
+	rng := rand.New(rand.NewSource(83))
+	var forced int64
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		for start := 0; start < len(jobs); start += cfg.BatchExamples {
+			for _, g := range jobs[start:min(start+cfg.BatchExamples, len(jobs))] {
+				if err := tr.sampleTrajectories(g, capacity, rng); err != nil {
+					t.Fatal(err)
+				}
+				for _, tj := range tr.trajs {
+					e, err := simenv.New(g, capacity, simenv.Config{Window: feat.Window, Mode: cfg.Mode})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, st := range tj.steps {
+						if len(e.LegalActions()) == 1 {
+							forced++
+						}
+						if err := e.Step(feat.ActionFor(int(st.action))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := tr.accumulatePolicyGradient(grads); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if grads.Samples() > 0 {
+				if err := net.Apply(grads, cfg.Opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("Train's loop written out trains a different network than Train")
+	}
+	if forced == 0 {
+		t.Fatal("no forced step: the count checks nothing")
+	}
+	return forced
 }
 
 // TestWarmJobAllocatesPerRolloutNotPerStep gates the trainer's buffer

@@ -60,7 +60,8 @@ type SearchMetrics struct {
 	ForcedMoves *Counter
 	// PolicyCalls counts one-state policy evaluations asked of the expanders
 	// and rollout contexts, PolicyCacheHits those answered from a context's
-	// memo without running the network.
+	// memo without running the network. A step with one legal action asks
+	// for none.
 	PolicyCalls     *Counter
 	PolicyCacheHits *Counter
 	// TreeDepth is the maximum tree depth reached by the latest Schedule
@@ -102,7 +103,7 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		Expansions:      r.Counter("spear_search_expansions_total", "Nodes expanded into the search tree"),
 		Rollouts:        r.Counter("spear_search_rollouts_total", "Simulations played to termination"),
 		ForcedMoves:     r.Counter("spear_search_forced_moves_total", "Single-legal-action decisions committed without search"),
-		PolicyCalls:     r.Counter("spear_search_policy_calls_total", "One-state policy evaluations requested by expanders and rollouts"),
+		PolicyCalls:     r.Counter("spear_search_policy_calls_total", "One-state policy evaluations requested by expanders and rollouts, steps with one legal action excluded"),
 		PolicyCacheHits: r.Counter("spear_search_policy_cache_hits_total", "Policy evaluations answered from a context's memo without a network pass"),
 		TreeDepth:       r.Gauge("spear_search_tree_depth", "Maximum tree depth of the latest Schedule call"),
 		RootWorkers:     r.Gauge("spear_mcts_root_workers", "Root-parallel search trees per decision of the latest Schedule call"),
@@ -150,8 +151,8 @@ type TrainMetrics struct {
 	// GradUpdates counts optimizer steps.
 	GradUpdates *Counter
 	// PolicyCalls counts the policy evaluations the samplers asked for (one
-	// per step) and PolicyCacheHits those their memos answered; the rest ran
-	// the network.
+	// per step that had more than one legal action) and PolicyCacheHits those
+	// their memos answered; the rest ran the network.
 	PolicyCalls     *Counter
 	PolicyCacheHits *Counter
 	// GradNormSum accumulates the L2 norm of each applied mean gradient.
@@ -183,7 +184,7 @@ func NewTrainMetrics(r *Registry) *TrainMetrics {
 		Trajectories:        r.Counter("spear_train_trajectories_total", "Sampled training episodes"),
 		Steps:               r.Counter("spear_train_steps_total", "Recorded decisions across all trajectories"),
 		GradUpdates:         r.Counter("spear_train_grad_updates_total", "Optimizer steps applied"),
-		PolicyCalls:         r.Counter("spear_train_policy_calls_total", "Policy evaluations asked for while sampling"),
+		PolicyCalls:         r.Counter("spear_train_policy_calls_total", "Policy evaluations asked for while sampling, steps with one legal action excluded"),
 		PolicyCacheHits:     r.Counter("spear_train_policy_cache_hits_total", "Sampling policy evaluations answered from a sampler's memo"),
 		GradNormSum:         r.Float("spear_train_grad_norm_sum", "Accumulated L2 norms of applied mean gradients"),
 		BaselineSpreadSum:   r.Float("spear_train_baseline_spread_sum", "Accumulated rollout-baseline makespan spreads (max - min)"),
