@@ -47,7 +47,7 @@ func (c *classFlags) Set(v string) error {
 
 // algorithms lists every name -algo accepts, in the order the help prints
 // them; buildScheduler has one case per entry.
-var algorithms = []string{"cp", "tetris", "sjf", "graphene", "level", "random", "anneal", "mcts"}
+var algorithms = []string{"cp", "tetris", "sjf", "graphene", "random", "anneal", "mcts"}
 
 func run() error {
 	var classes classFlags
@@ -238,8 +238,6 @@ func buildScheduler(cfg serve.Config) (sched.Scheduler, error) {
 		return baselines.NewSJFScheduler(), nil
 	case "graphene":
 		return baselines.NewGrapheneScheduler(), nil
-	case "level":
-		return baselines.NewLevelByLevelScheduler(), nil
 	case "random":
 		return baselines.NewRandomScheduler(cfg.Seed), nil
 	case "anneal":

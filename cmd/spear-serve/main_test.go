@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"spear/internal/cluster"
 	"spear/internal/serve"
 )
 
@@ -41,6 +43,19 @@ func TestDefaultTrafficFitsDefaultCluster(t *testing.T) {
 		if float64(final) > 1.1*float64(horizon) {
 			t.Errorf("seed %s: final_clock %d exceeds 1.1 x horizon %d: the default mix overloads the default cluster", seed, final, horizon)
 		}
+	}
+}
+
+// TestRejectsMoreMachinesThanActionsEncode: a cluster larger than a
+// schedule action can address is refused at start-up, before any job is
+// served.
+func TestRejectsMoreMachinesThanActionsEncode(t *testing.T) {
+	args, flags := os.Args, flag.CommandLine
+	t.Cleanup(func() { os.Args, flag.CommandLine = args, flags })
+	flag.CommandLine = flag.NewFlagSet("spear-serve", flag.ContinueOnError)
+	os.Args = []string{"spear-serve", "-seed", "7", "-machines", "40000", "-horizon", "2000", "-quiet"}
+	if err := run(); !errors.Is(err, cluster.ErrTooManyMachines) {
+		t.Fatalf("err = %v, want ErrTooManyMachines", err)
 	}
 }
 

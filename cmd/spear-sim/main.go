@@ -5,7 +5,7 @@
 // Usage:
 //
 //	spear-sim -n 10 -tasks 100 -algos spear,graphene,tetris,cp,sjf
-//	spear-sim -n 10 -machines 4 -algos heft,tetris,cp
+//	spear-sim -n 10 -machines 4 -algos anneal,tetris,cp
 //	spear-sim -motivating -algos spear,graphene
 package main
 
@@ -32,8 +32,7 @@ func main() {
 // algorithms lists every name -algos accepts, in the order the help prints
 // them; buildScheduler has one case per entry.
 var algorithms = []string{
-	"spear", "mcts", "graphene", "tetris", "cp", "sjf", "random",
-	"heft", "lpt", "bload", "level", "tetris-srpt", "anneal", "optimal",
+	"spear", "mcts", "graphene", "tetris", "cp", "sjf", "random", "anneal", "optimal",
 }
 
 // run parses the command line args and writes the makespan table, then the
@@ -160,6 +159,9 @@ func buildJobs(motivating bool, jobPath, capFlag string, n, tasks int, seed int6
 		}
 		return []*spear.Job{job}, spear.MotivatingCapacity(), nil
 	}
+	if n < 1 {
+		return nil, nil, fmt.Errorf("n %d must be >= 1", n)
+	}
 	cfg := spear.DefaultRandomJobConfig()
 	cfg.NumTasks = tasks
 	jobs, err := spear.RandomJobs(seed, cfg, n)
@@ -226,16 +228,6 @@ func buildScheduler(name string, budget, minBudget int, seed int64, modelPath st
 		return spear.NewSJF(), nil
 	case "random":
 		return spear.NewRandom(seed), nil
-	case "heft":
-		return spear.NewHEFT(), nil
-	case "lpt":
-		return spear.NewLPT(), nil
-	case "bload":
-		return spear.NewBLoadList(), nil
-	case "level":
-		return spear.NewLevelByLevel(), nil
-	case "tetris-srpt":
-		return spear.NewTetrisSRPT(1), nil
 	case "anneal":
 		return spear.NewAnnealing(500, seed), nil
 	case "optimal":

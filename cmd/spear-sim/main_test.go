@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"spear"
+	"spear/internal/cluster"
 )
 
 func TestParseCapacity(t *testing.T) {
@@ -120,6 +122,27 @@ func TestBuildJobsMotivatingAndRandom(t *testing.T) {
 	}
 	if len(jobs) != 3 || jobs[0].NumTasks() != 12 {
 		t.Errorf("random: %d jobs x %d tasks", len(jobs), jobs[0].NumTasks())
+	}
+}
+
+// TestRunRejectsBadCounts: no random-job count below one and no cluster
+// larger than a schedule action can address reaches a scheduler.
+func TestRunRejectsBadCounts(t *testing.T) {
+	for _, n := range []string{"-1", "0"} {
+		var out bytes.Buffer
+		if err := run([]string{"-n", n, "-algos", "cp"}, &out); err == nil || !strings.Contains(err.Error(), "must be >= 1") {
+			t.Errorf("-n %s: err = %v, output %q", n, err, out.String())
+		}
+	}
+	if _, _, err := buildJobs(true, "", "", 0, 0, 0); err != nil {
+		t.Errorf("-motivating -n 0: %v (the count applies to random jobs only)", err)
+	}
+	for _, algo := range []string{"random", "cp", "tetris", "sjf", "graphene", "anneal", "mcts", "optimal"} {
+		var out bytes.Buffer
+		err := run([]string{"-n", "1", "-tasks", "5", "-algos", algo, "-machines", "40000"}, &out)
+		if !errors.Is(err, cluster.ErrTooManyMachines) {
+			t.Errorf("%s on 40000 machines: err = %v, want ErrTooManyMachines", algo, err)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ const (
 )
 
 // simTasks is the job size each spear-sim algorithm is pinned on: search on
-// 40-task jobs at small budgets, the exact solver on 10 tasks, the list
+// 40-task jobs at small budgets, the exact solver on 10 tasks, the
 // baselines on the paper's 100.
 var simTasks = map[string]int{"spear": 40, "mcts": 40, "anneal": 40, "optimal": 10}
 
@@ -206,16 +206,6 @@ func simScheduler(t *testing.T, name string, net *spear.Network) spear.Scheduler
 		return spear.NewSJF()
 	case "random":
 		return spear.NewRandom(simSeed)
-	case "heft":
-		return spear.NewHEFT()
-	case "lpt":
-		return spear.NewLPT()
-	case "bload":
-		return spear.NewBLoadList()
-	case "level":
-		return spear.NewLevelByLevel()
-	case "tetris-srpt":
-		return spear.NewTetrisSRPT(1)
 	case "anneal":
 		return spear.NewAnnealing(500, simSeed)
 	case "optimal":
@@ -231,8 +221,7 @@ func simScheduler(t *testing.T, name string, net *spear.Network) spear.Scheduler
 // and refuses multi-machine clusters; that error text is pinned too.
 func corpusSim(t *testing.T, c *corpus) {
 	for _, name := range []string{
-		"spear", "mcts", "graphene", "tetris", "cp", "sjf", "random",
-		"heft", "lpt", "bload", "level", "tetris-srpt", "anneal", "optimal",
+		"spear", "mcts", "graphene", "tetris", "cp", "sjf", "random", "anneal", "optimal",
 	} {
 		t.Run(name, func(t *testing.T) {
 			var net *spear.Network

@@ -1,7 +1,7 @@
-// Scheduler zoo: run every scheduling algorithm in the library — online
-// heuristics, offline list schedulers, pure search and DRL-guided Spear —
-// on the same random job, print the league table, and export the winner's
-// schedule as SVG and the job as JSON.
+// Scheduler zoo: run every scheduling algorithm in the library but the
+// exact solver — online heuristics, annealing, pure search and DRL-guided
+// Spear — on the same random job, print the league table, and export the
+// winner's schedule as SVG and the job as JSON.
 //
 // Run with:
 //
@@ -71,13 +71,9 @@ func run() error {
 		spear.NewMCTS(spear.MCTSConfig{InitialBudget: 400, MinBudget: 50, Seed: *seed}),
 		spear.NewGraphene(),
 		spear.NewTetris(),
-		spear.NewTetrisSRPT(0.5),
 		spear.NewCP(),
 		spear.NewSJF(),
-		spear.NewHEFT(),
-		spear.NewLPT(),
-		spear.NewBLoadList(),
-		spear.NewLevelByLevel(),
+		spear.NewAnnealing(500, *seed),
 		spear.NewRandom(*seed),
 	}
 
@@ -141,6 +137,6 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nwinner (%s) schedule -> %s; job -> %s\n", rows[0].name, svgPath, jobPath)
-	fmt.Printf("replay with: go run ./cmd/spear-sim -job %s -algos tetris,heft\n", jobPath)
+	fmt.Printf("replay with: go run ./cmd/spear-sim -job %s -algos tetris,cp\n", jobPath)
 	return nil
 }

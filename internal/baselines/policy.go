@@ -6,9 +6,9 @@
 //
 // Tetris, SJF, CP and Random are online decision policies over the shared
 // scheduling environment; Graphene first derives a priority order offline
-// and then executes it online. Every baseline therefore produces schedules
-// through the exact same execution substrate as MCTS and Spear, which keeps
-// makespans directly comparable.
+// and then executes it online. Every scheduler in the module, these
+// baselines as much as MCTS, Spear, annealing and the exact solver, plays
+// its episodes through simenv, which keeps makespans directly comparable.
 package baselines
 
 import (

@@ -49,8 +49,6 @@ func TestPolicySchedulerReuseLeaksNothing(t *testing.T) {
 		{func() sched.Scheduler { return NewCPScheduler() }, simenv.ErrInfeasible},
 		{func() sched.Scheduler { return NewTetrisScheduler() }, simenv.ErrInfeasible},
 		{func() sched.Scheduler { return NewSJFScheduler() }, simenv.ErrInfeasible},
-		{func() sched.Scheduler { return NewLevelByLevelScheduler() }, simenv.ErrInfeasible},
-		{func() sched.Scheduler { return NewTetrisSRPTScheduler(0.5) }, simenv.ErrInfeasible},
 		{func() sched.Scheduler { return NewRandomScheduler(3) }, simenv.ErrInfeasible},
 		// Graphene meets the whale in its virtual placement first.
 		{func() sched.Scheduler { return NewGrapheneScheduler() }, cluster.ErrNeverFits},

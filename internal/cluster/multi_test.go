@@ -29,6 +29,9 @@ func TestSpecValidate(t *testing.T) {
 	if err := dup.Validate(); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("dup name: got %v, want ErrDuplicateID", err)
 	}
+	if err := Uniform(MaxMachines+1, resource.Of(4)).Validate(); !errors.Is(err, ErrTooManyMachines) {
+		t.Fatalf("%d machines: got %v, want ErrTooManyMachines", MaxMachines+1, err)
+	}
 }
 
 func TestSpecTotalAndFits(t *testing.T) {

@@ -9,11 +9,12 @@ import (
 
 // Errors reported by Spec validation.
 var (
-	ErrEmptySpec    = errors.New("cluster: spec has no machines")
-	ErrMixedDims    = errors.New("cluster: machines disagree on resource dimensions")
-	errMachineRange = errors.New("cluster: machine index out of range")
-	ErrNoMachine    = errors.New("cluster: no machine can hold the demand")
-	ErrDuplicateID  = errors.New("cluster: duplicate machine name")
+	ErrEmptySpec       = errors.New("cluster: spec has no machines")
+	ErrMixedDims       = errors.New("cluster: machines disagree on resource dimensions")
+	errMachineRange    = errors.New("cluster: machine index out of range")
+	ErrNoMachine       = errors.New("cluster: no machine can hold the demand")
+	ErrDuplicateID     = errors.New("cluster: duplicate machine name")
+	ErrTooManyMachines = errors.New("cluster: more machines than a schedule action can address")
 )
 
 // Machine describes one machine of a cluster: a stable name and its
@@ -45,12 +46,20 @@ func Uniform(n int, capacity resource.Vector) Spec {
 	return s
 }
 
-// Validate checks that the spec is usable: at least one machine, every
-// capacity positive, all machines agreeing on the number of resource
-// dimensions, and no duplicate names.
+// MaxMachines is the largest number of machines a spec may describe. A
+// simenv schedule action packs the machine index into the 15 bits between
+// its 16-bit slot and the int32 sign bit.
+const MaxMachines = 1 << 15
+
+// Validate checks that the spec is usable: at least one and at most
+// MaxMachines machines, every capacity positive, all machines agreeing on
+// the number of resource dimensions, and no duplicate names.
 func (s Spec) Validate() error {
 	if len(s) == 0 {
 		return ErrEmptySpec
+	}
+	if len(s) > MaxMachines {
+		return fmt.Errorf("%w: %d machines, at most %d", ErrTooManyMachines, len(s), MaxMachines)
 	}
 	dims := s[0].Capacity.Dims()
 	for i, m := range s {

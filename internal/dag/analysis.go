@@ -2,8 +2,7 @@ package dag
 
 // Additional classic DAG-scheduling analyses beyond the b-level family the
 // policy network consumes: t-levels (earliest possible start times on an
-// infinite cluster) and the level decomposition used by the level-by-level schedulers the paper's related
-// work discusses.
+// infinite cluster) and the number of levels.
 
 // TLevels returns, per task, the length of the longest runtime path from
 // any entry task to the task (exclusive of the task itself) — the earliest
@@ -20,30 +19,16 @@ func (g *Graph) TLevels() []int64 {
 	return tl
 }
 
-// Levels returns the level decomposition: level(v) = longest edge-count
-// distance from an entry task. Level-by-level schedulers process one level
-// entirely before the next — ignoring that tasks from different levels can
-// overlap, which is why the paper's related work calls them "naturally
-// sub-optimal".
-func (g *Graph) Levels() []int {
+// NumLevels reports the number of levels, where a task's level is its
+// longest edge-count distance from an entry task (depth of the DAG + 1).
+func (g *Graph) NumLevels() int {
 	lv := make([]int, len(g.tasks))
+	depth := 0
 	for _, v := range g.topo {
 		for _, p := range g.pred[v] {
-			if lv[p]+1 > lv[v] {
-				lv[v] = lv[p] + 1
-			}
+			lv[v] = max(lv[v], lv[p]+1)
 		}
+		depth = max(depth, lv[v])
 	}
-	return lv
-}
-
-// NumLevels reports the number of distinct levels (depth of the DAG + 1).
-func (g *Graph) NumLevels() int {
-	max := 0
-	for _, l := range g.Levels() {
-		if l > max {
-			max = l
-		}
-	}
-	return max + 1
+	return depth + 1
 }

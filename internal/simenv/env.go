@@ -35,7 +35,8 @@ type Action int32
 const Process Action = -1
 
 // machineShift is the bit offset of the machine index inside a schedule
-// action; the low 16 bits carry the visible-window slot.
+// action; the low 16 bits carry the visible-window slot, and the
+// cluster.MaxMachines machine indices fill the 15 bits above them.
 const machineShift = 16
 
 // At composes the schedule action starting the slot-th visible ready task

@@ -119,3 +119,23 @@ func TestResetRewiresInstrumentation(t *testing.T) {
 		}
 	}
 }
+
+// TestResetRejectsMoreMachinesThanActionsEncode: an action addresses the
+// last machine of the largest cluster a spec may describe, and one machine
+// more is refused at Reset instead of wrapping the packed machine index
+// negative mid-episode.
+func TestResetRejectsMoreMachinesThanActionsEncode(t *testing.T) {
+	last := At(1, cluster.MaxMachines-1)
+	if last.Slot() != 1 || last.Machine() != cluster.MaxMachines-1 {
+		t.Fatalf("At(1, %d) decodes to slot %d, machine %d", cluster.MaxMachines-1, last.Slot(), last.Machine())
+	}
+	b := dag.NewBuilder(1)
+	b.AddTask("x", 2, resource.Of(1))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCluster(g, cluster.Uniform(cluster.MaxMachines+1, resource.Of(1)), Config{}); !errors.Is(err, cluster.ErrTooManyMachines) {
+		t.Fatalf("%d machines: err = %v, want ErrTooManyMachines", cluster.MaxMachines+1, err)
+	}
+}

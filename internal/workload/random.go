@@ -135,7 +135,11 @@ func RandomDAG(r *rand.Rand, cfg RandomDAGConfig) (*dag.Graph, error) {
 }
 
 // RandomBatch generates n independent DAGs with the same configuration.
+// It fails for a negative n.
 func RandomBatch(r *rand.Rand, cfg RandomDAGConfig, n int) ([]*dag.Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("workload: negative job count %d", n)
+	}
 	out := make([]*dag.Graph, 0, n)
 	for i := 0; i < n; i++ {
 		g, err := RandomDAG(r, cfg)

@@ -135,6 +135,19 @@ func TestRandomBatch(t *testing.T) {
 	}
 }
 
+// TestRandomBatchRejectsNegativeCount: a negative job count is an error,
+// not a makeslice panic, and zero jobs is an empty batch.
+func TestRandomBatchRejectsNegativeCount(t *testing.T) {
+	cfg := DefaultRandomDAGConfig()
+	if batch, err := RandomBatch(rand.New(rand.NewSource(3)), cfg, -1); err == nil {
+		t.Fatalf("n = -1 accepted: %d jobs", len(batch))
+	}
+	batch, err := RandomBatch(rand.New(rand.NewSource(3)), cfg, 0)
+	if err != nil || len(batch) != 0 {
+		t.Fatalf("n = 0: %d jobs, %v", len(batch), err)
+	}
+}
+
 func TestPropertyRandomDAGAlwaysSchedulable(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -45,7 +45,6 @@ import (
 	"spear/internal/dag"
 	"spear/internal/drl"
 	"spear/internal/exact"
-	"spear/internal/listsched"
 	"spear/internal/mcts"
 	"spear/internal/nn"
 	"spear/internal/obs"
@@ -252,31 +251,11 @@ func NewGraphene() Scheduler { return baselines.NewGrapheneScheduler() }
 // rollout policy run standalone).
 func NewRandom(seed int64) Scheduler { return baselines.NewRandomScheduler(seed) }
 
-// NewLevelByLevel builds the level-by-level scheduler the paper's related
-// work critiques: levels never overlap, which wastes capacity.
-func NewLevelByLevel() Scheduler { return baselines.NewLevelByLevelScheduler() }
-
-// NewTetrisSRPT builds the original Tetris scoring rule: packing alignment
-// combined with a shortest-remaining-time term under the given weight.
-func NewTetrisSRPT(weight float64) Scheduler { return baselines.NewTetrisSRPTScheduler(weight) }
-
 // NewOptimal builds the exact branch-and-bound solver. It proves optimal
 // makespans for small jobs (roughly a dozen tasks); Schedule returns
 // ErrBudgetExceeded alongside its best incumbent when maxNodes (0 =
 // default) runs out first. The result also implements ContextScheduler.
 func NewOptimal(maxNodes int64) *OptimalScheduler { return exact.New(maxNodes) }
-
-// NewHEFT builds the classic HEFT-style offline list scheduler (upward-rank
-// priority with insertion-based placement) — the "traditional DAG
-// scheduling" family the paper cites as dependency-aware but packing-blind.
-func NewHEFT() Scheduler { return listsched.NewHEFT() }
-
-// NewLPT builds longest-processing-time-first offline list scheduling.
-func NewLPT() Scheduler { return listsched.NewLPT() }
-
-// NewBLoadList builds a b-load-ranked offline list scheduler, the
-// list-scheduling analogue of the paper's b-load feature.
-func NewBLoadList() Scheduler { return listsched.NewBLoad() }
 
 // NewAnnealing builds a simulated-annealing search over task priority
 // orders — a classic local-search comparator. Being order-based and

@@ -191,31 +191,6 @@ func TestOptimalSolverThroughAPI(t *testing.T) {
 	}
 }
 
-func TestExtendedSchedulerFamily(t *testing.T) {
-	cfg := spear.DefaultRandomJobConfig()
-	cfg.NumTasks = 20
-	job, err := spear.RandomJob(21, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := cfg.Capacity()
-	for _, s := range []spear.Scheduler{
-		spear.NewHEFT(),
-		spear.NewLPT(),
-		spear.NewBLoadList(),
-		spear.NewLevelByLevel(),
-		spear.NewTetrisSRPT(0.5),
-	} {
-		out, err := s.Schedule(job, spear.SingleMachine(capacity))
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if err := spear.Validate(job, spear.SingleMachine(capacity), out); err != nil {
-			t.Errorf("%s: %v", s.Name(), err)
-		}
-	}
-}
-
 func TestJobJSONAndSVGThroughAPI(t *testing.T) {
 	b := spear.NewJobBuilder(1)
 	x := b.AddTask("x", 2, spear.Resources(4))
