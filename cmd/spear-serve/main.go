@@ -62,7 +62,6 @@ func run() error {
 		maxInFlight  = flag.Int("max-inflight", 0, "max planned-but-unfinished jobs (0 = unbounded)")
 		machines     = flag.Int("machines", 1, "number of identical machines in the serving cluster")
 		dumpPlans    = flag.Bool("dump-schedules", false, "embed each committed plan's schedule in its plan event")
-		budget       = flag.Duration("decision-timeout", 0, "wall-clock budget per planning call (0 = unbounded)")
 		out          = flag.String("out", "", "write the run log to this file")
 		replay       = flag.String("replay", "", "re-execute the run recorded in this log and diff byte-wise")
 		metrics      = flag.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
@@ -79,13 +78,12 @@ func run() error {
 		return fmt.Errorf("machines %d must be >= 1", *machines)
 	}
 	cfg := serve.Config{
-		Seed:           *seed,
-		Horizon:        *horizon,
-		MaxInFlight:    *maxInFlight,
-		Algorithm:      *algo,
-		DecisionBudget: *budget,
-		Admission:      serve.AdmissionConfig{Policy: *admission, BucketCap: *bucketCap, RefillPerSlot: *bucketRefill},
-		DumpSchedules:  *dumpPlans,
+		Seed:          *seed,
+		Horizon:       *horizon,
+		MaxInFlight:   *maxInFlight,
+		Algorithm:     *algo,
+		Admission:     serve.AdmissionConfig{Policy: *admission, BucketCap: *bucketCap, RefillPerSlot: *bucketRefill},
+		DumpSchedules: *dumpPlans,
 	}
 	if *machines > 1 {
 		// A 1-machine cluster is the config's zero value; leaving it absent

@@ -1,9 +1,8 @@
 // Command spear-vet runs the repository's custom static analysis (package
 // internal/lint) over the given package patterns and reports file:line:col
 // diagnostics for every violated invariant: no map-order iteration in the
-// deterministic packages, one call site per metric name, no dropped errors,
-// and cancellable ScheduleContext loops. Every check guards a defect that
-// go vet, the tests and the race detector miss; DESIGN.md §11 lists one
+// deterministic packages and no dropped errors. Every check guards a defect
+// that go vet, the tests and the race detector miss; DESIGN.md §11 lists a
 // seeded example per check.
 //
 // Usage:

@@ -59,7 +59,7 @@ func TestListChecks(t *testing.T) {
 			t.Errorf("-list output missing check %q:\n%s", name, text)
 		}
 	}
-	for _, marker := range []string{"spear:ignoreerr(reason)", "spear:nopoll(reason)", "spear:sorted"} {
+	for _, marker := range []string{"spear:ignoreerr(reason)", "spear:sorted"} {
 		if !strings.Contains(text, marker) {
 			t.Errorf("-list output missing marker grammar %q:\n%s", marker, text)
 		}
@@ -67,13 +67,13 @@ func TestListChecks(t *testing.T) {
 	if len(lint.Checks()) != len(lint.AllChecks) {
 		t.Errorf("Checks() has %d entries, AllChecks has %d", len(lint.Checks()), len(lint.AllChecks))
 	}
-	// 4 checks: every check has a seeded defect in lint's TestMutationRows
+	// 2 checks: every check has a seeded defect in lint's TestMutationRows
 	// that no test catches, and the checks without one were removed
-	// (DESIGN.md §11). A 5th row needs the same case made for it.
-	if len(lint.AllChecks) != 4 {
-		t.Errorf("AllChecks has %d entries, want 4: %v", len(lint.AllChecks), lint.AllChecks)
+	// (DESIGN.md §11). A 3rd row needs the same case made for it.
+	if len(lint.AllChecks) != 2 {
+		t.Errorf("AllChecks has %d entries, want 2: %v", len(lint.AllChecks), lint.AllChecks)
 	}
-	for _, gone := range []string{"shape", "align64", "floateq", "atomic", "guardedby", "gohygiene", "noalloc"} {
+	for _, gone := range []string{"shape", "align64", "floateq", "atomic", "guardedby", "gohygiene", "noalloc", "metrics", "ctxpoll"} {
 		if _, err := lint.NewRunner(moduleRoot, lint.Config{Checks: []string{gone}}); err == nil {
 			t.Errorf("removed check %q is still accepted by -check", gone)
 		}
@@ -92,10 +92,11 @@ func TestRunUnknownCheckExitTwo(t *testing.T) {
 }
 
 // TestRunCheckSelector pins down that -check restricts the run to the named
-// passes: the errflow fixture is dirty under errflow but clean under metrics.
+// passes: the errflow fixture is dirty under errflow but clean under
+// determinism.
 func TestRunCheckSelector(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run(moduleRoot, []string{"internal/lint/testdata/src/errflow"}, "metrics", false, "", &out, &errOut)
+	code := run(moduleRoot, []string{"internal/lint/testdata/src/errflow"}, "determinism", false, "", &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
@@ -130,7 +131,7 @@ func TestRunJSONFindings(t *testing.T) {
 // TestRunSummaryLine pins the one-line stderr summary CI echoes on success.
 func TestRunSummaryLine(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(moduleRoot, []string{"internal/obs"}, "metrics,errflow", false, "", &out, &errOut); code != 0 {
+	if code := run(moduleRoot, []string{"internal/obs"}, "determinism,errflow", false, "", &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errOut.String())
 	}
 	if want := "spear-vet: 0 findings across 2 checks, 1 packages\n"; errOut.String() != want {
@@ -218,7 +219,7 @@ func TestRunSARIF(t *testing.T) {
 
 func TestRunJSONCleanIsEmptyDiagnostics(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(moduleRoot, []string{"internal/obs"}, "metrics", true, "", &out, &errOut); code != 0 {
+	if code := run(moduleRoot, []string{"internal/obs"}, "determinism", true, "", &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errOut.String())
 	}
 	var rep struct {

@@ -112,7 +112,7 @@ func (s *Scheduler) search(ctx context.Context, g *dag.Graph, spec cluster.Spec)
 
 	// Start from the CP order — a strong, cheap incumbent.
 	order := make([]dag.TaskID, n)
-	for i := range order { //spear:nopoll(bounded initialization of the incumbent order)
+	for i := range order {
 		order[i] = dag.TaskID(i)
 	}
 	blevel := func(id dag.TaskID) int64 { return g.BLevel(id) }

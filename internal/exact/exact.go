@@ -106,19 +106,15 @@ func (s *Solver) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, err
 }
 
 // ScheduleContext implements sched.ContextScheduler. The context is checked
-// on entry and every ctxCheckInterval explored nodes; on cancellation the
-// best incumbent schedule found so far is returned together with an error
-// wrapping ctx.Err().
+// at the root node and every ctxCheckInterval explored nodes after it; on
+// cancellation the best incumbent schedule found so far — at the least the
+// greedy one — is returned together with an error wrapping ctx.Err().
 func (s *Solver) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
 	began := time.Now()
 	s.explored = 0
 	s.optimal = false
 	sm := s.metrics()
 	defer sm.SolveTime.ObserveSince(began)
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("exact: %w", err)
-	}
 
 	limit := s.MaxNodes
 	if limit <= 0 {
@@ -140,7 +136,7 @@ func (s *Solver) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster
 		ctx:          ctx,
 		bestMakespan: incumbent.Makespan,
 		limit:        limit,
-		nextCtxCheck: ctxCheckInterval,
+		nextCtxCheck: 1, // the root polls: a cancelled call stops there, with the greedy incumbent
 		g:            g,
 		total:        spec.Total(),
 	}

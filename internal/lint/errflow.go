@@ -627,6 +627,41 @@ func (ef *errflow) calleeDesc(call *ast.CallExpr) string {
 	return "call"
 }
 
+// calleeFunc resolves the called function or method, unwrapping parentheses.
+// Builtins, conversions and calls through function values resolve to nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	var obj types.Object
+	switch f := fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[f]
+	case *ast.SelectorExpr:
+		obj = info.Uses[f.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// builtinName returns the name of the builtin being called, or "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
+}
+
+// displayName renders a function for diagnostics, module-path-relative:
+// "internal/nn.SoftmaxInto", "(*internal/simenv.Env).Step".
+func (r *Runner) displayName(fn *types.Func) string {
+	name := fn.FullName()
+	name = strings.ReplaceAll(name, r.modulePath+"/", "")
+	return strings.ReplaceAll(name, r.modulePath+".", "")
+}
+
 // report emits one finding per source position.
 func (ef *errflow) report(pos token.Pos, format string, args ...any) {
 	if ef.flagged[pos] {

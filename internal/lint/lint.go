@@ -1,23 +1,24 @@
 // Package lint is spear-vet: a stdlib-only static analyzer that machine-checks
 // the repository's load-bearing invariants before any code runs. Every check
 // guards a defect class that go vet, the tests and the race detector miss
-// (TestMutationRows seeds one such defect per check into product code):
+// (TestMutationRows seeds such defects into product code):
 //
 //   - determinism: packages on the reproducibility-critical path (MCTS, the
 //     network, the simulator, ...) do not let map iteration order decide
 //     anything.
-//   - metrics: no metric name is registered from two different call sites.
-//   - errflow and ctxpoll: no error value is dropped, and loops on the
-//     ScheduleContext path poll for cancellation.
+//   - errflow: no error value is dropped.
 //
 // A rule stays only while no test catches its defect: the allocation-free
-// fast paths are held by the AllocsPerRun gates, and global math/rand draws
-// and wall-clock reads by the output corpus (DESIGN.md §11).
+// fast paths are held by the AllocsPerRun gates, global math/rand draws and
+// wall-clock reads by the output corpus, cancellation by the facade's
+// cancellation property test, and metric-series uniqueness by obs's bundle
+// test (DESIGN.md §11).
 //
 // The analyzer uses only go/parser, go/ast, go/types and go/importer: module
 // packages are resolved against go.mod by a custom importer, standard-library
 // imports are type-checked from GOROOT source. No third-party dependency is
-// involved, so the check can never drift from the toolchain in go.mod.
+// involved, so the check can never drift from the toolchain in go.mod. Both
+// checks look at one package at a time.
 package lint
 
 import (
@@ -80,9 +81,7 @@ var defaultDeterministic = []string{
 // Check names, as accepted by -check and stamped on every Diagnostic.
 const (
 	checkNameDeterminism = "determinism"
-	checkNameMetrics     = "metrics"
 	checkNameErrflow     = "errflow"
-	checkNameCtxpoll     = "ctxpoll"
 )
 
 // check is one row of the check table: everything the runner, -list, -check
@@ -91,42 +90,17 @@ type check struct {
 	name    string
 	desc    string // one line, shown by -list and as the SARIF rule text
 	markers string // marker grammar the check consumes, "" when none
-	graph   bool   // needs the static call graph (callgraph.go)
-	run     func(r *Runner, p *pass) []Diagnostic
+	run     func(r *Runner, mp *modPkg) []Diagnostic
 }
 
-// pass is what the checks of one Analyze run share: the analyzed packages
-// and the lazily built call graph.
-type pass struct {
-	pkgs     []*modPkg
-	analyzed map[*modPkg]bool
-	g        *callGraph // nil until a check with graph set runs
-}
-
-// checkTable lists every check in pass order: the two that report from the
-// call graph's body facts (checks.go), then the per-body error walk
-// (errflow.go) and the loop audit (ctxpoll.go). Adding a check is adding a
-// row, and a row earns its place with an entry in TestMutationRows.
+// checkTable lists every check in pass order: the map-range scan (checks.go)
+// and the per-body error walk (errflow.go). Adding a check is adding a row,
+// and a row earns its place with an entry in TestMutationRows.
 var checkTable = []check{
 	{name: checkNameDeterminism, desc: "deterministic packages must not range over maps in iteration order",
-		markers: "//spear:sorted", graph: true, run: (*Runner).checkDeterminism},
-	{name: checkNameMetrics, desc: "each literal metric name is registered from one call site",
-		graph: true, run: (*Runner).checkMetrics},
+		markers: "//spear:sorted", run: (*Runner).checkDeterminism},
 	{name: checkNameErrflow, desc: "error values are checked, returned or explicitly discarded",
-		markers: "//spear:ignoreerr(reason)", run: perPackage((*Runner).checkErrflow)},
-	{name: checkNameCtxpoll, desc: "loops on ScheduleContext paths poll ctx.Err()/ctx.Done()",
-		markers: "//spear:nopoll(reason)", graph: true, run: (*Runner).checkCtxpoll},
-}
-
-// perPackage lifts a one-package check into a table row's run function.
-func perPackage(checkOne func(*Runner, *modPkg) []Diagnostic) func(*Runner, *pass) []Diagnostic {
-	return func(r *Runner, p *pass) []Diagnostic {
-		var found []Diagnostic
-		for _, mp := range p.pkgs {
-			found = append(found, checkOne(r, mp)...)
-		}
-		return found
-	}
+		markers: "//spear:ignoreerr(reason)", run: (*Runner).checkErrflow},
 }
 
 // AllChecks lists every check name in pass order.
@@ -418,22 +392,14 @@ func (r *Runner) Analyze(dirs []string) ([]Diagnostic, RunStats, error) {
 		pkgs = append(pkgs, mp)
 	}
 
-	// Passes run in table order. The call graph (over every module package in
-	// the cache: analyzed packages and their dependencies) is built once,
-	// just before the first enabled check that needs it.
-	p := &pass{pkgs: pkgs, analyzed: make(map[*modPkg]bool, len(pkgs))}
-	for _, mp := range pkgs {
-		p.analyzed[mp] = true
-	}
 	var diags []Diagnostic
 	for _, c := range checkTable {
 		if !r.enabled[c.name] {
 			continue
 		}
-		if c.graph && p.g == nil {
-			p.g = r.buildCallGraph()
+		for _, mp := range pkgs {
+			diags = append(diags, c.run(r, mp)...)
 		}
-		diags = append(diags, c.run(r, p)...)
 	}
 	sortDiagnostics(diags)
 	return diags, RunStats{PackagesLoaded: r.loadCount}, nil

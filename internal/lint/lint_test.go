@@ -117,16 +117,8 @@ func TestGoldenDeterminism(t *testing.T) {
 	})
 }
 
-func TestGoldenMetrics(t *testing.T) {
-	runGolden(t, []string{"metrics"}, Config{Checks: []string{checkNameMetrics}})
-}
-
 func TestGoldenErrflow(t *testing.T) {
 	runGolden(t, []string{"errflow"}, Config{Checks: []string{checkNameErrflow}})
-}
-
-func TestGoldenCtxpoll(t *testing.T) {
-	runGolden(t, []string{"ctxpoll", filepath.Join("ctxpoll", "cycle")}, Config{Checks: []string{checkNameCtxpoll}})
 }
 
 // TestErrflowReportsGoto pins errflow's fail-closed rule: the walk does not
@@ -149,19 +141,18 @@ func TestErrflowReportsGoto(t *testing.T) {
 }
 
 // TestAnalyzeDeterministic runs the full pipeline twice over the
-// finding-rich golden packages, the call-cycle fixture included, and
-// requires byte-identical output: map iteration inside the call-graph passes
-// must never leak into diagnostic order or content.
+// finding-rich golden packages and requires byte-identical output: map
+// iteration inside the passes must never leak into diagnostic order or
+// content.
 func TestAnalyzeDeterministic(t *testing.T) {
 	dirs := []string{
-		filepath.Join("testdata", "src", "ctxpoll"),
-		filepath.Join("testdata", "src", "ctxpoll", "cycle"),
+		filepath.Join("testdata", "src", "determinism"),
 		filepath.Join("testdata", "src", "errflow"),
-		filepath.Join("testdata", "src", "metrics"),
 	}
+	cfg := Config{Deterministic: []string{"internal/lint/testdata/src/determinism"}}
 	run := func() []Diagnostic {
 		t.Helper()
-		diags, err := AnalyzeDirs(dirs, Config{})
+		diags, err := AnalyzeDirs(dirs, cfg)
 		if err != nil {
 			t.Fatalf("AnalyzeDirs: %v", err)
 		}
@@ -173,26 +164,6 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	}
 	if len(first) == 0 {
 		t.Fatal("golden packages produced no diagnostics; the determinism check is vacuous")
-	}
-}
-
-// TestCtxpollCallCycleIsPolled pins poll propagation through recursion:
-// ScheduleContext loops over b, b calls a, a calls b back and then c, and c
-// polls ctx.Err(). The loop therefore reaches a poll, whichever member of
-// the a<->b cycle a traversal happens to enter first.
-func TestCtxpollCallCycleIsPolled(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "ctxpoll", "cycle")
-	// A verdict that depends on where a map-ordered walk enters the cycle
-	// goes wrong in roughly one run in six, so 30 runs miss it less than
-	// once in a hundred.
-	for i := 0; i < 30; i++ {
-		diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameCtxpoll}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(diags) != 0 {
-			t.Fatalf("run %d: loop calling b (which reaches ctx.Err via a -> c) flagged: %v", i, diags)
-		}
 	}
 }
 
@@ -313,8 +284,8 @@ func TestCarriesMarker(t *testing.T) {
 // TestDiagnosticString pins the file:line:col rendering the CI log and
 // editors rely on.
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{File: "internal/x/x.go", Line: 3, Col: 7, Check: "metrics", Message: `metric "m" already registered at internal/x/y.go:2`}
-	want := `internal/x/x.go:3:7: [metrics] metric "m" already registered at internal/x/y.go:2`
+	d := Diagnostic{File: "internal/x/x.go", Line: 3, Col: 7, Check: "errflow", Message: `result of internal/x.f dropped`}
+	want := `internal/x/x.go:3:7: [errflow] result of internal/x.f dropped`
 	if d.String() != want {
 		t.Errorf("String() = %q, want %q", d.String(), want)
 	}

@@ -13,18 +13,15 @@ const (
 	// does not depend on iteration order (determinism).
 	markerSorted = "spear:sorted"
 
-	// Dataflow-check markers (errflow.go, ctxpoll.go). markerIgnoreErr
-	// ("spear:ignoreerr(reason)") on an assignment or call discards the
-	// error result deliberately; markerNopoll ("spear:nopoll(reason)") on a
-	// loop header exempts a bounded loop from the context-poll requirement.
-	// Both require a non-empty reason — the annotation is an audited claim,
-	// not a mute button.
+	// markerIgnoreErr ("spear:ignoreerr(reason)") on an assignment or call
+	// discards the error result deliberately (errflow). It requires a
+	// non-empty reason — the annotation is an audited claim, not a mute
+	// button.
 	markerIgnoreErr = "spear:ignoreerr"
-	markerNopoll    = "spear:nopoll"
 )
 
 // allMarkers lists every marker indexMarkers scans for.
-var allMarkers = []string{markerSorted, markerIgnoreErr, markerNopoll}
+var allMarkers = []string{markerSorted, markerIgnoreErr}
 
 // markerIndex records, per marker, the source lines of one file that carry
 // it, along with the marker's parenthesized argument on that line (empty for
@@ -35,7 +32,7 @@ type markerIndex struct {
 }
 
 // markerArgFrom matches one comment line against a marker and extracts its
-// parenthesized argument, so "//spear:nopoll(why)" yields ("why", true). The
+// parenthesized argument, so "//spear:ignoreerr(why)" yields ("why", true). The
 // marker must open the comment's content: prose that mentions a marker
 // mid-sentence annotates nothing.
 // Markers without an argument yield ("", true); non-matching lines yield

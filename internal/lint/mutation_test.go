@@ -28,16 +28,11 @@ var mutationRows = []mutationRow{
 	{name: "determinism/map-range", file: "internal/mcts/tt.go",
 		after: "if len(t.m) >= t.cap {", old: "clear(t.m)",
 		new: "for k := range t.m { if len(t.m) <= t.cap/2 { break }; delete(t.m, k) }"},
-	{name: "metrics/shared-name", file: "internal/obs/bundles.go",
-		old: `r.Counter("spear_train_policy_calls_total",`, new: `r.Counter("spear_search_policy_calls_total",`},
 	{name: "errflow/dropped-close", file: "cmd/spear-sim/main.go",
 		after: "func writeSVGFile(", old: "return f.Close()", new: "f.Close(); return nil"},
 	{name: "errflow/unchecked-path", file: "internal/experiments/run.go",
 		after: "func exportCSV(", old: "if err != nil {", new: "if f == nil {",
 		shift: -2}, // reported at the write-and-close assignment the else path drops
-	{name: "ctxpoll/unpolled-loop", file: "internal/mcts/mcts.go",
-		after: "func (sw *simWorker) search(", old: "if ctx.Err() != nil {", new: "if false {",
-		shift: -1}, // reported at the loop header above the dropped poll
 }
 
 // TestMutationRows applies each row to a copy of the module and requires

@@ -473,7 +473,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 	K, J := s.cfg.RootParallelism, s.cfg.TreeParallelism
 	s.stats = Stats{RootWorkers: K, TreeWorkers: J}
 	defer func() {
-		for w := 0; w < K && w < len(s.workers); w++ { //spear:nopoll(bounded stats sweep over at most K workers)
+		for w := 0; w < K && w < len(s.workers); w++ {
 			tt := &s.workers[w].tt
 			s.stats.TTHits += tt.hits
 			s.stats.TTMisses += tt.misses
@@ -507,13 +507,13 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 	// the others clone it (clones share the metric bundle, not state). The
 	// arenas keep their chunk storage and per-slot buffers from earlier
 	// calls, so warm calls rebuild their trees without allocating.
-	for w := 0; w < K; w++ { //spear:nopoll(bounded per-call reset of K tree workers)
+	for w := 0; w < K; w++ {
 		tw := s.worker(w)
 		tw.arena.reset()
 		if s.cfg.UseTranspositions {
 			tw.tt.reset(ttEntriesPerBudget * s.cfg.InitialBudget)
 		}
-		for j, sw := range tw.sims { //spear:nopoll(bounded rng reseed over the sim workers)
+		for j, sw := range tw.sims {
 			sw.rng.Seed(simSeed(s.cfg.Seed, w, j))
 		}
 		wenv := env
@@ -575,7 +575,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 		// tree's new root (created on the spot if this tree never tried it —
 		// bookkeeping, not an expansion), and the rest of the old tree goes
 		// back to the arena freelist for the next decision to reuse.
-		for w := 0; w < K; w++ { //spear:nopoll(bounded commit across K worker trees)
+		for w := 0; w < K; w++ {
 			if err := s.workers[w].commit(chosen); err != nil {
 				return nil, err
 			}
@@ -707,13 +707,13 @@ func (tw *treeWorker) newChild(pIdx int32, action simenv.Action) (int32, error) 
 // meet only at its lock.
 func (s *Scheduler) searchPhase(ctx context.Context, budget, rootDepth int, c float64) error {
 	K := s.cfg.RootParallelism
-	for w := 0; w < K; w++ { //spear:nopoll(bounded spawn of K trees; every worker polls in search)
+	for w := 0; w < K; w++ {
 		tw := s.workers[w]
 		tw.remaining = budget / K
 		if w < budget%K {
 			tw.remaining++
 		}
-		for j, sw := range tw.sims { //spear:nopoll(bounded spawn of J workers; every worker polls in search)
+		for j, sw := range tw.sims {
 			sw.iterations, sw.expansions, sw.rollouts, sw.maxDepth, sw.vloss, sw.err = 0, 0, 0, 0, 0, nil
 			if w > 0 || j > 0 {
 				s.wg.Add(1)
@@ -728,7 +728,7 @@ func (s *Scheduler) searchPhase(ctx context.Context, budget, rootDepth int, c fl
 	sw.err = sw.search(ctx, rootDepth, c)
 	s.wg.Wait()
 	var err error
-	for _, tw := range s.workers[:K] { //spear:nopoll(bounded stats sweep after the join)
+	for _, tw := range s.workers[:K] {
 		if werr := s.collect(tw); werr != nil && err == nil {
 			err = werr
 		}

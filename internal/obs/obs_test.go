@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +240,44 @@ func TestFloatGauge(t *testing.T) {
 	// Same name re-registered returns the same metric.
 	if r.FloatGauge("spear_test_fairness", "a fractional gauge") != g {
 		t.Error("re-registration returned a different gauge")
+	}
+}
+
+// TestBundlesRegisterDistinctSeries builds every bundle on one registry,
+// the per-class bundle for two classes, the way a process that runs search,
+// training and serving at once shares a registry. A registry answers a
+// repeated name with the metric it already holds, so two fields that
+// register one name silently add into one series; here no two exported
+// fields may hold the same metric, and no sample name may repeat.
+func TestBundlesRegisterDistinctSeries(t *testing.T) {
+	r := NewRegistry()
+	bundles := []any{
+		NewSimMetrics(r), NewSearchMetrics(r), NewSolverMetrics(r), NewTrainMetrics(r),
+		NewServeMetrics(r), NewServeClassMetrics(r, "gold"), NewServeClassMetrics(r, "batch"),
+	}
+	owner := make(map[any]string) // metric -> the first field holding it
+	for _, b := range bundles {
+		v := reflect.ValueOf(b).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name := v.Type().Name() + "." + f.Name
+			m := v.Field(i).Interface()
+			if first, ok := owner[m]; ok {
+				t.Errorf("%s and %s are one series", first, name)
+				continue
+			}
+			owner[m] = name
+		}
+	}
+	seen := make(map[string]bool)
+	for _, smp := range r.Snapshot() {
+		if seen[smp.Name] {
+			t.Errorf("sample %s appears twice in the snapshot", smp.Name)
+		}
+		seen[smp.Name] = true
 	}
 }
 

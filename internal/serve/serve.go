@@ -15,11 +15,9 @@ package serve
 
 import (
 	"container/heap"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"spear/internal/cluster"
 	"spear/internal/dag"
@@ -69,12 +67,6 @@ type Config struct {
 	// DumpSchedules embeds each committed plan's full schedule in its "plan"
 	// log event. Off by default: schedules dominate log size.
 	DumpSchedules bool `json:"dumpSchedules,omitempty"`
-	// DecisionBudget bounds each planning call's wall-clock time; 0 means
-	// unbounded. A budget is a safety valve for anytime schedulers: if it
-	// ever fires, the committed plan is the search's incumbent, which can
-	// differ across machines — replay byte-identity is only guaranteed
-	// when planning finishes within the budget.
-	DecisionBudget time.Duration `json:"decisionBudgetNanos,omitempty"`
 	// SearchBudget is the per-decision iteration budget of search-based
 	// algorithms (the "mcts" algorithm of cmd/spear-serve); 0 for the
 	// non-search baselines. Recorded in the log so replay rebuilds the
@@ -428,19 +420,8 @@ func (s *Server) plan() error {
 // planJob asks the scheduler for a (relative) schedule of one job, packs
 // it at the earliest offset that fits the current occupancy, and commits.
 func (s *Server) planJob(job *activeJob) error {
-	ctx := context.Background()
-	if s.cfg.DecisionBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.DecisionBudget)
-		defer cancel()
-	}
-	plan, err := sched.ScheduleContext(ctx, s.scheduler, job.graph, s.spec)
-	if plan == nil {
-		return fmt.Errorf("serve: scheduling %s: %w", job.name, err)
-	}
-	// An exhausted budget returns the search's best incumbent alongside the
-	// context error; the incumbent is a complete schedule, so use it.
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+	plan, err := s.scheduler.Schedule(job.graph, s.spec)
+	if err != nil {
 		return fmt.Errorf("serve: scheduling %s: %w", job.name, err)
 	}
 	if err := s.check.Validate(job.graph, s.spec, plan); err != nil {

@@ -225,3 +225,91 @@ func TestMetricsWithConcurrentSchedulers(t *testing.T) {
 		t.Errorf("spear_search_time_count = %g, want %d", v, len(jobs))
 	}
 }
+
+// TestCancellationReturnsIncumbent states the ContextScheduler contract as
+// a property over every context-aware scheduler of the facade: cancelled
+// before the call or about 20 ms into it, ScheduleContext returns within
+// 2 s of the cancel, with a schedule that passes Validate and an error
+// wrapping context.Canceled. Every budget is sized so an uncancelled call
+// runs for minutes, so only a cancellation poll on the search's path can
+// end it in time. A call that misses the deadline panics: its goroutine
+// would otherwise keep searching, unbounded, under the tests that follow,
+// and the panic's goroutine dump shows the loop that never polled.
+func TestCancellationReturnsIncumbent(t *testing.T) {
+	cfg := spear.DefaultRandomJobConfig()
+	cfg.NumTasks = 40
+	job, err := spear.RandomJob(9, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := spear.SingleMachine(cfg.Capacity())
+	const budget = 1 << 22 // iterations per decision
+	mcts := func(c spear.MCTSConfig) func() (spear.ContextScheduler, error) {
+		c.InitialBudget, c.MinBudget, c.Seed = budget, budget, 9
+		return func() (spear.ContextScheduler, error) { return spear.NewMCTS(c), nil }
+	}
+	rows := []struct {
+		name string
+		new  func() (spear.ContextScheduler, error)
+	}{
+		{"spear", func() (spear.ContextScheduler, error) {
+			feat := spear.DefaultFeatures()
+			net, err := spear.NewNetwork(feat, 9)
+			if err != nil {
+				return nil, err
+			}
+			return spear.NewSpear(net, feat, spear.SpearConfig{InitialBudget: budget, MinBudget: budget, Seed: 9})
+		}},
+		{"mcts", mcts(spear.MCTSConfig{})},
+		{"mcts-root2", mcts(spear.MCTSConfig{RootParallelism: 2})},
+		{"mcts-tree2", mcts(spear.MCTSConfig{TreeParallelism: 2})},
+		{"mcts-tt", mcts(spear.MCTSConfig{UseTranspositions: true})},
+		{"optimal", func() (spear.ContextScheduler, error) { return spear.NewOptimal(1 << 62), nil }},
+		{"annealing", func() (spear.ContextScheduler, error) { return spear.NewAnnealing(1<<40, 9), nil }},
+	}
+	arms := []struct {
+		name  string
+		after time.Duration // how long the call runs before the cancel
+	}{
+		{"pre-cancelled", 0},
+		{"mid-search", 20 * time.Millisecond},
+	}
+	type result struct {
+		out *spear.Schedule
+		err error
+	}
+	for _, row := range rows {
+		for _, arm := range arms {
+			t.Run(row.name+"/"+arm.name, func(t *testing.T) {
+				s, err := row.new()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if arm.after == 0 {
+					cancel()
+				} else {
+					time.AfterFunc(arm.after, cancel)
+				}
+				done := make(chan result, 1)
+				go func() {
+					out, err := s.ScheduleContext(ctx, job, spec)
+					done <- result{out, err}
+				}()
+				var r result
+				select {
+				case r = <-done:
+				case <-time.After(arm.after + 2*time.Second):
+					panic(t.Name() + ": ScheduleContext still running 2s after the cancel")
+				}
+				if !errors.Is(r.err, context.Canceled) {
+					t.Fatalf("err = %v, want wrapping context.Canceled", r.err)
+				}
+				if err := spear.Validate(job, spec, r.out); err != nil {
+					t.Errorf("incumbent: %v", err)
+				}
+			})
+		}
+	}
+}
