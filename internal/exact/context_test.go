@@ -3,13 +3,10 @@ package exact
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
-	"time"
 
 	"spear/internal/cluster"
 	"spear/internal/obs"
-	"spear/internal/sched"
 	"spear/internal/workload"
 )
 
@@ -23,32 +20,6 @@ func TestPreCancelledContextFailsFast(t *testing.T) {
 	s := New(0)
 	if _, err := s.ScheduleContext(ctx, g, cluster.Single(workload.MotivatingCapacity())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapping context.Canceled", err)
-	}
-}
-
-func TestMidSolveCancellationReturnsIncumbent(t *testing.T) {
-	cfg := workload.DefaultRandomDAGConfig()
-	cfg.NumTasks = 30
-	g, err := workload.RandomDAG(rand.New(rand.NewSource(7)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := cfg.Capacity()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	s := New(0)
-	out, err := s.ScheduleContext(ctx, g, cluster.Single(capacity))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want wrapping context.DeadlineExceeded", err)
-	}
-	if out == nil {
-		t.Fatal("no incumbent schedule returned on cancellation")
-	}
-	if err := sched.Validate(g, cluster.Single(capacity), out); err != nil {
-		t.Errorf("cancelled incumbent is invalid: %v", err)
-	}
-	if s.Optimal() {
-		t.Error("claimed optimality despite cancellation")
 	}
 }
 

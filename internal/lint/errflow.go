@@ -70,12 +70,12 @@ func sameErrFact(a, b errFact) bool {
 
 // checkErrflow runs the errflow analysis over every function and closure
 // body of one package.
-func (r *Runner) checkErrflow(mp *modPkg) []Diagnostic {
+func (p *pass) checkErrflow() []Diagnostic {
 	var diags []Diagnostic
-	for _, file := range mp.files {
-		idx := indexMarkers(r.fset, file)
+	for _, file := range p.files {
+		idx := indexMarkers(p.fset, file)
 		for _, ab := range analyzedBodies(file) {
-			ef := &errflow{r: r, mp: mp, idx: idx, body: ab.body, results: ab.results, diags: &diags, flagged: make(map[token.Pos]bool)}
+			ef := &errflow{p: p, idx: idx, body: ab.body, results: ab.results, diags: &diags, flagged: make(map[token.Pos]bool)}
 			ef.run()
 		}
 	}
@@ -112,8 +112,7 @@ func analyzedBodies(file *ast.File) []analyzedBody {
 
 // errflow analyzes one body.
 type errflow struct {
-	r       *Runner
-	mp      *modPkg
+	p       *pass
 	idx     *markerIndex
 	body    *ast.BlockStmt
 	results *ast.FieldList // owner function's results, for naked returns
@@ -198,7 +197,7 @@ func (ef *errflow) stmt(s ast.Stmt, label string, f errFact) errFact {
 		return nil
 	case *ast.ExprStmt:
 		ef.applyItem(f, s)
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && builtinName(ef.mp.info, call) == "panic" {
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && builtinName(ef.p.info, call) == "panic" {
 			ef.exit = unionErrFact(ef.exit, f)
 			return nil
 		}
@@ -391,7 +390,7 @@ func (ef *errflow) scanUses(f errFact, nodes []ast.Node) {
 			if !ok {
 				return true
 			}
-			if v, ok := ef.mp.info.Uses[id].(*types.Var); ok {
+			if v, ok := ef.p.info.Uses[id].(*types.Var); ok {
 				ef.clearVar(f, v)
 			}
 			return true
@@ -453,7 +452,7 @@ func (ef *errflow) declAssign(f errFact, vs *ast.ValueSpec) {
 			}
 			continue
 		}
-		v, _ := ef.mp.info.Defs[id].(*types.Var)
+		v, _ := ef.p.info.Defs[id].(*types.Var)
 		if v == nil || !isErrorType(v.Type()) || !ef.tracked(v) {
 			continue
 		}
@@ -472,7 +471,7 @@ func (ef *errflow) rhsResults(rhs []ast.Expr) ([]types.Type, *ast.CallExpr) {
 		if !ok {
 			return ef.exprTypes(rhs), nil
 		}
-		tv, ok := ef.mp.info.Types[rhs[0]]
+		tv, ok := ef.p.info.Types[rhs[0]]
 		if !ok {
 			return nil, nil
 		}
@@ -493,7 +492,7 @@ func (ef *errflow) rhsResults(rhs []ast.Expr) ([]types.Type, *ast.CallExpr) {
 func (ef *errflow) exprTypes(exprs []ast.Expr) []types.Type {
 	out := make([]types.Type, len(exprs))
 	for i, e := range exprs {
-		if tv, ok := ef.mp.info.Types[e]; ok {
+		if tv, ok := ef.p.info.Types[e]; ok {
 			out[i] = tv.Type
 		}
 	}
@@ -503,10 +502,10 @@ func (ef *errflow) exprTypes(exprs []ast.Expr) []types.Type {
 // lhsVar resolves an assignment target identifier to its variable, through
 // either a definition (:=) or a use (=).
 func (ef *errflow) lhsVar(id *ast.Ident) *types.Var {
-	if v, ok := ef.mp.info.Defs[id].(*types.Var); ok {
+	if v, ok := ef.p.info.Defs[id].(*types.Var); ok {
 		return v
 	}
-	if v, ok := ef.mp.info.Uses[id].(*types.Var); ok {
+	if v, ok := ef.p.info.Uses[id].(*types.Var); ok {
 		return v
 	}
 	return nil
@@ -565,7 +564,7 @@ func (ef *errflow) droppedCall(call *ast.CallExpr, format string) {
 
 // callReturnsError reports whether any result of the call has type error.
 func (ef *errflow) callReturnsError(call *ast.CallExpr) bool {
-	tv, ok := ef.mp.info.Types[call]
+	tv, ok := ef.p.info.Types[call]
 	if !ok {
 		return false
 	}
@@ -586,13 +585,13 @@ func (ef *errflow) callReturnsError(call *ast.CallExpr) bool {
 // at the site (with a mandatory reason), or a callee on the cannot-fail
 // list (fmt Print/Fprint family, strings.Builder and bytes.Buffer methods).
 func (ef *errflow) exemptCall(call *ast.CallExpr, pos token.Pos) bool {
-	if reason, ok := ef.idx.argAt(ef.r.fset, pos, markerIgnoreErr); ok {
+	if reason, ok := ef.idx.argAt(ef.p.fset, pos, markerIgnoreErr); ok {
 		if reason == "" {
 			ef.report(pos, "//spear:ignoreerr requires a reason: //spear:ignoreerr(why the error cannot matter)")
 		}
 		return true
 	}
-	fn := calleeFunc(ef.mp.info, call)
+	fn := calleeFunc(ef.p.info, call)
 	if fn == nil {
 		return false
 	}
@@ -621,8 +620,8 @@ func (ef *errflow) exemptCall(call *ast.CallExpr, pos token.Pos) bool {
 // calleeDesc names the callee for a diagnostic, degrading to "call" for
 // dynamic calls through function values.
 func (ef *errflow) calleeDesc(call *ast.CallExpr) string {
-	if fn := calleeFunc(ef.mp.info, call); fn != nil {
-		return ef.r.displayName(fn)
+	if fn := calleeFunc(ef.p.info, call); fn != nil {
+		return fn.FullName()
 	}
 	return "call"
 }
@@ -654,21 +653,13 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
-// displayName renders a function for diagnostics, module-path-relative:
-// "internal/nn.SoftmaxInto", "(*internal/simenv.Env).Step".
-func (r *Runner) displayName(fn *types.Func) string {
-	name := fn.FullName()
-	name = strings.ReplaceAll(name, r.modulePath+"/", "")
-	return strings.ReplaceAll(name, r.modulePath+".", "")
-}
-
 // report emits one finding per source position.
 func (ef *errflow) report(pos token.Pos, format string, args ...any) {
 	if ef.flagged[pos] {
 		return
 	}
 	ef.flagged[pos] = true
-	ef.r.diag(ef.diags, pos, checkNameErrflow, format, args...)
+	ef.p.diag(ef.diags, pos, checkNameErrflow, format, args...)
 }
 
 // isErrorType reports whether t is exactly the universe error interface (the

@@ -1,9 +1,11 @@
 package lint
 
 import (
-	"errors"
+	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,36 +26,24 @@ type want struct {
 	substr string
 }
 
-// loadWants scans every non-test .go file of dir for want comments and
-// returns them keyed by "basename:line".
-func loadWants(t *testing.T, dir string) map[string][]want {
+// loadWants collects the want comments of the files, keyed by
+// "basename:line".
+func loadWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[string][]want {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wants := make(map[string][]want)
-	fset := token.NewFileSet()
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
 				for _, m := range wantPattern.FindAllStringSubmatch(c.Text, -1) {
 					col := 0
 					if m[1] != "" {
-						col, err = strconv.Atoi(m[1])
-						if err != nil {
+						var err error
+						if col, err = strconv.Atoi(m[1]); err != nil {
 							t.Fatal(err)
 						}
 					}
-					key := name + ":" + strconv.Itoa(fset.Position(c.Pos()).Line)
+					at := fset.Position(c.Pos())
+					key := filepath.Base(at.Filename) + ":" + strconv.Itoa(at.Line)
 					wants[key] = append(wants[key], want{col: col, substr: m[2]})
 				}
 			}
@@ -62,25 +52,62 @@ func loadWants(t *testing.T, dir string) map[string][]want {
 	return wants
 }
 
-// runGolden analyzes the given testdata packages together and requires an
-// exact two-way match between the diagnostics and the want comments of every
-// package: no unexpected findings, no unmatched wants, and matching columns
-// wherever a want asserts one.
-func runGolden(t *testing.T, pkgs []string, cfg Config) {
+// parseFixture parses every file of the testdata package.
+func parseFixture(t *testing.T, pkg string) (*token.FileSet, []*ast.File) {
 	t.Helper()
-	dirs := make([]string, len(pkgs))
-	wants := make(map[string][]want)
-	for i, pkg := range pkgs {
-		dirs[i] = filepath.Join("testdata", "src", pkg)
-		for key, ws := range loadWants(t, dirs[i]) {
-			wants[key] = append(wants[key], ws...)
-		}
-	}
-	diags, err := AnalyzeDirs(dirs, cfg)
+	dir := filepath.Join("testdata", "src", pkg)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("AnalyzeDirs(%v): %v", dirs, err)
+		t.Fatal(err)
 	}
-	for _, d := range diags {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, ent := range entries {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, ent.Name()), nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return fset, files
+}
+
+// checkFixture type-checks the testdata package against the compiler's
+// export data and runs every check over it, determinism included.
+func checkFixture(t *testing.T, pkg string) []Diagnostic {
+	t.Helper()
+	fset, files := parseFixture(t, pkg)
+	return checkFiles(t, fset, files)
+}
+
+// checkFiles type-checks one package's files and runs Check over them.
+func checkFiles(t *testing.T, fset *token.FileSet, files []*ast.File) []Diagnostic {
+	t.Helper()
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
+	if _, err := conf.Check(files[0].Name.Name, fset, files, info); err != nil {
+		t.Fatal(err)
+	}
+	return Check(fset, files, info, true)
+}
+
+// runGolden checks one testdata package and requires an exact two-way match
+// between the named check's diagnostics and the package's want comments: no
+// unexpected findings, no unmatched wants, and matching columns wherever a
+// want asserts one.
+func runGolden(t *testing.T, pkg, check string) {
+	t.Helper()
+	fset, files := parseFixture(t, pkg)
+	wants := loadWants(t, fset, files)
+	for _, d := range checkFiles(t, fset, files) {
+		if d.Check != check {
+			continue
+		}
 		key := filepath.Base(d.File) + ":" + strconv.Itoa(d.Line)
 		matched := -1
 		for i, w := range wants[key] {
@@ -110,53 +137,34 @@ func runGolden(t *testing.T, pkgs []string, cfg Config) {
 }
 
 func TestGoldenDeterminism(t *testing.T) {
-	// The testdata package is not on the default deterministic list; opt it in.
-	runGolden(t, []string{"determinism"}, Config{
-		Deterministic: []string{"internal/lint/testdata/src/determinism"},
-		Checks:        []string{checkNameDeterminism},
-	})
+	runGolden(t, "determinism", checkNameDeterminism)
 }
 
 func TestGoldenErrflow(t *testing.T) {
-	runGolden(t, []string{"errflow"}, Config{Checks: []string{checkNameErrflow}})
+	runGolden(t, "errflow", checkNameErrflow)
 }
 
 // TestErrflowReportsGoto pins errflow's fail-closed rule: the walk does not
 // follow goto, so every goto is a finding of its own.
 func TestErrflowReportsGoto(t *testing.T) {
-	dir := t.TempDir()
 	src := "package g\n\nfunc f(n int) int {\nloop:\n\tif n > 0 {\n\t\tn--\n\t\tgoto loop\n\t}\n\treturn n\n}\n"
-	for name, data := range map[string]string{"go.mod": "module g\n\ngo 1.22\n", "g.go": src} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	diags, err := AnalyzeDirs([]string{dir}, Config{Checks: []string{checkNameErrflow}})
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "g.go", src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	diags := checkFiles(t, fset, []*ast.File{f})
 	if len(diags) != 1 || diags[0].Line != 7 || !strings.Contains(diags[0].Message, "does not follow goto") {
 		t.Fatalf("diagnostics %v, want one goto finding at g.go:7", diags)
 	}
 }
 
-// TestAnalyzeDeterministic runs the full pipeline twice over the
-// finding-rich golden packages and requires byte-identical output: map
-// iteration inside the passes must never leak into diagnostic order or
-// content.
+// TestAnalyzeDeterministic checks the finding-rich golden packages twice
+// and requires identical output: map iteration inside the passes must never
+// leak into diagnostic order or content.
 func TestAnalyzeDeterministic(t *testing.T) {
-	dirs := []string{
-		filepath.Join("testdata", "src", "determinism"),
-		filepath.Join("testdata", "src", "errflow"),
-	}
-	cfg := Config{Deterministic: []string{"internal/lint/testdata/src/determinism"}}
 	run := func() []Diagnostic {
-		t.Helper()
-		diags, err := AnalyzeDirs(dirs, cfg)
-		if err != nil {
-			t.Fatalf("AnalyzeDirs: %v", err)
-		}
-		return diags
+		return append(checkFixture(t, "determinism"), checkFixture(t, "errflow")...)
 	}
 	first, second := run(), run()
 	if !reflect.DeepEqual(first, second) {
@@ -167,95 +175,12 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
-// TestPackageCache asserts type-checked packages are cached across Analyze
-// calls on one Runner: a second pass over the same directories loads nothing.
-func TestPackageCache(t *testing.T) {
-	r, err := NewRunner(".", Config{Checks: []string{checkNameErrflow}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := []string{filepath.Join("testdata", "src", "errflow")}
-	_, stats1, err := r.Analyze(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats1.PackagesLoaded < 1 {
-		t.Fatalf("first run PackagesLoaded = %d, want at least 1", stats1.PackagesLoaded)
-	}
-	_, stats2, err := r.Analyze(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.PackagesLoaded != stats1.PackagesLoaded {
-		t.Errorf("second run PackagesLoaded = %d, want %d (cache hit)", stats2.PackagesLoaded, stats1.PackagesLoaded)
-	}
-}
-
-// TestUnknownCheckRejected pins the -check flag's failure mode: an unknown
-// name is a configuration error, not an empty run.
-func TestUnknownCheckRejected(t *testing.T) {
-	_, err := NewRunner(".", Config{Checks: []string{"nosuchcheck"}})
-	if err == nil || !strings.Contains(err.Error(), "unknown check") {
-		t.Fatalf("NewRunner error = %v, want unknown-check error", err)
-	}
-}
-
-// TestLoadErrorOnTypeError asserts a package that fails type-checking
-// surfaces as a LoadError (spear-vet exit 2), never as findings.
-func TestLoadErrorOnTypeError(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "broken")
-	diags, err := AnalyzeDirs([]string{dir}, Config{})
-	if err == nil {
-		t.Fatalf("AnalyzeDirs(%s) = %d diagnostics, want load error", dir, len(diags))
-	}
-	var le *LoadError
-	if !errors.As(err, &le) {
-		t.Fatalf("AnalyzeDirs(%s) error = %T (%v), want *LoadError", dir, err, err)
-	}
-	if !strings.Contains(le.Path, "broken") {
-		t.Errorf("LoadError.Path = %q, want the broken package path", le.Path)
-	}
-}
-
-// TestRepositoryClean runs the analyzer over the whole module with the
-// default configuration, exactly like `spear-vet ./...` in CI: the checked-in
-// tree must produce zero findings.
+// TestRepositoryClean runs the analyzer over the whole module exactly like
+// CI's `go vet -vettool=spear-vet ./...`: the checked-in tree, test
+// variants included, must produce no output.
 func TestRepositoryClean(t *testing.T) {
-	root, _, err := findModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) == 0 {
-		t.Fatal("ExpandPatterns found no packages")
-	}
-	diags, err := AnalyzeDirs(dirs, Config{})
-	if err != nil {
-		t.Fatalf("AnalyzeDirs: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
-	}
-}
-
-// TestExpandPatternsSkipsTestdata asserts the golden packages (which contain
-// deliberate violations) never leak into a ./... run.
-func TestExpandPatternsSkipsTestdata(t *testing.T) {
-	root, _, err := findModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		if strings.Contains(dir, "testdata") {
-			t.Errorf("ExpandPatterns included %s", dir)
-		}
+	if out, err := goVet("../..", "./..."); err != nil || out != "" {
+		t.Fatalf("go vet -vettool ./...: %v\n%s", err, out)
 	}
 }
 

@@ -55,23 +55,6 @@ func TestPreCancelledContextReturnsIncumbentPromptly(t *testing.T) {
 	}
 }
 
-func TestMidSearchCancellationReturnsIncumbent(t *testing.T) {
-	g, capacity := smallRandomDAG(3, 40)
-	s := New(Config{InitialBudget: 1_000_000, MinBudget: 1_000_000, Seed: 3})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	out, err := s.ScheduleContext(ctx, g, cluster.Single(capacity))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want wrapping context.DeadlineExceeded", err)
-	}
-	if out == nil {
-		t.Fatal("no incumbent schedule returned on mid-search cancellation")
-	}
-	if err := sched.Validate(g, cluster.Single(capacity), out); err != nil {
-		t.Errorf("cancelled incumbent is invalid: %v", err)
-	}
-}
-
 func TestStatsAndMetricsPopulated(t *testing.T) {
 	g, capacity := smallRandomDAG(4, 25)
 	reg := obs.NewRegistry()

@@ -278,6 +278,12 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 		if err != nil {
 			return nil, fmt.Errorf("serve: class %q: %w", cc.Name, err)
 		}
+		// Gaps far below one slot all round to zero: an uncapped class
+		// would then never leave its first slot, and Run would never end.
+		if expected := float64(cfg.Horizon+1) / cc.Arrival.Mean; cc.MaxJobs == 0 && expected > maxExpectedArrivals {
+			return nil, fmt.Errorf("serve: class %q: mean gap %g slots over %d slots expects %.3g arrivals, more than %d; raise the mean or set maxJobs",
+				cc.Name, cc.Arrival.Mean, cfg.Horizon+1, expected, maxExpectedArrivals)
+		}
 		ti, ok := tenantIdx[cc.Tenant]
 		if !ok {
 			ti = len(s.tenants)
@@ -295,6 +301,11 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 	}
 	return s, nil
 }
+
+// maxExpectedArrivals bounds the arrivals an uncapped class may expect over
+// the horizon, (Horizon+1)/Mean: far above any serving run that finishes,
+// far below a mean gap that rounds every arrival into one slot.
+const maxExpectedArrivals = 1 << 24
 
 // classSeed derives one independent seed per class from the run seed using
 // golden-ratio increments, the same idiom as the MCTS root workers.

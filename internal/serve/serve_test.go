@@ -354,6 +354,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative max jobs", func(c *serve.Config) { c.Classes[0].MaxJobs = -1 }},
 		{"negative max inflight", func(c *serve.Config) { c.MaxInFlight = -1 }},
 		{"bad arrival", func(c *serve.Config) { c.Classes[0].Arrival.Mean = 0 }},
+		{"arrivals stuck at slot 0", func(c *serve.Config) { c.Classes[0].Arrival.Mean = 1e-300 }},
 		{"bad admission", func(c *serve.Config) { c.Admission.Policy = "coin-flip" }},
 	}
 	for _, tc := range cases {

@@ -228,9 +228,11 @@ func TestMetricsWithConcurrentSchedulers(t *testing.T) {
 
 // TestCancellationReturnsIncumbent states the ContextScheduler contract as
 // a property over every context-aware scheduler of the facade: cancelled
-// before the call or about 20 ms into it, ScheduleContext returns within
-// 2 s of the cancel, with a schedule that passes Validate and an error
-// wrapping context.Canceled. Every budget is sized so an uncancelled call
+// before the call or about 20 ms into it, or past a 20 ms deadline,
+// ScheduleContext returns within 2 s of the cancel, with a schedule that
+// passes Validate and an error wrapping context.Canceled (or
+// context.DeadlineExceeded). A search scheduler's stats say Cancelled, and
+// the exact solver claims no optimality. Every budget is sized so an uncancelled call
 // runs for minutes, so only a cancellation poll on the search's path can
 // end it in time. A call that misses the deadline panics: its goroutine
 // would otherwise keep searching, unbounded, under the tests that follow,
@@ -268,11 +270,13 @@ func TestCancellationReturnsIncumbent(t *testing.T) {
 		{"annealing", func() (spear.ContextScheduler, error) { return spear.NewAnnealing(1<<40, 9), nil }},
 	}
 	arms := []struct {
-		name  string
-		after time.Duration // how long the call runs before the cancel
+		name     string
+		after    time.Duration // how long the call runs before the cancel
+		deadline bool          // cancel through context.WithTimeout
 	}{
-		{"pre-cancelled", 0},
-		{"mid-search", 20 * time.Millisecond},
+		{"pre-cancelled", 0, false},
+		{"mid-search", 20 * time.Millisecond, false},
+		{"deadline", 20 * time.Millisecond, true},
 	}
 	type result struct {
 		out *spear.Schedule
@@ -286,12 +290,17 @@ func TestCancellationReturnsIncumbent(t *testing.T) {
 					t.Fatal(err)
 				}
 				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				if arm.after == 0 {
+				want := context.Canceled
+				switch {
+				case arm.deadline:
+					ctx, cancel = context.WithTimeout(context.Background(), arm.after)
+					want = context.DeadlineExceeded
+				case arm.after == 0:
 					cancel()
-				} else {
+				default:
 					time.AfterFunc(arm.after, cancel)
 				}
+				defer cancel()
 				done := make(chan result, 1)
 				go func() {
 					out, err := s.ScheduleContext(ctx, job, spec)
@@ -303,11 +312,17 @@ func TestCancellationReturnsIncumbent(t *testing.T) {
 				case <-time.After(arm.after + 2*time.Second):
 					panic(t.Name() + ": ScheduleContext still running 2s after the cancel")
 				}
-				if !errors.Is(r.err, context.Canceled) {
-					t.Fatalf("err = %v, want wrapping context.Canceled", r.err)
+				if !errors.Is(r.err, want) {
+					t.Fatalf("err = %v, want wrapping %v", r.err, want)
 				}
 				if err := spear.Validate(job, spec, r.out); err != nil {
 					t.Errorf("incumbent: %v", err)
+				}
+				if st, ok := s.(interface{ LastStats() spear.SearchStats }); ok && !st.LastStats().Cancelled {
+					t.Error("Stats.Cancelled = false after the cancel")
+				}
+				if o, ok := s.(*spear.OptimalScheduler); ok && o.Optimal() {
+					t.Error("claimed optimality despite the cancel")
 				}
 			})
 		}
