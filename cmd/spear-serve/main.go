@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "spear-serve:", err)
 		os.Exit(1)
 	}
@@ -49,33 +49,43 @@ func (c *classFlags) Set(v string) error {
 // them; buildScheduler has one case per entry.
 var algorithms = []string{"cp", "tetris", "sjf", "graphene", "random", "anneal", "mcts"}
 
-func run() error {
+// run parses the command line args, then serves the run (or replays a log)
+// and prints its summary and the -metrics snapshot.
+func run(args []string) error {
+	fs := flag.NewFlagSet("spear-serve", flag.ExitOnError)
 	var classes classFlags
 	var (
-		seed         = flag.Int64("seed", 1, "run seed; fully determines the run")
-		horizon      = flag.Int64("horizon", 20000, "last slot at which jobs may arrive")
-		algo         = flag.String("algo", "cp", "scheduling algorithm ("+strings.Join(algorithms, ",")+")")
-		searchBudget = flag.Int("search-budget", 200, "per-decision iteration budget for -algo mcts")
-		admission    = flag.String("admission", "always", "admission policy (always,token-bucket)")
-		bucketCap    = flag.Float64("bucket-cap", 8, "token-bucket burst capacity in jobs")
-		bucketRefill = flag.Float64("bucket-refill", 0.02, "token-bucket refill rate in jobs per slot")
-		maxInFlight  = flag.Int("max-inflight", 0, "max planned-but-unfinished jobs (0 = unbounded)")
-		machines     = flag.Int("machines", 1, "number of identical machines in the serving cluster")
-		dumpPlans    = flag.Bool("dump-schedules", false, "embed each committed plan's schedule in its plan event")
-		out          = flag.String("out", "", "write the run log to this file")
-		replay       = flag.String("replay", "", "re-execute the run recorded in this log and diff byte-wise")
-		metrics      = flag.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
-		quiet        = flag.Bool("quiet", false, "suppress the summary table")
+		seed         = fs.Int64("seed", 1, "run seed; fully determines the run")
+		horizon      = fs.Int64("horizon", 20000, "last slot at which jobs may arrive")
+		algo         = fs.String("algo", "cp", "scheduling algorithm ("+strings.Join(algorithms, ",")+")")
+		searchBudget = fs.Int("search-budget", 200, "per-decision iteration budget for -algo mcts")
+		admission    = fs.String("admission", "always", "admission policy (always,token-bucket)")
+		bucketCap    = fs.Float64("bucket-cap", 8, "token-bucket burst capacity in jobs")
+		bucketRefill = fs.Float64("bucket-refill", 0.02, "token-bucket refill rate in jobs per slot")
+		maxInFlight  = fs.Int("max-inflight", 0, "max planned-but-unfinished jobs (0 = unbounded)")
+		machines     = fs.Int("machines", 1, "number of identical machines in the serving cluster")
+		dumpPlans    = fs.Bool("dump-schedules", false, "embed each committed plan's schedule in its plan event")
+		out          = fs.String("out", "", "write the run log to this file")
+		replay       = fs.String("replay", "", "re-execute the run recorded in this log and diff byte-wise")
+		metrics      = fs.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
+		quiet        = fs.Bool("quiet", false, "suppress the summary table")
 	)
-	flag.Var(&classes, "class", "client class as name[@tenant]:kind:mean[:shape] (repeatable; default gold+batch mix)")
-	flag.Parse()
+	fs.Var(&classes, "class", "client class as name[@tenant]:kind:mean[:shape] (repeatable; default gold+batch mix)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *replay != "" {
 		return replayRun(*replay, *metrics)
 	}
 
-	if *machines < 1 {
-		return fmt.Errorf("machines %d must be >= 1", *machines)
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"machines", *machines}, {"search-budget", *searchBudget}} {
+		if f.value < 1 {
+			return fmt.Errorf("%s %d must be >= 1", f.name, f.value)
+		}
 	}
 	cfg := serve.Config{
 		Seed:          *seed,

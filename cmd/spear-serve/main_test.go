@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,14 +16,9 @@ import (
 // the horizon after the last arrival, i.e. the defaults must not overload
 // the one machine they run on.
 func TestDefaultTrafficFitsDefaultCluster(t *testing.T) {
-	// run() reads the process-wide flag set and argument list.
-	args, flags := os.Args, flag.CommandLine
-	t.Cleanup(func() { os.Args, flag.CommandLine = args, flags })
 	for _, seed := range []string{"1", "7"} {
 		out := filepath.Join(t.TempDir(), "run.json")
-		flag.CommandLine = flag.NewFlagSet("spear-serve", flag.ContinueOnError)
-		os.Args = []string{"spear-serve", "-seed", seed, "-quiet", "-out", out}
-		if err := run(); err != nil {
+		if err := run([]string{"-seed", seed, "-quiet", "-out", out}); err != nil {
 			t.Fatalf("seed %s: %v", seed, err)
 		}
 		f, err := os.Open(out)
@@ -50,12 +44,23 @@ func TestDefaultTrafficFitsDefaultCluster(t *testing.T) {
 // schedule action can address is refused at start-up, before any job is
 // served.
 func TestRejectsMoreMachinesThanActionsEncode(t *testing.T) {
-	args, flags := os.Args, flag.CommandLine
-	t.Cleanup(func() { os.Args, flag.CommandLine = args, flags })
-	flag.CommandLine = flag.NewFlagSet("spear-serve", flag.ContinueOnError)
-	os.Args = []string{"spear-serve", "-seed", "7", "-machines", "40000", "-horizon", "2000", "-quiet"}
-	if err := run(); !errors.Is(err, cluster.ErrTooManyMachines) {
+	if err := run([]string{"-seed", "7", "-machines", "40000", "-horizon", "2000", "-quiet"}); !errors.Is(err, cluster.ErrTooManyMachines) {
 		t.Fatalf("err = %v, want ErrTooManyMachines", err)
+	}
+}
+
+// TestRunRejectsBadCounts: a count below one is refused with an error that
+// names its flag, before any job is served; none falls back to a default.
+func TestRunRejectsBadCounts(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"machines", "0"},
+		{"search-budget", "0"},
+		{"search-budget", "-3"},
+	} {
+		err := run([]string{"-algo", "mcts", "-horizon", "2000", "-quiet", "-" + tc.flag, tc.value})
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value+" must be >= 1") {
+			t.Errorf("-%s %s: err = %v", tc.flag, tc.value, err)
+		}
 	}
 }
 

@@ -58,13 +58,18 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"machines", *machines}, {"budget", *budget}, {"min-budget", *minBudget}} {
+		if f.value < 1 {
+			return fmt.Errorf("%s %d must be >= 1", f.name, f.value)
+		}
+	}
 
 	jobs, capacity, err := buildJobs(*motivating, *jobPath, *capFlag, *n, *tasks, *seed)
 	if err != nil {
 		return err
-	}
-	if *machines < 1 {
-		return fmt.Errorf("machines %d must be >= 1", *machines)
 	}
 	spec := spear.UniformCluster(*machines, capacity)
 

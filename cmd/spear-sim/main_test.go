@@ -125,13 +125,26 @@ func TestBuildJobsMotivatingAndRandom(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadCounts: no random-job count below one and no cluster
-// larger than a schedule action can address reaches a scheduler.
+// TestRunRejectsBadCounts: no random-job count, machine count or search
+// budget below one and no cluster larger than a schedule action can address
+// reaches a scheduler.
 func TestRunRejectsBadCounts(t *testing.T) {
 	for _, n := range []string{"-1", "0"} {
 		var out bytes.Buffer
 		if err := run([]string{"-n", n, "-algos", "cp"}, &out); err == nil || !strings.Contains(err.Error(), "must be >= 1") {
 			t.Errorf("-n %s: err = %v, output %q", n, err, out.String())
+		}
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"machines", "0"},
+		{"budget", "0"},
+		{"budget", "-5"},
+		{"min-budget", "0"},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-n", "1", "-tasks", "5", "-algos", "mcts", "-" + tc.flag, tc.value}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value+" must be >= 1") {
+			t.Errorf("-%s %s: err = %v, output %q", tc.flag, tc.value, err, out.String())
 		}
 	}
 	if _, _, err := buildJobs(true, "", "", 0, 0, 0); err != nil {

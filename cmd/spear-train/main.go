@@ -20,32 +20,52 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "spear-train:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses the command line args, trains the model and writes it, with
+// the learning curve, -eval and the -metrics snapshot as asked.
+func run(args []string) error {
+	fs := flag.NewFlagSet("spear-train", flag.ExitOnError)
 	var (
-		out            = flag.String("out", "model.gob", "path to write the trained model")
-		trainJobs      = flag.Int("train-jobs", 16, "number of generated training jobs (paper: 144)")
-		tasksPerJob    = flag.Int("tasks", 25, "tasks per training job (paper: 25)")
-		pretrainEpochs = flag.Int("pretrain-epochs", 12, "supervised warm-start epochs")
-		epochs         = flag.Int("epochs", 60, "REINFORCE epochs (paper: 7000)")
-		rollouts       = flag.Int("rollouts", 20, "rollouts per example for the baseline (paper: 20)")
-		workers        = flag.Int("workers", 0, "rollout/backprop worker goroutines (0 = GOMAXPROCS)")
-		seed           = flag.Int64("seed", 1, "random seed")
-		window         = flag.Int("window", 15, "ready-task window (paper: 15)")
-		horizon        = flag.Int("horizon", 20, "occupancy horizon in slots (paper: 20)")
-		quiet          = flag.Bool("q", false, "suppress per-epoch progress")
-		curvePath      = flag.String("curve", "", "write the learning curve as CSV to this path")
-		ckptEvery      = flag.Int("checkpoint-every", 0, "save the model to -out every N epochs (0 = only at the end)")
-		metrics        = flag.Bool("metrics", false, "print a Prometheus-format training metrics snapshot after the run")
-		evalJobs       = flag.Int("eval", 0, "after training, run guided search on this many held-out jobs and report mean makespan")
-		evalBudget     = flag.Int("eval-budget", 100, "search budget per decision for -eval")
+		out            = fs.String("out", "model.gob", "path to write the trained model")
+		trainJobs      = fs.Int("train-jobs", 16, "number of generated training jobs (paper: 144)")
+		tasksPerJob    = fs.Int("tasks", 25, "tasks per training job (paper: 25)")
+		pretrainEpochs = fs.Int("pretrain-epochs", 12, "supervised warm-start epochs")
+		epochs         = fs.Int("epochs", 60, "REINFORCE epochs (paper: 7000)")
+		rollouts       = fs.Int("rollouts", 20, "rollouts per example for the baseline (paper: 20)")
+		workers        = fs.Int("workers", 0, "rollout/backprop worker goroutines (0 = GOMAXPROCS)")
+		seed           = fs.Int64("seed", 1, "random seed")
+		window         = fs.Int("window", 15, "ready-task window (paper: 15)")
+		horizon        = fs.Int("horizon", 20, "occupancy horizon in slots (paper: 20)")
+		quiet          = fs.Bool("q", false, "suppress per-epoch progress")
+		curvePath      = fs.String("curve", "", "write the learning curve as CSV to this path")
+		ckptEvery      = fs.Int("checkpoint-every", 0, "save the model to -out every N epochs (0 = only at the end)")
+		metrics        = fs.Bool("metrics", false, "print a Prometheus-format training metrics snapshot after the run")
+		evalJobs       = fs.Int("eval", 0, "after training, run guided search on this many held-out jobs and report mean makespan")
+		evalBudget     = fs.Int("eval-budget", 100, "search budget per decision for -eval")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name       string
+		value, min int
+	}{
+		{"train-jobs", *trainJobs, 1},
+		{"tasks", *tasksPerJob, 1},
+		{"pretrain-epochs", *pretrainEpochs, 1},
+		{"epochs", *epochs, 1},
+		{"rollouts", *rollouts, 1},
+		{"workers", *workers, 0},
+	} {
+		if f.value < f.min {
+			return fmt.Errorf("%s %d must be >= %d", f.name, f.value, f.min)
+		}
+	}
 
 	feat := spear.Features{Window: *window, Horizon: *horizon, Dims: 2}
 	reinforce := spear.ReinforceConfig{Epochs: *epochs, Rollouts: *rollouts, Workers: *workers}

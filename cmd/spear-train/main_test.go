@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -43,5 +44,29 @@ func TestWriteFileAtomicKeepsThePreviousFileOnFailure(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("directory holds %d entries, want only the model", len(entries))
+	}
+}
+
+// TestRunRejectsBadCounts: a count below its minimum is refused with an
+// error that names its flag, before any training starts or any model is
+// written; none falls back to a default.
+func TestRunRejectsBadCounts(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "model.gob")
+	for _, tc := range []struct{ flag, value, min string }{
+		{"epochs", "0", "1"},
+		{"epochs", "-4", "1"},
+		{"pretrain-epochs", "0", "1"},
+		{"rollouts", "0", "1"},
+		{"train-jobs", "0", "1"},
+		{"tasks", "-1", "1"},
+		{"workers", "-1", "0"},
+	} {
+		err := run([]string{"-q", "-out", out, "-" + tc.flag, tc.value})
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value+" must be >= "+tc.min) {
+			t.Errorf("-%s %s: err = %v", tc.flag, tc.value, err)
+		}
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused run wrote %s (stat: %v)", out, err)
 	}
 }

@@ -86,7 +86,9 @@ func run() error {
 	}
 	rows := make([]row, 0, len(schedulers))
 	for _, s := range schedulers {
+		began := time.Now()
 		out, err := s.Schedule(job, spear.SingleMachine(capacity))
+		elapsed := time.Since(began)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.Name(), err)
 		}
@@ -97,7 +99,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rows = append(rows, row{s.Name(), out.Makespan, u.Mean, out.Elapsed, out})
+		rows = append(rows, row{s.Name(), out.Makespan, u.Mean, elapsed, out})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].makespan < rows[j].makespan })
 

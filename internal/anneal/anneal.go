@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"spear/internal/baselines"
 	"spear/internal/cluster"
@@ -78,10 +77,7 @@ func (s *Scheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 // ScheduleContext implements sched.ContextScheduler. The context is checked
 // once per annealing iteration; on cancellation the best order found so far
 // is executed and returned together with an error wrapping ctx.Err().
-// Wall-clock reads stamp Schedule.Elapsed only; the search itself is
-// driven by the seeded rng and never branches on time.
 func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
-	began := time.Now()
 	bestOrder, _, cancelledAt, err := s.search(ctx, g, spec)
 	if err != nil {
 		return nil, err
@@ -93,7 +89,6 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 	if err != nil {
 		return nil, err
 	}
-	out.Elapsed = time.Since(began)
 	if cancelledAt >= 0 {
 		return out, fmt.Errorf("anneal: search cancelled at iteration %d: %w", cancelledAt, ctx.Err())
 	}

@@ -3,7 +3,6 @@ package baselines
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"spear/internal/cluster"
 	"spear/internal/dag"
@@ -46,7 +45,6 @@ func (gr *Graphene) Name() string { return "Graphene" }
 // (threshold, direction) candidate order online and returns the schedule
 // with the smallest makespan.
 func (gr *Graphene) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, error) {
-	began := time.Now()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,7 +71,6 @@ func (gr *Graphene) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Schedule, 
 			}
 		}
 	}
-	best.Elapsed = time.Since(began)
 	return best, nil
 }
 

@@ -14,7 +14,6 @@ package baselines
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"spear/internal/cluster"
 	"spear/internal/dag"
@@ -57,16 +56,10 @@ func (s *PolicyScheduler) Schedule(g *dag.Graph, spec cluster.Spec) (*sched.Sche
 	if s.rng != nil {
 		s.rng.Seed(s.seed) // every job draws from the start of the same stream
 	}
-	began := time.Now()
 	if _, err := s.rc.Rollout(e, s.rng); err != nil {
 		return nil, fmt.Errorf("policy %s: %w", s.policy.Name(), err)
 	}
-	out, err := e.Schedule(s.policy.Name())
-	if err != nil {
-		return nil, err
-	}
-	out.Elapsed = time.Since(began)
-	return out, nil
+	return e.Schedule(s.policy.Name())
 }
 
 // availBuf is stack room for a free-capacity vector (Env.AvailableNowInto):

@@ -158,7 +158,6 @@ func (s *Solver) ScheduleContext(ctx context.Context, g *dag.Graph, spec cluster
 		out = incumbent
 		out.Algorithm = s.Name()
 	}
-	out.Elapsed = time.Since(began)
 	if st.cancelled {
 		return out, fmt.Errorf("exact: search cancelled, best found %d after %d nodes: %w", out.Makespan, st.explored, ctx.Err())
 	}

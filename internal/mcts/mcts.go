@@ -527,7 +527,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 	depth := 0
 	for !w0.arena.node(w0.root).env.Done() {
 		if ctx.Err() != nil {
-			return s.finishCancelled(ctx, began)
+			return s.finishCancelled(ctx)
 		}
 		depth++
 		s.stats.Decisions++
@@ -561,13 +561,13 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 				next := w0.bestRootChild()
 				if next == nilNode {
 					// Cancelled before the first expansion of this decision.
-					return s.finishCancelled(ctx, began)
+					return s.finishCancelled(ctx)
 				}
 				chosen = w0.arena.node(next).action
 			} else {
 				var ok bool
 				if chosen, ok = s.mergeAndChoose(legal); !ok {
-					return s.finishCancelled(ctx, began)
+					return s.finishCancelled(ctx)
 				}
 			}
 		}
@@ -582,12 +582,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, g *dag.Graph, spec clus
 		}
 	}
 
-	out, err := w0.arena.node(w0.root).env.Schedule(s.name)
-	if err != nil {
-		return nil, err
-	}
-	out.Elapsed = time.Since(began)
-	return out, nil
+	return w0.arena.node(w0.root).env.Schedule(s.name)
 }
 
 // bestRootChild returns the root child with the best committed-move
@@ -939,9 +934,8 @@ func (s *Scheduler) mergeAndChoose(legal []simenv.Action) (simenv.Action, bool) 
 // far is played to termination by worker (0, 0) — its rollout context, so
 // the policy calls reach Stats.PolicyCalls, and its rng — yielding the best
 // incumbent schedule reachable without further search, and the schedule is
-// returned together with an error wrapping ctx.Err(). Its one wall-clock
-// read stamps the incumbent's Elapsed.
-func (s *Scheduler) finishCancelled(ctx context.Context, began time.Time) (*sched.Schedule, error) {
+// returned together with an error wrapping ctx.Err().
+func (s *Scheduler) finishCancelled(ctx context.Context) (*sched.Schedule, error) {
 	s.stats.Cancelled = true
 	w0 := s.workers[0]
 	sw := w0.sims[0]
@@ -955,7 +949,6 @@ func (s *Scheduler) finishCancelled(ctx context.Context, began time.Time) (*sche
 	if err != nil {
 		return nil, err
 	}
-	out.Elapsed = time.Since(began)
 	return out, fmt.Errorf("mcts: search cancelled after %d decisions: %w", s.stats.Decisions, ctx.Err())
 }
 
@@ -965,9 +958,7 @@ func (s *Scheduler) finishCancelled(ctx context.Context, began time.Time) (*sche
 const explorationScale = 0.1
 
 // explorationConstant estimates the job makespan with a greedy packing run
-// (Tetris) and scales it by explorationScale. The Tetris estimate stamps
-// its schedule's Elapsed with the wall clock; only est.Makespan
-// (deterministic) feeds the constant.
+// (Tetris) and scales it by explorationScale.
 func (s *Scheduler) explorationConstant(g *dag.Graph, spec cluster.Spec) (float64, error) {
 	est, err := s.greedy.Schedule(g, spec)
 	if err != nil {

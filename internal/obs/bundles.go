@@ -234,8 +234,8 @@ type ServeMetrics struct {
 	// JainFairness is Jain's index over per-tenant mean makespan stretch,
 	// updated at every completion: 1 = all tenants equally served.
 	JainFairness *FloatGauge
-	// PlanTime accumulates the schedulers' self-reported Elapsed per
-	// planning call (observed, not measured — the loop reads no clock).
+	// PlanTime accumulates the wall-clock time of each planning call's
+	// scheduler invocation.
 	PlanTime *Timer
 }
 
@@ -257,7 +257,7 @@ func NewServeMetrics(r *Registry) *ServeMetrics {
 		InFlight:     r.Gauge("spear_serve_inflight_jobs", "Planned-but-unfinished jobs"),
 		Clock:        r.Gauge("spear_serve_clock_slots", "Current simulated time in slots"),
 		JainFairness: r.FloatGauge("spear_serve_jain_fairness", "Jain fairness index over per-tenant mean makespan stretch"),
-		PlanTime:     r.Timer("spear_serve_plan_time", "Scheduler-reported wall-clock time of planning calls"),
+		PlanTime:     r.Timer("spear_serve_plan_time", "Wall-clock time of the scheduler calls that plan jobs"),
 	}
 }
 

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"spear/internal/cluster"
@@ -37,18 +36,12 @@ type Utilization struct {
 	PerMachine []MachineUtilization
 }
 
-// ComputeUtilization reports the resource utilization of a schedule that
-// has passed Validate against the same spec, both aggregated across the
-// cluster and per machine.
+// ComputeUtilization reports the resource utilization of a schedule, both
+// aggregated across the cluster and per machine. It first validates the
+// schedule against the same spec and returns Validate's error, if any.
 func ComputeUtilization(g *dag.Graph, spec cluster.Spec, s *Schedule) (Utilization, error) {
-	if s == nil || s.Makespan <= 0 {
-		return Utilization{}, fmt.Errorf("sched: cannot compute utilization of an empty schedule")
-	}
-	if err := spec.Validate(); err != nil {
+	if err := Validate(g, spec, s); err != nil {
 		return Utilization{}, err
-	}
-	if spec.Dims() != g.Dims() {
-		return Utilization{}, fmt.Errorf("sched: spec has %d dims, job has %d", spec.Dims(), g.Dims())
 	}
 	dims := g.Dims()
 	total := spec.Total()
@@ -60,9 +53,6 @@ func ComputeUtilization(g *dag.Graph, spec cluster.Spec, s *Schedule) (Utilizati
 	}
 	for _, p := range s.Placements {
 		task := g.Task(p.Task)
-		if p.Machine < 0 || p.Machine >= len(spec) {
-			return Utilization{}, fmt.Errorf("%w: task %d on machine %d of %d", ErrBadMachine, p.Task, p.Machine, len(spec))
-		}
 		perMachineTasks[p.Machine]++
 		for d := 0; d < dims; d++ {
 			work[d] += task.Runtime * task.Demand[d]
@@ -90,22 +80,11 @@ func ComputeUtilization(g *dag.Graph, spec cluster.Spec, s *Schedule) (Utilizati
 
 	// Sweep the busy intervals to count fully idle slots. The sweep merges
 	// the placement intervals instead of materializing a per-slot bitmap:
-	// its cost is O(tasks log tasks) regardless of the recorded makespan, so
-	// a corrupt multi-billion Makespan in a JSON-loaded schedule cannot OOM
-	// the process — the worst it can do is inflate IdleSlots.
+	// its cost is O(tasks log tasks) regardless of the makespan, which one
+	// long task can make billions of slots.
 	busy := make([]busyInterval, 0, len(s.Placements))
 	for _, p := range s.Placements {
-		task := g.Task(p.Task)
-		start, end := p.Start, p.Start+task.Runtime
-		if start < 0 {
-			start = 0
-		}
-		if end > s.Makespan {
-			end = s.Makespan
-		}
-		if start < end {
-			busy = append(busy, busyInterval{start, end})
-		}
+		busy = append(busy, busyInterval{p.Start, p.Start + g.Task(p.Task).Runtime})
 	}
 	sort.Slice(busy, func(i, j int) bool {
 		if busy[i].start != busy[j].start {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -64,12 +65,26 @@ func TestComputeUtilizationHalf(t *testing.T) {
 
 func TestComputeUtilizationErrors(t *testing.T) {
 	g := twoTaskChain(t)
-	if _, err := ComputeUtilization(g, cluster.Single(resource.Of(5)), nil); err == nil {
-		t.Error("nil schedule accepted")
-	}
-	s := &Schedule{Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: 3}}, Makespan: 5}
-	if _, err := ComputeUtilization(g, cluster.Single(resource.Of(5, 5)), s); err == nil {
-		t.Error("dim mismatch accepted")
+	one := cluster.Single(resource.Of(5))
+	for _, tc := range []struct {
+		name string
+		spec cluster.Spec
+		s    *Schedule
+		want error
+	}{
+		{"nil schedule", one, nil, ErrNilSchedule},
+		{"dim mismatch", cluster.Single(resource.Of(5, 5)),
+			&Schedule{Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: 3}}, Makespan: 5}, ErrOverCapacity},
+		{"task placed twice", one,
+			&Schedule{Placements: []Placement{{Task: 0, Start: 0}, {Task: 0, Start: 3}, {Task: 1, Start: 3}}, Makespan: 5}, ErrDuplicateTask},
+		{"over capacity", cluster.Single(resource.Of(1)),
+			&Schedule{Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: 3}}, Makespan: 5}, ErrOverCapacity},
+		{"machine outside the spec", one,
+			&Schedule{Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: 3, Machine: 1}}, Makespan: 5}, ErrBadMachine},
+	} {
+		if u, err := ComputeUtilization(g, tc.spec, tc.s); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v (utilization %+v), want %v", tc.name, err, u, tc.want)
+		}
 	}
 }
 
@@ -91,8 +106,8 @@ func TestComputeUtilizationIdleGaps(t *testing.T) {
 func TestComputeUtilizationCorruptMakespanNoOOM(t *testing.T) {
 	// Regression: the idle-slot sweep used to allocate a []bool of length
 	// Makespan, so a corrupt multi-billion makespan in an untrusted
-	// JSON-loaded schedule would OOM the process. The interval sweep keeps
-	// the cost proportional to the placement count.
+	// JSON-loaded schedule would OOM the process. Validation now refuses
+	// the makespan before any sweep.
 	g := twoTaskChain(t)
 	crafted := `{
 		"algorithm": "corrupt",
@@ -103,13 +118,8 @@ func TestComputeUtilizationCorruptMakespanNoOOM(t *testing.T) {
 	if err := json.Unmarshal([]byte(crafted), &s); err != nil {
 		t.Fatal(err)
 	}
-	u, err := ComputeUtilization(g, cluster.Single(resource.Of(5)), &s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tasks cover [0,3) and [3,5): 5 busy slots out of the claimed 4e12.
-	if want := int64(4000000000000 - 5); u.IdleSlots != want {
-		t.Errorf("IdleSlots = %d, want %d", u.IdleSlots, want)
+	if _, err := ComputeUtilization(g, cluster.Single(resource.Of(5)), &s); !errors.Is(err, ErrWrongMakespan) {
+		t.Fatalf("err = %v, want ErrWrongMakespan", err)
 	}
 }
 
@@ -123,6 +133,9 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("JSON missing %s: %s", key, data)
 		}
+	}
+	if strings.Contains(string(data), `"machine"`) {
+		t.Errorf("single-machine JSON carries machine keys: %s", data)
 	}
 	var back Schedule
 	if err := json.Unmarshal(data, &back); err != nil {

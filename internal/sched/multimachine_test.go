@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -32,7 +30,6 @@ func TestValidateSameMachineOverlapRejected(t *testing.T) {
 	g := twoTaskJob(t, 5, resource.Of(6))
 	spec := cluster.Uniform(2, resource.Of(10))
 	overlap := &Schedule{
-		Format:    FormatMulti,
 		Algorithm: "test",
 		Placements: []Placement{
 			{Task: 0, Start: 0, Machine: 0},
@@ -45,7 +42,6 @@ func TestValidateSameMachineOverlapRejected(t *testing.T) {
 	}
 
 	crossMachine := &Schedule{
-		Format:    FormatMulti,
 		Algorithm: "test",
 		Placements: []Placement{
 			{Task: 0, Start: 0, Machine: 0},
@@ -83,7 +79,6 @@ func TestComputeUtilizationPerMachine(t *testing.T) {
 	g := twoTaskJob(t, 5, resource.Of(6))
 	spec := cluster.Uniform(2, resource.Of(10))
 	s := &Schedule{
-		Format:    FormatMulti,
 		Algorithm: "test",
 		Placements: []Placement{
 			{Task: 0, Start: 0, Machine: 0},
@@ -119,7 +114,6 @@ func TestComputeUtilizationPerMachine(t *testing.T) {
 	// Skewed placement: both tasks on machine 0, serially. Machine 0 is 60%
 	// busy over the doubled makespan, machine 1 idle, aggregate 30%.
 	skew := &Schedule{
-		Format:    FormatMulti,
 		Algorithm: "test",
 		Placements: []Placement{
 			{Task: 0, Start: 0, Machine: 0},
@@ -142,66 +136,12 @@ func TestComputeUtilizationPerMachine(t *testing.T) {
 	}
 }
 
-func TestScheduleJSONFormatVersioning(t *testing.T) {
-	// A single-machine schedule serializes without format or machine keys —
-	// byte-compatible with the pre-versioning encoding.
-	single := &Schedule{
-		Algorithm:  "test",
-		Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: 5}},
-		Makespan:   10,
-	}
-	data, err := json.Marshal(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), `"format"`) || strings.Contains(string(data), `"machine"`) {
-		t.Errorf("single-machine JSON leaks versioning fields: %s", data)
-	}
-
-	loaded, err := LoadSchedule(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Format != 0 || len(loaded.Placements) != 2 {
-		t.Errorf("legacy document loaded as format %d with %d placements", loaded.Format, len(loaded.Placements))
-	}
-
-	// Multi-machine schedules round-trip their machine indices.
-	multi := &Schedule{
-		Format:     FormatMulti,
-		Algorithm:  "test",
-		Placements: []Placement{{Task: 0, Start: 0, Machine: 1}},
-		Makespan:   5,
-	}
-	data, err = json.Marshal(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err = LoadSchedule(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Format != FormatMulti || loaded.Placements[0].Machine != 1 {
-		t.Errorf("multi document lost versioning: %+v", loaded)
-	}
-
-	// Unknown future formats fail with a precise error.
-	if _, err := LoadSchedule(strings.NewReader(`{"format": 9, "algorithm": "x"}`)); err == nil ||
-		!strings.Contains(err.Error(), "unknown schedule format 9") {
-		t.Errorf("future format: err = %v, want unknown-format error", err)
-	}
-	if err := CheckFormat(FormatMulti); err != nil {
-		t.Errorf("CheckFormat(FormatMulti) = %v", err)
-	}
-	if err := CheckFormat(-1); err == nil {
-		t.Error("CheckFormat(-1) accepted")
-	}
-}
-
+// TestGanttAnnotatesMachines checks that both renderers tag each row with
+// its machine when some task runs off machine 0, and leave single-machine
+// output untagged.
 func TestGanttAnnotatesMachines(t *testing.T) {
 	g := twoTaskJob(t, 5, resource.Of(6))
 	multi := &Schedule{
-		Format:    FormatMulti,
 		Algorithm: "test",
 		Placements: []Placement{
 			{Task: 0, Start: 0, Machine: 0},
@@ -209,15 +149,29 @@ func TestGanttAnnotatesMachines(t *testing.T) {
 		},
 		Makespan: 5,
 	}
-	if out := multi.Gantt(g, 20); !strings.Contains(out, " m1") {
-		t.Errorf("multi-machine Gantt lacks machine tags:\n%s", out)
-	}
 	single := &Schedule{
 		Algorithm:  "test",
 		Placements: []Placement{{Task: 0, Start: 0}, {Task: 1, Start: 5}},
 		Makespan:   10,
 	}
-	if out := single.Gantt(g, 20); strings.Contains(out, " m0") {
-		t.Errorf("single-machine Gantt grew machine tags:\n%s", out)
+	for _, r := range []struct {
+		name   string
+		render func(s *Schedule) string
+	}{
+		{"gantt", func(s *Schedule) string { return s.Gantt(g, 20) }},
+		{"svg", func(s *Schedule) string {
+			var b strings.Builder
+			if err := s.WriteSVG(&b, g, 400, 14); err != nil {
+				t.Fatal(err)
+			}
+			return b.String()
+		}},
+	} {
+		if out := r.render(multi); !strings.Contains(out, " m0") || !strings.Contains(out, " m1") {
+			t.Errorf("%s: multi-machine output lacks machine tags:\n%s", r.name, out)
+		}
+		if out := r.render(single); strings.Contains(out, " m0") || strings.Contains(out, " m1") {
+			t.Errorf("%s: single-machine output grew machine tags:\n%s", r.name, out)
+		}
 	}
 }

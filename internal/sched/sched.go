@@ -7,38 +7,18 @@ package sched
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
 	"strings"
-	"time"
 	"unicode/utf8"
 
 	"spear/internal/cluster"
 	"spear/internal/dag"
 	"spear/internal/resource"
 )
-
-// Schedule JSON documents are versioned by the "format" field. A document
-// with no format field (0) is the original single-machine shape, as is an
-// explicit FormatSingle; FormatMulti adds a machine index per placement.
-// Loaders accept all three and reject anything newer with a precise error.
-const (
-	FormatSingle = 1
-	FormatMulti  = 2
-)
-
-// CheckFormat validates a schedule document's format field.
-func CheckFormat(format int) error {
-	if format < 0 || format > FormatMulti {
-		return fmt.Errorf("sched: unknown schedule format %d (this build understands formats up to %d)", format, FormatMulti)
-	}
-	return nil
-}
 
 // Placement records where and when a single task starts: the machine index
 // into the cluster spec and the start slot. Its finish time is Start + task
@@ -52,10 +32,6 @@ type Placement struct {
 
 // Schedule is the output of a scheduling algorithm for one job DAG.
 type Schedule struct {
-	// Format is the JSON document version (see FormatSingle/FormatMulti).
-	// It is 0, and omitted, for single-machine schedules — the legacy
-	// shape — and FormatMulti when placements carry machine indices.
-	Format int `json:"format,omitempty"`
 	// Algorithm names the scheduler that produced this schedule.
 	Algorithm string `json:"algorithm"`
 	// Placements holds one entry per task in the DAG.
@@ -63,24 +39,6 @@ type Schedule struct {
 	// Makespan is the finish time of the last task (start times are
 	// relative to 0).
 	Makespan int64 `json:"makespan"`
-	// Elapsed is the wall-clock time the scheduler spent producing the
-	// schedule (serialized as nanoseconds). Used by the Fig. 6(b) and
-	// Table I experiments.
-	Elapsed time.Duration `json:"elapsedNanos"`
-}
-
-// LoadSchedule reads a schedule document previously serialized as JSON,
-// accepting both the legacy single-machine shape and the current
-// multi-machine one. Unknown format versions are rejected.
-func LoadSchedule(r io.Reader) (*Schedule, error) {
-	var s Schedule
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("sched: decode schedule: %w", err)
-	}
-	if err := CheckFormat(s.Format); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // Scheduler is a dependency- and resource-aware scheduling algorithm.
@@ -308,8 +266,8 @@ func (v *Validator) sweep(g *dag.Graph, spec cluster.Spec, dims int) error {
 
 // Gantt renders the schedule as an ASCII chart, one row per task ordered by
 // start time, with the timeline scaled to at most width characters.
-// Multi-machine schedules (FormatMulti) annotate each row with the task's
-// machine index; single-machine output is unchanged.
+// When some task runs on a machine other than 0, each row is annotated with
+// its task's machine index; single-machine output is unchanged.
 func (s *Schedule) Gantt(g *dag.Graph, width int) string {
 	if width < 10 {
 		width = 10
@@ -328,7 +286,7 @@ func (s *Schedule) Gantt(g *dag.Graph, width int) string {
 		return ps[i].Task < ps[j].Task
 	})
 
-	multi := s.Format == FormatMulti
+	multi := s.onManyMachines()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  makespan=%d\n", s.Algorithm, s.Makespan)
 	for _, p := range ps {
@@ -353,6 +311,12 @@ func (s *Schedule) Gantt(g *dag.Graph, width int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// onManyMachines reports whether some placement runs on a machine other
+// than 0, in which case Gantt and WriteSVG tag each row with its machine.
+func (s *Schedule) onManyMachines() bool {
+	return slices.ContainsFunc(s.Placements, func(p Placement) bool { return p.Machine != 0 })
 }
 
 // truncate shortens s to at most n runes, replacing the tail with an

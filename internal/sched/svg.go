@@ -60,7 +60,7 @@ func (s *Schedule) WriteSVG(w io.Writer, g *dag.Graph, width, rowHeight int) err
 		fmt.Fprintf(&b, `<text x="%d" y="%d" fill="#666">%d</text>`+"\n", x+2, height-8, t)
 	}
 
-	multi := s.Format == FormatMulti
+	multi := s.onManyMachines()
 	for i, p := range ps {
 		task := g.Task(p.Task)
 		y := topPad + i*rowHeight

@@ -151,7 +151,7 @@ func randomCase(rng *rand.Rand, defect int) (*dag.Graph, cluster.Spec, *Schedule
 	if err != nil {
 		panic(err)
 	}
-	s := &Schedule{Algorithm: "random", Format: FormatMulti}
+	s := &Schedule{Algorithm: "random"}
 	finish := make([]int64, n)
 	for i := 0; i < n; i++ {
 		task := g.Task(dag.TaskID(i))
@@ -355,7 +355,7 @@ func FuzzValidate(f *testing.F) {
 // out and equal neighbours merged.
 func TestProfileSegments(t *testing.T) {
 	b := dag.NewBuilder(2)
-	plan := &Schedule{Format: FormatMulti, Makespan: 13}
+	plan := &Schedule{Makespan: 13}
 	for _, p := range []struct {
 		machine        int
 		start, runtime int64

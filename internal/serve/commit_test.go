@@ -89,9 +89,6 @@ func overlapPlan(t *testing.T, rng *rand.Rand, machines int) (*dag.Graph, *sched
 	b := dag.NewBuilder(2)
 	plan := &sched.Schedule{Algorithm: "hand"}
 	machine := rng.Intn(machines)
-	if machines > 1 {
-		plan.Format = sched.FormatMulti
-	}
 	add := func(start, runtime int64, demand resource.Vector) {
 		id := b.AddTask(fmt.Sprint("t", len(plan.Placements)), runtime, demand)
 		plan.Placements = append(plan.Placements, sched.Placement{Task: id, Start: start, Machine: machine})

@@ -67,11 +67,11 @@ func TestExplicitSingleMachineMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestDumpSchedulesNormalizesElapsed covers the wall-clock leak: with
-// DumpSchedules on, plan events embed full schedules whose Elapsed field is
-// real (nondeterministic) wall time — Marshal must zero it, or -replay's
-// byte comparison would flake.
-func TestDumpSchedulesNormalizesElapsed(t *testing.T) {
+// TestDumpSchedulesMarshalReproducibly covers the log shape that embeds
+// full schedules: with DumpSchedules on, every plan event carries its
+// schedule, and two runs of the same config marshal byte-identically, so
+// -replay can compare them.
+func TestDumpSchedulesMarshalReproducibly(t *testing.T) {
 	cfg := testConfig(11)
 	cfg.Machines = 2
 	cfg.DumpSchedules = true
@@ -98,18 +98,6 @@ func TestDumpSchedulesNormalizesElapsed(t *testing.T) {
 	if !strings.Contains(string(data), `"schedule"`) {
 		t.Error("marshaled log carries no schedule dumps")
 	}
-	reloaded, err := serve.LoadRunLog(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range reloaded.Events {
-		if ev.Schedule != nil && ev.Schedule.Elapsed != 0 {
-			t.Fatalf("schedule dump for %s leaks wall clock: elapsed %v", ev.Job, ev.Schedule.Elapsed)
-		}
-	}
-
-	// The leak check that matters end to end: two runs of the same config
-	// spend different wall time planning, yet marshal identically.
 	again, err := mustRun(t, cfg).Marshal()
 	if err != nil {
 		t.Fatal(err)

@@ -70,17 +70,7 @@ type RunLog struct {
 
 // Marshal renders the log in its canonical byte form: indented JSON with a
 // trailing newline. Byte-identity of replays is defined over this form.
-// Dumped schedules have their Elapsed normalized to zero first: planning
-// wall-clock time is the one nondeterministic field a schedule carries, and
-// letting it through would make replay byte-comparison flake.
 func (l *RunLog) Marshal() ([]byte, error) {
-	for i := range l.Events {
-		if s := l.Events[i].Schedule; s != nil && s.Elapsed != 0 {
-			c := *s
-			c.Elapsed = 0
-			l.Events[i].Schedule = &c
-		}
-	}
 	data, err := json.MarshalIndent(l, "", "  ")
 	if err != nil {
 		return nil, err

@@ -580,12 +580,7 @@ func (e *Env) Schedule(algorithm string) (*sched.Schedule, error) {
 	for id := range placements {
 		placements[id] = sched.Placement{Task: dag.TaskID(id), Start: e.start[id], Machine: int(e.machine[id])}
 	}
-	format := 0
-	if e.space.NumMachines() > 1 {
-		format = sched.FormatMulti
-	}
 	return &sched.Schedule{
-		Format:     format,
 		Algorithm:  algorithm,
 		Placements: placements,
 		Makespan:   e.Makespan(),

@@ -7,8 +7,24 @@ import (
 
 	"spear/internal/dag"
 	"spear/internal/resource"
-	"spear/internal/sched"
 )
+
+// Job and trace documents are versioned by their "format" field. SaveJob and
+// Trace.Save write none (0), the original encoding; FormatSingle and
+// FormatMulti name the same layout. LoadJob and LoadTrace accept all three
+// and reject anything newer with a precise error.
+const (
+	FormatSingle = 1
+	FormatMulti  = 2
+)
+
+// CheckFormat validates a job or trace document's format field.
+func CheckFormat(format int) error {
+	if format < 0 || format > FormatMulti {
+		return fmt.Errorf("unknown document format %d (this build understands formats up to %d)", format, FormatMulti)
+	}
+	return nil
+}
 
 // JobTaskSpec is one task of a serialized job.
 type JobTaskSpec struct {
@@ -21,8 +37,7 @@ type JobTaskSpec struct {
 // workloads can be scheduled with cmd/spear-sim without writing Go code.
 // Edges reference tasks by index in the Tasks slice.
 type JobSpec struct {
-	// Format versions the document; absent (0) and sched.FormatSingle both
-	// mean the original single-machine encoding. See sched.CheckFormat.
+	// Format versions the document; see CheckFormat.
 	Format int           `json:"format,omitempty"`
 	Name   string        `json:"name"`
 	Dims   int           `json:"dims"`
@@ -84,7 +99,7 @@ func LoadJob(r io.Reader) (*dag.Graph, string, error) {
 	if err := json.NewDecoder(r).Decode(&spec); err != nil {
 		return nil, "", fmt.Errorf("workload: decode job: %w", err)
 	}
-	if err := sched.CheckFormat(spec.Format); err != nil {
+	if err := CheckFormat(spec.Format); err != nil {
 		return nil, "", fmt.Errorf("workload: job %q: %w", spec.Name, err)
 	}
 	if len(spec.Tasks) == 0 {

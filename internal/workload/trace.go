@@ -10,7 +10,6 @@ import (
 
 	"spear/internal/dag"
 	"spear/internal/resource"
-	"spear/internal/sched"
 )
 
 // The production Hive/MapReduce trace used in the paper's §V-C experiments
@@ -47,8 +46,7 @@ type TraceJob struct {
 // Trace is a set of MapReduce jobs plus the cluster capacity they were
 // sized for.
 type Trace struct {
-	// Format versions the document; absent (0) and sched.FormatSingle both
-	// mean the original single-machine encoding. See sched.CheckFormat.
+	// Format versions the document; see CheckFormat.
 	Format   int        `json:"format,omitempty"`
 	Capacity []int64    `json:"capacity"`
 	Jobs     []TraceJob `json:"jobs"`
@@ -233,7 +231,7 @@ func LoadTrace(r io.Reader) (*Trace, error) {
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("workload: decode trace: %w", err)
 	}
-	if err := sched.CheckFormat(t.Format); err != nil {
+	if err := CheckFormat(t.Format); err != nil {
 		return nil, fmt.Errorf("workload: trace: %w", err)
 	}
 	if len(t.Capacity) == 0 || len(t.Jobs) == 0 {

@@ -184,15 +184,14 @@ var (
 	ErrNoMachine   = cluster.ErrNoMachine
 )
 
-// Schedule JSON format versions accepted by LoadSchedule; see
-// Schedule.Format.
+// Job and trace JSON format versions accepted by LoadJob and LoadTrace.
 const (
-	// FormatSingle marks a single-machine schedule document; a zero/absent
+	// FormatSingle marks the original job or trace document; a zero/absent
 	// format means the same (the pre-versioning encoding).
-	FormatSingle = sched.FormatSingle
-	// FormatMulti marks a multi-machine document whose placements carry
-	// machine indices.
-	FormatMulti = sched.FormatMulti
+	FormatSingle = workload.FormatSingle
+	// FormatMulti marks a later job or trace document version; its layout
+	// is the same.
+	FormatMulti = workload.FormatMulti
 )
 
 // NewJobBuilder returns a builder for jobs whose task demands have the
@@ -382,16 +381,11 @@ func LoadJob(r io.Reader) (*Job, string, error) { return workload.LoadJob(r) }
 type Utilization = sched.Utilization
 
 // ComputeUtilization reports the per-dimension and mean resource
-// utilization of a validated schedule, aggregate and per machine.
+// utilization of a schedule, aggregate and per machine. A schedule that
+// fails Validate is refused with Validate's error.
 func ComputeUtilization(job *Job, spec ClusterSpec, s *Schedule) (Utilization, error) {
 	return sched.ComputeUtilization(job, spec, s)
 }
-
-// LoadSchedule reads a schedule previously marshaled as JSON, accepting
-// both the legacy single-machine encoding (no format field) and the
-// versioned single- and multi-machine encodings; unknown future formats are
-// rejected with a precise error.
-func LoadSchedule(r io.Reader) (*Schedule, error) { return sched.LoadSchedule(r) }
 
 // CriticalPath returns the longest runtime path through a job — a lower
 // bound on any schedule's makespan.
