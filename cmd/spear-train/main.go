@@ -61,6 +61,9 @@ func run(args []string) error {
 		{"epochs", *epochs, 1},
 		{"rollouts", *rollouts, 1},
 		{"workers", *workers, 0},
+		{"checkpoint-every", *ckptEvery, 0},
+		{"eval", *evalJobs, 0},
+		{"eval-budget", *evalBudget, 1},
 	} {
 		if f.value < f.min {
 			return fmt.Errorf("%s %d must be >= %d", f.name, f.value, f.min)

@@ -14,12 +14,18 @@ import (
 
 // Errors reported by Space operations.
 var (
-	ErrBadCapacity = errors.New("cluster: capacity must be positive in every dimension")
+	ErrBadCapacity = errors.New("cluster: capacity must be positive, and its total an int64, in every dimension")
 	ErrBadDuration = errors.New("cluster: duration must be positive")
 	ErrBadStart    = errors.New("cluster: start time is before the space's origin")
 	ErrDoesNotFit  = errors.New("cluster: placement exceeds capacity")
 	ErrNeverFits   = errors.New("cluster: demand exceeds total capacity")
+	ErrTooLong     = errors.New("cluster: placement ends too far past the space's origin")
 )
+
+// MaxSpan is the furthest past its origin, in slots, that a placement may
+// end. It bounds the grid at MaxSpan rows, far above what serving's backlog
+// reaches, so a huge runtime is refused instead of exhausting memory.
+const MaxSpan = 1 << 24
 
 // Space is a resource-time occupancy grid. Slot i covers the absolute time
 // interval [origin+i, origin+i+1). The grid is one flat array, dims words
@@ -190,20 +196,7 @@ func (s *Space) FitsAt(start int64, demand resource.Vector, duration int64) bool
 		duration = 1 // occupancy only falls from front on: the first row decides
 	}
 	// Untouched future slots are empty, so only tracked rows can conflict.
-	return s.conflict(s.rows(start, duration), demand) < 0
-}
-
-// conflict returns the index of the first slot of rows that cannot take
-// demand on top of what it holds, -1 if every slot can.
-func (s *Space) conflict(rows []int64, demand resource.Vector) int {
-	for i := 0; i < len(rows); i += len(demand) {
-		for d, need := range demand {
-			if rows[i+d]+need > s.capacity[d] {
-				return i / len(demand)
-			}
-		}
-	}
-	return -1
+	return s.lastConflict(s.rows(start, duration), demand) < 0
 }
 
 // Cold-path error constructors for Place, which sits on the allocation-free
@@ -216,13 +209,18 @@ func errBadStart(start, origin int64) error {
 	return fmt.Errorf("%w: start %d < origin %d", ErrBadStart, start, origin)
 }
 
+func errTooLong(start, duration int64) error {
+	return fmt.Errorf("%w: start=%d duration=%d, at most %d slots", ErrTooLong, start, duration, MaxSpan)
+}
+
 func errDoesNotFit(start int64, demand resource.Vector, duration int64) error {
 	return fmt.Errorf("%w: start=%d demand=%v duration=%d", ErrDoesNotFit, start, demand, duration)
 }
 
 // Place reserves demand for [start, start+duration). It fails with
 // ErrDoesNotFit (leaving the space unchanged) if any slot would exceed
-// capacity. A demand that is zero in every dimension occupies nothing: the
+// capacity, and with ErrTooLong if it would end more than MaxSpan slots past
+// the origin. A demand that is zero in every dimension occupies nothing: the
 // rows hold what they held and MaxBusy stays where it was.
 func (s *Space) Place(start int64, demand resource.Vector, duration int64) error {
 	if duration <= 0 {
@@ -230,6 +228,9 @@ func (s *Space) Place(start int64, demand resource.Vector, duration int64) error
 	}
 	if start < s.origin {
 		return errBadStart(start, s.origin)
+	}
+	if duration > MaxSpan-(start-s.origin) {
+		return errTooLong(start, duration)
 	}
 	if demand.Dims() != s.capacity.Dims() {
 		return resource.ErrDimensionMismatch
@@ -280,12 +281,13 @@ func (s *Space) EarliestStart(from int64, demand resource.Vector, duration int64
 	return start, nil
 }
 
-// lastConflict is conflict read from the window's end: the index of the
-// last slot of rows that cannot take demand, -1 if every slot can.
+// lastConflict returns the index of the last slot of rows that cannot take
+// demand on top of what it holds, -1 if every slot can. need > capacity -
+// used is the fit test that cannot wrap: both sides stay within int64.
 func (s *Space) lastConflict(rows []int64, demand resource.Vector) int {
 	for i := len(rows) - len(demand); i >= 0; i -= len(demand) {
 		for d, need := range demand {
-			if rows[i+d]+need > s.capacity[d] {
+			if need > s.capacity[d]-rows[i+d] {
 				return i / len(demand)
 			}
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -100,6 +101,18 @@ func TestPlaceArgumentValidation(t *testing.T) {
 	}
 	if err := s.Place(0, resource.Of(11), 1); !errors.Is(err, ErrDoesNotFit) {
 		t.Errorf("over-capacity err = %v", err)
+	}
+	// A grid past MaxSpan rows is refused, not allocated, down to the slot.
+	for _, start := range []int64{0, 7, MaxSpan - 1} {
+		if err := s.Place(start, resource.Of(1), MaxSpan-start+1); !errors.Is(err, ErrTooLong) {
+			t.Errorf("start %d, one slot past MaxSpan: err = %v, want ErrTooLong", start, err)
+		}
+	}
+	if err := s.Place(math.MaxInt64-1, resource.Of(1), math.MaxInt64); !errors.Is(err, ErrTooLong) {
+		t.Errorf("end past MaxInt64: err = %v, want ErrTooLong", err)
+	}
+	if err := s.Place(1, resource.Of(1), MaxSpan-1); err != nil {
+		t.Errorf("ending at MaxSpan: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"spear/internal/resource"
@@ -31,6 +32,13 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := Uniform(MaxMachines+1, resource.Of(4)).Validate(); !errors.Is(err, ErrTooManyMachines) {
 		t.Fatalf("%d machines: got %v, want ErrTooManyMachines", MaxMachines+1, err)
+	}
+	// Total must not wrap: two machines of MaxInt64 sum past it.
+	if err := Uniform(2, resource.Of(1, math.MaxInt64)).Validate(); !errors.Is(err, ErrBadCapacity) {
+		t.Fatalf("total past MaxInt64: got %v, want ErrBadCapacity", err)
+	}
+	if err := (Spec{{"a", resource.Of(math.MaxInt64 - 4)}, {"b", resource.Of(4)}}).Validate(); err != nil {
+		t.Fatalf("total of exactly MaxInt64: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"spear/internal/resource"
 )
@@ -53,7 +54,8 @@ const MaxMachines = 1 << 15
 
 // Validate checks that the spec is usable: at least one and at most
 // MaxMachines machines, every capacity positive, all machines agreeing on
-// the number of resource dimensions, and no duplicate names.
+// the number of resource dimensions, no duplicate names, and a Total that
+// fits an int64 in every dimension.
 func (s Spec) Validate() error {
 	if len(s) == 0 {
 		return ErrEmptySpec
@@ -74,6 +76,15 @@ func (s Spec) Validate() error {
 			if s[j].Name == m.Name {
 				return fmt.Errorf("%w: %q (machines %d and %d)", ErrDuplicateID, m.Name, j, i)
 			}
+		}
+	}
+	for d := 0; d < dims; d++ {
+		var total int64
+		for i, m := range s {
+			if m.Capacity[d] > math.MaxInt64-total {
+				return fmt.Errorf("%w: dimension %d of machines 0..%d totals more than %d", ErrBadCapacity, d, i, int64(math.MaxInt64))
+			}
+			total += m.Capacity[d]
 		}
 	}
 	return nil

@@ -94,7 +94,7 @@ func (f Features) Encode(e *simenv.Env, buf []float64) []float64 {
 			buf[base+1] = float64(g.BLevel(task.ID)) / cp
 			buf[base+2] = float64(g.NumChildren(task.ID)) / 8.0
 		}
-		for d := 0; d < f.Dims; d++ {
+		for d := 0; d < min(f.Dims, g.Dims()); d++ { // a job's missing dims stay 0, as in the image
 			buf[base+3+d] = float64(task.Demand[d]) / float64(e.CapacityDim(d))
 			work := g.TotalWork(d)
 			if !f.DisableGraphFeatures && work > 0 {

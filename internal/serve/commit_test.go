@@ -182,6 +182,25 @@ func TestCommitMatchesSlotScan(t *testing.T) {
 	t.Logf("%d of %d cases packed after the clock, %.1f probes per case", moved, cases, float64(probes)/cases)
 }
 
+// TestCommitRefusesPastMaxSpan: a plan that would end more than
+// cluster.MaxSpan slots past the grid's origin is an error from commit, not
+// a grid of that many rows.
+func TestCommitRefusesPastMaxSpan(t *testing.T) {
+	s := packServer(t, 1, 1)
+	g := s.templates[0]
+	plan, err := baselines.NewCPScheduler().Schedule(g, s.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.check.Validate(g, s.spec, plan); err != nil {
+		t.Fatal(err)
+	}
+	s.clock = cluster.MaxSpan
+	if _, err := s.commit(s.check.Segments()); !errors.Is(err, cluster.ErrTooLong) {
+		t.Fatalf("commit at clock MaxSpan: err = %v, want cluster.ErrTooLong", err)
+	}
+}
+
 // TestPlanReleasesPoppedJobs: popping the backlog by reslicing leaves the
 // array behind; the slots plan has popped must not keep their jobs reachable
 // for as long as that array lives.

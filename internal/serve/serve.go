@@ -285,6 +285,12 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 			return nil, fmt.Errorf("serve: class %q: mean gap %g slots over %d slots expects %.3g arrivals, more than %d; raise the mean or set maxJobs",
 				cc.Name, cc.Arrival.Mean, cfg.Horizon+1, expected, maxExpectedArrivals)
 		}
+		// So do gaps that are mostly below half a slot, whatever the mean:
+		// a tiny shape puts nearly all its mass there.
+		if q := proc.AdvanceProb(); cc.MaxJobs == 0 && q*maxExpectedArrivals < 1 {
+			return nil, fmt.Errorf("serve: class %q: a gap reaches half a slot with probability %.3g, so a burst expects %.3g arrivals in one slot, more than %d; raise the mean or shape, or set maxJobs",
+				cc.Name, q, 1/q, maxExpectedArrivals)
+		}
 		ti, ok := tenantIdx[cc.Tenant]
 		if !ok {
 			ti = len(s.tenants)
@@ -304,8 +310,9 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 }
 
 // maxExpectedArrivals bounds the arrivals an uncapped class may expect over
-// the horizon, (Horizon+1)/Mean: far above any serving run that finishes,
-// far below a mean gap that rounds every arrival into one slot.
+// the horizon, (Horizon+1)/Mean, and in one slot's burst, 1/AdvanceProb: far
+// above any serving run that finishes, far below a class whose gaps round
+// every arrival into one slot.
 const maxExpectedArrivals = 1 << 24
 
 // classSeed derives one independent seed per class from the run seed using

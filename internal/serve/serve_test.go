@@ -355,6 +355,16 @@ func TestConfigValidation(t *testing.T) {
 		{"negative max inflight", func(c *serve.Config) { c.MaxInFlight = -1 }},
 		{"bad arrival", func(c *serve.Config) { c.Classes[0].Arrival.Mean = 0 }},
 		{"arrivals stuck at slot 0", func(c *serve.Config) { c.Classes[0].Arrival.Mean = 1e-300 }},
+		// Gaps nearly all below half a slot: a burst would never leave it.
+		{"gamma shape 1e-300", func(c *serve.Config) {
+			c.Horizon, c.Classes[0].Arrival = 100, workload.ArrivalConfig{Kind: workload.ArrivalGamma, Mean: 400, Shape: 1e-300}
+		}},
+		{"weibull shape 0.006", func(c *serve.Config) {
+			c.Horizon, c.Classes[0].Arrival = 1000, workload.ArrivalConfig{Kind: workload.ArrivalWeibull, Mean: 400, Shape: 0.006}
+		}},
+		{"weibull shape 0.01", func(c *serve.Config) {
+			c.Horizon, c.Classes[0].Arrival = 20000, workload.ArrivalConfig{Kind: workload.ArrivalWeibull, Mean: 400, Shape: 0.01}
+		}},
 		{"bad admission", func(c *serve.Config) { c.Admission.Policy = "coin-flip" }},
 	}
 	for _, tc := range cases {

@@ -438,7 +438,7 @@ func errScheduleIndex(i, visible int) error {
 }
 
 func errNoFit(id dag.TaskID, err error) error {
-	return fmt.Errorf("%w: task %d does not fit now: %v", ErrIllegalAction, id, err)
+	return fmt.Errorf("%w: task %d does not fit now: %w", ErrIllegalAction, id, err)
 }
 
 func errIdleProcess() error {

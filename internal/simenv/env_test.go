@@ -241,6 +241,18 @@ func TestIllegalActions(t *testing.T) {
 	if e.NumVisible() != 2 {
 		t.Errorf("%d ready tasks after failed step, want 2", e.NumVisible())
 	}
+
+	// A runtime longer than the grid may span names the cluster's reason.
+	b := dag.NewBuilder(1)
+	b.AddTask("long", cluster.MaxSpan+1, resource.Of(1))
+	long, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = mustEnv(t, long, resource.Of(1), Config{})
+	if err := e.Step(Action(0)); !errors.Is(err, ErrIllegalAction) || !errors.Is(err, cluster.ErrTooLong) {
+		t.Errorf("over-long runtime err = %v, want ErrIllegalAction and cluster.ErrTooLong", err)
+	}
 }
 
 func TestStepAfterDone(t *testing.T) {

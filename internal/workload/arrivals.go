@@ -79,6 +79,37 @@ func NewArrivalProcess(cfg ArrivalConfig) (*ArrivalProcess, error) {
 	return p, nil
 }
 
+// AdvanceProb returns the probability that NextGap draws a gap of at least
+// one slot, from the distribution alone: a gap under half a slot rounds to
+// zero, so a burst lands 1/AdvanceProb arrivals on one slot on average.
+func (p *ArrivalProcess) AdvanceProb() float64 {
+	switch a, m := p.cfg.Shape, p.cfg.Mean; p.cfg.Kind {
+	case ArrivalGamma:
+		return gammaQ(a, a/(2*m), math.Log(a)-math.Log(2*m))
+	case ArrivalWeibull:
+		return math.Exp(-math.Pow(0.5/p.weibullScale, a))
+	default: // ArrivalPoisson
+		return math.Exp(-0.5 / m)
+	}
+}
+
+// gammaQ returns the probability that a Gamma(a, 1) variate reaches x, given
+// lx = ln x (which stays finite when x underflows), as 1 - P(a, x) with P
+// summed by its power series. The subtraction costs precision only where
+// the result is far below any threshold it is compared with; the 1e7-term
+// cap binds only for shapes far beyond any arrival process's.
+func gammaQ(a, x, lx float64) float64 {
+	lg, _ := math.Lgamma(a + 1)
+	sum, term := 1.0, 1.0
+	for n := 1.0; term > sum*1e-17 && n < 1e7; n++ {
+		term = float64(term * (x / (a + n)))
+		sum += term
+	}
+	// P = x^a e^-x / Γ(a+1) · sum, in logs: a sum that overflowed means a
+	// tail below any float64, so Q clamps to 0 rather than turning NaN.
+	return max(0, 1-math.Exp(float64(a*lx)-x-lg+math.Log(sum)))
+}
+
 // positiveFinite reports whether x is in (0, +Inf): false for NaN.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 

@@ -43,6 +43,45 @@ func TestNewArrivalProcessValidation(t *testing.T) {
 	}
 }
 
+// TestAdvanceProbClosedForms checks AdvanceProb, the chance that a gap
+// reaches half a slot, against the tails that have closed forms: Q(1/2, x)
+// = erfc(√x), Q(1, x) = e^-x (the exponential, as poisson), Q(3, x) =
+// e^-x (1 + x + x²/2), and Weibull's exp(-(x/scale)^shape).
+func TestAdvanceProbClosedForms(t *testing.T) {
+	weibull := func(mean, shape float64) float64 {
+		return math.Exp(-math.Pow(0.5*math.Gamma(1+1/shape)/mean, shape))
+	}
+	for _, mean := range []float64{0.01, 0.25, 0.5, 3, 60, 1600} {
+		for _, tc := range []struct {
+			cfg  ArrivalConfig
+			want float64
+		}{
+			{ArrivalConfig{Kind: ArrivalGamma, Mean: mean, Shape: 0.5}, math.Erfc(math.Sqrt(0.25 / mean))},
+			{ArrivalConfig{Kind: ArrivalGamma, Mean: mean, Shape: 1}, math.Exp(-0.5 / mean)},
+			{ArrivalConfig{Kind: ArrivalPoisson, Mean: mean}, math.Exp(-0.5 / mean)},
+			{ArrivalConfig{Kind: ArrivalGamma, Mean: mean, Shape: 3}, math.Exp(-1.5/mean) * (1 + 1.5/mean + 1.125/(mean*mean))},
+			{ArrivalConfig{Kind: ArrivalWeibull, Mean: mean, Shape: 0.7}, weibull(mean, 0.7)},
+		} {
+			p, err := NewArrivalProcess(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Absolute where the tail is tiny: 1 - P cancels there, far
+			// below the 2^-24 that serving compares it with.
+			if got := p.AdvanceProb(); math.Abs(got-tc.want) > 1e-9*tc.want+1e-12 {
+				t.Errorf("%+v: AdvanceProb %g, want %g", tc.cfg, got, tc.want)
+			}
+		}
+	}
+	tiny, err := NewArrivalProcess(ArrivalConfig{Kind: ArrivalGamma, Mean: 400, Shape: 1e-300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tiny.AdvanceProb(); got != 0 {
+		t.Errorf("gamma shape 1e-300: AdvanceProb %g, want 0 (every gap rounds to zero)", got)
+	}
+}
+
 // TestArrivalDeterminism is the property the serving replay depends on:
 // the same seed must yield the same gap sequence, draw for draw.
 func TestArrivalDeterminism(t *testing.T) {

@@ -2,8 +2,10 @@ package spear_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"spear"
 )
@@ -247,5 +249,84 @@ func TestUntrainedNetworkIsUsable(t *testing.T) {
 	}
 	if err := spear.Validate(job, spear.SingleMachine(cfg.Capacity()), out); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDegenerateMagnitudes runs every facade scheduler on inputs at the edge
+// of int64: two 3-slot tasks of demand 5e18 on a machine of capacity
+// MaxInt64 (only one fits at a time, and the fit test must not wrap), the
+// same on two such machines (their total capacity overflows an int64), and
+// a chain whose first task runs 2^46 slots (a grid that long cannot be
+// allocated). The first must come back valid with makespan 6, the other two
+// as errors; none may panic or take more than seconds.
+func TestDegenerateMagnitudes(t *testing.T) {
+	wide := spear.NewJobBuilder(1)
+	wide.AddTask("a", 3, spear.Resources(5e18))
+	wide.AddTask("b", 3, spear.Resources(5e18))
+	long := spear.NewJobBuilder(1)
+	long.AddDep(long.AddTask("long", 1<<46, spear.Resources(1)), long.AddTask("short", 1, spear.Resources(1)))
+	jobs := make([]*spear.Job, 2)
+	for i, b := range []*spear.JobBuilder{wide, long} {
+		var err error
+		if jobs[i], err = b.Build(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name  string
+		job   *spear.Job
+		spec  spear.ClusterSpec
+		valid bool
+	}{
+		{"wide/m1", jobs[0], spear.SingleMachine(spear.Resources(math.MaxInt64)), true},
+		{"wide/m2", jobs[0], spear.UniformCluster(2, spear.Resources(math.MaxInt64)), false},
+		{"long", jobs[1], spear.SingleMachine(spear.Resources(10)), false},
+	}
+	// A two-dimensional network on one-dimensional jobs, as spear-sim -job
+	// runs a JSON job with its default model.
+	net, err := spear.NewNetwork(tinyFeatures(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := spear.NewSpear(net, tinyFeatures(), spear.SpearConfig{InitialBudget: 10, MinBudget: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedulers := []spear.Scheduler{
+		sp,
+		spear.NewMCTS(spear.MCTSConfig{InitialBudget: 10, MinBudget: 3}),
+		spear.NewOptimal(0),
+		spear.NewAnnealing(50, 1),
+		spear.NewGraphene(),
+		spear.NewTetris(),
+		spear.NewCP(),
+		spear.NewSJF(),
+		spear.NewRandom(1),
+	}
+	for _, tc := range cases {
+		for _, s := range schedulers {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on %s panicked: %v", s.Name(), tc.name, r)
+					}
+				}()
+				began := time.Now()
+				out, err := s.Schedule(tc.job, tc.spec)
+				if d := time.Since(began); d > 10*time.Second {
+					t.Errorf("%s on %s took %v", s.Name(), tc.name, d)
+				}
+				switch {
+				case !tc.valid && err == nil:
+					t.Errorf("%s on %s: makespan %d, want an error", s.Name(), tc.name, out.Makespan)
+				case tc.valid && err != nil:
+					t.Errorf("%s on %s: %v", s.Name(), tc.name, err)
+				case tc.valid:
+					if err := spear.Validate(tc.job, tc.spec, out); err != nil || out.Makespan != 6 {
+						t.Errorf("%s on %s: makespan %d, Validate %v; want 6 and valid", s.Name(), tc.name, out.Makespan, err)
+					}
+				}
+			}()
+		}
 	}
 }
