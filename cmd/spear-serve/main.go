@@ -7,7 +7,8 @@
 // Usage:
 //
 //	spear-serve -seed 7 -horizon 20000 -algo cp -out run.json
-//	spear-serve -seed 7 -machines 4 -algo tetris    # 4-machine cluster
+//	spear-serve -seed 7 -algo anneal                # annealed plans
+//	spear-serve -seed 7 -machines 4 -algo mcts      # searched plans on a 4-machine cluster
 //	spear-serve -replay run.json            # re-execute and diff byte-wise
 //	spear-serve -seed 7 -admission token-bucket -bucket-cap 4 -bucket-refill 0.05
 //	spear-serve -seed 7 -class gold:poisson:120 -class batch:gamma:40:0.4 -metrics
@@ -46,8 +47,10 @@ func (c *classFlags) Set(v string) error {
 }
 
 // algorithms lists every name -algo accepts, in the order the help prints
-// them; buildScheduler has one case per entry.
-var algorithms = []string{"cp", "tetris", "sjf", "graphene", "random", "anneal", "mcts"}
+// them; buildScheduler has one case per entry. A name stays while it is the
+// default or has the lowest mean JCT in some cell of EXPERIMENTS.md's
+// "Online ranking" grid, at least 1 % under CP's.
+var algorithms = []string{"cp", "anneal", "mcts"}
 
 // run parses the command line args, then serves the run (or replays a log)
 // and prints its summary and the -metrics snapshot.
@@ -58,7 +61,6 @@ func run(args []string) error {
 		seed         = fs.Int64("seed", 1, "run seed; fully determines the run")
 		horizon      = fs.Int64("horizon", 20000, "last slot at which jobs may arrive")
 		algo         = fs.String("algo", "cp", "scheduling algorithm ("+strings.Join(algorithms, ",")+")")
-		searchBudget = fs.Int("search-budget", 200, "per-decision iteration budget for -algo mcts")
 		admission    = fs.String("admission", "always", "admission policy (always,token-bucket)")
 		bucketCap    = fs.Float64("bucket-cap", 8, "token-bucket burst capacity in jobs")
 		bucketRefill = fs.Float64("bucket-refill", 0.02, "token-bucket refill rate in jobs per slot")
@@ -79,13 +81,8 @@ func run(args []string) error {
 		return replayRun(*replay, *metrics)
 	}
 
-	for _, f := range []struct {
-		name  string
-		value int
-	}{{"machines", *machines}, {"search-budget", *searchBudget}} {
-		if f.value < 1 {
-			return fmt.Errorf("%s %d must be >= 1", f.name, f.value)
-		}
+	if *machines < 1 {
+		return fmt.Errorf("machines %d must be >= 1", *machines)
 	}
 	cfg := serve.Config{
 		Seed:          *seed,
@@ -99,11 +96,6 @@ func run(args []string) error {
 		// A 1-machine cluster is the config's zero value; leaving it absent
 		// keeps old run logs byte-identical.
 		cfg.Machines = *machines
-	}
-	if *algo == "mcts" {
-		// Recorded only for the search algorithm, so baseline run logs stay
-		// byte-identical to older builds.
-		cfg.SearchBudget = *searchBudget
 	}
 	if cfg.Admission.Policy == serve.PolicyAlways {
 		cfg.Admission.BucketCap, cfg.Admission.RefillPerSlot = 0, 0
@@ -231,31 +223,19 @@ func printSummary(log *serve.RunLog) {
 	}
 }
 
-// buildScheduler constructs the scheduler the config names. "mcts" is
-// iteration-budgeted (never wall-clock-budgeted), so a run is a pure
-// function of the seed like the baselines. The model-guided spear algorithm
+// buildScheduler constructs the scheduler the config names. "anneal" and
+// "mcts" are iteration-budgeted (never wall-clock-budgeted), so a run is a
+// pure function of the seed like CP's. The model-guided spear algorithm
 // stays excluded: its plans depend on network weights the log does not
 // record.
 func buildScheduler(cfg serve.Config) (sched.Scheduler, error) {
 	switch cfg.Algorithm {
 	case "cp":
 		return baselines.NewCPScheduler(), nil
-	case "tetris":
-		return baselines.NewTetrisScheduler(), nil
-	case "sjf":
-		return baselines.NewSJFScheduler(), nil
-	case "graphene":
-		return baselines.NewGrapheneScheduler(), nil
-	case "random":
-		return baselines.NewRandomScheduler(cfg.Seed), nil
 	case "anneal":
 		return anneal.New(anneal.Config{Iterations: 500, Seed: cfg.Seed}), nil
 	case "mcts":
-		budget := cfg.SearchBudget
-		if budget <= 0 {
-			budget = 200
-		}
-		return mcts.New(mcts.Config{InitialBudget: budget, MinBudget: budget / 10, Seed: cfg.Seed}), nil
+		return mcts.New(mcts.Config{InitialBudget: 200, MinBudget: 20, Seed: cfg.Seed}), nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q (known: %v)", cfg.Algorithm, algorithms)
 	}

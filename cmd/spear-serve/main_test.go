@@ -9,6 +9,7 @@ import (
 
 	"spear/internal/cluster"
 	"spear/internal/serve"
+	"spear/internal/workload"
 )
 
 // TestDefaultTrafficFitsDefaultCluster runs the command with its default
@@ -54,27 +55,60 @@ func TestRejectsMoreMachinesThanActionsEncode(t *testing.T) {
 func TestRunRejectsBadCounts(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{
 		{"machines", "0"},
-		{"search-budget", "0"},
-		{"search-budget", "-3"},
 	} {
-		err := run([]string{"-algo", "mcts", "-horizon", "2000", "-quiet", "-" + tc.flag, tc.value})
+		err := run([]string{"-horizon", "2000", "-quiet", "-" + tc.flag, tc.value})
 		if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value+" must be >= 1") {
 			t.Errorf("-%s %s: err = %v", tc.flag, tc.value, err)
 		}
 	}
 }
 
+// TestReplayRejectsForgedTemplates: a run log whose template asks for a
+// trace past the generator's size bounds is refused when the log is
+// replayed, before the templates are allocated. Each of these logs used to
+// end replay with a fatal out-of-memory error.
+func TestReplayRejectsForgedTemplates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(*workload.TraceConfig)
+	}{
+		{"jobs", func(c *workload.TraceConfig) { c.Jobs = 1e9 }},
+		{"dims", func(c *workload.TraceConfig) { c.Dims = 1e9 }},
+		{"tasks", func(c *workload.TraceConfig) {
+			c.MaxMaps, c.MedianMaps, c.MaxReduces, c.MedianReds = 1e5, 1e5, 1e5, 1e5
+		}},
+	} {
+		classes, err := parseClasses(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := serve.RunLog{Config: serve.Config{Seed: 7, Horizon: 20000, Algorithm: "cp", Classes: classes, Template: workload.DefaultTraceConfig()}}
+		tc.forge(&log.Config.Template)
+		data, err := log.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "forged.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-replay", path}); err == nil || !strings.Contains(err.Error(), "demand entries") {
+			t.Errorf("%s: replay err = %v, want the demand-entry bound", tc.name, err)
+		}
+	}
+}
+
 // TestBuildSchedulerNames: every name the -algo help lists constructs a
-// scheduler and has its outputs pinned in the root package's corpus, and an
-// unknown name is refused with that same list.
+// scheduler and has a CLI run log pinned in the root package's corpus, and
+// an unknown name is refused with that same list.
 func TestBuildSchedulerNames(t *testing.T) {
 	corpus, err := os.ReadFile("../../testdata/corpus.tsv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range algorithms {
-		if !strings.Contains(string(corpus), "\nsim/"+name+"/") {
-			t.Errorf("%s: no sim/%s/ row in testdata/corpus.tsv; TestOutputCorpusPinned must pin it", name, name)
+		if !strings.Contains(string(corpus), "\nserve/cli_"+name+"_") {
+			t.Errorf("%s: no serve/cli_%s_ row in testdata/corpus.tsv; TestOutputCorpusPinned must pin it", name, name)
 		}
 		s, err := buildScheduler(serve.Config{Algorithm: name, Seed: 1})
 		if err != nil {

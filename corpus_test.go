@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"spear"
+	"spear/internal/anneal"
 	"spear/internal/baselines"
 	"spear/internal/drl"
 	"spear/internal/mcts"
@@ -461,12 +462,15 @@ func serveLog(t *testing.T, cfg serve.Config, s sched.Scheduler) []byte {
 // each log replays to itself as `spear-serve -replay` does. cp_m1 ..
 // cp_m1_overloaded were captured before commit packed plans from their
 // profile; the last overloads its machine, so the backlog only grows. The
-// cli_* rows are what spear-serve writes with -seed 7 -horizon 20000.
+// cli_* rows are what spear-serve writes with -seed 7 -horizon 20000, one
+// per name it offers, built as its buildScheduler builds them.
 func corpusServe(t *testing.T, c *corpus) {
-	schedulers := map[string]func() sched.Scheduler{
-		"cp":     func() sched.Scheduler { return baselines.NewCPScheduler() },
-		"tetris": func() sched.Scheduler { return baselines.NewTetrisScheduler() },
-		"sjf":    func() sched.Scheduler { return baselines.NewSJFScheduler() },
+	schedulers := map[string]func(seed int64) sched.Scheduler{
+		"cp":     func(int64) sched.Scheduler { return baselines.NewCPScheduler() },
+		"anneal": func(seed int64) sched.Scheduler { return anneal.New(anneal.Config{Iterations: 500, Seed: seed}) },
+		"mcts": func(seed int64) sched.Scheduler {
+			return mcts.New(mcts.Config{InitialBudget: 200, MinBudget: 20, Seed: seed})
+		},
 	}
 	for _, tc := range []struct {
 		name string
@@ -474,25 +478,25 @@ func corpusServe(t *testing.T, c *corpus) {
 		cfg  serve.Config
 	}{
 		{"cp_m1", "cp", serve.Config{Seed: 7, Horizon: 20000, Classes: mix(1000, 1600)}},
-		{"tetris_m4", "tetris", serve.Config{Seed: 7, Horizon: 200000, Machines: 4, Classes: mix(400, 700)}},
 		{"cp_m4_dump", "cp", serve.Config{Seed: 3, Horizon: 100000, Machines: 4, DumpSchedules: true, Classes: mix(400, 700)}},
-		{"sjf_m2_inflight3_weibull", "sjf", serve.Config{Seed: 5, Horizon: 50000, Machines: 2, MaxInFlight: 3, Classes: []serve.ClassConfig{
+		{"cp_m2_inflight3_weibull", "cp", serve.Config{Seed: 5, Horizon: 50000, Machines: 2, MaxInFlight: 3, Classes: []serve.ClassConfig{
 			{Name: "w", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalWeibull, Mean: 300, Shape: 0.7}},
 		}}},
 		{"cp_m1_overloaded", "cp", serve.Config{Seed: 1, Horizon: 60000, Classes: mix(150, 250)}},
 		{"cli_cp_m1", "cp", cliServe("cp", 1)},
 		{"cli_cp_m4", "cp", cliServe("cp", 4)},
-		{"cli_tetris_m4", "tetris", cliServe("tetris", 4)},
+		{"cli_anneal_m1", "anneal", cliServe("anneal", 1)},
+		{"cli_mcts_m4", "mcts", cliServe("mcts", 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data := serveLog(t, tc.cfg, schedulers[tc.algo]())
+			data := serveLog(t, tc.cfg, schedulers[tc.algo](tc.cfg.Seed))
 			c.put(t, "serve/"+tc.name, sha(data))
 
 			recorded, err := serve.LoadRunLog(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if replayed := serveLog(t, recorded.Config, schedulers[tc.algo]()); !bytes.Equal(replayed, data) {
+			if replayed := serveLog(t, recorded.Config, schedulers[tc.algo](recorded.Config.Seed)); !bytes.Equal(replayed, data) {
 				t.Errorf("replay diverged from the recorded log (%d vs %d bytes)", len(replayed), len(data))
 			}
 		})
@@ -502,7 +506,7 @@ func corpusServe(t *testing.T, c *corpus) {
 	t.Run("machines1", func(t *testing.T) {
 		cfg := cliServe("cp", 1)
 		cfg.Machines = 1
-		srv, err := serve.New(cfg, schedulers["cp"](), nil)
+		srv, err := serve.New(cfg, schedulers["cp"](7), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +519,7 @@ func corpusServe(t *testing.T, c *corpus) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := serveLog(t, cliServe("cp", 1), schedulers["cp"]()); !bytes.Equal(data, want) {
+		if want := serveLog(t, cliServe("cp", 1), schedulers["cp"](7)); !bytes.Equal(data, want) {
 			t.Errorf("Machines: 1 logged %s, Machines: 0 %s", sha(data), sha(want))
 		}
 	})

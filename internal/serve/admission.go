@@ -1,6 +1,9 @@
 package serve
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Admission policy names accepted in AdmissionConfig.Policy.
 const (
@@ -62,11 +65,12 @@ type TokenBucket struct {
 // NewTokenBucket returns a full bucket with the given burst capacity (jobs)
 // and refill rate (jobs per slot).
 func NewTokenBucket(capacity, refillPerSlot float64) (*TokenBucket, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("serve: token bucket capacity %v must be >= 1", capacity)
+	// Negated tests, so that NaN fails them too.
+	if !(capacity >= 1) || math.IsInf(capacity, 1) {
+		return nil, fmt.Errorf("serve: token bucket capacity %v must be finite and >= 1", capacity)
 	}
-	if refillPerSlot < 0 {
-		return nil, fmt.Errorf("serve: token bucket refill rate %v must be >= 0", refillPerSlot)
+	if !(refillPerSlot >= 0) || math.IsInf(refillPerSlot, 1) {
+		return nil, fmt.Errorf("serve: token bucket refill rate %v must be finite and >= 0", refillPerSlot)
 	}
 	return &TokenBucket{capacity: capacity, rate: refillPerSlot, tokens: capacity}, nil
 }

@@ -68,11 +68,6 @@ type Config struct {
 	// DumpSchedules embeds each committed plan's full schedule in its "plan"
 	// log event. Off by default: schedules dominate log size.
 	DumpSchedules bool `json:"dumpSchedules,omitempty"`
-	// SearchBudget is the per-decision iteration budget of search-based
-	// algorithms (the "mcts" algorithm of cmd/spear-serve); 0 for the
-	// non-search baselines. Recorded in the log so replay rebuilds the
-	// identical search.
-	SearchBudget int `json:"searchBudget,omitempty"`
 	// Admission selects the admission-control policy.
 	Admission AdmissionConfig `json:"admission"`
 	// Classes lists the client classes. At least one is required.

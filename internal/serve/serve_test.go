@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -250,11 +251,16 @@ func TestTokenBucketRefill(t *testing.T) {
 		}
 	}
 
-	if _, err := serve.NewTokenBucket(0.5, 1); err == nil {
-		t.Error("capacity below 1 accepted")
-	}
-	if _, err := serve.NewTokenBucket(2, -1); err == nil {
-		t.Error("negative refill rate accepted")
+	// NaN passes a plain `capacity < 1` test; a NaN or infinite bucket
+	// rejects every arrival and its log cannot be marshalled.
+	for _, bad := range []struct{ capacity, refill float64 }{
+		{0.5, 1}, {2, -1},
+		{math.NaN(), 1}, {math.Inf(1), 1},
+		{2, math.NaN()}, {2, math.Inf(1)},
+	} {
+		if _, err := serve.NewTokenBucket(bad.capacity, bad.refill); err == nil {
+			t.Errorf("capacity %v, refill rate %v accepted", bad.capacity, bad.refill)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"spear/internal/dag"
 	"spear/internal/resource"
@@ -122,10 +122,38 @@ func stageRuntimes(r *rand.Rand, n int, medianRT, maxMean int64) []int64 {
 	return out
 }
 
+// Size bounds of a generated trace, checked before anything is allocated.
+// DefaultTraceConfig asks for 13 266 demand entries and at most 109 098
+// shuffle edges; at its task counts a trace may hold 237 jobs. At the
+// bounds, Graphs takes at most ≈ 1.4 s and 25 MB on a 2-core VM, for one
+// job 32 768 tasks wide: dag.Builder's duplicate-edge and ready-set scans
+// are quadratic in a job's width, which the demand bound caps.
+const (
+	maxTraceDemandEntries = 1 << 15 // Jobs × (MaxMaps + MaxReduces) × Dims
+	maxTraceShuffleEdges  = 1 << 18 // Jobs × MaxMaps × MaxReduces
+)
+
 // GenerateTrace produces a reproducible synthetic trace for the given seed.
+// It refuses, naming the fields at fault, a config whose jobs cannot be
+// built or whose trace would pass a size bound.
 func GenerateTrace(r *rand.Rand, cfg TraceConfig) (*Trace, error) {
-	if cfg.Jobs < 1 || cfg.Dims < 1 || cfg.Capacity < 1 {
-		return nil, fmt.Errorf("workload: invalid trace config %+v", cfg)
+	if cfg.Jobs < 1 || cfg.MinTasks < 1 || cfg.Dims < 1 || cfg.Capacity < 1 {
+		return nil, fmt.Errorf("workload: trace config Jobs %d, MinTasks %d, Dims %d and Capacity %d must all be >= 1",
+			cfg.Jobs, cfg.MinTasks, cfg.Dims, cfg.Capacity)
+	}
+	if cfg.MaxMaps < cfg.MinTasks || cfg.MaxReduces < cfg.MinTasks {
+		return nil, fmt.Errorf("workload: trace config MaxMaps %d and MaxReduces %d must be >= MinTasks %d",
+			cfg.MaxMaps, cfg.MaxReduces, cfg.MinTasks)
+	}
+	// In float64, so that no product wraps; each is exact below 2^53.
+	jobs, maps, reds := float64(cfg.Jobs), float64(cfg.MaxMaps), float64(cfg.MaxReduces)
+	if n := jobs * (maps + reds) * float64(cfg.Dims); n > maxTraceDemandEntries {
+		return nil, fmt.Errorf("workload: trace config Jobs × (MaxMaps + MaxReduces) × Dims = %.0f demand entries, more than %d",
+			n, maxTraceDemandEntries)
+	}
+	if n := jobs * maps * reds; n > maxTraceShuffleEdges {
+		return nil, fmt.Errorf("workload: trace config Jobs × MaxMaps × MaxReduces = %.0f shuffle edges, more than %d",
+			n, maxTraceShuffleEdges)
 	}
 	trace := &Trace{Capacity: resource.Uniform(cfg.Dims, cfg.Capacity), Jobs: make([]TraceJob, 0, cfg.Jobs)}
 	for j := 0; j < cfg.Jobs; j++ {
@@ -326,27 +354,19 @@ func (t *Trace) Stats() TraceStats {
 			}
 		}
 	}
-	s.MedianMaps = medianInt(s.MapTaskCounts)
-	s.MedianReduces = medianInt(s.RedTaskCounts)
-	s.MedianMapRT = medianInt64(s.MapRuntimes)
-	s.MedianReduceRT = medianInt64(s.RedRuntimes)
+	s.MedianMaps = median(s.MapTaskCounts)
+	s.MedianReduces = median(s.RedTaskCounts)
+	s.MedianMapRT = median(s.MapRuntimes)
+	s.MedianReduceRT = median(s.RedRuntimes)
 	return s
 }
 
-func medianInt(xs []int) int {
+// median is the upper median of xs, or zero for none.
+func median[T int | int64](xs []T) T {
 	if len(xs) == 0 {
 		return 0
 	}
-	c := append([]int(nil), xs...)
-	sort.Ints(c)
-	return c[len(c)/2]
-}
-
-func medianInt64(xs []int64) int64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]int64(nil), xs...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	c := slices.Clone(xs)
+	slices.Sort(c)
 	return c[len(c)/2]
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -450,11 +451,69 @@ func TestTraceStatsIgnoresUnknownStages(t *testing.T) {
 	}
 }
 
+// TestGenerateTraceValidation: a config the generator cannot build, or one
+// past a size bound, is refused before anything is allocated, with an error
+// naming its fields. The bound rows each made a serving run's template pool
+// die with a fatal out-of-memory error before the bounds existed.
 func TestGenerateTraceValidation(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	if _, err := GenerateTrace(r, TraceConfig{}); err == nil {
-		t.Error("zero config accepted")
+	withDefaults := func(edit func(*TraceConfig)) TraceConfig {
+		cfg := DefaultTraceConfig()
+		edit(&cfg)
+		return cfg
 	}
+	for _, tc := range []struct {
+		name string
+		cfg  TraceConfig
+		want string
+	}{
+		{"zero", TraceConfig{}, "Jobs 0, MinTasks 0, Dims 0 and Capacity 0 must all be >= 1"},
+		{"no capacity", withDefaults(func(c *TraceConfig) { c.Capacity = 0 }), "Capacity 0 must all be >= 1"},
+		{"max below min", withDefaults(func(c *TraceConfig) { c.MaxReduces = 5 }), "MaxReduces 5 must be >= MinTasks 6"},
+		{"1e9 jobs", withDefaults(func(c *TraceConfig) { c.Jobs = 1e9 }), "Jobs × (MaxMaps + MaxReduces) × Dims"},
+		{"1e9 dims", withDefaults(func(c *TraceConfig) { c.Dims = 1e9 }), "Jobs × (MaxMaps + MaxReduces) × Dims"},
+		{"1e5 tasks per stage", withDefaults(func(c *TraceConfig) {
+			c.MaxMaps, c.MedianMaps, c.MaxReduces, c.MedianReds = 1e5, 1e5, 1e5, 1e5
+		}), "Jobs × (MaxMaps + MaxReduces) × Dims"},
+		{"edges only", withDefaults(func(c *TraceConfig) { c.MaxMaps, c.MaxReduces = 60, 60 }), "Jobs × MaxMaps × MaxReduces"},
+		{"products past MaxInt64", withDefaults(func(c *TraceConfig) {
+			c.Jobs, c.MaxMaps, c.MaxReduces, c.Dims = math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt
+		}), "demand entries"},
+	} {
+		_, err := GenerateTrace(rand.New(rand.NewSource(1)), tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzGenerateTrace: whatever the config, GenerateTrace either refuses it or
+// returns a trace that validates and whose every job builds into a graph.
+func FuzzGenerateTrace(f *testing.F) {
+	d := DefaultTraceConfig()
+	f.Add(d.Jobs, d.MinTasks, d.MaxMaps, d.MaxReduces, d.MedianMaps, d.MedianReds, d.MedianMapRT, d.MedianRedRT, d.MaxMeanRT, d.Dims, d.Capacity, int64(1))
+	f.Add(3, 1, 1, 1, 0, -4, int64(-1), int64(0), int64(0), 1, int64(1), int64(2))
+	f.Add(2, 6, 60, 60, int(1e5), int(1e5), int64(math.MaxInt64), int64(1), int64(math.MaxInt64), 4, int64(math.MaxInt64), int64(3))
+	f.Add(int(1e9), 6, 29, 38, 14, 17, int64(73), int64(32), int64(141), 2, int64(1000), int64(4))
+	f.Fuzz(func(t *testing.T, jobs, minTasks, maxMaps, maxReds, medMaps, medReds int, medMapRT, medRedRT, maxMeanRT int64, dims int, capacity, seed int64) {
+		cfg := TraceConfig{
+			Jobs: jobs, MinTasks: minTasks, MaxMaps: maxMaps, MaxReduces: maxReds, MedianMaps: medMaps, MedianReds: medReds,
+			MedianMapRT: medMapRT, MedianRedRT: medRedRT, MaxMeanRT: maxMeanRT, Dims: dims, Capacity: capacity,
+		}
+		tr, err := GenerateTrace(rand.New(rand.NewSource(seed)), cfg)
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%+v: generated trace does not validate: %v", cfg, err)
+		}
+		graphs, err := tr.Graphs()
+		if err != nil {
+			t.Fatalf("%+v: generated trace does not build: %v", cfg, err)
+		}
+		if len(graphs) != jobs {
+			t.Fatalf("%+v: %d graphs for %d jobs", cfg, len(graphs), jobs)
+		}
+	})
 }
 
 func TestTraceDeterministic(t *testing.T) {
