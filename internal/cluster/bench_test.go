@@ -27,11 +27,11 @@ func BenchmarkPlace(b *testing.B) {
 		if err := s.Place(int64(i%64), demand, 20); err != nil {
 			b.Fatal(err)
 		}
-		s.Reset()
+		*s = Space{capacity: s.capacity, used: s.used[:0]} // empty, keeping the grid's storage
 	}
 }
 
-// BenchmarkSpaceAdvance is the steady state of an episode's grid: the clock
+// BenchmarkSpaceAdvance is the steady state of a serving grid: the clock
 // moves one slot, dropping the oldest of 20 tracked slots, and a placement
 // reopens one at the far end inside the array's spare capacity.
 func BenchmarkSpaceAdvance(b *testing.B) {

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 
-	"spear/internal/obs"
 	"spear/internal/resource"
 )
 
@@ -42,23 +41,15 @@ const MaxSpan = 1 << 24
 //  3. a sum of non-increasing terms is non-increasing, so the row at start
 //     is the fullest of [start, start+duration).
 //
-// An episode (simenv.Env) places at its clock, which never runs backwards,
-// so each of its probes is at or past front and reads one row. serve packs
-// whole plans at the earliest offset that fits, mostly before front, and
-// those probes scan the full duration.
+// serve and Graphene's virtual placement pack at the earliest start that
+// fits, often before front, and those probes scan the full duration; each
+// probe at or past front reads one row.
 type Space struct {
 	capacity resource.Vector
 	origin   int64
 	used     []int64 // used[i*dims+d] = occupancy of dimension d at time origin+i
 	maxBusy  int64   // absolute time after which the space is empty
 	front    int64   // latest start of any placement
-
-	// Optional instrumentation (nil = off): slotReuse counts grid slots
-	// opened inside the array's spare capacity, slotGrow those that made it
-	// reallocate. Both are shared atomics, safe across the clones of one
-	// episode, and are added to once per growth, not once per slot.
-	slotReuse *obs.Counter
-	slotGrow  *obs.Counter
 }
 
 // NewSpace returns an empty Space with the given capacity.
@@ -72,9 +63,6 @@ func NewSpace(capacity resource.Vector) (*Space, error) {
 // Capacity returns a copy of the space's per-dimension capacity.
 func (s *Space) Capacity() resource.Vector { return s.capacity.Clone() }
 
-// Dims reports the number of resource dimensions.
-func (s *Space) Dims() int { return s.capacity.Dims() }
-
 // Origin returns the earliest absolute time still tracked by the space.
 func (s *Space) Origin() int64 { return s.origin }
 
@@ -85,13 +73,6 @@ func (s *Space) MaxBusy() int64 {
 		return s.origin
 	}
 	return s.maxBusy
-}
-
-// Instrument attaches grid-growth counters to the space (nil disables).
-// Clones made from the space share the counters.
-func (s *Space) Instrument(slotReuse, slotGrow *obs.Counter) {
-	s.slotReuse = slotReuse
-	s.slotGrow = slotGrow
 }
 
 // Clone returns a deep copy of the space.
@@ -108,17 +89,8 @@ func (s *Space) CloneInto(dst *Space) *Space {
 	dst.origin = s.origin
 	dst.maxBusy = s.maxBusy
 	dst.front = s.front
-	dst.slotReuse = s.slotReuse
-	dst.slotGrow = s.slotGrow
 	dst.used = append(dst.used[:0], s.used...)
 	return dst
-}
-
-// Reset empties the space and rewinds its clock to 0, keeping the capacity,
-// the instrumentation and the grid's storage.
-func (s *Space) Reset() {
-	s.origin, s.maxBusy, s.front = 0, 0, 0
-	s.used = s.used[:0]
 }
 
 // rows returns the tracked part of the grid covering [start, start+duration),
@@ -136,14 +108,6 @@ func (s *Space) rows(start, duration int64) []int64 {
 	return s.used[lo:n]
 }
 
-// row returns the occupancy at absolute time t, nil outside the tracked grid.
-func (s *Space) row(t int64) []int64 {
-	if t < s.origin {
-		return nil
-	}
-	return s.rows(t, 1)
-}
-
 // grow extends the grid to n zeroed slots. Growth inside the array's spare
 // capacity zeroes what Advance or CloneInto left there, so a warm space
 // places tasks without touching the heap.
@@ -152,33 +116,20 @@ func (s *Space) grow(n int64) {
 	if need <= have {
 		return
 	}
-	if need > cap(s.used) {
-		s.reallocate(need)
-		return
+	if need > cap(s.used) { // double, so that repeated growth stays amortized
+		s.used = append(make([]int64, 0, max(need, 2*cap(s.used))), s.used...)
 	}
 	s.used = s.used[:need]
 	clear(s.used[have:])
-	if s.slotReuse != nil {
-		s.slotReuse.Add(int64((need - have) / len(s.capacity)))
-	}
-}
-
-// reallocate moves the grid to an array of at least need words, doubling so
-// that repeated growth stays amortized.
-func (s *Space) reallocate(need int) {
-	grown := make([]int64, need, max(need, 2*cap(s.used)))
-	copy(grown, s.used)
-	if s.slotGrow != nil {
-		s.slotGrow.Add(int64((need - len(s.used)) / len(s.capacity)))
-	}
-	s.used = grown
 }
 
 // UsedAt returns a copy of the occupancy at absolute time t. Times before
 // the origin or beyond the tracked horizon report zero occupancy.
 func (s *Space) UsedAt(t int64) resource.Vector {
 	used := resource.New(s.capacity.Dims())
-	copy(used, s.row(t))
+	if t >= s.origin {
+		copy(used, s.rows(t, 1))
+	}
 	return used
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,21 +308,6 @@ func TestAdvance(t *testing.T) {
 	}
 	if err := s.Place(100, resource.Of(10), 5); err != nil {
 		t.Errorf("Place after full Advance: %v", err)
-	}
-}
-
-func TestOccupancyImage(t *testing.T) {
-	m, err := NewMulti(Single(resource.Of(10, 20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Place(0, 2, resource.Of(5, 5), 2); err != nil {
-		t.Fatal(err)
-	}
-	img := make([]float64, 2*5) // img[d*5+k]
-	m.FillOccupancy(0, 5, 2, img)
-	if want := []float64{0, 0, 0.5, 0.5, 0, 0, 0, 0.25, 0.25, 0}; !slices.Equal(img, want) {
-		t.Errorf("image = %v, want %v", img, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"spear/internal/resource"
@@ -38,36 +37,6 @@ func TestCloneIntoReusedDestination(t *testing.T) {
 	}
 	if got := s.UsedAt(3); !got.Equal(resource.Of(5, 5)) {
 		t.Errorf("mutating clone changed source at 3: %v", got)
-	}
-}
-
-// TestFillOccupancyMatchesOccupancyImage checks a fill from a later origin
-// overwrites whatever out held and clamps a request for more dims than the
-// cluster has.
-func TestFillOccupancyMatchesOccupancyImage(t *testing.T) {
-	m, err := NewMulti(Single(resource.Of(10, 20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Place(0, 2, resource.Of(5, 5), 2); err != nil {
-		t.Fatal(err)
-	}
-	m.Advance(1)
-	const horizon = 4
-	want := []float64{0, 0.5, 0.5, 0, 0, 0.25, 0.25, 0} // slots 1..4
-	out := make([]float64, 2*horizon)
-	for i := range out {
-		out[i] = -1 // stale garbage the call must overwrite
-	}
-	m.FillOccupancy(1, horizon, 2, out)
-	if !slices.Equal(out, want) {
-		t.Errorf("fill = %v, want image %v", out, want)
-	}
-	// Requesting more dims than the cluster has must clamp, not panic.
-	wide := make([]float64, 3*horizon)
-	m.FillOccupancy(1, horizon, 3, wide)
-	if want3 := append(want, make([]float64, horizon)...); !slices.Equal(wide, want3) {
-		t.Errorf("3-dim fill = %v, want %v", wide, want3)
 	}
 }
 

@@ -288,8 +288,7 @@ func FuzzSpaceOps(f *testing.F) {
 }
 
 // FuzzMultiOps is FuzzSpaceOps for a three-machine Multi with unequal
-// machines: one model per machine, the aggregate reads (AvailableAtInto,
-// FillOccupancy) recomputed from the models.
+// machines: one model per machine.
 func FuzzMultiOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 2, 5, 1, 2, 3, 2, 10, 0, 6, 6, 3, 3, 4, 0, 0, 0})
 	f.Add([]byte{15, 0, 1, 1, 1, 1, 0, 1, 1, 1, 2, 40, 0, 0, 0})
@@ -319,7 +318,7 @@ func FuzzMultiOps(f *testing.F) {
 			}
 			switch op.kind {
 			case 0:
-				got, want := mu.Place(op.machine, op.start, op.demand, op.duration), errMachineRange
+				got, want := mu.Place(op.machine, op.start, op.demand, op.duration), ErrMachineRange
 				if inRange {
 					want = models[op.machine].Place(op.start, op.demand, op.duration)
 				}
@@ -344,26 +343,6 @@ func FuzzMultiOps(f *testing.F) {
 			}
 			for i, m := range models {
 				compareSpace(t, mu.Machine(i), m, op)
-			}
-			const horizon = 40
-			from := models[0].origin - 2
-			total := spec.Total()
-			fill := make([]float64, len(total)*horizon)
-			mu.FillOccupancy(from, horizon, len(total), fill)
-			for k := 0; k < horizon; k++ {
-				used := resource.New(len(total))
-				for _, m := range models {
-					used, _ = used.Add(m.UsedAt(from + int64(k)))
-				}
-				free, _ := total.Sub(used)
-				if got := mu.AvailableAtInto(from+int64(k), nil); !got.Equal(free) {
-					t.Fatalf("AvailableAtInto(%d) = %v, model %v", from+int64(k), got, free)
-				}
-				for d := range total {
-					if got, want := fill[d*horizon+k], float64(used[d])/float64(total[d]); got != want {
-						t.Fatalf("FillOccupancy dim %d slot %d = %v, model %v", d, k, got, want)
-					}
-				}
 			}
 		}
 	})

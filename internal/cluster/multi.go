@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"spear/internal/obs"
 	"spear/internal/resource"
 )
 
@@ -37,36 +36,8 @@ func NewMulti(spec Spec) (*Multi, error) {
 // NumMachines reports the number of machines.
 func (m *Multi) NumMachines() int { return len(m.spaces) }
 
-// Spec returns the cluster spec backing the space. The caller must treat it
-// as read-only.
-func (m *Multi) Spec() Spec { return m.spec }
-
-// Dims reports the number of resource dimensions.
-func (m *Multi) Dims() int { return m.total.Dims() }
-
-// TotalCapacity returns a copy of the aggregate capacity across machines.
-func (m *Multi) TotalCapacity() resource.Vector { return m.total.Clone() }
-
-// TotalCapacityDim returns one dimension of the aggregate capacity without
-// copying the vector.
-func (m *Multi) TotalCapacityDim(d int) int64 { return m.total[d] }
-
 // Machine returns machine i's occupancy grid.
 func (m *Multi) Machine(i int) *Space { return m.spaces[i] }
-
-// Instrument attaches pool-reuse counters to every machine's grid.
-func (m *Multi) Instrument(slotReuse, slotGrow *obs.Counter) {
-	for _, sp := range m.spaces {
-		sp.Instrument(slotReuse, slotGrow)
-	}
-}
-
-// Reset empties every machine's grid and rewinds the shared clock to 0.
-func (m *Multi) Reset() {
-	for _, sp := range m.spaces {
-		sp.Reset()
-	}
-}
 
 // Clone returns a deep copy of the multi-space.
 func (m *Multi) Clone() *Multi { return m.CloneInto(nil) }
@@ -117,7 +88,7 @@ func (m *Multi) Advance(to int64) {
 }
 
 func errNoSuchMachine(machine, n int) error {
-	return fmt.Errorf("%w: %d of %d", errMachineRange, machine, n)
+	return fmt.Errorf("%w: %d of %d", ErrMachineRange, machine, n)
 }
 
 // FitsAt reports whether the task fits on the given machine starting at
@@ -175,47 +146,4 @@ func (m *Multi) EarliestStartAny(from int64, demand resource.Vector, duration in
 		return 0, 0, fmt.Errorf("%w: demand %v", ErrNoMachine, demand)
 	}
 	return best, bestStart, nil
-}
-
-// AvailableAtInto appends the aggregate free capacity across machines at
-// absolute time t to buf (typically buf[:0]) and returns the extended
-// slice, without allocating when buf has room.
-func (m *Multi) AvailableAtInto(t int64, buf resource.Vector) resource.Vector {
-	n := len(buf)
-	buf = append(buf, m.total...)
-	for _, sp := range m.spaces {
-		for d, u := range sp.row(t) {
-			buf[n+d] -= u
-		}
-	}
-	return buf
-}
-
-// FillOccupancy writes the aggregate normalized occupancy of horizon slots
-// starting at absolute time from into out, laid out out[d*horizon+k] for
-// dimension d and slot k — occupancy summed across machines over total
-// capacity, in [0, 1]. This is the cluster-state half of the DRL input
-// (paper §III-D). At most dims dimensions are written (clamped to the
-// cluster's dimensionality); out must hold at least dims*horizon entries,
-// and its first min(dims, Dims())*horizon entries are overwritten.
-func (m *Multi) FillOccupancy(from int64, horizon, dims int, out []float64) {
-	if d := m.total.Dims(); dims > d {
-		dims = d
-	}
-	region := out[:dims*horizon]
-	clear(region)
-	for _, sp := range m.spaces {
-		for k := 0; k < horizon; k++ {
-			if row := sp.row(from + int64(k)); row != nil {
-				for d := 0; d < dims; d++ {
-					region[d*horizon+k] += float64(row[d])
-				}
-			}
-		}
-	}
-	for k := 0; k < horizon; k++ {
-		for d := 0; d < dims; d++ {
-			region[d*horizon+k] /= float64(m.total[d])
-		}
-	}
 }

@@ -86,17 +86,6 @@ func TestMultiSingleMachineMatchesSpace(t *testing.T) {
 	if mi != 0 || mStart != sStart {
 		t.Fatalf("EarliestStartAny = (%d, %d), Space.EarliestStart = %d", mi, mStart, sStart)
 	}
-	const horizon = 10
-	img := make([]float64, 2*horizon)
-	m.FillOccupancy(0, horizon, 2, img)
-	for k := 0; k < horizon; k++ {
-		used := s.UsedAt(int64(k))
-		for d := range capacity {
-			if got, want := img[d*horizon+k], float64(used[d])/float64(capacity[d]); got != want {
-				t.Fatalf("occupancy dim %d slot %d = %v, Space says %v", d, k, got, want)
-			}
-		}
-	}
 	if got, want := m.MaxBusy(), s.MaxBusy(); got != want {
 		t.Fatalf("MaxBusy = %d, want %d", got, want)
 	}
@@ -235,20 +224,15 @@ func TestMultiAdvanceAndAggregates(t *testing.T) {
 	if err := m.Place(1, 0, resource.Of(3), 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.AvailableAtInto(1, nil); !got.Equal(resource.Of(3)) {
-		t.Fatalf("AvailableAtInto(1) = %v, want [3] (8 total - 2 - 3)", got)
-	}
-	out := make([]float64, 4)
-	m.FillOccupancy(0, 4, 1, out)
-	if out[0] != 5.0/8.0 || out[3] != 2.0/8.0 {
-		t.Fatalf("aggregate occupancy = %v", out)
+	if got := m.MaxBusy(); got != 4 {
+		t.Fatalf("MaxBusy = %d, want 4 (the later of 4 and 2)", got)
 	}
 	m.Advance(2)
 	if m.Origin() != 2 {
 		t.Fatalf("Origin = %d, want 2", m.Origin())
 	}
-	if got := m.AvailableAtInto(2, nil); !got.Equal(resource.Of(6)) {
-		t.Fatalf("AvailableAtInto(2) after advance = %v, want [6]", got)
+	if a, b := m.Machine(0).UsedAt(2), m.Machine(1).UsedAt(2); !a.Equal(resource.Of(2)) || !b.IsZero() {
+		t.Fatalf("occupancy at 2 after advance = %v, %v; want [2], [0]", a, b)
 	}
 }
 

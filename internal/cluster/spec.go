@@ -12,7 +12,7 @@ import (
 var (
 	ErrEmptySpec       = errors.New("cluster: spec has no machines")
 	ErrMixedDims       = errors.New("cluster: machines disagree on resource dimensions")
-	errMachineRange    = errors.New("cluster: machine index out of range")
+	ErrMachineRange    = errors.New("cluster: machine index out of range")
 	ErrNoMachine       = errors.New("cluster: no machine can hold the demand")
 	ErrDuplicateID     = errors.New("cluster: duplicate machine name")
 	ErrTooManyMachines = errors.New("cluster: more machines than a schedule action can address")

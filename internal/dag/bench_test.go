@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -40,5 +41,28 @@ func BenchmarkBuildWithFeatures(b *testing.B) {
 		if _, err := builder.Build(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildWide builds the widest job shape a trace may hold, one map
+// feeding every reduce, and reports ns/task. The duplicate-edge check is
+// O(1) per edge and the ready set O(log n) per task, so an eightfold width
+// must not make a task eightfold dearer, as the scans it replaced did.
+func BenchmarkBuildWide(b *testing.B) {
+	for _, reduces := range []int{4095, 32767} {
+		b.Run(fmt.Sprintf("1+%d", reduces), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				builder := NewBuilder(2)
+				m := builder.AddTask("map", 3, resource.Of(1, 1))
+				for r := 0; r < reduces; r++ {
+					builder.AddDep(m, builder.AddTask("reduce", 2, resource.Of(1, 1)))
+				}
+				if _, err := builder.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(1+reduces)), "ns/task")
+		})
 	}
 }

@@ -85,7 +85,7 @@ func (b *Builder) AddTask(name string, runtime int64, demand resource.Vector) Ta
 }
 
 // AddDep records that child cannot start until parent has finished.
-// Duplicate edges are ignored.
+// Duplicate edges are ignored: Build keeps the first of each.
 func (b *Builder) AddDep(parent, child TaskID) {
 	if int(parent) < 0 || int(parent) >= len(b.tasks) || int(child) < 0 || int(child) >= len(b.tasks) {
 		if b.err == nil {
@@ -98,11 +98,6 @@ func (b *Builder) AddDep(parent, child TaskID) {
 			b.err = fmt.Errorf("%w: task %d", ErrSelfDependency, parent)
 		}
 		return
-	}
-	for _, s := range b.succ[parent] {
-		if s == child {
-			return
-		}
 	}
 	b.succ[parent] = append(b.succ[parent], child)
 	b.pred[child] = append(b.pred[child], parent)
@@ -117,6 +112,8 @@ func (b *Builder) Build() (*Graph, error) {
 	if len(b.tasks) == 0 {
 		return nil, ErrEmpty
 	}
+	dropRepeats(b.succ)
+	dropRepeats(b.pred)
 	g := &Graph{tasks: b.tasks, succ: b.succ, pred: b.pred, dims: b.dims}
 	topo, err := g.topologicalOrder()
 	if err != nil {
@@ -125,6 +122,23 @@ func (b *Builder) Build() (*Graph, error) {
 	g.topo = topo
 	g.computeFeatures()
 	return g, nil
+}
+
+// dropRepeats removes the repeats from every list in place, keeping each
+// entry's first occurrence and the order: seen[x] == i+1 marks x as already
+// in lists[i]. There is one list per task.
+func dropRepeats(lists [][]TaskID) {
+	seen := make([]int, len(lists))
+	for i, list := range lists {
+		kept := list[:0]
+		for _, x := range list {
+			if seen[x] != i+1 {
+				seen[x] = i + 1
+				kept = append(kept, x)
+			}
+		}
+		lists[i] = kept
+	}
 }
 
 // topologicalOrder returns tasks in dependency order (Kahn's algorithm) or
@@ -136,10 +150,8 @@ func (g *Graph) topologicalOrder() ([]TaskID, error) {
 	for id := 0; id < n; id++ {
 		indeg[id] = len(g.pred[id])
 	}
-	// A simple binary-heap-free deterministic frontier: scan for ready IDs in
-	// ascending order using a boolean frontier set. n is small (<= a few
-	// thousand), and construction happens once per graph.
 	order := make([]TaskID, 0, n)
+	// The ready set is a binary min-heap; ascending IDs already are one.
 	ready := make([]TaskID, 0, n)
 	for id := 0; id < n; id++ {
 		if indeg[id] == 0 {
@@ -147,21 +159,13 @@ func (g *Graph) topologicalOrder() ([]TaskID, error) {
 		}
 	}
 	for len(ready) > 0 {
-		// Pop the smallest ID for determinism.
-		minIdx := 0
-		for i := 1; i < len(ready); i++ {
-			if ready[i] < ready[minIdx] {
-				minIdx = i
-			}
-		}
-		id := ready[minIdx]
-		ready[minIdx] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+		var id TaskID
+		id, ready = popID(ready)
 		order = append(order, id)
 		for _, s := range g.succ[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready = append(ready, s)
+				ready = pushID(ready, s)
 			}
 		}
 	}
@@ -169,6 +173,30 @@ func (g *Graph) topologicalOrder() ([]TaskID, error) {
 		return nil, ErrCycle
 	}
 	return order, nil
+}
+
+// pushID and popID keep h a binary min-heap: h[i] <= h[2i+1], h[2i+2].
+func pushID(h []TaskID, id TaskID) []TaskID {
+	h = append(h, id)
+	for i := len(h) - 1; i > 0 && h[(i-1)/2] > h[i]; i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	return h
+}
+
+func popID(h []TaskID) (TaskID, []TaskID) {
+	top, n := h[0], len(h)-1
+	h[0], h = h[n], h[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+	return top, h
 }
 
 // computeFeatures fills blevel and bload by a reverse topological sweep.

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"spear/internal/resource"
@@ -203,18 +204,42 @@ func TestAddDepOutOfRangeAfterEarlierError(t *testing.T) {
 	}
 }
 
+// TestDuplicateEdgeIgnored interleaves repeated edges among distinct ones:
+// every Succ and Pred list holds each neighbour once, in the order of its
+// first AddDep, and the degrees and the topological order ignore the
+// repeats.
 func TestDuplicateEdgeIgnored(t *testing.T) {
 	b := NewBuilder(1)
-	x := b.AddTask("x", 1, resource.Of(1))
-	y := b.AddTask("y", 1, resource.Of(1))
-	b.AddDep(x, y)
-	b.AddDep(x, y)
+	for i := 0; i < 5; i++ {
+		b.AddTask("t", 1, resource.Of(1))
+	}
+	for _, e := range [][2]TaskID{{0, 3}, {0, 2}, {1, 3}, {0, 3}, {2, 3}, {0, 4}, {1, 3}, {0, 2}, {2, 4}, {0, 4}} {
+		b.AddDep(e[0], e[1])
+	}
 	g, err := b.Build()
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatal(err)
 	}
-	if len(g.Succ(x)) != 1 || len(g.Pred(y)) != 1 {
-		t.Errorf("duplicate edge not deduplicated: succ=%v pred=%v", g.Succ(x), g.Pred(y))
+	want := map[TaskID][2][]TaskID{ // succ, pred
+		0: {{3, 2, 4}, nil},
+		1: {{3}, nil},
+		2: {{3, 4}, {0}},
+		3: {nil, {0, 1, 2}},
+		4: {nil, {0, 2}},
+	}
+	for id, w := range want {
+		if got := g.Succ(id); !slices.Equal(got, w[0]) {
+			t.Errorf("Succ(%d) = %v, want %v", id, got, w[0])
+		}
+		if got := g.Pred(id); !slices.Equal(got, w[1]) {
+			t.Errorf("Pred(%d) = %v, want %v", id, got, w[1])
+		}
+	}
+	if got := g.NumChildren(0); got != 3 {
+		t.Errorf("NumChildren(0) = %d, want 3", got)
+	}
+	if got, want := g.TopologicalOrder(), []TaskID{0, 1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("TopologicalOrder = %v, want %v", got, want)
 	}
 }
 

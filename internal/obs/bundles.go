@@ -7,7 +7,7 @@ import (
 )
 
 // SimMetrics is the instrumentation bundle of the simulation substrate
-// (simenv.Env and cluster.Space). One bundle is shared by an episode and
+// (simenv.Env). One bundle is shared by an episode and
 // every clone made from it, so concurrent search workers update the
 // same counters concurrently — all fields are lock-free atomics.
 type SimMetrics struct {
@@ -21,11 +21,6 @@ type SimMetrics struct {
 	// EnvCloneReuse counts clones that recycled an existing scratch episode
 	// instead of allocating a fresh one (pool reuse hits).
 	EnvCloneReuse *Counter
-	// SlotReuse counts cluster grid slots opened inside a grid's spare
-	// capacity (what Advance dropped, or a recycled clone left behind).
-	SlotReuse *Counter
-	// SlotGrow counts cluster grid slots that made a grid reallocate.
-	SlotGrow *Counter
 }
 
 // NewSimMetrics registers the simulation metrics in r (a nil r gets a
@@ -39,8 +34,6 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 		TasksPlaced:   r.Counter("spear_sim_tasks_placed_total", "Schedule actions committed into the cluster"),
 		EnvClones:     r.Counter("spear_sim_env_clones_total", "Episode clones (one per rollout on the fast path)"),
 		EnvCloneReuse: r.Counter("spear_sim_env_clone_reuse_total", "Episode clones that recycled a scratch env (pool reuse hits)"),
-		SlotReuse:     r.Counter("spear_cluster_slot_reuse_total", "Cluster grid slots opened inside a grid's spare capacity"),
-		SlotGrow:      r.Counter("spear_cluster_slot_grow_total", "Cluster grid slots that made a grid reallocate"),
 	}
 }
 

@@ -78,10 +78,14 @@ func (l *RunLog) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// LoadRunLog reads a log previously written via Marshal.
+// LoadRunLog reads a log previously written via Marshal. A key this build
+// does not know is refused by name: dropped, it would make a replay diverge
+// with no word of why.
 func LoadRunLog(r io.Reader) (*RunLog, error) {
 	var l RunLog
-	if err := json.NewDecoder(r).Decode(&l); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&l); err != nil {
 		return nil, fmt.Errorf("serve: decode run log: %w", err)
 	}
 	return &l, nil

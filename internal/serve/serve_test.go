@@ -52,6 +52,23 @@ func mustRun(t *testing.T, cfg serve.Config) *serve.RunLog {
 // TestDeterministicReplay is the acceptance criterion of the serving loop:
 // the same seed must reproduce the run log byte for byte, and the CLI's
 // replay path (load the log, re-run its embedded config) must agree.
+// TestLoadRunLogNamesUnknownKeys: a log carrying a config key this build
+// does not know (searchBudget, which older MCTS runs wrote) is refused with
+// an error naming the key, not loaded without it to diverge on replay.
+func TestLoadRunLogNamesUnknownKeys(t *testing.T) {
+	data, err := mustRun(t, testConfig(11)).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"config": {`), []byte(`"config": {"searchBudget": 200,`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("the log has no config object to add the key to")
+	}
+	if _, err := serve.LoadRunLog(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `"searchBudget"`) {
+		t.Fatalf("LoadRunLog with a searchBudget key: err = %v, want one naming the key", err)
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	first, err := mustRun(t, testConfig(11)).Marshal()
 	if err != nil {

@@ -1,9 +1,11 @@
 package simenv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"spear/internal/cluster"
 	"spear/internal/dag"
 	"spear/internal/resource"
 )
@@ -109,20 +111,28 @@ func BenchmarkProcessStep(b *testing.B) {
 	}
 }
 
+// BenchmarkLegalActions times the legal-action scan of a 100-task episode
+// 20 steps in, on one machine and on four of the same capacity, where the
+// scan makes four times as many fit tests.
 func BenchmarkLegalActions(b *testing.B) {
-	g := benchGraph(b, 100)
-	e, err := New(g, resource.Of(20, 20), Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 20 && !e.Done(); i++ {
-		if err := e.Step(e.LegalActions()[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.LegalActions()
+	for _, machines := range []int{1, 4} {
+		b.Run(fmt.Sprintf("m%d", machines), func(b *testing.B) {
+			g := benchGraph(b, 100)
+			e, err := NewCluster(g, cluster.Uniform(machines, resource.Of(20, 20)), Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 20 && !e.Done(); i++ {
+				if err := e.Step(e.LegalActions()[0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			buf := e.LegalActions()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = e.LegalActionsInto(buf[:0])
+			}
+		})
 	}
 }

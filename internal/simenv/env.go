@@ -97,9 +97,14 @@ const (
 // to branch the episode (tree search); the zero value is not usable until
 // Reset — use New or NewCluster.
 type Env struct {
-	g     *dag.Graph
-	space *cluster.Multi
-	cfg   Config
+	g   *dag.Graph
+	cfg Config
+
+	// The cluster, shared by clones and never written after Reset: a copy
+	// of the validated spec, its capacities as capacity[m*dims+d], the total.
+	spec     cluster.Spec
+	capacity []int64
+	total    resource.Vector
 
 	now            int64
 	status         []status
@@ -111,12 +116,16 @@ type Env struct {
 	running        []dag.TaskID // the running tasks, unordered; cap NumTasks
 	lastFinish     int64        // latest finish among started tasks
 	done           int
+	// used[m*dims+d] sums the demands of the tasks running on machine m: the
+	// occupancy at now, which no later slot exceeds (DESIGN.md §7).
+	used []int64
 
-	// Scratch buffer reused by advanceTo so a Process step allocates
-	// nothing once warm, and the schedule/process steps taken since the
+	// Scratch buffers reused by advanceTo and FillOccupancy so that neither
+	// allocates once warm, and the schedule/process steps taken since the
 	// last flushCounts. They carry no episode state and are deliberately
 	// not copied by CloneInto.
 	readyBuf         []dag.TaskID
+	occBuf           []int64
 	placed, advanced int64
 }
 
@@ -197,8 +206,8 @@ func NewCluster(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
 }
 
 // Reset turns e into a fresh episode for scheduling g on spec, as NewCluster
-// builds one, reusing e's storage: every slice, and the cluster grids too
-// when spec equals the one e was last reset on. Whatever episode e held,
+// builds one, reusing e's storage: every slice, and the spec copy too when
+// spec equals the one e was last reset on. Whatever episode e held,
 // finished or not, is gone. A scheduler that plans job after job keeps one
 // Env and resets it per job. On error e is left as it was. Returns e.
 func (e *Env) Reset(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
@@ -208,13 +217,17 @@ func (e *Env) Reset(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = NextCompletion
 	}
-	space := e.space
-	if space == nil || !space.Spec().Equal(spec) {
+	own, capacity, total := e.spec, e.capacity, e.total
+	if own == nil || !own.Equal(spec) {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 		// A private copy, so that the comparison above never reads a spec
 		// the caller has since changed.
-		var err error
-		if space, err = cluster.NewMulti(spec.Clone()); err != nil {
-			return nil, err
+		own, total = spec.Clone(), spec.Total()
+		capacity = make([]int64, 0, len(own)*len(total))
+		for _, mc := range own {
+			capacity = append(capacity, mc.Capacity...)
 		}
 	}
 	n := g.NumTasks()
@@ -226,14 +239,11 @@ func (e *Env) Reset(g *dag.Graph, spec cluster.Spec, cfg Config) (*Env, error) {
 			return nil, fmt.Errorf("%w: task %d demand %v fits no machine", ErrInfeasible, id, d)
 		}
 	}
-	space.Reset()
-	if m := cfg.Metrics; m != nil {
-		space.Instrument(m.SlotReuse, m.SlotGrow)
-	} else {
-		space.Instrument(nil, nil)
-	}
 
-	e.g, e.space, e.cfg = g, space, cfg
+	e.g, e.cfg = g, cfg
+	e.spec, e.capacity, e.total = own, capacity, total
+	e.used = slices.Grow(e.used[:0], len(capacity))[:len(capacity)]
+	clear(e.used)
 	e.now, e.lastFinish, e.done = 0, 0, 0
 	e.placed, e.advanced = 0, 0
 	e.status = slices.Grow(e.status[:0], n)[:n]
@@ -277,8 +287,9 @@ func (e *Env) CloneInto(dst *Env) *Env {
 		dst = &Env{}
 	}
 	dst.g = e.g // immutable, shared
-	dst.space = e.space.CloneInto(dst.space)
 	dst.cfg = e.cfg
+	dst.spec, dst.capacity, dst.total = e.spec, e.capacity, e.total // shared
+	dst.used = append(dst.used[:0], e.used...)
 	dst.now = e.now
 	dst.status = append(dst.status[:0], e.status...)
 	dst.missingParents = append(dst.missingParents[:0], e.missingParents...)
@@ -298,16 +309,26 @@ func (e *Env) CloneInto(dst *Env) *Env {
 // Graph returns the job DAG being scheduled.
 func (e *Env) Graph() *dag.Graph { return e.g }
 
-// Capacity returns a copy of the aggregate cluster capacity across
-// machines. For a one-machine cluster this is the machine's capacity.
-func (e *Env) Capacity() resource.Vector { return e.space.TotalCapacity() }
-
 // NumMachines reports how many machines the episode's cluster has.
-func (e *Env) NumMachines() int { return e.space.NumMachines() }
+func (e *Env) NumMachines() int { return len(e.spec) }
 
-// Cluster returns the episode's multi-machine space. Callers must treat it
-// as read-only; mutating it corrupts the episode.
-func (e *Env) Cluster() *cluster.Multi { return e.space }
+// Cluster returns a snapshot of the episode's occupancy as a multi-machine
+// grid, built anew on every call: an empty Multi advanced to Now, with each
+// running task placed at Now for the rest of its runtime. The episode keeps
+// no grid, and changing the snapshot does not change the episode.
+func (e *Env) Cluster() *cluster.Multi {
+	space, err := cluster.NewMulti(e.spec)
+	if err != nil {
+		panic(err) // the spec was validated by Reset
+	}
+	space.Advance(e.now)
+	for _, id := range e.running {
+		if err := space.Place(int(e.machine[id]), e.now, e.g.Task(id).Demand, e.finish[id]-e.now); err != nil {
+			panic(err) // the running tasks fitted together when they started
+		}
+	}
+	return space
+}
 
 // Now returns the current clock value.
 func (e *Env) Now() int64 { return e.now }
@@ -369,7 +390,7 @@ func (e *Env) LegalActions() []Action {
 	if e.Done() {
 		return nil
 	}
-	return e.LegalActionsInto(make([]Action, 0, e.visibleLen()*e.space.NumMachines()+1))
+	return e.LegalActionsInto(make([]Action, 0, e.visibleLen()*len(e.spec)+1))
 }
 
 // LegalActionsInto appends the legal actions to buf (typically buf[:0]) and
@@ -382,11 +403,10 @@ func (e *Env) LegalActionsInto(buf []Action) []Action {
 		return buf
 	}
 	w := e.visibleLen()
-	nm := e.space.NumMachines()
 	for i := 0; i < w; i++ {
-		task := e.g.Task(e.ready[i])
-		for m := 0; m < nm; m++ {
-			if e.space.FitsAt(m, e.now, task.Demand, task.Runtime) {
+		demand := e.g.Task(e.ready[i]).Demand
+		for m := range e.spec {
+			if e.fits(m, demand) {
 				buf = append(buf, At(i, m))
 			}
 		}
@@ -395,6 +415,19 @@ func (e *Env) LegalActionsInto(buf []Action) []Action {
 		buf = append(buf, Process)
 	}
 	return buf
+}
+
+// fits reports whether demand fits on machine m now; need > capacity - used
+// cannot wrap. Reset refused any demand of other dimensions than the spec's.
+func (e *Env) fits(m int, demand resource.Vector) bool {
+	lo := m * len(demand)
+	capacity, used := e.capacity[lo:lo+len(demand)], e.used[lo:lo+len(demand)]
+	for d, need := range demand {
+		if need > capacity[d]-used[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // Step applies action a. Scheduling actions leave the clock unchanged;
@@ -441,6 +474,18 @@ func errNoFit(id dag.TaskID, err error) error {
 	return fmt.Errorf("%w: task %d does not fit now: %w", ErrIllegalAction, id, err)
 }
 
+// errPlace is the error a cluster grid gives for the placement of task on
+// machine m at now that stepSchedule refused, MaxSpan included.
+func errPlace(id dag.TaskID, m, machines int, now int64, task dag.Task) error {
+	switch {
+	case m >= machines:
+		return errNoFit(id, fmt.Errorf("%w: %d of %d", cluster.ErrMachineRange, m, machines))
+	case task.Runtime > cluster.MaxSpan:
+		return errNoFit(id, fmt.Errorf("%w: start=%d duration=%d, at most %d slots", cluster.ErrTooLong, now, task.Runtime, cluster.MaxSpan))
+	}
+	return errNoFit(id, fmt.Errorf("%w: start=%d demand=%v duration=%d", cluster.ErrDoesNotFit, now, task.Demand, task.Runtime))
+}
+
 func errIdleProcess() error {
 	return fmt.Errorf("%w: process with an idle cluster", ErrIllegalAction)
 }
@@ -455,8 +500,12 @@ func (e *Env) stepSchedule(i, m int) error {
 	}
 	id := e.ready[i]
 	task := e.g.Task(id)
-	if err := e.space.Place(m, e.now, task.Demand, task.Runtime); err != nil {
-		return errNoFit(id, err)
+	if m >= len(e.spec) || task.Runtime > cluster.MaxSpan || !e.fits(m, task.Demand) {
+		return errPlace(id, m, len(e.spec), e.now, task)
+	}
+	used := e.used[m*len(task.Demand):]
+	for d, need := range task.Demand {
+		used[d] += need
 	}
 	// Remove index i by shifting the tail left within the same backing
 	// array.
@@ -512,8 +561,8 @@ func (e *Env) EarliestRunningFinish() (int64, bool) {
 }
 
 // advanceTo moves the clock to target and completes every running task with
-// finish <= target. Newly ready tasks are appended to the ready queue in
-// (finish time, task ID) order, which keeps episodes fully deterministic.
+// finish <= target, taking its demand off its machine. Newly ready tasks
+// are appended to the ready queue in (finish time, task ID) order, which keeps episodes fully deterministic.
 // Only the running list is read: the tasks still running are swapped to its
 // front and the completed ones, left in its spare tail, are ordered with an
 // insertion sort (bursts are small). Newly ready tasks are appended into
@@ -539,6 +588,11 @@ func (e *Env) advanceTo(target int64) {
 	for _, id := range completed {
 		e.status[id] = statusDone
 		e.done++
+		demand := e.g.Task(id).Demand
+		used := e.used[int(e.machine[id])*len(demand):]
+		for d, need := range demand {
+			used[d] -= need
+		}
 		newlyReady := e.readyBuf[:0]
 		for _, child := range e.g.Succ(id) {
 			e.missingParents[child]--
@@ -557,7 +611,6 @@ func (e *Env) advanceTo(target int64) {
 		}
 		e.readyBuf = newlyReady[:0]
 	}
-	e.space.Advance(target)
 }
 
 // finishesBefore is the completion order: by finish time, then task ID.
@@ -589,21 +642,62 @@ func (e *Env) Schedule(algorithm string) (*sched.Schedule, error) {
 
 // FillOccupancy writes the normalized aggregate cluster occupancy for the
 // next horizon slots starting at the current time into out, laid out
-// out[d*horizon+k]. At most dims dimensions are written (clamped to the
+// out[d*horizon+k]: the running tasks' demands summed across machines over
+// total capacity, in [0, 1]. This is the cluster-state half of the DRL
+// input (paper §III-D). At most dims dimensions are written (clamped to the
 // cluster's dimensionality); out must hold at least dims*horizon entries.
 func (e *Env) FillOccupancy(horizon, dims int, out []float64) {
-	e.space.FillOccupancy(e.now, horizon, dims, out)
+	nd := len(e.total)
+	dims = min(dims, nd)
+	region := out[:dims*horizon]
+	clear(region)
+	// Machine by machine, integer rows are added to the float sums in
+	// machine order. rows[k*nd+d] is a difference array: slot 0 holds what
+	// runs now, and a task leaves at slot finish-now >= 1.
+	rows := slices.Grow(e.occBuf[:0], horizon*nd)[:horizon*nd]
+	e.occBuf = rows
+	for m := range e.spec {
+		clear(rows)
+		copy(rows, e.used[m*nd:(m+1)*nd])
+		for _, id := range e.running {
+			if k := e.finish[id] - e.now; int(e.machine[id]) == m && k < int64(horizon) {
+				for d, need := range e.g.Task(id).Demand {
+					rows[k*int64(nd)+int64(d)] -= need
+				}
+			}
+		}
+		for k := 0; k < horizon; k++ {
+			for d := 0; d < nd; d++ {
+				if k > 0 {
+					rows[k*nd+d] += rows[(k-1)*nd+d]
+				}
+				if d < dims {
+					region[d*horizon+k] += float64(rows[k*nd+d])
+				}
+			}
+		}
+	}
+	for k := 0; k < horizon; k++ {
+		for d := 0; d < dims; d++ {
+			region[d*horizon+k] /= float64(e.total[d])
+		}
+	}
 }
 
 // CapacityDim returns one dimension of the aggregate cluster capacity
 // without copying the vector.
-func (e *Env) CapacityDim(d int) int64 { return e.space.TotalCapacityDim(d) }
+func (e *Env) CapacityDim(d int) int64 { return e.total[d] }
 
 // AvailableNowInto appends the free capacity at the current time to buf
 // (typically buf[:0]) and returns the extended slice, without allocating
 // when buf has room.
 func (e *Env) AvailableNowInto(buf resource.Vector) resource.Vector {
-	return e.space.AvailableAtInto(e.now, buf)
+	n := len(buf)
+	buf = append(buf, e.total...)
+	for i, u := range e.used {
+		buf[n+i%len(e.total)] -= u
+	}
+	return buf
 }
 
 // Policy chooses among legal actions. Implementations must be deterministic

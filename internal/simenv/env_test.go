@@ -418,14 +418,10 @@ func TestAccessors(t *testing.T) {
 	if e.Graph() != g {
 		t.Error("Graph accessor broken")
 	}
-	if !e.Capacity().Equal(capacity) {
-		t.Errorf("Capacity = %v", e.Capacity())
-	}
-	// Returned capacity must be a copy.
-	c := e.Capacity()
-	c[0] = 1
-	if !e.Capacity().Equal(capacity) {
-		t.Error("Capacity aliases internal state")
+	for d := range capacity {
+		if got := e.CapacityDim(d); got != capacity[d] {
+			t.Errorf("CapacityDim(%d) = %d, want %d", d, got, capacity[d])
+		}
 	}
 
 	if _, ok := e.EarliestRunningFinish(); ok {

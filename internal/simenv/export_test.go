@@ -1,6 +1,9 @@
 package simenv
 
-import "spear/internal/dag"
+import (
+	"spear/internal/dag"
+	"spear/internal/resource"
+)
 
 // The O(tasks) status scans that the running list and lastFinish replaced,
 // kept as the references the episode oracle compares the Env with.
@@ -84,7 +87,27 @@ func (e *Env) scanReadyAfter(a Action) []dag.TaskID {
 	return ready
 }
 
-// scanLegal is LegalActionsInto without the grid: a visible ready task may
+// scanOccupancy returns each machine's occupancy over the horizon slots
+// from now, occ[m][k] at time now+k: the demands of the tasks started on
+// machine m and still running then, read from start, finish and machine.
+func (e *Env) scanOccupancy(horizon int) [][]resource.Vector {
+	occ := make([][]resource.Vector, len(e.spec))
+	for m := range occ {
+		occ[m] = make([]resource.Vector, horizon)
+		for k := range occ[m] {
+			t := e.now + int64(k)
+			occ[m][k] = resource.New(len(e.total))
+			for id := range e.status {
+				if int(e.machine[id]) == m && e.start[id] <= t && t < e.finish[id] {
+					occ[m][k], _ = occ[m][k].Add(e.g.Task(dag.TaskID(id)).Demand)
+				}
+			}
+		}
+	}
+	return occ
+}
+
+// scanLegal is LegalActionsInto without the running set: a visible ready task may
 // start on a machine iff, in every slot of its whole duration, the demands
 // of the tasks started on that machine and still running then (read from
 // start, finish and machine) leave room for it.
@@ -95,7 +118,7 @@ func (e *Env) scanLegal() []Action {
 	var legal []Action
 	for i := 0; i < e.visibleLen(); i++ {
 		task := e.g.Task(e.ready[i])
-		for m, mc := range e.space.Spec() {
+		for m, mc := range e.spec {
 			fits := true
 			for t := e.now; t < e.now+task.Runtime && fits; t++ {
 				used := task.Demand.Clone()

@@ -31,9 +31,6 @@ func TestMetricsCountPlacementsAndAdvances(t *testing.T) {
 	if got := m.SlotAdvances.Load(); got != processSteps {
 		t.Errorf("SlotAdvances = %d, want %d Process steps", got, processSteps)
 	}
-	if m.SlotGrow.Load() == 0 {
-		t.Error("SlotGrow = 0, want > 0 (slots were allocated)")
-	}
 }
 
 func TestMetricsCountClonesAndReuse(t *testing.T) {

@@ -1,6 +1,7 @@
 package simenv
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -31,6 +32,66 @@ func checkAgainstScans(t *testing.T, e *Env, what string) {
 	}
 	if got, want := e.LegalActionsInto(nil), e.scanLegal(); !slices.Equal(got, want) {
 		t.Fatalf("%s: legal actions %v, occupancy rebuilt from the placements gives %v", what, got, want)
+	}
+	checkOccupancy(t, e, what)
+}
+
+// checkOccupancy compares FillOccupancy, AvailableNowInto and the Cluster
+// snapshot's rows with the occupancy scanned from the placements, and the
+// snapshot's FitsAt with the legal actions. The image must match bit for
+// bit the one that sums machines' integer occupancies in machine order;
+// asked for one dimension more than the cluster has, it writes only the
+// cluster's dimensions.
+func checkOccupancy(t *testing.T, e *Env, what string) {
+	t.Helper()
+	const horizon = 6 // shorter than the longest runtime, so some finishes fall past it
+	occ := e.scanOccupancy(horizon)
+	dims := len(e.total)
+	img := make([]float64, (dims+1)*horizon)
+	for i := range img {
+		img[i] = -1
+	}
+	e.FillOccupancy(horizon, dims+1, img)
+	for d := 0; d < dims; d++ {
+		for k := 0; k < horizon; k++ {
+			var want float64
+			for m := range occ {
+				want += float64(occ[m][k][d])
+			}
+			want /= float64(e.total[d])
+			if got := img[d*horizon+k]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: FillOccupancy dim %d slot %d = %v, scan %v", what, d, k, got, want)
+			}
+		}
+	}
+	for _, v := range img[dims*horizon:] {
+		if v != -1 {
+			t.Fatalf("%s: FillOccupancy wrote past the cluster's %d dims: %v", what, dims, img)
+		}
+	}
+	snapshot := e.Cluster()
+	for m := range occ {
+		for k, want := range occ[m] {
+			if got := snapshot.Machine(m).UsedAt(e.now + int64(k)); !got.Equal(want) {
+				t.Fatalf("%s: Cluster() machine %d at now+%d holds %v, scan %v", what, m, k, got, want)
+			}
+		}
+	}
+	legal := e.LegalActionsInto(nil)
+	for i := 0; i < e.NumVisible(); i++ {
+		task := e.g.Task(e.VisibleTask(i))
+		for m := range e.spec {
+			if fits := snapshot.FitsAt(m, e.now, task.Demand, task.Runtime); fits != slices.Contains(legal, At(i, m)) {
+				t.Fatalf("%s: Cluster() snapshot says task %d fits machine %d: %v; legal actions %v", what, task.ID, m, fits, legal)
+			}
+		}
+	}
+	free := e.total.Clone()
+	for m := range occ {
+		free, _ = free.Sub(occ[m][0])
+	}
+	if got := e.AvailableNowInto(resource.Of(7)); !got.Equal(append(resource.Of(7), free...)) {
+		t.Fatalf("%s: AvailableNowInto after [7] = %v, scan %v", what, got, free)
 	}
 }
 
@@ -73,8 +134,9 @@ func dirtyEnv(t *testing.T, r *rand.Rand, n int) *Env {
 
 // playOracleEpisode plays one episode, random or by the CP rule, and checks
 // it against the scans after every step: the running list, the earliest
-// finish, the makespan, the hash, the legal actions, and the ready queue the
-// old completion sweep would have produced. At step cloneAt the episode is
+// finish, the makespan, the hash, the legal actions, the occupancy image,
+// the free capacity, the Cluster snapshot, and the ready queue the old
+// completion sweep would have produced. At step cloneAt the episode is
 // cloned onto a dirty destination, and from there on the clone takes the
 // same actions and must stay indistinguishable from the original.
 func playOracleEpisode(t *testing.T, seed int64, machines int, mode ProcessMode, window, cloneAt int, cp bool) {
@@ -125,6 +187,30 @@ func playOracleEpisode(t *testing.T, seed int64, machines int, mode ProcessMode,
 			t.Fatalf("episode over with task %d not done", id)
 		}
 	}
+}
+
+// TestOccupancySumsMachinesInOrder: at 2^60 a float64 step is 256, so
+// 2^60 + 128 + 128 rounds to 2^60 summed in machine order and to 2^60 + 256
+// from the other end. The image must take the machine order.
+func TestOccupancySumsMachinesInOrder(t *testing.T) {
+	b := dag.NewBuilder(1)
+	for _, demand := range []int64{1 << 60, 128, 128} {
+		b.AddTask("t", 3, resource.Of(demand))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewCluster(g, cluster.Uniform(3, resource.Of(1<<60)), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < 3; m++ {
+		if err := e.Step(At(0, m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkOccupancy(t, e, "three tasks on three machines")
 }
 
 func TestEpisodeOracle(t *testing.T) {
