@@ -2,6 +2,7 @@ package drl
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -120,14 +121,13 @@ func (rc *recorder) step(t *testing.T, x []float64, mask []bool, action int, now
 	return step{record: int32(rc.slab.save(rc.net, rc.scratch, probs)), action: int32(action), now: now}
 }
 
-// TestBackpropTrajectoryMatchesSequential pins the chunked gradient path, which
-// reads the sampler's records back, to a step-by-step reference that forwards
-// every state again: same trajectory, same baseline, bit-equal gradients. The
-// inputs are sparse like encoded states (one row is all zeros), several steps
-// share a record like memo hits do, the trajectory is longer than
-// reinforceChunkRows so the chunk loop wraps, more records than one slab
-// chunk holds are filed first, and one step gets a zero advantage to exercise
-// the skip.
+// TestBackpropTrajectoryMatchesSequential pins the two-phase gradient path,
+// whose tape reads the sampler's records back, to a step-by-step reference
+// that forwards every state again: same trajectory, same baseline, bit-equal
+// gradients. The inputs are sparse like encoded states (one row is all
+// zeros), several steps share a record like memo hits do, more records than
+// one slab chunk holds are filed first, one step gets a zero advantage to
+// exercise the skip, and the second phase runs on two scratches.
 func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	feat := testFeatures()
 	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(75)))
@@ -143,7 +143,7 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	for i := 0; i < slabChunkRecords-3; i++ {
 		rc.step(t, make([]float64, feat.InputSize()), mask, 0, 0)
 	}
-	steps := reinforceChunkRows + 5
+	steps := 21
 	tr := trajectory{makespan: int64(steps) + 3, records: rc.slab}
 	var xs [][]float64
 	for i := 0; i < steps; i++ {
@@ -195,9 +195,11 @@ func TestBackpropTrajectoryMatchesSequential(t *testing.T) {
 	}
 
 	got := net.NewGrads()
-	if err := backpropTrajectory(net, tr, baseline, got, newTrainContext(net, reinforceChunkRows)); err != nil {
+	tape := net.NewTape()
+	if err := backpropTrajectory(net, tr, baseline, tape); err != nil {
 		t.Fatal(err)
 	}
+	sumTapes(net, got, []*nn.Tape{tape}, []*nn.Scratch{net.NewScratch(), net.NewScratch()})
 	if got.Samples() != want.Samples() {
 		t.Fatalf("samples %d, want %d", got.Samples(), want.Samples())
 	}
@@ -222,4 +224,145 @@ func applyAndSave(t *testing.T, net *nn.Network, g *nn.Grads) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// FuzzPolicyGradientEquivalence compares the two-phase policy gradient, bit
+// for bit, with a reference that lives only here: one Grads per trajectory,
+// filled step by step by a one-row forward and backward pass over the step's
+// record, merged into the batch in trajectory order. The trajectories are
+// random: their number, their lengths (0 to 39 steps), forced steps (record
+// -1), steps that repeat an earlier record as memo hits do, and exact-zero
+// advantages wherever a step's return equals its baseline (a step only one
+// trajectory reaches always has one). The network has a random shape whose
+// hidden widths need not be multiples of a block, and the trainer runs on 1
+// to 3 workers. Two jobs go into one Grads, so the second adds to sums that
+// are no longer zero.
+func FuzzPolicyGradientEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(0))
+	f.Add(int64(2), uint8(0), uint8(1))
+	f.Add(int64(3), uint8(7), uint8(2))
+	f.Add(int64(4), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, rollouts, workers uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		feat := Features{Window: 2 + rng.Intn(6), Horizon: 5 + rng.Intn(20), Dims: 1 + rng.Intn(2)}
+		net, err := nn.New([]int{feat.InputSize(), 20 + rng.Intn(300), 1 + rng.Intn(40), feat.OutputSize()}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent, err := NewAgent(net, feat, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := newTrainer(agent, TrainConfig{Rollouts: 1 + int(rollouts)%8, Workers: 1 + int(workers)%3}.normalized())
+		rc := newRecorder(net)
+		in, out := feat.InputSize(), feat.OutputSize()
+		got := net.NewGrads()
+		sizes := net.Sizes()
+		wantW, wantB := make([][]float64, len(sizes)-1), make([][]float64, len(sizes)-1)
+		for l := range wantW {
+			wantW[l], wantB[l] = make([]float64, sizes[l]*sizes[l+1]), make([]float64, sizes[l+1])
+		}
+		wantSamples := 0
+		scratch := net.NewScratch()
+		d := make([]float64, out)
+		for job := 0; job < 2; job++ {
+			for i := range tr.trajs {
+				tj := &tr.trajs[i]
+				tj.steps, tj.records = tj.steps[:0], rc.slab
+				for s, n := 0, rng.Intn(40); s < n; s++ {
+					now := int64(s + rng.Intn(2))
+					switch k := rng.Intn(6); {
+					case k == 0: // forced: one legal action, nothing evaluated
+						tj.steps = append(tj.steps, step{record: -1, action: int32(rng.Intn(out)), now: now})
+					case k == 1 && s > 0: // a memo hit repeats an earlier evaluation
+						prev := tj.steps[rng.Intn(s)]
+						if prev.record < 0 {
+							prev.record = int32(rc.slab.n - 1)
+						}
+						tj.steps = append(tj.steps, step{record: prev.record, action: int32(rng.Intn(out)), now: now})
+					default:
+						x := make([]float64, in)
+						for j := range x {
+							if k == 2 || rng.Intn(4) == 0 { // some rows dense, most sparse
+								x[j] = rng.Float64()
+							}
+						}
+						mask := make([]bool, out)
+						for j := range mask {
+							mask[j] = rng.Intn(3) != 0
+						}
+						action := rng.Intn(out)
+						mask[action] = true
+						tj.steps = append(tj.steps, rc.step(t, x, mask, action, now))
+					}
+				}
+				tj.makespan = int64(len(tj.steps) + rng.Intn(3))
+			}
+			if err := tr.accumulatePolicyGradient(got); err != nil {
+				t.Fatal(err)
+			}
+
+			// The reference: its own baseline, one Grads per trajectory.
+			var baseline, reach []float64
+			for _, tj := range tr.trajs {
+				for s, st := range tj.steps {
+					if s == len(baseline) {
+						baseline, reach = append(baseline, 0), append(reach, 0)
+					}
+					baseline[s] += float64(st.now - tj.makespan)
+					reach[s]++
+				}
+			}
+			for s := range baseline {
+				baseline[s] /= reach[s]
+			}
+			for _, tj := range tr.trajs {
+				local := net.NewGrads()
+				for s, st := range tj.steps {
+					advantage := float64(st.now-tj.makespan) - baseline[s]
+					if advantage == 0 || st.record < 0 {
+						local.AddSamples(1)
+						continue
+					}
+					rec := rc.slab.row(int(st.record))
+					if _, err := net.ForwardBatchInto(scratch, rec[:in], 1); err != nil {
+						t.Fatal(err)
+					}
+					for j, p := range rec[net.RowStateSize():] {
+						d[j] = p * advantage
+					}
+					d[st.action] -= advantage
+					if err := net.BackwardBatchInto(scratch, d, 1, local); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for l := range wantW {
+					w, b := local.Layer(l)
+					for j, v := range w {
+						wantW[l][j] += v
+					}
+					for j, v := range b {
+						wantB[l][j] += v
+					}
+				}
+				wantSamples += local.Samples()
+			}
+		}
+		if got.Samples() != wantSamples {
+			t.Fatalf("%d samples, want %d", got.Samples(), wantSamples)
+		}
+		for l := range wantW {
+			w, b := got.Layer(l)
+			for j := range w {
+				if math.Float64bits(w[j]) != math.Float64bits(wantW[l][j]) {
+					t.Fatalf("shape %v, %d workers: layer %d weight %d: %g, want %g", sizes, tr.cfg.Workers, l, j, w[j], wantW[l][j])
+				}
+			}
+			for j := range b {
+				if math.Float64bits(b[j]) != math.Float64bits(wantB[l][j]) {
+					t.Fatalf("shape %v, %d workers: layer %d bias %d: %g, want %g", sizes, tr.cfg.Workers, l, j, b[j], wantB[l][j])
+				}
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package drl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -131,5 +132,38 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		if _, err := Train(net, feat, jobs, capacity, cfg, rng, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAccumulatePolicyGradient measures the backward pass of one job:
+// the policy gradient of 20 sampled rollouts of a 25-task job through the
+// paper's network, at one and two workers. Sampling runs once, outside the
+// timer; the gradient keeps accumulating into one Grads, as within a batch.
+func BenchmarkAccumulatePolicyGradient(b *testing.B) {
+	feat := DefaultFeatures()
+	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	agent, err := NewAgent(net, feat, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs, capacity := testJobs(b, 1, 25, 3)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			tr := newTrainer(agent, TrainConfig{Rollouts: 20, Workers: workers}.normalized())
+			if err := tr.sampleTrajectories(jobs[0], capacity, rand.New(rand.NewSource(4))); err != nil {
+				b.Fatal(err)
+			}
+			grads := net.NewGrads()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tr.accumulatePolicyGradient(grads); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -335,6 +335,10 @@ func TestPretrainValidation(t *testing.T) {
 	if _, err := Pretrain(net, feat, nil, capacity, PretrainConfig{}, rng); err == nil {
 		t.Error("no jobs accepted")
 	}
+	// Zero asks for the default; a negative count is a mistake, not a default.
+	if _, err := Pretrain(net, feat, jobs, capacity, PretrainConfig{Epochs: -1}, rng); err == nil || !strings.Contains(err.Error(), "Epochs") {
+		t.Errorf("Epochs -1: got %v, want an error naming Epochs", err)
+	}
 }
 
 func TestReinforceImprovesMakespan(t *testing.T) {
@@ -398,6 +402,24 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := Train(net, feat, nil, capacity, TrainConfig{Epochs: 1}, rng, nil); err == nil {
 		t.Error("no jobs accepted")
+	}
+	// Zero asks for the default; a negative count is a mistake, not a default.
+	for _, tc := range []struct {
+		field string
+		cfg   TrainConfig
+	}{
+		{"Epochs", TrainConfig{Epochs: -1}},
+		{"Rollouts", TrainConfig{Epochs: 1, Rollouts: -1}},
+		{"BatchExamples", TrainConfig{Epochs: 1, BatchExamples: -1}},
+		{"Workers", TrainConfig{Epochs: 1, Workers: -1}},
+	} {
+		before := net.Generation()
+		if _, err := Train(net, feat, jobs, capacity, tc.cfg, rng, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s -1: got %v, want an error naming %s", tc.field, err, tc.field)
+		}
+		if net.Generation() != before {
+			t.Errorf("%s -1: the network was trained before the error", tc.field)
+		}
 	}
 }
 

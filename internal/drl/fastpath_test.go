@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spear/internal/nn"
 	"spear/internal/simenv"
 )
 
@@ -140,10 +141,11 @@ func TestZeroAdvantageStepsCountAsSamples(t *testing.T) {
 		float64(tr.steps[2].now - tr.makespan),
 	}
 	grads := net.NewGrads()
-	tc := newTrainContext(net, reinforceChunkRows)
-	if err := backpropTrajectory(net, tr, baseline, grads, tc); err != nil {
+	tape := net.NewTape()
+	if err := backpropTrajectory(net, tr, baseline, tape); err != nil {
 		t.Fatal(err)
 	}
+	sumTapes(net, grads, []*nn.Tape{tape}, []*nn.Scratch{net.NewScratch()})
 	if got := grads.Samples(); got != len(tr.steps) {
 		t.Errorf("Samples = %d, want %d (zero-advantage steps must count)", got, len(tr.steps))
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spear/internal/dag"
@@ -30,7 +31,10 @@ type TrainConfig struct {
 	// BatchExamples is how many examples share one gradient update.
 	// Default 4.
 	BatchExamples int
-	// Workers bounds rollout/backprop parallelism. Default GOMAXPROCS.
+	// Workers bounds parallelism: sampling and the first backward phase run
+	// on min(Workers, Rollouts) goroutines, one trajectory at a time; the
+	// second phase on min(Workers, nn.Network.GradBlocks) goroutines, one
+	// block of weights at a time. Default GOMAXPROCS.
 	Workers int
 	// Opt is the optimizer; zero value means nn.DefaultRMSProp.
 	Opt nn.RMSProp
@@ -50,17 +54,35 @@ type TrainConfig struct {
 	Metrics *obs.TrainMetrics
 }
 
+// validate rejects a negative count, which names no default: zero does.
+func (c TrainConfig) validate() error {
+	for _, f := range []struct {
+		name  string
+		value int
+	}{
+		{"Epochs", c.Epochs},
+		{"Rollouts", c.Rollouts},
+		{"BatchExamples", c.BatchExamples},
+		{"Workers", c.Workers},
+	} {
+		if f.value < 0 {
+			return fmt.Errorf("drl: negative %s %d (0 means the default)", f.name, f.value)
+		}
+	}
+	return nil
+}
+
 func (c TrainConfig) normalized() TrainConfig {
-	if c.Epochs <= 0 {
+	if c.Epochs == 0 {
 		c.Epochs = 100
 	}
-	if c.Rollouts <= 0 {
+	if c.Rollouts == 0 {
 		c.Rollouts = 20
 	}
-	if c.BatchExamples <= 0 {
+	if c.BatchExamples == 0 {
 		c.BatchExamples = 4
 	}
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Opt == (nn.RMSProp{}) {
@@ -103,6 +125,9 @@ type trajectory struct {
 // time.Now feeds the phase timers (sample/backprop/apply) only; no
 // training decision depends on the clock.
 func Train(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.Vector, cfg TrainConfig, rng *rand.Rand, progress func(EpochStats)) ([]EpochStats, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.normalized()
 	if net == nil {
 		return nil, errNilNetwork
@@ -248,15 +273,16 @@ type trainer struct {
 	// their policy memos and record slabs hold is dated by the network's
 	// generation, not by the job.
 	samplers []*samplerContext
-	// One trainContext per backprop worker.
-	backprop []*trainContext
+	// One scratch per worker of the second backward phase: the partial sums
+	// of the block it is on.
+	summers []*nn.Scratch
 
-	// Per rollout: its seed, its trajectory (the steps' storage is recycled),
-	// its error and its gradient buffer, zero between jobs.
+	// Per rollout: its seed, its trajectory and its tape (the storage of
+	// both is recycled), and its error.
 	seeds []int64
 	trajs []trajectory
+	tapes []*nn.Tape
 	errs  []error
-	local []*nn.Grads
 
 	// Per step index: the baseline and how many trajectories reach that far.
 	baseline []float64
@@ -271,18 +297,20 @@ func newTrainer(agent *Agent, cfg TrainConfig) *trainer {
 		agent:    agent,
 		cfg:      cfg,
 		samplers: make([]*samplerContext, min(cfg.Workers, cfg.Rollouts)),
-		backprop: make([]*trainContext, min(cfg.Workers, cfg.Rollouts)),
+		summers:  make([]*nn.Scratch, min(cfg.Workers, agent.net.GradBlocks())),
 		seeds:    make([]int64, cfg.Rollouts),
 		trajs:    make([]trajectory, cfg.Rollouts),
+		tapes:    make([]*nn.Tape, cfg.Rollouts),
 		errs:     make([]error, cfg.Rollouts),
-		local:    make([]*nn.Grads, cfg.Rollouts),
 	}
 	for w := range tr.samplers {
 		tr.samplers[w] = &samplerContext{agent: agent.newRecordingContext(), rng: rand.New(rand.NewSource(0))}
-		tr.backprop[w] = newTrainContext(agent.net, reinforceChunkRows)
 	}
-	for i := range tr.local {
-		tr.local[i] = agent.net.NewGrads()
+	for w := range tr.summers {
+		tr.summers[w] = agent.net.NewScratch()
+	}
+	for i := range tr.tapes {
+		tr.tapes[i] = agent.net.NewTape()
 	}
 	return tr
 }
@@ -301,25 +329,34 @@ func (tr *trainer) countPolicyCalls(m *obs.TrainMetrics) {
 	tr.counted = sum
 }
 
-// forEachRollout runs do(w, i) for every rollout index i, on one goroutine per
-// worker w, and returns the first error in rollout order.
-func (tr *trainer) forEachRollout(do func(w, i int) error) error {
+// parallel runs do(w, i) once for every i in [0, n), on workers goroutines
+// that take the next i as they finish one; w names the goroutine. One worker
+// runs them in order on the calling goroutine.
+func parallel(workers, n int, do func(w, i int)) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			do(0, i)
+		}
+		return
+	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := range tr.samplers {
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				tr.errs[i] = do(w, i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				do(w, i)
 			}
 		}()
 	}
-	for i := range tr.trajs {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
+}
+
+// forEachRollout runs do(w, i) for every rollout index i, on one goroutine per
+// sampler w, and returns the first error in rollout order.
+func (tr *trainer) forEachRollout(do func(w, i int) error) error {
+	parallel(len(tr.samplers), len(tr.trajs), func(w, i int) { tr.errs[i] = do(w, i) })
 	for _, err := range tr.errs {
 		if err != nil {
 			return err
@@ -383,8 +420,12 @@ func sampleOne(agent *Agent, sc *samplerContext, base *simenv.Env, tr *trajector
 // gradients with the averaged-trajectory baseline: the return-to-go of step
 // t is G_t = now_t - makespan (each remaining time slot costs -1), and the
 // baseline b_t averages G_t across the example's rollouts (§IV, following
-// the per-timestep baseline of DeepRM). Backprop over trajectories runs in
-// parallel with per-trajectory gradient buffers.
+// the per-timestep baseline of DeepRM). The backward pass runs in two
+// phases: the first, in parallel over trajectories, puts each trajectory's
+// gradient-carrying steps and their deltas on its tape; the second, in
+// parallel over blocks of weights, sums the tapes into grads in trajectory
+// order. Every weight's gradient is one ordered sum, the same bits at any
+// worker count.
 func (tr *trainer) accumulatePolicyGradient(grads *nn.Grads) error {
 	// Per-step baseline across trajectories.
 	maxLen := 0
@@ -405,90 +446,59 @@ func (tr *trainer) accumulatePolicyGradient(grads *nn.Grads) error {
 		}
 	}
 
-	// One gradient buffer per trajectory, merged in trajectory order below:
-	// the result is bit-identical regardless of worker count or scheduling
-	// interleave. The per-pass buffers (activations, deltas) are the workers'.
-	err := tr.forEachRollout(func(w, i int) error {
-		return backpropTrajectory(tr.agent.net, tr.trajs[i], tr.baseline, tr.local[i], tr.backprop[w])
+	err := tr.forEachRollout(func(_, i int) error {
+		return backpropTrajectory(tr.agent.net, tr.trajs[i], tr.baseline, tr.tapes[i])
 	})
 	if err != nil {
 		return err
 	}
-	for _, lg := range tr.local {
-		grads.Drain(lg)
-	}
+	sumTapes(tr.agent.net, grads, tr.tapes, tr.summers)
 	return nil
 }
 
-// reinforceChunkRows is how many trajectory steps share one batched backward
-// network pass during gradient accumulation.
-const reinforceChunkRows = 16
-
-// trainContext holds one backprop worker's reusable buffers: the network
-// scratch (which carries the activations) and the row-major logit gradients.
-// Pretrain sizes one for its minibatch, REINFORCE one per worker for
-// reinforceChunkRows.
-type trainContext struct {
-	scratch *nn.Scratch
-	bd      []float64
-}
-
-// newTrainContext allocates a backprop context for passes of up to rows rows.
-func newTrainContext(net *nn.Network, rows int) *trainContext {
-	return &trainContext{
-		scratch: net.NewBatchScratch(rows),
-		bd:      make([]float64, rows*net.OutputSize()),
+// sumTapes is the second backward phase: it adds the weight gradients of the
+// tapes to g, one block of output units at a time on one goroutine per
+// scratch, and counts the tapes' samples. Every block walks the tapes in
+// order, so the sums do not depend on the number of scratches.
+func sumTapes(net *nn.Network, g *nn.Grads, tapes []*nn.Tape, scratches []*nn.Scratch) {
+	parallel(len(scratches), net.GradBlocks(), func(w, b int) {
+		net.SumBlock(scratches[w], g, tapes, b)
+	})
+	for _, t := range tapes {
+		g.AddSamples(t.Samples())
 	}
 }
 
-// backpropTrajectory accumulates (probs - onehot) * advantage for every step
-// of one trajectory. Nothing is evaluated again: a step's record holds the
-// distribution the sampler drew from and the activations behind it, computed
-// under the weights still in force, and those go back into the worker's
-// scratch. Steps are processed in chunks of reinforceChunkRows through the
-// batched backward kernel; because that accumulates per-weight contributions
-// in ascending row (= step) order, the resulting gradients are bit-identical
-// to one sequential forward and backward pass per step. A forced step's
-// distribution is its one-hot action, so its row would be all ±0, which the
-// kernel skips but for the sample count: it counts as a zero-advantage step.
-func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, grads *nn.Grads, tc *trainContext) error {
-	out, state := net.OutputSize(), net.RowStateSize()
-	t := 0
-	for t < len(tr.steps) {
-		// Gather the next chunk of steps that actually carry gradient.
-		rows := 0
-		for t < len(tr.steps) && rows < reinforceChunkRows {
-			st := tr.steps[t]
-			advantage := float64(st.now-tr.makespan) - baseline[t]
-			t++
-			// Exact-zero test: only a bit-exact zero contributes nothing to
-			// the backward pass, and the skip must not change gradients.
-			if advantage == 0 || st.record < 0 {
-				// Zero-gradient step: the backward pass would add nothing, but
-				// the step is still a sample of the batch. Count it so that
-				// Apply's 1/n scaling averages over the true batch size instead
-				// of silently inflating the effective learning rate.
-				grads.AddSamples(1)
-				continue
-			}
-			rec := tr.records.row(int(st.record))
-			if err := net.LoadRow(tc.scratch, rows, rec[:state]); err != nil {
-				return err
-			}
-			pr := rec[state:]
-			d := tc.bd[rows*out : (rows+1)*out]
-			for i, p := range pr {
-				d[i] = p * advantage
-			}
-			d[st.action] -= advantage
-			rows++
-		}
-		if rows == 0 {
+// backpropTrajectory is the first backward phase for one trajectory: it puts
+// every step that carries gradient on the tape with the logit gradient
+// (probs - onehot) * advantage, and runs the tape's Backprop. Nothing is
+// evaluated again: a step's record holds the distribution the sampler drew
+// from and the activations behind it, computed under the weights still in
+// force, and the tape refers to them where they are. A step with an exact-zero
+// advantage, or a forced one (its distribution is its one-hot action), would
+// add nothing but is still a sample of the batch: the tape counts it, so
+// that Apply's 1/n scaling averages over the true batch size instead of
+// silently inflating the effective learning rate.
+func backpropTrajectory(net *nn.Network, tr trajectory, baseline []float64, tape *nn.Tape) error {
+	tape.Reset()
+	state := net.RowStateSize()
+	for t, st := range tr.steps {
+		advantage := float64(st.now-tr.makespan) - baseline[t]
+		// Exact-zero test: only a bit-exact zero contributes nothing.
+		if advantage == 0 || st.record < 0 {
+			tape.AddSamples(1)
 			continue
 		}
-		if err := net.BackwardBatchInto(tc.scratch, tc.bd[:rows*out], rows, grads); err != nil {
+		rec := tr.records.row(int(st.record))
+		d, err := net.PushRow(tape, rec[:state])
+		if err != nil {
 			return err
 		}
+		for i, p := range rec[state:] {
+			d[i] = p * advantage
+		}
+		d[st.action] -= advantage
 	}
+	net.Backprop(tape)
 	return nil
 }

@@ -3,6 +3,7 @@ package drl
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"spear/internal/dag"
@@ -154,5 +155,36 @@ func TestWarmJobAllocatesPerRolloutNotPerStep(t *testing.T) {
 	t.Logf("%.0f allocations for a job of %d rollouts and %d steps", allocs, cfg.Rollouts, steps)
 	if limit := float64(3 * cfg.Rollouts); allocs > limit || steps < 20*cfg.Rollouts {
 		t.Errorf("a warm job of %d rollouts and %d steps allocates %.0f objects, want at most %.0f", cfg.Rollouts, steps, allocs, limit)
+	}
+}
+
+// TestTrainerGradientMemoryDoesNotGrowWithRollouts gates what a trainer
+// holds per rollout: a tape, which grows with the steps it carries, not with
+// the network. So building a trainer for 40 rollouts may cost at most one
+// dense gradient buffer (381 568 bytes at the paper's shape) more than
+// building one for a single rollout, where a Grads per rollout cost 39.
+func TestTrainerGradientMemoryDoesNotGrowWithRollouts(t *testing.T) {
+	feat := DefaultFeatures()
+	agent := testAgent(t, feat, false, 87)
+	sizes := agent.net.Sizes()
+	gradBytes := uint64(0)
+	for l := range sizes[1:] {
+		gradBytes += 8 * uint64((sizes[l]+1)*sizes[l+1])
+	}
+	var keep *trainer
+	allocated := func(rollouts int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		keep = newTrainer(agent, TrainConfig{Rollouts: rollouts, Workers: 2}.normalized())
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, forty := allocated(1), allocated(40)
+	t.Logf("newTrainer allocates %d bytes at 1 rollout, %d at 40; one Grads is %d", one, forty, gradBytes)
+	if forty > one+gradBytes {
+		t.Errorf("newTrainer allocates %d bytes more at 40 rollouts than at 1, want at most one Grads (%d)", forty-one, gradBytes)
+	}
+	if len(keep.trajs) != 40 {
+		t.Fatalf("the trainer holds %d rollouts, want 40", len(keep.trajs))
 	}
 }

@@ -27,7 +27,7 @@ type PretrainConfig struct {
 const pretrainBatchSize = 32
 
 func (c PretrainConfig) normalized() PretrainConfig {
-	if c.Epochs <= 0 {
+	if c.Epochs == 0 {
 		c.Epochs = 10
 	}
 	if c.Opt == (nn.RMSProp{}) {
@@ -50,6 +50,9 @@ type sample struct {
 // scratch and gradient buffer; the kernels accumulate in row order, so the
 // trained network is the one per-sample backprop would produce, bit for bit.
 func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resource.Vector, cfg PretrainConfig, rng *rand.Rand) ([]float64, error) {
+	if cfg.Epochs < 0 {
+		return nil, fmt.Errorf("drl: negative Epochs %d (0 means the default)", cfg.Epochs)
+	}
 	cfg = cfg.normalized()
 	if net == nil {
 		return nil, errNilNetwork
@@ -67,8 +70,9 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 	}
 
 	in, out := net.InputSize(), net.OutputSize()
-	tc := newTrainContext(net, pretrainBatchSize)
+	scratch := net.NewScratch()
 	bx, bmask := make([]float64, pretrainBatchSize*in), make([]bool, pretrainBatchSize*out)
+	bd := make([]float64, pretrainBatchSize*out)
 	grads := net.NewGrads()
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -85,18 +89,18 @@ func Pretrain(net *nn.Network, feat Features, jobs []*dag.Graph, capacity resour
 				copy(bx[r*in:(r+1)*in], s.x)
 				copy(bmask[r*out:(r+1)*out], s.mask)
 			}
-			probs, err := net.ProbsBatchInto(tc.scratch, bx[:rows*in], rows, bmask[:rows*out])
+			probs, err := net.ProbsBatchInto(scratch, bx[:rows*in], rows, bmask[:rows*out])
 			if err != nil {
 				return nil, err
 			}
 			// Cross-entropy logit gradient: probs minus the teacher's one-hot.
-			d := tc.bd[:rows*out]
+			d := bd[:rows*out]
 			copy(d, probs)
 			for r, s := range batch {
 				epochLoss += -math.Log(math.Max(probs[r*out+s.action], 1e-12))
 				d[r*out+s.action] -= 1
 			}
-			if err := net.BackwardBatchInto(tc.scratch, d, rows, grads); err != nil {
+			if err := net.BackwardBatchInto(scratch, d, rows, grads); err != nil {
 				return nil, err
 			}
 			// Apply leaves grads zeroed for the next minibatch.

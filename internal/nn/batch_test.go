@@ -267,13 +267,13 @@ func TestBackwardBatchIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestLoadRowStandsInForForward saves every row of a forward pass and loads
-// them into another scratch: the backward pass there must give the gradients,
+// TestSavedRowStandsInForForward saves every row of a forward pass and pushes
+// the saved rows onto a tape: the two phases over it must give the gradients,
 // bit for bit, of the backward pass that follows the forward directly.
-func TestLoadRowStandsInForForward(t *testing.T) {
+func TestSavedRowStandsInForForward(t *testing.T) {
 	n := newNet(t, 147, 256, 32, 32, 16)
 	rng := rand.New(rand.NewSource(37))
-	const rows = 11
+	const rows = 35
 	in, out := n.InputSize(), n.OutputSize()
 	x := make([]float64, rows*in)
 	d := make([]float64, rows*out)
@@ -283,33 +283,133 @@ func TestLoadRowStandsInForForward(t *testing.T) {
 	for i := range d {
 		d[i] = rng.NormFloat64()
 	}
-	forwarded, loaded := n.NewScratch(), n.NewBatchScratch(rows)
-	if _, err := n.ForwardBatchInto(forwarded, x, rows); err != nil {
+	s := n.NewScratch()
+	if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
 		t.Fatal(err)
 	}
 	saved := make([]float64, rows*n.RowStateSize())
+	tape := n.NewTape()
 	for r := 0; r < rows; r++ {
-		n.SaveRow(forwarded, r, saved[r*n.RowStateSize():(r+1)*n.RowStateSize()])
-	}
-	// Load in another order than saved: a row's place is all that matters.
-	for _, r := range rng.Perm(rows) {
-		if err := n.LoadRow(loaded, r, saved[r*n.RowStateSize():(r+1)*n.RowStateSize()]); err != nil {
+		state := saved[r*n.RowStateSize() : (r+1)*n.RowStateSize()]
+		n.SaveRow(s, r, state)
+		dl, err := n.PushRow(tape, state)
+		if err != nil {
 			t.Fatal(err)
 		}
+		copy(dl, d[r*out:(r+1)*out])
+		if r == 8 {
+			n.Backprop(tape) // a later call picks up where this one stopped
+		}
 	}
+	n.Backprop(tape)
 	want, got := n.NewGrads(), n.NewGrads()
-	if err := n.BackwardBatchInto(forwarded, d, rows, want); err != nil {
+	if err := n.BackwardBatchInto(s, d, rows, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.BackwardBatchInto(loaded, d, rows, got); err != nil {
-		t.Fatal(err)
-	}
-	sameGradBits(t, "loaded rows", got, want.w, want.b)
+	sumAllBlocks(n, got, tape)
+	sameGradBits(t, "saved rows", got, want.w, want.b)
 	if got.Samples() != want.Samples() {
-		t.Errorf("samples: %d from loaded rows, %d from forwarded ones", got.Samples(), want.Samples())
+		t.Errorf("samples: %d from saved rows, %d from forwarded ones", got.Samples(), want.Samples())
 	}
-	if err := n.LoadRow(loaded, rows, saved[:n.RowStateSize()]); !errors.Is(err, ErrBadInput) {
-		t.Errorf("loading a row past the scratch's size: got %v, want ErrBadInput", err)
+	if _, err := n.PushRow(tape, saved[1:n.RowStateSize()]); !errors.Is(err, ErrBadInput) {
+		t.Errorf("pushing a short row state: got %v, want ErrBadInput", err)
+	}
+	if _, err := newNet(t, 147, 16).PushRow(tape, saved[:147]); !errors.Is(err, ErrBadShape) {
+		t.Errorf("pushing onto another shape's tape: got %v, want ErrBadShape", err)
+	}
+}
+
+// sumAllBlocks runs phase 2 over every block of n into g, one scratch for all,
+// and counts the tapes' samples.
+func sumAllBlocks(n *Network, g *Grads, tapes ...*Tape) {
+	s := n.NewScratch()
+	for b := 0; b < n.GradBlocks(); b++ {
+		n.SumBlock(s, g, tapes, b)
+	}
+	for _, tp := range tapes {
+		g.AddSamples(tp.Samples())
+	}
+}
+
+// TestSumBlockMatchesPerTapeGrads is phase 2's oracle: one Grads per tape,
+// filled by BackwardBatchInto, then added into the batch tape after tape.
+// Shapes cover a layer wider than one block and not a multiple of it (147
+// inputs: 13 units a block), a layer whose inputs alone exceed a block's
+// weights, and single units. Tapes hold rows of every input kind and logit
+// gradients with exact zeros, every third row all zeros of either sign; one
+// tape is empty, and the second round adds to sums that are no longer zero. Blocks run in a random order, as
+// goroutines would finish them.
+func TestSumBlockMatchesPerTapeGrads(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, sizes := range [][]int{{7, 12, 9, 5}, {147, 256, 32, 32, 16}, {2*gradBlockWeights + 3, 3, 2}, {1, 1}} {
+		n := newNet(t, sizes...)
+		in, out := n.InputSize(), n.OutputSize()
+		got := n.NewGrads()
+		w, b := n.NewGrads().w, n.NewGrads().b
+		samples := 0
+		s := n.NewScratch()
+		for round := 0; round < 2; round++ {
+			var tapes []*Tape
+			for k, rows := range []int{3, 0, 18, 1} {
+				tape := n.NewTape()
+				tape.AddSamples(k)
+				samples += k + rows
+				if rows == 0 {
+					tapes = append(tapes, tape)
+					continue
+				}
+				x := make([]float64, rows*in)
+				d := make([]float64, rows*out)
+				for r := 0; r < rows; r++ {
+					rowKinds[(k+r)%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
+					for j := range d[r*out : (r+1)*out] {
+						switch {
+						case r%3 == 1: // a row that adds nothing, one -0 at a time
+							d[r*out+j] = math.Copysign(0, float64(rng.Intn(2)-1))
+						case rng.Intn(3) != 0:
+							d[r*out+j] = rng.NormFloat64()
+						}
+					}
+				}
+				if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
+					t.Fatal(err)
+				}
+				own := n.NewGrads()
+				if err := n.BackwardBatchInto(s, d, rows, own); err != nil {
+					t.Fatal(err)
+				}
+				for l := range w {
+					for i, v := range own.w[l] {
+						w[l][i] += v
+					}
+					for i, v := range own.b[l] {
+						b[l][i] += v
+					}
+				}
+				states := make([]float64, rows*n.RowStateSize())
+				for r := 0; r < rows; r++ {
+					state := states[r*n.RowStateSize() : (r+1)*n.RowStateSize()]
+					n.SaveRow(s, r, state)
+					dl, err := n.PushRow(tape, state)
+					if err != nil {
+						t.Fatal(err)
+					}
+					copy(dl, d[r*out:(r+1)*out])
+				}
+				n.Backprop(tape)
+				tapes = append(tapes, tape)
+			}
+			for _, blk := range rng.Perm(n.GradBlocks()) {
+				n.SumBlock(s, got, tapes, blk)
+			}
+			for _, tape := range tapes {
+				got.AddSamples(tape.Samples())
+			}
+			sameGradBits(t, fmt.Sprint(sizes, " round ", round), got, w, b)
+			if got.Samples() != samples {
+				t.Errorf("%v round %d: %d samples, want %d", sizes, round, got.Samples(), samples)
+			}
+		}
 	}
 }
 

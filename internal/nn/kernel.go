@@ -1,6 +1,7 @@
-// The one inference path: ForwardBatchInto and BackwardBatchInto are the only
-// forward and backward kernels. They work on a row-major batch held in a
-// caller-owned Scratch; a single state is the rows=1 call (ProbsInto).
+// The one inference path: ForwardBatchInto is the only forward kernel and
+// the two phases of backward.go the only backward one. They work on a
+// row-major batch held in a caller-owned Scratch; a single state is the rows=1
+// call (ProbsInto).
 // Evaluating several states per pass streams each weight row once per row
 // block instead of once per state, and per-row arithmetic (accumulation order
 // included) does not depend on the batch size, so any split of the same rows
@@ -26,30 +27,30 @@ type Scratch struct {
 	// acts[0] is the input copy, the last entry the raw logits.
 	acts  [][]float64
 	probs []float64
-	// deltaA/deltaB ping-pong the row-major batch deltas during backprop,
-	// each sized rows x the widest layer.
-	deltaA []float64
-	deltaB []float64
-	// nz holds the non-zero indices of the network inputs, InputSize/2 per
-	// row: of the current row block in the forward kernel, of the whole batch
-	// in the backward one. nnz (forward) and batchNnz (backward) hold their
-	// count per row, -1 for a row that takes the dense loop.
-	nz       []int32
-	nnz      [batchRowBlock]int
-	batchNnz []int32
-	rows     int // rows the buffers are currently sized for
+	// nz holds the non-zero indices of the current row block's network
+	// inputs, InputSize/2 per row, and nnz their count per row, -1 for a row
+	// that takes the dense loop.
+	nz  []int32
+	nnz [batchRowBlock]int
+	// tape carries BackwardBatchInto's rows between the two backward phases.
+	// Built and grown by the first call that needs it.
+	tape *Tape
+	// partW, partB and touched are SumBlock's partial sums of one block, its
+	// weights and biases, and the units a row reached; live lists the units a
+	// row's deltas reach. Grown on first use.
+	partW   []float64
+	partB   []float64
+	live    []int32
+	touched []bool
+	rows    int // rows the buffers are currently sized for
 }
 
 // NewScratch allocates a scratch buffer set shaped like the network and sized
 // for one row, so a single-row call never allocates. Larger batches grow it
 // on first use.
-func (n *Network) NewScratch() *Scratch { return n.NewBatchScratch(1) }
-
-// NewBatchScratch is NewScratch sized for rows rows up front: what LoadRow
-// needs, which fills a scratch row by row and so cannot grow it.
-func (n *Network) NewBatchScratch(rows int) *Scratch {
+func (n *Network) NewScratch() *Scratch {
 	s := &Scratch{acts: make([][]float64, len(n.sizes))}
-	n.ensureRows(s, max(rows, 1))
+	n.ensureRows(s, 1)
 	return s
 }
 
@@ -59,18 +60,11 @@ func (n *Network) ensureRows(s *Scratch, rows int) {
 	if s.rows >= rows {
 		return
 	}
-	widest := 0
 	for l, size := range n.sizes {
 		s.acts[l] = make([]float64, rows*size)
-		if size > widest {
-			widest = size
-		}
 	}
 	s.probs = make([]float64, rows*n.OutputSize())
-	s.deltaA = make([]float64, rows*widest)
-	s.deltaB = make([]float64, rows*widest)
-	idx := make([]int32, rows*(1+n.sizes[0]/2))
-	s.batchNnz, s.nz = idx[:rows], idx[rows:]
+	s.nz = make([]int32, min(rows, batchRowBlock)*(n.sizes[0]/2))
 	s.rows = rows
 }
 
@@ -324,8 +318,8 @@ func (n *Network) ProbsInto(s *Scratch, x []float64, mask []bool) ([]float64, er
 	return n.ProbsBatchInto(s, x, 1, mask)
 }
 
-// RowStateSize is how many values SaveRow writes and LoadRow reads: a row's
-// input and hidden activations, everything BackwardBatchInto reads back from
+// RowStateSize is how many values SaveRow writes and PushRow reads: a row's
+// input and hidden activations, everything the backward pass reads back from
 // a forward pass.
 func (n *Network) RowStateSize() int {
 	total := 0
@@ -342,107 +336,4 @@ func (n *Network) SaveRow(s *Scratch, r int, dst []float64) {
 		copy(dst[:size], s.acts[l][r*size:(r+1)*size])
 		dst = dst[size:]
 	}
-}
-
-// LoadRow puts activations saved by SaveRow, under the same weights, back as
-// row r of the scratch, which must have been built for more than r rows. Once
-// rows 0..k-1 are loaded BackwardBatchInto over k rows finds what a forward
-// pass over those k inputs would have left.
-func (n *Network) LoadRow(s *Scratch, r int, src []float64) error {
-	if r < 0 || r >= s.rows {
-		return errBatchCold(s.rows, r+1)
-	}
-	for l, size := range n.sizes[:len(n.sizes)-1] {
-		copy(s.acts[l][r*size:(r+1)*size], src[:size])
-		src = src[size:]
-	}
-	return nil
-}
-
-// BackwardBatchInto accumulates gradients for a whole batch given dLogits,
-// the row-major rows x OutputSize gradient of the loss with respect to the
-// logits (for policy-gradient / cross-entropy losses with softmax this is
-// (probs - onehot) * scale), and the activations of the scratch's first rows
-// rows: those of its most recent ForwardBatchInto, which must have covered at
-// least that many, or ones put there by LoadRow. Contributions are accumulated
-// in row order, so splitting the same rows over several calls gives
-// bit-identical gradients, while each weight row is streamed once per batch
-// instead of once per sample. The first layer's weight gradient visits only a
-// sparse input row's non-zeros: a skipped term is a signed zero added to a
-// sum that began at +0 and so cannot be -0, which changes nothing as long as
-// the deltas are finite (the caveat of dot4).
-func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *Grads) error {
-	out0 := n.OutputSize()
-	if rows < 1 || len(dLogits) != rows*out0 {
-		return errBatchDLogits(len(dLogits), rows, out0)
-	}
-	if err := n.checkScratch(s); err != nil {
-		return err
-	}
-	if s.rows < rows {
-		return errBatchCold(s.rows, rows)
-	}
-	in0, half := n.sizes[0], n.sizes[0]/2
-	for r := 0; r < rows; r++ {
-		s.batchNnz[r] = int32(gatherNonZero(s.acts[0][r*in0:(r+1)*in0], s.nz[r*half:]))
-	}
-	delta := s.deltaA[:rows*out0]
-	spare := s.deltaB
-	copy(delta, dLogits)
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		in, out := n.sizes[l], n.sizes[l+1]
-		prev := s.acts[l]
-		// Parameter gradients: for a fixed (j, i) the rows accumulate in
-		// ascending order, matching sequential per-sample backprop.
-		for j := 0; j < out; j++ {
-			grow := g.w[l][j*in : (j+1)*in]
-			for r := 0; r < rows; r++ {
-				dj := delta[r*out+j]
-				// Exact zero: skipping it cannot change the accumulated sums.
-				if dj == 0 {
-					continue
-				}
-				g.b[l][j] += dj
-				ar := prev[r*in : r*in+in]
-				var nz []int32 // nil: the row is dense
-				if k := s.batchNnz[r]; l == 0 && k >= 0 {
-					nz = s.nz[r*half:][:k]
-				}
-				axpy(grow, dj, ar, nz)
-			}
-		}
-		if l == 0 {
-			break
-		}
-		// Propagate the batch delta through W and the ReLU. For a fixed
-		// (r, i) the j contributions accumulate in ascending order.
-		next := spare[:rows*in]
-		for i := range next {
-			next[i] = 0
-		}
-		w := n.weights[l]
-		for j := 0; j < out; j++ {
-			row := w[j*in : (j+1)*in]
-			for r := 0; r < rows; r++ {
-				dj := delta[r*out+j]
-				// Exact zero: a zero delta propagates nothing backwards.
-				if dj == 0 {
-					continue
-				}
-				axpy(next[r*in:r*in+in], dj, row, nil)
-			}
-		}
-		// ReLU derivative, by the bit select of the forward kernel: whether a
-		// unit fired is as much a coin flip here as there.
-		for i, a := range prev[:rows*in] {
-			b := math.Float64bits(next[i])
-			if a <= 0 {
-				b = 0
-			}
-			next[i] = math.Float64frombits(b)
-		}
-		delta, spare = next, delta[:cap(delta)]
-	}
-	g.n += rows
-	return nil
 }

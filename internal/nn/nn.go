@@ -98,22 +98,11 @@ func (n *Network) NewGrads() *Grads {
 	return g
 }
 
-// Drain merges other into g and consumes it, as Apply consumes its batch:
-// other comes back zeroed, ready for a parallel worker's next share.
-func (g *Grads) Drain(other *Grads) {
-	for l := range g.w {
-		for i, v := range other.w[l] {
-			g.w[l][i] += v
-			other.w[l][i] = 0
-		}
-		for i, v := range other.b[l] {
-			g.b[l][i] += v
-			other.b[l][i] = 0
-		}
-	}
-	g.n += other.n
-	other.n = 0
-}
+// Layer returns the gradients accumulated for layer l's weights, output
+// major as the network stores them (w[j*in+i]: output j, input i), and for
+// its biases. The slices are g's own, for reading: what a check that compares
+// two batches bit for bit needs.
+func (g *Grads) Layer(l int) (w, b []float64) { return g.w[l], g.b[l] }
 
 // Samples returns how many samples were accumulated.
 func (g *Grads) Samples() int { return g.n }

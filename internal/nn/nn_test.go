@@ -253,31 +253,63 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
+// TestGradsAddAndSamples pins what merges per-trajectory sums: SumBlock over
+// two tapes holding the same row adds each tape's sum in turn, so every
+// gradient comes out exactly twice the one-row gradient, the samples are the
+// tapes' (rows and zero-gradient ones alike), and the scratch's partial sums
+// come back zeroed for the next block.
 func TestGradsAddAndSamples(t *testing.T) {
 	n := newNet(t, 2, 3, 2)
-	g1 := n.NewGrads()
-	g2 := n.NewGrads()
 	s := n.NewScratch()
 	if _, err := n.ForwardBatchInto(s, []float64{1, -1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, g1); err != nil {
+	one := n.NewGrads()
+	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, one); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.BackwardBatchInto(s, []float64{0.5, -0.5}, 1, g2); err != nil {
-		t.Fatal(err)
-	}
-	one := append([]float64(nil), g2.w[0]...)
-	g1.Drain(g2)
-	if g1.Samples() != 2 || g2.Samples() != 0 {
-		t.Errorf("Samples = %d and %d, want 2 and 0", g1.Samples(), g2.Samples())
-	}
-	for i := range g1.w[0] {
-		if math.Abs(g1.w[0][i]-2*one[i]) > 1e-12 {
-			t.Errorf("Drain did not double gradient at %d", i)
+	state := make([]float64, n.RowStateSize())
+	n.SaveRow(s, 0, state)
+	tapes := []*Tape{n.NewTape(), n.NewTape()}
+	for _, tape := range tapes {
+		d, err := n.PushRow(tape, state)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g2.w[0][i] != 0 {
-			t.Errorf("Drain left %g at %d of its argument", g2.w[0][i], i)
+		copy(d, []float64{0.5, -0.5})
+		n.Backprop(tape)
+	}
+	tapes[1].AddSamples(3)
+	g := n.NewGrads()
+	for b := 0; b < n.GradBlocks(); b++ {
+		n.SumBlock(s, g, tapes, b)
+	}
+	for _, tape := range tapes {
+		g.AddSamples(tape.Samples())
+	}
+	if g.Samples() != 5 {
+		t.Errorf("Samples = %d, want 5: two rows and three zero-gradient samples", g.Samples())
+	}
+	for l := range g.w {
+		for i := range g.w[l] {
+			if g.w[l][i] != 2*one.w[l][i] {
+				t.Errorf("layer %d weight %d: %g, want twice %g", l, i, g.w[l][i], one.w[l][i])
+			}
+		}
+		for i := range g.b[l] {
+			if g.b[l][i] != 2*one.b[l][i] {
+				t.Errorf("layer %d bias %d: %g, want twice %g", l, i, g.b[l][i], one.b[l][i])
+			}
+		}
+	}
+	for i, v := range s.partW {
+		if v != 0 {
+			t.Errorf("SumBlock left %g at %d of its partial sums", v, i)
+		}
+	}
+	for i, hit := range s.touched {
+		if hit || s.partB[i] != 0 {
+			t.Errorf("SumBlock left unit %d of its partial sums marked or non-zero", i)
 		}
 	}
 }
