@@ -57,11 +57,15 @@ func BenchmarkAgentChoose(b *testing.B) {
 	}
 }
 
-// BenchmarkAgentChooseCtx measures one warm decision on each side of the
-// policy memo: hit re-evaluates one state, which the context remembers; miss
+// BenchmarkProbsCtx measures one warm policy evaluation on each side of the
+// policy memo, over the first states of one episode: hit rotates over as
+// many states as one set holds, which the context remembers, so every call
+// packs and finds its key; miss
 // rotates over more distinct states than its (shrunken) memo holds, so every
-// decision encodes, misses, runs the network and evicts.
-func BenchmarkAgentChooseCtx(b *testing.B) {
+// call packs, misses, encodes, runs the network and evicts. Compare two
+// builds with a fixed count, e.g. -benchtime 20000x, so that both make the
+// same calls.
+func BenchmarkProbsCtx(b *testing.B) {
 	feat := DefaultFeatures()
 	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -85,30 +89,32 @@ func BenchmarkAgentChooseCtx(b *testing.B) {
 		ctx    *AgentContext
 		states []visit
 	}{
-		{"hit", agent.newContext(), states[:1]},
+		{"hit", contextWithMemo(agent, 1), states[:memoWays]},
 		{"miss", contextWithMemo(agent, 4), states},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			for _, v := range bc.states { // warm: the memo reaches its size
-				if _, err := agent.ChooseCtx(bc.ctx, v.env, v.legal, rng); err != nil {
+			ask := func(v visit) {
+				if _, err := agent.probsCtx(bc.ctx, v.env, v.legal); err != nil {
 					b.Fatal(err)
+				}
+			}
+			for range 2 { // warm: the memo reaches its size
+				for _, v := range bc.states {
+					ask(v)
 				}
 			}
 			hits := bc.ctx.hits
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v := bc.states[i%len(bc.states)]
-				if _, err := agent.ChooseCtx(bc.ctx, v.env, v.legal, rng); err != nil {
-					b.Fatal(err)
-				}
+				ask(bc.states[i%len(bc.states)])
 			}
 			want := int64(0)
 			if bc.name == "hit" {
 				want = int64(b.N)
 			}
 			if got := bc.ctx.hits - hits; got != want {
-				b.Fatalf("%d memo hits in %d decisions, want %d", got, b.N, want)
+				b.Fatalf("%d memo hits in %d calls, want %d", got, b.N, want)
 			}
 		})
 	}

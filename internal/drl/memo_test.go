@@ -1,12 +1,15 @@
 package drl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"spear/internal/dag"
 	"spear/internal/nn"
+	"spear/internal/resource"
 	"spear/internal/simenv"
 )
 
@@ -121,9 +124,10 @@ func TestMemoAnswersEqualUncachedForward(t *testing.T) {
 
 // TestRecordingContextNamesTheEvaluationBehindEveryAnswer drives a REINFORCE
 // sampler's context through revisited states: after every call, hit or miss,
-// ctx.record must name a record holding this very input and the distribution
-// returned, one record per evaluation actually run, whether or not the memo
-// still holds the entry; and a weight change starts the slab over.
+// ctx.record must name a record holding this very state's encoding (a fresh
+// Encode's: a hit writes no ctx.x) and the distribution returned, one record
+// per evaluation actually run, whether or not the memo still holds the
+// entry; and a weight change starts the slab over.
 func TestRecordingContextNamesTheEvaluationBehindEveryAnswer(t *testing.T) {
 	feat := testFeatures()
 	agent := testAgent(t, feat, false, 79)
@@ -147,7 +151,7 @@ func TestRecordingContextNamesTheEvaluationBehindEveryAnswer(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := ctx.records.row(ctx.record)
-			if !sameBits(rec[:in], ctx.x) || !sameBits(rec[ctx.records.state:], probs) {
+			if !sameBits(rec[:in], feat.Encode(v.env, nil)) || !sameBits(rec[ctx.records.state:], probs) {
 				t.Fatalf("maxSets=%d visit %d: record %d is not this evaluation", maxSets, i, ctx.record)
 			}
 		}
@@ -174,12 +178,12 @@ func TestMemoVerifiesTheWholeKey(t *testing.T) {
 	m := newProbsMemo(keyLen, width, 1)
 	m.tagWords = 1
 	out := make([]float64, width)
-	key := func(i int) []uint64 { return []uint64{uint64(i), 7, 7} }
+	key := func(i int) []int64 { return []int64{int64(i), 7, 7} }
 	val := func(i int) []float64 { return []float64{float64(i), -float64(i)} }
 	const h = 0xABCDEF
 	present := func(i int) bool {
 		tag, ok := m.lookup(h, key(i), out)
-		if ok && tag != uint64(10*i) {
+		if ok && tag != int64(10*i) {
 			t.Errorf("key %d came back tagged %d", i, tag)
 		}
 		return ok
@@ -221,12 +225,10 @@ func TestMemoVerifiesTheWholeKey(t *testing.T) {
 func TestMemoGrowsOnDemandAndKeepsEntries(t *testing.T) {
 	const keyLen, width, n = 2, 1, 300
 	m := newProbsMemo(keyLen, width, 1<<20)
-	key := make([]uint64, keyLen)
-	x := make([]float64, 1)
+	key := make([]int64, keyLen)
 	for i := 0; i < n; i++ {
-		x[0] = float64(i + 1)
-		h := packKey(x, []bool{true}, key)
-		m.insert(h, key, []float64{float64(i)}, 0, true)
+		key[0], key[1] = int64(i+1), 1
+		m.insert(hashKey(key), key, []float64{float64(i)}, 0, true)
 	}
 	if m.sets*memoWays > 4*n {
 		t.Errorf("%d entries grew the memo to %d slots", n, m.sets*memoWays)
@@ -234,9 +236,8 @@ func TestMemoGrowsOnDemandAndKeepsEntries(t *testing.T) {
 	out := make([]float64, width)
 	found := 0
 	for i := 0; i < n; i++ {
-		x[0] = float64(i + 1)
-		h := packKey(x, []bool{true}, key)
-		if _, ok := m.lookup(h, key, out); ok {
+		key[0], key[1] = int64(i+1), 1
+		if _, ok := m.lookup(hashKey(key), key, out); ok {
 			found++
 			if out[0] != float64(i) {
 				t.Fatalf("entry %d came back as %v", i, out[0])
@@ -307,6 +308,85 @@ func TestMemoResetsWhenWeightsChange(t *testing.T) {
 	gotAct, _ := agent.ChooseCtx(ctx, v.env, v.legal, nil)
 	if gotAct != wantAct {
 		t.Errorf("after Apply the old context chooses %v, a fresh one %v", gotAct, wantAct)
+	}
+}
+
+// TestMemoAnswersForOneJobAndCapacity asks one context about job A, then job
+// B, then A again, then A on a cluster of twice the capacity, then A as at
+// first. Every answer must be a fresh context's, bit for bit, although the
+// key holds neither the job nor the capacity: some key must come back under
+// another job or capacity with another answer, which a memo that kept its
+// entries across the change would have served. Switching, which empties the
+// memo, must not allocate.
+func TestMemoAnswersForOneJobAndCapacity(t *testing.T) {
+	feat := testFeatures()
+	agent := testAgent(t, feat, false, 83)
+	jobs, capacity := testJobs(t, 2, 14, 84)
+	double := capacity.Clone()
+	for d := range double {
+		double[d] *= 2
+	}
+	episode := func(g *dag.Graph, capacity resource.Vector) []visit {
+		e, err := simenv.New(g, capacity, simenv.Config{Window: feat.Window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var visits []visit
+		rng := rand.New(rand.NewSource(85))
+		for !e.Done() {
+			legal := e.LegalActions()
+			visits = append(visits, visit{env: e.Clone(), legal: legal}, visit{env: e.Clone(), legal: legal})
+			if err := e.Step(legal[rng.Intn(len(legal))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return visits
+	}
+	a, b, a2 := episode(jobs[0], capacity), episode(jobs[1], capacity), episode(jobs[0], double)
+	ctx := contextWithMemo(agent, memoMaxSets)
+	answers := map[string][]float64{}
+	crossed := false
+	for _, segment := range []struct {
+		name   string
+		visits []visit
+	}{{"A", a}, {"B", b}, {"A", a}, {"A at twice the capacity", a2}, {"A", a}} {
+		for i, v := range segment.visits {
+			want, err := agent.probsCtx(agent.newContext(), v.env, v.legal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := agent.probsCtx(ctx, v.env, v.legal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("job %s, visit %d: memoised %v, fresh context %v", segment.name, i, got, want)
+			}
+			k := fmt.Sprint(ctx.key)
+			if prev, ok := answers[k]; ok && !sameBits(prev, want) {
+				crossed = true
+			}
+			answers[k] = append([]float64(nil), want...)
+		}
+	}
+	if !crossed {
+		t.Error("no key came back with another answer under another job or capacity; the test proves nothing")
+	}
+	if ctx.hits == 0 {
+		t.Error("the memo never answered")
+	}
+
+	small := contextWithMemo(agent, 1)
+	for _, other := range [][]visit{b, a2} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			for _, v := range []visit{a[0], other[0]} {
+				if _, err := agent.probsCtx(small, v.env, v.legal); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); allocs != 0 {
+			t.Errorf("switching job or capacity allocates %.1f times per run, want 0", allocs)
+		}
 	}
 }
 
@@ -425,7 +505,15 @@ func FuzzMemoEquivalence(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	visits := randomVisits(f, feat, 3, 80)
+	// One job's states, so that no job change empties the memo and every
+	// call is a hit, a filled way or an eviction.
+	all := randomVisits(f, feat, 3, 80)
+	var visits []visit
+	for _, v := range all {
+		if v.env.Graph() == all[0].env.Graph() {
+			visits = append(visits, v)
+		}
+	}
 	ref := contextWithMemo(agent, 0)
 	choosers := []*AgentContext{agent.newContext(), greedy.newContext()}
 	expander := NewExpander(greedy)

@@ -270,8 +270,8 @@ type trainer struct {
 	cfg   TrainConfig
 
 	// One samplerContext per sampling worker. Living as long as the run, what
-	// their policy memos and record slabs hold is dated by the network's
-	// generation, not by the job.
+	// their record slabs hold is dated by the network's generation, not by
+	// the job; their policy memos also empty on a change of job.
 	samplers []*samplerContext
 	// One scratch per worker of the second backward phase: the partial sums
 	// of the block it is on.

@@ -120,12 +120,11 @@ type Env struct {
 	// occupancy at now, which no later slot exceeds (DESIGN.md §7).
 	used []int64
 
-	// Scratch buffers reused by advanceTo and FillOccupancy so that neither
-	// allocates once warm, and the schedule/process steps taken since the
-	// last flushCounts. They carry no episode state and are deliberately
-	// not copied by CloneInto.
+	// A scratch buffer reused by advanceTo so that it does not allocate once
+	// warm, and the schedule/process steps taken since the last flushCounts.
+	// They carry no episode state and are deliberately not copied by
+	// CloneInto.
 	readyBuf         []dag.TaskID
-	occBuf           []int64
 	placed, advanced int64
 }
 
@@ -640,46 +639,69 @@ func (e *Env) Schedule(algorithm string) (*sched.Schedule, error) {
 	}, nil
 }
 
-// FillOccupancy writes the normalized aggregate cluster occupancy for the
-// next horizon slots starting at the current time into out, laid out
-// out[d*horizon+k]: the running tasks' demands summed across machines over
-// total capacity, in [0, 1]. This is the cluster-state half of the DRL
-// input (paper §III-D). At most dims dimensions are written (clamped to the
-// cluster's dimensionality); out must hold at least dims*horizon entries.
-func (e *Env) FillOccupancy(horizon, dims int, out []float64) {
+// OccupancyInto writes the aggregate cluster occupancy for the next horizon
+// slots starting at the current time into out, laid out out[d*horizon+k]:
+// the demands of the tasks running in slot now+k, summed across machines. It
+// writes at most dims dimensions (clamped to the cluster's dimensionality)
+// and no other word; out must hold at least dims*horizon entries. Every
+// value lies in [0, CapacityDim(d)], so no sum overflows. It needs no
+// storage but out's.
+func (e *Env) OccupancyInto(horizon, dims int, out []int64) {
+	for d := 0; d < min(dims, len(e.total)); d++ {
+		e.occupancyRange(d, 0, out[d*horizon:(d+1)*horizon])
+	}
+}
+
+// occupancyRange writes dimension d of the aggregate occupancy in slots
+// now+from, ..., now+from+len(out)-1 into out.
+func (e *Env) occupancyRange(d, from int, out []int64) {
 	nd := len(e.total)
-	dims = min(dims, nd)
-	region := out[:dims*horizon]
-	clear(region)
-	// Machine by machine, integer rows are added to the float sums in
-	// machine order. rows[k*nd+d] is a difference array: slot 0 holds what
-	// runs now, and a task leaves at slot finish-now >= 1.
-	rows := slices.Grow(e.occBuf[:0], horizon*nd)[:horizon*nd]
-	e.occBuf = rows
+	// occ runs through the slots: what runs now, less what left by then. A
+	// task leaves at slot finish-now >= 1; out holds the departures in its
+	// range until the running sum below turns them into occupancies.
+	var occ int64
 	for m := range e.spec {
-		clear(rows)
-		copy(rows, e.used[m*nd:(m+1)*nd])
-		for _, id := range e.running {
-			if k := e.finish[id] - e.now; int(e.machine[id]) == m && k < int64(horizon) {
-				for d, need := range e.g.Task(id).Demand {
-					rows[k*int64(nd)+int64(d)] -= need
-				}
-			}
-		}
-		for k := 0; k < horizon; k++ {
-			for d := 0; d < nd; d++ {
-				if k > 0 {
-					rows[k*nd+d] += rows[(k-1)*nd+d]
-				}
-				if d < dims {
-					region[d*horizon+k] += float64(rows[k*nd+d])
-				}
-			}
+		occ += e.used[m*nd+d]
+	}
+	clear(out)
+	for _, id := range e.running {
+		k := e.finish[id] - e.now
+		need := e.g.Task(id).Demand[d]
+		switch {
+		case k <= int64(from):
+			occ -= need
+		case k < int64(from+len(out)):
+			out[k-int64(from)] -= need
 		}
 	}
-	for k := 0; k < horizon; k++ {
-		for d := 0; d < dims; d++ {
-			region[d*horizon+k] /= float64(e.total[d])
+	for k, left := range out {
+		occ += left
+		out[k] = occ
+	}
+}
+
+// occupancyChunk is how many slots of one dimension FillOccupancy computes
+// per pass, on the stack.
+const occupancyChunk = 32
+
+// FillOccupancy writes the normalized aggregate cluster occupancy for the
+// next horizon slots starting at the current time into out, laid out as
+// OccupancyInto lays it out: each slot's summed integer occupancy converted
+// to float and divided by the total capacity, in [0, 1]. This is the
+// cluster-state half of the DRL input (paper §III-D), so it is a function
+// of OccupancyInto's integers and the capacity alone. At most dims
+// dimensions are written (clamped to the cluster's dimensionality); out must
+// hold at least dims*horizon entries. It does not allocate.
+func (e *Env) FillOccupancy(horizon, dims int, out []float64) {
+	var rows [occupancyChunk]int64
+	for d := 0; d < min(dims, len(e.total)); d++ {
+		total := float64(e.total[d])
+		for from := 0; from < horizon; from += occupancyChunk {
+			chunk := rows[:min(occupancyChunk, horizon-from)]
+			e.occupancyRange(d, from, chunk)
+			for k, occ := range chunk {
+				out[d*horizon+from+k] = float64(occ) / total
+			}
 		}
 	}
 }

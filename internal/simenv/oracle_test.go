@@ -36,39 +36,20 @@ func checkAgainstScans(t *testing.T, e *Env, what string) {
 	checkOccupancy(t, e, what)
 }
 
-// checkOccupancy compares FillOccupancy, AvailableNowInto and the Cluster
-// snapshot's rows with the occupancy scanned from the placements, and the
-// snapshot's FitsAt with the legal actions. The image must match bit for
-// bit the one that sums machines' integer occupancies in machine order;
-// asked for one dimension more than the cluster has, it writes only the
-// cluster's dimensions.
+// checkOccupancy compares OccupancyInto, FillOccupancy, AvailableNowInto and
+// the Cluster snapshot's rows with the occupancy scanned from the
+// placements, and the snapshot's FitsAt with the legal actions. The integer
+// image must be the machines' occupancies summed, and the float image that
+// sum over the total capacity, bit for bit; asked for one dimension more
+// than the cluster has, each writes only the cluster's dimensions.
 func checkOccupancy(t *testing.T, e *Env, what string) {
 	t.Helper()
-	const horizon = 6 // shorter than the longest runtime, so some finishes fall past it
-	occ := e.scanOccupancy(horizon)
-	dims := len(e.total)
-	img := make([]float64, (dims+1)*horizon)
-	for i := range img {
-		img[i] = -1
+	// The short horizon is shorter than the longest runtime, so some
+	// finishes fall past it; the long one spans FillOccupancy's chunks.
+	for _, horizon := range []int{6, 2*occupancyChunk + 3} {
+		checkOccupancyImage(t, e, what, horizon)
 	}
-	e.FillOccupancy(horizon, dims+1, img)
-	for d := 0; d < dims; d++ {
-		for k := 0; k < horizon; k++ {
-			var want float64
-			for m := range occ {
-				want += float64(occ[m][k][d])
-			}
-			want /= float64(e.total[d])
-			if got := img[d*horizon+k]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: FillOccupancy dim %d slot %d = %v, scan %v", what, d, k, got, want)
-			}
-		}
-	}
-	for _, v := range img[dims*horizon:] {
-		if v != -1 {
-			t.Fatalf("%s: FillOccupancy wrote past the cluster's %d dims: %v", what, dims, img)
-		}
-	}
+	occ := e.scanOccupancy(6)
 	snapshot := e.Cluster()
 	for m := range occ {
 		for k, want := range occ[m] {
@@ -92,6 +73,41 @@ func checkOccupancy(t *testing.T, e *Env, what string) {
 	}
 	if got := e.AvailableNowInto(resource.Of(7)); !got.Equal(append(resource.Of(7), free...)) {
 		t.Fatalf("%s: AvailableNowInto after [7] = %v, scan %v", what, got, free)
+	}
+}
+
+// checkOccupancyImage is checkOccupancy's comparison of OccupancyInto and
+// FillOccupancy over the given horizon.
+func checkOccupancyImage(t *testing.T, e *Env, what string, horizon int) {
+	t.Helper()
+	occ := e.scanOccupancy(horizon)
+	dims := len(e.total)
+	ints := make([]int64, (dims+1)*horizon)
+	img := make([]float64, (dims+1)*horizon)
+	for i := range img {
+		ints[i], img[i] = -1, -1
+	}
+	e.OccupancyInto(horizon, dims+1, ints)
+	e.FillOccupancy(horizon, dims+1, img)
+	for d := 0; d < dims; d++ {
+		for k := 0; k < horizon; k++ {
+			var sum int64
+			for m := range occ {
+				sum += occ[m][k][d]
+			}
+			if got := ints[d*horizon+k]; got != sum {
+				t.Fatalf("%s: OccupancyInto dim %d slot %d = %d, scan %d", what, d, k, got, sum)
+			}
+			want := float64(sum) / float64(e.total[d])
+			if got := img[d*horizon+k]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: FillOccupancy dim %d slot %d = %v, scan %v", what, d, k, got, want)
+			}
+		}
+	}
+	for i := dims * horizon; i < len(img); i++ {
+		if ints[i] != -1 || img[i] != -1 {
+			t.Fatalf("%s: the occupancy wrote past the cluster's %d dims: %v, %v", what, dims, ints, img)
+		}
 	}
 }
 
