@@ -18,27 +18,38 @@ import (
 
 	"spear"
 	"spear/internal/experiments"
+	"spear/internal/profile"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "spear-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses the command line args, then lists the experiments or runs the
+// chosen ones, and prints the -metrics snapshot.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("spear-experiments", flag.ExitOnError)
 	var (
-		runName   = flag.String("run", "all", "experiment to run (or 'all')")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		full      = flag.Bool("full", false, "use paper-scale parameters (slow)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		modelPath = flag.String("model", "", "trained model (trains one on demand when empty)")
-		verbose   = flag.Bool("v", false, "log per-job progress")
-		csvDir    = flag.String("csv-dir", "", "also write each experiment's raw data as CSV into this directory")
-		metrics   = flag.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
+		runName   = fs.String("run", "all", "experiment to run (or 'all')")
+		list      = fs.Bool("list", false, "list experiments and exit")
+		full      = fs.Bool("full", false, "use paper-scale parameters (slow)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		modelPath = fs.String("model", "", "trained model (trains one on demand when empty)")
+		verbose   = fs.Bool("v", false, "log per-job progress")
+		csvDir    = fs.String("csv-dir", "", "also write each experiment's raw data as CSV into this directory")
+		metrics   = fs.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
 	)
-	flag.Parse()
+	prof := profile.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer prof.Stop(&err)
 
 	if *list {
 		for _, r := range experiments.Registry() {

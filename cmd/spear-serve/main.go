@@ -26,6 +26,7 @@ import (
 	"spear/internal/baselines"
 	"spear/internal/mcts"
 	"spear/internal/obs"
+	"spear/internal/profile"
 	"spear/internal/sched"
 	"spear/internal/serve"
 	"spear/internal/workload"
@@ -54,7 +55,7 @@ var algorithms = []string{"cp", "anneal", "mcts"}
 
 // run parses the command line args, then serves the run (or replays a log)
 // and prints its summary and the -metrics snapshot.
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("spear-serve", flag.ExitOnError)
 	var classes classFlags
 	var (
@@ -73,9 +74,14 @@ func run(args []string) error {
 		quiet        = fs.Bool("quiet", false, "suppress the summary table")
 	)
 	fs.Var(&classes, "class", "client class as name[@tenant]:kind:mean[:shape] (repeatable; default gold+batch mix)")
+	prof := profile.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer prof.Stop(&err)
 
 	if *replay != "" {
 		return replayRun(*replay, *metrics)
@@ -100,7 +106,6 @@ func run(args []string) error {
 	if cfg.Admission.Policy == serve.PolicyAlways {
 		cfg.Admission.BucketCap, cfg.Admission.RefillPerSlot = 0, 0
 	}
-	var err error
 	if cfg.Classes, err = parseClasses(classes); err != nil {
 		return err
 	}

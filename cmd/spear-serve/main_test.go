@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spear/internal/cluster"
+	"spear/internal/profile/profiletest"
 	"spear/internal/serve"
 	"spear/internal/workload"
 )
@@ -126,4 +127,9 @@ func TestBuildSchedulerNames(t *testing.T) {
 	if want := strings.Join(algorithms, " "); !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not list the known names %q", err, want)
 	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each leave a pprof file.
+func TestProfileFlags(t *testing.T) {
+	profiletest.Run(t, run, "-seed", "3", "-horizon", "500", "-quiet")
 }

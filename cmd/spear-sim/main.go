@@ -20,6 +20,7 @@ import (
 	"text/tabwriter"
 
 	"spear"
+	"spear/internal/profile"
 )
 
 func main() {
@@ -37,7 +38,7 @@ var algorithms = []string{
 
 // run parses the command line args and writes the makespan table, then the
 // -gantt charts and the -metrics snapshot, to stdout.
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("spear-sim", flag.ExitOnError)
 	var (
 		n          = fs.Int("n", 5, "number of random jobs")
@@ -55,9 +56,14 @@ func run(args []string, stdout io.Writer) error {
 		metrics    = fs.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
 		machines   = fs.Int("machines", 1, "number of identical machines, each with the full capacity vector")
 	)
+	prof := profile.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer prof.Stop(&err)
 	for _, f := range []struct {
 		name  string
 		value int

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"spear"
 	"spear/internal/cluster"
+	"spear/internal/profile/profiletest"
 )
 
 func TestParseCapacity(t *testing.T) {
@@ -205,4 +207,10 @@ func TestGanttChartsFollowTheTable(t *testing.T) {
 	if snap := strings.Index(text, "\n# HELP "); snap < at {
 		t.Errorf("metrics snapshot at byte %d, before the last chart at %d:\n%s", snap, at, text)
 	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each leave a pprof file.
+func TestProfileFlags(t *testing.T) {
+	profiletest.Run(t, func(args []string) error { return run(args, io.Discard) },
+		"-n", "1", "-tasks", "10", "-algos", "cp")
 }

@@ -16,23 +16,34 @@ import (
 	"os"
 
 	"spear"
+	"spear/internal/profile"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "spear-trace:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses the command line args, then generates or reads the trace,
+// writes it and prints its statistics as asked.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("spear-trace", flag.ExitOnError)
 	var (
-		out   = flag.String("out", "", "write a freshly generated trace to this path")
-		in    = flag.String("in", "", "read an existing trace instead of generating one")
-		seed  = flag.Int64("seed", 2019, "generation seed")
-		stats = flag.Bool("stats", true, "print the trace's summary statistics")
+		out   = fs.String("out", "", "write a freshly generated trace to this path")
+		in    = fs.String("in", "", "read an existing trace instead of generating one")
+		seed  = fs.Int64("seed", 2019, "generation seed")
+		stats = fs.Bool("stats", true, "print the trace's summary statistics")
 	)
-	flag.Parse()
+	prof := profile.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer prof.Stop(&err)
 
 	var trace *spear.Trace
 	if *in != "" {
@@ -46,7 +57,6 @@ func run() error {
 			return err
 		}
 	} else {
-		var err error
 		trace, err = spear.GenerateTrace(*seed, spear.DefaultTraceConfig())
 		if err != nil {
 			return err

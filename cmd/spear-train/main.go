@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"spear"
+	"spear/internal/profile"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 
 // run parses the command line args, trains the model and writes it, with
 // the learning curve, -eval and the -metrics snapshot as asked.
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("spear-train", flag.ExitOnError)
 	var (
 		out            = fs.String("out", "model.gob", "path to write the trained model")
@@ -48,9 +49,14 @@ func run(args []string) error {
 		evalJobs       = fs.Int("eval", 0, "after training, run guided search on this many held-out jobs and report mean makespan")
 		evalBudget     = fs.Int("eval-budget", 100, "search budget per decision for -eval")
 	)
+	prof := profile.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer prof.Stop(&err)
 	for _, f := range []struct {
 		name       string
 		value, min int

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spear/internal/profile/profiletest"
 )
 
 // TestWriteFileAtomicKeepsThePreviousFileOnFailure: a write that fails part
@@ -72,4 +74,11 @@ func TestRunRejectsBadCounts(t *testing.T) {
 	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("a refused run wrote %s (stat: %v)", out, err)
 	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each leave a pprof file.
+func TestProfileFlags(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "model.gob")
+	profiletest.Run(t, run, "-q", "-out", out, "-train-jobs", "1", "-tasks", "5",
+		"-pretrain-epochs", "1", "-epochs", "1", "-rollouts", "2", "-workers", "1")
 }

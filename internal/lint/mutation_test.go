@@ -154,8 +154,8 @@ func edit(t *testing.T, path, src string) {
 	})
 }
 
-// copyModuleSources copies go.mod and every non-test .go file outside
-// testdata and hidden directories from root to dst.
+// copyModuleSources copies go.mod and every non-test .go file and assembly
+// (.s) file outside testdata and hidden directories from root to dst.
 func copyModuleSources(t *testing.T, root, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -169,7 +169,8 @@ func copyModuleSources(t *testing.T, root, dst string) {
 			}
 			return nil
 		}
-		if name != "go.mod" && (!strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go")) {
+		source := strings.HasSuffix(name, ".s") || strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+		if name != "go.mod" && !source {
 			return nil
 		}
 		rel, err := filepath.Rel(root, p)

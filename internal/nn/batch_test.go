@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -68,58 +69,168 @@ func negateZeros(rng *rand.Rand, x []float64) {
 	}
 }
 
-// TestForwardBatchIntoMatchesNaive compares every row of the kernel against
-// the naive oracle, bit for bit: on the paper's shape and on widths covering
-// every remainder of the four-output grouping, with rows of every kind mixed
-// in one batch, at batch sizes on both sides of the row block.
+// kernelNames lists the forward kernels this build runs on this CPU: the
+// pure-Go one always, the AVX2 one where the CPU has it.
+func kernelNames() []string {
+	if haveAVX2 {
+		return []string{"go", "avx2"}
+	}
+	return []string{"go"}
+}
+
+// withKernel runs f with the named forward kernel, then restores the default.
+func withKernel(name string, f func()) {
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	useAVX2 = name == "avx2"
+	f()
+}
+
+// setParams lets a test write n's weights and biases directly, then rederives
+// the vector kernel's packed copy from them, as every writer of the network
+// does.
+func setParams(n *Network, set func(weights, biases [][]float64)) {
+	set(n.weights, n.biases)
+	n.repack()
+}
+
+// sameAsOracle fails t unless logits, row-major rows of OutputSize, are the
+// naive oracle's logits of the rows of x, bit for bit. Both sides accumulate
+// in the same order and a skipped term is an exact zero, so equality is
+// exact.
+func sameAsOracle(t *testing.T, what string, n *Network, x, logits []float64) {
+	t.Helper()
+	in, out := n.InputSize(), n.OutputSize()
+	if len(logits) != len(x)/in*out {
+		t.Fatalf("%s: got %d logits, want %d", what, len(logits), len(x)/in*out)
+	}
+	for r := 0; r < len(x)/in; r++ {
+		want := naiveLogits(n, x[r*in:(r+1)*in])
+		for j := range want {
+			if math.Float64bits(logits[r*out+j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: row %d logit %d: kernel %g, oracle %g", what, r, j, logits[r*out+j], want[j])
+			}
+		}
+	}
+}
+
+// TestForwardBatchIntoMatchesNaive compares every row of each kernel against
+// the naive oracle, bit for bit: on the paper's shape, on widths covering
+// every remainder of the four-output grouping and widths on both sides of
+// one and two 32-unit blocks, with rows of every kind mixed in one batch, at
+// batch sizes on both sides of the row block.
 func TestForwardBatchIntoMatchesNaive(t *testing.T) {
 	shapes := [][]int{
 		{7, 12, 9, 5},
 		{147, 256, 32, 32, 16},
 		{9, 4, 1}, {9, 5, 2}, {9, 6, 3}, {9, 7, 4},
 		{1, 1}, {2, 3, 3},
+		{9, 31, 32}, {40, 33, 64}, {65, 65, 16}, {64, 64, 33},
 	}
-	rng := rand.New(rand.NewSource(31))
-	for si, sizes := range shapes {
-		n := newNet(t, sizes...)
-		if si%2 == 1 {
-			// A fresh network's biases are all zero; trained ones are not.
-			for _, b := range n.biases {
-				for j := range b {
-					b[j] = rng.NormFloat64()
-				}
-			}
-		}
-		s := n.NewScratch()
-		in, out := n.InputSize(), n.OutputSize()
-		for _, rows := range []int{1, 3, batchRowBlock, batchRowBlock + 1, 2*batchRowBlock + 1} {
-			// Start somewhere else in the cycle every time, so each kind meets
-			// each position of a row block.
-			first := rng.Intn(len(rowKinds))
-			x := make([]float64, rows*in)
-			for r := 0; r < rows; r++ {
-				rowKinds[(first+r)%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
-			}
-			logits, err := n.ForwardBatchInto(s, x, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(logits) != rows*out {
-				t.Fatalf("%v rows=%d: got %d logits, want %d", sizes, rows, len(logits), rows*out)
-			}
-			for r := 0; r < rows; r++ {
-				want := naiveLogits(n, x[r*in:(r+1)*in])
-				for j := range want {
-					// Both sides accumulate in the same order and a skipped
-					// term is an exact zero, so equality is exact.
-					if math.Float64bits(logits[r*out+j]) != math.Float64bits(want[j]) {
-						t.Fatalf("%v rows=%d row %d (%s) logit %d: kernel %g, oracle %g",
-							sizes, rows, r, rowKinds[(first+r)%len(rowKinds)].name, j, logits[r*out+j], want[j])
+	for _, kernel := range kernelNames() {
+		t.Run(kernel, func(t *testing.T) {
+			withKernel(kernel, func() {
+				rng := rand.New(rand.NewSource(31))
+				for si, sizes := range shapes {
+					n := newNet(t, sizes...)
+					if si%2 == 1 {
+						// A fresh network's biases are all zero; trained ones
+						// are not.
+						setParams(n, func(_, biases [][]float64) {
+							for _, b := range biases {
+								for j := range b {
+									b[j] = rng.NormFloat64()
+								}
+							}
+						})
+					}
+					s := n.NewScratch()
+					in := n.InputSize()
+					for _, rows := range []int{1, 3, batchRowBlock, batchRowBlock + 1, 2*batchRowBlock + 1} {
+						// Start somewhere else in the cycle every time, so each
+						// kind meets each position of a row block.
+						first := rng.Intn(len(rowKinds))
+						x := make([]float64, rows*in)
+						kinds := ""
+						for r := 0; r < rows; r++ {
+							kind := rowKinds[(first+r)%len(rowKinds)]
+							kind.fill(rng, x[r*in:(r+1)*in])
+							kinds += " " + kind.name + ","
+						}
+						logits, err := n.ForwardBatchInto(s, x, rows)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameAsOracle(t, fmt.Sprintf("%v rows=%d (rows:%s)", sizes, rows, kinds), n, x, logits)
 					}
 				}
-			}
+			})
+		})
+	}
+}
+
+// TestForwardAfterUpdateMatchesNaive runs each kernel after every writer of
+// the parameters: New, Apply, Clone (and Apply on the clone alone), and a
+// Save/Load round trip. The oracle reads the weights themselves, so a packed
+// copy that one of them left stale fails here.
+func TestForwardAfterUpdateMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	n := newNet(t, 21, 70, 33, 16)
+	const rows = 11
+	in, out := n.InputSize(), n.OutputSize()
+	x := make([]float64, rows*in)
+	for r := 0; r < rows; r++ {
+		rowKinds[r%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
+	}
+	d := make([]float64, rows*out)
+	for i := range d {
+		d[i] = rng.NormFloat64()
+	}
+	// step applies one update, large enough to move every parameter.
+	step := func(n *Network) {
+		t.Helper()
+		g := n.NewGrads()
+		s := n.NewScratch()
+		if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Apply(g, RMSProp{LR: 0.05, Rho: 0.9, Eps: 1e-8}); err != nil {
+			t.Fatal(err)
 		}
 	}
+	check := func(what string, n *Network) {
+		t.Helper()
+		for _, kernel := range kernelNames() {
+			withKernel(kernel, func() {
+				logits, err := n.ForwardBatchInto(n.NewScratch(), x, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAsOracle(t, what+", kernel "+kernel, n, x, logits)
+			})
+		}
+	}
+	check("new", n)
+	step(n)
+	check("after Apply", n)
+	c := n.Clone()
+	check("clone", c)
+	step(c)
+	check("clone after its Apply", c)
+	check("original after the clone's Apply", n)
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loaded", loaded)
+	step(loaded)
+	check("loaded after Apply", loaded)
 }
 
 func TestProbsBatchIntoMatchesProbsInto(t *testing.T) {
@@ -229,17 +340,19 @@ func TestBackwardBatchIntoMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, sizes := range [][]int{{7, 12, 9, 5}, {147, 256, 32, 32, 16}, {1, 1}, {2, 3, 3}} {
 		n := newNet(t, sizes...)
-		for l := range n.weights[:len(n.weights)-1] {
-			in := n.sizes[l]
-			for j := range n.biases[l] {
-				n.biases[l][j] = rng.NormFloat64() / 4
+		setParams(n, func(weights, biases [][]float64) {
+			for l := range weights[:len(weights)-1] {
+				in := n.sizes[l]
+				for j := range biases[l] {
+					biases[l][j] = rng.NormFloat64() / 4
+				}
+				dead := rng.Intn(n.sizes[l+1])
+				biases[l][dead] = 0
+				for i := 0; i < in; i++ {
+					weights[l][dead*in+i] = 0
+				}
 			}
-			dead := rng.Intn(n.sizes[l+1])
-			n.biases[l][dead] = 0
-			for i := 0; i < in; i++ {
-				n.weights[l][dead*in+i] = 0
-			}
-		}
+		})
 		in, out := n.InputSize(), n.OutputSize()
 		s := n.NewScratch()
 		g := n.NewGrads()

@@ -16,8 +16,7 @@ func paperNet(b *testing.B) *Network {
 }
 
 // benchInput returns rows input rows in which each value is non-zero with
-// probability density: 1.0 is the dense case, 0.2 about what an encoded
-// scheduling state looks like.
+// probability density.
 func benchInput(n *Network, rows int, density float64) []float64 {
 	x := make([]float64, rows*n.InputSize())
 	r := rand.New(rand.NewSource(2))
@@ -29,11 +28,17 @@ func benchInput(n *Network, rows int, density float64) []float64 {
 	return x
 }
 
+// benchDensities are the input densities the kernels are measured at: 0.2 is
+// about what an encoded scheduling state looks like, 0.3 and 0.5 bracket the
+// densest rows the zero skip still gathers.
 var benchDensities = []struct {
 	name  string
 	value float64
-}{{"dense", 1}, {"density=0.2", 0.2}}
+}{{"dense", 1}, {"density=0.2", 0.2}, {"density=0.3", 0.3}, {"density=0.5", 0.5}}
 
+// BenchmarkProbsIntoMasked measures one masked inference per state, on each
+// forward kernel: the kernel=go rows against the kernel=avx2 rows are the
+// vector kernel's gain.
 func BenchmarkProbsIntoMasked(b *testing.B) {
 	n := paperNet(b)
 	s := n.NewScratch()
@@ -41,37 +46,45 @@ func BenchmarkProbsIntoMasked(b *testing.B) {
 	for i := 0; i < len(mask); i += 2 {
 		mask[i] = true
 	}
-	for _, d := range benchDensities {
-		x := benchInput(n, 1, d.value)
-		b.Run(d.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := n.ProbsInto(s, x, mask); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, kernel := range kernelNames() {
+		for _, d := range benchDensities {
+			x := benchInput(n, 1, d.value)
+			b.Run("kernel="+kernel+"/"+d.name, func(b *testing.B) {
+				b.ReportAllocs()
+				withKernel(kernel, func() {
+					for i := 0; i < b.N; i++ {
+						if _, err := n.ProbsInto(s, x, mask); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
 	}
 }
 
-// BenchmarkForwardBatchInto measures the forward kernel from the one-row case
-// (one GEMV per state) up to matrix-matrix batches; the rows/s metric makes
-// the sizes comparable.
+// BenchmarkForwardBatchInto measures each forward kernel from the one-row
+// case (one GEMV per state) up to matrix-matrix batches; the rows/s metric
+// makes the sizes comparable.
 func BenchmarkForwardBatchInto(b *testing.B) {
 	n := paperNet(b)
 	s := n.NewScratch()
-	for _, d := range benchDensities {
-		for _, rows := range []int{1, 4, 16, 64} {
-			x := benchInput(n, rows, d.value)
-			b.Run(d.name+"/rows="+itoa(rows), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N*rows)*1e9/float64(b.Elapsed().Nanoseconds()), "rows/s")
-			})
+	for _, kernel := range kernelNames() {
+		for _, d := range benchDensities {
+			for _, rows := range []int{1, 4, 16, 64} {
+				x := benchInput(n, rows, d.value)
+				b.Run("kernel="+kernel+"/"+d.name+"/rows="+itoa(rows), func(b *testing.B) {
+					b.ReportAllocs()
+					withKernel(kernel, func() {
+						for i := 0; i < b.N; i++ {
+							if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+					b.ReportMetric(float64(b.N*rows)*1e9/float64(b.Elapsed().Nanoseconds()), "rows/s")
+				})
+			}
 		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // FuzzForwardBatchEquivalence feeds arbitrary byte-driven shapes, weights and
-// inputs into the kernels and requires row r of ForwardBatchInto to be
-// bit-identical to the naive oracle on that row, and row r of ProbsBatchInto
-// to a one-row ProbsInto — the contract that makes batched and sequential
-// rollouts interchangeable. Widths run over every remainder of the kernel's
-// four-output grouping, and inputs include exact zeros of both signs (bytes 0
-// and 0x80, and everything past the end of the data), so rows land on both
-// sides of the zero-skipping switch.
+// inputs into each forward kernel and requires row r of ForwardBatchInto to
+// be bit-identical to the naive oracle on that row, and row r of
+// ProbsBatchInto to a one-row ProbsInto — the contract that makes batched and
+// sequential rollouts interchangeable. Input widths run over every remainder
+// of dot4's four-output grouping, output widths up to 72 over every remainder
+// of dot32's 32-unit blocks and past two of them, and inputs include exact
+// zeros of both signs (bytes 0 and 0x80, and everything past the end of the
+// data), so rows land on both sides of the zero-skipping switch.
 func FuzzForwardBatchEquivalence(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 2, 7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 1, 1, 1, 0})
@@ -27,14 +28,20 @@ func FuzzForwardBatchEquivalence(f *testing.F) {
 		3, 0, 250, 0, 17, 0, 99, 0,
 		3, 1, 250, 0, 17, 0, 99, 0, 5,
 		0x80, 1, 0x80, 0, 2, 0x80, 0, 0})
+	// Widths on both sides of one and two 32-unit blocks, and the paper's
+	// 16 logits.
+	f.Add([]byte{6, 30, 32, 2, 3, 1, 0, 0x80, 200, 7, 0, 9, 9, 0, 0, 0x80, 1})
+	f.Add([]byte{7, 31, 15, 5, 4, 5, 6, 7, 8, 0, 0, 0, 250, 251, 252})
+	f.Add([]byte{4, 63, 64, 3, 11, 0, 0, 0, 0, 1, 2, 3, 4, 0x80, 0x80, 5, 6})
+	f.Add([]byte{2, 64, 71, 1, 13, 99, 0x80, 0, 17})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
 		}
 		in := int(data[0]%8) + 1
-		hid := int(data[1]%8) + 1
-		out := int(data[2]%8) + 1
+		hid := int(data[1]%72) + 1
+		out := int(data[2]%72) + 1
 		rows := int(data[3]%6) + 1
 		seed := int64(data[4])
 		pos := 5
@@ -69,40 +76,35 @@ func FuzzForwardBatchEquivalence(f *testing.F) {
 
 		batch := net.NewScratch()
 		single := net.NewScratch()
+		for _, kernel := range kernelNames() {
+			withKernel(kernel, func() {
+				gotLogits, err := net.ForwardBatchInto(batch, x, rows)
+				if err != nil {
+					t.Fatalf("ForwardBatchInto: %v", err)
+				}
+				sameAsOracle(t, "kernel "+kernel, net, x, gotLogits)
 
-		gotLogits, err := net.ForwardBatchInto(batch, x, rows)
-		if err != nil {
-			t.Fatalf("ForwardBatchInto: %v", err)
-		}
-		for r := 0; r < rows; r++ {
-			want := naiveLogits(net, x[r*in:(r+1)*in])
-			for j := range want {
-				got := gotLogits[r*out+j]
-				if math.Float64bits(got) != math.Float64bits(want[j]) {
-					t.Fatalf("logits row %d col %d: batched %v != oracle %v", r, j, got, want[j])
+				gotProbs, err := net.ProbsBatchInto(batch, x, rows, masks)
+				if err != nil {
+					t.Fatalf("ProbsBatchInto: %v", err)
 				}
-			}
-		}
-
-		gotProbs, err := net.ProbsBatchInto(batch, x, rows, masks)
-		if err != nil {
-			t.Fatalf("ProbsBatchInto: %v", err)
-		}
-		for r := 0; r < rows; r++ {
-			want, err := net.ProbsInto(single, x[r*in:(r+1)*in], masks[r*out:(r+1)*out])
-			if err != nil {
-				t.Fatalf("ProbsInto row %d: %v", r, err)
-			}
-			oracle := naiveSoftmax(naiveLogits(net, x[r*in:(r+1)*in]), masks[r*out:(r+1)*out])
-			for j := range want {
-				got := gotProbs[r*out+j]
-				if math.Float64bits(got) != math.Float64bits(want[j]) {
-					t.Fatalf("probs row %d col %d: batched %v != sequential %v", r, j, got, want[j])
+				for r := 0; r < rows; r++ {
+					want, err := net.ProbsInto(single, x[r*in:(r+1)*in], masks[r*out:(r+1)*out])
+					if err != nil {
+						t.Fatalf("ProbsInto row %d: %v", r, err)
+					}
+					oracle := naiveSoftmax(naiveLogits(net, x[r*in:(r+1)*in]), masks[r*out:(r+1)*out])
+					for j := range want {
+						got := gotProbs[r*out+j]
+						if math.Float64bits(got) != math.Float64bits(want[j]) {
+							t.Fatalf("kernel %s: probs row %d col %d: batched %v != sequential %v", kernel, r, j, got, want[j])
+						}
+						if math.Float64bits(got) != math.Float64bits(oracle[j]) {
+							t.Fatalf("kernel %s: probs row %d col %d: batched %v != oracle %v", kernel, r, j, got, oracle[j])
+						}
+					}
 				}
-				if math.Float64bits(got) != math.Float64bits(oracle[j]) {
-					t.Fatalf("probs row %d col %d: batched %v != oracle %v", r, j, got, oracle[j])
-				}
-			}
+			})
 		}
 	})
 }

@@ -6,8 +6,10 @@
 // block instead of once per state, and per-row arithmetic (accumulation order
 // included) does not depend on the batch size, so any split of the same rows
 // into batches gives bit-identical results. The forward kernel computes four
-// outputs per pass over an input row, and both kernels skip the zeros of a
-// sparse network input; neither changes a bit of any sum (see dot4).
+// outputs per pass over an input row (dot4), or on an AVX2 CPU 32 at once in
+// vector registers (dot32, from the packed weights of nn.go), and both
+// kernels skip the zeros of a sparse network input; none of this changes a
+// bit of any sum (see dot4 and dot32).
 package nn
 
 import (
@@ -144,18 +146,22 @@ func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64
 					s.nnz[r-r0] = gatherNonZero(a[r*in:r*in+in], s.nz[(r-r0)*half:])
 				}
 			}
-			for j := 0; j < out; j += 4 {
-				// A width that is not a multiple of four ends in a group that
-				// repeats its last output: same sum, stored more than once.
-				j1, j2, j3 := min(j+1, out-1), min(j+2, out-1), min(j+3, out-1)
-				w0, w1, w2, w3 := w[j*in:j*in+in], w[j1*in:j1*in+in], w[j2*in:j2*in+in], w[j3*in:j3*in+in]
-				for r := r0; r < r1; r++ {
-					var nz []int32 // nil: the row is dense
-					if k := s.nnz[r-r0]; k >= 0 {
-						nz = s.nz[(r-r0)*half:][:k]
+			if useAVX2 {
+				n.forward32(l, s, a, c, r0, r1)
+			} else {
+				for j := 0; j < out; j += 4 {
+					// A width that is not a multiple of four ends in a group that
+					// repeats its last output: same sum, stored more than once.
+					j1, j2, j3 := min(j+1, out-1), min(j+2, out-1), min(j+3, out-1)
+					w0, w1, w2, w3 := w[j*in:j*in+in], w[j1*in:j1*in+in], w[j2*in:j2*in+in], w[j3*in:j3*in+in]
+					for r := r0; r < r1; r++ {
+						var nz []int32 // nil: the row is dense
+						if k := s.nnz[r-r0]; k >= 0 {
+							nz = s.nz[(r-r0)*half:][:k]
+						}
+						cr := c[r*out : r*out+out]
+						cr[j], cr[j1], cr[j2], cr[j3] = dot4(bias[j], bias[j1], bias[j2], bias[j3], w0, w1, w2, w3, a[r*in:r*in+in], nz)
 					}
-					cr := c[r*out : r*out+out]
-					cr[j], cr[j1], cr[j2], cr[j3] = dot4(bias[j], bias[j1], bias[j2], bias[j3], w0, w1, w2, w3, a[r*in:r*in+in], nz)
 				}
 			}
 			if l != last {
@@ -173,6 +179,33 @@ func (n *Network) ForwardBatchInto(s *Scratch, x []float64, rows int) ([]float64
 		}
 	}
 	return s.acts[len(n.sizes)-1][:rows*n.OutputSize()], nil
+}
+
+// forward32 is the vector kernel's pass over rows r0..r1-1 of layer l: for
+// each block of 32 output units, dot32 on each row, walking the row's
+// gathered non-zero inputs or, for a dense row, every input. A partial last
+// block (a width that is not a multiple of 32) computes its zero-weight
+// padding units into a stack buffer and keeps the real ones.
+func (n *Network) forward32(l int, s *Scratch, a, c []float64, r0, r1 int) {
+	in, out := n.sizes[l], n.sizes[l+1]
+	p, pb, half := n.packed[l], n.packedB[l], in/2
+	for b := 0; b*32 < out; b++ {
+		w, bias := p[b*32*in:(b+1)*32*in], (*[32]float64)(pb[b*32:])
+		for r := r0; r < r1; r++ {
+			idx := n.dense[:in]
+			if k := s.nnz[r-r0]; k >= 0 {
+				idx = s.nz[(r-r0)*half:][:k]
+			}
+			x, cr := a[r*in:r*in+in], c[r*out+b*32:r*out+out]
+			if len(cr) >= 32 {
+				dot32(w, bias, x, idx, (*[32]float64)(cr))
+				continue
+			}
+			var tail [32]float64
+			dot32(w, bias, x, idx, &tail)
+			copy(cr, tail[:])
+		}
+	}
 }
 
 // gatherNonZero writes the indices of x's non-zero entries to nz, which holds

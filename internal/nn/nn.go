@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Network is a fully connected network: len(sizes)-1 layers, ReLU between
@@ -31,6 +32,17 @@ type Network struct {
 	// gen counts the Apply calls on this network, the only in-place weight
 	// mutation, so a cache of its outputs can tell when it has gone stale.
 	gen uint64
+
+	// The vector kernel's copy of the parameters, written by repack and
+	// nil where the CPU lacks AVX2. packed[l] holds layer l's weights in
+	// blocks of 32 output units, input major inside a block:
+	// packed[l][(b*in+i)*32+k] = weights[l][(32b+k)*in+i]. packedB[l] holds
+	// its biases. Both are zero-padded to whole blocks, so a width that is
+	// not a multiple of 32 needs no tail loop. dense lists 0, 1, 2, … up to
+	// the widest layer input: the indices of a row the kernel visits in full.
+	packed  [][]float64
+	packedB [][]float64
+	dense   []int32
 }
 
 // Errors returned by the package.
@@ -64,7 +76,45 @@ func New(sizes []int, rng *rand.Rand) (*Network, error) {
 		n.msW = append(n.msW, make([]float64, in*out))
 		n.msB = append(n.msB, make([]float64, out))
 	}
+	n.repack()
 	return n, nil
+}
+
+// repack rewrites the vector kernel's packed copy of the weights and biases
+// in place, allocating it on the first call. Every writer of the parameters
+// (New, Load, Clone, Apply) ends with it.
+func (n *Network) repack() {
+	if !haveAVX2 {
+		return
+	}
+	if n.packed == nil {
+		n.packed = make([][]float64, len(n.weights))
+		n.packedB = make([][]float64, len(n.weights))
+		for l := range n.weights {
+			in, blocks := n.sizes[l], (n.sizes[l+1]+31)/32
+			n.packed[l] = make([]float64, blocks*32*in)
+			n.packedB[l] = make([]float64, blocks*32)
+		}
+		n.dense = make([]int32, slices.Max(n.sizes[:len(n.sizes)-1]))
+		for i := range n.dense {
+			n.dense[i] = int32(i)
+		}
+	}
+	for l, w := range n.weights {
+		in, out := n.sizes[l], n.sizes[l+1]
+		for j0 := 0; j0 < out; j0 += 32 {
+			// Written in packed order: the 32 rows read stay in L1 while
+			// the block's whole copy would not.
+			blk, units := n.packed[l][j0*in:], min(32, out-j0)
+			for i := 0; i < in; i++ {
+				dst := blk[i*32 : i*32+units]
+				for k := range dst {
+					dst[k] = w[(j0+k)*in+i]
+				}
+			}
+		}
+		copy(n.packedB[l], n.biases[l])
+	}
 }
 
 // Sizes returns a copy of the layer sizes.
@@ -166,6 +216,7 @@ func (n *Network) Apply(g *Grads, opt RMSProp) error {
 	}
 	g.n = 0
 	n.gen++
+	n.repack()
 	return nil
 }
 
@@ -186,7 +237,9 @@ func (n *Network) Save(w io.Writer) error {
 }
 
 // Load reads a network previously written by Save. Optimizer accumulators
-// start from zero.
+// start from zero. A NaN or infinite parameter, or a -0.0 bias, is refused:
+// the forward kernels skip zero inputs, which is exact only without them
+// (see dot4). New and Apply never produce one.
 func Load(r io.Reader) (*Network, error) {
 	var st networkState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -195,15 +248,29 @@ func Load(r io.Reader) (*Network, error) {
 	if len(st.Sizes) < 2 || len(st.Weights) != len(st.Sizes)-1 || len(st.Biases) != len(st.Sizes)-1 {
 		return nil, fmt.Errorf("%w: corrupt saved model", ErrBadShape)
 	}
+	if slices.Min(st.Sizes) < 1 {
+		return nil, fmt.Errorf("%w: non-positive layer size in %v", ErrBadShape, st.Sizes)
+	}
 	n := &Network{sizes: st.Sizes, weights: st.Weights, biases: st.Biases}
 	for l := 0; l < len(st.Sizes)-1; l++ {
 		in, out := st.Sizes[l], st.Sizes[l+1]
 		if len(st.Weights[l]) != in*out || len(st.Biases[l]) != out {
 			return nil, fmt.Errorf("%w: layer %d shape mismatch", ErrBadShape, l)
 		}
+		for i, v := range st.Weights[l] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("%w: layer %d weight %d is %v", ErrBadShape, l, i, v)
+			}
+		}
+		for j, v := range st.Biases[l] {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 && math.Signbit(v) {
+				return nil, fmt.Errorf("%w: layer %d bias %d is %v", ErrBadShape, l, j, v)
+			}
+		}
 		n.msW = append(n.msW, make([]float64, in*out))
 		n.msB = append(n.msB, make([]float64, out))
 	}
+	n.repack()
 	return n, nil
 }
 
@@ -221,5 +288,6 @@ func (n *Network) Clone() *Network {
 	c.biases = cp(n.biases)
 	c.msW = cp(n.msW)
 	c.msB = cp(n.msB)
+	c.repack()
 	return c
 }

@@ -2,9 +2,11 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -370,6 +372,48 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	if _, err := Load(bytes.NewBufferString("junk")); err == nil {
 		t.Error("corrupt model accepted")
+	}
+}
+
+// TestLoadRejectsWhatTheKernelsCannotSkip hand-builds saved models that New
+// and Apply never write: a NaN or infinite weight or bias, a -0.0 bias, a
+// layer of no units. The kernels skip zero inputs, which is exact only
+// without the first three, so Load refuses them all with an error naming the
+// layer and index. A +0.0 bias loads.
+func TestLoadRejectsWhatTheKernelsCannotSkip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		edit func(st *networkState)
+		want string // "" for a model that loads
+	}{
+		{"NaN weight", func(st *networkState) { st.Weights[1][5] = math.NaN() }, "layer 1 weight 5 is NaN"},
+		{"+Inf weight", func(st *networkState) { st.Weights[0][0] = math.Inf(1) }, "layer 0 weight 0 is +Inf"},
+		{"-Inf weight", func(st *networkState) { st.Weights[1][8] = math.Inf(-1) }, "layer 1 weight 8 is -Inf"},
+		{"NaN bias", func(st *networkState) { st.Biases[0][2] = math.NaN() }, "layer 0 bias 2 is NaN"},
+		{"-Inf bias", func(st *networkState) { st.Biases[1][0] = math.Inf(-1) }, "layer 1 bias 0 is -Inf"},
+		{"-0 bias", func(st *networkState) { st.Biases[1][2] = negZero }, "layer 1 bias 2 is -0"},
+		{"zero-width layer", func(st *networkState) {
+			st.Sizes = []int{4, 0, 3}
+			st.Weights = [][]float64{{}, {}}
+			st.Biases = [][]float64{{}, {0, 0, 0}}
+		}, "non-positive layer size"},
+		{"+0 bias and -0 weight", func(st *networkState) { st.Biases[1][2], st.Weights[0][1] = 0, negZero }, ""},
+	} {
+		n := newNet(t, 4, 3, 3)
+		st := networkState{Sizes: n.sizes, Weights: n.weights, Biases: n.biases}
+		tc.edit(&st)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v, want the model to load", tc.name, err)
+		case tc.want != "" && (!errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want ErrBadShape naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
