@@ -7,6 +7,8 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"spear/internal/resource"
 )
@@ -32,15 +34,70 @@ type Graph struct {
 	pred  [][]TaskID
 	topo  []TaskID // topological order, entry tasks first
 
-	blevel []int64   // longest runtime path from task to an exit, inclusive
-	bload  [][]int64 // accumulated load along the b-level path, per dimension
+	blevel []int64  // longest runtime path from task to an exit, inclusive
+	bload  [][]Work // accumulated load along the b-level path, per dimension
 	dims   int
 
 	// Graph-level scalars cached at Build time; the graph is immutable, and
 	// these sit on the per-step DRL featurization hot path.
 	criticalPath int64
 	maxRuntime   int64
-	totalWork    []int64 // per dimension
+	totalWork    []Work // per dimension
+}
+
+// Work is an amount of resource-time: runtime x demand, summed. One product
+// of two int64 values needs up to 126 bits, so Work carries 128; Hi and Lo
+// are its high and low 64-bit words.
+type Work struct{ Hi, Lo uint64 }
+
+// workOf returns runtime x demand; neither is negative.
+func workOf(runtime, demand int64) Work {
+	hi, lo := bits.Mul64(uint64(runtime), uint64(demand))
+	return Work{hi, lo}
+}
+
+// plus returns w + x and whether the sum carried out of 128 bits.
+func (w Work) plus(x Work) (Work, bool) {
+	lo, carry := bits.Add64(w.Lo, x.Lo, 0)
+	hi, carry := bits.Add64(w.Hi, x.Hi, carry)
+	return Work{hi, lo}, carry != 0
+}
+
+func (w Work) less(x Work) bool { return w.Hi < x.Hi || w.Hi == x.Hi && w.Lo < x.Lo }
+
+// Float64 returns w rounded to the nearest float64, ties to even: the value
+// Go's conversion gives for a Work that fits an int64.
+func (w Work) Float64() float64 {
+	if w.Hi == 0 {
+		return float64(w.Lo)
+	}
+	return w.wideFloat64() // apart, so that the common case inlines
+}
+
+func (w Work) wideFloat64() float64 {
+	// The top 64 significant bits, with every bit below them folded into
+	// the last one, round to 53 as all 128 would.
+	s := uint(bits.Len64(w.Hi))
+	top := w.Hi<<(64-s) | w.Lo>>s
+	if w.Lo<<(64-s) != 0 {
+		top |= 1
+	}
+	return math.Ldexp(float64(top), int(s))
+}
+
+// ceilDiv returns the ceiling of w / c and whether it fits an int64; c > 0.
+func (w Work) ceilDiv(c int64) (int64, bool) {
+	if w.Hi >= uint64(c) {
+		return 0, false // the quotient needs more than 64 bits
+	}
+	q, r := bits.Div64(w.Hi, w.Lo, uint64(c))
+	if q > math.MaxInt64 || q == math.MaxInt64 && r != 0 {
+		return 0, false
+	}
+	if r != 0 {
+		q++
+	}
+	return int64(q), true
 }
 
 // Errors reported by Builder.Build.
@@ -51,6 +108,7 @@ var (
 	ErrBadDemand      = errors.New("dag: task demand must be non-negative with matching dimensions")
 	ErrUnknownTask    = errors.New("dag: unknown task id")
 	ErrSelfDependency = errors.New("dag: task cannot depend on itself")
+	ErrTooLarge       = errors.New("dag: job features overflow")
 )
 
 // Builder incrementally assembles a Graph.
@@ -120,7 +178,9 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	g.topo = topo
-	g.computeFeatures()
+	if err := g.computeFeatures(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -205,10 +265,30 @@ func popID(h []TaskID) (TaskID, []TaskID) {
 // exit task is its own runtime. bload(v) accumulates runtime*demand along
 // the same path that realizes the b-level (ties broken by larger total
 // b-load, then by smaller child ID), per resource dimension.
-func (g *Graph) computeFeatures() {
+//
+// The work sums are exact: it refuses a job whose work, summed over tasks
+// and dimensions, passes 2^128 (every b-load and tie-break sum is part of
+// that one), or whose b-level passes an int64.
+func (g *Graph) computeFeatures() error {
 	n := len(g.tasks)
+	g.totalWork = make([]Work, g.dims)
+	var all Work
+	for i := range g.tasks {
+		t := &g.tasks[i]
+		g.maxRuntime = max(g.maxRuntime, t.Runtime)
+		for d := 0; d < g.dims; d++ {
+			w := workOf(t.Runtime, t.Demand[d])
+			g.totalWork[d], _ = g.totalWork[d].plus(w)
+			var overflow bool
+			if all, overflow = all.plus(w); overflow {
+				return fmt.Errorf("%w: the job's work passes 2^128 at task %q, dimension %d", ErrTooLarge, t.Name, d)
+			}
+		}
+	}
+
 	g.blevel = make([]int64, n)
-	g.bload = make([][]int64, n)
+	g.bload = make([][]Work, n)
+	loadSum := make([]Work, n) // b-load summed over dimensions, the tie-break
 	for i := len(g.topo) - 1; i >= 0; i-- {
 		v := g.topo[i]
 		t := &g.tasks[v]
@@ -222,50 +302,33 @@ func (g *Graph) computeFeatures() {
 			case g.blevel[c] > g.blevel[best]:
 				best = c
 			case g.blevel[c] == g.blevel[best]:
-				cl, bl := sum64(g.bload[c]), sum64(g.bload[best])
-				if cl > bl || (cl == bl && c < best) {
+				if loadSum[best].less(loadSum[c]) || (loadSum[c] == loadSum[best] && c < best) {
 					best = c
 				}
 			}
 		}
-		load := make([]int64, g.dims)
-		for d := 0; d < g.dims; d++ {
-			load[d] = t.Runtime * t.Demand[d]
-		}
+		load := make([]Work, g.dims)
+		g.blevel[v] = t.Runtime
 		if best >= 0 {
-			g.blevel[v] = t.Runtime + g.blevel[best]
-			for d := 0; d < g.dims; d++ {
-				load[d] += g.bload[best][d]
+			if g.blevel[best] > math.MaxInt64-t.Runtime {
+				return fmt.Errorf("%w: task %q's b-level passes %d", ErrTooLarge, t.Name, int64(math.MaxInt64))
 			}
-		} else {
-			g.blevel[v] = t.Runtime
+			g.blevel[v] += g.blevel[best]
+			copy(load, g.bload[best])
+		}
+		for d := range load {
+			load[d], _ = load[d].plus(workOf(t.Runtime, t.Demand[d]))
+			loadSum[v], _ = loadSum[v].plus(load[d])
 		}
 		g.bload[v] = load
 	}
 
-	g.totalWork = make([]int64, g.dims)
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		if t.Runtime > g.maxRuntime {
-			g.maxRuntime = t.Runtime
-		}
-		for d := 0; d < g.dims; d++ {
-			g.totalWork[d] += t.Runtime * t.Demand[d]
-		}
-	}
 	for id := range g.tasks {
 		if g.pred[id] == nil && g.blevel[id] > g.criticalPath {
 			g.criticalPath = g.blevel[id]
 		}
 	}
-}
-
-func sum64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
+	return nil
 }
 
 // NumTasks reports the number of tasks in the graph.
@@ -303,7 +366,7 @@ func (g *Graph) BLevel(id TaskID) int64 { return g.blevel[id] }
 
 // BLoad returns the accumulated load (runtime x demand) along id's b-level
 // path for the given resource dimension.
-func (g *Graph) BLoad(id TaskID, dim int) int64 { return g.bload[id][dim] }
+func (g *Graph) BLoad(id TaskID, dim int) Work { return g.bload[id][dim] }
 
 // CriticalPath returns the length of the longest runtime path through the
 // graph — a lower bound on any schedule's makespan. Cached at Build time.
@@ -334,11 +397,12 @@ func (g *Graph) Exits() []TaskID {
 // TotalWork returns the sum over tasks of runtime x demand for the given
 // dimension: the total area the job occupies in the resource-time space.
 // Cached at Build time.
-func (g *Graph) TotalWork(dim int) int64 { return g.totalWork[dim] }
+func (g *Graph) TotalWork(dim int) Work { return g.totalWork[dim] }
 
 // MakespanLowerBound returns a simple lower bound on the makespan of any
 // valid schedule: the maximum of the critical path and, per dimension, the
-// total work divided by capacity (rounded up).
+// total work divided by capacity (rounded up). A bound past an int64 is an
+// error: no schedule of the job on that capacity fits the int64 time line.
 func (g *Graph) MakespanLowerBound(capacity resource.Vector) (int64, error) {
 	if capacity.Dims() != g.dims {
 		return 0, resource.ErrDimensionMismatch
@@ -348,11 +412,11 @@ func (g *Graph) MakespanLowerBound(capacity resource.Vector) (int64, error) {
 		if capacity[d] <= 0 {
 			return 0, fmt.Errorf("dag: capacity dimension %d is not positive", d)
 		}
-		w := g.TotalWork(d)
-		bound := (w + capacity[d] - 1) / capacity[d]
-		if bound > lb {
-			lb = bound
+		bound, ok := g.totalWork[d].ceilDiv(capacity[d])
+		if !ok {
+			return 0, fmt.Errorf("dag: the work in dimension %d takes more than %d slots on capacity %d", d, int64(math.MaxInt64), capacity[d])
 		}
+		lb = max(lb, bound)
 	}
 	return lb, nil
 }

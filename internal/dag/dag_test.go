@@ -2,7 +2,9 @@ package dag
 
 import (
 	"errors"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"spear/internal/resource"
@@ -66,15 +68,15 @@ func TestBLoadFollowsBLevelPath(t *testing.T) {
 	g := diamond(t)
 	// a's b-level path is a->c->d.
 	// dim0: 2*1 + 5*1 + 1*1 = 8; dim1: 2*1 + 5*2 + 1*1 = 13.
-	if got := g.BLoad(0, 0); got != 8 {
-		t.Errorf("BLoad(a, 0) = %d, want 8", got)
+	if got := g.BLoad(0, 0); got != (Work{Lo: 8}) {
+		t.Errorf("BLoad(a, 0) = %v, want 8", got)
 	}
-	if got := g.BLoad(0, 1); got != 13 {
-		t.Errorf("BLoad(a, 1) = %d, want 13", got)
+	if got := g.BLoad(0, 1); got != (Work{Lo: 13}) {
+		t.Errorf("BLoad(a, 1) = %v, want 13", got)
 	}
 	// Exit task: just its own load.
-	if got := g.BLoad(3, 1); got != 1 {
-		t.Errorf("BLoad(d, 1) = %d, want 1", got)
+	if got := g.BLoad(3, 1); got != (Work{Lo: 1}) {
+		t.Errorf("BLoad(d, 1) = %v, want 1", got)
 	}
 }
 
@@ -95,8 +97,8 @@ func TestBLoadTieBreak(t *testing.T) {
 		t.Fatalf("BLevel(root) = %d, want 6", g.BLevel(root))
 	}
 	// root load 1*1 + heavy path 5*4 = 21.
-	if got := g.BLoad(root, 0); got != 21 {
-		t.Errorf("BLoad(root) = %d, want 21 (heavy path)", got)
+	if got := g.BLoad(root, 0); got != (Work{Lo: 21}) {
+		t.Errorf("BLoad(root) = %v, want 21 (heavy path)", got)
 	}
 }
 
@@ -260,11 +262,11 @@ func TestDemandIsCopied(t *testing.T) {
 func TestTotalWorkAndLowerBound(t *testing.T) {
 	g := diamond(t)
 	// dim0 work: 2*1 + 3*2 + 5*1 + 1*1 = 14; dim1: 2+3+10+1 = 16.
-	if got := g.TotalWork(0); got != 14 {
-		t.Errorf("TotalWork(0) = %d, want 14", got)
+	if got := g.TotalWork(0); got != (Work{Lo: 14}) {
+		t.Errorf("TotalWork(0) = %v, want 14", got)
 	}
-	if got := g.TotalWork(1); got != 16 {
-		t.Errorf("TotalWork(1) = %d, want 16", got)
+	if got := g.TotalWork(1); got != (Work{Lo: 16}) {
+		t.Errorf("TotalWork(1) = %v, want 16", got)
 	}
 
 	// Large capacity: bound = critical path.
@@ -292,6 +294,54 @@ func TestTotalWorkAndLowerBound(t *testing.T) {
 	}
 	if _, err := g.MakespanLowerBound(resource.Of(0, 1)); err == nil {
 		t.Error("MakespanLowerBound with zero capacity: want error")
+	}
+}
+
+// TestWorkPastAnInt64 chains two tasks of runtime and demand 2^40. Each
+// carries 2^80 of work, which int64 sums wrapped to 0. The sums are exact,
+// the b-load share and the bound read them, and a job whose work passes
+// 2^128, or whose b-level passes an int64, is refused by name.
+func TestWorkPastAnInt64(t *testing.T) {
+	b := NewBuilder(1)
+	a := b.AddTask("a", 1<<40, resource.Of(1<<40))
+	b.AddDep(a, b.AddTask("b", 1<<40, resource.Of(1<<40)))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.TotalWork(0), (Work{Hi: 1 << 17}); got != want {
+		t.Errorf("TotalWork(0) = %v, want 2^81 %v", got, want)
+	}
+	if got := g.BLoad(a, 0).Float64() / g.TotalWork(0).Float64(); got != 1 {
+		t.Errorf("BLoad(a, 0) / TotalWork(0) = %v, want 1", got)
+	}
+	if lb, err := g.MakespanLowerBound(resource.Of(1 << 40)); err != nil || lb != 1<<41 {
+		t.Errorf("bound on capacity 2^40: %d, %v; want 2^41", lb, err)
+	}
+	if lb, err := g.MakespanLowerBound(resource.Of(1)); err == nil {
+		t.Errorf("bound on capacity 1: %d, want an error (2^81 slots)", lb)
+	}
+
+	for _, tc := range []struct {
+		name string
+		dims int
+		add  func(b *Builder)
+		want string
+	}{
+		{"work", 2, func(b *Builder) {
+			for range 5 { // 2^126 each in dimension 1
+				b.AddTask("big", math.MaxInt64, resource.Of(1, math.MaxInt64))
+			}
+		}, `2^128 at task "big", dimension 1`},
+		{"b-level", 1, func(b *Builder) {
+			b.AddDep(b.AddTask("first", 1<<62, resource.Of(1)), b.AddTask("second", 1<<62, resource.Of(1)))
+		}, `task "first"'s b-level`},
+	} {
+		b := NewBuilder(tc.dims)
+		tc.add(b)
+		if _, err := b.Build(); !errors.Is(err, ErrTooLarge) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Build = %v, want ErrTooLarge naming %s", tc.name, err, tc.want)
+		}
 	}
 }
 

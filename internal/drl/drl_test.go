@@ -92,6 +92,49 @@ func TestEncodeRangesAndReuse(t *testing.T) {
 	}
 }
 
+// TestEncodeIsScaleFree scales every demand and the capacity of a 12-task
+// job by 2^58, which takes its work sums past an int64 (one runtime x demand
+// reaches 2^66). Each input is a ratio of two values scaled alike, by a power
+// of two, so the encoding keeps every bit at every step of an episode.
+func TestEncodeIsScaleFree(t *testing.T) {
+	feat := testFeatures()
+	jobs, capacity := testJobs(t, 1, 12, 3)
+	g := jobs[0]
+	factor, capBig := make([]int64, g.Dims()), capacity.Clone()
+	for d := range factor {
+		factor[d] = 1 << 58
+		capBig[d] *= factor[d]
+	}
+	gBig := scaleDemands(t, g, factor)
+	if gBig.TotalWork(0).Hi == 0 {
+		t.Fatalf("scaled work %v fits 64 bits; the test is vacuous", gBig.TotalWork(0))
+	}
+	cfg := simenv.Config{Window: feat.Window, Mode: simenv.OneSlot}
+	e, err := simenv.New(g, capacity, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eBig, err := simenv.New(gBig, capBig, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; !e.Done(); step++ {
+		x, xBig := feat.Encode(e, nil), feat.Encode(eBig, nil)
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(xBig[i]) {
+				t.Fatalf("step %d: input %d is %v, scaled %v", step, i, x[i], xBig[i])
+			}
+		}
+		a := e.LegalActions()[0]
+		if err := e.Step(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := eBig.Step(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestDisableGraphFeaturesZeroesThem(t *testing.T) {
 	feat := testFeatures()
 	ablated := feat

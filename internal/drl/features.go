@@ -96,9 +96,9 @@ func (f Features) Encode(e *simenv.Env, buf []float64) []float64 {
 		}
 		for d := 0; d < min(f.Dims, g.Dims()); d++ { // a job's missing dims stay 0, as in the image
 			buf[base+3+d] = float64(task.Demand[d]) / float64(e.CapacityDim(d))
-			work := g.TotalWork(d)
+			work := g.TotalWork(d).Float64()
 			if !f.DisableGraphFeatures && work > 0 {
-				buf[base+3+f.Dims+d] = float64(g.BLoad(task.ID, d)) / float64(work)
+				buf[base+3+f.Dims+d] = g.BLoad(task.ID, d).Float64() / work
 			}
 		}
 	}

@@ -49,6 +49,13 @@ func scaleToEdge(t testing.TB, g *dag.Graph, capacity resource.Vector, machines 
 		factor[d] = perMachine / capacity[d]
 		scaled[d] = factor[d] * capacity[d]
 	}
+	return scaleDemands(t, g, factor), scaled
+}
+
+// scaleDemands returns g with every demand of dimension d multiplied by
+// factor[d].
+func scaleDemands(t testing.TB, g *dag.Graph, factor []int64) *dag.Graph {
+	t.Helper()
 	b := dag.NewBuilder(g.Dims())
 	for id := 0; id < g.NumTasks(); id++ {
 		task := g.Task(dag.TaskID(id))
@@ -67,7 +74,7 @@ func scaleToEdge(t testing.TB, g *dag.Graph, capacity resource.Vector, machines 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, scaled
+	return out
 }
 
 // checkKeyDeterminesEncoding plays random episodes of one job in shape s and

@@ -1,10 +1,70 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// wrappingState is a saved model whose one layer claims 2^62 x 4 weights
+// (2^30 x 4 where an int has 32 bits). The count wraps an int to 0, so the
+// empty weight list matched it until Load checked for the overflow.
+func wrappingState() networkState {
+	return networkState{
+		Sizes:   []int{math.MaxInt/2 + 1, 4},
+		Weights: [][]float64{{}},
+		Biases:  [][]float64{{1, 1, 1, 1}},
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load, which must never panic. A network
+// it accepts must Save to bytes that Load accepts again and that save
+// identically, and its forward must answer with probabilities or an error.
+func FuzzLoad(f *testing.F) {
+	net, err := New([]int{3, 5, 2}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var saved, wrapping bytes.Buffer
+	if err := net.Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	if err := gob.NewEncoder(&wrapping).Encode(wrappingState()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.Bytes())
+	f.Add(wrapping.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := net.Save(&first); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		back, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Load refuses what an accepted network saves: %v", err)
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("a reloaded network saves different bytes")
+		}
+		x := make([]float64, net.InputSize())
+		for i := range x {
+			x[i] = float64(i%3) - 1
+		}
+		if probs, err := net.ProbsInto(net.NewScratch(), x, nil); err == nil && len(probs) != net.OutputSize() {
+			t.Fatalf("ProbsInto returned %d probabilities, want %d", len(probs), net.OutputSize())
+		}
+	})
+}
 
 // FuzzForwardBatchEquivalence feeds arbitrary byte-driven shapes, weights and
 // inputs into each forward kernel and requires row r of ForwardBatchInto to

@@ -237,9 +237,11 @@ func (n *Network) Save(w io.Writer) error {
 }
 
 // Load reads a network previously written by Save. Optimizer accumulators
-// start from zero. A NaN or infinite parameter, or a -0.0 bias, is refused:
-// the forward kernels skip zero inputs, which is exact only without them
-// (see dot4). New and Apply never produce one.
+// start from zero. Every layer's shape is checked before anything is
+// allocated, including a weight count that overflows an int. A NaN or
+// infinite parameter, or a -0.0 bias, is refused: the forward kernels skip
+// zero inputs, which is exact only without them (see dot4). New and Apply
+// never produce one.
 func Load(r io.Reader) (*Network, error) {
 	var st networkState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -251,9 +253,11 @@ func Load(r io.Reader) (*Network, error) {
 	if slices.Min(st.Sizes) < 1 {
 		return nil, fmt.Errorf("%w: non-positive layer size in %v", ErrBadShape, st.Sizes)
 	}
-	n := &Network{sizes: st.Sizes, weights: st.Weights, biases: st.Biases}
 	for l := 0; l < len(st.Sizes)-1; l++ {
 		in, out := st.Sizes[l], st.Sizes[l+1]
+		if out > math.MaxInt/in {
+			return nil, fmt.Errorf("%w: layer %d has %d x %d weights, more than an int counts", ErrBadShape, l, in, out)
+		}
 		if len(st.Weights[l]) != in*out || len(st.Biases[l]) != out {
 			return nil, fmt.Errorf("%w: layer %d shape mismatch", ErrBadShape, l)
 		}
@@ -267,8 +271,11 @@ func Load(r io.Reader) (*Network, error) {
 				return nil, fmt.Errorf("%w: layer %d bias %d is %v", ErrBadShape, l, j, v)
 			}
 		}
-		n.msW = append(n.msW, make([]float64, in*out))
-		n.msB = append(n.msB, make([]float64, out))
+	}
+	n := &Network{sizes: st.Sizes, weights: st.Weights, biases: st.Biases}
+	for l, w := range st.Weights {
+		n.msW = append(n.msW, make([]float64, len(w)))
+		n.msB = append(n.msB, make([]float64, len(st.Biases[l])))
 	}
 	n.repack()
 	return n, nil

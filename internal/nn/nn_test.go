@@ -377,9 +377,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestLoadRejectsWhatTheKernelsCannotSkip hand-builds saved models that New
 // and Apply never write: a NaN or infinite weight or bias, a -0.0 bias, a
-// layer of no units. The kernels skip zero inputs, which is exact only
-// without the first three, so Load refuses them all with an error naming the
-// layer and index. A +0.0 bias loads.
+// layer of no units, a layer whose weight count wraps an int to 0. The
+// kernels skip zero inputs, which is exact only without the first three, and
+// the last once passed the shape check and panicked allocating. Load refuses
+// them all with an error naming the layer (and the index). A +0.0 bias loads.
 func TestLoadRejectsWhatTheKernelsCannotSkip(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, tc := range []struct {
@@ -398,6 +399,7 @@ func TestLoadRejectsWhatTheKernelsCannotSkip(t *testing.T) {
 			st.Weights = [][]float64{{}, {}}
 			st.Biases = [][]float64{{}, {0, 0, 0}}
 		}, "non-positive layer size"},
+		{"weight count wraps to 0", func(st *networkState) { *st = wrappingState() }, "layer 0 has"},
 		{"+0 bias and -0 weight", func(st *networkState) { st.Biases[1][2], st.Weights[0][1] = 0, negZero }, ""},
 	} {
 		n := newNet(t, 4, 3, 3)

@@ -38,7 +38,7 @@ func TestJobSaveLoadRoundTrip(t *testing.T) {
 	}
 	for d := 0; d < g.Dims(); d++ {
 		if back.TotalWork(d) != g.TotalWork(d) {
-			t.Errorf("total work dim %d: %d != %d", d, back.TotalWork(d), g.TotalWork(d))
+			t.Errorf("total work dim %d: %v != %v", d, back.TotalWork(d), g.TotalWork(d))
 		}
 	}
 	for id := 0; id < g.NumTasks(); id++ {

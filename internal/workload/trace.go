@@ -127,7 +127,8 @@ func stageRuntimes(r *rand.Rand, n int, medianRT, maxMean int64) []int64 {
 // shuffle edges; at its task counts a trace may hold 237 jobs. At the
 // bounds, Graphs takes at most ≈ 1.4 s and 25 MB on a 2-core VM, for one
 // job 32 768 tasks wide: dag.Builder's duplicate-edge and ready-set scans
-// are quadratic in a job's width, which the demand bound caps.
+// are quadratic in a job's width, which the demand bound caps. GenerateTrace
+// builds each job once as well, to check that it builds, and pays the same.
 const (
 	maxTraceDemandEntries = 1 << 15 // Jobs × (MaxMaps + MaxReduces) × Dims
 	maxTraceShuffleEdges  = 1 << 18 // Jobs × MaxMaps × MaxReduces
@@ -135,7 +136,8 @@ const (
 
 // GenerateTrace produces a reproducible synthetic trace for the given seed.
 // It refuses, naming the fields at fault, a config whose jobs cannot be
-// built or whose trace would pass a size bound.
+// built or whose trace would pass a size bound, and a config that draws a
+// job dag.Builder refuses (work or a critical path too large to carry).
 func GenerateTrace(r *rand.Rand, cfg TraceConfig) (*Trace, error) {
 	if cfg.Jobs < 1 || cfg.MinTasks < 1 || cfg.Dims < 1 || cfg.Capacity < 1 {
 		return nil, fmt.Errorf("workload: trace config Jobs %d, MinTasks %d, Dims %d and Capacity %d must all be >= 1",
@@ -178,6 +180,10 @@ func GenerateTrace(r *rand.Rand, cfg TraceConfig) (*Trace, error) {
 				Runtime: rt,
 				Demand:  traceDemand(r, cfg, true),
 			})
+		}
+		if _, err := job.Graph(cfg.Dims); err != nil {
+			return nil, fmt.Errorf("workload: trace config MedianMapRT %d, MedianRedRT %d, MaxMeanRT %d and Capacity %d drew job %d: %w",
+				cfg.MedianMapRT, cfg.MedianRedRT, cfg.MaxMeanRT, cfg.Capacity, j, err)
 		}
 		trace.Jobs = append(trace.Jobs, job)
 	}

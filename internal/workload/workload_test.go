@@ -454,7 +454,9 @@ func TestTraceStatsIgnoresUnknownStages(t *testing.T) {
 // TestGenerateTraceValidation: a config the generator cannot build, or one
 // past a size bound, is refused before anything is allocated, with an error
 // naming its fields. The bound rows each made a serving run's template pool
-// die with a fatal out-of-memory error before the bounds existed.
+// die with a fatal out-of-memory error before the bounds existed. A config
+// that draws a job dag.Builder refuses is refused too, once that job is
+// drawn.
 func TestGenerateTraceValidation(t *testing.T) {
 	withDefaults := func(edit func(*TraceConfig)) TraceConfig {
 		cfg := DefaultTraceConfig()
@@ -478,6 +480,9 @@ func TestGenerateTraceValidation(t *testing.T) {
 		{"products past MaxInt64", withDefaults(func(c *TraceConfig) {
 			c.Jobs, c.MaxMaps, c.MaxReduces, c.Dims = math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt
 		}), "demand entries"},
+		{"features past dag's", withDefaults(func(c *TraceConfig) {
+			c.MedianMapRT, c.MaxMeanRT, c.Capacity, c.Dims = math.MaxInt64, math.MaxInt64, math.MaxInt64, 4
+		}), "dag: job features overflow"},
 	} {
 		_, err := GenerateTrace(rand.New(rand.NewSource(1)), tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -64,6 +64,9 @@ type (
 	TaskID = dag.TaskID
 	// Task is one unit of work.
 	Task = dag.Task
+	// Work is an exact 128-bit amount of resource-time, runtime x demand
+	// summed, as Job.TotalWork and Job.BLoad report it.
+	Work = dag.Work
 	// Vector is a multi-dimensional resource amount.
 	Vector = resource.Vector
 

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"spear"
+	"spear/internal/simenv"
 )
 
-// tinyTrainedModel trains the smallest useful model once per test binary.
+// tinyModel is the smallest useful policy, trained once per test binary by
+// trainTinyModel and shared by the tests and benchmarks that need one.
 var tinyModel *spear.Network
 
 const tinyWindow = 4
@@ -19,7 +21,7 @@ func tinyFeatures() spear.Features {
 	return spear.Features{Window: tinyWindow, Horizon: 8, Dims: 2}
 }
 
-func trainTinyModel(t *testing.T) *spear.Network {
+func trainTinyModel(t testing.TB) *spear.Network {
 	t.Helper()
 	if tinyModel != nil {
 		return tinyModel
@@ -258,7 +260,9 @@ func TestUntrainedNetworkIsUsable(t *testing.T) {
 // same on two such machines (their total capacity overflows an int64), and
 // a chain whose first task runs 2^46 slots (a grid that long cannot be
 // allocated). The first must come back valid with makespan 6, the other two
-// as errors; none may panic or take more than seconds.
+// as errors; none may panic or take more than seconds. Spear's inputs stay
+// finite and within [0, 1] at every step of an episode on each, though the
+// wide job's work, 3e19, passes an int64.
 func TestDegenerateMagnitudes(t *testing.T) {
 	wide := spear.NewJobBuilder(1)
 	wide.AddTask("a", 3, spear.Resources(5e18))
@@ -304,6 +308,7 @@ func TestDegenerateMagnitudes(t *testing.T) {
 		spear.NewRandom(1),
 	}
 	for _, tc := range cases {
+		encodedInRange(t, tc.name, tc.job, tc.spec)
 		for _, s := range schedulers {
 			func() {
 				defer func() {
@@ -327,6 +332,29 @@ func TestDegenerateMagnitudes(t *testing.T) {
 					}
 				}
 			}()
+		}
+	}
+}
+
+// encodedInRange walks one episode of job on spec as Spear's search steps it,
+// taking the first legal action each step, and checks that every input
+// tinyFeatures encodes is finite and within [0, 1]. An episode that cannot
+// start or step is left to the schedulers' errors.
+func encodedInRange(t *testing.T, name string, job *spear.Job, spec spear.ClusterSpec) {
+	t.Helper()
+	feat := tinyFeatures()
+	e, err := simenv.NewCluster(job, spec, simenv.Config{Window: feat.Window, Mode: simenv.NextCompletion})
+	if err != nil {
+		return
+	}
+	for step := 0; !e.Done(); step++ {
+		for i, v := range feat.Encode(e, nil) {
+			if !(v >= 0 && v <= 1) {
+				t.Errorf("%s: step %d: input %d is %v, want within [0, 1]", name, step, i, v)
+			}
+		}
+		if e.Step(e.LegalActions()[0]) != nil {
+			return
 		}
 	}
 }
