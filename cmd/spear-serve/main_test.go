@@ -10,7 +10,6 @@ import (
 	"spear/internal/cluster"
 	"spear/internal/profile/profiletest"
 	"spear/internal/serve"
-	"spear/internal/workload"
 )
 
 // TestDefaultTrafficFitsDefaultCluster runs the command with its default
@@ -60,41 +59,6 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		err := run([]string{"-horizon", "2000", "-quiet", "-" + tc.flag, tc.value})
 		if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value+" must be >= 1") {
 			t.Errorf("-%s %s: err = %v", tc.flag, tc.value, err)
-		}
-	}
-}
-
-// TestReplayRejectsForgedTemplates: a run log whose template asks for a
-// trace past the generator's size bounds is refused when the log is
-// replayed, before the templates are allocated. Each of these logs used to
-// end replay with a fatal out-of-memory error.
-func TestReplayRejectsForgedTemplates(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		forge func(*workload.TraceConfig)
-	}{
-		{"jobs", func(c *workload.TraceConfig) { c.Jobs = 1e9 }},
-		{"dims", func(c *workload.TraceConfig) { c.Dims = 1e9 }},
-		{"tasks", func(c *workload.TraceConfig) {
-			c.MaxMaps, c.MedianMaps, c.MaxReduces, c.MedianReds = 1e5, 1e5, 1e5, 1e5
-		}},
-	} {
-		classes, err := parseClasses(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log := serve.RunLog{Config: serve.Config{Seed: 7, Horizon: 20000, Algorithm: "cp", Classes: classes, Template: workload.DefaultTraceConfig()}}
-		tc.forge(&log.Config.Template)
-		data, err := log.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "forged.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := run([]string{"-replay", path}); err == nil || !strings.Contains(err.Error(), "demand entries") {
-			t.Errorf("%s: replay err = %v, want the demand-entry bound", tc.name, err)
 		}
 	}
 }

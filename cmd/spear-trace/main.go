@@ -57,10 +57,7 @@ func run(args []string) (err error) {
 			return err
 		}
 	} else {
-		trace, err = spear.GenerateTrace(*seed, spear.DefaultTraceConfig())
-		if err != nil {
-			return err
-		}
+		trace = spear.GenerateTrace(*seed)
 	}
 
 	if *out != "" {

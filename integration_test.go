@@ -15,10 +15,7 @@ func TestIntegrationTracePipeline(t *testing.T) {
 		t.Skip("integration test")
 	}
 
-	trace, err := spear.GenerateTrace(42, spear.DefaultTraceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := spear.GenerateTrace(42)
 	graphs, err := trace.Graphs()
 	if err != nil {
 		t.Fatal(err)

@@ -34,12 +34,8 @@ func BenchmarkBaselines100Tasks(b *testing.B) {
 // scheduler on a MapReduce-trace job (long tasks, two wide stages) and four
 // machines.
 func BenchmarkCPSchedule_m4(b *testing.B) {
-	cfg := workload.DefaultTraceConfig()
-	trace, err := workload.GenerateTrace(rand.New(rand.NewSource(7)), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := trace.Jobs[0].Graph(cfg.Dims)
+	trace := workload.GenerateTrace(rand.New(rand.NewSource(7)))
+	g, err := trace.Jobs[0].Graph(len(trace.Capacity))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -135,47 +135,6 @@ func TestEncodeIsScaleFree(t *testing.T) {
 	}
 }
 
-func TestDisableGraphFeaturesZeroesThem(t *testing.T) {
-	feat := testFeatures()
-	ablated := feat
-	ablated.DisableGraphFeatures = true
-	if ablated.InputSize() != feat.InputSize() {
-		t.Fatalf("ablation changed input size: %d vs %d", ablated.InputSize(), feat.InputSize())
-	}
-
-	jobs, capacity := testJobs(t, 1, 12, 21)
-	e, err := simenv.New(jobs[0], capacity, simenv.Config{Window: feat.Window, Mode: simenv.OneSlot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := feat.Encode(e, nil)
-	cut := ablated.Encode(e, nil)
-
-	imageLen := feat.Dims * feat.Horizon
-	per := 3 + 2*feat.Dims
-	sawGraphSignal := false
-	for slot := 0; slot < feat.Window; slot++ {
-		base := imageLen + slot*per
-		// b-level, child count and b-load positions must be zero when
-		// ablated; runtime and demand positions must match the full
-		// encoding.
-		for _, off := range []int{1, 2, 3 + feat.Dims, 3 + feat.Dims + 1} {
-			if cut[base+off] != 0 {
-				t.Errorf("slot %d offset %d = %v, want 0", slot, off, cut[base+off])
-			}
-			if full[base+off] != 0 {
-				sawGraphSignal = true
-			}
-		}
-		if cut[base] != full[base] {
-			t.Errorf("slot %d runtime feature changed: %v vs %v", slot, cut[base], full[base])
-		}
-	}
-	if !sawGraphSignal {
-		t.Error("full encoding carried no graph features; test is vacuous")
-	}
-}
-
 func TestMaskMatchesLegalActions(t *testing.T) {
 	feat := testFeatures()
 	jobs, capacity := testJobs(t, 1, 12, 4)

@@ -22,12 +22,6 @@ type Features struct {
 	Horizon int
 	// Dims is the number of resource dimensions (paper: 2).
 	Dims int
-	// DisableGraphFeatures zeroes the dependency-graph features (b-level,
-	// child count, b-load) in the encoding, leaving only runtimes and
-	// demands — the ablation of §III-D ("our reinforcement learning model
-	// produces results superior to a model where we don't incorporate graph
-	// related features"). Input and output sizes are unchanged.
-	DisableGraphFeatures bool
 }
 
 // DefaultFeatures returns the paper's settings (§V-A).
@@ -90,14 +84,12 @@ func (f Features) Encode(e *simenv.Env, buf []float64) []float64 {
 		task := g.Task(e.VisibleTask(slot))
 		base := pos + slot*f.perTaskFeatures()
 		buf[base] = float64(task.Runtime) / maxRT
-		if !f.DisableGraphFeatures {
-			buf[base+1] = float64(g.BLevel(task.ID)) / cp
-			buf[base+2] = float64(g.NumChildren(task.ID)) / 8.0
-		}
+		buf[base+1] = float64(g.BLevel(task.ID)) / cp
+		buf[base+2] = float64(g.NumChildren(task.ID)) / 8.0
 		for d := 0; d < min(f.Dims, g.Dims()); d++ { // a job's missing dims stay 0, as in the image
 			buf[base+3+d] = float64(task.Demand[d]) / float64(e.CapacityDim(d))
 			work := g.TotalWork(d).Float64()
-			if !f.DisableGraphFeatures && work > 0 {
+			if work > 0 {
 				buf[base+3+f.Dims+d] = g.BLoad(task.ID, d).Float64() / work
 			}
 		}

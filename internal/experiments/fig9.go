@@ -23,11 +23,7 @@ func (s *Suite) Fig9Trace() (*TraceResult, error) {
 	if s.trace != nil {
 		return s.trace, nil
 	}
-	r := rand.New(rand.NewSource(s.Seed + 900))
-	trace, err := workload.GenerateTrace(r, workload.DefaultTraceConfig())
-	if err != nil {
-		return nil, err
-	}
+	trace := workload.GenerateTrace(rand.New(rand.NewSource(s.Seed + 900)))
 	s.trace = &TraceResult{Trace: trace, Stats: trace.Stats()}
 	return s.trace, nil
 }

@@ -15,12 +15,8 @@ import (
 // produces: fresh is the package-level Validate, warm a Validator reused from
 // call to call, as serve checks every job.
 func BenchmarkValidate(b *testing.B) {
-	cfg := workload.DefaultTraceConfig()
-	trace, err := workload.GenerateTrace(rand.New(rand.NewSource(7)), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := trace.Jobs[0].Graph(cfg.Dims)
+	trace := workload.GenerateTrace(rand.New(rand.NewSource(7)))
+	g, err := trace.Jobs[0].Graph(len(trace.Capacity))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,19 +15,13 @@ import (
 	"spear/internal/workload"
 )
 
-const packCapacity = 50
-
-// packServer returns a server over machines two-dimensional 50-unit machines
-// whose template pool holds a few small map-reduce jobs.
+// packServer returns a server of the given number of machines whose
+// template pool is a tinyTrace.
 func packServer(t testing.TB, seed int64, machines int) *Server {
 	t.Helper()
-	s, err := New(Config{
+	s, err := NewTiny(Config{
 		Seed: seed, Horizon: 1, Machines: machines,
 		Classes: []ClassConfig{{Name: "c", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalPoisson, Mean: 10}}},
-		Template: workload.TraceConfig{
-			Jobs: 6, MinTasks: 2, MaxMaps: 4, MaxReduces: 4, MedianMaps: 3, MedianReds: 3,
-			MedianMapRT: 8, MedianRedRT: 5, MaxMeanRT: 20, Dims: 2, Capacity: packCapacity,
-		},
 	}, baselines.NewCPScheduler(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +61,7 @@ func occupy(t *testing.T, rng *rand.Rand, s *Server, mode int) int64 {
 			if mode == fillBehind && start+duration > s.clock {
 				continue
 			}
-			demand := resource.Of(rng.Int63n(packCapacity+1), rng.Int63n(packCapacity+1))
+			demand := resource.Of(rng.Int63n(tinyCapacity+1), rng.Int63n(tinyCapacity+1))
 			if err := s.space.Place(m, start, demand, duration); err != nil && !errors.Is(err, cluster.ErrDoesNotFit) {
 				t.Fatal(err)
 			}
@@ -85,7 +79,7 @@ func occupy(t *testing.T, rng *rand.Rand, s *Server, mode int) int64 {
 func overlapPlan(t *testing.T, rng *rand.Rand, machines int) (*dag.Graph, *sched.Schedule) {
 	t.Helper()
 	k := 3 + rng.Intn(5)
-	share := int64(packCapacity / (k + 1))
+	share := int64(tinyCapacity / (k + 1))
 	b := dag.NewBuilder(2)
 	plan := &sched.Schedule{Algorithm: "hand"}
 	machine := rng.Intn(machines)

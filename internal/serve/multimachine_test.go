@@ -29,11 +29,7 @@ func TestMultiMachineReplayByteIdentical(t *testing.T) {
 	if loaded.Config.Machines != 4 {
 		t.Fatalf("loaded config has %d machines, want 4", loaded.Config.Machines)
 	}
-	replayed, err := serve.Replay(loaded.Config, baselines.NewCPScheduler(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayBytes, err := replayed.Marshal()
+	replayBytes, err := mustRun(t, loaded.Config).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

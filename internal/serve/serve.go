@@ -38,11 +38,9 @@ type ClassConfig struct {
 	// Tenant is the owning tenant; several classes may share one tenant.
 	// Defaults to Name.
 	Tenant string `json:"tenant,omitempty"`
-	// Arrival is the class's inter-arrival process.
+	// Arrival is the class's inter-arrival process. The class submits
+	// until the horizon.
 	Arrival workload.ArrivalConfig `json:"arrival"`
-	// MaxJobs caps the number of jobs the class submits; 0 means the class
-	// keeps submitting until the horizon.
-	MaxJobs int `json:"maxJobs,omitempty"`
 }
 
 // Config parameterizes one serving run. The whole struct is embedded in
@@ -72,9 +70,6 @@ type Config struct {
 	Admission AdmissionConfig `json:"admission"`
 	// Classes lists the client classes. At least one is required.
 	Classes []ClassConfig `json:"classes"`
-	// Template configures the synthetic job pool arrivals draw from; the
-	// zero value selects workload.DefaultTraceConfig.
-	Template workload.TraceConfig `json:"template"`
 }
 
 // Event kinds in the event queue. Completions sort before arrivals at the
@@ -190,6 +185,12 @@ type Server struct {
 // New validates cfg, generates the job-template pool from the seed, and
 // returns a Server ready to Run. A nil reg gets a private registry.
 func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, error) {
+	return newServer(cfg, scheduler, reg, workload.GenerateTrace(rand.New(rand.NewSource(cfg.Seed))))
+}
+
+// newServer is New over the jobs of trace, which arrivals draw from and
+// whose capacity each machine gets.
+func newServer(cfg Config, scheduler sched.Scheduler, reg *obs.Registry, trace *workload.Trace) (*Server, error) {
 	if scheduler == nil {
 		return nil, errors.New("serve: nil scheduler")
 	}
@@ -208,18 +209,11 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = scheduler.Name()
 	}
-	if cfg.Template == (workload.TraceConfig{}) {
-		cfg.Template = workload.DefaultTraceConfig()
-	}
 	admit, err := NewAdmission(cfg.Admission)
 	if err != nil {
 		return nil, err
 	}
 
-	trace, err := workload.GenerateTrace(rand.New(rand.NewSource(cfg.Seed)), cfg.Template)
-	if err != nil {
-		return nil, fmt.Errorf("serve: generating job templates: %w", err)
-	}
 	templates, err := trace.Graphs()
 	if err != nil {
 		return nil, fmt.Errorf("serve: building job templates: %w", err)
@@ -264,9 +258,6 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 			return nil, fmt.Errorf("serve: classes %q and %q share the metric series spear_serve_class_%s_*", prev, cc.Name, series)
 		}
 		classBySeries[series] = cc.Name
-		if cc.MaxJobs < 0 {
-			return nil, fmt.Errorf("serve: class %q: maxJobs %d must be >= 0", cc.Name, cc.MaxJobs)
-		}
 		if cc.Tenant == "" {
 			cc.Tenant = cc.Name
 		}
@@ -274,16 +265,16 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 		if err != nil {
 			return nil, fmt.Errorf("serve: class %q: %w", cc.Name, err)
 		}
-		// Gaps far below one slot all round to zero: an uncapped class
-		// would then never leave its first slot, and Run would never end.
-		if expected := float64(cfg.Horizon+1) / cc.Arrival.Mean; cc.MaxJobs == 0 && expected > maxExpectedArrivals {
-			return nil, fmt.Errorf("serve: class %q: mean gap %g slots over %d slots expects %.3g arrivals, more than %d; raise the mean or set maxJobs",
+		// Gaps far below one slot all round to zero: the class would then
+		// never leave its first slot, and Run would never end.
+		if expected := float64(cfg.Horizon+1) / cc.Arrival.Mean; expected > maxExpectedArrivals {
+			return nil, fmt.Errorf("serve: class %q: mean gap %g slots over %d slots expects %.3g arrivals, more than %d; raise the mean",
 				cc.Name, cc.Arrival.Mean, cfg.Horizon+1, expected, maxExpectedArrivals)
 		}
 		// So do gaps that are mostly below half a slot, whatever the mean:
 		// a tiny shape puts nearly all its mass there.
-		if q := proc.AdvanceProb(); cc.MaxJobs == 0 && q*maxExpectedArrivals < 1 {
-			return nil, fmt.Errorf("serve: class %q: a gap reaches half a slot with probability %.3g, so a burst expects %.3g arrivals in one slot, more than %d; raise the mean or shape, or set maxJobs",
+		if q := proc.AdvanceProb(); q*maxExpectedArrivals < 1 {
+			return nil, fmt.Errorf("serve: class %q: a gap reaches half a slot with probability %.3g, so a burst expects %.3g arrivals in one slot, more than %d; raise the mean or shape",
 				cc.Name, q, 1/q, maxExpectedArrivals)
 		}
 		ti, ok := tenantIdx[cc.Tenant]
@@ -304,7 +295,7 @@ func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, err
 	return s, nil
 }
 
-// maxExpectedArrivals bounds the arrivals an uncapped class may expect over
+// maxExpectedArrivals bounds the arrivals a class may expect over
 // the horizon, (Horizon+1)/Mean, and in one slot's burst, 1/AdvanceProb: far
 // above any serving run that finishes, far below a class whose gaps round
 // every arrival into one slot.
@@ -362,14 +353,11 @@ func (s *Server) step() error {
 }
 
 // scheduleArrival draws the class's next arrival after time from and
-// enqueues it, unless the class hit its job cap or the horizon. from is at
+// enqueues it, unless it falls past the horizon. from is at
 // most the horizon, so the gap is compared with what is left of it: a gap
 // near MaxInt64 ends the class instead of wrapping from+gap.
 func (s *Server) scheduleArrival(ci int, from int64) {
 	c := s.classes[ci]
-	if c.cfg.MaxJobs > 0 && c.generated >= c.cfg.MaxJobs {
-		return
-	}
 	gap := c.proc.NextGap(c.rng)
 	if gap > s.cfg.Horizon-from {
 		return

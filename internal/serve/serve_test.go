@@ -13,17 +13,6 @@ import (
 	"spear/internal/workload"
 )
 
-// smallTemplate keeps test jobs tiny: 3-ish map and reduce tasks on a
-// 2-dimensional, 50-unit cluster.
-func smallTemplate() workload.TraceConfig {
-	return workload.TraceConfig{
-		Jobs: 6, MinTasks: 2, MaxMaps: 4, MaxReduces: 4,
-		MedianMaps: 3, MedianReds: 3,
-		MedianMapRT: 8, MedianRedRT: 5, MaxMeanRT: 20,
-		Dims: 2, Capacity: 50,
-	}
-}
-
 func testConfig(seed int64) serve.Config {
 	return serve.Config{
 		Seed:    seed,
@@ -32,13 +21,13 @@ func testConfig(seed int64) serve.Config {
 			{Name: "gold", Tenant: "acme", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalPoisson, Mean: 40}},
 			{Name: "batch", Tenant: "beta", Arrival: workload.ArrivalConfig{Kind: workload.ArrivalGamma, Mean: 60, Shape: 0.5}},
 		},
-		Template: smallTemplate(),
 	}
 }
 
+// mustRun runs cfg with CP over tiny jobs.
 func mustRun(t *testing.T, cfg serve.Config) *serve.RunLog {
 	t.Helper()
-	s, err := serve.New(cfg, baselines.NewCPScheduler(), nil)
+	s, err := serve.NewTiny(cfg, baselines.NewCPScheduler(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,26 +38,33 @@ func mustRun(t *testing.T, cfg serve.Config) *serve.RunLog {
 	return log
 }
 
-// TestDeterministicReplay is the acceptance criterion of the serving loop:
-// the same seed must reproduce the run log byte for byte, and the CLI's
-// replay path (load the log, re-run its embedded config) must agree.
 // TestLoadRunLogNamesUnknownKeys: a log carrying a config key this build
-// does not know (searchBudget, which older MCTS runs wrote) is refused with
-// an error naming the key, not loaded without it to diverge on replay.
+// does not know is refused with an error naming the key, not loaded without
+// it to diverge on replay. Older builds wrote each of these: searchBudget
+// for MCTS runs, the job generator's template, and a class's maxJobs cap.
 func TestLoadRunLogNamesUnknownKeys(t *testing.T) {
 	data, err := mustRun(t, testConfig(11)).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(data, []byte(`"config": {`), []byte(`"config": {"searchBudget": 200,`), 1)
-	if bytes.Equal(old, data) {
-		t.Fatal("the log has no config object to add the key to")
-	}
-	if _, err := serve.LoadRunLog(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `"searchBudget"`) {
-		t.Fatalf("LoadRunLog with a searchBudget key: err = %v, want one naming the key", err)
+	for _, tc := range []struct{ key, at, add string }{
+		{"searchBudget", `"config": {`, `"searchBudget": 200,`},
+		{"template", `"config": {`, `"template": {"Jobs": 99, "Dims": 2, "Capacity": 1000},`},
+		{"maxJobs", `"name": "gold",`, `"maxJobs": 3,`},
+	} {
+		old := bytes.Replace(data, []byte(tc.at), []byte(tc.at+tc.add), 1)
+		if bytes.Equal(old, data) {
+			t.Fatalf("%s: the log has no %s to add the key to", tc.key, tc.at)
+		}
+		if _, err := serve.LoadRunLog(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("LoadRunLog with a %s key: err = %v, want one naming the key", tc.key, err)
+		}
 	}
 }
 
+// TestDeterministicReplay is the acceptance criterion of the serving loop:
+// the same seed must reproduce the run log byte for byte, and the CLI's
+// replay path (load the log, re-run its embedded config) must agree.
 func TestDeterministicReplay(t *testing.T) {
 	first, err := mustRun(t, testConfig(11)).Marshal()
 	if err != nil {
@@ -86,11 +82,7 @@ func TestDeterministicReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := serve.Replay(loaded.Config, baselines.NewCPScheduler(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayBytes, err := replayed.Marshal()
+	replayBytes, err := mustRun(t, loaded.Config).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +276,7 @@ func TestTokenBucketRefill(t *testing.T) {
 // TestNewAdmissionSelectsPolicy pins the policy-name dispatch the CLI
 // flags go through.
 func TestNewAdmissionSelectsPolicy(t *testing.T) {
+	var _ serve.Admission = serve.AlwaysAdmit{} // the default policy satisfies the interface
 	always, err := serve.NewAdmission(serve.AdmissionConfig{})
 	if err != nil || !always.Admit(0) {
 		t.Fatalf("empty policy should be always-admit: %v", err)
@@ -336,7 +329,7 @@ func TestMaxInFlightQueueing(t *testing.T) {
 // Prometheus exposition.
 func TestServeMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, err := serve.New(testConfig(9), baselines.NewCPScheduler(), reg)
+	s, err := serve.NewTiny(testConfig(9), baselines.NewCPScheduler(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +367,6 @@ func TestConfigValidation(t *testing.T) {
 		{"no classes", func(c *serve.Config) { c.Classes = nil }},
 		{"duplicate class", func(c *serve.Config) { c.Classes[1].Name = c.Classes[0].Name }},
 		{"unnamed class", func(c *serve.Config) { c.Classes[0].Name = "" }},
-		{"negative max jobs", func(c *serve.Config) { c.Classes[0].MaxJobs = -1 }},
 		{"negative max inflight", func(c *serve.Config) { c.MaxInFlight = -1 }},
 		{"bad arrival", func(c *serve.Config) { c.Classes[0].Arrival.Mean = 0 }},
 		{"arrivals stuck at slot 0", func(c *serve.Config) { c.Classes[0].Arrival.Mean = 1e-300 }},
@@ -412,22 +404,6 @@ func TestClassesSharingMetricSeriesRejected(t *testing.T) {
 	_, err := serve.New(cfg, baselines.NewCPScheduler(), nil)
 	if err == nil || !strings.Contains(err.Error(), `"Gold"`) || !strings.Contains(err.Error(), `"gold"`) {
 		t.Fatalf("classes Gold and gold: err = %v, want an error naming both", err)
-	}
-}
-
-// TestMaxJobsCapsClass pins the per-class job cap and the default
-// always-admit policy.
-func TestMaxJobsCapsClass(t *testing.T) {
-	var _ serve.Admission = serve.AlwaysAdmit{} // the default policy satisfies the interface
-
-	cfg := testConfig(2)
-	cfg.Classes[0].MaxJobs = 3
-	cfg.Classes[0].Arrival.Mean = 5 // would otherwise produce far more than 3
-	log := mustRun(t, cfg)
-	for _, cs := range log.Summary.Classes {
-		if cs.Class == "gold" && cs.Arrivals != 3 {
-			t.Errorf("gold submitted %d jobs, want the MaxJobs cap 3", cs.Arrivals)
-		}
 	}
 }
 

@@ -1,18 +1,22 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"spear/internal/baselines"
 	"spear/internal/cluster"
 	"spear/internal/dag"
+	"spear/internal/resource"
 	"spear/internal/sched"
 )
 
 func TestForkJoinShape(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	g, err := ForkJoin(r, TopologyConfig{}, 3, 4)
+	g, err := ForkJoin(r, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +32,14 @@ func TestForkJoinShape(t *testing.T) {
 		t.Errorf("NumLevels = %d, want 9", g.NumLevels())
 	}
 
-	if _, err := ForkJoin(r, TopologyConfig{}, 0, 3); err == nil {
+	if _, err := ForkJoin(r, 0, 3); err == nil {
 		t.Error("zero stages accepted")
 	}
 }
 
 func TestOutTreeShape(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	g, err := OutTree(r, TopologyConfig{}, 3, 2)
+	g, err := OutTree(r, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestOutTreeShape(t *testing.T) {
 
 func TestInTreeShape(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	g, err := InTree(r, TopologyConfig{}, 3, 2)
+	g, err := InTree(r, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +81,7 @@ func TestInTreeShape(t *testing.T) {
 func TestGaussianEliminationShape(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	m := 5
-	g, err := GaussianElimination(r, TopologyConfig{}, m)
+	g, err := GaussianElimination(r, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,20 +100,19 @@ func TestGaussianEliminationShape(t *testing.T) {
 		t.Errorf("NumLevels = %d, want >= %d", g.NumLevels(), m-1)
 	}
 
-	if _, err := GaussianElimination(r, TopologyConfig{}, 1); err == nil {
+	if _, err := GaussianElimination(r, 1); err == nil {
 		t.Error("m=1 accepted")
 	}
 }
 
 func TestTopologiesAllSchedulable(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	cfg := TopologyConfig{}
 	graphs := []*dag.Graph{}
 	for _, build := range []func() (*dag.Graph, error){
-		func() (*dag.Graph, error) { return ForkJoin(r, cfg, 2, 5) },
-		func() (*dag.Graph, error) { return OutTree(r, cfg, 3, 3) },
-		func() (*dag.Graph, error) { return InTree(r, cfg, 2, 4) },
-		func() (*dag.Graph, error) { return GaussianElimination(r, cfg, 6) },
+		func() (*dag.Graph, error) { return ForkJoin(r, 2, 5) },
+		func() (*dag.Graph, error) { return OutTree(r, 3, 3) },
+		func() (*dag.Graph, error) { return InTree(r, 2, 4) },
+		func() (*dag.Graph, error) { return GaussianElimination(r, 6) },
 	} {
 		g, err := build()
 		if err != nil {
@@ -117,7 +120,7 @@ func TestTopologiesAllSchedulable(t *testing.T) {
 		}
 		graphs = append(graphs, g)
 	}
-	capacity := cfg.Capacity()
+	capacity := TopologyCapacity()
 	for i, g := range graphs {
 		for _, s := range []sched.Scheduler{baselines.NewTetrisScheduler(), baselines.NewCPScheduler()} {
 			out, err := s.Schedule(g, cluster.Single(capacity))
@@ -131,12 +134,38 @@ func TestTopologiesAllSchedulable(t *testing.T) {
 	}
 }
 
+// TestTopologyConfigDefaults: the generators are sized as the zero
+// TopologyConfig they used to take sized them (2 dimensions, runtimes and
+// demands up to 20), and draw, seed for seed, the DAGs it drew: each sum is
+// the SaveJob bytes of EXPERIMENTS.md's census shape at seed 100.
 func TestTopologyConfigDefaults(t *testing.T) {
-	c := TopologyConfig{}.normalized()
-	if c.Dims != 2 || c.MaxRuntime != 20 || c.MaxDemand != 20 {
-		t.Errorf("defaults = %+v", c)
+	if got := TopologyCapacity(); !got.Equal(resource.Uniform(2, 20)) {
+		t.Errorf("TopologyCapacity() = %v, want [20 20]", got)
 	}
-	if got := (TopologyConfig{}).Capacity(); !got.Equal(c.Capacity()) {
-		t.Errorf("Capacity mismatch")
+	for _, tc := range []struct {
+		name  string
+		build func(*rand.Rand) (*dag.Graph, error)
+		sum   string
+	}{
+		{"forkjoin", func(r *rand.Rand) (*dag.Graph, error) { return ForkJoin(r, 10, 8) },
+			"2ae9bbb250a3dc1dfea84b8794348f7fca58ac77b7925740735449a4b7e1a6bc"},
+		{"outtree", func(r *rand.Rand) (*dag.Graph, error) { return OutTree(r, 4, 3) },
+			"3798d3aedd8e9deb635134b3f791511836f727e02e8a0ffea8ec77ddf7c050a0"},
+		{"intree", func(r *rand.Rand) (*dag.Graph, error) { return InTree(r, 4, 3) },
+			"72f1094fa4c37ed3c0066e4e953d73e42a7a3459e224aa3dbcb86f5c82669d82"},
+		{"gauss", func(r *rand.Rand) (*dag.Graph, error) { return GaussianElimination(r, 13) },
+			"6d05d47b1cc89982f3f0e58ac865e7685fcd6f12f6a917a16c21635004008df1"},
+	} {
+		g, err := tc.build(rand.New(rand.NewSource(100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveJob(&buf, g, tc.name); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sum {
+			t.Errorf("%s: job sum %s, want %s", tc.name, got, tc.sum)
+		}
 	}
 }

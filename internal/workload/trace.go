@@ -26,9 +26,6 @@ import (
 // jobs carry real dependencies, and reduce tasks have higher resource
 // demands than map tasks as the paper observes (§II-C).
 
-// traceJobCount is the number of jobs in the paper's trace.
-const traceJobCount = 99
-
 // TraceTask is one task in a serialized trace job.
 type TraceTask struct {
 	Name    string  `json:"name"`
@@ -52,39 +49,21 @@ type Trace struct {
 	Jobs     []TraceJob `json:"jobs"`
 }
 
-// TraceConfig tunes the synthetic trace generator. The zero value is not
-// valid; use DefaultTraceConfig.
-type TraceConfig struct {
-	Jobs        int
-	MinTasks    int   // per stage (paper: jobs with <=5 map or reduce tasks were filtered out)
-	MaxMaps     int   // paper: 29
-	MaxReduces  int   // paper: 38
-	MedianMaps  int   // paper: 14
-	MedianReds  int   // paper: 17
-	MedianMapRT int64 // paper: 73
-	MedianRedRT int64 // paper: 32
-	MaxMeanRT   int64 // paper: reduce-stage means range up to 141
-	Dims        int
-	Capacity    int64 // per dimension
-}
-
-// DefaultTraceConfig returns the calibration matching the paper's reported
-// statistics on a 1000-unit/dimension cluster.
-func DefaultTraceConfig() TraceConfig {
-	return TraceConfig{
-		Jobs:        traceJobCount,
-		MinTasks:    6,
-		MaxMaps:     29,
-		MaxReduces:  38,
-		MedianMaps:  14,
-		MedianReds:  17,
-		MedianMapRT: 73,
-		MedianRedRT: 32,
-		MaxMeanRT:   141,
-		Dims:        2,
-		Capacity:    1000,
-	}
-}
+// The generator's calibration: the paper's statistics on a two-dimensional
+// cluster of 1000 units per dimension.
+const (
+	traceJobCount    = 99
+	traceMinTasks    = 6   // per stage: the paper filtered out jobs with <= 5 map or reduce tasks
+	traceMaxMaps     = 29  // per job
+	traceMaxReduces  = 38  // per job
+	traceMedianMaps  = 14  // per job
+	traceMedianReds  = 17  // per job
+	traceMedianMapRT = 73  // seconds
+	traceMedianRedRT = 32  // seconds
+	traceMaxMeanRT   = 141 // seconds: the largest per-job stage mean
+	traceDims        = 2
+	traceCapacity    = 1000 // per dimension
+)
 
 // boundedCount draws a task count with the given median and bounds using a
 // clipped geometric-ish spread around the median.
@@ -103,13 +82,13 @@ func boundedCount(r *rand.Rand, median, min, max int) int {
 // stageRuntimes draws per-task runtimes for one stage: the stage mean is
 // log-normally distributed around the target median, and task runtimes
 // scatter around that mean.
-func stageRuntimes(r *rand.Rand, n int, medianRT, maxMean int64) []int64 {
+func stageRuntimes(r *rand.Rand, n int, medianRT int64) []int64 {
 	mean := float64(medianRT) * math.Exp(r.NormFloat64()*0.6)
 	if mean < 2 {
 		mean = 2
 	}
-	if mean > float64(maxMean) {
-		mean = float64(maxMean)
+	if mean > traceMaxMeanRT {
+		mean = traceMaxMeanRT
 	}
 	out := make([]int64, n)
 	for i := range out {
@@ -122,47 +101,15 @@ func stageRuntimes(r *rand.Rand, n int, medianRT, maxMean int64) []int64 {
 	return out
 }
 
-// Size bounds of a generated trace, checked before anything is allocated.
-// DefaultTraceConfig asks for 13 266 demand entries and at most 109 098
-// shuffle edges; at its task counts a trace may hold 237 jobs. At the
-// bounds, Graphs takes at most ≈ 1.4 s and 25 MB on a 2-core VM, for one
-// job 32 768 tasks wide: dag.Builder's duplicate-edge and ready-set scans
-// are quadratic in a job's width, which the demand bound caps. GenerateTrace
-// builds each job once as well, to check that it builds, and pays the same.
-const (
-	maxTraceDemandEntries = 1 << 15 // Jobs × (MaxMaps + MaxReduces) × Dims
-	maxTraceShuffleEdges  = 1 << 18 // Jobs × MaxMaps × MaxReduces
-)
-
-// GenerateTrace produces a reproducible synthetic trace for the given seed.
-// It refuses, naming the fields at fault, a config whose jobs cannot be
-// built or whose trace would pass a size bound, and a config that draws a
-// job dag.Builder refuses (work or a critical path too large to carry).
-func GenerateTrace(r *rand.Rand, cfg TraceConfig) (*Trace, error) {
-	if cfg.Jobs < 1 || cfg.MinTasks < 1 || cfg.Dims < 1 || cfg.Capacity < 1 {
-		return nil, fmt.Errorf("workload: trace config Jobs %d, MinTasks %d, Dims %d and Capacity %d must all be >= 1",
-			cfg.Jobs, cfg.MinTasks, cfg.Dims, cfg.Capacity)
-	}
-	if cfg.MaxMaps < cfg.MinTasks || cfg.MaxReduces < cfg.MinTasks {
-		return nil, fmt.Errorf("workload: trace config MaxMaps %d and MaxReduces %d must be >= MinTasks %d",
-			cfg.MaxMaps, cfg.MaxReduces, cfg.MinTasks)
-	}
-	// In float64, so that no product wraps; each is exact below 2^53.
-	jobs, maps, reds := float64(cfg.Jobs), float64(cfg.MaxMaps), float64(cfg.MaxReduces)
-	if n := jobs * (maps + reds) * float64(cfg.Dims); n > maxTraceDemandEntries {
-		return nil, fmt.Errorf("workload: trace config Jobs × (MaxMaps + MaxReduces) × Dims = %.0f demand entries, more than %d",
-			n, maxTraceDemandEntries)
-	}
-	if n := jobs * maps * reds; n > maxTraceShuffleEdges {
-		return nil, fmt.Errorf("workload: trace config Jobs × MaxMaps × MaxReduces = %.0f shuffle edges, more than %d",
-			n, maxTraceShuffleEdges)
-	}
-	trace := &Trace{Capacity: resource.Uniform(cfg.Dims, cfg.Capacity), Jobs: make([]TraceJob, 0, cfg.Jobs)}
-	for j := 0; j < cfg.Jobs; j++ {
-		nMaps := boundedCount(r, cfg.MedianMaps, cfg.MinTasks, cfg.MaxMaps)
-		nReds := boundedCount(r, cfg.MedianReds, cfg.MinTasks, cfg.MaxReduces)
-		mapRTs := stageRuntimes(r, nMaps, cfg.MedianMapRT, cfg.MaxMeanRT)
-		redRTs := stageRuntimes(r, nReds, cfg.MedianRedRT, cfg.MaxMeanRT)
+// GenerateTrace draws the calibrated 99-job trace from r: the same seed
+// gives the same trace.
+func GenerateTrace(r *rand.Rand) *Trace {
+	trace := &Trace{Capacity: resource.Uniform(traceDims, traceCapacity), Jobs: make([]TraceJob, 0, traceJobCount)}
+	for j := 0; j < traceJobCount; j++ {
+		nMaps := boundedCount(r, traceMedianMaps, traceMinTasks, traceMaxMaps)
+		nReds := boundedCount(r, traceMedianReds, traceMinTasks, traceMaxReduces)
+		mapRTs := stageRuntimes(r, nMaps, traceMedianMapRT)
+		redRTs := stageRuntimes(r, nReds, traceMedianRedRT)
 
 		job := TraceJob{Name: fmt.Sprintf("job-%02d", j)}
 		for i, rt := range mapRTs {
@@ -170,7 +117,7 @@ func GenerateTrace(r *rand.Rand, cfg TraceConfig) (*Trace, error) {
 				Name:    fmt.Sprintf("map-%d", i),
 				Stage:   "map",
 				Runtime: rt,
-				Demand:  traceDemand(r, cfg, false),
+				Demand:  traceDemand(r, false),
 			})
 		}
 		for i, rt := range redRTs {
@@ -178,33 +125,29 @@ func GenerateTrace(r *rand.Rand, cfg TraceConfig) (*Trace, error) {
 				Name:    fmt.Sprintf("reduce-%d", i),
 				Stage:   "reduce",
 				Runtime: rt,
-				Demand:  traceDemand(r, cfg, true),
+				Demand:  traceDemand(r, true),
 			})
-		}
-		if _, err := job.Graph(cfg.Dims); err != nil {
-			return nil, fmt.Errorf("workload: trace config MedianMapRT %d, MedianRedRT %d, MaxMeanRT %d and Capacity %d drew job %d: %w",
-				cfg.MedianMapRT, cfg.MedianRedRT, cfg.MaxMeanRT, cfg.Capacity, j, err)
 		}
 		trace.Jobs = append(trace.Jobs, job)
 	}
-	return trace, nil
+	return trace
 }
 
 // traceDemand draws a demand vector; reduce tasks demand roughly twice the
 // resources of map tasks, mirroring the paper's observation that reduce
 // demands are normally higher.
-func traceDemand(r *rand.Rand, cfg TraceConfig, isReduce bool) []int64 {
+func traceDemand(r *rand.Rand, isReduce bool) []int64 {
 	frac := 0.12 // of capacity, mean for map tasks
 	if isReduce {
 		frac = 0.24
 	}
-	out := make([]int64, cfg.Dims)
+	out := make([]int64, traceDims)
 	for d := range out {
-		v := int64(float64(cfg.Capacity) * frac * (1 + float64(r.NormFloat64()*0.35))) // float64 rounds: no fused multiply-add
+		v := int64(float64(traceCapacity) * frac * (1 + float64(r.NormFloat64()*0.35))) // float64 rounds: no fused multiply-add
 		if v < 1 {
 			v = 1
 		}
-		if limit := cfg.Capacity / 2; v > limit {
+		if limit := int64(traceCapacity / 2); v > limit {
 			v = limit
 		}
 		out[d] = v

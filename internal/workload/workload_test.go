@@ -265,12 +265,7 @@ func TestMotivatingExampleOptimalIs2T(t *testing.T) {
 }
 
 func TestGenerateTraceMatchesPaperStats(t *testing.T) {
-	r := rand.New(rand.NewSource(2019))
-	trace, err := GenerateTrace(r, DefaultTraceConfig())
-	if err != nil {
-		t.Fatalf("GenerateTrace: %v", err)
-	}
-	s := trace.Stats()
+	s := GenerateTrace(rand.New(rand.NewSource(2019))).Stats()
 	if s.Jobs != 99 {
 		t.Errorf("Jobs = %d, want 99", s.Jobs)
 	}
@@ -305,18 +300,12 @@ func TestGenerateTraceMatchesPaperStats(t *testing.T) {
 }
 
 func TestTraceGraphs(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	cfg := DefaultTraceConfig()
-	cfg.Jobs = 5
-	trace, err := GenerateTrace(r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := GenerateTrace(rand.New(rand.NewSource(4)))
 	graphs, err := trace.Graphs()
 	if err != nil {
 		t.Fatalf("Graphs: %v", err)
 	}
-	if len(graphs) != 5 {
+	if len(graphs) != traceJobCount {
 		t.Fatalf("len = %d", len(graphs))
 	}
 	for i, g := range graphs {
@@ -343,13 +332,7 @@ func TestTraceGraphs(t *testing.T) {
 }
 
 func TestTraceSaveLoadRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	cfg := DefaultTraceConfig()
-	cfg.Jobs = 3
-	trace, err := GenerateTrace(r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := GenerateTrace(rand.New(rand.NewSource(6)))
 	var buf bytes.Buffer
 	if err := trace.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -358,7 +341,7 @@ func TestTraceSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadTrace: %v", err)
 	}
-	if len(back.Jobs) != 3 || len(back.Capacity) != 2 {
+	if len(back.Jobs) != traceJobCount || len(back.Capacity) != 2 {
 		t.Fatalf("round trip lost data: %d jobs, %d dims", len(back.Jobs), len(back.Capacity))
 	}
 	if back.Jobs[0].Name != trace.Jobs[0].Name || len(back.Jobs[0].Tasks) != len(trace.Jobs[0].Tasks) {
@@ -451,86 +434,51 @@ func TestTraceStatsIgnoresUnknownStages(t *testing.T) {
 	}
 }
 
-// TestGenerateTraceValidation: a config the generator cannot build, or one
-// past a size bound, is refused before anything is allocated, with an error
-// naming its fields. The bound rows each made a serving run's template pool
-// die with a fatal out-of-memory error before the bounds existed. A config
-// that draws a job dag.Builder refuses is refused too, once that job is
-// drawn.
-func TestGenerateTraceValidation(t *testing.T) {
-	withDefaults := func(edit func(*TraceConfig)) TraceConfig {
-		cfg := DefaultTraceConfig()
-		edit(&cfg)
-		return cfg
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  TraceConfig
-		want string
-	}{
-		{"zero", TraceConfig{}, "Jobs 0, MinTasks 0, Dims 0 and Capacity 0 must all be >= 1"},
-		{"no capacity", withDefaults(func(c *TraceConfig) { c.Capacity = 0 }), "Capacity 0 must all be >= 1"},
-		{"max below min", withDefaults(func(c *TraceConfig) { c.MaxReduces = 5 }), "MaxReduces 5 must be >= MinTasks 6"},
-		{"1e9 jobs", withDefaults(func(c *TraceConfig) { c.Jobs = 1e9 }), "Jobs × (MaxMaps + MaxReduces) × Dims"},
-		{"1e9 dims", withDefaults(func(c *TraceConfig) { c.Dims = 1e9 }), "Jobs × (MaxMaps + MaxReduces) × Dims"},
-		{"1e5 tasks per stage", withDefaults(func(c *TraceConfig) {
-			c.MaxMaps, c.MedianMaps, c.MaxReduces, c.MedianReds = 1e5, 1e5, 1e5, 1e5
-		}), "Jobs × (MaxMaps + MaxReduces) × Dims"},
-		{"edges only", withDefaults(func(c *TraceConfig) { c.MaxMaps, c.MaxReduces = 60, 60 }), "Jobs × MaxMaps × MaxReduces"},
-		{"products past MaxInt64", withDefaults(func(c *TraceConfig) {
-			c.Jobs, c.MaxMaps, c.MaxReduces, c.Dims = math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt
-		}), "demand entries"},
-		{"features past dag's", withDefaults(func(c *TraceConfig) {
-			c.MedianMapRT, c.MaxMeanRT, c.Capacity, c.Dims = math.MaxInt64, math.MaxInt64, math.MaxInt64, 4
-		}), "dag: job features overflow"},
-	} {
-		_, err := GenerateTrace(rand.New(rand.NewSource(1)), tc.cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
-		}
-	}
-}
+// maxTraceRuntime bounds every runtime the generator draws: a stage mean is
+// at most traceMaxMeanRT, a task scatters around it by a factor
+// 1 + 0.25·NormFloat64(), and math/rand's NormFloat64 stays below 13 (its
+// ziggurat tail is 3.44 + x with x² ≤ 2·63·ln 2, unless a uniform draw is
+// exactly 0). Rounded, that is at most 599 slots.
+const maxTraceRuntime = traceMaxMeanRT * (1 + 0.25*13)
 
-// FuzzGenerateTrace: whatever the config, GenerateTrace either refuses it or
-// returns a trace that validates and whose every job builds into a graph.
+// FuzzGenerateTrace: for every seed the trace validates and builds, holds
+// the paper's 99 jobs, and draws runtimes in [1, maxTraceRuntime] and
+// demands in [1, capacity/2].
 func FuzzGenerateTrace(f *testing.F) {
-	d := DefaultTraceConfig()
-	f.Add(d.Jobs, d.MinTasks, d.MaxMaps, d.MaxReduces, d.MedianMaps, d.MedianReds, d.MedianMapRT, d.MedianRedRT, d.MaxMeanRT, d.Dims, d.Capacity, int64(1))
-	f.Add(3, 1, 1, 1, 0, -4, int64(-1), int64(0), int64(0), 1, int64(1), int64(2))
-	f.Add(2, 6, 60, 60, int(1e5), int(1e5), int64(math.MaxInt64), int64(1), int64(math.MaxInt64), 4, int64(math.MaxInt64), int64(3))
-	f.Add(int(1e9), 6, 29, 38, 14, 17, int64(73), int64(32), int64(141), 2, int64(1000), int64(4))
-	f.Fuzz(func(t *testing.T, jobs, minTasks, maxMaps, maxReds, medMaps, medReds int, medMapRT, medRedRT, maxMeanRT int64, dims int, capacity, seed int64) {
-		cfg := TraceConfig{
-			Jobs: jobs, MinTasks: minTasks, MaxMaps: maxMaps, MaxReduces: maxReds, MedianMaps: medMaps, MedianReds: medReds,
-			MedianMapRT: medMapRT, MedianRedRT: medRedRT, MaxMeanRT: maxMeanRT, Dims: dims, Capacity: capacity,
-		}
-		tr, err := GenerateTrace(rand.New(rand.NewSource(seed)), cfg)
-		if err != nil {
-			return
-		}
+	// Without the stage-mean cap, seed 31 draws a 784-slot task.
+	for _, seed := range []int64{1, 2019, 31, math.MaxInt64} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		tr := GenerateTrace(rand.New(rand.NewSource(seed)))
 		if err := tr.Validate(); err != nil {
-			t.Fatalf("%+v: generated trace does not validate: %v", cfg, err)
+			t.Fatalf("seed %d: generated trace does not validate: %v", seed, err)
 		}
 		graphs, err := tr.Graphs()
 		if err != nil {
-			t.Fatalf("%+v: generated trace does not build: %v", cfg, err)
+			t.Fatalf("seed %d: generated trace does not build: %v", seed, err)
 		}
-		if len(graphs) != jobs {
-			t.Fatalf("%+v: %d graphs for %d jobs", cfg, len(graphs), jobs)
+		if len(graphs) != traceJobCount {
+			t.Fatalf("seed %d: %d jobs, want %d", seed, len(graphs), traceJobCount)
+		}
+		for _, job := range tr.Jobs {
+			for _, task := range job.Tasks {
+				if task.Runtime < 1 || float64(task.Runtime) > maxTraceRuntime {
+					t.Fatalf("seed %d: %s/%s runtime %d, want 1..%g", seed, job.Name, task.Name, task.Runtime, maxTraceRuntime)
+				}
+				for d, v := range task.Demand {
+					if v < 1 || v > tr.Capacity[d]/2 {
+						t.Fatalf("seed %d: %s/%s demand %v, want each in 1..%d", seed, job.Name, task.Name, task.Demand, tr.Capacity[d]/2)
+					}
+				}
+			}
 		}
 	})
 }
 
 func TestTraceDeterministic(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	t1, err := GenerateTrace(rand.New(rand.NewSource(9)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := GenerateTrace(rand.New(rand.NewSource(9)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := GenerateTrace(rand.New(rand.NewSource(9)))
+	t2 := GenerateTrace(rand.New(rand.NewSource(9)))
 	var b1, b2 bytes.Buffer
 	if err := t1.Save(&b1); err != nil {
 		t.Fatal(err)

@@ -156,10 +156,6 @@ type (
 	RandomJobConfig = workload.RandomDAGConfig
 	// Trace is a synthetic production MapReduce trace.
 	Trace = workload.Trace
-	// TraceConfig parameterizes trace generation.
-	TraceConfig = workload.TraceConfig
-	// TopologyConfig sizes the structured-topology generators.
-	TopologyConfig = workload.TopologyConfig
 )
 
 // Sentinel errors re-exported from the internal packages, so callers can
@@ -323,25 +319,29 @@ func RandomJobs(seed int64, cfg RandomJobConfig, n int) ([]*Job, error) {
 
 // ForkJoinJob generates a multi-stage fork-join DAG (classic pipeline
 // benchmark from the DAG-scheduling literature).
-func ForkJoinJob(seed int64, cfg TopologyConfig, stages, width int) (*Job, error) {
-	return workload.ForkJoin(newRand(seed), cfg, stages, width)
+func ForkJoinJob(seed int64, stages, width int) (*Job, error) {
+	return workload.ForkJoin(newRand(seed), stages, width)
 }
 
 // OutTreeJob generates a rooted fan-out tree.
-func OutTreeJob(seed int64, cfg TopologyConfig, depth, branching int) (*Job, error) {
-	return workload.OutTree(newRand(seed), cfg, depth, branching)
+func OutTreeJob(seed int64, depth, branching int) (*Job, error) {
+	return workload.OutTree(newRand(seed), depth, branching)
 }
 
 // InTreeJob generates an aggregation (reduction) tree.
-func InTreeJob(seed int64, cfg TopologyConfig, depth, branching int) (*Job, error) {
-	return workload.InTree(newRand(seed), cfg, depth, branching)
+func InTreeJob(seed int64, depth, branching int) (*Job, error) {
+	return workload.InTree(newRand(seed), depth, branching)
 }
 
 // GaussianEliminationJob generates the dependency DAG of Gaussian
 // elimination on an m x m matrix (the HEFT paper's structured benchmark).
-func GaussianEliminationJob(seed int64, cfg TopologyConfig, m int) (*Job, error) {
-	return workload.GaussianElimination(newRand(seed), cfg, m)
+func GaussianEliminationJob(seed int64, m int) (*Job, error) {
+	return workload.GaussianElimination(newRand(seed), m)
 }
+
+// TopologyCapacity is the cluster capacity the fork-join, tree and Gaussian
+// elimination jobs are sized for.
+func TopologyCapacity() Vector { return workload.TopologyCapacity() }
 
 // MotivatingExample reconstructs the paper's Fig. 3 job: the optimum is
 // ~2T while every work-conserving heuristic lands at ~3T. T is the
@@ -353,13 +353,10 @@ func MotivatingExample(longRuntime int64) (*Job, error) {
 // MotivatingCapacity is the cluster capacity of the motivating example.
 func MotivatingCapacity() Vector { return workload.MotivatingCapacity() }
 
-// DefaultTraceConfig returns the synthetic-trace calibration matching the
-// statistics the paper reports for its production trace.
-func DefaultTraceConfig() TraceConfig { return workload.DefaultTraceConfig() }
-
-// GenerateTrace produces the synthetic 99-job MapReduce trace.
-func GenerateTrace(seed int64, cfg TraceConfig) (*Trace, error) {
-	return workload.GenerateTrace(newRand(seed), cfg)
+// GenerateTrace produces the synthetic 99-job MapReduce trace, calibrated to
+// the statistics the paper reports for its production trace.
+func GenerateTrace(seed int64) *Trace {
+	return workload.GenerateTrace(newRand(seed))
 }
 
 // LoadTrace reads a trace previously written with Trace.Save.

@@ -156,10 +156,7 @@ func TestWorkloadHelpers(t *testing.T) {
 		t.Errorf("motivating tasks = %d", mot.NumTasks())
 	}
 
-	tr, err := spear.GenerateTrace(5, spear.DefaultTraceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := spear.GenerateTrace(5)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
