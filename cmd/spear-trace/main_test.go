@@ -8,5 +8,5 @@ import (
 
 // TestProfileFlags: -cpuprofile and -memprofile each leave a pprof file.
 func TestProfileFlags(t *testing.T) {
-	profiletest.Run(t, run, "-seed", "7", "-stats=false")
+	profiletest.Run(t, run, "-seed", "7")
 }

@@ -28,7 +28,7 @@ func main() {
 }
 
 // run parses the command line args, trains the model and writes it, with
-// the learning curve, -eval and the -metrics snapshot as asked.
+// the learning curve and the -metrics snapshot as asked.
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("spear-train", flag.ExitOnError)
 	var (
@@ -40,14 +40,10 @@ func run(args []string) (err error) {
 		rollouts       = fs.Int("rollouts", 20, "rollouts per example for the baseline (paper: 20)")
 		workers        = fs.Int("workers", 0, "rollout/backprop worker goroutines (0 = GOMAXPROCS)")
 		seed           = fs.Int64("seed", 1, "random seed")
-		window         = fs.Int("window", 15, "ready-task window (paper: 15)")
-		horizon        = fs.Int("horizon", 20, "occupancy horizon in slots (paper: 20)")
 		quiet          = fs.Bool("q", false, "suppress per-epoch progress")
 		curvePath      = fs.String("curve", "", "write the learning curve as CSV to this path")
 		ckptEvery      = fs.Int("checkpoint-every", 0, "save the model to -out every N epochs (0 = only at the end)")
 		metrics        = fs.Bool("metrics", false, "print a Prometheus-format training metrics snapshot after the run")
-		evalJobs       = fs.Int("eval", 0, "after training, run guided search on this many held-out jobs and report mean makespan")
-		evalBudget     = fs.Int("eval-budget", 100, "search budget per decision for -eval")
 	)
 	prof := profile.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -68,15 +64,12 @@ func run(args []string) (err error) {
 		{"rollouts", *rollouts, 1},
 		{"workers", *workers, 0},
 		{"checkpoint-every", *ckptEvery, 0},
-		{"eval", *evalJobs, 0},
-		{"eval-budget", *evalBudget, 1},
 	} {
 		if f.value < f.min {
 			return fmt.Errorf("%s %d must be >= %d", f.name, f.value, f.min)
 		}
 	}
 
-	feat := spear.Features{Window: *window, Horizon: *horizon, Dims: 2}
 	reinforce := spear.ReinforceConfig{Epochs: *epochs, Rollouts: *rollouts, Workers: *workers}
 	if *ckptEvery > 0 {
 		reinforce.CheckpointEvery = *ckptEvery
@@ -91,7 +84,7 @@ func run(args []string) (err error) {
 		}
 	}
 	cfg := spear.ModelConfig{
-		Feat:         feat,
+		Feat:         spear.DefaultFeatures(),
 		TrainJobs:    *trainJobs,
 		TasksPerJob:  *tasksPerJob,
 		PretrainCfg:  spear.PretrainConfig{Epochs: *pretrainEpochs},
@@ -135,12 +128,7 @@ func run(args []string) (err error) {
 	if err := writeModel(*out, net); err != nil {
 		return err
 	}
-	fmt.Printf("model written to %s (window=%d horizon=%d)\n", *out, *window, *horizon)
-	if *evalJobs > 0 {
-		if err := evalModel(net, feat, *evalJobs, *tasksPerJob, *evalBudget, *seed); err != nil {
-			return err
-		}
-	}
+	fmt.Printf("model written to %s\n", *out)
 	if tm != nil {
 		st := tm.Stats()
 		fmt.Printf("training: %d trajectories, %d steps, %d updates, mean grad norm %.4g, mean baseline spread %.1f\n",
@@ -153,39 +141,6 @@ func run(args []string) (err error) {
 			return err
 		}
 	}
-	return nil
-}
-
-// evalModel runs the freshly trained model through the guided search on
-// held-out jobs (a seed offset past the training set) and prints the mean
-// makespan and search rate — a quick smoke signal that the model actually
-// helps before it is shipped to spear-sim/spear-experiments.
-func evalModel(net *spear.Network, feat spear.Features, jobs, tasks, budget int, seed int64) error {
-	scheduler, err := spear.NewSpear(net, feat, spear.SpearConfig{
-		InitialBudget: budget,
-		MinBudget:     budget / 10,
-		Seed:          seed,
-	})
-	if err != nil {
-		return err
-	}
-	wcfg := spear.DefaultRandomJobConfig()
-	wcfg.NumTasks = tasks
-	var totalSpan, totalSims float64
-	for i := 0; i < jobs; i++ {
-		job, err := spear.RandomJob(seed+int64(1000+i), wcfg)
-		if err != nil {
-			return err
-		}
-		out, err := scheduler.Schedule(job, spear.SingleMachine(wcfg.Capacity()))
-		if err != nil {
-			return err
-		}
-		totalSpan += float64(out.Makespan)
-		totalSims += scheduler.LastStats().SimsPerSec
-	}
-	fmt.Printf("eval: %d held-out jobs, mean makespan %.1f, mean %.0f sims/sec\n",
-		jobs, totalSpan/float64(jobs), totalSims/float64(jobs))
 	return nil
 }
 

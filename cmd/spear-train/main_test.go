@@ -63,8 +63,6 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		{"tasks", "-1", "1"},
 		{"workers", "-1", "0"},
 		{"checkpoint-every", "-1", "0"},
-		{"eval", "-1", "0"},
-		{"eval-budget", "0", "1"},
 	} {
 		err := run([]string{"-q", "-out", out, "-" + tc.flag, tc.value})
 		if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value+" must be >= "+tc.min) {

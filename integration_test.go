@@ -15,12 +15,11 @@ func TestIntegrationTracePipeline(t *testing.T) {
 		t.Skip("integration test")
 	}
 
-	trace := spear.GenerateTrace(42)
-	graphs, err := trace.Graphs()
+	graphs, err := spear.GenerateTrace(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capacity := spear.Vector(trace.Capacity)
+	capacity := spear.TraceCapacity()
 
 	net := trainTinyModel(t)
 	spearSched, err := spear.NewSpear(net, tinyFeatures(), spear.SpearConfig{

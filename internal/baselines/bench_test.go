@@ -34,12 +34,12 @@ func BenchmarkBaselines100Tasks(b *testing.B) {
 // scheduler on a MapReduce-trace job (long tasks, two wide stages) and four
 // machines.
 func BenchmarkCPSchedule_m4(b *testing.B) {
-	trace := workload.GenerateTrace(rand.New(rand.NewSource(7)))
-	g, err := trace.Jobs[0].Graph(len(trace.Capacity))
+	trace, err := workload.GenerateTrace(rand.New(rand.NewSource(7)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := cluster.Uniform(4, trace.Capacity)
+	g := trace[0]
+	spec := cluster.Uniform(4, workload.TraceCapacity())
 	s := NewCPScheduler()
 	if _, err := s.Schedule(g, spec); err != nil {
 		b.Fatal(err)

@@ -5,7 +5,9 @@ import (
 	"io"
 	"strconv"
 
+	"spear/internal/dag"
 	"spear/internal/drl"
+	"spear/internal/workload"
 )
 
 // This file provides machine-readable CSV exports of every experiment
@@ -81,17 +83,20 @@ func (r *Fig8bResult) WriteCSV(w io.Writer) error {
 	})
 }
 
-// WriteCSV exports per-job trace statistics (Fig. 9(a)/9(b) raw data).
+// WriteCSV exports every trace task as (job, stage, runtime), the raw data
+// of both Fig. 9(a) (tasks per job and stage) and Fig. 9(b) (runtimes).
 func (r *TraceResult) WriteCSV(w io.Writer) error {
 	var rows [][]string
-	for i := range r.Stats.MapTaskCounts {
-		rows = append(rows, []string{
-			strconv.Itoa(i),
-			strconv.Itoa(r.Stats.MapTaskCounts[i]),
-			strconv.Itoa(r.Stats.RedTaskCounts[i]),
-		})
+	for i, g := range r.Jobs {
+		for id := 0; id < g.NumTasks(); id++ {
+			stage := "reduce"
+			if workload.IsMapTask(g, dag.TaskID(id)) {
+				stage = "map"
+			}
+			rows = append(rows, []string{strconv.Itoa(i), stage, itoa64(g.Task(dag.TaskID(id)).Runtime)})
+		}
 	}
-	return writeCSV(w, []string{"job", "mapTasks", "reduceTasks"}, rows)
+	return writeCSV(w, []string{"job", "stage", "runtime"}, rows)
 }
 
 // WriteCSV exports the per-job reduction of Fig. 9(c).

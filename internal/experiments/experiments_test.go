@@ -175,6 +175,19 @@ func TestFig9TraceAndC(t *testing.T) {
 	if !strings.Contains(tr.CountTable(), "map") || !strings.Contains(tr.RuntimeTable(), "reduce") {
 		t.Error("trace tables missing stages")
 	}
+	// fig9b.csv carries the runtimes its table summarises: one row per task.
+	sinks := &csvSinks{}
+	if err := s.Run([]string{"fig9b"}, RunOptions{CSV: sinks.open}, io.Discard); err != nil {
+		t.Fatalf("Run(fig9b): %v", err)
+	}
+	tasks := 0
+	for _, g := range tr.Jobs {
+		tasks += g.NumTasks()
+	}
+	rows := strings.Split(strings.TrimSpace(sinks.get("fig9b").String()), "\n")
+	if rows[0] != "job,stage,runtime" || len(rows) != 1+tasks {
+		t.Errorf("fig9b.csv: header %q and %d rows, want job,stage,runtime and one row per task (%d)", rows[0], len(rows)-1, tasks)
+	}
 
 	r, err := s.Fig9c()
 	if err != nil {

@@ -11,10 +11,10 @@ import (
 	"spear/internal/workload"
 )
 
-// TraceResult wraps the synthetic production trace and its summary
-// statistics (Fig. 9(a)/9(b)).
+// TraceResult holds the jobs of the synthetic production trace and their
+// summary statistics (Fig. 9(a)/9(b)).
 type TraceResult struct {
-	Trace *workload.Trace
+	Jobs  workload.Trace
 	Stats workload.TraceStats
 }
 
@@ -23,8 +23,11 @@ func (s *Suite) Fig9Trace() (*TraceResult, error) {
 	if s.trace != nil {
 		return s.trace, nil
 	}
-	trace := workload.GenerateTrace(rand.New(rand.NewSource(s.Seed + 900)))
-	s.trace = &TraceResult{Trace: trace, Stats: trace.Stats()}
+	jobs, err := workload.GenerateTrace(rand.New(rand.NewSource(s.Seed + 900)))
+	if err != nil {
+		return nil, err
+	}
+	s.trace = &TraceResult{Jobs: jobs, Stats: jobs.Stats()}
 	return s.trace, nil
 }
 
@@ -68,24 +71,17 @@ func (s *Suite) Fig9c() (*Fig9cResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	graphs, err := tr.Trace.Graphs()
-	if err != nil {
-		return nil, err
-	}
 	jobs := 12
 	budget, minBudget := 60, 30
 	if s.Full {
-		jobs = len(graphs) // all 99
+		jobs = len(tr.Jobs) // all 99
 		budget, minBudget = 100, 50
-	}
-	if jobs > len(graphs) {
-		jobs = len(graphs)
 	}
 	spear, err := s.spear(budget, minBudget)
 	if err != nil {
 		return nil, err
 	}
-	runs, err := runAll(graphs[:jobs], tr.Trace.Capacity, []sched.Scheduler{spear, baselines.NewGrapheneScheduler()}, s.logf)
+	runs, err := runAll(tr.Jobs[:jobs], workload.TraceCapacity(), []sched.Scheduler{spear, baselines.NewGrapheneScheduler()}, s.logf)
 	if err != nil {
 		return nil, err
 	}

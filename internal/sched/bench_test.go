@@ -15,12 +15,12 @@ import (
 // produces: fresh is the package-level Validate, warm a Validator reused from
 // call to call, as serve checks every job.
 func BenchmarkValidate(b *testing.B) {
-	trace := workload.GenerateTrace(rand.New(rand.NewSource(7)))
-	g, err := trace.Jobs[0].Graph(len(trace.Capacity))
+	trace, err := workload.GenerateTrace(rand.New(rand.NewSource(7)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := cluster.Uniform(4, trace.Capacity)
+	g := trace[0]
+	spec := cluster.Uniform(4, workload.TraceCapacity())
 	plan, err := baselines.NewCPScheduler().Schedule(g, spec)
 	if err != nil {
 		b.Fatal(err)

@@ -7,8 +7,8 @@ import (
 	"spear/internal/cluster"
 	"spear/internal/dag"
 	"spear/internal/obs"
+	"spear/internal/resource"
 	"spear/internal/sched"
-	"spear/internal/workload"
 )
 
 // tinyCapacity is each machine's capacity per dimension in a tinyTrace run.
@@ -17,28 +17,39 @@ const tinyCapacity = 50
 // tinyTrace draws six small map-reduce jobs from seed: two to four tasks a
 // stage, runtimes of 1 to 20 slots and demands of 1 to 25 units on a
 // two-dimensional cluster of tinyCapacity units.
-func tinyTrace(seed int64) *workload.Trace {
+func tinyTrace(seed int64) ([]*dag.Graph, error) {
 	r := rand.New(rand.NewSource(seed))
-	trace := &workload.Trace{Capacity: []int64{tinyCapacity, tinyCapacity}}
-	for j := 0; j < 6; j++ {
-		job := workload.TraceJob{Name: fmt.Sprint("job-", j)}
-		for _, stage := range []string{"map", "reduce"} {
+	jobs := make([]*dag.Graph, 6)
+	for j := range jobs {
+		b := dag.NewBuilder(2)
+		var stages [2][]dag.TaskID
+		for s, stage := range []string{"map", "reduce"} {
 			for i, n := 0, 2+r.Intn(3); i < n; i++ {
-				job.Tasks = append(job.Tasks, workload.TraceTask{
-					Name: fmt.Sprint(stage, "-", i), Stage: stage, Runtime: 1 + r.Int63n(20),
-					Demand: []int64{1 + r.Int63n(tinyCapacity/2), 1 + r.Int63n(tinyCapacity/2)},
-				})
+				stages[s] = append(stages[s], b.AddTask(fmt.Sprint(stage, "-", i), 1+r.Int63n(20),
+					resource.Of(1+r.Int63n(tinyCapacity/2), 1+r.Int63n(tinyCapacity/2))))
 			}
 		}
-		trace.Jobs = append(trace.Jobs, job)
+		for _, m := range stages[0] {
+			for _, rd := range stages[1] {
+				b.AddDep(m, rd)
+			}
+		}
+		var err error
+		if jobs[j], err = b.Build(); err != nil {
+			return nil, err
+		}
 	}
-	return trace
+	return jobs, nil
 }
 
 // NewTiny is New over tinyTrace(cfg.Seed) instead of the paper's trace, so
 // a test's runs are short.
 func NewTiny(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, error) {
-	return newServer(cfg, scheduler, reg, tinyTrace(cfg.Seed))
+	jobs, err := tinyTrace(cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return newServer(cfg, scheduler, reg, jobs, resource.Uniform(2, tinyCapacity))
 }
 
 // scanCommit is how commit found a plan's offset before it packed plans from

@@ -185,12 +185,16 @@ type Server struct {
 // New validates cfg, generates the job-template pool from the seed, and
 // returns a Server ready to Run. A nil reg gets a private registry.
 func New(cfg Config, scheduler sched.Scheduler, reg *obs.Registry) (*Server, error) {
-	return newServer(cfg, scheduler, reg, workload.GenerateTrace(rand.New(rand.NewSource(cfg.Seed))))
+	templates, err := workload.GenerateTrace(rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, fmt.Errorf("serve: building job templates: %w", err)
+	}
+	return newServer(cfg, scheduler, reg, templates, workload.TraceCapacity())
 }
 
-// newServer is New over the jobs of trace, which arrivals draw from and
-// whose capacity each machine gets.
-func newServer(cfg Config, scheduler sched.Scheduler, reg *obs.Registry, trace *workload.Trace) (*Server, error) {
+// newServer is New over templates, which arrivals draw from, on machines of
+// the given capacity.
+func newServer(cfg Config, scheduler sched.Scheduler, reg *obs.Registry, templates []*dag.Graph, capacity resource.Vector) (*Server, error) {
 	if scheduler == nil {
 		return nil, errors.New("serve: nil scheduler")
 	}
@@ -214,11 +218,6 @@ func newServer(cfg Config, scheduler sched.Scheduler, reg *obs.Registry, trace *
 		return nil, err
 	}
 
-	templates, err := trace.Graphs()
-	if err != nil {
-		return nil, fmt.Errorf("serve: building job templates: %w", err)
-	}
-
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -226,7 +225,7 @@ func newServer(cfg Config, scheduler sched.Scheduler, reg *obs.Registry, trace *
 	if machines == 0 {
 		machines = 1
 	}
-	spec := cluster.Uniform(machines, resource.Of(trace.Capacity...))
+	spec := cluster.Uniform(machines, capacity)
 	s := &Server{
 		cfg:       cfg,
 		scheduler: scheduler,

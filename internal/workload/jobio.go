@@ -9,16 +9,16 @@ import (
 	"spear/internal/resource"
 )
 
-// Job and trace documents are versioned by their "format" field. SaveJob and
-// Trace.Save write none (0), the original encoding; FormatSingle and
-// FormatMulti name the same layout. LoadJob and LoadTrace accept all three
-// and reject anything newer with a precise error.
+// Job documents are versioned by their "format" field. SaveJob writes none
+// (0), the original encoding; FormatSingle and FormatMulti name the same
+// layout. LoadJob accepts all three and rejects anything newer with a
+// precise error.
 const (
 	FormatSingle = 1
 	FormatMulti  = 2
 )
 
-// CheckFormat validates a job or trace document's format field.
+// CheckFormat validates a job document's format field.
 func CheckFormat(format int) error {
 	if format < 0 || format > FormatMulti {
 		return fmt.Errorf("unknown document format %d (this build understands formats up to %d)", format, FormatMulti)

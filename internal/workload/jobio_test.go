@@ -70,35 +70,25 @@ func TestLoadJobRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestLoadChecksFormat: job and trace documents of any known format load,
-// and one of an unknown format is refused with CheckFormat's error.
+// TestLoadChecksFormat: job documents of any known format load, and one of
+// an unknown format is refused with CheckFormat's error.
 func TestLoadChecksFormat(t *testing.T) {
-	const (
-		job   = `{"format":%d,"name":"x","dims":1,"tasks":[{"name":"a","runtime":1,"demand":[1]}]}`
-		trace = `{"format":%d,"capacity":[10,10],"jobs":[{"name":"j","tasks":[{"name":"t","stage":"map","runtimeSecs":5,"demand":[1,1]}]}]}`
-	)
-	loadJob := func(doc string) error { _, _, err := LoadJob(strings.NewReader(doc)); return err }
-	loadTrace := func(doc string) error { _, err := LoadTrace(strings.NewReader(doc)); return err }
+	const job = `{"format":%d,"name":"x","dims":1,"tasks":[{"name":"a","runtime":1,"demand":[1]}]}`
 	for _, tc := range []struct {
-		name    string
-		load    func(string) error
-		doc     string
 		format  int
 		refused bool
 	}{
-		{"job", loadJob, job, 9, true},
-		{"trace", loadTrace, trace, 9, true},
-		{"job", loadJob, job, -1, true},
-		{"job", loadJob, job, FormatMulti, false},
-		{"trace", loadTrace, trace, FormatMulti, false},
+		{9, true},
+		{-1, true},
+		{FormatMulti, false},
 	} {
-		err := tc.load(fmt.Sprintf(tc.doc, tc.format))
+		_, _, err := LoadJob(strings.NewReader(fmt.Sprintf(job, tc.format)))
 		want := fmt.Sprintf("unknown document format %d", tc.format)
 		if tc.refused && (err == nil || !strings.Contains(err.Error(), want)) {
-			t.Errorf("%s format %d: err = %v, want %q", tc.name, tc.format, err, want)
+			t.Errorf("job format %d: err = %v, want %q", tc.format, err, want)
 		}
 		if !tc.refused && err != nil {
-			t.Errorf("%s format %d: %v", tc.name, tc.format, err)
+			t.Errorf("job format %d: %v", tc.format, err)
 		}
 	}
 }

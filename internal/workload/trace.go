@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -26,28 +24,13 @@ import (
 // jobs carry real dependencies, and reduce tasks have higher resource
 // demands than map tasks as the paper observes (§II-C).
 
-// TraceTask is one task in a serialized trace job.
-type TraceTask struct {
-	Name    string  `json:"name"`
-	Stage   string  `json:"stage"` // "map" or "reduce"
-	Runtime int64   `json:"runtimeSecs"`
-	Demand  []int64 `json:"demand"`
-}
+// Trace is the jobs of a MapReduce trace. A job's map tasks are its
+// entries, and every other task is a reduce that depends on every map.
+type Trace []*dag.Graph
 
-// TraceJob is one MapReduce job: all map tasks precede all reduce tasks.
-type TraceJob struct {
-	Name  string      `json:"name"`
-	Tasks []TraceTask `json:"tasks"`
-}
-
-// Trace is a set of MapReduce jobs plus the cluster capacity they were
-// sized for.
-type Trace struct {
-	// Format versions the document; see CheckFormat.
-	Format   int        `json:"format,omitempty"`
-	Capacity []int64    `json:"capacity"`
-	Jobs     []TraceJob `json:"jobs"`
-}
+// IsMapTask reports whether task id of trace job g is a map task, that is
+// one of the job's entries.
+func IsMapTask(g *dag.Graph, id dag.TaskID) bool { return len(g.Pred(id)) == 0 }
 
 // The generator's calibration: the paper's statistics on a two-dimensional
 // cluster of 1000 units per dimension.
@@ -101,47 +84,51 @@ func stageRuntimes(r *rand.Rand, n int, medianRT int64) []int64 {
 	return out
 }
 
+// TraceCapacity returns the cluster capacity the trace jobs are sized for.
+func TraceCapacity() resource.Vector {
+	return resource.Uniform(traceDims, traceCapacity)
+}
+
 // GenerateTrace draws the calibrated 99-job trace from r: the same seed
 // gives the same trace.
-func GenerateTrace(r *rand.Rand) *Trace {
-	trace := &Trace{Capacity: resource.Uniform(traceDims, traceCapacity), Jobs: make([]TraceJob, 0, traceJobCount)}
+func GenerateTrace(r *rand.Rand) (Trace, error) {
+	trace := make(Trace, 0, traceJobCount)
 	for j := 0; j < traceJobCount; j++ {
 		nMaps := boundedCount(r, traceMedianMaps, traceMinTasks, traceMaxMaps)
 		nReds := boundedCount(r, traceMedianReds, traceMinTasks, traceMaxReduces)
 		mapRTs := stageRuntimes(r, nMaps, traceMedianMapRT)
 		redRTs := stageRuntimes(r, nReds, traceMedianRedRT)
 
-		job := TraceJob{Name: fmt.Sprintf("job-%02d", j)}
+		b := dag.NewBuilder(traceDims)
 		for i, rt := range mapRTs {
-			job.Tasks = append(job.Tasks, TraceTask{
-				Name:    fmt.Sprintf("map-%d", i),
-				Stage:   "map",
-				Runtime: rt,
-				Demand:  traceDemand(r, false),
-			})
+			b.AddTask(fmt.Sprintf("map-%d", i), rt, traceDemand(r, false))
 		}
 		for i, rt := range redRTs {
-			job.Tasks = append(job.Tasks, TraceTask{
-				Name:    fmt.Sprintf("reduce-%d", i),
-				Stage:   "reduce",
-				Runtime: rt,
-				Demand:  traceDemand(r, true),
-			})
+			b.AddTask(fmt.Sprintf("reduce-%d", i), rt, traceDemand(r, true))
 		}
-		trace.Jobs = append(trace.Jobs, job)
+		for m := 0; m < nMaps; m++ {
+			for rd := nMaps; rd < nMaps+nReds; rd++ {
+				b.AddDep(dag.TaskID(m), dag.TaskID(rd))
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		trace = append(trace, g)
 	}
-	return trace
+	return trace, nil
 }
 
 // traceDemand draws a demand vector; reduce tasks demand roughly twice the
 // resources of map tasks, mirroring the paper's observation that reduce
 // demands are normally higher.
-func traceDemand(r *rand.Rand, isReduce bool) []int64 {
+func traceDemand(r *rand.Rand, isReduce bool) resource.Vector {
 	frac := 0.12 // of capacity, mean for map tasks
 	if isReduce {
 		frac = 0.24
 	}
-	out := make([]int64, traceDims)
+	out := make(resource.Vector, traceDims)
 	for d := range out {
 		v := int64(float64(traceCapacity) * frac * (1 + float64(r.NormFloat64()*0.35))) // float64 rounds: no fused multiply-add
 		if v < 1 {
@@ -153,103 +140,6 @@ func traceDemand(r *rand.Rand, isReduce bool) []int64 {
 		out[d] = v
 	}
 	return out
-}
-
-// Graph converts one trace job into a DAG: map tasks are entries and every
-// reduce task depends on every map task.
-func (j *TraceJob) Graph(dims int) (*dag.Graph, error) {
-	b := dag.NewBuilder(dims)
-	var maps, reduces []dag.TaskID
-	for _, t := range j.Tasks {
-		id := b.AddTask(t.Name, t.Runtime, resource.Of(t.Demand...))
-		switch t.Stage {
-		case "map":
-			maps = append(maps, id)
-		case "reduce":
-			reduces = append(reduces, id)
-		default:
-			return nil, fmt.Errorf("workload: job %s task %s has unknown stage %q", j.Name, t.Name, t.Stage)
-		}
-	}
-	for _, m := range maps {
-		for _, rd := range reduces {
-			b.AddDep(m, rd)
-		}
-	}
-	return b.Build()
-}
-
-// Graphs converts every job in the trace into a DAG.
-func (t *Trace) Graphs() ([]*dag.Graph, error) {
-	out := make([]*dag.Graph, 0, len(t.Jobs))
-	dims := len(t.Capacity)
-	for i := range t.Jobs {
-		g, err := t.Jobs[i].Graph(dims)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-// Save writes the trace as indented JSON.
-func (t *Trace) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// LoadTrace reads a trace previously written by Save and validates it, so a
-// hand-edited file fails here with a precise error instead of panicking
-// later in TraceJob.Graph or resource.Of.
-func LoadTrace(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("workload: decode trace: %w", err)
-	}
-	if err := CheckFormat(t.Format); err != nil {
-		return nil, fmt.Errorf("workload: trace: %w", err)
-	}
-	if len(t.Capacity) == 0 || len(t.Jobs) == 0 {
-		return nil, fmt.Errorf("workload: trace is empty")
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: invalid trace: %w", err)
-	}
-	return &t, nil
-}
-
-// Validate checks the structural invariants every trace must satisfy:
-// positive capacity in every dimension, every task a known stage ("map" or
-// "reduce"), runtimes >= 1, and demand dimensionality matching the
-// capacity's.
-func (t *Trace) Validate() error {
-	dims := len(t.Capacity)
-	for d, c := range t.Capacity {
-		if c < 1 {
-			return fmt.Errorf("capacity dimension %d is %d, must be >= 1", d, c)
-		}
-	}
-	for ji := range t.Jobs {
-		job := &t.Jobs[ji]
-		for ti := range job.Tasks {
-			task := &job.Tasks[ti]
-			if task.Stage != "map" && task.Stage != "reduce" {
-				return fmt.Errorf("job %q task %q: unknown stage %q (want \"map\" or \"reduce\")",
-					job.Name, task.Name, task.Stage)
-			}
-			if task.Runtime < 1 {
-				return fmt.Errorf("job %q task %q: runtime %d, must be >= 1",
-					job.Name, task.Name, task.Runtime)
-			}
-			if len(task.Demand) != dims {
-				return fmt.Errorf("job %q task %q: demand has %d dimensions, capacity has %d",
-					job.Name, task.Name, len(task.Demand), dims)
-			}
-		}
-	}
-	return nil
 }
 
 // TraceStats summarizes a trace the way Fig. 9(a)/9(b) present it.
@@ -264,43 +154,30 @@ type TraceStats struct {
 }
 
 // Stats computes the summary statistics of the trace.
-func (t *Trace) Stats() TraceStats {
-	var s TraceStats
-	s.Jobs = len(t.Jobs)
-	for i := range t.Jobs {
+func (t Trace) Stats() TraceStats {
+	s := TraceStats{Jobs: len(t)}
+	for _, g := range t {
 		var nm, nr int
 		var sumM, sumR int64
-		for _, task := range t.Jobs[i].Tasks {
-			// Switch on the stage explicitly: an unknown stage must not be
-			// silently counted as a reduce task.
-			switch task.Stage {
-			case "map":
+		for id := 0; id < g.NumTasks(); id++ {
+			rt := g.Task(dag.TaskID(id)).Runtime
+			if IsMapTask(g, dag.TaskID(id)) {
 				nm++
-				sumM += task.Runtime
-				s.MapRuntimes = append(s.MapRuntimes, task.Runtime)
-			case "reduce":
+				sumM += rt
+				s.MapRuntimes = append(s.MapRuntimes, rt)
+			} else {
 				nr++
-				sumR += task.Runtime
-				s.RedRuntimes = append(s.RedRuntimes, task.Runtime)
+				sumR += rt
+				s.RedRuntimes = append(s.RedRuntimes, rt)
 			}
 		}
 		s.MapTaskCounts = append(s.MapTaskCounts, nm)
 		s.RedTaskCounts = append(s.RedTaskCounts, nr)
-		if nm > s.MaxMaps {
-			s.MaxMaps = nm
-		}
-		if nr > s.MaxReduces {
-			s.MaxReduces = nr
-		}
-		if nm > 0 {
-			if m := float64(sumM) / float64(nm); m > s.MaxMeanMapRT {
-				s.MaxMeanMapRT = m
-			}
-		}
+		s.MaxMaps = max(s.MaxMaps, nm)
+		s.MaxReduces = max(s.MaxReduces, nr)
+		s.MaxMeanMapRT = max(s.MaxMeanMapRT, float64(sumM)/float64(nm)) // a built job has an entry
 		if nr > 0 {
-			if m := float64(sumR) / float64(nr); m > s.MaxMeanRedRT {
-				s.MaxMeanRedRT = m
-			}
+			s.MaxMeanRedRT = max(s.MaxMeanRedRT, float64(sumR)/float64(nr))
 		}
 	}
 	s.MedianMaps = median(s.MapTaskCounts)

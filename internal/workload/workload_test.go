@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -265,7 +265,11 @@ func TestMotivatingExampleOptimalIs2T(t *testing.T) {
 }
 
 func TestGenerateTraceMatchesPaperStats(t *testing.T) {
-	s := GenerateTrace(rand.New(rand.NewSource(2019))).Stats()
+	trace, err := GenerateTrace(rand.New(rand.NewSource(2019)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := trace.Stats()
 	if s.Jobs != 99 {
 		t.Errorf("Jobs = %d, want 99", s.Jobs)
 	}
@@ -299,138 +303,22 @@ func TestGenerateTraceMatchesPaperStats(t *testing.T) {
 	}
 }
 
+// TestTraceGraphs: every trace job schedules on the trace capacity, and the
+// schedule validates. FuzzGenerateTrace checks the jobs' shape.
 func TestTraceGraphs(t *testing.T) {
-	trace := GenerateTrace(rand.New(rand.NewSource(4)))
-	graphs, err := trace.Graphs()
+	jobs, err := GenerateTrace(rand.New(rand.NewSource(4)))
 	if err != nil {
-		t.Fatalf("Graphs: %v", err)
+		t.Fatal(err)
 	}
-	if len(graphs) != traceJobCount {
-		t.Fatalf("len = %d", len(graphs))
-	}
-	for i, g := range graphs {
-		// Map tasks are entries; reduces depend on every map.
-		nm := len(g.Entries())
-		nr := g.NumTasks() - nm
-		if nm < 6 || nr < 6 {
-			t.Errorf("job %d: %d maps, %d reduces", i, nm, nr)
-		}
-		for _, exit := range g.Exits() {
-			if len(g.Pred(exit)) != nm {
-				t.Errorf("job %d: reduce %d has %d parents, want %d", i, exit, len(g.Pred(exit)), nm)
-			}
-		}
-		// Schedulable on the trace capacity.
-		s, err := baselines.NewTetrisScheduler().Schedule(g, cluster.Single(trace.Capacity))
+	spec := cluster.Single(TraceCapacity())
+	for i, g := range jobs {
+		s, err := baselines.NewTetrisScheduler().Schedule(g, spec)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		if err := sched.Validate(g, cluster.Single(trace.Capacity), s); err != nil {
+		if err := sched.Validate(g, spec, s); err != nil {
 			t.Errorf("job %d: %v", i, err)
 		}
-	}
-}
-
-func TestTraceSaveLoadRoundTrip(t *testing.T) {
-	trace := GenerateTrace(rand.New(rand.NewSource(6)))
-	var buf bytes.Buffer
-	if err := trace.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	back, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatalf("LoadTrace: %v", err)
-	}
-	if len(back.Jobs) != traceJobCount || len(back.Capacity) != 2 {
-		t.Fatalf("round trip lost data: %d jobs, %d dims", len(back.Jobs), len(back.Capacity))
-	}
-	if back.Jobs[0].Name != trace.Jobs[0].Name || len(back.Jobs[0].Tasks) != len(trace.Jobs[0].Tasks) {
-		t.Errorf("round trip mismatch")
-	}
-
-	if _, err := LoadTrace(bytes.NewBufferString("{}")); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := LoadTrace(bytes.NewBufferString("not json")); err == nil {
-		t.Error("bad json accepted")
-	}
-}
-
-func TestLoadTraceRejectsHandEditedCorruption(t *testing.T) {
-	// A hand-edited trace must fail at load time with a wrapped error, not
-	// panic later in TraceJob.Graph / resource.Of.
-	cases := []struct {
-		name string
-		body string
-		want string
-	}{
-		{
-			name: "unknown stage",
-			body: `{"capacity":[10,10],"jobs":[{"name":"j","tasks":[
-				{"name":"t","stage":"shuffle","runtimeSecs":5,"demand":[1,1]}]}]}`,
-			want: "unknown stage",
-		},
-		{
-			name: "zero runtime",
-			body: `{"capacity":[10,10],"jobs":[{"name":"j","tasks":[
-				{"name":"t","stage":"map","runtimeSecs":0,"demand":[1,1]}]}]}`,
-			want: "runtime",
-		},
-		{
-			name: "demand dimensionality mismatch",
-			body: `{"capacity":[10,10],"jobs":[{"name":"j","tasks":[
-				{"name":"t","stage":"map","runtimeSecs":5,"demand":[1]}]}]}`,
-			want: "dimensions",
-		},
-		{
-			name: "non-positive capacity",
-			body: `{"capacity":[10,0],"jobs":[{"name":"j","tasks":[
-				{"name":"t","stage":"map","runtimeSecs":5,"demand":[1,1]}]}]}`,
-			want: "capacity",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadTrace(bytes.NewBufferString(tc.body))
-			if err == nil {
-				t.Fatal("corrupt trace accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-	// The same shape with the corruption fixed loads fine.
-	good := `{"capacity":[10,10],"jobs":[{"name":"j","tasks":[
-		{"name":"t","stage":"map","runtimeSecs":5,"demand":[1,1]}]}]}`
-	if _, err := LoadTrace(bytes.NewBufferString(good)); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
-	}
-}
-
-func TestTraceStatsIgnoresUnknownStages(t *testing.T) {
-	// Regression: Stats used to count every non-"map" stage as a reduce
-	// task, so a corrupt stage inflated the reduce statistics.
-	trace := &Trace{
-		Capacity: []int64{10},
-		Jobs: []TraceJob{{
-			Name: "j",
-			Tasks: []TraceTask{
-				{Name: "m", Stage: "map", Runtime: 10, Demand: []int64{1}},
-				{Name: "r", Stage: "reduce", Runtime: 20, Demand: []int64{1}},
-				{Name: "x", Stage: "shuffle", Runtime: 999, Demand: []int64{1}},
-			},
-		}},
-	}
-	s := trace.Stats()
-	if s.MaxMaps != 1 || s.MaxReduces != 1 {
-		t.Errorf("counts = %d maps / %d reduces, want 1 / 1", s.MaxMaps, s.MaxReduces)
-	}
-	if len(s.RedRuntimes) != 1 || s.RedRuntimes[0] != 20 {
-		t.Errorf("reduce runtimes = %v, want [20]", s.RedRuntimes)
-	}
-	if s.MaxMeanRedRT != 20 {
-		t.Errorf("MaxMeanRedRT = %v, want 20 (unknown stage leaked in)", s.MaxMeanRedRT)
 	}
 }
 
@@ -441,34 +329,43 @@ func TestTraceStatsIgnoresUnknownStages(t *testing.T) {
 // exactly 0). Rounded, that is at most 599 slots.
 const maxTraceRuntime = traceMaxMeanRT * (1 + 0.25*13)
 
-// FuzzGenerateTrace: for every seed the trace validates and builds, holds
-// the paper's 99 jobs, and draws runtimes in [1, maxTraceRuntime] and
-// demands in [1, capacity/2].
+// FuzzGenerateTrace: for every seed the trace builds and holds the paper's
+// 99 jobs, each of at least 6 maps (its entries) and 6 reduces (its exits)
+// where every reduce depends on exactly the maps, with runtimes in
+// [1, maxTraceRuntime] and demands in [1, capacity/2].
 func FuzzGenerateTrace(f *testing.F) {
 	// Without the stage-mean cap, seed 31 draws a 784-slot task.
 	for _, seed := range []int64{1, 2019, 31, math.MaxInt64} {
 		f.Add(seed)
 	}
+	capacity := TraceCapacity()
 	f.Fuzz(func(t *testing.T, seed int64) {
-		tr := GenerateTrace(rand.New(rand.NewSource(seed)))
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("seed %d: generated trace does not validate: %v", seed, err)
-		}
-		graphs, err := tr.Graphs()
+		jobs, err := GenerateTrace(rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatalf("seed %d: generated trace does not build: %v", seed, err)
 		}
-		if len(graphs) != traceJobCount {
-			t.Fatalf("seed %d: %d jobs, want %d", seed, len(graphs), traceJobCount)
+		if len(jobs) != traceJobCount {
+			t.Fatalf("seed %d: %d jobs, want %d", seed, len(jobs), traceJobCount)
 		}
-		for _, job := range tr.Jobs {
-			for _, task := range job.Tasks {
+		for j, g := range jobs {
+			maps, exits := g.Entries(), g.Exits()
+			if len(maps) < traceMinTasks || len(exits) < traceMinTasks || len(maps)+len(exits) != g.NumTasks() {
+				t.Fatalf("seed %d job %d: %d entries and %d exits of %d tasks, want >= %d each and no other task",
+					seed, j, len(maps), len(exits), g.NumTasks(), traceMinTasks)
+			}
+			for _, exit := range exits {
+				if !slices.Equal(g.Pred(exit), maps) {
+					t.Fatalf("seed %d job %d: reduce %d has parents %v, want the maps %v", seed, j, exit, g.Pred(exit), maps)
+				}
+			}
+			for id := 0; id < g.NumTasks(); id++ {
+				task := g.Task(dag.TaskID(id))
 				if task.Runtime < 1 || float64(task.Runtime) > maxTraceRuntime {
-					t.Fatalf("seed %d: %s/%s runtime %d, want 1..%g", seed, job.Name, task.Name, task.Runtime, maxTraceRuntime)
+					t.Fatalf("seed %d job %d: %s runtime %d, want 1..%g", seed, j, task.Name, task.Runtime, maxTraceRuntime)
 				}
 				for d, v := range task.Demand {
-					if v < 1 || v > tr.Capacity[d]/2 {
-						t.Fatalf("seed %d: %s/%s demand %v, want each in 1..%d", seed, job.Name, task.Name, task.Demand, tr.Capacity[d]/2)
+					if v < 1 || v > capacity[d]/2 {
+						t.Fatalf("seed %d job %d: %s demand %v, want each in 1..%d", seed, j, task.Name, task.Demand, capacity[d]/2)
 					}
 				}
 			}
@@ -476,17 +373,27 @@ func FuzzGenerateTrace(f *testing.F) {
 	})
 }
 
+// TestTraceDeterministic: two draws from one seed are the same jobs, byte
+// for byte in their job documents.
 func TestTraceDeterministic(t *testing.T) {
-	t1 := GenerateTrace(rand.New(rand.NewSource(9)))
-	t2 := GenerateTrace(rand.New(rand.NewSource(9)))
-	var b1, b2 bytes.Buffer
-	if err := t1.Save(&b1); err != nil {
-		t.Fatal(err)
+	draw := func() Trace {
+		jobs, err := GenerateTrace(rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobs
 	}
-	if err := t2.Save(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("same seed produced different traces")
+	t1, t2 := draw(), draw()
+	for j := range t1 {
+		var b1, b2 bytes.Buffer
+		if err := SaveJob(&b1, t1[j], "job"); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveJob(&b2, t2[j], "job"); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Fatalf("job %d differs between two draws of one seed", j)
+		}
 	}
 }

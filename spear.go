@@ -154,8 +154,8 @@ type (
 	// RandomJobConfig parameterizes the random layered DAG generator used
 	// in the paper's simulations.
 	RandomJobConfig = workload.RandomDAGConfig
-	// Trace is a synthetic production MapReduce trace.
-	Trace = workload.Trace
+	// TraceStats summarizes trace jobs the way Fig. 9(a)/9(b) present them.
+	TraceStats = workload.TraceStats
 )
 
 // Sentinel errors re-exported from the internal packages, so callers can
@@ -183,13 +183,13 @@ var (
 	ErrNoMachine   = cluster.ErrNoMachine
 )
 
-// Job and trace JSON format versions accepted by LoadJob and LoadTrace.
+// Job JSON format versions accepted by LoadJob.
 const (
-	// FormatSingle marks the original job or trace document; a zero/absent
-	// format means the same (the pre-versioning encoding).
+	// FormatSingle marks the original job document; a zero/absent format
+	// means the same (the pre-versioning encoding).
 	FormatSingle = workload.FormatSingle
-	// FormatMulti marks a later job or trace document version; its layout
-	// is the same.
+	// FormatMulti marks a later job document version; its layout is the
+	// same.
 	FormatMulti = workload.FormatMulti
 )
 
@@ -353,14 +353,19 @@ func MotivatingExample(longRuntime int64) (*Job, error) {
 // MotivatingCapacity is the cluster capacity of the motivating example.
 func MotivatingCapacity() Vector { return workload.MotivatingCapacity() }
 
-// GenerateTrace produces the synthetic 99-job MapReduce trace, calibrated to
-// the statistics the paper reports for its production trace.
-func GenerateTrace(seed int64) *Trace {
+// GenerateTrace produces the 99 jobs of the synthetic MapReduce trace,
+// calibrated to the statistics the paper reports for its production trace.
+// Every reduce task depends on every map task.
+func GenerateTrace(seed int64) ([]*Job, error) {
 	return workload.GenerateTrace(newRand(seed))
 }
 
-// LoadTrace reads a trace previously written with Trace.Save.
-func LoadTrace(r io.Reader) (*Trace, error) { return workload.LoadTrace(r) }
+// TraceCapacity is the cluster capacity the trace jobs are sized for.
+func TraceCapacity() Vector { return workload.TraceCapacity() }
+
+// SummarizeTrace computes the Fig. 9(a)/9(b) statistics of trace jobs: a
+// job's entries are its map tasks and the rest its reduces.
+func SummarizeTrace(jobs []*Job) TraceStats { return workload.Trace(jobs).Stats() }
 
 // Gantt renders a schedule as an ASCII chart.
 func Gantt(s *Schedule, job *Job, width int) string { return s.Gantt(job, width) }
