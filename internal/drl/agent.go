@@ -98,7 +98,7 @@ type AgentContext struct {
 	mask    []bool
 	scratch *nn.Scratch
 
-	key         []int64
+	key         []uint64
 	probs       []float64
 	memo        probsMemo
 	calls, hits int64
@@ -116,14 +116,14 @@ func (c *AgentContext) PolicyCounters() simenv.PolicyCounters {
 
 // newContext allocates a one-state context.
 func (a *Agent) newContext() *AgentContext {
-	width, keyLen := a.feat.OutputSize(), a.feat.stateWords()
+	width := a.feat.OutputSize()
 	return &AgentContext{
 		x:       make([]float64, a.feat.InputSize()),
 		mask:    make([]bool, width),
 		scratch: a.net.NewScratch(),
-		key:     make([]int64, keyLen),
+		key:     make([]uint64, a.feat.stateWords(64)),
 		probs:   make([]float64, width),
-		memo:    newProbsMemo(keyLen, width, memoMaxSets),
+		memo:    newProbsMemo(0, width, memoMaxSets), // useJob sizes the key
 	}
 }
 
@@ -161,9 +161,10 @@ func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action
 			ctx.records.reset()
 		}
 	}
-	m.useJob(e)
-	h := a.feat.packState(e, legal, ctx.key)
-	if tag, ok := m.lookup(h, ctx.key, ctx.probs); ok {
+	m.useJob(e, a.feat)
+	key := ctx.key[:m.keyLen]
+	h := a.feat.packState(e, legal, key, m.lane)
+	if tag, ok := m.lookup(h, key, ctx.probs); ok {
 		ctx.hits++
 		ctx.record = int(tag)
 		return ctx.probs, nil
@@ -177,7 +178,7 @@ func (a *Agent) probsCtx(ctx *AgentContext, e *simenv.Env, legal []simenv.Action
 	if ctx.records != nil {
 		ctx.record = ctx.records.save(a.net, ctx.scratch, probs)
 	}
-	m.insert(h, ctx.key, probs, int64(ctx.record), ctx.calls > memoTrialCalls)
+	m.insert(h, key, probs, int64(ctx.record), ctx.calls > memoTrialCalls)
 	return probs, nil
 }
 

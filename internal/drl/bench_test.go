@@ -58,13 +58,14 @@ func BenchmarkAgentChoose(b *testing.B) {
 }
 
 // BenchmarkProbsCtx measures one warm policy evaluation on each side of the
-// policy memo, over the first states of one episode: hit rotates over as
-// many states as one set holds, which the context remembers, so every call
-// packs and finds its key; miss
-// rotates over more distinct states than its (shrunken) memo holds, so every
-// call packs, misses, encodes, runs the network and evicts. Compare two
-// builds with a fixed count, e.g. -benchtime 20000x, so that both make the
-// same calls.
+// policy memo. hit rotates over as many states of one episode as one set
+// holds, which the context remembers and which stay in L1, so every call
+// packs and finds its key; hit_full rotates over every state a memo at its
+// cap holds (fullMemo), so that each hit also reaches a set out of cache;
+// miss rotates over more distinct states than its (shrunken) memo holds, so
+// every call packs, misses, encodes, runs the network and evicts. Compare
+// two builds with a fixed count, e.g. -benchtime 20000x, so that both make
+// the same calls.
 func BenchmarkProbsCtx(b *testing.B) {
 	feat := DefaultFeatures()
 	net, err := DefaultNetwork(feat, rand.New(rand.NewSource(2)))
@@ -84,12 +85,14 @@ func BenchmarkProbsCtx(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	full, held := fullMemo(b, agent)
 	for _, bc := range []struct {
 		name   string
 		ctx    *AgentContext
 		states []visit
 	}{
 		{"hit", contextWithMemo(agent, 1), states[:memoWays]},
+		{"hit_full", full, held},
 		{"miss", contextWithMemo(agent, 4), states},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -109,15 +112,76 @@ func BenchmarkProbsCtx(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ask(bc.states[i%len(bc.states)])
 			}
-			want := int64(0)
-			if bc.name == "hit" {
-				want = int64(b.N)
+			want := int64(b.N)
+			if bc.name == "miss" {
+				want = 0
 			}
 			if got := bc.ctx.hits - hits; got != want {
 				b.Fatalf("%d memo hits in %d calls, want %d", got, b.N, want)
 			}
 		})
 	}
+}
+
+// fullMemo plays random episodes of one 100-task job through a context at
+// the real cap, asking at every step about random subsets of the legal
+// actions as an expander asks about its untried ones, until the memo has
+// grown to its cap and three quarters of its entries are taken. It returns
+// the context and the visits whose answers the memo then holds.
+func fullMemo(b *testing.B, agent *Agent) (*AgentContext, []visit) {
+	b.Helper()
+	feat := agent.Features()
+	cfg := workload.DefaultRandomDAGConfig()
+	g, err := workload.RandomDAG(rand.New(rand.NewSource(4)), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := simenv.New(g, cfg.Capacity(), simenv.Config{Window: feat.Window})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := contextWithMemo(agent, memoMaxSets)
+	m := &ctx.memo
+	rng := rand.New(rand.NewSource(5))
+	var met []visit
+	for m.sets < m.maxSets || 4*m.live < 3*m.sets*memoWays {
+		for e := base.Clone(); !e.Done(); {
+			legal := e.LegalActions()
+			var snapshot *simenv.Env
+			for range 16 {
+				var offered []simenv.Action
+				for i, pick := 0, rng.Uint64(); i < len(legal); i++ {
+					if pick>>i&1 != 0 {
+						offered = append(offered, legal[i])
+					}
+				}
+				if len(offered) < 2 {
+					continue
+				}
+				hits := ctx.hits
+				if _, err := agent.probsCtx(ctx, e, offered); err != nil {
+					b.Fatal(err)
+				}
+				if ctx.hits == hits {
+					if snapshot == nil {
+						snapshot = e.Clone()
+					}
+					met = append(met, visit{env: snapshot, legal: offered})
+				}
+			}
+			if err := e.Step(legal[rng.Intn(len(legal))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var held []visit
+	for _, v := range met {
+		key := ctx.key[:m.keyLen]
+		if _, ok := m.lookup(feat.packState(v.env, v.legal, key, m.lane), key, ctx.probs); ok {
+			held = append(held, v)
+		}
+	}
+	return ctx, held
 }
 
 // BenchmarkTrainEpoch measures one REINFORCE epoch at the shape the repo's

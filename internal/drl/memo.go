@@ -2,6 +2,7 @@ package drl
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"spear/internal/dag"
@@ -34,11 +35,12 @@ const (
 // questions in its first few rollouts.
 const memoTrialCalls = 1024
 
-// memoMaxSets caps a memo at memoMaxSets*memoWays = 16384 entries, ≈ 10 MB at
-// the paper's features (a 58-word key and 16 outputs: 76 words, 608 bytes,
-// an entry with its head). On three 100-task jobs that answers 87–93 % of the
-// evaluations from the memo where an unbounded one answers 88–94 % (8 k
-// entries: 82–92 %, 4 k: 72–86 %).
+// memoMaxSets caps a memo at memoMaxSets*memoWays = 16384 entries, ≈ 3.6 MB at
+// the paper's features and jobs (a 10-word key of 8-bit lanes and 16
+// outputs: 28 words, 224 bytes, an entry with its head; ≈ 10 MB on a job
+// whose key takes 64-bit lanes, 58 words). On three 100-task jobs that
+// answers 87–93 % of the evaluations from the memo where an unbounded one
+// answers 88–94 % (8 k entries: 82–92 %, 4 k: 72–86 %).
 // It is a variable only so that tests can shrink the memo (to another power
 // of two) to force evictions, or set 0 to take it out of the path.
 var memoMaxSets = 4096
@@ -49,11 +51,12 @@ var memoMaxSets = 4096
 // function of the key once the job and capacity are fixed, so the answer
 // returned is the network's answer for that very argument. It answers for
 // one network generation, job graph and capacity at a time (useJob), and
-// forgets everything when one of them changes. Storage starts empty, becomes
-// one set on the first insert and, once its owner allows growth, doubles as
-// distinct keys arrive, up to maxSets.
+// forgets everything when one of them changes. The job and capacity also fix
+// the lane the key is packed at, and with it keyLen. Storage starts empty,
+// becomes one set on the first insert and, once its owner allows growth,
+// doubles as distinct keys arrive, up to maxSets.
 type probsMemo struct {
-	keyLen, width int
+	lane, keyLen, width int
 	// tagWords is 1 in a memo whose entries carry a tag word after the
 	// distribution (a REINFORCE sampler's: the id of the evaluation's record),
 	// else 0.
@@ -66,7 +69,7 @@ type probsMemo struct {
 	// one memory access however large the memo. bodies holds, per entry, the
 	// key followed by the distribution as float bits and the tag, if any.
 	heads  []uint64
-	bodies []int64
+	bodies []uint64
 	sets   int // zero or a power of two
 	tick   uint64
 	live   int // occupied entries
@@ -93,7 +96,7 @@ func newProbsMemo(keyLen, width, maxSets int) probsMemo {
 // head and body return the two parts of entry i.
 func (m *probsMemo) head(i int) []uint64 { return m.heads[i*headWords : (i+1)*headWords] }
 
-func (m *probsMemo) body(i int) []int64 {
+func (m *probsMemo) body(i int) []uint64 {
 	n := m.bodyWords()
 	return m.bodies[i*n : (i+1)*n]
 }
@@ -101,65 +104,89 @@ func (m *probsMemo) body(i int) []int64 {
 // bodyWords is the length of an entry's body: key, distribution, tag if any.
 func (m *probsMemo) bodyWords() int { return m.keyLen + m.width + m.tagWords }
 
-// stateWords returns the length of the key packState builds.
-func (f Features) stateWords() int {
-	return f.Dims*f.Horizon + f.Window + 2 + (f.OutputSize()+63)/64
+// stateWords returns the length of the key packState builds at lane bits a
+// value.
+func (f Features) stateWords(lane int) int {
+	return f.Dims*simenv.PackedWords(f.Horizon, lane) + simenv.PackedWords(f.Window+2, lane) + (f.OutputSize()+63)/64
+}
+
+// keyLane returns the narrowest lane, 8, 16, 32 or 64 bits, that holds every
+// value of e's key: a dimension's total capacity bounds its occupancy, and
+// the number of tasks bounds a visible id plus one, Backlog and NumRunning.
+func keyLane(e *simenv.Env) int {
+	g := e.Graph()
+	most := uint64(g.NumTasks())
+	for d := 0; d < g.Dims(); d++ {
+		most = max(most, uint64(e.CapacityDim(d)))
+	}
+	lane := 8
+	for lane < 64 && most>>lane != 0 {
+		lane *= 2
+	}
+	return lane
 }
 
 // packState packs into key the integer episode state Encode reads, beside
 // the job and the capacity, and the mask of the legal actions, and returns
-// hashKey's hash of it. The words are, in order:
+// hashKey's hash of it. Every value but the mask bits takes one lane of lane
+// bits, as Env.OccupancyInto packs the occupancy, and must fit it (keyLane);
+// key is stateWords(lane) words long. The words are, in order:
 //
-//   - the occupancy of the next Horizon slots, summed over machines, laid out
-//     as Env.OccupancyInto lays it out (Dims×Horizon words, a dimension the
-//     cluster lacks all zero);
-//   - the visible task ids in slot order, -1 past the last (Window words);
-//   - Backlog and NumRunning;
+//   - the occupancy of the next Horizon slots, summed over machines, as
+//     Env.OccupancyInto packs it (PackedWords(Horizon, lane) words a
+//     dimension, a dimension the cluster lacks all zero);
+//   - the visible task ids plus one in slot order, 0 past the last (Window
+//     lanes), then Backlog and NumRunning;
 //   - the mask bits of the encodable legal actions, as Mask sets them.
 //
-// Encode is a pure function of these words, the graph, the capacity and f,
+// Encode is a pure function of these values, the graph, the capacity and f,
 // so two states with equal keys under one job and capacity have bit-equal
 // encodings (FuzzKeyDeterminesEncoding).
-func (f Features) packState(e *simenv.Env, legal []simenv.Action, key []int64) uint64 {
-	occ := f.Dims * f.Horizon
-	e.OccupancyInto(f.Horizon, f.Dims, key[:occ])
-	clear(key[min(f.Dims, e.Graph().Dims())*f.Horizon : occ])
-	ids := key[occ : occ+f.Window]
-	visible := min(f.Window, e.NumVisible())
-	for slot := range ids {
-		ids[slot] = -1
-		if slot < visible {
-			ids[slot] = int64(e.VisibleTask(slot))
-		}
+func (f Features) packState(e *simenv.Env, legal []simenv.Action, key []uint64, lane int) uint64 {
+	rowWords := simenv.PackedWords(f.Horizon, lane)
+	occ := f.Dims * rowWords
+	e.OccupancyInto(f.Horizon, f.Dims, lane, key[:occ])
+	clear(key[min(f.Dims, e.Graph().Dims())*rowWords : occ])
+	counts := key[occ : occ+simenv.PackedWords(f.Window+2, lane)]
+	clear(counts)
+	s := uint(bits.TrailingZeros(uint(lane)))
+	for slot := range min(f.Window, e.NumVisible()) {
+		setLane(counts, uint(slot), s, uint64(e.VisibleTask(slot))+1)
 	}
-	counts := occ + f.Window
-	key[counts], key[counts+1] = int64(e.Backlog()), int64(e.NumRunning())
-	mask := key[counts+2:]
+	setLane(counts, uint(f.Window), s, uint64(e.Backlog()))
+	setLane(counts, uint(f.Window+1), s, uint64(e.NumRunning()))
+	mask := key[occ+len(counts):]
 	clear(mask)
 	for _, a := range legal {
 		if f.encodable(a) {
-			i := f.IndexFor(a)
+			i := uint(f.IndexFor(a))
 			mask[i/64] |= 1 << (i % 64)
 		}
 	}
 	return hashKey(key)
 }
 
+// setLane ors v into lane i of words, whose lanes are 1<<s bits wide.
+func setLane(words []uint64, i, s uint, v uint64) {
+	perWord := 6 - s // 1<<perWord lanes share a word
+	words[i>>perWord] |= v << (i & (1<<perWord - 1) << s)
+}
+
 // hashKey returns the hash a key is filed under. Four lanes each fold every
 // fourth word (the last len%4 words go to the first), so their
 // multiplications overlap instead of waiting on one another; a final mix
 // folds the lanes' high bits into the low ones that pick the set.
-func hashKey(key []int64) uint64 {
+func hashKey(key []uint64) uint64 {
 	var l0, l1, l2, l3 uint64
 	i := 0
 	for ; i+4 <= len(key); i += 4 {
-		l0 = (l0 ^ uint64(key[i])) * memoHashMul
-		l1 = (l1 ^ uint64(key[i+1])) * memoHashMul
-		l2 = (l2 ^ uint64(key[i+2])) * memoHashMul
-		l3 = (l3 ^ uint64(key[i+3])) * memoHashMul
+		l0 = (l0 ^ key[i]) * memoHashMul
+		l1 = (l1 ^ key[i+1]) * memoHashMul
+		l2 = (l2 ^ key[i+2]) * memoHashMul
+		l3 = (l3 ^ key[i+3]) * memoHashMul
 	}
 	for ; i < len(key); i++ {
-		l0 = (l0 ^ uint64(key[i])) * memoHashMul
+		l0 = (l0 ^ key[i]) * memoHashMul
 	}
 	h := uint64(len(key))
 	for _, l := range [...]uint64{l0, l1, l2, l3} {
@@ -180,8 +207,10 @@ func (m *probsMemo) reset(gen uint64) {
 
 // useJob resets the memo unless it already answers for e's job and capacity,
 // and files what follows under them. Beside the weights they are all
-// Encode reads that the key does not hold.
-func (m *probsMemo) useJob(e *simenv.Env) {
+// Encode reads that the key does not hold. They also pick the lane f's key
+// is packed at; a change of lane resizes the entries, keeping their storage
+// when it is large enough.
+func (m *probsMemo) useJob(e *simenv.Env, f Features) {
 	g := e.Graph()
 	same := g == m.graph && len(m.capacity) == g.Dims()
 	for d := 0; same && d < g.Dims(); d++ {
@@ -195,11 +224,19 @@ func (m *probsMemo) useJob(e *simenv.Env) {
 	for d := 0; d < g.Dims(); d++ {
 		m.capacity = append(m.capacity, e.CapacityDim(d))
 	}
+	if lane := keyLane(e); lane != m.lane {
+		m.lane, m.keyLen = lane, f.stateWords(lane)
+		if n := m.sets * memoWays * m.bodyWords(); n <= cap(m.bodies) {
+			m.bodies = m.bodies[:n]
+		} else {
+			m.bodies = make([]uint64, n)
+		}
+	}
 }
 
 // lookup copies the distribution stored for key, whose hash is h, into out and
 // reports whether there was one, along with its tag in a memo that keeps tags.
-func (m *probsMemo) lookup(h uint64, key []int64, out []float64) (tag int64, ok bool) {
+func (m *probsMemo) lookup(h uint64, key []uint64, out []float64) (tag int64, ok bool) {
 	if m.sets == 0 {
 		return 0, false
 	}
@@ -215,10 +252,10 @@ func (m *probsMemo) lookup(h uint64, key []int64, out []float64) (tag int64, ok 
 			hd[headUsed] = m.tick
 			b = b[m.keyLen:]
 			for j := range out {
-				out[j] = math.Float64frombits(uint64(b[j]))
+				out[j] = math.Float64frombits(b[j])
 			}
 			if m.tagWords != 0 {
-				tag = b[m.width]
+				tag = int64(b[m.width])
 			}
 			return tag, true
 		}
@@ -230,7 +267,7 @@ func (m *probsMemo) lookup(h uint64, key []int64, out []float64) (tag int64, ok 
 // lookup has just missed. A full set makes room by growing the memo if it may
 // grow, is under its cap and is at least half full (below that the set is
 // merely unlucky), else by dropping its least recently used entry.
-func (m *probsMemo) insert(h uint64, key []int64, probs []float64, tag int64, mayGrow bool) {
+func (m *probsMemo) insert(h uint64, key []uint64, probs []float64, tag int64, mayGrow bool) {
 	if m.maxSets == 0 {
 		return
 	}
@@ -252,10 +289,10 @@ func (m *probsMemo) insert(h uint64, key []int64, probs []float64, tag int64, ma
 	hd[headUsed], hd[headHash] = m.tick, h
 	copy(b, key)
 	for j, p := range probs {
-		b[m.keyLen+j] = int64(math.Float64bits(p))
+		b[m.keyLen+j] = math.Float64bits(p)
 	}
 	if m.tagWords != 0 {
-		b[m.keyLen+m.width] = tag
+		b[m.keyLen+m.width] = uint64(tag)
 	}
 }
 
@@ -279,7 +316,7 @@ func (m *probsMemo) grow() {
 	old := *m
 	m.sets = max(1, 2*old.sets)
 	m.heads = make([]uint64, m.sets*memoWays*headWords)
-	m.bodies = make([]int64, m.sets*memoWays*m.bodyWords())
+	m.bodies = make([]uint64, m.sets*memoWays*m.bodyWords())
 	for o := 0; o < old.sets*memoWays; o++ {
 		if hd := old.head(o); hd[headUsed] != 0 {
 			i := m.victim(hd[headHash])

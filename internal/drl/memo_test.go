@@ -178,7 +178,7 @@ func TestMemoVerifiesTheWholeKey(t *testing.T) {
 	m := newProbsMemo(keyLen, width, 1)
 	m.tagWords = 1
 	out := make([]float64, width)
-	key := func(i int) []int64 { return []int64{int64(i), 7, 7} }
+	key := func(i int) []uint64 { return []uint64{uint64(i), 7, 7} }
 	val := func(i int) []float64 { return []float64{float64(i), -float64(i)} }
 	const h = 0xABCDEF
 	present := func(i int) bool {
@@ -225,9 +225,9 @@ func TestMemoVerifiesTheWholeKey(t *testing.T) {
 func TestMemoGrowsOnDemandAndKeepsEntries(t *testing.T) {
 	const keyLen, width, n = 2, 1, 300
 	m := newProbsMemo(keyLen, width, 1<<20)
-	key := make([]int64, keyLen)
+	key := make([]uint64, keyLen)
 	for i := 0; i < n; i++ {
-		key[0], key[1] = int64(i+1), 1
+		key[0], key[1] = uint64(i+1), 1
 		m.insert(hashKey(key), key, []float64{float64(i)}, 0, true)
 	}
 	if m.sets*memoWays > 4*n {
@@ -236,7 +236,7 @@ func TestMemoGrowsOnDemandAndKeepsEntries(t *testing.T) {
 	out := make([]float64, width)
 	found := 0
 	for i := 0; i < n; i++ {
-		key[0], key[1] = int64(i+1), 1
+		key[0], key[1] = uint64(i+1), 1
 		if _, ok := m.lookup(hashKey(key), key, out); ok {
 			found++
 			if out[0] != float64(i) {
@@ -312,12 +312,13 @@ func TestMemoResetsWhenWeightsChange(t *testing.T) {
 }
 
 // TestMemoAnswersForOneJobAndCapacity asks one context about job A, then job
-// B, then A again, then A on a cluster of twice the capacity, then A as at
-// first. Every answer must be a fresh context's, bit for bit, although the
-// key holds neither the job nor the capacity: some key must come back under
-// another job or capacity with another answer, which a memo that kept its
-// entries across the change would have served. Switching, which empties the
-// memo, must not allocate.
+// B, then A again, then A on a cluster of twice the capacity, then A on a
+// capacity of 2⁸, whose key takes 16-bit lanes, then A as at first. Every
+// answer must be a fresh context's, bit for bit, although the key holds
+// neither the job nor the capacity: some key must come back under another
+// job or capacity with another answer, which a memo that kept its entries
+// across the change would have served. Switching, which empties the memo,
+// must not allocate while the lane stays.
 func TestMemoAnswersForOneJobAndCapacity(t *testing.T) {
 	feat := testFeatures()
 	agent := testAgent(t, feat, false, 83)
@@ -343,13 +344,14 @@ func TestMemoAnswersForOneJobAndCapacity(t *testing.T) {
 		return visits
 	}
 	a, b, a2 := episode(jobs[0], capacity), episode(jobs[1], capacity), episode(jobs[0], double)
+	a16 := episode(jobs[0], resource.Uniform(capacity.Dims(), 1<<8))
 	ctx := contextWithMemo(agent, memoMaxSets)
 	answers := map[string][]float64{}
 	crossed := false
 	for _, segment := range []struct {
 		name   string
 		visits []visit
-	}{{"A", a}, {"B", b}, {"A", a}, {"A at twice the capacity", a2}, {"A", a}} {
+	}{{"A", a}, {"B", b}, {"A", a}, {"A at twice the capacity", a2}, {"A at 16-bit lanes", a16}, {"A", a}} {
 		for i, v := range segment.visits {
 			want, err := agent.probsCtx(agent.newContext(), v.env, v.legal)
 			if err != nil {
@@ -362,7 +364,10 @@ func TestMemoAnswersForOneJobAndCapacity(t *testing.T) {
 			if !sameBits(got, want) {
 				t.Fatalf("job %s, visit %d: memoised %v, fresh context %v", segment.name, i, got, want)
 			}
-			k := fmt.Sprint(ctx.key)
+			if lane := keyLane(v.env); ctx.memo.lane != lane {
+				t.Fatalf("job %s, visit %d: the memo packs at %d bits, the job needs %d", segment.name, i, ctx.memo.lane, lane)
+			}
+			k := fmt.Sprint(ctx.key[:ctx.memo.keyLen])
 			if prev, ok := answers[k]; ok && !sameBits(prev, want) {
 				crossed = true
 			}
@@ -449,10 +454,12 @@ func bytesPerRun(runs int, f func()) uint64 {
 
 // TestShortLivedContextCostsOneSmallSet bounds what the memo adds to a context
 // that lives for one decision or one episode, at the paper's shape. Before
-// the memo existed Agent.Choose built 13 objects (9.8 KB); now it also builds
-// the key, the probs buffer, the kernel's index buffer and one four-entry set
-// — and a whole greedy episode on a fresh context builds no more than that,
-// because a memo does not grow during its first memoTrialCalls calls.
+// the memo existed Agent.Choose built 13 objects; now it also builds the key,
+// the probs buffer, the kernel's index buffer and one four-entry set, 960
+// bytes at the paper's jobs (four 28-word entries: a 10-word key of 8-bit
+// lanes), on ≈ 7 KB without it — and a whole greedy episode on a fresh
+// context builds no more than that, because a memo does not grow during its
+// first memoTrialCalls calls.
 func TestShortLivedContextCostsOneSmallSet(t *testing.T) {
 	feat := DefaultFeatures()
 	agent := testAgent(t, feat, true, 77)
@@ -465,8 +472,8 @@ func TestShortLivedContextCostsOneSmallSet(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, choose); allocs > 18 {
 		t.Errorf("Agent.Choose allocates %.0f objects, want at most 13 + 5", allocs)
 	}
-	if perCall := bytesPerRun(50, choose); perCall > 18<<10 {
-		t.Errorf("Agent.Choose allocates %d bytes, want at most 9.8 KB + 8 KB", perCall)
+	if perCall := bytesPerRun(50, choose); perCall > 8<<10 {
+		t.Errorf("Agent.Choose allocates %d bytes, want at most 7 KB + 1 KB", perCall)
 	}
 
 	episode := func() {
@@ -478,7 +485,7 @@ func TestShortLivedContextCostsOneSmallSet(t *testing.T) {
 	restore := SetMemoMaxSets(0)
 	without := bytesPerRun(20, episode)
 	restore()
-	if withMemo > without+8<<10 {
+	if withMemo > without+1<<10 {
 		t.Errorf("a greedy episode on a fresh context allocates %d bytes, %d without the memo: more than one small set apart", withMemo, without)
 	}
 }

@@ -13,6 +13,7 @@ package simenv
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -640,17 +641,68 @@ func (e *Env) Schedule(algorithm string) (*sched.Schedule, error) {
 }
 
 // OccupancyInto writes the aggregate cluster occupancy for the next horizon
-// slots starting at the current time into out, laid out out[d*horizon+k]:
-// the demands of the tasks running in slot now+k, summed across machines. It
+// slots starting at the current time into out, packed into lanes of lane
+// bits: slot k's occupancy (the demands of the tasks running in slot now+k,
+// summed across machines) of dimension d is lane k%p of word d*w+k/p, lane
+// i being bits [i*lane, (i+1)*lane), where p = 64/lane slots share a word
+// and w = PackedWords(horizon, lane) words hold a dimension. lane is 8, 16,
+// 32 or 64, and must hold CapacityDim(d) of every dimension written: no slot
+// holds more, so no lane overflows (lane 64 holds any capacity, one slot a
+// word). The lanes past the horizon in a dimension's last word are zero. It
 // writes at most dims dimensions (clamped to the cluster's dimensionality)
-// and no other word; out must hold at least dims*horizon entries. Every
-// value lies in [0, CapacityDim(d)], so no sum overflows. It needs no
-// storage but out's.
-func (e *Env) OccupancyInto(horizon, dims int, out []int64) {
-	for d := 0; d < min(dims, len(e.total)); d++ {
-		e.occupancyRange(d, 0, out[d*horizon:(d+1)*horizon])
+// and no other word. It needs no storage but out's.
+func (e *Env) OccupancyInto(horizon, dims, lane int, out []uint64) {
+	s := uint(bits.TrailingZeros(uint(lane))) // lane is 1<<s bits
+	perWord := 6 - s                          // 1<<perWord lanes share a word
+	inWord := int64(1)<<perWord - 1           // a slot's lane within its word
+	words := PackedWords(horizon, lane)
+	ones := laneOnes[s]
+	span := int64(words) << perWord // slots the words hold, padding included
+	nd := len(e.total)
+	dims = min(dims, nd)
+	// Every lane starts at what runs now, and each running task leaves the
+	// lanes from its finish slot on. A lane never drops below its final
+	// occupancy, so no subtraction borrows from the lane above. The padding
+	// lanes hold the slots past the horizon the same way until the mask
+	// clears them.
+	for d := 0; d < dims; d++ {
+		var used uint64
+		for m := range e.spec {
+			used += uint64(e.used[m*nd+d])
+		}
+		for i := d * words; i < (d+1)*words; i++ {
+			out[i] = used * ones
+		}
+	}
+	for _, id := range e.running {
+		k := max(e.finish[id]-e.now, 0)
+		if k >= span {
+			continue
+		}
+		j, shift := int(k>>perWord), (k&inWord)<<s
+		for d, need := range e.g.Task(id).Demand[:dims] {
+			row := out[d*words : (d+1)*words]
+			leave := uint64(need) * ones
+			row[j] -= leave << shift
+			for i := j + 1; i < words; i++ {
+				row[i] -= leave
+			}
+		}
+	}
+	if r := horizon & int(inWord); r != 0 {
+		for d := 0; d < dims; d++ {
+			out[(d+1)*words-1] &= 1<<(r<<s) - 1
+		}
 	}
 }
+
+// laneOnes[s] holds 1 in every lane of 1<<s bits: times a value, it is that
+// value in every lane.
+var laneOnes = [7]uint64{3: 0x0101010101010101, 4: 0x0001000100010001, 5: 0x0000000100000001, 6: 1}
+
+// PackedWords returns how many words OccupancyInto packs slots values of
+// lane bits into.
+func PackedWords(slots, lane int) int { return (slots*lane + 63) >> 6 }
 
 // occupancyRange writes dimension d of the aggregate occupancy in slots
 // now+from, ..., now+from+len(out)-1 into out.
@@ -685,11 +737,11 @@ func (e *Env) occupancyRange(d, from int, out []int64) {
 const occupancyChunk = 32
 
 // FillOccupancy writes the normalized aggregate cluster occupancy for the
-// next horizon slots starting at the current time into out, laid out as
-// OccupancyInto lays it out: each slot's summed integer occupancy converted
-// to float and divided by the total capacity, in [0, 1]. This is the
-// cluster-state half of the DRL input (paper §III-D), so it is a function
-// of OccupancyInto's integers and the capacity alone. At most dims
+// next horizon slots starting at the current time into out, laid out
+// out[d*horizon+k]: each slot's summed integer occupancy (OccupancyInto's
+// lane) converted to float and divided by the total capacity, in [0, 1].
+// This is the cluster-state half of the DRL input (paper §III-D), so it is a
+// function of OccupancyInto's integers and the capacity alone. At most dims
 // dimensions are written (clamped to the cluster's dimensionality); out must
 // hold at least dims*horizon entries. It does not allocate.
 func (e *Env) FillOccupancy(horizon, dims int, out []float64) {

@@ -76,37 +76,65 @@ func checkOccupancy(t *testing.T, e *Env, what string) {
 	}
 }
 
-// checkOccupancyImage is checkOccupancy's comparison of OccupancyInto and
-// FillOccupancy over the given horizon.
+// checkOccupancyImage is checkOccupancy's comparison of FillOccupancy, and
+// of OccupancyInto at every lane that holds the total capacity, over the
+// given horizon. Each packed image is unpacked lane by lane: the lanes of the
+// horizon must hold the scanned sums, the lanes past it in a dimension's
+// last word zero, and the words past the cluster's dimensions what they held.
 func checkOccupancyImage(t *testing.T, e *Env, what string, horizon int) {
 	t.Helper()
 	occ := e.scanOccupancy(horizon)
 	dims := len(e.total)
-	ints := make([]int64, (dims+1)*horizon)
+	sums := make([]int64, dims*horizon)
 	img := make([]float64, (dims+1)*horizon)
 	for i := range img {
-		ints[i], img[i] = -1, -1
+		img[i] = -1
 	}
-	e.OccupancyInto(horizon, dims+1, ints)
 	e.FillOccupancy(horizon, dims+1, img)
 	for d := 0; d < dims; d++ {
 		for k := 0; k < horizon; k++ {
-			var sum int64
+			sum := &sums[d*horizon+k]
 			for m := range occ {
-				sum += occ[m][k][d]
+				*sum += occ[m][k][d]
 			}
-			if got := ints[d*horizon+k]; got != sum {
-				t.Fatalf("%s: OccupancyInto dim %d slot %d = %d, scan %d", what, d, k, got, sum)
-			}
-			want := float64(sum) / float64(e.total[d])
+			want := float64(*sum) / float64(e.total[d])
 			if got := img[d*horizon+k]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: FillOccupancy dim %d slot %d = %v, scan %v", what, d, k, got, want)
 			}
 		}
 	}
 	for i := dims * horizon; i < len(img); i++ {
-		if ints[i] != -1 || img[i] != -1 {
-			t.Fatalf("%s: the occupancy wrote past the cluster's %d dims: %v, %v", what, dims, ints, img)
+		if img[i] != -1 {
+			t.Fatalf("%s: FillOccupancy wrote past the cluster's %d dims: %v", what, dims, img)
+		}
+	}
+	const untouched = 0xDEADBEEFDEADBEEF
+	for _, lane := range []int{8, 16, 32, 64} {
+		if lane < 64 && slices.Max(e.total)>>lane != 0 {
+			continue
+		}
+		words, perWord := PackedWords(horizon, lane), 64/lane
+		packed := make([]uint64, (dims+1)*words)
+		for i := range packed {
+			packed[i] = untouched
+		}
+		e.OccupancyInto(horizon, dims+1, lane, packed)
+		for d := 0; d < dims; d++ {
+			for k := 0; k < words*perWord; k++ {
+				got := packed[d*words+k/perWord] >> (k % perWord * lane) & (^uint64(0) >> (64 - lane))
+				var want uint64
+				if k < horizon {
+					want = uint64(sums[d*horizon+k])
+				}
+				if got != want {
+					t.Fatalf("%s: OccupancyInto at %d bits, dim %d lane %d = %d, want %d (horizon %d)", what, lane, d, k, got, want, horizon)
+				}
+			}
+		}
+		for i := dims * words; i < len(packed); i++ {
+			if packed[i] != untouched {
+				t.Fatalf("%s: OccupancyInto at %d bits wrote past the cluster's %d dims: %#x", what, lane, dims, packed)
+			}
 		}
 	}
 }
