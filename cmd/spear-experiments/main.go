@@ -2,11 +2,17 @@
 // paper's evaluation section (§V). Each experiment prints the same
 // rows/series the paper reports; see DESIGN.md for the experiment index.
 //
+// Every experiment runs at the paper's parameters. Without -model the
+// policy is trained first at §V-B3's settings (144 jobs x 20 rollouts x 300
+// epochs, about 2 minutes on two cores); fig8b needs that training run, as
+// it reports its learning curve, and fails on a loaded model.
+//
 // Usage:
 //
 //	spear-experiments -list
-//	spear-experiments -run fig6a
-//	spear-experiments -run all -full -model model.gob
+//	spear-experiments -run fig7a -csv-dir out
+//	spear-experiments -run fig6a -model model.gob
+//	spear-experiments -run all -csv-dir out
 package main
 
 import (
@@ -35,7 +41,6 @@ func run(args []string) (err error) {
 	var (
 		runName   = fs.String("run", "all", "experiment to run (or 'all')")
 		list      = fs.Bool("list", false, "list experiments and exit")
-		full      = fs.Bool("full", false, "use paper-scale parameters (slow)")
 		seed      = fs.Int64("seed", 1, "random seed")
 		modelPath = fs.String("model", "", "trained model (trains one on demand when empty)")
 		verbose   = fs.Bool("v", false, "log per-job progress")
@@ -59,7 +64,6 @@ func run(args []string) (err error) {
 	}
 
 	suite := experiments.NewSuite(*seed)
-	suite.Full = *full
 	if *verbose {
 		suite.Log = os.Stderr
 	}

@@ -14,18 +14,15 @@ import (
 // of Eq. 4, and several rollouts per expansion — by running every variant at the
 // same tree budget on a shared batch of random DAGs.
 func (s *Suite) Ablation() (*comparison, error) {
-	nGraphs, tasks, budget, minBudget := 4, 30, 80, 20
-	if s.Full {
-		nGraphs, tasks, budget, minBudget = 10, 100, 400, 80
-	}
-	graphs, capacity, err := s.randomJobs(nGraphs, tasks, 1000)
+	p := s.params.ablation
+	graphs, capacity, err := s.randomJobs(p.graphs, p.tasks, 1000)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := s.TrainModel(); err != nil {
 		return nil, err
 	}
-	feat := s.features()
+	feat := s.params.model.Feat
 	sampler, err := drl.NewAgent(s.Net, feat, false)
 	if err != nil {
 		return nil, err
@@ -35,7 +32,7 @@ func (s *Suite) Ablation() (*comparison, error) {
 		return nil, err
 	}
 
-	base := s.searchConfig(budget, minBudget)
+	base := s.searchConfig(p.budget, p.minBudget)
 	base.Window = feat.Window
 	variants := []sched.Scheduler{
 		mcts.NewNamed("MCTS (random/random)", base),
@@ -49,7 +46,7 @@ func (s *Suite) Ablation() (*comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &comparison{Label: "variant", Graphs: nGraphs, Tasks: tasks, Budget: budget, Results: results}, nil
+	return &comparison{Label: "variant", Graphs: p.graphs, Tasks: p.tasks, Budget: p.budget, Results: results}, nil
 }
 
 func withExpand(c mcts.Config, e mcts.Expander) mcts.Config { c.Expand = e; return c }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"io"
 	"regexp"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"spear/internal/core"
@@ -13,14 +13,11 @@ import (
 	"spear/internal/nn"
 )
 
-// tinySuite builds a Suite whose model trains in well under a second, so
-// the whole registry can be exercised in tests.
-func tinySuite(t *testing.T) *Suite {
-	t.Helper()
-	s := NewSuite(7)
-	s.Feat = drl.Features{Window: 4, Horizon: 8, Dims: 2}
-	s.ModelCfg = &core.ModelConfig{
-		Feat:        s.Feat,
+// tiny is a scale at which the whole registry runs in a few seconds: a model
+// that trains in well under a second and small batches of small jobs.
+var tiny = params{
+	model: core.ModelConfig{
+		Feat:        drl.Features{Window: 4, Horizon: 8, Dims: 2},
 		TrainJobs:   2,
 		TasksPerJob: 8,
 		PretrainCfg: drl.PretrainConfig{Epochs: 3, Opt: nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}},
@@ -28,8 +25,24 @@ func tinySuite(t *testing.T) *Suite {
 			Epochs: 2, Rollouts: 2,
 			Opt: nn.RMSProp{LR: 5e-4, Rho: 0.9, Eps: 1e-8},
 		},
-		Seed: 7,
-	}
+	},
+	fig6:          batch{4, 40, 150, 30},
+	fig8a:         batch{4, 40, 300, 30},
+	ablation:      batch{4, 30, 80, 20},
+	fig7:          batch{6, 30, 0, 5},
+	fig7Budgets:   []int{25, 50, 100, 200, 400},
+	fig9c:         batch{graphs: 12, budget: 60, minBudget: 30},
+	gap:           batch{graphs: 5, tasks: 8},
+	table1Sizes:   []int{10, 25, 50},
+	table1Budgets: []int{25, 50, 100},
+}
+
+// tinySuite builds a Suite at the tiny scale, so the whole registry can be
+// exercised in tests.
+func tinySuite(t *testing.T) *Suite {
+	t.Helper()
+	s := NewSuite(7)
+	s.params = tiny
 	return s
 }
 
@@ -160,6 +173,28 @@ func TestTable1Shapes(t *testing.T) {
 	}
 }
 
+// TestTable1AtPaperScale runs one cell from NewSuite, so the paper's
+// parameters are exercised too: Table I's axes are 25/50/100 tasks by
+// budgets 50/100/500/1000.
+func TestTable1AtPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	t.Parallel() // only the axes are checked, so sharing the cores is harmless
+	r, err := NewSuite(1).Table1()
+	if err != nil {
+		t.Fatalf("Table1: %v", err)
+	}
+	if !slices.Equal(r.Sizes, []int{25, 50, 100}) || !slices.Equal(r.Budgets, []int{50, 100, 500, 1000}) {
+		t.Errorf("axes = %v tasks x %v budgets, want Table I's", r.Sizes, r.Budgets)
+	}
+	for i, row := range r.Elapsed {
+		if len(row) != len(r.Budgets) {
+			t.Errorf("row %d has %d cells", i, len(row))
+		}
+	}
+}
+
 func TestFig9TraceAndC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace test")
@@ -194,7 +229,7 @@ func TestFig9TraceAndC(t *testing.T) {
 		t.Fatalf("Fig9c: %v", err)
 	}
 	if r.Jobs != 12 {
-		t.Errorf("quick-mode jobs = %d, want 12", r.Jobs)
+		t.Errorf("jobs = %d, want tiny's 12", r.Jobs)
 	}
 	if len(r.Reductions) != r.Jobs {
 		t.Errorf("reductions = %d", len(r.Reductions))
@@ -277,8 +312,9 @@ func TestRunWritesReports(t *testing.T) {
 
 func TestEveryRegisteredExperimentRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the whole evaluation at quick scale")
+		t.Skip("runs the whole evaluation at the tiny scale")
 	}
+	t.Parallel()
 	s := tinySuite(t)
 	s.Log = &bytes.Buffer{} // exercise the logging paths too
 	checkRun(t, s, Names())
@@ -328,16 +364,12 @@ func sections(out string) map[string]string {
 	return reports
 }
 
-// csvSinks collects the CSV exports of a run; workers open sinks
-// concurrently, so the map is locked.
+// csvSinks collects the CSV exports of a run.
 type csvSinks struct {
-	mu    sync.Mutex
 	files map[string]*closableBuffer
 }
 
 func (c *csvSinks) open(name string) (io.WriteCloser, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.files == nil {
 		c.files = map[string]*closableBuffer{}
 	}
@@ -347,8 +379,6 @@ func (c *csvSinks) open(name string) (io.WriteCloser, error) {
 }
 
 func (c *csvSinks) get(name string) *closableBuffer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.files[name]
 }
 

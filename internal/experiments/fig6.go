@@ -8,19 +8,16 @@ import (
 	"spear/internal/stats"
 )
 
-// Fig6 runs Spear (budget 1000 decaying to 100 at paper scale) and the four
+// Fig6 runs Spear (budget 1000 decaying to 100) and the four
 // baselines on a batch of random 100-task DAGs (§V-B1). Fig. 6(a) reports
 // the per-algorithm makespans, Fig. 6(b) the wall-clock scheduling times.
 func (s *Suite) Fig6() (*comparison, error) {
-	nGraphs, tasks, budget, minBudget := 4, 40, 150, 30
-	if s.Full {
-		nGraphs, tasks, budget, minBudget = 10, 100, 1000, 100
-	}
-	graphs, capacity, err := s.randomJobs(nGraphs, tasks, 600)
+	p := s.params.fig6
+	graphs, capacity, err := s.randomJobs(p.graphs, p.tasks, 600)
 	if err != nil {
 		return nil, err
 	}
-	spear, err := s.spear(budget, minBudget)
+	spear, err := s.spear(p.budget, p.minBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +26,7 @@ func (s *Suite) Fig6() (*comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &comparison{Label: "algorithm", Graphs: nGraphs, Tasks: tasks, Budget: budget, Results: results}, nil
+	return &comparison{Label: "algorithm", Graphs: p.graphs, Tasks: p.tasks, Budget: p.budget, Results: results}, nil
 }
 
 // fig6aTable renders the Fig. 6(a) series: per-algorithm average makespans

@@ -32,15 +32,8 @@ type Fig7Result struct {
 // makespan should fall as budget grows, and the fraction of jobs where MCTS
 // beats Tetris should rise.
 func (s *Suite) Fig7() (*Fig7Result, error) {
-	nGraphs, tasks := 6, 30
-	budgets := []int{25, 50, 100, 200, 400}
-	if s.Full {
-		// The paper sweeps 100 DAGs of 100 tasks up to budget 2200 with
-		// minimum budget 5.
-		nGraphs, tasks = 20, 100
-		budgets = []int{500, 600, 1000, 1400, 1800, 2200}
-	}
-	graphs, capacity, err := s.randomJobs(nGraphs, tasks, 700)
+	p := s.params.fig7
+	graphs, capacity, err := s.randomJobs(p.graphs, p.tasks, 700)
 	if err != nil {
 		return nil, err
 	}
@@ -52,11 +45,11 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 	tetrisMakespans := tetris[0].Makespans
 	tetrisMean, _ := stats.Mean(tetrisMakespans) //spear:ignoreerr(samples are non-empty by construction)
 
-	result := &Fig7Result{Tasks: tasks}
-	for _, budget := range budgets {
+	result := &Fig7Result{Tasks: p.tasks}
+	for _, budget := range s.params.fig7Budgets {
 		s.logf("fig7: budget %d\n", budget)
 		point := Fig7Point{Budget: budget, Jobs: len(graphs), TetrisMean: tetrisMean}
-		runs, err := runAll(graphs, capacity, []sched.Scheduler{mcts.New(s.searchConfig(budget, 5))}, s.logf)
+		runs, err := runAll(graphs, capacity, []sched.Scheduler{mcts.New(s.searchConfig(budget, p.minBudget))}, s.logf)
 		if err != nil {
 			return nil, err
 		}

@@ -15,27 +15,24 @@ import (
 // non-search baselines (§V-B2): Spear should track MCTS with ~10% of the
 // budget and a fraction of the runtime.
 func (s *Suite) Fig8a() (*comparison, error) {
-	nGraphs, tasks, mctsBudget, spearBudget := 4, 40, 300, 30
-	if s.Full {
-		nGraphs, tasks, mctsBudget, spearBudget = 10, 100, 1000, 100
-	}
-	graphs, capacity, err := s.randomJobs(nGraphs, tasks, 900)
+	p := s.params.fig8a
+	graphs, capacity, err := s.randomJobs(p.graphs, p.tasks, 900)
 	if err != nil {
 		return nil, err
 	}
-	spear, err := s.spear(spearBudget, spearBudget/2)
+	spear, err := s.spear(p.minBudget, p.minBudget/2)
 	if err != nil {
 		return nil, err
 	}
-	pure := mcts.New(s.searchConfig(mctsBudget, mctsBudget/10))
+	pure := mcts.New(s.searchConfig(p.budget, p.minBudget))
 	schedulers := append([]sched.Scheduler{pure, spear}, baselineSet()...)
 	results, err := runAll(graphs, capacity, schedulers, s.logf)
 	if err != nil {
 		return nil, err
 	}
 	return &comparison{
-		Label: "algorithm", Graphs: nGraphs, Tasks: tasks,
-		Budget: mctsBudget, SpearBudget: spearBudget,
+		Label: "algorithm", Graphs: p.graphs, Tasks: p.tasks,
+		Budget: p.budget, SpearBudget: p.minBudget,
 		Results: results,
 	}, nil
 }
@@ -65,10 +62,10 @@ func (s *Suite) Fig8b() (*Fig8bResult, error) {
 	if len(curve) == 0 {
 		return nil, fmt.Errorf("experiments: the model was loaded pre-trained, so no learning curve was recorded; omit -model to train one and record the curve")
 	}
-	// Reference heuristics on the same job distribution the model trained
-	// on (regenerated with the training seed).
-	cfg := s.modelConfig().Normalized()
-	jobs, capacity, err := s.randomJobs(cfg.TrainJobs, cfg.TasksPerJob, cfg.Seed-s.Seed)
+	// Reference heuristics on the jobs the model trained on (the training
+	// seed is the suite's).
+	cfg := s.params.model
+	jobs, capacity, err := s.randomJobs(cfg.TrainJobs, cfg.TasksPerJob, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -108,5 +105,5 @@ func (r *Fig8bResult) String() string {
 	if r.CrossEpoch >= 0 {
 		return out + fmt.Sprintf("curve crosses both references at epoch %d\n", r.CrossEpoch)
 	}
-	return out + "curve has not crossed the references yet (train longer via -full)\n"
+	return out + "curve has not crossed the references yet\n"
 }

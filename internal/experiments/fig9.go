@@ -71,22 +71,17 @@ func (s *Suite) Fig9c() (*Fig9cResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := 12
-	budget, minBudget := 60, 30
-	if s.Full {
-		jobs = len(tr.Jobs) // all 99
-		budget, minBudget = 100, 50
-	}
-	spear, err := s.spear(budget, minBudget)
+	p := s.params.fig9c
+	spear, err := s.spear(p.budget, p.minBudget)
 	if err != nil {
 		return nil, err
 	}
-	runs, err := runAll(tr.Jobs[:jobs], workload.TraceCapacity(), []sched.Scheduler{spear, baselines.NewGrapheneScheduler()}, s.logf)
+	runs, err := runAll(tr.Jobs[:p.graphs], workload.TraceCapacity(), []sched.Scheduler{spear, baselines.NewGrapheneScheduler()}, s.logf)
 	if err != nil {
 		return nil, err
 	}
 
-	result := &Fig9cResult{Jobs: jobs}
+	result := &Fig9cResult{Jobs: p.graphs}
 	noWorse := 0
 	for i, graphene := range runs[1].Makespans {
 		reduction := float64(graphene-runs[0].Makespans[i]) / float64(graphene)
@@ -95,7 +90,7 @@ func (s *Suite) Fig9c() (*Fig9cResult, error) {
 			noWorse++
 		}
 	}
-	result.NoWorseShare = float64(noWorse) / float64(jobs)
+	result.NoWorseShare = float64(noWorse) / float64(p.graphs)
 	result.MaxReduction, _ = stats.Max(result.Reductions)   //spear:ignoreerr(samples are non-empty by construction)
 	result.MeanReduction, _ = stats.Mean(result.Reductions) //spear:ignoreerr(samples are non-empty by construction)
 	return result, nil

@@ -25,11 +25,8 @@ type GapResult struct {
 
 // Gap runs the optimality-gap study.
 func (s *Suite) Gap() (*GapResult, error) {
-	nGraphs, tasks := 5, 8
-	if s.Full {
-		nGraphs, tasks = 10, 10
-	}
-	graphs, capacity, err := s.randomJobs(nGraphs, tasks, 1100)
+	p := s.params.gap
+	graphs, capacity, err := s.randomJobs(p.graphs, p.tasks, 1100)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +48,7 @@ func (s *Suite) Gap() (*GapResult, error) {
 	}
 	optimal, results := results[0].Makespans, results[1:]
 
-	out := &GapResult{Jobs: nGraphs, Tasks: tasks, Optimal: optimal, PerAlgo: results}
+	out := &GapResult{Jobs: p.graphs, Tasks: p.tasks, Optimal: optimal, PerAlgo: results}
 	for _, ar := range results {
 		gaps := make([]float64, len(ar.Makespans))
 		for i, m := range ar.Makespans {

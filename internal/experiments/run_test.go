@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// TestRunParallelUnknownName pins that names are validated before anything
+// TestRunChecksNamesFirst pins that names are validated before anything
 // runs: one unknown name among valid ones trains nothing and prints nothing.
-func TestRunParallelUnknownName(t *testing.T) {
+func TestRunChecksNamesFirst(t *testing.T) {
 	s := tinySuite(t)
 	var out bytes.Buffer
 	if err := s.Run([]string{"fig9a", "nope", "fig3"}, RunOptions{}, &out); err == nil {
@@ -23,9 +23,9 @@ func TestRunParallelUnknownName(t *testing.T) {
 	}
 }
 
-// TestRunParallelCSV checks the CSV sink plumbing and that a single-name run
-// omits the section headers.
-func TestRunParallelCSV(t *testing.T) {
+// TestRunSingleNameCSV checks the CSV sink plumbing and that a single-name
+// run omits the section headers.
+func TestRunSingleNameCSV(t *testing.T) {
 	s := tinySuite(t)
 	sinks := &csvSinks{}
 	var out bytes.Buffer
@@ -83,8 +83,9 @@ func (w *sectionWriter) Write(p []byte) (int, error) {
 // curve, so fig8b fails — and every experiment after it must still run.
 func TestRunReportsFailureAndContinues(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the whole evaluation at quick scale")
+		t.Skip("runs the whole evaluation at the tiny scale")
 	}
+	t.Parallel()
 	trained := tinySuite(t)
 	if _, err := trained.TrainModel(); err != nil {
 		t.Fatal(err)

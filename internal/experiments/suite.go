@@ -1,12 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (§V). Each experiment has explicit, seeded parameters
-// and prints the same rows/series the paper reports; table.go declares them
-// all and Suite.Run executes them.
-//
-// Two parameter sets exist: Quick (the default; minutes on a laptop) and
-// full (closer to the paper's scale; see DESIGN.md for the mapping). The
-// shapes of the results — who wins, by roughly what factor, where the
-// crossovers fall — are expected to match the paper at either scale.
+// evaluation section (§V). Each experiment runs at the paper's parameters
+// (the paper value below), seeded, and prints the same rows/series the paper
+// reports; table.go declares them all and Suite.Run executes them.
 package experiments
 
 import (
@@ -30,22 +25,14 @@ import (
 	"spear/internal/workload"
 )
 
-// Suite holds shared state (the trained policy model, the random seed and
-// the scale) across experiments.
+// Suite holds shared state (the trained policy model and the random seed)
+// across experiments. Build it with NewSuite.
 type Suite struct {
 	// Seed drives every generator and scheduler in the suite.
 	Seed int64
-	// Full switches from the quick parameter set to the paper-scale one.
-	Full bool
-	// Feat is the featurization of the policy model. Zero value means
-	// drl.DefaultFeatures().
-	Feat drl.Features
 	// Net is the trained policy network. When nil, the suite trains one on
-	// demand (TrainModel) with scale-appropriate settings.
+	// demand (TrainModel).
 	Net *nn.Network
-	// ModelCfg overrides the training pipeline settings (model shape,
-	// epochs, rollouts). Nil means scale-appropriate defaults.
-	ModelCfg *core.ModelConfig
 	// Log, when non-nil, receives progress lines during long experiments.
 	Log io.Writer
 	// Obs, when non-nil, is the shared metrics registry every scheduler the
@@ -53,58 +40,67 @@ type Suite struct {
 	// run (the -metrics flag of cmd/spear-experiments).
 	Obs *obs.Registry
 
-	curve []drl.EpochStats
+	// params is the scale every experiment runs at: paper, unless a test
+	// installs a smaller one.
+	params params
+	curve  []drl.EpochStats
 
 	// trace caches the synthetic trace: fig9a/fig9b report it and Fig9c
 	// schedules it, a different computation.
 	trace *TraceResult
 }
 
-// NewSuite returns a Suite with the given seed in quick mode.
-func NewSuite(seed int64) *Suite { return &Suite{Seed: seed} }
+// batch is a batch of random DAGs and the search budget they are scheduled
+// at: budget decays to minBudget (Eq. 4).
+type batch struct{ graphs, tasks, budget, minBudget int }
 
-func (s *Suite) features() drl.Features {
-	if s.Feat == (drl.Features{}) {
-		return drl.DefaultFeatures()
-	}
-	return s.Feat
+// params holds every setting an experiment's scale depends on.
+type params struct {
+	// model is the policy's training pipeline, featurization included;
+	// TrainModel seeds it with the suite's Seed.
+	model core.ModelConfig
+	// fig6's Spear and every ablation variant search budget→minBudget.
+	// fig8a's pure MCTS does too, and its Spear gets minBudget→minBudget/2.
+	fig6, fig8a, ablation batch
+	// fig7 sweeps fig7Budgets, each decaying to minBudget.
+	fig7        batch
+	fig7Budgets []int
+	// fig9c schedules the trace's first graphs jobs; tasks is unused.
+	fig9c batch
+	// gap's budgets are fixed; only graphs and tasks are read.
+	gap                        batch
+	table1Sizes, table1Budgets []int
 }
+
+// paper is §V's scale. Training stops at 300 of the paper's 7000 REINFORCE
+// epochs (§V-B3): from the CP warm start the curve falls under 3 % in 300
+// epochs, most of it in the first 25 (EXPERIMENTS.md, Fig. 8(b)).
+var paper = params{
+	model: core.ModelConfig{
+		Feat:         drl.DefaultFeatures(),
+		TrainJobs:    144,
+		TasksPerJob:  25,
+		PretrainCfg:  drl.PretrainConfig{Epochs: 20, Opt: nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}},
+		ReinforceCfg: drl.TrainConfig{Epochs: 300, Rollouts: 20},
+	},
+	fig6:          batch{10, 100, 1000, 100},
+	fig8a:         batch{10, 100, 1000, 100},
+	ablation:      batch{10, 100, 400, 80},
+	fig7:          batch{20, 100, 0, 5}, // the paper sweeps 100 DAGs
+	fig7Budgets:   []int{500, 600, 1000, 1400, 1800, 2200},
+	fig9c:         batch{graphs: 99, budget: 100, minBudget: 50}, // every trace job
+	gap:           batch{graphs: 10, tasks: 10},
+	table1Sizes:   []int{25, 50, 100},
+	table1Budgets: []int{50, 100, 500, 1000},
+}
+
+// NewSuite returns a Suite with the given seed at the paper's scale.
+func NewSuite(seed int64) *Suite { return &Suite{Seed: seed, params: paper} }
 
 func (s *Suite) logf(format string, args ...any) {
 	if s.Log != nil {
 		fmt.Fprintf(s.Log, format, args...)
 	}
-}
-
-// modelConfig returns the training pipeline settings for the current scale.
-func (s *Suite) modelConfig() core.ModelConfig {
-	if s.ModelCfg != nil {
-		cfg := *s.ModelCfg
-		if cfg.Feat == (drl.Features{}) {
-			cfg.Feat = s.features()
-		}
-		return cfg
-	}
-	cfg := core.ModelConfig{
-		Feat:        s.features(),
-		Seed:        s.Seed,
-		TrainJobs:   12,
-		TasksPerJob: 25,
-		PretrainCfg: drl.PretrainConfig{Epochs: 12, Opt: nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}},
-		ReinforceCfg: drl.TrainConfig{
-			Epochs: 30, Rollouts: 10,
-			Opt: nn.RMSProp{LR: 5e-4, Rho: 0.9, Eps: 1e-8},
-		},
-	}
-	if s.Full {
-		// The paper's §V-B3 settings (144 examples, 20 rollouts, 7000
-		// epochs); epochs remain far below 7000 to stay tractable but the
-		// curve shape is established well before that.
-		cfg.TrainJobs = 144
-		cfg.PretrainCfg = drl.PretrainConfig{Epochs: 20, Opt: nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}}
-		cfg.ReinforceCfg = drl.TrainConfig{Epochs: 300, Rollouts: 20}
-	}
-	return cfg
 }
 
 // TrainModel ensures the suite has a trained policy network, returning the
@@ -113,9 +109,10 @@ func (s *Suite) TrainModel() ([]drl.EpochStats, error) {
 	if s.Net != nil {
 		return s.curve, nil
 	}
-	s.logf("training policy model (full=%v)...\n", s.Full)
+	s.logf("training policy model...\n")
 	began := time.Now()
-	cfg := s.modelConfig()
+	cfg := s.params.model
+	cfg.Seed = s.Seed
 	if cfg.Metrics == nil && s.Obs != nil {
 		cfg.Metrics = obs.NewTrainMetrics(s.Obs)
 	}
@@ -138,7 +135,7 @@ func (s *Suite) spear(initialBudget, minBudget int) (*core.Spear, error) {
 	if _, err := s.TrainModel(); err != nil {
 		return nil, err
 	}
-	return core.New(s.Net, s.features(), core.Config{
+	return core.New(s.Net, s.params.model.Feat, core.Config{
 		InitialBudget: initialBudget,
 		MinBudget:     minBudget,
 		Seed:          s.Seed,
@@ -206,8 +203,8 @@ func tabulate(title string, rows func(w io.Writer)) string {
 	return b.String()
 }
 
-// randomJobs generates n random DAGs with the paper's workload settings,
-// scaled for quick mode.
+// randomJobs generates n random DAGs of the given size with the paper's
+// workload settings.
 func (s *Suite) randomJobs(n, tasks int, seedOffset int64) ([]*dag.Graph, resource.Vector, error) {
 	cfg := workload.DefaultRandomDAGConfig()
 	cfg.NumTasks = tasks

@@ -15,8 +15,8 @@ type view[R any] struct {
 }
 
 // cell is one row of the experiment table: a computation and the views that
-// report it. Views of one cell share the computed result; distinct cells
-// share nothing but the trained model and may run concurrently.
+// report it. Views of one cell share the computed result; Run computes the
+// requested cells one at a time.
 type cell struct {
 	// needsModel says the computation schedules with the trained policy
 	// network, directly or through Spear.
@@ -39,8 +39,8 @@ func newCell[R result](needsModel bool, compute func(*Suite) (R, error), views .
 }
 
 // table declares every experiment once, in paper order. The -list output,
-// Names, name validation, the grouping of experiments into concurrent units,
-// model pre-training and the CSV export all read it; adding an experiment is
+// Names, name validation, the grouping of experiments into cells, model
+// pre-training and the CSV export all read it; adding an experiment is
 // adding a row (or a view to a row).
 var table = []cell{
 	newCell(true, (*Suite).Fig3,

@@ -21,20 +21,14 @@ type Table1Result struct {
 
 // Table1 measures the MCTS-only scheduler's runtime on different scales.
 func (s *Suite) Table1() (*Table1Result, error) {
-	sizes := []int{10, 25, 50}
-	budgets := []int{25, 50, 100}
-	if s.Full {
-		sizes = []int{25, 50, 100}
-		budgets = []int{50, 100, 500, 1000}
-	}
-	result := &Table1Result{Sizes: sizes, Budgets: budgets}
-	for _, size := range sizes {
+	result := &Table1Result{Sizes: s.params.table1Sizes, Budgets: s.params.table1Budgets}
+	for _, size := range result.Sizes {
 		graphs, capacity, err := s.randomJobs(1, size, 800+int64(size))
 		if err != nil {
 			return nil, err
 		}
-		row := make([]time.Duration, 0, len(budgets))
-		for _, budget := range budgets {
+		row := make([]time.Duration, 0, len(result.Budgets))
+		for _, budget := range result.Budgets {
 			s.logf("table1: size %d budget %d\n", size, budget)
 			searcher := mcts.New(s.searchConfig(budget, budget/10))
 			began := time.Now()
