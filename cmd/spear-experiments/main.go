@@ -2,10 +2,9 @@
 // paper's evaluation section (§V). Each experiment prints the same
 // rows/series the paper reports; see DESIGN.md for the experiment index.
 //
-// Every experiment runs at the paper's parameters. Without -model the
-// policy is trained first at §V-B3's settings (144 jobs x 20 rollouts x 300
-// epochs, about 2 minutes on two cores); fig8b needs that training run, as
-// it reports its learning curve, and fails on a loaded model.
+// Every experiment runs at the paper's parameters. Spear schedules with the
+// checked-in policy (models/policy.gob) unless -model names another; only
+// fig8b trains, at §V-B3's recipe and -seed, to report its learning curve.
 //
 // Usage:
 //
@@ -25,6 +24,7 @@ import (
 	"spear"
 	"spear/internal/experiments"
 	"spear/internal/profile"
+	"spear/models"
 )
 
 func main() {
@@ -42,7 +42,7 @@ func run(args []string) (err error) {
 		runName   = fs.String("run", "all", "experiment to run (or 'all')")
 		list      = fs.Bool("list", false, "list experiments and exit")
 		seed      = fs.Int64("seed", 1, "random seed")
-		modelPath = fs.String("model", "", "trained model (trains one on demand when empty)")
+		modelPath = fs.String("model", "", "trained model (the checked-in models/policy.gob when empty)")
 		verbose   = fs.Bool("v", false, "log per-job progress")
 		csvDir    = fs.String("csv-dir", "", "also write each experiment's raw data as CSV into this directory")
 		metrics   = fs.Bool("metrics", false, "print a Prometheus-format metrics snapshot after the run")
@@ -72,21 +72,8 @@ func run(args []string) (err error) {
 		// whose snapshot is printed below.
 		suite.Obs = spear.NewMetricsRegistry()
 	}
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return err
-		}
-		net, err := spear.LoadModel(f)
-		f.Close() //spear:ignoreerr(read-only close after a completed load)
-		if err != nil {
-			return err
-		}
-		feat := spear.DefaultFeatures()
-		if net.InputSize() != feat.InputSize() {
-			return fmt.Errorf("model %s does not match the default featurization", *modelPath)
-		}
-		suite.Net = net
+	if suite.Net, err = models.Load(*modelPath); err != nil {
+		return err
 	}
 
 	names := experiments.Names()

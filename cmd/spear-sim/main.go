@@ -21,6 +21,7 @@ import (
 
 	"spear"
 	"spear/internal/profile"
+	"spear/models"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		budget     = fs.Int("budget", 150, "initial search budget for spear/mcts")
 		minBudget  = fs.Int("min-budget", 30, "minimum decayed budget for spear/mcts")
 		seed       = fs.Int64("seed", 1, "random seed")
-		modelPath  = fs.String("model", "", "trained model for spear (trains a quick one when empty)")
+		modelPath  = fs.String("model", "", "trained model for spear (the checked-in models/policy.gob when empty)")
 		motivating = fs.Bool("motivating", false, "run the paper's Fig. 3 motivating example instead of random jobs")
 		gantt      = fs.Bool("gantt", false, "print an ASCII Gantt chart per schedule")
 		jobPath    = fs.String("job", "", "schedule a job described by this JSON file instead of random jobs")
@@ -222,11 +223,11 @@ func parseCapacity(s string, dims int) (spear.Vector, error) {
 func buildScheduler(name string, budget, minBudget int, seed int64, modelPath string, reg *spear.MetricsRegistry) (spear.Scheduler, error) {
 	switch name {
 	case "spear":
-		net, feat, err := loadOrTrainModel(modelPath, seed)
+		net, err := models.Load(modelPath)
 		if err != nil {
 			return nil, err
 		}
-		return spear.NewSpear(net, feat, spear.SpearConfig{InitialBudget: budget, MinBudget: minBudget, Seed: seed, Obs: reg})
+		return spear.NewSpear(net, spear.DefaultFeatures(), spear.SpearConfig{InitialBudget: budget, MinBudget: minBudget, Seed: seed, Obs: reg})
 	case "mcts":
 		return spear.NewMCTS(spear.MCTSConfig{InitialBudget: budget, MinBudget: minBudget, Seed: seed, Obs: reg}), nil
 	case "graphene":
@@ -248,34 +249,4 @@ func buildScheduler(name string, budget, minBudget int, seed int64, modelPath st
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q (known: %v)", name, algorithms)
 	}
-}
-
-// loadOrTrainModel reads a saved model, or trains a small one on the fly so
-// that spear-sim works out of the box.
-func loadOrTrainModel(path string, seed int64) (*spear.Network, spear.Features, error) {
-	feat := spear.DefaultFeatures()
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, feat, err
-		}
-		defer f.Close() //spear:ignoreerr(read-only file; a close error loses no data)
-		net, err := spear.LoadModel(f)
-		if err != nil {
-			return nil, feat, err
-		}
-		if net.InputSize() != feat.InputSize() {
-			return nil, feat, fmt.Errorf("model %s does not match the default featurization; retrain with spear-train", path)
-		}
-		return net, feat, nil
-	}
-	fmt.Fprintln(os.Stderr, "spear-sim: no -model given; training a quick policy (use spear-train for a better one)")
-	net, _, _, err := spear.TrainModel(spear.ModelConfig{
-		TrainJobs:    8,
-		TasksPerJob:  20,
-		PretrainCfg:  spear.PretrainConfig{Epochs: 8},
-		ReinforceCfg: spear.ReinforceConfig{Epochs: 10, Rollouts: 8},
-		Seed:         seed,
-	}, nil)
-	return net, feat, err
 }

@@ -40,26 +40,10 @@ func TestParseCapacity(t *testing.T) {
 }
 
 // TestBuildSchedulerNames: every name the -algos help lists constructs a
-// scheduler and has its outputs pinned in the root package's corpus, and an
-// unknown name is refused with that same list.
+// scheduler ("spear" with the checked-in policy) and has its outputs pinned
+// in the root package's corpus, and an unknown name is refused with that
+// same list.
 func TestBuildSchedulerNames(t *testing.T) {
-	// An untrained network of the default shape, so "spear" loads a model
-	// instead of training one.
-	net, err := spear.NewNetwork(spear.DefaultFeatures(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := filepath.Join(t.TempDir(), "model.gob")
-	f, err := os.Create(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spear.SaveModel(f, net); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 	corpus, err := os.ReadFile("../../testdata/corpus.tsv")
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +52,7 @@ func TestBuildSchedulerNames(t *testing.T) {
 		if !strings.Contains(string(corpus), "\nsim/"+name+"/") {
 			t.Errorf("%s: no sim/%s/ row in testdata/corpus.tsv; TestOutputCorpusPinned must pin it", name, name)
 		}
-		s, err := buildScheduler(name, 10, 2, 1, model, nil)
+		s, err := buildScheduler(name, 10, 2, 1, "", nil)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -77,7 +61,7 @@ func TestBuildSchedulerNames(t *testing.T) {
 			t.Errorf("%s: bad scheduler", name)
 		}
 	}
-	_, err = buildScheduler("bogus", 10, 2, 1, model, nil)
+	_, err = buildScheduler("bogus", 10, 2, 1, "", nil)
 	if err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}

@@ -1,11 +1,13 @@
 // Command spear-train runs the paper's training pipeline — supervised
 // warm-start imitating the critical-path heuristic, then REINFORCE with an
 // averaged-rollout baseline — and saves the policy network for use by
-// spear-sim and spear-experiments.
+// spear-sim and spear-experiments. Its defaults are models.Recipe, so with
+// no flag but -seed 1 it writes the bytes of the checked-in models/policy.gob.
 //
 // Usage:
 //
-//	spear-train -out model.gob -train-jobs 144 -epochs 300 -rollouts 20
+//	spear-train -seed 1 -out policy.gob
+//	spear-train -out model.gob -epochs 1000 -checkpoint-every 50
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 
 	"spear"
 	"spear/internal/profile"
+	"spear/models"
 )
 
 func main() {
@@ -31,19 +34,23 @@ func main() {
 // the learning curve and the -metrics snapshot as asked.
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("spear-train", flag.ExitOnError)
+	// The flags set models.Recipe's fields, so their defaults train the
+	// checked-in policy.
+	cfg := models.Recipe
+	rc := &cfg.ReinforceCfg
+	fs.IntVar(&cfg.TrainJobs, "train-jobs", cfg.TrainJobs, "number of generated training jobs")
+	fs.IntVar(&cfg.TasksPerJob, "tasks", cfg.TasksPerJob, "tasks per training job")
+	fs.IntVar(&cfg.PretrainCfg.Epochs, "pretrain-epochs", cfg.PretrainCfg.Epochs, "supervised warm-start epochs")
+	fs.IntVar(&rc.Epochs, "epochs", rc.Epochs, "REINFORCE epochs (paper: 7000)")
+	fs.IntVar(&rc.Rollouts, "rollouts", rc.Rollouts, "rollouts per example for the baseline")
+	fs.IntVar(&rc.Workers, "workers", rc.Workers, "rollout/backprop worker goroutines (0 = GOMAXPROCS); moves no bit")
+	fs.IntVar(&rc.CheckpointEvery, "checkpoint-every", rc.CheckpointEvery, "save the model to -out every N epochs (0 = only at the end)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	var (
-		out            = fs.String("out", "model.gob", "path to write the trained model")
-		trainJobs      = fs.Int("train-jobs", 16, "number of generated training jobs (paper: 144)")
-		tasksPerJob    = fs.Int("tasks", 25, "tasks per training job (paper: 25)")
-		pretrainEpochs = fs.Int("pretrain-epochs", 12, "supervised warm-start epochs")
-		epochs         = fs.Int("epochs", 60, "REINFORCE epochs (paper: 7000)")
-		rollouts       = fs.Int("rollouts", 20, "rollouts per example for the baseline (paper: 20)")
-		workers        = fs.Int("workers", 0, "rollout/backprop worker goroutines (0 = GOMAXPROCS)")
-		seed           = fs.Int64("seed", 1, "random seed")
-		quiet          = fs.Bool("q", false, "suppress per-epoch progress")
-		curvePath      = fs.String("curve", "", "write the learning curve as CSV to this path")
-		ckptEvery      = fs.Int("checkpoint-every", 0, "save the model to -out every N epochs (0 = only at the end)")
-		metrics        = fs.Bool("metrics", false, "print a Prometheus-format training metrics snapshot after the run")
+		out       = fs.String("out", "model.gob", "path to write the trained model")
+		quiet     = fs.Bool("q", false, "suppress per-epoch progress")
+		curvePath = fs.String("curve", "", "write the learning curve as CSV to this path")
+		metrics   = fs.Bool("metrics", false, "print a Prometheus-format training metrics snapshot after the run")
 	)
 	prof := profile.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -57,23 +64,21 @@ func run(args []string) (err error) {
 		name       string
 		value, min int
 	}{
-		{"train-jobs", *trainJobs, 1},
-		{"tasks", *tasksPerJob, 1},
-		{"pretrain-epochs", *pretrainEpochs, 1},
-		{"epochs", *epochs, 1},
-		{"rollouts", *rollouts, 1},
-		{"workers", *workers, 0},
-		{"checkpoint-every", *ckptEvery, 0},
+		{"train-jobs", cfg.TrainJobs, 1},
+		{"tasks", cfg.TasksPerJob, 1},
+		{"pretrain-epochs", cfg.PretrainCfg.Epochs, 1},
+		{"epochs", rc.Epochs, 1},
+		{"rollouts", rc.Rollouts, 1},
+		{"workers", rc.Workers, 0},
+		{"checkpoint-every", rc.CheckpointEvery, 0},
 	} {
 		if f.value < f.min {
 			return fmt.Errorf("%s %d must be >= %d", f.name, f.value, f.min)
 		}
 	}
 
-	reinforce := spear.ReinforceConfig{Epochs: *epochs, Rollouts: *rollouts, Workers: *workers}
-	if *ckptEvery > 0 {
-		reinforce.CheckpointEvery = *ckptEvery
-		reinforce.Checkpoint = func(epoch int, net *spear.Network) error {
+	if rc.CheckpointEvery > 0 {
+		rc.Checkpoint = func(epoch int, net *spear.Network) error {
 			if err := writeModel(*out, net); err != nil {
 				return err
 			}
@@ -82,14 +87,6 @@ func run(args []string) (err error) {
 			}
 			return nil
 		}
-	}
-	cfg := spear.ModelConfig{
-		Feat:         spear.DefaultFeatures(),
-		TrainJobs:    *trainJobs,
-		TasksPerJob:  *tasksPerJob,
-		PretrainCfg:  spear.PretrainConfig{Epochs: *pretrainEpochs},
-		ReinforceCfg: reinforce,
-		Seed:         *seed,
 	}
 	var tm *spear.TrainMetrics
 	if *metrics {

@@ -24,6 +24,7 @@ import (
 	"spear/internal/sched"
 	"spear/internal/serve"
 	"spear/internal/workload"
+	"spear/models"
 )
 
 // corpusPath holds one row per pinned output: its name, a tab, then the
@@ -218,8 +219,9 @@ func simScheduler(t *testing.T, name string, net *spear.Network) spear.Scheduler
 
 // corpusSim pins `spear-sim -n 2 -seed 7 -budget 30 -min-budget 6` for every
 // algorithm on one and four machines: row sim/<algo>/m<machines>/j<job>.
-// Spear guides its search with cliModel, whose bytes it pins as a model row,
-// and refuses multi-machine clusters; that error text is pinned too.
+// Spear guides its search with the checked-in policy, whose bytes it pins as
+// row model/policy, and refuses multi-machine clusters; that error text is
+// pinned too.
 func corpusSim(t *testing.T, c *corpus) {
 	for _, name := range []string{
 		"spear", "mcts", "graphene", "tetris", "cp", "sjf", "random", "anneal", "optimal",
@@ -227,12 +229,11 @@ func corpusSim(t *testing.T, c *corpus) {
 		t.Run(name, func(t *testing.T) {
 			var net *spear.Network
 			if name == "spear" {
-				var sum string
 				var err error
-				if net, sum, err = modelSum(cliModel); err != nil {
+				if net, err = models.Load(""); err != nil {
 					t.Fatal(err)
 				}
-				c.put(t, "model/spear-train-epochs6-seed5", sum)
+				c.put(t, "model/policy", netSum(t, net))
 			}
 			tasks := simTasks[name]
 			if tasks == 0 {
@@ -355,34 +356,20 @@ func corpusLegacy(t *testing.T, c *corpus) {
 	}
 }
 
-// modelSum trains cfg and returns the network and the SHA-256 of its saved
-// bytes.
-func modelSum(cfg spear.ModelConfig) (*spear.Network, string, error) {
-	net, _, _, err := spear.TrainModel(cfg, nil)
-	if err != nil {
-		return nil, "", err
-	}
+// netSum returns the SHA-256 of net's saved bytes.
+func netSum(t *testing.T, net *spear.Network) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := spear.SaveModel(&buf, net); err != nil {
-		return nil, "", err
+		t.Fatal(err)
 	}
-	return net, sha(buf.Bytes()), nil
-}
-
-// cliModel is what `spear-train -epochs 6 -seed 5` trains. The CLI's default
-// worker count is GOMAXPROCS, which moves no bit.
-var cliModel = spear.ModelConfig{
-	Feat:         spear.Features{Window: 15, Horizon: 20, Dims: 2},
-	TrainJobs:    16,
-	TasksPerJob:  25,
-	PretrainCfg:  spear.PretrainConfig{Epochs: 12},
-	ReinforceCfg: spear.ReinforceConfig{Epochs: 6, Rollouts: 20},
-	Seed:         5,
+	return sha(buf.Bytes())
 }
 
 // corpusModels pins the whole training pipeline (imitation, then REINFORCE)
 // to bit-identical networks: any change of arithmetic order in nn or drl
-// moves a hash (corpusSim pins cliModel's). The quick model's hash was
+// moves a hash (CI retrains models/policy.gob at the paper's recipe and
+// compares the bytes). The quick model's hash was
 // captured from per-sample forward/backward training, so it also certifies
 // that minibatches through the batch kernels accumulate in the same order;
 // it is trained with one and with two rollout workers, which must write the
@@ -402,10 +389,11 @@ func corpusModels(t *testing.T, c *corpus) {
 	sums := map[int]string{}
 	for _, workers := range []int{1, 2} {
 		quick.ReinforceCfg.Workers = workers
-		_, sum, err := modelSum(quick)
+		net, _, _, err := spear.TrainModel(quick, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sum := netSum(t, net)
 		sums[workers] = sum
 		c.put(t, fmt.Sprintf("model/quick/workers%d", workers), sum)
 	}

@@ -1,5 +1,6 @@
-// Quickstart: build a small ETL-style job through the public API, train a
-// small policy, schedule the job with Spear and print the resulting plan.
+// Quickstart: build a small ETL-style job through the public API, load the
+// checked-in policy, schedule the job with Spear and print the resulting
+// plan.
 //
 // Run with:
 //
@@ -11,6 +12,7 @@ import (
 	"os"
 
 	"spear"
+	"spear/models"
 )
 
 func main() {
@@ -48,19 +50,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("job: %d tasks, critical path %d, makespan lower bound %d\n\n",
+	fmt.Printf("job: %d tasks, critical path %d, makespan lower bound %d\n",
 		job.NumTasks(), spear.CriticalPath(job), lb)
 
-	// Train a small policy model (spear-train can build and save a bigger
-	// one; spear.LoadModel would read it back).
-	fmt.Println("training a small policy model...")
-	net, _, _, err := spear.TrainModel(spear.ModelConfig{
-		TrainJobs:    8,
-		TasksPerJob:  15,
-		PretrainCfg:  spear.PretrainConfig{Epochs: 8},
-		ReinforceCfg: spear.ReinforceConfig{Epochs: 8, Rollouts: 8},
-		Seed:         1,
-	}, nil)
+	// The checked-in policy (models/policy.gob); spear-train retrains it, and
+	// models.Load also reads what spear-train writes.
+	net, err := models.Load("")
 	if err != nil {
 		return err
 	}

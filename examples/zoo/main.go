@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"spear"
+	"spear/models"
 )
 
 func main() {
@@ -45,17 +46,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("job: %d tasks, %d levels, critical path %d, lower bound %d\n\n",
+	fmt.Printf("job: %d tasks, %d levels, critical path %d, lower bound %d\n",
 		job.NumTasks(), job.NumLevels(), spear.CriticalPath(job), lb)
 
-	fmt.Println("training a policy model for Spear...")
-	net, _, _, err := spear.TrainModel(spear.ModelConfig{
-		TrainJobs:    8,
-		TasksPerJob:  20,
-		PretrainCfg:  spear.PretrainConfig{Epochs: 8},
-		ReinforceCfg: spear.ReinforceConfig{Epochs: 8, Rollouts: 8},
-		Seed:         *seed,
-	}, nil)
+	// Spear schedules with the checked-in policy (models/policy.gob);
+	// spear-train retrains it.
+	net, err := models.Load("")
 	if err != nil {
 		return err
 	}

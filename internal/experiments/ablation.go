@@ -19,9 +19,6 @@ func (s *Suite) Ablation() (*comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.TrainModel(); err != nil {
-		return nil, err
-	}
 	feat := s.params.model.Feat
 	sampler, err := drl.NewAgent(s.Net, feat, false)
 	if err != nil {

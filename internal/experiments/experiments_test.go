@@ -37,12 +37,19 @@ var tiny = params{
 	table1Budgets: []int{25, 50, 100},
 }
 
-// tinySuite builds a Suite at the tiny scale, so the whole registry can be
-// exercised in tests.
+// tinySuite builds a Suite at the tiny scale, with a policy trained by the
+// tiny recipe, so the whole registry can be exercised in tests.
 func tinySuite(t *testing.T) *Suite {
 	t.Helper()
 	s := NewSuite(7)
 	s.params = tiny
+	cfg := tiny.model
+	cfg.Seed = s.Seed
+	net, _, _, err := core.BuildModel(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Net = net
 	return s
 }
 
@@ -73,24 +80,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	// The message lists what would have been accepted, sorted.
 	if want := `"nope" (known: [ablation fig3 fig6a`; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not contain %q", err, want)
-	}
-}
-
-func TestTrainModelCachesAndReturnsCurve(t *testing.T) {
-	s := tinySuite(t)
-	curve, err := s.TrainModel()
-	if err != nil {
-		t.Fatalf("TrainModel: %v", err)
-	}
-	if len(curve) != 2 {
-		t.Fatalf("curve len = %d", len(curve))
-	}
-	net := s.Net
-	if _, err := s.TrainModel(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Net != net {
-		t.Error("TrainModel retrained despite cached model")
 	}
 }
 
@@ -210,7 +199,8 @@ func TestFig9TraceAndC(t *testing.T) {
 	if !strings.Contains(tr.CountTable(), "map") || !strings.Contains(tr.RuntimeTable(), "reduce") {
 		t.Error("trace tables missing stages")
 	}
-	// fig9b.csv carries the runtimes its table summarises: one row per task.
+	// The cell's CSV, fig9a.csv, carries the runtimes fig9b's table
+	// summarises: one row per task.
 	sinks := &csvSinks{}
 	if err := s.Run([]string{"fig9b"}, RunOptions{CSV: sinks.open}, io.Discard); err != nil {
 		t.Fatalf("Run(fig9b): %v", err)
@@ -219,9 +209,9 @@ func TestFig9TraceAndC(t *testing.T) {
 	for _, g := range tr.Jobs {
 		tasks += g.NumTasks()
 	}
-	rows := strings.Split(strings.TrimSpace(sinks.get("fig9b").String()), "\n")
+	rows := strings.Split(strings.TrimSpace(sinks.get("fig9a").String()), "\n")
 	if rows[0] != "job,stage,runtime" || len(rows) != 1+tasks {
-		t.Errorf("fig9b.csv: header %q and %d rows, want job,stage,runtime and one row per task (%d)", rows[0], len(rows)-1, tasks)
+		t.Errorf("fig9a.csv: header %q and %d rows, want job,stage,runtime and one row per task (%d)", rows[0], len(rows)-1, tasks)
 	}
 
 	r, err := s.Fig9c()
@@ -321,7 +311,8 @@ func TestEveryRegisteredExperimentRuns(t *testing.T) {
 }
 
 // checkRun runs names through the one runner and requires a non-empty
-// report section and a CSV export (header plus data rows) for each.
+// report section for each, and a CSV export (header plus data rows) under
+// the name of each one's cell.
 func checkRun(t *testing.T, s *Suite, names []string) {
 	t.Helper()
 	sinks := &csvSinks{}
@@ -334,7 +325,8 @@ func checkRun(t *testing.T, s *Suite, names []string) {
 		if strings.TrimSpace(reports[name]) == "" {
 			t.Errorf("%s wrote nothing", name)
 		}
-		b := sinks.get(name)
+		c, _ := lookup(name)
+		b := sinks.get(c.views[0].name)
 		if b == nil || !b.closed {
 			t.Errorf("%s CSV sink = %+v", name, b)
 			continue
@@ -367,9 +359,11 @@ func sections(out string) map[string]string {
 // csvSinks collects the CSV exports of a run.
 type csvSinks struct {
 	files map[string]*closableBuffer
+	opens int
 }
 
 func (c *csvSinks) open(name string) (io.WriteCloser, error) {
+	c.opens++
 	if c.files == nil {
 		c.files = map[string]*closableBuffer{}
 	}

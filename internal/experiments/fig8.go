@@ -5,8 +5,10 @@ import (
 	"io"
 
 	"spear/internal/baselines"
+	"spear/internal/core"
 	"spear/internal/drl"
 	"spear/internal/mcts"
+	"spear/internal/obs"
 	"spear/internal/sched"
 	"spear/internal/stats"
 )
@@ -52,19 +54,26 @@ type Fig8bResult struct {
 	CrossEpoch int // first epoch whose mean beats both references; -1 if never
 }
 
-// Fig8b trains (or reuses) the policy model and reports the learning curve
-// against the Tetris and SJF references on the same training distribution.
+// Fig8b trains the policy with the suite's recipe at the suite's Seed — the
+// one experiment that trains — and reports the learning curve against the
+// Tetris and SJF references on the same training distribution. The network
+// itself is discarded: the other cells schedule with s.Net.
 func (s *Suite) Fig8b() (*Fig8bResult, error) {
-	curve, err := s.TrainModel()
+	cfg := s.params.model
+	cfg.Seed = s.Seed
+	if s.Obs != nil {
+		cfg.Metrics = obs.NewTrainMetrics(s.Obs)
+	}
+	s.logf("fig8b: training the policy at seed %d...\n", s.Seed)
+	_, curve, _, err := core.BuildModel(cfg, func(st drl.EpochStats) {
+		if st.Epoch%10 == 0 {
+			s.logf("  epoch %d: mean makespan %.1f\n", st.Epoch, st.MeanMakespan)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(curve) == 0 {
-		return nil, fmt.Errorf("experiments: the model was loaded pre-trained, so no learning curve was recorded; omit -model to train one and record the curve")
-	}
-	// Reference heuristics on the jobs the model trained on (the training
-	// seed is the suite's).
-	cfg := s.params.model
+	// Reference heuristics on the jobs the model trained on.
 	jobs, capacity, err := s.randomJobs(cfg.TrainJobs, cfg.TasksPerJob, 0)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -14,41 +15,28 @@ type RunOptions struct {
 	CSV func(name string) (io.WriteCloser, error)
 }
 
-// report is one requested experiment: its name and how to render it.
-type report struct {
-	name   string
-	render func(result) string
-}
-
 // cellRun is one unit of work: a table cell and its requested views in
 // requested order.
 type cellRun struct {
-	compute func(*Suite) (result, error)
-	reports []report
+	cell    *cell
+	reports []*view[result]
 }
 
 // Run executes the named experiments: it is the only way one runs. The
 // requested views are grouped by table cell and each cell is computed once,
 // one at a time in requested order, against s itself, so the wall-clock
 // columns (Table I, Fig. 6(b), the ablation) never share the machine with
-// another cell. If any requested experiment needs the trained model, it is
-// trained once up front. Each report reaches w as soon as its cell is done,
-// under a "==== name ====" header when more than one was requested.
+// another cell. Each report reaches w as soon as its cell is done, under a
+// "==== name ====" header when more than one was requested, and the cell's
+// CSV is exported once, named after its first view (fig6a for fig6b too),
+// whichever of its views was requested.
 //
 // A failing experiment does not stop the others: the returned error joins
 // every failure, each prefixed with its experiment's name.
 func (s *Suite) Run(names []string, opt RunOptions, w io.Writer) error {
-	var (
-		runs   []*cellRun
-		byCell = make(map[*cell]*cellRun)
-		seen   = make(map[string]bool, len(names))
-		train  bool
-	)
+	var runs []*cellRun
+	byCell := make(map[*cell]*cellRun)
 	for _, name := range names {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
 		c, v := lookup(name)
 		if c == nil {
 			known := Names()
@@ -57,22 +45,18 @@ func (s *Suite) Run(names []string, opt RunOptions, w io.Writer) error {
 		}
 		run := byCell[c]
 		if run == nil {
-			run = &cellRun{compute: c.compute}
+			run = &cellRun{cell: c}
 			byCell[c] = run
 			runs = append(runs, run)
 		}
-		run.reports = append(run.reports, report{name: name, render: v.render})
-		train = train || c.needsModel
-	}
-	if train {
-		if _, err := s.TrainModel(); err != nil {
-			return err
+		if !slices.Contains(run.reports, v) {
+			run.reports = append(run.reports, v)
 		}
 	}
 
 	var errs []error
 	for _, run := range runs {
-		res, err := run.compute(s)
+		res, err := run.cell.compute(s)
 		if err != nil {
 			for _, r := range run.reports {
 				errs = append(errs, fmt.Errorf("%s: %w", r.name, err))
@@ -89,10 +73,15 @@ func (s *Suite) Run(names []string, opt RunOptions, w io.Writer) error {
 			if _, werr := io.WriteString(w, text); werr != nil {
 				return errors.Join(append(errs, werr)...)
 			}
-			if err == nil && opt.CSV != nil {
-				if cerr := exportCSV(opt.CSV, r.name, res); cerr != nil {
-					errs = append(errs, cerr)
-				}
+		}
+		if err == nil && opt.CSV != nil {
+			name := run.cell.views[0].name
+			f, cerr := opt.CSV(name)
+			if cerr == nil {
+				cerr = errors.Join(res.WriteCSV(f), f.Close())
+			}
+			if cerr != nil {
+				errs = append(errs, fmt.Errorf("%s csv: %w", name, cerr))
 			}
 		}
 	}
@@ -110,16 +99,4 @@ func lookup(name string) (*cell, *view[result]) {
 		}
 	}
 	return nil, nil
-}
-
-// exportCSV writes res into the sink open returns for name and closes it.
-func exportCSV(open func(name string) (io.WriteCloser, error), name string, res result) error {
-	f, err := open(name)
-	if err == nil {
-		err = errors.Join(res.WriteCSV(f), f.Close())
-	}
-	if err != nil {
-		return fmt.Errorf("%s csv: %w", name, err)
-	}
-	return nil
 }

@@ -4,22 +4,62 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"spear/internal/drl"
 )
 
 // TestRunChecksNamesFirst pins that names are validated before anything
-// runs: one unknown name among valid ones trains nothing and prints nothing.
+// runs: one unknown name among valid ones prints nothing and writes no CSV.
 func TestRunChecksNamesFirst(t *testing.T) {
 	s := tinySuite(t)
+	sinks := &csvSinks{}
 	var out bytes.Buffer
-	if err := s.Run([]string{"fig9a", "nope", "fig3"}, RunOptions{}, &out); err == nil {
+	if err := s.Run([]string{"fig9a", "nope", "fig3"}, RunOptions{CSV: sinks.open}, &out); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if out.Len() != 0 || s.Net != nil {
-		t.Errorf("work done before the name check: %d bytes written, model trained = %v", out.Len(), s.Net != nil)
+	if out.Len() != 0 || len(sinks.files) != 0 {
+		t.Errorf("work done before the name check: %d bytes written, %d CSVs opened", out.Len(), len(sinks.files))
+	}
+}
+
+// TestRunExportsOneCSVPerCell pins that a cell's CSV is written once, named
+// after its first view, whichever of its views was requested: -run all
+// writes one file per cell, and -run fig6b writes fig6a.csv.
+func TestRunExportsOneCSVPerCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole evaluation at the tiny scale")
+	}
+	t.Parallel()
+	s := tinySuite(t)
+	for _, tc := range []struct {
+		names []string
+		want  []string
+	}{
+		{Names(), []string{"ablation", "fig3", "fig6a", "fig7a", "fig8a", "fig8b", "fig9a", "fig9c", "gap", "table1"}},
+		{[]string{"fig6b"}, []string{"fig6a"}},
+		{[]string{"fig7b", "fig9b", "fig7a"}, []string{"fig7a", "fig9a"}},
+	} {
+		sinks := &csvSinks{}
+		if err := s.Run(tc.names, RunOptions{CSV: sinks.open}, io.Discard); err != nil {
+			t.Fatalf("Run(%v): %v", tc.names, err)
+		}
+		var got []string
+		for name := range sinks.files {
+			got = append(got, name)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("Run(%v) wrote CSVs %v, want %v", tc.names, got, tc.want)
+		}
+		if sinks.opens != len(tc.want) {
+			t.Errorf("Run(%v) opened %d CSV sinks for %d files", tc.names, sinks.opens, len(tc.want))
+		}
 	}
 }
 
@@ -78,36 +118,40 @@ func (w *sectionWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// TestRunReportsFailureAndContinues is the regression test for the documented
-// `-run all -model m.gob`: with a pre-trained network there is no learning
-// curve, so fig8b fails — and every experiment after it must still run.
+// TestRunReportsFailureAndContinues: a policy that does not read the
+// suite's featurization fails every cell that schedules with it, the first
+// of them fig3, and every experiment after a failing one must still run.
 func TestRunReportsFailureAndContinues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole evaluation at the tiny scale")
 	}
 	t.Parallel()
-	trained := tinySuite(t)
-	if _, err := trained.TrainModel(); err != nil {
+	s := tinySuite(t)
+	var err error
+	if s.Net, err = drl.DefaultNetwork(drl.DefaultFeatures(), rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
-	s := tinySuite(t)
-	s.Net = trained.Net
 
 	var out bytes.Buffer
-	err := s.Run(Names(), RunOptions{}, &out)
+	err = s.Run(Names(), RunOptions{}, &out)
 	if err == nil {
-		t.Fatal("fig8b succeeded without a learning curve")
+		t.Fatal("a policy of the wrong input size scheduled")
 	}
-	if msg := err.Error(); !strings.HasPrefix(msg, "fig8b: ") || !strings.Contains(msg, "omit -model") || strings.Contains(msg, "\n") {
-		t.Errorf("error = %q, want exactly the fig8b failure and its remedy", msg)
+	var failed []string
+	for _, line := range strings.Split(err.Error(), "\n") {
+		name, _, _ := strings.Cut(line, ": ")
+		failed = append(failed, name)
+	}
+	if want := []string{"fig3", "fig6a", "fig6b", "fig8a", "fig9c", "ablation", "gap"}; !slices.Equal(failed, want) {
+		t.Errorf("failures %v, want %v:\n%v", failed, want, err)
 	}
 	reports := sections(out.String())
 	if len(reports) != len(Names()) {
 		t.Errorf("%d sections printed, want %d", len(reports), len(Names()))
 	}
-	for _, name := range []string{"fig8a", "fig9c", "gap"} {
+	for _, name := range []string{"fig7a", "table1", "fig8b", "fig9b"} {
 		if strings.TrimSpace(reports[name]) == "" {
-			t.Errorf("%s did not run after the fig8b failure", name)
+			t.Errorf("%s did not run after the fig3 failure", name)
 		}
 	}
 }

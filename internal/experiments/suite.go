@@ -16,13 +16,13 @@ import (
 	"spear/internal/cluster"
 	"spear/internal/core"
 	"spear/internal/dag"
-	"spear/internal/drl"
 	"spear/internal/mcts"
 	"spear/internal/nn"
 	"spear/internal/obs"
 	"spear/internal/resource"
 	"spear/internal/sched"
 	"spear/internal/workload"
+	"spear/models"
 )
 
 // Suite holds shared state (the trained policy model and the random seed)
@@ -30,8 +30,9 @@ import (
 type Suite struct {
 	// Seed drives every generator and scheduler in the suite.
 	Seed int64
-	// Net is the trained policy network. When nil, the suite trains one on
-	// demand (TrainModel).
+	// Net is the trained policy network Spear and the ablation's DRL variants
+	// schedule with; spear-experiments installs models.Load's. The cells
+	// that need it fail while it is nil.
 	Net *nn.Network
 	// Log, when non-nil, receives progress lines during long experiments.
 	Log io.Writer
@@ -43,7 +44,6 @@ type Suite struct {
 	// params is the scale every experiment runs at: paper, unless a test
 	// installs a smaller one.
 	params params
-	curve  []drl.EpochStats
 
 	// trace caches the synthetic trace: fig9a/fig9b report it and Fig9c
 	// schedules it, a different computation.
@@ -57,7 +57,7 @@ type batch struct{ graphs, tasks, budget, minBudget int }
 // params holds every setting an experiment's scale depends on.
 type params struct {
 	// model is the policy's training pipeline, featurization included;
-	// TrainModel seeds it with the suite's Seed.
+	// Fig8b trains it at the suite's Seed.
 	model core.ModelConfig
 	// fig6's Spear and every ablation variant search budget→minBudget.
 	// fig8a's pure MCTS does too, and its Spear gets minBudget→minBudget/2.
@@ -72,17 +72,10 @@ type params struct {
 	table1Sizes, table1Budgets []int
 }
 
-// paper is §V's scale. Training stops at 300 of the paper's 7000 REINFORCE
-// epochs (§V-B3): from the CP warm start the curve falls under 3 % in 300
-// epochs, most of it in the first 25 (EXPERIMENTS.md, Fig. 8(b)).
+// paper is §V's scale. Its model is the recipe that trained the
+// checked-in policy (§V-B3).
 var paper = params{
-	model: core.ModelConfig{
-		Feat:         drl.DefaultFeatures(),
-		TrainJobs:    144,
-		TasksPerJob:  25,
-		PretrainCfg:  drl.PretrainConfig{Epochs: 20, Opt: nn.RMSProp{LR: 1e-3, Rho: 0.9, Eps: 1e-8}},
-		ReinforceCfg: drl.TrainConfig{Epochs: 300, Rollouts: 20},
-	},
+	model:         models.Recipe,
 	fig6:          batch{10, 100, 1000, 100},
 	fig8a:         batch{10, 100, 1000, 100},
 	ablation:      batch{10, 100, 400, 80},
@@ -103,38 +96,8 @@ func (s *Suite) logf(format string, args ...any) {
 	}
 }
 
-// TrainModel ensures the suite has a trained policy network, returning the
-// RL learning curve recorded during training.
-func (s *Suite) TrainModel() ([]drl.EpochStats, error) {
-	if s.Net != nil {
-		return s.curve, nil
-	}
-	s.logf("training policy model...\n")
-	began := time.Now()
-	cfg := s.params.model
-	cfg.Seed = s.Seed
-	if cfg.Metrics == nil && s.Obs != nil {
-		cfg.Metrics = obs.NewTrainMetrics(s.Obs)
-	}
-	net, curve, _, err := core.BuildModel(cfg, func(st drl.EpochStats) {
-		if st.Epoch%10 == 0 {
-			s.logf("  epoch %d: mean makespan %.1f\n", st.Epoch, st.MeanMakespan)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.logf("model trained in %v\n", time.Since(began).Round(time.Millisecond))
-	s.Net = net
-	s.curve = curve
-	return curve, nil
-}
-
 // spear builds a Spear scheduler with the suite's model.
 func (s *Suite) spear(initialBudget, minBudget int) (*core.Spear, error) {
-	if _, err := s.TrainModel(); err != nil {
-		return nil, err
-	}
 	return core.New(s.Net, s.params.model.Feat, core.Config{
 		InitialBudget: initialBudget,
 		MinBudget:     minBudget,

@@ -18,20 +18,14 @@ type view[R any] struct {
 // report it. Views of one cell share the computed result; Run computes the
 // requested cells one at a time.
 type cell struct {
-	// needsModel says the computation schedules with the trained policy
-	// network, directly or through Spear.
-	needsModel bool
-	compute    func(*Suite) (result, error)
-	views      []view[result]
+	compute func(*Suite) (result, error)
+	views   []view[result]
 }
 
 // newCell builds a row from a typed computation and typed renderers, so a
 // view that does not fit its cell's result fails to compile.
-func newCell[R result](needsModel bool, compute func(*Suite) (R, error), views ...view[R]) cell {
-	c := cell{
-		needsModel: needsModel,
-		compute:    func(s *Suite) (result, error) { return compute(s) },
-	}
+func newCell[R result](compute func(*Suite) (R, error), views ...view[R]) cell {
+	c := cell{compute: func(s *Suite) (result, error) { return compute(s) }}
 	for _, v := range views {
 		c.views = append(c.views, view[result]{v.name, v.description, func(r result) string { return v.render(r.(R)) }})
 	}
@@ -39,32 +33,32 @@ func newCell[R result](needsModel bool, compute func(*Suite) (R, error), views .
 }
 
 // table declares every experiment once, in paper order. The -list output,
-// Names, name validation, the grouping of experiments into cells, model
-// pre-training and the CSV export all read it; adding an experiment is
-// adding a row (or a view to a row).
+// Names, name validation, the grouping of experiments into cells and the
+// CSV export all read it; adding an experiment is adding a row (or a view to
+// a row).
 var table = []cell{
-	newCell(true, (*Suite).Fig3,
+	newCell((*Suite).Fig3,
 		view[*Fig3Result]{"fig3", "motivating example: all schedulers on the 8-task DAG", (*Fig3Result).String}),
-	newCell(true, (*Suite).Fig6,
+	newCell((*Suite).Fig6,
 		view[*comparison]{"fig6a", "makespans of Spear vs baselines on random 100-task DAGs", fig6aTable},
 		view[*comparison]{"fig6b", "scheduler runtime distribution (same runs as fig6a)", fig6bTable}),
-	newCell(false, (*Suite).Fig7,
+	newCell((*Suite).Fig7,
 		view[*Fig7Result]{"fig7a", "pure-MCTS makespan vs search budget", (*Fig7Result).MakespanTable},
 		view[*Fig7Result]{"fig7b", "fraction of jobs where MCTS beats Tetris vs budget", (*Fig7Result).WinRateTable}),
-	newCell(false, (*Suite).Table1,
+	newCell((*Suite).Table1,
 		view[*Table1Result]{"table1", "MCTS runtime vs graph size and budget", (*Table1Result).String}),
-	newCell(true, (*Suite).Fig8a,
+	newCell((*Suite).Fig8a,
 		view[*comparison]{"fig8a", "Spear with 10% budget vs pure MCTS and baselines", fig8aTable}),
-	newCell(true, (*Suite).Fig8b,
+	newCell((*Suite).Fig8b,
 		view[*Fig8bResult]{"fig8b", "DRL learning curve vs Tetris/SJF reference", (*Fig8bResult).String}),
-	newCell(false, (*Suite).Fig9Trace,
+	newCell((*Suite).Fig9Trace,
 		view[*TraceResult]{"fig9a", "trace task-count distributions", (*TraceResult).CountTable},
 		view[*TraceResult]{"fig9b", "trace runtime distributions", (*TraceResult).RuntimeTable}),
-	newCell(true, (*Suite).Fig9c,
+	newCell((*Suite).Fig9c,
 		view[*Fig9cResult]{"fig9c", "trace-driven makespan reduction of Spear over Graphene", (*Fig9cResult).String}),
-	newCell(true, (*Suite).Ablation,
+	newCell((*Suite).Ablation,
 		view[*comparison]{"ablation", "design-choice isolation: DRL expand/rollout, budget decay, rollouts per expansion", ablationTable}),
-	newCell(true, (*Suite).Gap,
+	newCell((*Suite).Gap,
 		view[*GapResult]{"gap", "optimality gap vs exact branch-and-bound on small jobs", (*GapResult).String}),
 }
 

@@ -69,7 +69,7 @@ var mutationRows = []mutationRow{
 	{name: "errflow/dropped-close", file: "cmd/spear-sim/main.go",
 		after: "func writeSVGFile(", old: "return f.Close()", new: "f.Close(); return nil"},
 	{name: "errflow/unchecked-path", file: "internal/experiments/run.go",
-		after: "func exportCSV(", old: "if err != nil {", new: "if f == nil {",
+		after: "f, cerr := opt.CSV(name)", old: "if cerr != nil {", new: "if f == nil {",
 		shift: -2}, // reported at the write-and-close assignment the else path drops
 	// A generator excluded by its build constraint is not part of the
 	// package: the go command leaves it out, so its second main is no error.
@@ -154,8 +154,9 @@ func edit(t *testing.T, path, src string) {
 	})
 }
 
-// copyModuleSources copies go.mod and every non-test .go file and assembly
-// (.s) file outside testdata and hidden directories from root to dst.
+// copyModuleSources copies go.mod, every non-test .go file and assembly
+// (.s) file, and the embedded policy.gob, outside testdata and hidden
+// directories, from root to dst.
 func copyModuleSources(t *testing.T, root, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -170,7 +171,7 @@ func copyModuleSources(t *testing.T, root, dst string) {
 			return nil
 		}
 		source := strings.HasSuffix(name, ".s") || strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-		if name != "go.mod" && !source {
+		if name != "go.mod" && name != "policy.gob" && !source {
 			return nil
 		}
 		rel, err := filepath.Rel(root, p)

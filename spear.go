@@ -17,7 +17,7 @@
 //	b.AddDep(fetch, parse)
 //	job, err := b.Build()
 //	// ...
-//	net, _, _, err := spear.TrainModel(spear.ModelConfig{}, nil)
+//	net, err := models.Load("") // the checked-in policy, package spear/models
 //	// ...
 //	scheduler, err := spear.NewSpear(net, spear.DefaultFeatures(), spear.SpearConfig{})
 //	// ...
