@@ -9,16 +9,29 @@ import (
 // The backward pass runs in two phases over a Tape of rows. Phase 1
 // (Backprop) turns each row's logit gradient into the deltas of every layer;
 // rows do not interact, so tapes can run it in parallel. Phase 2 (SumBlock)
-// sums delta times activation into the weight gradients, one block of output
-// units at a time; blocks do not interact either, so they can run in
+// sums delta times activation into the weight gradients, one block of
+// parameters at a time; blocks do not interact either, so they can run in
 // parallel too, each walking the tapes in order. Every weight's gradient is
 // what one Grads per tape, summed row after row from +0 and added to the
 // batch tape after tape, would hold, bit for bit. BackwardBatchInto is the
 // one-tape case.
 
-// gradBlockWeights is about how many weights one phase-2 block holds: 32 KB
-// of partial sums, which stay in L1 while the tapes stream past.
+// gradBlockWeights is about how many weights one phase-2 block of the pure-Go
+// kernel holds: 32 KB of partial sums, which stay in L1 while the tapes
+// stream past.
 const gradBlockWeights = 4096
+
+// vectorBlockWeights is the vector kernel's gradBlockWeights: 48 KB of sums,
+// so that the paper's 147 inputs take one block of 32 units. Split in two,
+// they would cost every row a second call and a search of its non-zeros.
+const vectorBlockWeights = 6144
+
+// vectorMinRows is how many busy rows BackwardBatchInto needs before it takes
+// the vector kernel's phase 2: moving g's sums into that kernel's layout and
+// back costs about what eight rows save (≈ 42 µs against ≈ 4.8 µs a row on
+// the paper's network), and a supervised batch of mostly forced decisions
+// has fewer.
+const vectorMinRows = 8
 
 // Tape holds the rows of one backward pass between its two phases: a
 // trajectory's gradient-carrying steps, or a minibatch. It refers to its rows'
@@ -36,6 +49,8 @@ type Tape struct {
 	nnz    []int32     // their count per row, -1 for a row that takes the dense loop
 	live   []int32     // Backprop's list of the units with a non-zero delta in a row
 	busy   []int32     // the rows with a non-zero logit gradient, in order
+	seen   []bool      // seen[i]: input i is non-zero in some busy row
+	inputs []int32     // the inputs seen, in order, as of the last Backprop
 
 	rows int // rows pushed
 	done int // rows Backprop has run over
@@ -44,7 +59,8 @@ type Tape struct {
 
 // NewTape returns an empty tape for rows of the network's shape.
 func (n *Network) NewTape() *Tape {
-	return &Tape{layers: len(n.weights), width: n.deltaOffset(len(n.weights)), half: n.sizes[0] / 2}
+	return &Tape{layers: len(n.weights), width: n.deltaOffset(len(n.weights)), half: n.sizes[0] / 2,
+		seen: make([]bool, n.sizes[0]), inputs: make([]int32, 0, n.sizes[0])}
 }
 
 // deltaOffset is where layer l's deltas start in a tape row.
@@ -57,7 +73,10 @@ func (n *Network) deltaOffset(l int) int {
 }
 
 // Reset empties the tape, keeping its storage.
-func (t *Tape) Reset() { t.rows, t.done, t.n, t.busy = 0, 0, 0, t.busy[:0] }
+func (t *Tape) Reset() {
+	t.rows, t.done, t.n, t.busy, t.inputs = 0, 0, 0, t.busy[:0], t.inputs[:0]
+	clear(t.seen)
+}
 
 // AddSamples counts k samples that carry no gradient, as Grads.AddSamples
 // does: they still belong to the batch that Apply averages over.
@@ -96,7 +115,7 @@ func errTapeShape() error {
 // taken at; the tape refers to it until Reset. PushRow returns the row's
 // logit gradient, OutputSize values the caller fills before Backprop.
 func (n *Network) PushRow(t *Tape, state []float64) ([]float64, error) {
-	if t.layers != len(n.weights) || t.width != n.deltaOffset(len(n.weights)) || t.half != n.sizes[0]/2 {
+	if t.layers != len(n.weights) || t.width != n.deltaOffset(len(n.weights)) || len(t.seen) != n.sizes[0] {
 		return nil, errTapeShape()
 	}
 	if want := n.RowStateSize(); len(state) != want {
@@ -129,6 +148,12 @@ func (n *Network) Backprop(t *Tape) {
 		}
 	}
 	t.done = t.rows
+	t.inputs = t.inputs[:0]
+	for i, seen := range t.seen {
+		if seen {
+			t.inputs = append(t.inputs, int32(i))
+		}
+	}
 }
 
 // backpropRow runs phase 1 over row r and reports whether its logit gradient
@@ -138,7 +163,19 @@ func (n *Network) backpropRow(t *Tape, r int) bool {
 	if len(nonZeros(row[n.deltaOffset(t.layers-1):], t.live)) == 0 {
 		return false
 	}
-	t.nnz[r] = int32(gatherNonZero(acts[0], t.nz[r*t.half:(r+1)*t.half]))
+	k := gatherNonZero(acts[0], t.nz[r*t.half:(r+1)*t.half])
+	t.nnz[r] = int32(k)
+	if k >= 0 {
+		for _, i := range t.nz[r*t.half:][:k] {
+			t.seen[i] = true
+		}
+	} else {
+		for i, v := range acts[0] {
+			if v != 0 {
+				t.seen[i] = true
+			}
+		}
+	}
 	for l := t.layers - 1; l > 0; l-- {
 		in, out := n.sizes[l], n.sizes[l+1]
 		below, here := row[n.deltaOffset(l-1):][:in], row[n.deltaOffset(l):][:out]
@@ -148,7 +185,19 @@ func (n *Network) backpropRow(t *Tape, r int) bool {
 		if len(live) == 0 {
 			continue
 		}
-		w := n.weights[l]
+		w, act := n.weights[l], acts[l]
+		if useAVX2 {
+			deltaRows(below, here, w, live, act)
+			// The inputs past the last group of four, in the same order.
+			for i := len(below) &^ 3; i < len(below); i++ {
+				var v float64
+				for _, j := range live {
+					v += float64(here[j] * w[int(j)*in+i])
+				}
+				below[i] = reluDelta(v, act[i])
+			}
+			continue
+		}
 		k := 0
 		for ; k+4 <= len(live); k += 4 {
 			j0, j1, j2, j3 := int(live[k]), int(live[k+1]), int(live[k+2]), int(live[k+3])
@@ -158,33 +207,42 @@ func (n *Network) backpropRow(t *Tape, r int) bool {
 		for _, j := range live[k:] {
 			axpy(below, here[j], w[int(j)*in:(int(j)+1)*in], nil)
 		}
-		// ReLU derivative, by the bit select of the forward kernel: whether a
-		// unit fired is as much a coin flip here as there.
-		for i, a := range acts[l] {
-			b := math.Float64bits(below[i])
-			if a <= 0 {
-				b = 0
-			}
-			below[i] = math.Float64frombits(b)
+		for i, a := range act {
+			below[i] = reluDelta(below[i], a)
 		}
 	}
 	return true
+}
+
+// reluDelta is the ReLU derivative applied to a delta v of a unit whose
+// activation is a: v where the unit fired, +0 where it did not. It selects on
+// the bits, as the forward kernel does: whether a unit fired is as much a
+// coin flip here as there.
+func reluDelta(v, a float64) float64 {
+	b := math.Float64bits(v)
+	if a <= 0 {
+		b = 0
+	}
+	return math.Float64frombits(b)
 }
 
 // nonZeros writes the indices of d's non-zero entries to buf, which holds
 // len(d) of them, and returns them. Every index is written and only a
 // non-zero's kept, by a conditional move: whether a unit fired is a coin
 // flip to the branch predictor. Inlined, the loop keeps its count on the
-// stack.
+// stack. The vector kernel takes four values a step (nonZeros4).
 //
 //go:noinline
 func nonZeros(d []float64, buf []int32) []int32 {
 	buf = buf[:len(d)]
-	k := 0
-	for j, v := range d {
+	k, j0 := 0, 0
+	if useAVX2 {
+		k, j0 = nonZeros4(d, buf), len(d)&^3
+	}
+	for j := j0; j < len(d); j++ {
 		buf[k] = int32(j)
 		next := k + 1
-		if v == 0 {
+		if d[j] == 0 {
 			next = k
 		}
 		k = next
@@ -299,32 +357,50 @@ func (n *Network) sumRows(t *Tape, l, j0, j1 int, dw, db []float64, live []int32
 	}
 }
 
-// blockUnits is how many output units of a layer with in inputs one phase-2
-// block holds: about gradBlockWeights weights, at least one unit.
-func blockUnits(in int) int { return max(1, gradBlockWeights/in) }
+// blockShape returns how many output units and how many inputs of layer l
+// one phase-2 block holds. The pure-Go kernel takes whole weight rows, about
+// gradBlockWeights weights of them and at least one; the vector kernel takes
+// 32 units, eight registers' width of sums per input, over an even share of
+// the inputs that keeps a block within vectorBlockWeights weights.
+func (n *Network) blockShape(l int, vector bool) (units, inputs int) {
+	in := n.sizes[l]
+	if !vector {
+		return min(max(1, gradBlockWeights/in), n.sizes[l+1]), in
+	}
+	parts := (32*in + vectorBlockWeights - 1) / vectorBlockWeights
+	return 32, (in + parts - 1) / parts
+}
 
-// GradBlocks is how many blocks of output units SumBlock splits the
-// network's parameters into.
-func (n *Network) GradBlocks() int {
+// GradBlocks is how many blocks of parameters SumBlock splits the network's
+// into: output units and, on the vector kernel, input ranges of a layer.
+func (n *Network) GradBlocks() int { return n.gradBlocks(useAVX2) }
+
+func (n *Network) gradBlocks(vector bool) int {
 	blocks := 0
 	for l := range n.weights {
-		u := blockUnits(n.sizes[l])
-		blocks += (n.sizes[l+1] + u - 1) / u
+		units, inputs := n.blockShape(l, vector)
+		blocks += ceilDiv(n.sizes[l+1], units) * ceilDiv(n.sizes[l], inputs)
 	}
 	return blocks
 }
 
-// block returns the layer and the output units [j0, j1) of block b.
-func (n *Network) block(b int) (l, j0, j1 int) {
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// block returns the layer of block b of the kernel's blocks, its output
+// units [j0, j1) and the inputs [i0, i1) whose weights it holds.
+func (n *Network) block(b int, vector bool) (l, j0, j1, i0, i1 int) {
 	for l := range n.weights {
-		u, out := blockUnits(n.sizes[l]), n.sizes[l+1]
-		if k := (out + u - 1) / u; b >= k {
+		units, inputs := n.blockShape(l, vector)
+		in, out := n.sizes[l], n.sizes[l+1]
+		ranges := ceilDiv(in, inputs)
+		if k := ceilDiv(out, units) * ranges; b >= k {
 			b -= k
 			continue
 		}
-		return l, b * u, min((b+1)*u, out)
+		u, r := b/ranges, b%ranges
+		return l, u * units, min((u+1)*units, out), r * inputs, min((r+1)*inputs, in)
 	}
-	panic(fmt.Sprintf("nn: block %d of %d", b, n.GradBlocks()))
+	panic(fmt.Sprintf("nn: block %d of %d", b, n.gradBlocks(vector)))
 }
 
 // SumBlock is phase 2 for block b of the parameters. It walks the tapes in
@@ -338,7 +414,32 @@ func (n *Network) block(b int) (l, j0, j1 int) {
 // the tapes. Every tape must have been through Backprop. SumBlock counts no
 // samples: add each tape's Samples to g once.
 func (n *Network) SumBlock(s *Scratch, g *Grads, tapes []*Tape, b int) {
-	l, j0, j1 := n.block(b)
+	l, j0, j1, i0, i1 := n.block(b, useAVX2)
+	for _, t := range tapes {
+		if t.done != t.rows {
+			panic("nn: SumBlock on a tape with rows Backprop has not run over")
+		}
+	}
+	if useAVX2 {
+		acc, part, idx := n.vectorSums(s, i1-i0)
+		n.loadBlock(acc, g, l, j0, j1, i0, i1)
+		in, bias := n.sizes[l], (i1-i0)*32
+		for _, t := range tapes {
+			switch {
+			case !n.sumRows32(t, l, j0, j1, i0, i1, part, idx):
+			case l == 0:
+				// The network's input is sparse: a tape's rows touch only some
+				// inputs' sums (54 of 147 on a 25-task job), and only those
+				// are added; the others are still +0.
+				addClearRows(acc, part, within(t.inputs, i0, i1, in), i0)
+				addClear(acc[bias:], part[bias:])
+			default:
+				addClear(acc, part)
+			}
+		}
+		n.storeBlock(acc, g, l, j0, j1, i0, i1)
+		return
+	}
 	in, units := n.sizes[l], j1-j0
 	if len(s.live) < units || len(s.partW) < units*in {
 		n.growPartial(s)
@@ -346,9 +447,6 @@ func (n *Network) SumBlock(s *Scratch, g *Grads, tapes []*Tape, b int) {
 	pw, pb, live, touched := s.partW[:units*in], s.partB[:units], s.live[:units], s.touched[:units]
 	gw, gb := g.w[l][j0*in:j1*in], g.b[l][j0:j1]
 	for _, t := range tapes {
-		if t.done != t.rows {
-			panic("nn: SumBlock on a tape with rows Backprop has not run over")
-		}
 		n.sumRows(t, l, j0, j1, pw, pb, live, touched)
 		for u, hit := range touched {
 			if !hit {
@@ -366,15 +464,127 @@ func (n *Network) SumBlock(s *Scratch, g *Grads, tapes []*Tape, b int) {
 	}
 }
 
-// growPartial sizes s's partial sums for the network's largest block.
+// growPartial sizes s's partial sums for the network's largest block on the
+// pure-Go kernel.
 func (n *Network) growPartial(s *Scratch) {
 	weights, units := 0, 0
 	for l := range n.weights {
-		u := min(blockUnits(n.sizes[l]), n.sizes[l+1])
+		u, _ := n.blockShape(l, false)
 		weights, units = max(weights, u*n.sizes[l]), max(units, u)
 	}
 	s.partW, s.partB = make([]float64, weights), make([]float64, units)
 	s.live, s.touched = make([]int32, units), make([]bool, units)
+}
+
+// vectorSums returns the vector kernel's buffers for a block of inputs
+// inputs: acc and part hold 32 sums per input and 32 biases after them, acc
+// those of g and part a tape's, which is +0 between uses; idx holds an index
+// per input. They are grown, for the network's largest block, on first use.
+func (n *Network) vectorSums(s *Scratch, inputs int) (acc, part []float64, idx []int32) {
+	if len(s.idx) < inputs {
+		size := 0
+		for l := range n.weights {
+			_, in := n.blockShape(l, true)
+			size = max(size, in)
+		}
+		s.acc, s.part, s.idx = make([]float64, 32*(size+1)), make([]float64, 32*(size+1)), make([]int32, size)
+	}
+	return s.acc[:32*(inputs+1)], s.part[:32*(inputs+1)], s.idx[:inputs]
+}
+
+// loadBlock copies g's sums of a block into acc, input major in rows of 32
+// units with the biases after them (the block with the first inputs holds its
+// units' biases), and storeBlock copies them back: whole 4x4 tiles through
+// transpose4, the rest one value at a time. A block of fewer than 32 units
+// leaves the rest of each row alone: its lanes are never stored.
+func (n *Network) loadBlock(acc []float64, g *Grads, l, j0, j1, i0, i1 int) {
+	in, units, inputs := n.sizes[l], j1-j0, i1-i0
+	w, units4, inputs4 := g.w[l][j0*in+i0:], units&^3, inputs&^3
+	transpose4(acc, 32, w, in, units4, inputs4)
+	for k := range units {
+		for i := tileEnd(k, units4, inputs4); i < inputs; i++ {
+			acc[i*32+k] = w[k*in+i]
+		}
+		if i0 == 0 {
+			acc[inputs*32+k] = g.b[l][j0+k]
+		}
+	}
+}
+
+func (n *Network) storeBlock(acc []float64, g *Grads, l, j0, j1, i0, i1 int) {
+	in, units, inputs := n.sizes[l], j1-j0, i1-i0
+	w, units4, inputs4 := g.w[l][j0*in+i0:], units&^3, inputs&^3
+	transpose4(w, in, acc, 32, inputs4, units4)
+	for k := range units {
+		for i := tileEnd(k, units4, inputs4); i < inputs; i++ {
+			w[k*in+i] = acc[i*32+k]
+		}
+		if i0 == 0 {
+			g.b[l][j0+k] = acc[inputs*32+k]
+		}
+	}
+}
+
+// tileEnd is where unit k's inputs past transpose4's tiles begin.
+func tileEnd(k, units4, inputs4 int) int {
+	if k < units4 {
+		return inputs4
+	}
+	return 0
+}
+
+// within returns the indices of idx, ascending, that lie in [i0, i1), where
+// every index is below in.
+func within(idx []int32, i0, i1, in int) []int32 {
+	if i0 > 0 {
+		lo, _ := slices.BinarySearch(idx, int32(i0))
+		idx = idx[lo:]
+	}
+	if i1 < in {
+		hi, _ := slices.BinarySearch(idx, int32(i1))
+		idx = idx[:hi]
+	}
+	return idx
+}
+
+// sumRows32 is sumRows on the vector kernel: it adds the terms of t's busy
+// rows, in order, to the sums of layer l's units [j0, j1) and inputs [i0, i1)
+// in p, laid out as loadBlock lays them out, through outer32. A row visits
+// the inputs of the block's range that are non-zero (gathered in phase 1 on
+// layer 0, every input of a row over half non-zero), as sumRows does on
+// layer 0: skipping a zero input is what sumRows' caveat allows. A unit with
+// a zero delta in a row adds a signed zero where sumRows adds nothing, which
+// keeps every bit by the same caveat. It reports whether some row had a
+// non-zero delta in the block.
+func (n *Network) sumRows32(t *Tape, l, j0, j1, i0, i1 int, p []float64, buf []int32) bool {
+	in, off, units := n.sizes[l], n.deltaOffset(l)+j0, j1-j0
+	var bias *[32]float64
+	if i0 == 0 {
+		bias = (*[32]float64)(p[(i1-i0)*32:])
+	}
+	var pad [32]float64 // a block of fewer than 32 units: its deltas, zero-padded
+	hit := false
+	for _, r := range t.busy {
+		d := &pad
+		if row := t.deltas[int(r)*t.width+off:]; units == 32 {
+			d = (*[32]float64)(row)
+		} else {
+			copy(pad[:units], row)
+		}
+		x, base, idx := t.acts[int(r)*t.layers+l], i0, n.dense[i0:i1]
+		switch k := t.nnz[r]; {
+		case l > 0:
+			// A hidden input is a ReLU output, about half of them +0.
+			x, base = x[i0:i1], 0
+			idx = nonZeros(x, buf)
+		case k >= 0:
+			idx = within(t.nz[int(r)*t.half:][:k], i0, i1, in)
+		}
+		if outer32(p, d, x, idx, base, bias) {
+			hit = true
+		}
+	}
+	return hit
 }
 
 // BackwardBatchInto accumulates gradients for a whole batch given dLogits,
@@ -414,8 +624,17 @@ func (n *Network) BackwardBatchInto(s *Scratch, dLogits []float64, rows int, g *
 	n.Backprop(t)
 	// Block by block, as SumBlock goes, so that the gradient rows a row's
 	// terms go to stay in L1; phase 1 is over, so its unit list is free.
-	for b := range n.GradBlocks() {
-		l, j0, j1 := n.block(b)
+	vector := useAVX2 && len(t.busy) >= vectorMinRows
+	for b := range n.gradBlocks(vector) {
+		l, j0, j1, i0, i1 := n.block(b, vector)
+		if vector {
+			acc, _, idx := n.vectorSums(s, i1-i0)
+			n.loadBlock(acc, g, l, j0, j1, i0, i1)
+			if n.sumRows32(t, l, j0, j1, i0, i1, acc, idx) {
+				n.storeBlock(acc, g, l, j0, j1, i0, i1)
+			}
+			continue
+		}
 		in := n.sizes[l]
 		n.sumRows(t, l, j0, j1, g.w[l][j0*in:j1*in], g.b[l][j0:j1], t.live, nil)
 	}

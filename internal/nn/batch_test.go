@@ -261,54 +261,99 @@ func TestProbsBatchIntoMatchesProbsInto(t *testing.T) {
 	}
 }
 
+// backwardShapes are the networks the backward equivalence tests run on: the
+// paper's, and layer widths of 1, 3, 4, 5, 31, 32, 33 and 65, inputs
+// included, which cover every remainder of the vector kernels' four lanes
+// and both sides of one and two 32-unit blocks. 200 inputs take two vector
+// blocks of inputs.
+var backwardShapes = [][]int{
+	{147, 256, 32, 32, 16},
+	{7, 12, 9, 5},
+	{1, 3, 4, 5},
+	{5, 31, 32, 33},
+	{33, 65, 1},
+	{65, 5, 31, 3},
+	{200, 33, 4},
+	{1, 1}, {2, 3, 3},
+}
+
+// forEachKernel runs f as a subtest under each kernel this build runs here.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, kernel := range kernelNames() {
+		t.Run(kernel, func(t *testing.T) { withKernel(kernel, func() { f(t) }) })
+	}
+}
+
+// plantDeadUnits gives every hidden layer of n random biases and one unit
+// with no weights and a zero bias, whose pre-activation is exactly 0: it
+// must pass nothing back.
+func plantDeadUnits(rng *rand.Rand, n *Network) {
+	setParams(n, func(weights, biases [][]float64) {
+		for l := range weights[:len(weights)-1] {
+			in := n.sizes[l]
+			for j := range biases[l] {
+				biases[l][j] = rng.NormFloat64() / 4
+			}
+			dead := rng.Intn(n.sizes[l+1])
+			biases[l][dead] = 0
+			for i := 0; i < in; i++ {
+				weights[l][dead*in+i] = 0
+			}
+		}
+	})
+}
+
+// TestBackwardBatchIntoMatchesSequential requires a batched backward pass to
+// give the gradients, bit for bit, of one-row passes over the same rows in
+// order, on each kernel and every backwardShapes network.
 func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
-	n := newNet(t, 5, 9, 7, 3)
-	batchScratch := n.NewScratch()
-	rowScratch := n.NewScratch()
-	rng := rand.New(rand.NewSource(35))
-	const rows = 9
-	x, masks := randomBatch(rng, rows, 5, 3)
-
-	// Sequential reference: one-row forward + backward per row, rows in
-	// order. Gradient correctness itself is TestBackwardGradientCheck's job.
-	want := n.NewGrads()
-	d := make([]float64, rows*3)
-	for r := 0; r < rows; r++ {
-		probs, err := n.ProbsInto(rowScratch, x[r*5:(r+1)*5], masks[r*3:(r+1)*3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range probs {
-			d[r*3+j] = probs[j]
-		}
-		d[r*3] -= 1 // pretend action 0 was taken
-		if err := n.BackwardBatchInto(rowScratch, d[r*3:(r+1)*3], 1, want); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got := n.NewGrads()
-	if _, err := n.ProbsBatchInto(batchScratch, x, rows, masks); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.BackwardBatchInto(batchScratch, d, rows, got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Samples() != want.Samples() {
-		t.Fatalf("samples: batch %d, sequential %d", got.Samples(), want.Samples())
-	}
-	for l := range want.w {
-		for i := range want.w[l] {
-			if got.w[l][i] != want.w[l][i] {
-				t.Fatalf("layer %d weight %d: batch %g, sequential %g", l, i, got.w[l][i], want.w[l][i])
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(35))
+		for _, sizes := range backwardShapes {
+			n := newNet(t, sizes...)
+			plantDeadUnits(rng, n)
+			in, out := n.InputSize(), n.OutputSize()
+			batchScratch := n.NewScratch()
+			rowScratch := n.NewScratch()
+			const rows = 9
+			x, masks := randomBatch(rng, rows, in, out)
+			if out == 1 {
+				masks = nil // one action, never masked
 			}
-		}
-		for i := range want.b[l] {
-			if got.b[l][i] != want.b[l][i] {
-				t.Fatalf("layer %d bias %d: batch %g, sequential %g", l, i, got.b[l][i], want.b[l][i])
+
+			// Sequential reference: one-row forward + backward per row, rows in
+			// order. Gradient correctness itself is TestBackwardGradientCheck's job.
+			want := n.NewGrads()
+			d := make([]float64, rows*out)
+			for r := 0; r < rows; r++ {
+				var mask []bool
+				if masks != nil {
+					mask = masks[r*out : (r+1)*out]
+				}
+				probs, err := n.ProbsInto(rowScratch, x[r*in:(r+1)*in], mask)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(d[r*out:], probs)
+				d[r*out] -= 1 // pretend action 0 was taken
+				if err := n.BackwardBatchInto(rowScratch, d[r*out:(r+1)*out], 1, want); err != nil {
+					t.Fatal(err)
+				}
 			}
+
+			got := n.NewGrads()
+			if _, err := n.ProbsBatchInto(batchScratch, x, rows, masks); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.BackwardBatchInto(batchScratch, d, rows, got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Samples() != want.Samples() {
+				t.Fatalf("%v samples: batch %d, sequential %d", sizes, got.Samples(), want.Samples())
+			}
+			sameGradBits(t, fmt.Sprint(sizes, " batch against sequential"), got, want.w, want.b)
 		}
-	}
+	})
 }
 
 // sameGradBits reports the first parameter at which g differs, bit for bit,
@@ -329,105 +374,105 @@ func sameGradBits(t *testing.T, what string, g *Grads, w, b [][]float64) {
 	}
 }
 
-// TestBackwardBatchIntoMatchesNaive compares the gradients of the kernel with
-// the naive oracle's, bit for bit, on batches mixing input rows of every kind
+// TestBackwardBatchIntoMatchesNaive compares the gradients of each kernel with
+// the naive oracle's, bit for bit, on every backwardShapes network, on
+// batches mixing input rows of every kind
 // (all zeros, gathered, over half non-zero, holding -0) with logit gradients
 // holding exact zeros, on networks in which some hidden units have no weights,
 // so that their pre-activation is exactly 0 and they must pass nothing back.
 // Two batches go into the same Grads: the second adds to sums that are no
 // longer zero.
 func TestBackwardBatchIntoMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	for _, sizes := range [][]int{{7, 12, 9, 5}, {147, 256, 32, 32, 16}, {1, 1}, {2, 3, 3}} {
-		n := newNet(t, sizes...)
-		setParams(n, func(weights, biases [][]float64) {
-			for l := range weights[:len(weights)-1] {
-				in := n.sizes[l]
-				for j := range biases[l] {
-					biases[l][j] = rng.NormFloat64() / 4
-				}
-				dead := rng.Intn(n.sizes[l+1])
-				biases[l][dead] = 0
-				for i := 0; i < in; i++ {
-					weights[l][dead*in+i] = 0
-				}
-			}
-		})
-		in, out := n.InputSize(), n.OutputSize()
-		s := n.NewScratch()
-		g := n.NewGrads()
-		w, b := n.NewGrads().w, n.NewGrads().b
-		for _, rows := range []int{2*len(rowKinds) + 1, 3} {
-			x := make([]float64, rows*in)
-			d := make([]float64, rows*out)
-			for r := 0; r < rows; r++ {
-				rowKinds[r%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
-				for j := 0; j < out; j++ {
-					if rng.Intn(4) != 0 {
-						d[r*out+j] = rng.NormFloat64()
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(36))
+		for _, sizes := range backwardShapes {
+			n := newNet(t, sizes...)
+			plantDeadUnits(rng, n)
+			in, out := n.InputSize(), n.OutputSize()
+			s := n.NewScratch()
+			g := n.NewGrads()
+			w, b := n.NewGrads().w, n.NewGrads().b
+			for _, rows := range []int{2*len(rowKinds) + 1, 3} {
+				x := make([]float64, rows*in)
+				d := make([]float64, rows*out)
+				for r := 0; r < rows; r++ {
+					rowKinds[r%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
+					for j := 0; j < out; j++ {
+						if rng.Intn(4) != 0 {
+							d[r*out+j] = rng.NormFloat64()
+						}
 					}
+					naiveBackward(n, x[r*in:(r+1)*in], d[r*out:(r+1)*out], w, b)
 				}
-				naiveBackward(n, x[r*in:(r+1)*in], d[r*out:(r+1)*out], w, b)
+				if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
+					t.Fatal(err)
+				}
+				sameGradBits(t, fmt.Sprint(sizes, " rows=", rows), g, w, b)
 			}
-			if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
-				t.Fatal(err)
-			}
-			if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
-				t.Fatal(err)
-			}
-			sameGradBits(t, fmt.Sprint(sizes, " rows=", rows), g, w, b)
 		}
-	}
+	})
 }
 
 // TestSavedRowStandsInForForward saves every row of a forward pass and pushes
 // the saved rows onto a tape: the two phases over it must give the gradients,
-// bit for bit, of the backward pass that follows the forward directly.
+// bit for bit, of the backward pass that follows the forward directly, on
+// each kernel and every backwardShapes network.
 func TestSavedRowStandsInForForward(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		for _, sizes := range backwardShapes {
+			n := newNet(t, sizes...)
+			plantDeadUnits(rng, n)
+			const rows = 35
+			in, out := n.InputSize(), n.OutputSize()
+			x := make([]float64, rows*in)
+			d := make([]float64, rows*out)
+			for r := 0; r < rows; r++ {
+				rowKinds[r%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
+			}
+			for i := range d {
+				d[i] = rng.NormFloat64()
+			}
+			s := n.NewScratch()
+			if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
+				t.Fatal(err)
+			}
+			saved := make([]float64, rows*n.RowStateSize())
+			tape := n.NewTape()
+			for r := 0; r < rows; r++ {
+				state := saved[r*n.RowStateSize() : (r+1)*n.RowStateSize()]
+				n.SaveRow(s, r, state)
+				dl, err := n.PushRow(tape, state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(dl, d[r*out:(r+1)*out])
+				if r == 8 {
+					n.Backprop(tape) // a later call picks up where this one stopped
+				}
+			}
+			n.Backprop(tape)
+			want, got := n.NewGrads(), n.NewGrads()
+			if err := n.BackwardBatchInto(s, d, rows, want); err != nil {
+				t.Fatal(err)
+			}
+			sumAllBlocks(n, got, tape)
+			sameGradBits(t, fmt.Sprint(sizes, " saved rows"), got, want.w, want.b)
+			if got.Samples() != want.Samples() {
+				t.Errorf("%v samples: %d from saved rows, %d from forwarded ones", sizes, got.Samples(), want.Samples())
+			}
+		}
+	})
 	n := newNet(t, 147, 256, 32, 32, 16)
-	rng := rand.New(rand.NewSource(37))
-	const rows = 35
-	in, out := n.InputSize(), n.OutputSize()
-	x := make([]float64, rows*in)
-	d := make([]float64, rows*out)
-	for r := 0; r < rows; r++ {
-		rowKinds[r%len(rowKinds)].fill(rng, x[r*in:(r+1)*in])
-	}
-	for i := range d {
-		d[i] = rng.NormFloat64()
-	}
-	s := n.NewScratch()
-	if _, err := n.ForwardBatchInto(s, x, rows); err != nil {
-		t.Fatal(err)
-	}
-	saved := make([]float64, rows*n.RowStateSize())
 	tape := n.NewTape()
-	for r := 0; r < rows; r++ {
-		state := saved[r*n.RowStateSize() : (r+1)*n.RowStateSize()]
-		n.SaveRow(s, r, state)
-		dl, err := n.PushRow(tape, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(dl, d[r*out:(r+1)*out])
-		if r == 8 {
-			n.Backprop(tape) // a later call picks up where this one stopped
-		}
-	}
-	n.Backprop(tape)
-	want, got := n.NewGrads(), n.NewGrads()
-	if err := n.BackwardBatchInto(s, d, rows, want); err != nil {
-		t.Fatal(err)
-	}
-	sumAllBlocks(n, got, tape)
-	sameGradBits(t, "saved rows", got, want.w, want.b)
-	if got.Samples() != want.Samples() {
-		t.Errorf("samples: %d from saved rows, %d from forwarded ones", got.Samples(), want.Samples())
-	}
-	if _, err := n.PushRow(tape, saved[1:n.RowStateSize()]); !errors.Is(err, ErrBadInput) {
+	state := make([]float64, n.RowStateSize())
+	if _, err := n.PushRow(tape, state[1:]); !errors.Is(err, ErrBadInput) {
 		t.Errorf("pushing a short row state: got %v, want ErrBadInput", err)
 	}
-	if _, err := newNet(t, 147, 16).PushRow(tape, saved[:147]); !errors.Is(err, ErrBadShape) {
+	if _, err := newNet(t, 147, 16).PushRow(tape, state[:147]); !errors.Is(err, ErrBadShape) {
 		t.Errorf("pushing onto another shape's tape: got %v, want ErrBadShape", err)
 	}
 }
@@ -444,18 +489,23 @@ func sumAllBlocks(n *Network, g *Grads, tapes ...*Tape) {
 	}
 }
 
-// TestSumBlockMatchesPerTapeGrads is phase 2's oracle: one Grads per tape,
-// filled by BackwardBatchInto, then added into the batch tape after tape.
-// Shapes cover a layer wider than one block and not a multiple of it (147
-// inputs: 13 units a block), a layer whose inputs alone exceed a block's
-// weights, and single units. Tapes hold rows of every input kind and logit
+// TestSumBlockMatchesPerTapeGrads is phase 2's oracle, on each kernel: one
+// Grads per tape, filled by BackwardBatchInto, then added into the batch tape
+// after tape. Shapes are backwardShapes, with dead units, and one whose
+// inputs alone exceed a block's weights (one unit a pure-Go block, 43 input
+// ranges of the vector kernel). Tapes hold rows of every input kind and logit
 // gradients with exact zeros, every third row all zeros of either sign; one
-// tape is empty, and the second round adds to sums that are no longer zero. Blocks run in a random order, as
-// goroutines would finish them.
+// tape is empty, and the second round adds to sums that are no longer zero.
+// Blocks run in a random order, as goroutines would finish them.
 func TestSumBlockMatchesPerTapeGrads(t *testing.T) {
+	forEachKernel(t, testSumBlockMatchesPerTapeGrads)
+}
+
+func testSumBlockMatchesPerTapeGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
-	for _, sizes := range [][]int{{7, 12, 9, 5}, {147, 256, 32, 32, 16}, {2*gradBlockWeights + 3, 3, 2}, {1, 1}} {
+	for _, sizes := range append([][]int{{2*gradBlockWeights + 3, 3, 2}}, backwardShapes...) {
 		n := newNet(t, sizes...)
+		plantDeadUnits(rng, n)
 		in, out := n.InputSize(), n.OutputSize()
 		got := n.NewGrads()
 		w, b := n.NewGrads().w, n.NewGrads().b
@@ -553,10 +603,15 @@ func TestBatchErrors(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAllocs gates the batched-inference fast path: after the first
-// call sizes the batch buffers, forward, softmax and backward passes over a
-// batch must not touch the heap.
+// TestBatchZeroAllocs gates the batched-inference fast path on each kernel:
+// after the first call sizes the batch buffers, forward, softmax and backward
+// passes over a batch, and the two backward phases over a reused tape, must
+// not touch the heap.
 func TestBatchZeroAllocs(t *testing.T) {
+	forEachKernel(t, testBatchZeroAllocs)
+}
+
+func testBatchZeroAllocs(t *testing.T) {
 	n := newNet(t, 10, 16, 8, 4)
 	s := n.NewScratch()
 	g := n.NewGrads()
@@ -564,7 +619,9 @@ func TestBatchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	x, masks := randomBatch(rng, rows, 10, 4)
 	d := make([]float64, rows*4)
-	d[0] = 1
+	for r := 0; r < rows; r++ {
+		d[r*4+r%4] = 1 // every row busy: enough for the vector kernel's phase 2
+	}
 	if _, err := n.ProbsBatchInto(s, x, rows, masks); err != nil {
 		t.Fatal(err)
 	}
@@ -591,6 +648,29 @@ func TestBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("BackwardBatchInto allocates %.1f times per run, want 0", allocs)
+	}
+	states := make([]float64, rows*n.RowStateSize())
+	for r := 0; r < rows; r++ {
+		n.SaveRow(s, r, states[r*n.RowStateSize():(r+1)*n.RowStateSize()])
+	}
+	tape := n.NewTape()
+	tapes := []*Tape{tape}
+	allocs = testing.AllocsPerRun(100, func() {
+		tape.Reset()
+		for r := 0; r < rows; r++ {
+			dl, err := n.PushRow(tape, states[r*n.RowStateSize():(r+1)*n.RowStateSize()])
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(dl, d[r*4:(r+1)*4])
+		}
+		n.Backprop(tape)
+		for b := range n.GradBlocks() {
+			n.SumBlock(s, g, tapes, b)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PushRow, Backprop and SumBlock allocate %.1f times per run, want 0", allocs)
 	}
 	// Smaller batches reuse the grown buffers without reallocating.
 	allocs = testing.AllocsPerRun(100, func() {

@@ -89,31 +89,36 @@ func BenchmarkForwardBatchInto(b *testing.B) {
 	}
 }
 
-// BenchmarkBackwardBatchInto measures the batched gradient accumulation on a
-// dense input batch and on one as sparse as encoded scheduling states.
+// BenchmarkBackwardBatchInto measures the batched gradient accumulation, both
+// phases, on each kernel, at each input density: the kernel=go rows against
+// the kernel=avx2 rows are the vector kernels' gain.
 func BenchmarkBackwardBatchInto(b *testing.B) {
 	n := paperNet(b)
 	const rows = 16
-	for _, density := range benchDensities {
-		b.Run(density.name, func(b *testing.B) {
-			s := n.NewScratch()
-			if _, err := n.ForwardBatchInto(s, benchInput(n, rows, density.value), rows); err != nil {
-				b.Fatal(err)
-			}
-			r := rand.New(rand.NewSource(3))
-			d := make([]float64, rows*n.OutputSize())
-			for i := range d {
-				d[i] = r.NormFloat64()
-			}
-			g := n.NewGrads()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, kernel := range kernelNames() {
+		for _, density := range benchDensities {
+			b.Run("kernel="+kernel+"/"+density.name, func(b *testing.B) {
+				withKernel(kernel, func() {
+					s := n.NewScratch()
+					if _, err := n.ForwardBatchInto(s, benchInput(n, rows, density.value), rows); err != nil {
+						b.Fatal(err)
+					}
+					r := rand.New(rand.NewSource(3))
+					d := make([]float64, rows*n.OutputSize())
+					for i := range d {
+						d[i] = r.NormFloat64()
+					}
+					g := n.NewGrads()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := n.BackwardBatchInto(s, d, rows, g); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
 	}
 }
 
@@ -131,27 +136,37 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
+// BenchmarkApplyRMSProp measures one RMSProp update of the paper's network on
+// each kernel. Apply has one loop for both, and repacks the vector kernel's
+// weights wherever the CPU has it, so the two rows differ only by noise: they
+// are there to show what a vector Apply would gain.
 func BenchmarkApplyRMSProp(b *testing.B) {
-	n := paperNet(b)
-	x := benchInput(n, 1, 1)
-	s := n.NewScratch()
-	probs, err := n.ProbsInto(s, x, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := append([]float64(nil), probs...)
-	d[3] -= 1
-	g := n.NewGrads()
-	if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
-		b.Fatal(err)
-	}
-	opt := DefaultRMSProp()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.AddSamples(1) // Apply consumed the batch; the update cost does not depend on its values
-		if err := n.Apply(g, opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, kernel := range kernelNames() {
+		b.Run("kernel="+kernel, func(b *testing.B) {
+			withKernel(kernel, func() {
+				n := paperNet(b)
+				x := benchInput(n, 1, 1)
+				s := n.NewScratch()
+				probs, err := n.ProbsInto(s, x, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d := append([]float64(nil), probs...)
+				d[3] -= 1
+				g := n.NewGrads()
+				if err := n.BackwardBatchInto(s, d, 1, g); err != nil {
+					b.Fatal(err)
+				}
+				opt := DefaultRMSProp()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.AddSamples(1) // Apply consumed the batch; the update cost does not depend on its values
+					if err := n.Apply(g, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,6 +165,129 @@ func FuzzForwardBatchEquivalence(f *testing.F) {
 						}
 					}
 				}
+			})
+		}
+	})
+}
+
+// FuzzBackwardBatchEquivalence feeds byte-driven shapes, weights, input rows
+// and logit gradients through both backward phases on each kernel and
+// requires every gradient to be the naive oracle's, bit for bit, so that the
+// vector and pure-Go kernels agree with it and with each other. One to three
+// tapes of one to eight rows each go through SumBlock, its blocks in a
+// shuffled order, into one Grads: per weight, each tape's rows summed from +0
+// and added to the batch tape after tape. BackwardBatchInto over all the
+// rows must give the oracle's straight row-order sums, on either side of the
+// busy-row count at which it takes the vector kernel's phase 2.
+// Input widths run to 256, past the vector kernel's split of a layer's inputs
+// (192), hidden and output widths over every remainder of four and past two
+// 32-unit blocks; each network has a hidden unit with no weights. Inputs hold
+// exact zeros of both signs (bytes 0 and 0x80, and everything past the end
+// of the data), and so do the logit gradients (bytes whose low two bits are
+// zero), so rows land on both sides of the zero-skipping switch and some add
+// nothing at all.
+func FuzzBackwardBatchEquivalence(f *testing.F) {
+	f.Add([]byte{6, 11, 4, 2, 3, 1, 9, 0, 0x80, 40, 3, 0, 0, 250, 17, 5, 8, 12, 16, 0x81, 77})
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{146, 255, 15, 2, 4, 7})
+	f.Add([]byte{199, 32, 32, 1, 2, 3, 0x80, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte{64, 64, 30, 0, 4, 11, 1, 0x80, 0, 5, 0, 0, 0, 200, 100, 50, 25})
+	f.Add([]byte{30, 31, 64, 2, 0, 5, 255, 254, 253, 252, 0, 0x80, 0x80, 9})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		in := int(data[0]) + 1
+		hid := int(data[1]%72) + 1
+		out := int(data[2]%72) + 1
+		tapes := int(data[3]%3) + 1
+		rows := int(data[4]%8) + 1
+		rng := rand.New(rand.NewSource(int64(data[5])))
+		pos := 6
+		next := func() byte {
+			if pos >= len(data) {
+				return 0
+			}
+			v := data[pos]
+			pos++
+			return v
+		}
+
+		net, err := New([]int{in, hid, out}, rng)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		plantDeadUnits(rng, net)
+		x := make([]float64, tapes*rows*in)
+		for i := range x {
+			if b := next(); b == 0x80 {
+				x[i] = math.Copysign(0, -1)
+			} else {
+				x[i] = float64(int8(b)) / 16
+			}
+		}
+		d := make([]float64, tapes*rows*out)
+		for i := range d {
+			switch b := next(); {
+			case b&3 == 0:
+				d[i] = math.Copysign(0, float64(int(b>>7)*-2+1))
+			default:
+				d[i] = float64(int8(b)) / 32
+			}
+		}
+
+		// The oracle: per tape, naive sums from +0, added to the batch tape
+		// after tape; and straight row-order sums over every row.
+		batchW, batchB := net.NewGrads().w, net.NewGrads().b
+		straightW, straightB := net.NewGrads().w, net.NewGrads().b
+		for k := 0; k < tapes; k++ {
+			w, b := net.NewGrads().w, net.NewGrads().b
+			for r := k * rows; r < (k+1)*rows; r++ {
+				naiveBackward(net, x[r*in:(r+1)*in], d[r*out:(r+1)*out], w, b)
+				naiveBackward(net, x[r*in:(r+1)*in], d[r*out:(r+1)*out], straightW, straightB)
+			}
+			for l := range w {
+				for i, v := range w[l] {
+					batchW[l][i] += v
+				}
+				for i, v := range b[l] {
+					batchB[l][i] += v
+				}
+			}
+		}
+
+		for _, kernel := range kernelNames() {
+			withKernel(kernel, func() {
+				s := net.NewScratch()
+				if _, err := net.ForwardBatchInto(s, x, tapes*rows); err != nil {
+					t.Fatalf("ForwardBatchInto: %v", err)
+				}
+				states := make([]float64, tapes*rows*net.RowStateSize())
+				tps := make([]*Tape, tapes)
+				for k := range tps {
+					tps[k] = net.NewTape()
+					for r := k * rows; r < (k+1)*rows; r++ {
+						state := states[r*net.RowStateSize():][:net.RowStateSize()]
+						net.SaveRow(s, r, state)
+						dl, err := net.PushRow(tps[k], state)
+						if err != nil {
+							t.Fatalf("PushRow: %v", err)
+						}
+						copy(dl, d[r*out:(r+1)*out])
+					}
+					net.Backprop(tps[k])
+				}
+				straight := net.NewGrads()
+				if err := net.BackwardBatchInto(s, d, tapes*rows, straight); err != nil {
+					t.Fatalf("BackwardBatchInto: %v", err)
+				}
+				g := net.NewGrads()
+				for _, b := range rng.Perm(net.GradBlocks()) {
+					net.SumBlock(s, g, tps, b)
+				}
+				sameGradBits(t, fmt.Sprintf("kernel %s, %d-%d-%d, SumBlock", kernel, in, hid, out), g, batchW, batchB)
+				sameGradBits(t, fmt.Sprintf("kernel %s, %d-%d-%d, BackwardBatchInto", kernel, in, hid, out), straight, straightW, straightB)
 			})
 		}
 	})

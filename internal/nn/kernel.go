@@ -44,7 +44,13 @@ type Scratch struct {
 	partB   []float64
 	live    []int32
 	touched []bool
-	rows    int // rows the buffers are currently sized for
+	// acc, part and idx are the vector kernel's phase-2 buffers: g's sums of
+	// one block and a tape's, input major, and a row's non-zero inputs (see
+	// vectorSums). Grown on first use.
+	acc  []float64
+	part []float64
+	idx  []int32
+	rows int // rows the buffers are currently sized for
 }
 
 // NewScratch allocates a scratch buffer set shaped like the network and sized
