@@ -27,11 +27,13 @@ const gradBlockWeights = 4096
 const vectorBlockWeights = 6144
 
 // vectorMinRows is how many busy rows BackwardBatchInto needs before it takes
-// the vector kernel's phase 2: moving g's sums into that kernel's layout and
-// back costs about what eight rows save (≈ 42 µs against ≈ 4.8 µs a row on
-// the paper's network), and a supervised batch of mostly forced decisions
-// has fewer.
-const vectorMinRows = 8
+// the vector kernel's phase 2, which first moves g's sums into its layout and
+// back (about 40 µs on the paper's network). On that network, with 32-row
+// batches, pure Go is measured faster below 16 busy rows. The warm start's
+// batches have fewer: most of their rows have one legal action and so a zero
+// logit gradient (3.4 busy rows of 32 on average, never more than 9, in the
+// benchmark's set-up model build).
+const vectorMinRows = 16
 
 // Tape holds the rows of one backward pass between its two phases: a
 // trajectory's gradient-carrying steps, or a minibatch. It refers to its rows'
@@ -148,6 +150,9 @@ func (n *Network) Backprop(t *Tape) {
 		}
 	}
 	t.done = t.rows
+	if !useAVX2 {
+		return
+	}
 	t.inputs = t.inputs[:0]
 	for i, seen := range t.seen {
 		if seen {
@@ -165,15 +170,22 @@ func (n *Network) backpropRow(t *Tape, r int) bool {
 	}
 	k := gatherNonZero(acts[0], t.nz[r*t.half:(r+1)*t.half])
 	t.nnz[r] = int32(k)
-	if k >= 0 {
+	switch {
+	case !useAVX2:
+		// Only the vector SumBlock reads which inputs the tape touched.
+	case k >= 0:
 		for _, i := range t.nz[r*t.half:][:k] {
 			t.seen[i] = true
 		}
-	} else {
+	default:
+		seen := t.seen[:len(acts[0])]
 		for i, v := range acts[0] {
+			// Branch-free: a dense row's zeros fall at random.
+			s := seen[i]
 			if v != 0 {
-				t.seen[i] = true
+				s = true
 			}
+			seen[i] = s
 		}
 	}
 	for l := t.layers - 1; l > 0; l-- {

@@ -233,6 +233,75 @@ func TestForwardAfterUpdateMatchesNaive(t *testing.T) {
 	check("loaded after Apply", loaded)
 }
 
+// TestApplyMatchesOnBothKernels requires each kernel's RMSProp update to
+// leave the same weights, biases and accumulators, bit for bit, after a few
+// steps on every backwardShapes network, whose layers have every remainder
+// of the vector kernel's four lanes. The gradients hold exact zeros of both
+// signs.
+func TestApplyMatchesOnBothKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, sizes := range backwardShapes {
+		start := newNet(t, sizes...)
+		steps := make([]*Grads, 3)
+		for k := range steps {
+			g := start.NewGrads()
+			for l := range g.w {
+				for _, p := range [][]float64{g.w[l], g.b[l]} {
+					for i := range p {
+						switch rng.Intn(4) {
+						case 0:
+							p[i] = math.Copysign(0, -1)
+						case 1:
+						default:
+							p[i] = rng.NormFloat64()
+						}
+					}
+				}
+			}
+			g.AddSamples(k + 1)
+			steps[k] = g
+		}
+		var got []*Network
+		for _, kernel := range kernelNames() {
+			withKernel(kernel, func() {
+				n := start.Clone()
+				for _, step := range steps {
+					g := start.NewGrads()
+					for l := range g.w {
+						copy(g.w[l], step.w[l])
+						copy(g.b[l], step.b[l])
+					}
+					g.AddSamples(step.Samples())
+					if err := n.Apply(g, RMSProp{LR: 0.01, Rho: 0.9, Eps: 1e-8}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got = append(got, n)
+			})
+		}
+		for k, n := range got[1:] {
+			for _, p := range []struct {
+				what      string
+				got, want [][]float64
+			}{
+				{"weight", n.weights, got[0].weights},
+				{"bias", n.biases, got[0].biases},
+				{"weight accumulator", n.msW, got[0].msW},
+				{"bias accumulator", n.msB, got[0].msB},
+			} {
+				for l := range p.want {
+					for i, want := range p.want[l] {
+						if v := p.got[l][i]; math.Float64bits(v) != math.Float64bits(want) {
+							t.Fatalf("%v: layer %d %s %d: kernel %s %g, kernel %s %g",
+								sizes, l, p.what, i, kernelNames()[k+1], v, kernelNames()[0], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestProbsBatchIntoMatchesProbsInto(t *testing.T) {
 	n := newNet(t, 6, 10, 4)
 	batchScratch := n.NewScratch()
@@ -315,7 +384,9 @@ func TestBackwardBatchIntoMatchesSequential(t *testing.T) {
 			in, out := n.InputSize(), n.OutputSize()
 			batchScratch := n.NewScratch()
 			rowScratch := n.NewScratch()
-			const rows = 9
+			// Enough rows for the vector kernel's phase 2 in BackwardBatchInto;
+			// the one-row reference takes the other side of vectorMinRows.
+			const rows = vectorMinRows + 3
 			x, masks := randomBatch(rng, rows, in, out)
 			if out == 1 {
 				masks = nil // one action, never masked
@@ -392,7 +463,8 @@ func TestBackwardBatchIntoMatchesNaive(t *testing.T) {
 			s := n.NewScratch()
 			g := n.NewGrads()
 			w, b := n.NewGrads().w, n.NewGrads().b
-			for _, rows := range []int{2*len(rowKinds) + 1, 3} {
+			// Both sides of BackwardBatchInto's vectorMinRows.
+			for _, rows := range []int{2*vectorMinRows + 1, 3} {
 				x := make([]float64, rows*in)
 				d := make([]float64, rows*out)
 				for r := 0; r < rows; r++ {
@@ -620,7 +692,7 @@ func testBatchZeroAllocs(t *testing.T) {
 	x, masks := randomBatch(rng, rows, 10, 4)
 	d := make([]float64, rows*4)
 	for r := 0; r < rows; r++ {
-		d[r*4+r%4] = 1 // every row busy: enough for the vector kernel's phase 2
+		d[r*4+r%4] = 1 // every row busy: vectorMinRows, enough for the vector kernel's phase 2
 	}
 	if _, err := n.ProbsBatchInto(s, x, rows, masks); err != nil {
 		t.Fatal(err)

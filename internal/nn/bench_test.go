@@ -137,9 +137,8 @@ func itoa(v int) string {
 }
 
 // BenchmarkApplyRMSProp measures one RMSProp update of the paper's network on
-// each kernel. Apply has one loop for both, and repacks the vector kernel's
-// weights wherever the CPU has it, so the two rows differ only by noise: they
-// are there to show what a vector Apply would gain.
+// each kernel: the scalar loop, or rmsprop four parameters to a vector. Both
+// rows repack the forward's weights wherever the CPU has AVX2.
 func BenchmarkApplyRMSProp(b *testing.B) {
 	for _, kernel := range kernelNames() {
 		b.Run("kernel="+kernel, func(b *testing.B) {

@@ -174,7 +174,7 @@ func FuzzForwardBatchEquivalence(f *testing.F) {
 // and logit gradients through both backward phases on each kernel and
 // requires every gradient to be the naive oracle's, bit for bit, so that the
 // vector and pure-Go kernels agree with it and with each other. One to three
-// tapes of one to eight rows each go through SumBlock, its blocks in a
+// tapes of one to twelve rows each go through SumBlock, its blocks in a
 // shuffled order, into one Grads: per weight, each tape's rows summed from +0
 // and added to the batch tape after tape. BackwardBatchInto over all the
 // rows must give the oracle's straight row-order sums, on either side of the
@@ -202,7 +202,7 @@ func FuzzBackwardBatchEquivalence(f *testing.F) {
 		hid := int(data[1]%72) + 1
 		out := int(data[2]%72) + 1
 		tapes := int(data[3]%3) + 1
-		rows := int(data[4]%8) + 1
+		rows := int(data[4]%12) + 1
 		rng := rand.New(rand.NewSource(int64(data[5])))
 		pos := 6
 		next := func() byte {

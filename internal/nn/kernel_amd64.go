@@ -72,6 +72,15 @@ func transpose4(dst []float64, dstStride int, src []float64, srcStride int, rows
 //go:noescape
 func nonZeros4(d []float64, buf []int32) int
 
+// rmsprop is Apply's update of the first len(w)&^3 parameters of w, with
+// their accumulators ms and gradient sums g, four to a vector: the scalar
+// loop's arithmetic in its order, each operation rounded on its own (no
+// fused multiply-add), so every weight has the scalar loop's bits. fresh is
+// 1-rho. ms and g must be as long as w.
+//
+//go:noescape
+func rmsprop(w, ms, g []float64, scale, rho, fresh, lr, eps float64)
+
 // cpuid executes CPUID with EAX=leaf and ECX=sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

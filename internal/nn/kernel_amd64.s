@@ -481,6 +481,51 @@ tDone:
 	VZEROUPPER
 	RET
 
+// func rmsprop(w, ms, g []float64, scale, rho, fresh, lr, eps float64)
+//
+// One RMSProp step over the first len(w)&^3 parameters, four to a vector,
+// in Apply's order of operations: grad = g·scale; ms = rho·ms + (fresh·grad)·
+// grad; w -= (lr·grad) / (sqrt(ms) + eps); g = +0. Every product, quotient
+// and square root is rounded on its own, as SQRTSD and DIVSD round them.
+TEXT ·rmsprop(SB), NOSPLIT, $0-112
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         ms_base+24(FP), SI
+	MOVQ         g_base+48(FP), DX
+	SHRQ         $2, CX
+	JZ           rmsDone
+	VBROADCASTSD scale+72(FP), Y10
+	VBROADCASTSD rho+80(FP), Y11
+	VBROADCASTSD fresh+88(FP), Y12
+	VBROADCASTSD lr+96(FP), Y13
+	VBROADCASTSD eps+104(FP), Y14
+	VXORPD       Y15, Y15, Y15
+
+rmsLoop:
+	VMULPD  0(DX), Y10, Y0
+	VMULPD  0(SI), Y11, Y1
+	VMULPD  Y0, Y12, Y2
+	VMULPD  Y0, Y2, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, 0(SI)
+	VSQRTPD Y1, Y3
+	VADDPD  Y14, Y3, Y3
+	VMULPD  Y0, Y13, Y4
+	VDIVPD  Y3, Y4, Y4
+	VMOVUPD 0(DI), Y5
+	VSUBPD  Y4, Y5, Y5
+	VMOVUPD Y5, 0(DI)
+	VMOVUPD Y15, 0(DX)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     rmsLoop
+
+rmsDone:
+	VZEROUPPER
+	RET
+
 // nzLanes holds, for each 4-bit mask, the positions of its set bits in
 // ascending order, as four int32 padded with 0; nzCount holds how many bits
 // it sets.

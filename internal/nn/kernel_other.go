@@ -31,3 +31,7 @@ func addClearRows(dst, src []float64, idx []int32, i0 int) {
 func transpose4(dst []float64, dstStride int, src []float64, srcStride int, rows, cols int) {
 	panic("nn: no vector kernel in this build")
 }
+
+func rmsprop(w, ms, g []float64, scale, rho, fresh, lr, eps float64) {
+	panic("nn: no vector kernel in this build")
+}

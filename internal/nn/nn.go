@@ -103,13 +103,13 @@ func (n *Network) repack() {
 	for l, w := range n.weights {
 		in, out := n.sizes[l], n.sizes[l+1]
 		for j0 := 0; j0 < out; j0 += 32 {
-			// Written in packed order: the 32 rows read stay in L1 while
-			// the block's whole copy would not.
-			blk, units := n.packed[l][j0*in:], min(32, out-j0)
-			for i := 0; i < in; i++ {
-				dst := blk[i*32 : i*32+units]
-				for k := range dst {
-					dst[k] = w[(j0+k)*in+i]
+			// Whole 4x4 tiles through transpose4, the rest one at a time.
+			blk, src, units := n.packed[l][j0*in:], w[j0*in:], min(32, out-j0)
+			units4, in4 := units&^3, in&^3
+			transpose4(blk, 32, src, in, units4, in4)
+			for k := range units {
+				for i := tileEnd(k, units4, in4); i < in; i++ {
+					blk[i*32+k] = src[k*in+i]
 				}
 			}
 		}
@@ -201,23 +201,31 @@ func (n *Network) Apply(g *Grads, opt RMSProp) error {
 	}
 	scale := 1.0 / float64(g.n)
 	for l := range n.weights {
-		for i, raw := range g.w[l] {
-			grad := raw * scale
-			n.msW[l][i] = float64(opt.Rho*n.msW[l][i]) + float64((1-opt.Rho)*grad*grad)
-			n.weights[l][i] -= opt.LR * grad / (math.Sqrt(n.msW[l][i]) + opt.Eps)
-			g.w[l][i] = 0
-		}
-		for i, raw := range g.b[l] {
-			grad := raw * scale
-			n.msB[l][i] = float64(opt.Rho*n.msB[l][i]) + float64((1-opt.Rho)*grad*grad)
-			n.biases[l][i] -= opt.LR * grad / (math.Sqrt(n.msB[l][i]) + opt.Eps)
-			g.b[l][i] = 0
-		}
+		rmspropInto(n.weights[l], n.msW[l], g.w[l], scale, opt)
+		rmspropInto(n.biases[l], n.msB[l], g.b[l], scale, opt)
 	}
 	g.n = 0
 	n.gen++
 	n.repack()
 	return nil
+}
+
+// rmspropInto applies one RMSProp step to the parameters w, with their
+// accumulators ms and gradient sums g, and sets g to +0. The vector kernel
+// takes the first len(w)&^3 parameters with the same bits.
+func rmspropInto(w, ms, g []float64, scale float64, opt RMSProp) {
+	i0 := 0
+	if useAVX2 {
+		rmsprop(w, ms, g, scale, opt.Rho, 1-opt.Rho, opt.LR, opt.Eps)
+		i0 = len(w) &^ 3
+	}
+	ms, g = ms[:len(w)], g[:len(w)]
+	for i := i0; i < len(w); i++ {
+		grad := g[i] * scale
+		ms[i] = float64(opt.Rho*ms[i]) + float64((1-opt.Rho)*grad*grad)
+		w[i] -= opt.LR * grad / (math.Sqrt(ms[i]) + opt.Eps)
+		g[i] = 0
+	}
 }
 
 // networkState is the gob wire format.
